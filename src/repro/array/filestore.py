@@ -21,7 +21,7 @@ are folded down each parity chain in a single pass
 With ``cache_stripes > 0`` the store runs **write-back**: data bytes
 land in the stripe immediately (reads stay coherent) but the parity
 update is deferred in a :class:`~repro.array.stripe_cache.StripeCache`
-— a bounded LRU of dirty-element bitmaps plus first-touch pre-image
+— a bounded LRU of dirty stripes, each a set of first-touch pre-image
 snapshots.  :meth:`flush` (or LRU eviction, or any operation that
 needs consistent parity — disk failure, scrub, rebuild, degraded
 read) computes ``old ⊕ new`` deltas, groups dirty stripes sharing a
@@ -732,7 +732,7 @@ class FileStore:
         atomically.
         """
         assert self.cache is not None
-        entry = self.cache.entry(stripe_idx, self.code.rows, self.code.cols)
+        entry = self.cache.entry(stripe_idx)
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
             self._journal_intent(stripe_idx, stripe, pieces, entry)
@@ -846,6 +846,7 @@ class FileStore:
         """
         groups: dict[tuple[int, ...], list[tuple[int, DirtyStripe]]] = {}
         flushed = 0
+        cols = self.code.cols
         for idx, entry in entries:
             if not entry.num_dirty:
                 continue
@@ -858,20 +859,26 @@ class FileStore:
             ):
                 self._flush_python(idx, entry)
                 continue
-            groups.setdefault(entry.pattern(self.code.cols), []).append((idx, entry))
-        for pattern, group in sorted(groups.items()):
-            try:
-                from ..engine.compile import choose_update_strategy
+            groups.setdefault(entry.pattern(cols), []).append((idx, entry))
+        if groups:
+            # Bound late and through its module, so whoever instruments
+            # ``repro.engine.compile`` sees the store's calls too.
+            from ..engine import compile as compiler
 
-                strategy, plan = choose_update_strategy(self.code, pattern)
-            except PlanError:
-                for idx, entry in group:
-                    self._flush_python(idx, entry)
-                continue
-            if strategy == "reencode":
-                self._flush_group_reencode(pattern, group)
-            else:
-                self._flush_group_rmw(pattern, plan, group)
+            backend = self._resolved_backend()
+            for pattern, group in sorted(groups.items()):
+                try:
+                    strategy, plan = compiler.choose_update_strategy(
+                        self.code, pattern
+                    )
+                except PlanError:
+                    for idx, entry in group:
+                        self._flush_python(idx, entry)
+                    continue
+                if strategy == "reencode":
+                    self._flush_group_reencode(pattern, group)
+                else:
+                    self._flush_group_rmw(plan, group, backend)
         self._maybe_checkpoint()
         return flushed
 
@@ -884,7 +891,7 @@ class FileStore:
 
         return resolve_backend(self.engine)
 
-    def _lease_delta_batch(self, count: int):
+    def _lease_delta_batch(self, backend, count: int):
         """A delta batch for one flush group, arena-backed when the
         resolved backend executes over shared memory.
 
@@ -892,7 +899,6 @@ class FileStore:
         batch.  An arena-resident batch is what lets the parallel
         backend's workers run the update plan with zero copy-in/out.
         """
-        backend = self._resolved_backend()
         if backend is not None and backend.name == "parallel":
             arena = self.arena if self.arena is not None else backend.arena
             return arena.lease_batch(
@@ -910,14 +916,11 @@ class FileStore:
         )
 
     def _flush_group_rmw(
-        self,
-        pattern: tuple[int, ...],
-        plan,
-        group: list[tuple[int, DirtyStripe]],
+        self, plan, group: list[tuple[int, DirtyStripe]], backend
     ) -> None:
         """One update plan over a batch of same-pattern stripe deltas.
 
-        Three executions, picked by the resolved backend: the native
+        Three executions, picked by the resolved ``backend``: the native
         backend fuses delta build + plan + parity fold into one C call
         per stripe (:meth:`~repro.engine.backends.NativeBackend.execute_update`);
         the parallel backend runs the plan over an *arena-resident*
@@ -925,21 +928,19 @@ class FileStore:
         copies); everything else builds a plain numpy delta batch and
         executes through the registry.
         """
-        from ..engine.executor import apply_update, execute_plan
-
-        cells = [divmod(slot, self.code.cols) for slot in pattern]
-        backend = self._resolved_backend()
+        cells = plan.pattern_positions
         if backend is not None and hasattr(backend, "execute_update"):
             for idx, entry in group:
                 old = {
-                    r * self.code.cols + c: entry.old[(r, c)]
-                    for (r, c) in cells
+                    slot: entry.old[pos] for slot, pos in zip(plan.pattern, cells)
                 }
                 backend.execute_update(
                     plan, self.stripes[idx], old, stats=self.stats
                 )
         else:
-            delta, lease = self._lease_delta_batch(len(group))
+            from ..engine.executor import apply_update, execute_plan
+
+            delta, lease = self._lease_delta_batch(backend, len(group))
             try:
                 for i, (idx, entry) in enumerate(group):
                     live = self.stripes[idx].data
@@ -965,12 +966,11 @@ class FileStore:
                 if lease is not None:
                     lease.release()
         self._crash_point("parity-write")
-        outputs = [divmod(slot, self.code.cols) for slot in plan.outputs]
         for idx, _ in group:
             stripe = self.stripes[idx]
             for pos in cells:
                 self.sidecar.record(idx, pos, stripe.data[pos])
-            for pos in outputs:
+            for pos in plan.output_positions:
                 self.sidecar.record(idx, pos, stripe.data[pos])
                 self.stats.record_read(pos[1])
                 self.stats.record_write(pos[1])

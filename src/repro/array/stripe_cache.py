@@ -2,12 +2,13 @@
 
 A cached store writes data elements straight into the stripe buffers
 (reads stay coherent) but *defers the parity update*: each dirty
-stripe is tracked here with a dirty-element bitmap and a pre-image
-snapshot of every element's first overwrite.  At flush time the store
-computes ``old ⊕ new`` deltas from the snapshots, groups stripes that
-share a dirty pattern into one :class:`~repro.array.stripe.StripeBatch`,
-and folds the parity deltas in with a single compiled ``update`` plan
-per pattern (see :mod:`repro.engine.compile`).
+stripe is tracked here with a pre-image snapshot of every element's
+first overwrite, whose keys are the dirty set.  At flush time the
+store computes ``old ⊕ new`` deltas from the snapshots, groups stripes
+that share a dirty pattern into one
+:class:`~repro.array.stripe.StripeBatch`, and folds the parity deltas
+in with a single compiled ``update`` plan per pattern (see
+:mod:`repro.engine.compile`).
 
 The cache itself is policy only — capacity, LRU order, dirty tracking,
 hit/miss/eviction counters.  It never touches stripe bytes except to
@@ -30,22 +31,17 @@ Position = tuple[int, int]
 class DirtyStripe:
     """Dirty state of one cached stripe.
 
-    ``dirty`` is the dirty-element bitmap; ``old`` holds a pre-image
-    copy of each dirty element, taken on its *first* overwrite — later
-    writes to the same element only touch the live buffer, which is
-    exactly how the cache absorbs rewrites of a hot element.
+    ``old`` holds a pre-image copy of each dirty element, taken on its
+    *first* overwrite — later writes to the same element only touch the
+    live buffer, which is exactly how the cache absorbs rewrites of a
+    hot element.  Its keys are the dirty set.
     """
 
-    def __init__(self, rows: int, cols: int) -> None:
-        self.dirty = np.zeros((rows, cols), dtype=bool)
+    def __init__(self) -> None:
         self.old: dict[Position, np.ndarray] = {}
-        # Mirror of the bitmap for O(1) Python-side membership — a
-        # numpy scalar index per write is measurable at small-write
-        # rates.
-        self._touched: set[Position] = set()
 
     def is_dirty(self, pos: Position) -> bool:
-        return pos in self._touched
+        return pos in self.old
 
     def snapshot(self, pos: Position, current: np.ndarray) -> bool:
         """Record ``pos`` dirty; copy its pre-image on first touch.
@@ -53,25 +49,23 @@ class DirtyStripe:
         Returns True when this was the first touch (the caller charges
         the read-modify-write's old-data read exactly once).
         """
-        if pos in self._touched:
+        if pos in self.old:
             return False
-        self._touched.add(pos)
         self.old[pos] = current.copy()
-        self.dirty[pos] = True
         return True
 
     def dirty_positions(self) -> list[Position]:
         """The dirty cells, row-major."""
-        rs, cs = np.nonzero(self.dirty)
-        return [(int(r), int(c)) for r, c in zip(rs, cs)]
+        return sorted(self.old)
 
     def pattern(self, cols: int) -> tuple[int, ...]:
-        """The dirty bitmap as sorted cell slots — the update-plan key."""
-        return tuple(r * cols + c for r, c in self.dirty_positions())
+        """The dirty cells as sorted cell slots — the update-plan key,
+        already in the canonical form the plan cache looks up."""
+        return tuple(sorted([r * cols + c for r, c in self.old]))
 
     @property
     def num_dirty(self) -> int:
-        return len(self._touched)
+        return len(self.old)
 
 
 class StripeCache:
@@ -95,7 +89,7 @@ class StripeCache:
     def __contains__(self, stripe_idx: int) -> bool:
         return stripe_idx in self._entries
 
-    def entry(self, stripe_idx: int, rows: int, cols: int) -> DirtyStripe:
+    def entry(self, stripe_idx: int) -> DirtyStripe:
         """The dirty entry for a stripe, created on first touch (LRU bump)."""
         found = self._entries.get(stripe_idx)
         if found is not None:
@@ -103,7 +97,7 @@ class StripeCache:
             self._entries.move_to_end(stripe_idx)
             return found
         self.misses += 1
-        fresh = DirtyStripe(rows, cols)
+        fresh = DirtyStripe()
         self._entries[stripe_idx] = fresh
         return fresh
 

@@ -289,6 +289,20 @@ class ArrayCode(ABC):
             remaining = still
         return tuple(ordered)
 
+    @cached_property
+    def encode_fanout(self) -> tuple[tuple[int, ...], ...]:
+        """For every cell slot ``r * cols + c``, the indices into
+        :attr:`encode_order` of the chains that list it as a member.
+
+        What a changed cell feeds: the update compiler walks only these
+        chains instead of scanning every chain for dirty members.
+        """
+        fed: list[list[int]] = [[] for _ in range(self.rows * self.cols)]
+        for index, chain in enumerate(self.encode_order):
+            for r, c in chain.members:
+                fed[r * self.cols + c].append(index)
+        return tuple(tuple(indices) for indices in fed)
+
     def encode(self, stripe: Stripe, *, engine: str = "python") -> None:
         """Fill every parity cell of ``stripe`` from its members.
 

@@ -12,11 +12,12 @@ vector path at both L2-resident and DRAM-resident region sizes.
 
 The backend is **optional by construction**: the C source below is
 compiled with whatever ``cc``/``gcc``/``clang`` the host has, at first
-use, into a per-process temporary directory.  No compiler, a failed
-compile, or ``REPRO_DISABLE_NATIVE=1`` in the environment all make
-:meth:`NativeBackend.available` report False and the registry's
-``auto`` resolution falls back to the fused numpy backend — presence
-of the backend can never be a correctness or import-time concern.
+use, in a temporary directory that is removed once the library is
+loaded.  No compiler, a failed compile, or ``REPRO_DISABLE_NATIVE=1``
+in the environment all make :meth:`NativeBackend.available` report
+False and the registry's ``auto`` resolution falls back to the fused
+numpy backend — presence of the backend can never be a correctness or
+import-time concern.
 
 The kernel is byte-oriented (sizes and strides in bytes), so the
 unaligned uint8-lane fallback needs no second entry point: gcc/clang
@@ -35,12 +36,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...exceptions import InvalidParameterError
+from ...exceptions import InvalidParameterError, PlanError
 from ..executor import _check_geometry, _clear_outputs
 from .base import KernelBackend, Target, charge_stats, split_targets
 
 if TYPE_CHECKING:
-    from collections.abc import Mapping
+    from collections.abc import Iterable, Iterator, Mapping, Sequence
 
     from ...array.iostats import IOStats
     from ...array.stripe import Stripe
@@ -165,29 +166,31 @@ def _compile_kernel() -> "ctypes._CFuncPtr | None":
     compiler = _find_compiler()
     if compiler is None:
         return None
-    workdir = tempfile.mkdtemp(prefix="repro-native-")
-    src = os.path.join(workdir, "xor_kernel.c")
-    lib = os.path.join(workdir, "xor_kernel.so")
-    with open(src, "w") as fh:
-        fh.write(_C_SOURCE)
-    base_cmd = [compiler, "-O3", "-shared", "-fPIC", src, "-o", lib]
-    for extra in (["-march=native"], []):
-        try:
-            result = subprocess.run(
-                base_cmd[:2] + extra + base_cmd[2:],
-                capture_output=True,
-                timeout=120,
-            )
-        except (OSError, subprocess.SubprocessError):
+    # The build directory goes as soon as the library is mapped (the
+    # mapping outlives the file), and on every failure path.
+    with tempfile.TemporaryDirectory(prefix="repro-native-") as workdir:
+        src = os.path.join(workdir, "xor_kernel.c")
+        lib = os.path.join(workdir, "xor_kernel.so")
+        with open(src, "w") as fh:
+            fh.write(_C_SOURCE)
+        base_cmd = [compiler, "-O3", "-shared", "-fPIC", src, "-o", lib]
+        for extra in (["-march=native"], []):
+            try:
+                result = subprocess.run(
+                    base_cmd[:2] + extra + base_cmd[2:],
+                    capture_output=True,
+                    timeout=120,
+                )
+            except (OSError, subprocess.SubprocessError):
+                return None
+            if result.returncode == 0:
+                break
+        else:
             return None
-        if result.returncode == 0:
-            break
-    else:
-        return None
-    try:
-        dll = ctypes.CDLL(lib)
-    except OSError:
-        return None
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            return None
     fn = dll.xor_exec_plan
     fn.argtypes = [
         ctypes.c_void_p,
@@ -211,28 +214,95 @@ def _kernel() -> "ctypes._CFuncPtr | None":
     return _KERNEL or None
 
 
-def _encode_schedule(plan: "XorPlan") -> np.ndarray:
-    """Flatten the steps into the C kernel's int32 wire format."""
-    enc: list[int] = []
-    for step in plan.steps:
-        enc.append(step.dst)
-        enc.append(len(step.srcs))
-        enc.extend(step.srcs)
-    return np.asarray(enc, dtype=np.int32)
+class _Schedule:
+    """A plan lowered to the C kernel's int32 wire format
+    (``[dst, nsrc, src...]`` per step), with everything a call needs
+    that is fixed per plan.  Built once per plan object and kept on it
+    (:meth:`XorPlan.derived`), so a schedule is freed with its plan.
+    """
+
+    __slots__ = ("enc", "addr", "n_steps", "scratch_rows", "xors")
+
+    def __init__(
+        self, steps: "Iterable[tuple[int, Sequence[int]]]", scratch_rows: int = 0
+    ) -> None:
+        enc: list[int] = []
+        self.n_steps = self.xors = 0
+        for dst, srcs in steps:
+            enc += (dst, len(srcs), *srcs)
+            self.n_steps += 1
+            self.xors += len(srcs) - 1
+        #: the program; ``addr`` is only valid while this array lives
+        self.enc = np.asarray(enc, dtype=np.int32)
+        self.addr = self.enc.ctypes.data
+        #: update schedules: scratch rows to allocate per call
+        self.scratch_rows = scratch_rows
+
+
+def _plain_schedule(plan: "XorPlan") -> _Schedule:
+    return _Schedule((step.dst, step.srcs) for step in plan.steps)
+
+
+def _update_schedule(plan: "XorPlan") -> _Schedule:
+    """The extended ``[delta build | plan | fold]`` schedule of an
+    update plan.
+
+    Layout: the live stripe is the ``buf`` region (``num_cells``
+    cells); the *delta domain* lives entirely in scratch.  Cell slot
+    ``s`` of the delta buffer maps to scratch slot
+    ``num_cells + index(s)`` (only the slots the plan actually touches
+    get scratch, compacted: the dirty cells first, in pattern order,
+    so scratch row ``i`` takes the ``i``-th pre-image), and the plan's
+    own temps follow.  The schedule is three phases in one flat
+    program:
+
+    1. delta build — scratch holds the dirty cells' *old* bytes
+       (preloaded by the caller); one in-place XOR against the live
+       (new) cell turns each into ``old ⊕ new``;
+    2. the update plan's steps, slot-remapped into scratch, which
+       leave each dirtied parity's *delta* in scratch;
+    3. masked fold — each output parity cell of the live stripe is
+       XORed with its delta, exactly like
+       :func:`~repro.engine.executor.apply_update`.
+
+    The scratch is handed over uninitialised apart from the pre-image
+    rows, so a plan that reads any other cell before writing it is
+    refused here, once, instead of computing on garbage.
+    """
+    dirty = set(plan.pattern)
+    undefined = sorted(set(plan.reads) - dirty)
+    if undefined:
+        raise PlanError(
+            f"{plan.code_name} update plan reads slots {undefined} that "
+            "are neither dirty nor computed by an earlier step"
+        )
+    ncells = plan.num_cells
+    computed = {step.dst for step in plan.steps if step.dst < ncells}
+    touched = (*plan.pattern, *sorted((computed | set(plan.outputs)) - dirty))
+    index = {slot: i for i, slot in enumerate(touched)}
+
+    def delta_slot(slot: int) -> int:
+        # A delta-domain slot, remapped into the scratch region.
+        if slot < ncells:
+            return ncells + index[slot]
+        return ncells + len(touched) + (slot - ncells)
+
+    def program() -> "Iterator[tuple[int, Sequence[int]]]":
+        for slot in plan.pattern:
+            d = delta_slot(slot)
+            yield d, (d, slot)  # scratch(old) ^= live(new)
+        for step in plan.steps:
+            yield delta_slot(step.dst), [delta_slot(s) for s in step.srcs]
+        for out in plan.outputs:
+            yield out, (out, delta_slot(out))  # parity ^= delta
+
+    return _Schedule(program(), scratch_rows=len(touched) + plan.num_temps)
 
 
 class NativeBackend(KernelBackend):
     """Compiled C inner loop behind ``ctypes``, one call per region."""
 
     name = "native"
-
-    #: encoded-schedule caches keyed by plan hash (plans are immutable);
-    #: update plans cache the extended [delta-build | plan | fold] form.
-    def __init__(self) -> None:
-        self._schedules: dict[str, np.ndarray] = {}
-        self._update_schedules: dict[
-            str, tuple[np.ndarray, tuple[int, ...], int]
-        ] = {}
 
     def available(self) -> bool:
         return _kernel() is not None
@@ -258,9 +328,7 @@ class NativeBackend(KernelBackend):
                 "native backend unavailable on this host (no C compiler); "
                 "use engine='auto' for graceful fallback"
             )
-        enc = self._schedules.get(plan.plan_hash)
-        if enc is None:
-            enc = self._schedules[plan.plan_hash] = _encode_schedule(plan)
+        schedule = plan.derived("native_schedule", _plain_schedule)
         for piece in split_targets(target):
             _check_geometry(plan, piece)
             flat = piece.flat_view()  # (..., cells, element_size) uint8
@@ -278,8 +346,8 @@ class NativeBackend(KernelBackend):
                 lanes,
                 plan.num_cells * cell_bytes,
                 cell_bytes,
-                enc.ctypes.data,
-                len(plan.steps),
+                schedule.addr,
+                schedule.n_steps,
                 plan.num_cells,
                 tile,
             )
@@ -287,66 +355,6 @@ class NativeBackend(KernelBackend):
             _clear_outputs(plan, piece)
 
     # -- the end-to-end update path -------------------------------------------
-
-    def _update_schedule(
-        self, plan: "XorPlan"
-    ) -> tuple[np.ndarray, tuple[int, ...], int]:
-        """The extended schedule for an update plan, cached by hash.
-
-        Layout: the live stripe is the ``buf`` region (``num_cells``
-        cells); the *delta domain* lives entirely in scratch.  Cell
-        slot ``s`` of the delta buffer maps to scratch slot
-        ``num_cells + index(s)`` (only the slots the plan actually
-        touches get scratch, compacted), and the plan's own temps
-        follow.  The schedule is three phases in one flat program:
-
-        1. delta build — scratch holds the dirty cells' *old* bytes
-           (preloaded by the caller); one in-place XOR against the live
-           (new) cell turns each into ``old ⊕ new``;
-        2. the update plan's steps, slot-remapped into scratch, which
-           leave each dirtied parity's *delta* in scratch;
-        3. masked fold — each output parity cell of the live stripe is
-           XORed with its delta, exactly like
-           :func:`~repro.engine.executor.apply_update`.
-
-        Returns ``(encoded schedule, touched delta slots in scratch
-        order, scratch cell count)``.
-        """
-        cached = self._update_schedules.get(plan.plan_hash)
-        if cached is not None:
-            return cached
-        touched = sorted(
-            {
-                slot
-                for step in plan.steps
-                for slot in (step.dst, *step.srcs)
-                if slot < plan.num_cells
-            }
-            | set(plan.pattern)
-            | set(plan.outputs)
-        )
-        index = {slot: i for i, slot in enumerate(touched)}
-        ncells = plan.num_cells
-
-        def delta_slot(slot: int) -> int:
-            # A delta-domain slot, remapped into the scratch region.
-            if slot < ncells:
-                return ncells + index[slot]
-            return ncells + len(touched) + (slot - ncells)
-
-        enc: list[int] = []
-        for dirty in plan.pattern:
-            d = delta_slot(dirty)
-            enc.extend((d, 2, d, dirty))  # scratch(old) ^= live(new)
-        for step in plan.steps:
-            enc.append(delta_slot(step.dst))
-            enc.append(len(step.srcs))
-            enc.extend(delta_slot(s) for s in step.srcs)
-        for out in plan.outputs:
-            enc.extend((out, 2, out, delta_slot(out)))  # parity ^= delta
-        entry = (np.asarray(enc, dtype=np.int32), tuple(touched), len(touched))
-        self._update_schedules[plan.plan_hash] = entry
-        return entry
 
     def execute_update(
         self,
@@ -363,7 +371,7 @@ class NativeBackend(KernelBackend):
         ``stripe`` holds the *new* data, ``old`` maps each dirty cell
         slot (``r * cols + c``) to its pre-image bytes, and on return
         every dirtied parity cell has been updated in place.  The
-        extended schedule is cached per plan hash like the plain path.
+        extended schedule is kept on the plan like the plain one.
         """
         fn = _kernel()
         if fn is None:
@@ -380,30 +388,24 @@ class NativeBackend(KernelBackend):
             raise InvalidParameterError(
                 f"missing pre-images for dirty slots {missing}"
             )
-        enc, touched, scratch_cells = self._update_schedule(plan)
+        schedule = plan.derived("native_update_schedule", _update_schedule)
         _check_geometry(plan, stripe)
         flat = stripe.flat_view()
         cell_bytes = flat.shape[-1]
-        scratch = np.zeros(
-            (scratch_cells + plan.num_temps, cell_bytes), dtype=np.uint8
-        )
-        for i, slot in enumerate(touched):
-            if slot in old:
-                scratch[i] = old[slot]
-        n_steps = len(plan.pattern) + len(plan.steps) + len(plan.outputs)
-        tile = max(1, min(cell_bytes, NATIVE_TILE_BYTES))
+        # Every row but the pre-images is written before it is read.
+        scratch = np.empty((schedule.scratch_rows, cell_bytes), dtype=np.uint8)
+        for row, slot in enumerate(plan.pattern):
+            scratch[row] = old[slot]
         fn(
             flat.ctypes.data,
             scratch.ctypes.data,
             1,
             0,
             cell_bytes,
-            enc.ctypes.data,
-            n_steps,
+            schedule.addr,
+            schedule.n_steps,
             plan.num_cells,
-            tile,
+            max(1, min(cell_bytes, NATIVE_TILE_BYTES)),
         )
         if stats is not None:
-            per_word = max(cell_bytes // 8, 1)
-            xors = len(plan.pattern) + plan.xors_per_word + len(plan.outputs)
-            stats.record_xor(xors * per_word, 1)
+            stats.record_xor(schedule.xors * max(cell_bytes // 8, 1), 1)

@@ -33,12 +33,15 @@ and the step order never needs repair.  On EVENODD this factors the
 shared S-adjuster out of every diagonal chain.
 
 Compiled plans are cached in a per-process LRU (:class:`PlanCache`)
-keyed by ``(code, p, op, pattern)`` — compilation runs once, execution
-many times.
+keyed by code, geometry, op and pattern — compilation runs once,
+execution many times — and the cache also remembers which strategy
+:func:`choose_update_strategy` picked for each update plan it holds, so
+a flush that repeats a dirty pattern costs one lookup.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
@@ -55,18 +58,36 @@ if TYPE_CHECKING:  # imported lazily to avoid an engine<->codes cycle
 #: Scratch-slot budget for common-subexpression elimination.
 MAX_CSE_TEMPS = 64
 
+#: Default :class:`PlanCache` capacity, sized from the update-pattern
+#: space rather than the recovery one (a code has only ``cols²`` disk
+#: patterns): a partial-stripe-write mix flushes a few hundred distinct
+#: dirty runs per thousand ops (248-254 on the ``store-write``
+#: benchmark) and replays them cyclically, LRU's worst case below that
+#: count.  Byte budget, measured with tracemalloc on HV@11 over all
+#: 3 240 contiguous runs of the 80-element stripe: 4.2 KB per update
+#: plan with its key and remembered decision (13.7 MB in all), plus
+#: 1.8 KB for the native schedule of one that has executed — about
+#: 6 MB for a full cache, 1.5 MB for the benchmark's working set.
+DEFAULT_PLAN_CACHE_SIZE = 1024
+
 
 # -- the plan cache ---------------------------------------------------------------
 
 
 @dataclass
 class PlanCache:
-    """A bounded LRU of compiled plans, keyed by ``(code, p, op, pattern)``.
+    """A bounded LRU of compiled plans, keyed by :func:`plan_key`.
 
     The process-wide :data:`PLAN_CACHE` is shared by every shard of a
     :class:`~repro.service.VolumePool`, so lookups and stores take a
     small internal lock; plans themselves are immutable after
     compilation and safe to execute from any thread.
+
+    Beside each ``update`` plan the cache keeps the ``(strategy, plan)``
+    :func:`choose_update_strategy` decided for it, under the same key
+    and lock and evicted with it.  ``hits`` counts lookups answered
+    from either table, ``misses`` lookups after which a plan had to be
+    compiled.
 
     Two introspection hooks support the static layer:
 
@@ -81,7 +102,7 @@ class PlanCache:
       use to observe exactly what the engine will execute.
     """
 
-    maxsize: int = 128
+    maxsize: int = DEFAULT_PLAN_CACHE_SIZE
     hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -90,6 +111,7 @@ class PlanCache:
         default=None, repr=False, compare=False
     )
     _plans: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _strategies: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -116,17 +138,42 @@ class PlanCache:
             self.hits += 1
             return plan
 
-    def store(self, key: tuple, plan: XorPlan) -> None:
+    def store(self, key: tuple, plan: XorPlan) -> XorPlan:
+        """Cache ``plan`` under ``key`` and return the resident plan —
+        the one already there when another thread compiled it first, so
+        every caller executes the same object."""
         with self._lock:
-            self._plans[key] = plan
+            resident = self._plans.setdefault(key, plan)
             self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:
-                self._plans.popitem(last=False)
+                evicted, _ = self._plans.popitem(last=False)
+                self._strategies.pop(evicted, None)
                 self.evictions += 1
+        return resident
+
+    def lookup_strategy(self, key: tuple) -> tuple[str, XorPlan] | None:
+        """The decision remembered for the update plan at ``key``.
+
+        A hit refreshes that plan's LRU position and is the only lookup
+        the caller needs; a miss counts nothing (the compiles that
+        follow do).
+        """
+        with self._lock:
+            decision = self._strategies.get(key)
+            if decision is not None:
+                self._plans.move_to_end(key)
+                self.hits += 1
+            return decision
+
+    def store_strategy(self, key: tuple, decision: tuple[str, XorPlan]) -> None:
+        with self._lock:
+            if key in self._plans:  # unless its plan is already evicted
+                self._strategies[key] = decision
 
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+            self._strategies.clear()
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -173,7 +220,7 @@ def compile_plan(
     if op not in PLAN_OPS:
         raise PlanError(f"unknown plan op {op!r}; known: {PLAN_OPS}")
     canonical = _canonical_pattern(code, op, pattern)
-    key = (code.name, code.p, op, canonical, planner, cse)
+    key = plan_key(code, op, canonical, planner, cse)
     if cache is not None:
         cached = cache.lookup(key)
         if cached is not None:
@@ -198,10 +245,27 @@ def compile_plan(
 
         verify_plan(code, plan)
     if cache is not None:
-        cache.store(key, plan)
-        if cache.on_store is not None:
+        resident = cache.store(key, plan)
+        if resident is plan and cache.on_store is not None:
             cache.on_store(key, plan)
+        return resident
     return plan
+
+
+def plan_key(
+    code: "ArrayCode",
+    op: str,
+    canonical: tuple,
+    planner: str = "greedy",
+    cse: bool = True,
+) -> tuple:
+    """The :class:`PlanCache` key of a plan with a canonical pattern.
+
+    Name and ``p`` do not identify a code: Cauchy-RS reports its
+    auto-chosen word size as ``p``, the same for 7 and for 11 data
+    disks.  The stripe geometry tells such instances apart.
+    """
+    return (code.name, code.p, op, canonical, planner, cse, code.rows, code.cols)
 
 
 def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
@@ -396,20 +460,36 @@ def _compile_update(code: "ArrayCode", pattern: tuple[int, ...]) -> XorPlan:
     a parity's delta a single multi-source kernel instead of one call
     per dirty cell.
     """
-    slot = lambda pos: pos[0] * code.cols + pos[1]  # noqa: E731
-    dirty: set[int] = set(pattern)
+    order, fanout, cols = code.encode_order, code.encode_fanout, code.cols
+    # Only the chains a dirty cell feeds are visited: ``fed`` maps their
+    # encode-order index to the dirty members seen so far, and the heap
+    # hands the indices out in that order while each emitted parity
+    # feeds the chains nested over it (always later in the order).
+    fed: dict[int, list[int]] = {}
+    heap: list[int] = []
+
+    def feed(slot: int) -> None:
+        for index in fanout[slot]:
+            if index in fed:
+                fed[index].append(slot)
+            else:
+                fed[index] = [slot]
+                heapq.heappush(heap, index)
+
+    for slot in pattern:
+        feed(slot)
     steps: list[XorStep] = []
     depth: dict[int, int] = {}
     outputs: list[int] = []
-    for chain in code.encode_order:
-        srcs = tuple(sorted(slot(m) for m in chain.members if slot(m) in dirty))
-        if not srcs:
-            continue
-        dst = slot(chain.parity)
+    while heap:
+        index = heapq.heappop(heap)
+        srcs = tuple(sorted(fed[index]))
+        r, c = order[index].parity
+        dst = r * cols + c
         steps.append(XorStep(dst=dst, srcs=srcs))
-        depth[dst] = 1 + max((depth.get(s, 0) for s in srcs), default=0)
-        dirty.add(dst)
+        depth[dst] = 1 + max(depth.get(s, 0) for s in srcs)
         outputs.append(dst)
+        feed(dst)
     rounds = max(depth.values(), default=0)
     return XorPlan(
         code_name=code.name,
@@ -452,6 +532,12 @@ def choose_update_strategy(
     every parity once and wins, which is exactly the paper's
     RMW-versus-reconstruct-write crossover.
     """
+    if cache is not None:
+        # ``cells`` already in canonical form (sorted slots, what the
+        # stripe cache hands over) is the key itself: one lookup.
+        decision = cache.lookup_strategy(plan_key(code, "update", tuple(cells)))
+        if decision is not None:
+            return decision
     update_plan = compile_plan(code, "update", cells, cache=cache)
     encode_plan = compile_plan(code, "encode", cache=cache)
     rmw_kernels = (
@@ -459,9 +545,16 @@ def choose_update_strategy(
         + update_plan.kernel_calls
         + len(update_plan.outputs)  # fold each parity delta into the stripe
     )
-    if rmw_kernels > encode_plan.kernel_calls:
-        return "reencode", encode_plan
-    return "rmw", update_plan
+    decision = (
+        ("reencode", encode_plan)
+        if rmw_kernels > encode_plan.kernel_calls
+        else ("rmw", update_plan)
+    )
+    if cache is not None:
+        cache.store_strategy(
+            plan_key(code, "update", update_plan.pattern), decision
+        )
+    return decision
 
 
 def _compile_decode(code: "ArrayCode", pattern: tuple[int, ...]) -> XorPlan:

@@ -35,10 +35,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import TypeVar
 
 from ..exceptions import PlanError
+
+T = TypeVar("T")
 
 #: A cell coordinate ``(row, col)``, 0-based.
 Position = tuple[int, int]
@@ -151,14 +155,47 @@ class XorPlan:
             raise PlanError(f"slot {slot} is not a cell slot")
         return divmod(slot, self.cols)
 
+    @cached_property
+    def pattern_positions(self) -> tuple[Position, ...]:
+        """:attr:`pattern` as positions, for the ops whose pattern is
+        cell slots (``update``, ``decode``, ``reconstruct``)."""
+        if self.op.startswith("recover"):
+            raise PlanError(f"a {self.op} pattern names disks, not cells")
+        return tuple(self.position_of(slot) for slot in self.pattern)
+
+    @cached_property
+    def output_positions(self) -> tuple[Position, ...]:
+        """:attr:`outputs` as positions, in the same order."""
+        return tuple(self.position_of(slot) for slot in self.outputs)
+
+    def derived(self, name: str, build: Callable[["XorPlan"], T]) -> T:
+        """``build(self)``, computed once and kept as long as the plan.
+
+        The seam a backend hangs its lowered form of the schedule on:
+        the value lives in the instance dict, beside :attr:`reads` and
+        :attr:`plan_hash`, so it is found without hashing the plan and
+        is freed with it — no side table to outlive an evicted plan.
+        Never part of :meth:`to_dict`.
+        """
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = self.__dict__[name] = build(self)
+            return value
+
+    def __getstate__(self) -> dict:
+        # A copy or pickle carries the fields only: a derived value may
+        # hold what is valid for this object alone (a buffer address).
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
     # -- cost model --------------------------------------------------------------
 
-    @property
+    @cached_property
     def xors_per_word(self) -> int:
         """Word-XOR operations one buffer word costs under this plan."""
         return sum(step.xors for step in self.steps)
 
-    @property
+    @cached_property
     def kernel_calls(self) -> int:
         """Vector-kernel invocations the executor issues per batch."""
         return sum(max(step.xors, 1) for step in self.steps)

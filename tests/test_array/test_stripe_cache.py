@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.array.filestore import FileStore
 from repro.array.stripe_cache import DirtyStripe, StripeCache
+from repro.engine import PLAN_CACHE
 from repro.exceptions import InvalidParameterError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -46,14 +47,14 @@ def payload(n: int, seed: int = 0) -> bytes:
 
 class TestDirtyStripe:
     def test_first_touch_snapshots_pre_image(self):
-        entry = DirtyStripe(3, 4)
+        entry = DirtyStripe()
         buf = np.arange(8, dtype=np.uint8)
         assert entry.snapshot((1, 2), buf) is True
         buf[:] = 0  # later mutation must not reach the snapshot
         assert entry.old[(1, 2)].tolist() == list(range(8))
 
     def test_second_touch_is_absorbed(self):
-        entry = DirtyStripe(3, 4)
+        entry = DirtyStripe()
         first = np.zeros(4, dtype=np.uint8)
         assert entry.snapshot((0, 0), first) is True
         assert entry.snapshot((0, 0), np.ones(4, dtype=np.uint8)) is False
@@ -61,7 +62,7 @@ class TestDirtyStripe:
         assert entry.num_dirty == 1
 
     def test_pattern_is_sorted_cell_slots(self):
-        entry = DirtyStripe(2, 5)
+        entry = DirtyStripe()
         buf = np.zeros(2, dtype=np.uint8)
         entry.snapshot((1, 3), buf)
         entry.snapshot((0, 1), buf)
@@ -76,9 +77,9 @@ class TestStripeCache:
 
     def test_hits_and_misses(self):
         cache = StripeCache(4)
-        cache.entry(0, 2, 3)
-        cache.entry(0, 2, 3)
-        cache.entry(1, 2, 3)
+        cache.entry(0)
+        cache.entry(0)
+        cache.entry(1)
         stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 2
@@ -86,10 +87,10 @@ class TestStripeCache:
 
     def test_lru_evicts_least_recent(self):
         cache = StripeCache(2)
-        cache.entry(0, 2, 3)
-        cache.entry(1, 2, 3)
-        cache.entry(0, 2, 3)  # bump 0: stripe 1 is now the LRU
-        cache.entry(2, 2, 3)
+        cache.entry(0)
+        cache.entry(1)
+        cache.entry(0)  # bump 0: stripe 1 is now the LRU
+        cache.entry(2)
         evicted = cache.evict_over_capacity()
         assert [idx for idx, _ in evicted] == [1]
         assert cache.evictions == 1
@@ -97,17 +98,17 @@ class TestStripeCache:
 
     def test_peek_does_not_bump(self):
         cache = StripeCache(2)
-        cache.entry(0, 2, 3)
-        cache.entry(1, 2, 3)
+        cache.entry(0)
+        cache.entry(1)
         cache.peek(0)  # no LRU bump: stripe 0 stays oldest
-        cache.entry(2, 2, 3)
+        cache.entry(2)
         assert [idx for idx, _ in cache.evict_over_capacity()] == [0]
 
     def test_pop_all_oldest_first(self):
         cache = StripeCache(8)
         buf = np.zeros(2, dtype=np.uint8)
         for idx in (3, 1, 2):
-            cache.entry(idx, 2, 3).snapshot((0, 0), buf)
+            cache.entry(idx).snapshot((0, 0), buf)
         drained = cache.pop_all()
         assert [idx for idx, _ in drained] == [3, 1, 2]
         assert len(cache) == 0
@@ -116,7 +117,7 @@ class TestStripeCache:
 
     def test_reset_stats_keeps_entries(self):
         cache = StripeCache(2)
-        cache.entry(0, 2, 3)
+        cache.entry(0)
         cache.reset_stats()
         assert cache.stats()["misses"] == 0
         assert 0 in cache
@@ -132,7 +133,7 @@ class TestStripeCache:
         # the write failed before its first snapshot); popping it is a
         # flush of nothing.
         cache = StripeCache(2)
-        cache.entry(7, 2, 3)
+        cache.entry(7)
         entry = cache.pop(7)
         assert entry is not None and entry.num_dirty == 0
         assert cache.flushes == 1
@@ -142,8 +143,8 @@ class TestStripeCache:
     def test_reset_stats_after_partial_flush(self):
         cache = StripeCache(4)
         buf = np.zeros(2, dtype=np.uint8)
-        cache.entry(0, 2, 3).snapshot((0, 0), buf)
-        cache.entry(1, 2, 3).snapshot((0, 1), buf)
+        cache.entry(0).snapshot((0, 0), buf)
+        cache.entry(1).snapshot((0, 1), buf)
         cache.pop(0)  # partial flush, then a counter epoch starts
         cache.reset_stats()
         assert cache.stats()["flushes"] == 0
@@ -154,8 +155,8 @@ class TestStripeCache:
 
     def test_items_is_a_snapshot(self):
         cache = StripeCache(4)
-        cache.entry(0, 2, 3)
-        cache.entry(1, 2, 3)
+        cache.entry(0)
+        cache.entry(1)
         snapshot = cache.items()
         cache.pop(0)
         assert [idx for idx, _ in snapshot] == [0, 1]
@@ -164,8 +165,8 @@ class TestStripeCache:
     def test_discard_all_charges_discards_not_flushes(self):
         cache = StripeCache(4)
         buf = np.zeros(2, dtype=np.uint8)
-        cache.entry(0, 2, 3).snapshot((0, 0), buf)
-        cache.entry(1, 2, 3).snapshot((1, 2), buf)
+        cache.entry(0).snapshot((0, 0), buf)
+        cache.entry(1).snapshot((1, 2), buf)
         drained = cache.discard_all()
         assert [idx for idx, _ in drained] == [0, 1]
         assert len(cache) == 0
@@ -357,6 +358,53 @@ class TestParityWriteAccounting:
         assert store.parity_writes == len(code.write_targets(cells))
         assert store.stats.flushed_elements == 4
         assert store.stats.flush_batches == 1
+
+
+class TestFlushPlanLookups:
+    """What a flush asks of the process-wide plan cache: one lookup per
+    dirty pattern, and nothing compiled twice under pattern churn."""
+
+    def test_pattern_churn_compiles_each_pattern_once(self):
+        # Every contiguous run of an HV@7 stripe (24 data elements: 300
+        # runs), each flushed by eviction from its own stripe, replayed
+        # twice: the cyclic replay that defeats an LRU smaller than the
+        # pattern set.
+        code = HVCode(7)
+        total = code.data_elements_per_stripe
+        runs = [(s, n) for n in range(1, total + 1) for s in range(total - n + 1)]
+        assert len(runs) == 300
+        oracle = FileStore(code, element_size=8, engine="python")
+        store = FileStore(code, element_size=8, engine="auto", cache_stripes=8)
+        for replay in range(2):
+            before = PLAN_CACHE.stats()["misses"]
+            for stripe, (start, n) in enumerate(runs):
+                offset = (stripe * total + start) * 8
+                data = payload(n * 8, seed=1000 * replay + stripe)
+                oracle.write(offset, data)
+                store.write(offset, data)
+            store.flush()
+            compiled = PLAN_CACHE.stats()["misses"] - before
+        assert compiled == 0  # the second replay found every plan
+        assert store.stats.flush_batches == 2 * len(runs)
+        assert all(a == b for a, b in zip(oracle.stripes, store.stripes))
+        assert store.scrub() == []
+
+    def test_same_pattern_evictions_share_one_decision(self):
+        PLAN_CACHE.clear()
+        store = FileStore(HVCode(7), element_size=8, engine="auto", cache_stripes=1)
+        flushes = 20
+        store.reserve(flushes)  # growing the volume compiles the encode plan
+        before = PLAN_CACHE.stats()
+        for stripe in range(flushes):  # each write evicts the one before
+            store.write(stripe * store.bytes_per_stripe + 8, payload(16, seed=stripe))
+        store.flush()
+        assert store.stats.flush_batches == flushes
+        after = PLAN_CACHE.stats()
+        # The first flush compiles the update plan and weighs it against
+        # the encode plan; every flush after it is one lookup.
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 1 + (flushes - 1)
+        assert store.scrub() == []
 
 
 # -- the differential: cached == write-through, every registered code -----------------

@@ -13,6 +13,14 @@ shared-memory parallel path, persistent pool reuse, and graceful
 handling of unavailable backends.
 """
 
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +42,8 @@ from repro.array.stripe import StripeBatch
 from repro.codes.registry import get_code
 from repro.engine import (
     ENGINE_CHOICES,
+    XorPlan,
+    XorStep,
     available_backends,
     compile_plan,
     execute_plan,
@@ -340,6 +350,46 @@ class TestRegistry:
         # ...while auto degrades gracefully to a working backend.
         assert resolve_backend("auto").name == "fused"
 
+    @pytest.mark.parametrize("broken_compiler", [False, True])
+    def test_native_build_directory_is_removed(self, tmp_path, broken_compiler):
+        """A fresh process compiles (or fails to) and leaves nothing in
+        the temp dir; the library stays usable after its file is gone."""
+        probe = (
+            "from repro.codes.registry import get_code\n"
+            "from repro.engine import compile_plan, get_backend\n"
+            "native = get_backend('native')\n"
+            "if native.available():\n"
+            "    code = get_code('HV', 5)\n"
+            "    stripe = code.random_stripe(element_size=16, seed=0)\n"
+            "    native.execute(compile_plan(code, 'encode'), stripe)\n"
+            "    assert code.verify(stripe)\n"
+            "print('available' if native.available() else 'unavailable')\n"
+        )
+        env = {
+            "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+            "TMPDIR": str(tmp_path),
+            "PATH": os.environ.get("PATH", ""),
+        }
+        if broken_compiler:
+            fake = tmp_path / "bin"
+            fake.mkdir()
+            (fake / "cc").write_text("#!/bin/sh\nexit 1\n")
+            (fake / "cc").chmod(0o755)
+            env["PATH"] = str(fake)
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        if broken_compiler:
+            assert result.stdout.strip() == "unavailable"
+        elif NATIVE_AVAILABLE:
+            assert result.stdout.strip() == "available"
+        assert not list(tmp_path.glob("repro-native-*"))
+
 
 @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="no C compiler on this host")
 class TestNativeUpdate:
@@ -383,7 +433,64 @@ class TestNativeUpdate:
             oracle, target = self._updated_pair(code, element_size, width)
             assert target == oracle
 
-    def test_extended_schedule_is_cached_by_plan_hash(self):
+    @pytest.mark.parametrize("element_size", [5, 8, 13, 24, 64])
+    def test_matches_scalar_oracle_on_poisoned_scratch(self, element_size, monkeypatch):
+        """The scratch is allocated uninitialised: with every fresh
+        allocation poisoned, the fold still equals the scalar executor
+        run over a zeroed delta stripe — hoisted temporaries (EVENODD's
+        shared S pair) included."""
+        from repro.engine.compile import choose_update_strategy
+
+        monkeypatch.setattr(
+            np, "empty", lambda shape, dtype=float: np.full(shape, 0xA5, dtype=dtype)
+        )
+        backend = get_backend("native")
+        saw_temps = False
+        cases = (("EVENODD", 7, 5, 2), ("EVENODD", 5, 2, 4), ("HV", 11, 7, 10))
+        for name, p, start, width in cases:
+            code = get_code(name, p)
+            cells = code.data_positions[start : start + width]
+            pattern = tuple(sorted(r * code.cols + c for r, c in cells))
+            strategy, plan = choose_update_strategy(code, pattern)
+            assert strategy == "rmw"
+            saw_temps |= plan.num_temps > 0
+            live = code.random_stripe(element_size=element_size, seed=p)
+            rng = np.random.default_rng(start)
+            old, delta = {}, code.make_stripe(element_size=element_size)
+            for slot, pos in zip(pattern, cells):
+                old[slot] = live.data[pos].copy()
+                live.data[pos] = rng.integers(0, 256, element_size, dtype=np.uint8)
+                delta.data[pos] = old[slot] ^ live.data[pos]
+            expected = live.copy()
+            execute_plan_scalar(plan, delta)
+            for pos in plan.output_positions:
+                expected.data[pos] ^= delta.data[pos]
+            backend.execute_update(plan, live, old)
+            assert live == expected and code.verify(live)
+        assert saw_temps
+
+    def test_update_plan_reading_an_undefined_cell_is_refused(self):
+        """Validation alone lets an update step read a clean data cell
+        (only the outputs count as undefined); over uninitialised
+        scratch that would be garbage, so lowering refuses it."""
+        code = get_code("HV", 7)
+        dirty, clean = (r * code.cols + c for r, c in code.data_positions[:2])
+        parity = code.parity_positions[0][0] * code.cols + code.parity_positions[0][1]
+        plan = XorPlan(
+            code_name="HV", p=7, op="update", pattern=(dirty,),
+            rows=code.rows, cols=code.cols,
+            steps=(XorStep(dst=parity, srcs=(dirty, clean)),),
+            erased=(parity,), outputs=(parity,),
+        )
+        stripe = code.random_stripe(element_size=8, seed=0)
+        before = stripe.copy()
+        old = {dirty: stripe.data[code.data_positions[0]].copy()}
+        with pytest.raises(PlanError, match="neither dirty nor computed"):
+            get_backend("native").execute_update(plan, stripe, old)
+        assert stripe == before
+
+    def test_extended_schedule_is_cached_on_the_plan(self):
+        from repro.engine.backends.native import _update_schedule
         from repro.engine.compile import choose_update_strategy
 
         code = get_code("HV", 7)
@@ -391,12 +498,39 @@ class TestNativeUpdate:
             sorted(r * code.cols + c for (r, c) in code.data_positions[:2])
         )
         _, plan = choose_update_strategy(code, pattern)
-        backend = get_backend("native")
-        backend._update_schedules.pop(plan.plan_hash, None)
         self._updated_pair(code, 16, 2, seed=1)
-        first = backend._update_schedules[plan.plan_hash]
+        first = plan.derived("native_update_schedule", _update_schedule)
         self._updated_pair(code, 16, 2, seed=2)
-        assert backend._update_schedules[plan.plan_hash] is first
+        assert plan.derived("native_update_schedule", _update_schedule) is first
+        # ...and never travels with a copy: its address is this array's.
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and "native_update_schedule" not in vars(clone)
+
+    def test_schedules_die_with_their_plans(self):
+        """Pattern churn through a small plan cache leaves no schedule
+        behind: the backend holds none, the evicted plans held theirs."""
+        from repro.engine.backends.native import _update_schedule
+        from repro.engine.compile import PlanCache, choose_update_strategy
+
+        code = get_code("HV", 7)
+        cache = PlanCache(maxsize=4)
+        backend = get_backend("native")
+        schedules = []
+        for start in range(12):
+            cells = code.data_positions[start : start + 2]
+            pattern = tuple(sorted(r * code.cols + c for r, c in cells))
+            strategy, plan = choose_update_strategy(code, pattern, cache=cache)
+            assert strategy == "rmw"
+            stripe = code.random_stripe(element_size=16, seed=start)
+            old = {slot: np.zeros(16, dtype=np.uint8) for slot in pattern}
+            backend.execute_update(plan, stripe, old)
+            schedule = plan.derived("native_update_schedule", _update_schedule)
+            schedules.append(weakref.ref(schedule.enc))
+            del plan, schedule
+        gc.collect()
+        alive = sum(ref() is not None for ref in schedules)
+        assert alive <= len(cache) == 4
+        assert not vars(backend)  # no per-backend table to grow
 
     def test_rejects_non_update_plans_and_missing_preimages(self):
         from repro.engine.compile import choose_update_strategy

@@ -12,6 +12,7 @@ from repro.engine import (
     compile_plan,
     eliminate_common_pairs,
 )
+from repro.engine.compile import plan_key
 from repro.exceptions import InvalidParameterError, PlanError
 
 XOR_CODES = [n for n in available_codes() if n != "Cauchy-RS"]
@@ -199,8 +200,20 @@ class TestPlanCache:
         compile_plan(code, "recover-single", (0,), cache=cache)  # refresh 0
         compile_plan(code, "recover-single", (2,), cache=cache)  # evicts 1
         assert cache.stats()["evictions"] == 1
-        assert ("HV", 5, "recover-single", (0,), "greedy", True) in cache
-        assert ("HV", 5, "recover-single", (1,), "greedy", True) not in cache
+        assert plan_key(code, "recover-single", (0,)) in cache
+        assert plan_key(code, "recover-single", (1,)) not in cache
+
+    def test_same_name_and_p_different_geometry_do_not_collide(self, cache):
+        # Cauchy-RS reports its auto-chosen word size as p: 4 for both.
+        a, b = get_code("Cauchy-RS", 7), get_code("Cauchy-RS", 11)
+        assert (a.name, a.p) == (b.name, b.p)
+        plan_a = compile_plan(a, "encode", cache=cache)
+        plan_b = compile_plan(b, "encode", cache=cache)
+        assert (plan_a.cols, plan_b.cols) == (a.cols, b.cols) == (9, 13)
+        stripe = b.random_stripe(element_size=16, seed=0)
+        compile_plan(a, "encode")  # the order that poisoned the shared cache
+        b.encode(stripe, engine="vector")
+        assert b.verify(stripe)
 
     def test_clear_resets_counters(self, cache):
         code = get_code("HV", 5)

@@ -110,6 +110,37 @@ class TestGeometry:
             plan.position_of(plan.num_cells)
 
 
+    def test_pattern_and_output_positions(self):
+        plan = plan_of(
+            [XorStep(3, (0, 5))], cols=4, op="update", pattern=(0, 5), outputs=(3,)
+        )
+        assert plan.pattern_positions == ((0, 0), (1, 1))
+        assert plan.output_positions == ((0, 3),)
+        disks = plan_of([XorStep(1, (0, 2))], op="recover-single", pattern=(1,))
+        with pytest.raises(PlanError, match="disks"):
+            disks.pattern_positions
+
+
+class TestDerived:
+    def test_built_once_and_kept_on_the_plan(self):
+        plan = plan_of([XorStep(2, (0, 1))])
+        built = []
+        first = plan.derived("lowered", lambda p: built.append(p) or object())
+        assert plan.derived("lowered", lambda p: built.append(p) or object()) is first
+        assert built == [plan]
+
+    def test_copies_and_pickles_carry_the_fields_only(self):
+        import copy
+        import pickle
+
+        plan = plan_of([XorStep(2, (0, 1))])
+        plan.derived("lowered", lambda p: object())
+        _ = plan.plan_hash, plan.reads
+        for clone in (copy.copy(plan), copy.deepcopy(plan), pickle.loads(pickle.dumps(plan))):
+            assert clone == plan and clone.plan_hash == plan.plan_hash
+            assert "lowered" not in vars(clone)
+
+
 class TestCostModel:
     def test_xors_and_kernels(self):
         plan = plan_of([XorStep(2, (0, 1)), XorStep(5, (2,))])
