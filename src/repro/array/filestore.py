@@ -545,16 +545,16 @@ class FileStore:
         with self._exclusive("rebuild"):
             self.flush()
             for idx, stripe in enumerate(self.stripes):
-                restored = self._reconstructed(stripe)
+                column = self._reconstructed(stripe).data[:, disk]
+                # Gate the whole column before any of it is committed.
                 for r in range(self.code.rows):
-                    buf = restored.get((r, disk))
-                    if crc_of(buf) != self.sidecar.expected(idx, (r, disk)):
+                    if crc_of(column[r]) != self.sidecar.expected(idx, (r, disk)):
                         raise ChecksumMismatchError(
                             f"rebuild of disk {disk}: stripe {idx} element "
                             f"({r}, {disk}) decoded to content that fails "
                             "its checksum — scrub before rebuilding"
                         )
-                    stripe.set((r, disk), buf)
+                stripe.set_column(disk, column)
             self.failed_disks.discard(disk)
 
     def scrub(self) -> list[int]:
@@ -624,7 +624,9 @@ class FileStore:
             elif stripe.readable(pos):
                 # Transient exhaustion only: the media is fine, rebuild
                 # this element from its peers without decoding the rest.
-                buf = recover_element(self.code, stripe, pos, self.healing)
+                buf = recover_element(
+                    self.code, stripe, pos, self.healing, engine=self.engine
+                )
             else:
                 decoded_cache[stripe_idx] = self._reconstructed(stripe)
                 buf = decoded_cache[stripe_idx].get(pos)
@@ -768,16 +770,18 @@ class FileStore:
             self._journal_intent(stripe_idx, stripe, pieces)
         restored = self._reconstructed(stripe)
         updates = self._merge_pieces(restored, pieces, charge_reads=False)
-        self.code.update_elements(restored, updates)
+        rewritten = self.code.update_elements(restored, updates)
         surviving = [c for c in range(self.code.cols) if c not in self.failed_disks]
         for c in surviving:
             # The decode read the column; the persist rewrites it.
             self.stats.record_read(c, self.code.rows)
             self.stats.record_write(c, self.code.rows)
-            for r in range(self.code.rows):
-                stripe.set((r, c), restored.get((r, c)))
-        # The sidecar tracks logical content, failed columns included.
-        self.sidecar.record_stripe(stripe_idx, restored)
+            stripe.set_column(c, restored.data[:, c])
+        # Only what the write changed is re-checksummed (failed columns
+        # included: the sidecar tracks logical content), so a silent flip
+        # the decode read through stays on record for scrub and rebuild.
+        for pos in updates.keys() | rewritten:
+            self.sidecar.record(stripe_idx, pos, restored.data[pos])
         self.data_writes += len(updates)
         self.parity_writes += sum(
             1 for (_, c) in self.code.parity_positions if c not in self.failed_disks

@@ -91,6 +91,20 @@ class Stripe:
         self.erased[r, c] = False
         self.latent[r, c] = False
 
+    def set_column(self, col: int, column: np.ndarray) -> None:
+        """Overwrite every element of disk ``col`` at once, as
+        :meth:`set` does per element (erasures and faults cleared)."""
+        if not 0 <= col < self.cols:
+            raise InvalidParameterError(f"disk {col} outside 0..{self.cols - 1}")
+        arr = np.asarray(column, dtype=np.uint8)
+        if arr.shape != (self.rows, self.element_size):
+            raise InvalidParameterError(
+                f"column shape {arr.shape} != ({self.rows}, {self.element_size})"
+            )
+        self.data[:, col] = arr
+        self.erased[:, col] = False
+        self.latent[:, col] = False
+
     def alive(self, pos: Position) -> bool:
         r, c = self._check(pos)
         return not self.erased[r, c]
@@ -238,7 +252,11 @@ class Stripe:
         return acc
 
     def copy(self) -> "Stripe":
-        dup = Stripe(self.rows, self.cols, self.element_size)
+        # Not through __init__: its zero-filled buffers would be thrown away.
+        dup = Stripe.__new__(Stripe)
+        dup.rows = self.rows
+        dup.cols = self.cols
+        dup.element_size = self.element_size
         dup.data = self.data.copy()
         dup.erased = self.erased.copy()
         dup.latent = self.latent.copy()

@@ -476,11 +476,24 @@ class ArrayCode(ABC):
         to this pure-Python path transparently.
 
         Raises :class:`UnrecoverableFailureError` when the pattern
-        exceeds the code's capability.
+        exceeds the code's capability.  The GF(2) rank oracle deciding
+        that (:meth:`can_recover`) runs once, in front of the Python
+        decoder only: a plan exists exactly for the patterns peeling
+        recovers in full, so finding one is proof without elimination.
         """
         self._check_stripe(stripe)
         if failed_disks is not None:
             stripe.erase_disks(failed_disks)
+        from ..engine import require_engine
+
+        if require_engine(engine) != "python":
+            report = self._decode_vector(stripe, engine)
+            if report is not None:
+                return report
+        return self._decode_python(stripe)
+
+    def _decode_python(self, stripe: Stripe) -> DecodeReport:
+        """The reference decoder: rank oracle, peeling, then Gaussian."""
         erased = set(stripe.erased_positions())
         if not erased:
             return DecodeReport()
@@ -489,33 +502,27 @@ class ArrayCode(ABC):
                 f"{self.name}(p={self.p}): erasure pattern of {len(erased)} "
                 f"cells is beyond the code's capability"
             )
-        from ..engine import require_engine
-
-        if require_engine(engine) != "python":
-            report = self._decode_vector(stripe, erased, engine)
-            if report is not None:
-                return report
         report = self._peel(stripe, erased)
         if erased:
             self._gaussian_decode(stripe, sorted(erased), report)
         return report
 
-    def _decode_vector(
-        self, stripe: Stripe, erased: set[Position], engine: str = "vector"
-    ) -> DecodeReport | None:
-        """Compiled-plan decode; None when the pattern needs Gaussian."""
+    def _decode_vector(self, stripe: Stripe, engine: str) -> DecodeReport | None:
+        """Compiled-plan decode; None when peeling cannot finish (no
+        plan).  The erasure mask's flat non-zero indices are the plan's
+        canonical pattern as they come."""
         from ..engine import compile_plan, execute_plan
         from ..exceptions import PlanError
 
-        pattern = tuple(sorted(r * self.cols + c for r, c in erased))
+        pattern = tuple(np.flatnonzero(stripe.erased).tolist())
+        if not pattern:
+            return DecodeReport()
         try:
             plan = compile_plan(self, "decode", pattern)
         except PlanError:
             return None
         execute_plan(plan, stripe, backend=engine)
-        report = DecodeReport(rounds=plan.rounds)
-        report.peeled.extend(plan.position_of(slot) for slot in plan.outputs)
-        return report
+        return DecodeReport(peeled=list(plan.output_positions), rounds=plan.rounds)
 
     def _peel(self, stripe: Stripe, erased: set[Position]) -> DecodeReport:
         """Iterative chain peeling; mutates ``erased`` as cells recover."""

@@ -13,8 +13,6 @@ the generic decoder.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..array.stripe import Stripe
@@ -67,13 +65,7 @@ class EvenOddCode(ArrayCode):
 
     # -- the classic structured decoder (Blaum et al., Section IV) ----------------------
 
-    def decode(
-        self,
-        stripe: Stripe,
-        failed_disks: Sequence[int] | None = None,
-        *,
-        engine: str = "python",
-    ) -> DecodeReport:
+    def _decode_python(self, stripe: Stripe) -> DecodeReport:
         """Decode, preferring the classic S-syndrome algorithm.
 
         Whole-column failures run the original EVENODD reconstruction
@@ -81,26 +73,18 @@ class EvenOddCode(ArrayCode):
         the adjuster ``S`` from the parity columns); any other erasure
         pattern falls back to the generic peeling + Gaussian decoder.
 
-        ``engine="vector"`` skips the classic decoder and goes through
-        the generic compiled-plan path; the patterns whose zig-zag
-        needs the adjuster have no flat XOR schedule and fall back to
-        pure Python there.
+        On a compiled engine :meth:`ArrayCode.decode` gets here only
+        for the patterns peeling cannot finish — the ones whose zig-zag
+        needs the adjuster have no flat XOR schedule.
         """
-        self._check_stripe(stripe)
-        if failed_disks is not None:
-            stripe.erase_disks(failed_disks)
-        if engine == "vector":
-            return super().decode(stripe, None, engine="vector")
         erased = set(stripe.erased_positions())
-        if not erased:
-            return DecodeReport()
         columns = {c for _, c in erased}
         whole_columns = all(
             (r, c) in erased for c in columns for r in range(self.rows)
         ) and len(erased) == len(columns) * self.rows
-        if whole_columns and len(columns) <= 2:
+        if erased and whole_columns and len(columns) <= 2:
             return self._decode_columns(stripe, sorted(columns))
-        return super().decode(stripe, None)
+        return super()._decode_python(stripe)
 
     def _decode_columns(self, stripe: Stripe, failed: list[int]) -> DecodeReport:
         p = self.p

@@ -299,6 +299,12 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
                     "is a parity element, not data"
                 )
         return slots
+    if pattern and set(map(type, pattern)) == {int}:
+        # All slots already (an erasure mask's flat non-zero indices):
+        # the ends of the sorted tuple bound every one of them.
+        slots = tuple(sorted(pattern))
+        if 0 <= slots[0] and slots[-1] < code.rows * code.cols:
+            return slots
     return tuple(sorted(_slot(code, cell) for cell in pattern))
 
 

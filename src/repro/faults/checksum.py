@@ -224,7 +224,7 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
             # Decode on a copy: failed columns must stay erased in the
             # live stripe, only the scrubbed cells are written back.
             work = stripe.copy()
-            code.decode(work)
+            code.decode(work, engine=store.engine)
             report.repair_reads += sum(1 for p in code.layout if p not in erased)
             for pos in sorted(remaining):
                 restored = work.get(pos)

@@ -11,7 +11,9 @@ rebuild-window data loss.  This module implements the ladder:
    the element's *other* chain (every cell of every code here sits on
    at least one chain, data cells on two or more);
 3. **full decode** — treat every erased *and* latent cell as an
-   erasure and run the double-erasure decoder;
+   erasure and run the compiled decode plan for that pattern, its
+   existence being the recoverability proof; the GF(2) rank oracle and
+   the Gaussian decoder run only when peeling cannot finish;
 4. **give up** — raise :class:`UnrecoverableFaultError`; the pattern
    genuinely exceeds the code.
 
@@ -64,11 +66,14 @@ def recover_element(
     stripe: "Stripe",
     pos: Position,
     stats: HealingStats | None = None,
+    *,
+    engine: str = "python",
 ) -> np.ndarray:
     """Return the logical content of ``pos``, healing as needed.
 
     Does not mutate the stripe — callers that want the repair persisted
     (scrub, rebuild) write the returned buffer back themselves.
+    ``engine`` selects how a rung-3 full decode executes.
     """
     stats = stats if stats is not None else HealingStats()
     if stripe.readable(pos):
@@ -82,7 +87,7 @@ def recover_element(
             stats.chain_repairs += 1
             return stripe.xor_of(others)
     # Rung 3: full decode with every latent cell treated as erased.
-    restored = decode_resilient(code, stripe, stats)
+    restored = decode_resilient(code, stripe, stats, engine=engine)
     return restored.get(pos).copy()
 
 
@@ -96,29 +101,24 @@ def decode_resilient(
     """A fully-decoded copy of a stripe with erasures *and* UREs.
 
     Latent cells are demoted to erasures (their buffers cannot be
-    trusted to be fetchable), then the standard peeling + Gaussian
-    decoder runs (``engine="vector"`` routes it through the compiled
-    XOR executor, see :meth:`ArrayCode.decode`).  Raises
-    :class:`UnrecoverableFaultError` when the combined pattern exceeds
-    the code.
+    trusted to be fetchable), then :meth:`ArrayCode.decode` runs on the
+    given ``engine``: the compiled plan for the pattern where one
+    exists, the rank oracle and the peeling + Gaussian decoder where
+    not.  Raises :class:`UnrecoverableFaultError` when the combined
+    pattern exceeds the code.
     """
     stats = stats if stats is not None else HealingStats()
     work = stripe.copy()
-    latent = work.latent_positions()
-    for pos in latent:
-        work.erase(pos)
-    erased = set(work.erased_positions())
-    if not erased:
+    if work.latent.any():
+        for pos in work.latent_positions():
+            work.erase(pos)
+    lost = int(np.count_nonzero(work.erased))
+    if not lost:
         return work
-    if not code.can_recover(erased):
-        raise UnrecoverableFaultError(
-            f"{code.name}: {len(erased)} erased/latent cells "
-            f"({sorted(erased)}) exceed the code's capability"
-        )
     try:
         code.decode(work, engine=engine)
     except UnrecoverableFailureError as exc:
         raise UnrecoverableFaultError(str(exc)) from exc
     stats.escalations += 1
-    stats.reads += code.rows * code.cols - len(erased)
+    stats.reads += code.rows * code.cols - lost
     return work

@@ -193,7 +193,9 @@ class RebuildOrchestrator:
             # latent cells together (one-disk-plus-one-sector and the
             # genuine double-erasure cases).
             stats = HealingStats()
-            work = decode_resilient(code, stripe, stats)
+            work = decode_resilient(
+                code, stripe, stats, engine=self.store.engine
+            )
             if unreadable:
                 report.latent_hits += len(unreadable)
             restored = {cell: work.get(cell) for cell in lost}
@@ -213,7 +215,9 @@ class RebuildOrchestrator:
         for pos in stripe.latent_positions():
             if code.can_recover({pos} | set(stripe.erased_positions())):
                 stats = HealingStats()
-                work = decode_resilient(code, stripe, stats)
+                work = decode_resilient(
+                    code, stripe, stats, engine=self.store.engine
+                )
                 stripe.set(pos, work.get(pos))
                 report.escalation_reads += stats.reads
                 report.elements_repaired += 1

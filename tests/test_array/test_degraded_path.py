@@ -1,0 +1,254 @@
+"""The degraded path: plan first, rank oracle last.
+
+A degraded ``FileStore`` operation on a compiled engine costs one plan
+lookup and one kernel call per decode — finding the plan *is* the
+recoverability proof — while the GF(2) rank oracle still guards the
+pure-Python decoder and every pattern peeling cannot finish.  These
+tests pin both halves, the engine differential of the whole
+fail → read → reconstruct-write → fail → read → rebuild drive, and the
+two checksum promises of that path: a reconstruct-write re-checksums
+only what it changed, and a rebuild gates a whole column before it
+commits any of it.
+"""
+
+import numpy as np
+import pytest
+
+import repro.xor.bitmatrix as bitmatrix
+from repro import EvenOddCode, HVCode
+from repro.array.filestore import FileStore
+from repro.codes.base import ArrayCode
+from repro.engine import PLAN_CACHE, compile_plan
+from repro.exceptions import (
+    ChecksumMismatchError,
+    PlanError,
+    UnrecoverableFailureError,
+    UnrecoverableFaultError,
+)
+from repro.faults.healing import HealingStats, decode_resilient
+
+from ..conftest import ALL_CODE_CLASSES
+from ..test_engine.test_backends import BACKENDS as COMPILED
+
+ELEMENT_SIZE = 64
+STRIPES = 3
+
+
+def filled_store(code, engine, seed=7):
+    store = FileStore(code, element_size=ELEMENT_SIZE, engine=engine)
+    rng = np.random.default_rng(seed)
+    store.write(0, rng.bytes(STRIPES * store.bytes_per_stripe))
+    return store
+
+
+def drive(store, seed=11):
+    """Fail, read and write degraded, fail again, read, rebuild both.
+
+    Ends healthy, so a second call repeats every erasure pattern of the
+    first.  Returns everything the reads returned.
+    """
+    rng = np.random.default_rng(seed)
+    d1, d2 = 1, store.code.cols - 2
+    span = 3 * ELEMENT_SIZE
+    seen = []
+    store.fail_disk(d1)
+    seen.append(store.read(0, store.capacity))
+    for stripe_idx in range(STRIPES):  # one reconstruct-write per stripe
+        offset = stripe_idx * store.bytes_per_stripe + ELEMENT_SIZE // 2
+        store.write(offset, rng.bytes(span))
+    store.fail_disk(d2)
+    seen.append(store.read(0, store.capacity))
+    store.rebuild(d1)
+    store.rebuild(d2)
+    seen.append(store.read(0, store.capacity))
+    return seen
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts every GF(2) elimination (rank or solve) while active."""
+    calls = []
+    reduce = bitmatrix.gf2_row_reduce
+
+    def counting(matrix, rhs=None):
+        calls.append(matrix.shape)
+        return reduce(matrix, rhs)
+
+    monkeypatch.setattr(bitmatrix, "gf2_row_reduce", counting)
+    return calls
+
+
+class TestHotPathIsEliminationFree:
+    def test_warm_compiled_pass_eliminates_and_compiles_nothing(self, eliminations):
+        store = filled_store(HVCode(7), "auto")
+        first = drive(store)
+        del eliminations[:]
+        misses = PLAN_CACHE.misses
+        escalations = store.healing.escalations
+        second = drive(store)
+        assert store.healing.escalations > escalations  # it did decode
+        assert eliminations == []
+        assert PLAN_CACHE.misses == misses
+        assert second[0] == first[2]  # the volume the first pass left
+        assert store.scrub() == []
+
+    def test_python_engine_consults_the_oracle_once_per_decode(
+        self, monkeypatch, eliminations
+    ):
+        counts = {"decode": 0, "can_recover": 0}
+
+        def counted(name):
+            method = getattr(ArrayCode, name)
+
+            def wrapper(self, *args, **kwargs):
+                counts[name] += 1
+                return method(self, *args, **kwargs)
+
+            monkeypatch.setattr(ArrayCode, name, wrapper)
+
+        counted("decode")
+        counted("can_recover")
+        store = filled_store(HVCode(7), "python")
+        del eliminations[:]
+        drive(store)
+        assert counts["decode"] > 0
+        assert counts["can_recover"] == counts["decode"]
+        # HV peels every pattern: one rank per decode, never a solve.
+        assert len(eliminations) == counts["decode"]
+
+
+class TestFallbackKeepsTheOracle:
+    #: two data columns need the adjuster (the classic column decoder);
+    #: the scattered cells need the generic peel + Gaussian decoder
+    EVENODD_PATTERNS = [
+        [(r, c) for c in (0, 1) for r in range(4)],
+        [(0, 0), (0, 4), (1, 0), (1, 3)],
+    ]
+
+    @pytest.mark.parametrize("engine", COMPILED)
+    @pytest.mark.parametrize("cells", EVENODD_PATTERNS)
+    def test_evenodd_gaussian_patterns_match_python(self, engine, cells, eliminations):
+        code = EvenOddCode(5)
+        with pytest.raises(PlanError):
+            compile_plan(code, "decode", tuple(cells), cache=None)
+        whole = code.random_stripe(element_size=24, seed=5)
+        broken = whole.copy()
+        for pos in cells:
+            broken.erase(pos)
+        reference = broken.copy()
+        expected = code.decode(reference)
+        del eliminations[:]
+        report = code.decode(broken, engine=engine)
+        assert broken == reference == whole
+        assert (report.peeled, report.gaussian, report.rounds) == (
+            expected.peeled,
+            expected.gaussian,
+            expected.rounds,
+        )
+        # the generic fallback asks the oracle first, then solves
+        assert len(eliminations) == (2 if expected.gaussian else 0)
+
+    @pytest.mark.parametrize("engine", COMPILED)
+    def test_evenodd_peelable_pattern_runs_the_plan(self, engine, monkeypatch):
+        # One rule for every compiled engine: a pattern peeling finishes
+        # never reaches the classic column decoder.
+        code = EvenOddCode(5)
+        monkeypatch.setattr(
+            EvenOddCode, "_decode_columns", lambda *a: pytest.fail("scalar zig-zag")
+        )
+        whole = code.random_stripe(element_size=24, seed=6)
+        broken = whole.copy()
+        report = code.decode(broken, [2, 6], engine=engine)
+        plan = compile_plan(code, "decode", tuple((r, c) for r in range(4) for c in (2, 6)))
+        assert broken == whole
+        assert (report.peeled, report.rounds) == (list(plan.output_positions), plan.rounds)
+
+    @pytest.mark.parametrize("engine", ["python", *COMPILED])
+    @pytest.mark.parametrize("third", ["cell", "disk"])
+    def test_unrecoverable_raises_and_leaves_the_stripe_alone(self, engine, third):
+        code = HVCode(7)
+        damaged = code.random_stripe(element_size=16, seed=9)
+        damaged.erase_disks([0, 3])
+        erased = damaged.copy()
+        if third == "cell":
+            damaged.mark_latent((2, 5))  # two disks plus one sector
+            erased.erase((2, 5))
+        else:
+            damaged.erase_disks([5])
+            erased.erase_disks([5])
+        stats = HealingStats()
+        before = damaged.copy()
+        with pytest.raises(UnrecoverableFaultError):
+            decode_resilient(code, damaged, stats, engine=engine)
+        assert damaged == before
+        assert (stats.escalations, stats.reads) == (0, 0)
+        before = erased.copy()
+        with pytest.raises(UnrecoverableFailureError):
+            code.decode(erased, engine=engine)
+        assert erased == before
+
+
+@pytest.mark.parametrize("engine", ["vector", "fused", "auto"])
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("cls", ALL_CODE_CLASSES, ids=lambda cls: cls.name)
+def test_drive_matches_the_python_engine(cls, p, engine):
+    stores = [filled_store(cls(p), e) for e in ("python", engine)]
+    seen = [drive(store) for store in stores]
+    oracle, store = stores
+    assert seen[1] == seen[0]
+    for ours, theirs in zip(store.stripes, oracle.stripes):
+        assert ours == theirs
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(store.sidecar.stripes, oracle.sidecar.stripes)
+    )
+    assert store.stats.reads == oracle.stats.reads
+    assert store.stats.writes == oracle.stats.writes
+    assert vars(store.healing) == vars(oracle.healing)
+    assert all(type(v) is int for v in vars(store.healing).values())
+    assert (store.data_writes, store.parity_writes) == (
+        oracle.data_writes,
+        oracle.parity_writes,
+    )
+    assert store.scrub() == []
+    assert store.scrub_checksums(repair=False).clean
+
+
+class TestChecksumPromises:
+    def test_reconstruct_write_does_not_launder_a_silent_flip(self):
+        code = HVCode(7)
+        store = filled_store(code, "auto")
+        store.stripes[0].flip_bits((1, 2), byte_index=5)
+        flips = [(0, (1, 2))]
+        assert store.scrub_checksums(repair=False).flips_detected == flips
+        store.fail_disk(4)
+        other = next(
+            i for i, (r, c) in enumerate(code.data_positions) if c not in (2, 4)
+        )
+        store.write(other * ELEMENT_SIZE, b"\xa5" * ELEMENT_SIZE)
+        # Only the written cell and its parities were re-checksummed:
+        # the flip the decode read through is still on record ...
+        assert store.scrub_checksums(repair=False).flips_detected == flips
+        # ... and what was decoded *from* it cannot pass for good data.
+        with pytest.raises(ChecksumMismatchError):
+            store.rebuild(4)
+        assert store.failed_disks == {4}
+
+    @pytest.mark.parametrize("engine", ["python", "auto"])
+    def test_rebuild_gates_the_whole_column_before_committing(self, engine):
+        code = HVCode(7)
+        store = filled_store(code, engine)
+        pristine = [stripe.copy() for stripe in store.stripes]
+        disk = 3
+        store.fail_disk(disk)
+        # (1, 2) feeds only some rows of the lost column: the gate must
+        # refuse the rows it does not feed as well.
+        store.stripes[1].flip_bits((1, 2), byte_index=0)
+        with pytest.raises(ChecksumMismatchError):
+            store.rebuild(disk)
+        assert store.failed_disks == {disk}
+        assert store.stripes[0] == pristine[0]  # restored before the refusal
+        poisoned = store.stripes[1]
+        assert poisoned.erased[:, disk].all()
+        assert not poisoned.data[:, disk].any()
+        assert store.stripes[2].erased[:, disk].all()  # never reached

@@ -3,14 +3,32 @@
 import pytest
 
 from repro import HVCode, RDPCode
+from repro.array.filestore import FileStore
+from repro.codes.base import ArrayCode
 from repro.exceptions import UnrecoverableFaultError
-from repro.faults import HealingStats, decode_resilient, recover_element
+from repro.faults import (
+    HealingStats,
+    RebuildOrchestrator,
+    decode_resilient,
+    recover_element,
+)
 
 
 def encoded_stripe(code, element_size=16, seed=5):
     stripe = code.random_stripe(element_size=element_size, seed=seed)
     code.encode(stripe)
     return stripe
+
+
+def poison_chains(code, stripe, pos):
+    """One latent member on every chain through ``pos``."""
+    chains = list(code.chains_through[pos])
+    if pos in code.chain_at:
+        chains.append(code.chain_at[pos])
+    for chain in chains:
+        victim = next(c for c in chain.equation_cells if c != pos)
+        if stripe.readable(victim):
+            stripe.mark_latent(victim)
 
 
 class TestRecoverElement:
@@ -58,14 +76,7 @@ class TestRecoverElement:
         pos = (0, 0)
         original = bytes(stripe.get(pos))
         stripe.erase(pos)
-        # Poison every chain through pos with one latent member.
-        chains = list(code.chains_through[pos])
-        if pos in code.chain_at:
-            chains.append(code.chain_at[pos])
-        for chain in chains:
-            victim = next(c for c in chain.equation_cells if c != pos)
-            if stripe.readable(victim):
-                stripe.mark_latent(victim)
+        poison_chains(code, stripe, pos)
         stats = HealingStats()
         buf = recover_element(code, stripe, pos, stats)
         assert bytes(buf) == original
@@ -116,3 +127,60 @@ class TestDecodeResilient:
         a.merge(b)
         assert a.reads == 7
         assert a.escalations == 1
+
+
+class TestRepairPathsDecodeOnTheStoresEngine:
+    """Rung 3 of every repair path runs where the store's ``engine=``
+    says, not silently through the scalar peel."""
+
+    @pytest.fixture
+    def decode_engines(self, monkeypatch):
+        seen = []
+        decode = ArrayCode.decode
+
+        def spy(self, stripe, failed_disks=None, *, engine="python"):
+            seen.append(engine)
+            return decode(self, stripe, failed_disks, engine=engine)
+
+        monkeypatch.setattr(ArrayCode, "decode", spy)
+        return seen
+
+    @staticmethod
+    def make_store(engine):
+        store = FileStore(HVCode(5), element_size=16, engine=engine)
+        payload = bytes(
+            (i * 11 + 5) % 256 for i in range(3 * store.bytes_per_stripe)
+        )
+        store.write(0, payload)
+        return store, payload
+
+    def test_recover_element_rung3(self, decode_engines):
+        code = HVCode(5)
+        stripe = encoded_stripe(code)
+        original = bytes(stripe.get((0, 0)))
+        stripe.erase((0, 0))
+        poison_chains(code, stripe, (0, 0))
+        buf = recover_element(code, stripe, (0, 0), engine="fused")
+        assert bytes(buf) == original
+        assert decode_engines == ["fused"]
+
+    def test_scrub_escalation(self, decode_engines):
+        store, payload = self.make_store("fused")
+        stripe = store.stripes[1]
+        stripe.flip_bits((0, 0), 3)
+        poison_chains(store.code, stripe, (0, 0))
+        report = store.scrub_checksums()
+        assert report.escalations >= 1
+        assert decode_engines and set(decode_engines) == {"fused"}
+        assert store.read(0, len(payload)) == payload
+        assert store.scrub_checksums(repair=False).clean
+
+    def test_orchestrated_rebuild_escalation(self, decode_engines):
+        store, payload = self.make_store("fused")
+        store.fail_disk(0)
+        store.fail_disk(2)
+        report = RebuildOrchestrator(store).rebuild(0)
+        assert report.escalations == len(store.stripes)
+        assert len(decode_engines) == len(store.stripes)
+        assert set(decode_engines) == {"fused"}
+        assert store.read(0, len(payload)) == payload

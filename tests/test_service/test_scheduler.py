@@ -211,21 +211,40 @@ class TestFaultOpsAndRebuildProgress:
         assert "InvalidParameterError" in stats.errors[0]
 
     def test_other_shards_progress_during_rebuild(self):
-        # Shard 0 carries enough stripes that its rebuild takes real
-        # time; shard 1's backlog of cheap reads is already queued, so
-        # a second worker drains it while the rebuild runs.
+        # Shard 0's rebuild is held open until the scheduler has counted
+        # an op completed on shard 1, so this checks the overlap
+        # accounting and not how long a rebuild happens to take.
         pool = make_pool(num_stripes=48, element_size=256, num_shards=2)
         bps = pool.bytes_per_stripe
         shard1_stripe = next(
             s for s in range(48) if pool.shard_of_stripe(s) == 1
         )
+        store = pool.shards[0]
+        rebuild = store.rebuild
+        started = threading.Event()
+        overlapped = []
         with RequestScheduler(pool, workers=2, queue_depth=600) as sched:
+
+            def held_rebuild(disk):
+                before = sched.completed
+                started.set()
+                deadline = time.monotonic() + 10.0
+                while sched.completed == before and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                overlapped.append(sched.completed > before)
+                rebuild(disk)
+
+            store.rebuild = held_rebuild
             sched.submit(Op("fail", shard=0, disk=0))
             sched.submit(Op("rebuild", shard=0, disk=0))
+            # Only now queue shard 1's reads: none can finish before the
+            # rebuild window opens.
+            assert started.wait(10.0)
             for _ in range(500):
                 sched.submit(
                     Op("read", offset=shard1_stripe * bps, size=8)
                 )
+        assert overlapped == [True]  # else the hold timed out
         stats = sched.stats
         windows = stats.rebuild_windows
         assert len(windows) == 1
