@@ -37,11 +37,6 @@ def sweep7():
     return sweep(7)
 
 
-def test_sweep_benchmark(benchmark):
-    result = benchmark.pedantic(lambda: sweep(7), rounds=3, iterations=1)
-    assert result
-
-
 class TestDesignChoice:
     def test_paper_pair_is_mds_with_high_sharing(self, sweep7):
         mds, sharing = sweep7[(2, 4)]

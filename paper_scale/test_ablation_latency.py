@@ -2,7 +2,7 @@
 
 Fig. 6(c), 7(a) and 9(b) report simulated time, so their orderings
 must be robust to the latency-model parameters (the I/O-count figures
-are hardware-free by construction).  This bench re-runs Fig. 6(c) and
+are hardware-free by construction).  This module re-runs Fig. 6(c) and
 Fig. 9(b) under three disk models — seek-dominated, balanced, and
 bandwidth-dominated — and asserts the paper's orderings hold in all.
 """
@@ -35,15 +35,6 @@ def run_all_models():
 @pytest.fixture(scope="module")
 def all_models():
     return run_all_models()
-
-
-def test_latency_sweep_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_fig9b(primes=(7, 13), latency=MODELS["balanced"]),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.rows
 
 
 class TestRobustness:

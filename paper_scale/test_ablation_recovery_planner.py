@@ -44,9 +44,9 @@ def single_flavor_reads(code, disk: int) -> int:
     return len(fetched)
 
 
-def run_comparison(p: int = P) -> dict[str, dict[str, float]]:
+def run_comparison() -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
-    for code in evaluated_codes(p):
+    for code in evaluated_codes(P):
         naive = mean(single_flavor_reads(code, d) for d in range(code.cols))
         greedy = mean(
             plan_single_disk_recovery(code, d, method="greedy").total_reads
@@ -63,13 +63,6 @@ def run_comparison(p: int = P) -> dict[str, dict[str, float]]:
 @pytest.fixture(scope="module")
 def comparison():
     return run_comparison()
-
-
-def test_planner_comparison_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_comparison(7), rounds=3, iterations=1
-    )
-    assert result
 
 
 class TestPlannerValue:

@@ -1,4 +1,4 @@
-"""Fig. 9 benchmark: single-disk recovery I/O and double-failure time.
+"""Fig. 9 at paper scale: single-disk recovery I/O and double-failure time.
 
 Fig. 9(a) runs the exact MILP planner for p <= 13 and the validated
 greedy for larger primes (the full paper sweep 5..23).  Fig. 9(b)
@@ -11,7 +11,6 @@ import pytest
 
 from repro.experiments.fig9_recovery import run_fig9a, run_fig9b
 
-PRIMES_FAST = (5, 7, 11, 13)
 PRIMES_FULL = (5, 7, 11, 13, 17, 19, 23)
 
 
@@ -23,22 +22,6 @@ def fig9a():
 @pytest.fixture(scope="module")
 def fig9b():
     return run_fig9b(primes=PRIMES_FULL)
-
-
-def test_fig9a_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_fig9a(primes=PRIMES_FAST, method="greedy"),
-        rounds=3,
-        iterations=1,
-    )
-    assert result.rows
-
-
-def test_fig9b_benchmark(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_fig9b(primes=PRIMES_FAST), rounds=3, iterations=1
-    )
-    assert result.rows
 
 
 class TestFig9aShapes:

@@ -63,8 +63,7 @@ escalating to the full decoder when chains are poisoned (see
 :mod:`repro.faults.healing`).
 
 Used by ``examples/file_storage_demo.py``, the fault-injection demo,
-the write-path benchmark (``repro bench-write``), and the end-to-end
-tests.
+the stack benchmark (``python3 -m bench``), and the end-to-end tests.
 """
 
 from __future__ import annotations

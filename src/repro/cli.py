@@ -208,90 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.add_argument("--output", default=None)
 
-    bench = sub.add_parser(
-        "bench-engine",
-        help="XOR-engine throughput: MB/s per code for the pure-Python, "
-        "python-element, and compiled-vector paths",
-    )
-    bench.add_argument(
-        "--code",
-        default=None,
-        help="benchmark one code only (default: every XOR code)",
-    )
-    bench.add_argument("--p", type=int, default=7, help="prime (default 7)")
-    bench.add_argument(
-        "--element-size",
-        type=int,
-        default=None,
-        help="bytes per element (default 65536; the acceptance size)",
-    )
-    bench.add_argument(
-        "--batch", type=int, default=8, help="stripes per batched execution"
-    )
-    bench.add_argument("--repeats", type=int, default=3, help="best-of repeats")
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fixed CI run (HV+RDP at 4 KiB elements, 1 repeat)",
-    )
-    bench.add_argument(
-        "--backends",
-        action="store_true",
-        help="add the kernel-backend sweep: every available backend "
-        "(vector/fused/parallel/native) times identical pre-built regions",
-    )
-    bench.add_argument(
-        "--threads",
-        default=None,
-        help="comma-separated worker counts for the parallel backend "
-        "(default: 1 and the host cpu count)",
-    )
-    bench.add_argument(
-        "--sweep-sizes",
-        default=None,
-        help="comma-separated element sizes for the backend sweep "
-        "(default 65536,1048576; smoke uses 4096)",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_engine.json",
-        help="JSON results file (default BENCH_engine.json; '-' for stdout)",
-    )
-
-    bench_w = sub.add_parser(
-        "bench-write",
-        help="write-path benchmark: Fig. 6 partial-stripe-write sweep plus "
-        "the write-back cache throughput headline",
-    )
-    bench_w.add_argument(
-        "--code",
-        default=None,
-        help="sweep one code only (default: every XOR code)",
-    )
-    bench_w.add_argument(
-        "--p", type=int, default=11, help="prime (default 11; the acceptance prime)"
-    )
-    bench_w.add_argument(
-        "--element-size",
-        type=int,
-        default=None,
-        help="bytes per element (default 65536; the acceptance size)",
-    )
-    bench_w.add_argument(
-        "--batch", type=int, default=8, help="stripes per batched execution"
-    )
-    bench_w.add_argument("--repeats", type=int, default=3, help="best-of repeats")
-    bench_w.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small fixed CI run (HV+RDP at p=5, 4 KiB elements, 1 repeat)",
-    )
-    bench_w.add_argument(
-        "--output",
-        default="BENCH_write.json",
-        help="JSON results file (default BENCH_write.json; '-' for stdout)",
-    )
-
     crash = sub.add_parser(
         "crash-bench",
         help="kill-anywhere crash matrix: cut power at every durable-I/O "
@@ -842,143 +758,6 @@ def _run_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench_engine(args: argparse.Namespace) -> int:
-    """XOR-engine throughput sweep; writes BENCH_engine.json."""
-    import json
-
-    from .engine.bench import run_engine_benchmark
-
-    kwargs = dict(
-        p=args.p,
-        batch=args.batch,
-        repeats=args.repeats,
-        smoke=args.smoke,
-    )
-    if args.code:
-        kwargs["codes"] = (args.code,)
-    if args.element_size is not None:
-        kwargs["element_size"] = args.element_size
-    if args.backends:
-        kwargs["backends"] = True
-        if args.threads:
-            kwargs["threads"] = tuple(
-                int(t) for t in args.threads.split(",") if t
-            )
-        if args.sweep_sizes:
-            kwargs["sweep_sizes"] = tuple(
-                int(s) for s in args.sweep_sizes.split(",") if s
-            )
-    payload = run_engine_benchmark(**kwargs)
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(rendered + "\n")
-        print(f"wrote engine benchmark to {args.output}")
-    else:
-        print(rendered)
-    # A human-readable digest on stdout either way.
-    for row in payload["results"]:
-        auto = row["paths"]["auto"]["mb_per_s"]
-        print(
-            f"{row['code']:<10} {row['op']:<15} "
-            f"auto[{row['auto_backend']}] {auto:>9.1f} MB/s  "
-            f"({row['speedup_vs_pure_python']:.1f}x pure-python, "
-            f"{row['speedup_vs_python_element']:.2f}x python-element)"
-        )
-    sweep = payload.get("backend_sweep")
-    if sweep:
-        print(
-            f"backend sweep: {len(sweep['rows'])} rows, "
-            f"cpu_count={sweep['cpu_count']}, "
-            f"backends={','.join(sweep['backends'])}"
-        )
-        for op, best in sorted(sweep["headline"].items()):
-            print(
-                f"  {op:<15} best {best['backend']} "
-                f"{best.get('mb_per_s', 0.0):>9.1f} MB/s  "
-                f"({best['speedup_vs_vector']:.2f}x vs vector)"
-            )
-        ab = sweep.get("arena_ab")
-        if ab:
-            for row in ab["rows"]:
-                print(
-                    f"  parallel arena={row['arena']:<3} "
-                    f"{row['shm_copy_bytes_per_call']:>12.0f} shm copy "
-                    f"bytes/call  {row['mb_per_s']:>9.1f} MB/s  "
-                    f"(match={row['match']})"
-                )
-            pool = ab["pool_arena"]
-            print(
-                f"  pool arena hit rate {pool['hit_rate']:.2f} "
-                f"({pool['hits']} hits / {pool['misses']} misses, "
-                f"{pool['segments']} segments)"
-            )
-    return 0
-
-
-def _run_bench_write(args: argparse.Namespace) -> int:
-    """Write-path benchmark sweep; writes BENCH_write.json."""
-    import json
-
-    from .engine.bench_write import run_write_benchmark
-
-    kwargs = dict(
-        p=args.p,
-        batch=args.batch,
-        repeats=args.repeats,
-        smoke=args.smoke,
-    )
-    if args.code:
-        kwargs["codes"] = (args.code,)
-    if args.element_size is not None:
-        kwargs["element_size"] = args.element_size
-    payload = run_write_benchmark(**kwargs)
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(rendered + "\n")
-        print(f"wrote write benchmark to {args.output}")
-    else:
-        print(rendered)
-    head = payload["headline"]
-    print(
-        f"headline ({head['code']}@{payload['p']}, "
-        f"{payload['element_size'] // 1024} KiB elements, "
-        f"{head['io_size'] // 1024} KiB ops): "
-        f"cached {head['cached']['mb_per_s']:.1f} MB/s vs baseline "
-        f"{head['baseline']['mb_per_s']:.1f} MB/s = {head['speedup']:.1f}x, "
-        f"parity writes {head['baseline']['parity_writes']} -> "
-        f"{head['cached']['parity_writes']}"
-    )
-    journaled = head["journaled"]
-    print(
-        f"journaled {journaled['mb_per_s']:.1f} MB/s "
-        f"({journaled['speedup_vs_baseline']:.1f}x baseline, "
-        f"{journaled['overhead_vs_cached']:.2f}x cached) with "
-        f"{journaled['journal_records']} intent/commit records, "
-        f"{journaled['journal_bytes'] / 1e6:.1f} MB journaled"
-    )
-    native = head.get("native")
-    if native:
-        print(
-            f"native {native['mb_per_s']:.1f} MB/s "
-            f"({native['speedup_vs_baseline']:.1f}x baseline, "
-            f"{native['speedup_vs_cached']:.2f}x cached-vector) via "
-            f"{native['kernel_invocations']} fused update kernel calls"
-        )
-    by_code: dict[str, list] = {}
-    for row in payload["sweep"]:
-        by_code.setdefault(row["code"], []).append(row)
-    for name, rows in by_code.items():
-        avg = sum(r["parity_writes_per_data"] for r in rows) / len(rows)
-        spd = sum(r["speedup_vs_oracle"] for r in rows) / len(rows)
-        print(
-            f"{name:<10} parity writes/data element {avg:.2f} "
-            f"(avg over w=1..{rows[-1]['w']}), vector {spd:.1f}x oracle"
-        )
-    return 0
-
-
 def _run_crash_bench(args: argparse.Namespace) -> int:
     """The crash matrix; exits non-zero on an unrecovered scenario."""
     import json
@@ -1106,12 +885,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "certify":
         return _run_certify(args)
-
-    if args.command == "bench-engine":
-        return _run_bench_engine(args)
-
-    if args.command == "bench-write":
-        return _run_bench_write(args)
 
     if args.command == "crash-bench":
         return _run_crash_bench(args)

@@ -5,8 +5,9 @@ its vertical parity at column ``<4i>_p``, with the vertical chain
 walking ``<2k + 4i>_p = j``.  Why those multipliers?  This module
 generalizes the construction to ``(a, b)``: horizontal parity at
 ``<a·i>_p``, vertical parity at ``<b·i>_p``, vertical chain rule
-``<a·k + b·i>_p = j``, so the ablation bench can measure what each
-choice buys:
+``<a·k + b·i>_p = j``, so the ablation
+(``paper_scale/test_ablation_hv_coefficients.py``) can measure what
+each choice buys:
 
 - **MDS**: only some ``(a, b)`` pairs tolerate every two-disk failure;
 - **cross-row sharing**: two cells ``(i, c1)`` and ``(i+1, c2)`` share

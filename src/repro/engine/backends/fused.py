@@ -3,8 +3,7 @@
 The classic vector executor issues one numpy kernel per XOR source per
 step over the *whole* buffer.  At megabyte regions that streams every
 cell through DRAM once per step; at L2-resident sizes the per-call
-dispatch overhead dominates (the 0.90x encode regression in the
-pre-backend BENCH_engine.json).  The fused executor fixes both ends:
+dispatch overhead dominates.  The fused executor fixes both ends:
 
 - the region — a :class:`~repro.array.stripe.StripeBatch` is executed
   as one ``(lanes, cells, words)`` array, so each kernel covers every

@@ -1,10 +1,10 @@
 """The shared-memory process-pool backend, arena edition.
 
 numpy releases the GIL inside its kernels, but a single thread still
-executes one kernel at a time — the committed BENCH_engine trajectory
-showed the vector engine ceiling out at one core's memory bandwidth.
-This backend partitions a region across a pool of **long-lived worker
-processes**, each owning a private command pipe:
+executes one kernel at a time, so the vector engine's ceiling is one
+core's memory bandwidth.  This backend partitions a region across a
+pool of **long-lived worker processes**, each owning a private command
+pipe:
 
 - regions live in :class:`~.arena.RegionArena` segments.  A target
   that is *already* arena-resident (e.g. a flush delta batch leased by

@@ -19,8 +19,7 @@ assert it):
 - :func:`execute_plan_scalar` — the pure-Python oracle: the same plan
   executed word by word with Python integers, no numpy.  Slow by
   design; it exists so the compiled schedule can be checked against an
-  implementation with nothing in common with the vector kernels, and
-  it is the "pure-Python path" baseline of the throughput benchmark.
+  implementation with nothing in common with the vector kernels.
 
 Element sizes that are not a multiple of 8 fall back from the
 ``uint64`` view to a ``uint8`` view transparently.
@@ -299,8 +298,7 @@ def execute_plan_scalar(plan: XorPlan, stripe: Stripe) -> None:
     Every buffer is a plain list of ints; every step XORs word by word
     in interpreted Python.  Nothing here touches numpy's kernels, so a
     bug in the vectorized executor cannot hide in this path (and vice
-    versa).  This is also the honest "pure-Python" baseline the
-    throughput benchmark compares the engine against.
+    versa).
     """
     _check_geometry(plan, stripe)
     flat = stripe.flat_view()

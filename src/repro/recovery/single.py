@@ -10,8 +10,8 @@ The selection problem — minimize the union of read cells subject to
 one chain choice per lost element — is a tiny set-union integer
 program.  We solve it *exactly* with ``scipy.optimize.milp`` (the
 default), with a greedy + local-search fallback and an exhaustive
-checker used by the tests; the benchmarks compare the three
-(``bench_ablation_recovery_planner``).
+checker used by the tests; ``paper_scale/test_ablation_recovery_planner.py``
+compares the planners.
 
 Degraded reads (Fig. 7) reuse the same optimizer with one twist: cells
 the read pattern already fetches are free, so the objective only

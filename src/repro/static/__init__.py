@@ -14,8 +14,8 @@ Three pillars, all usable as library calls, CLI subcommands
   re-derives the paper's complexity numbers from the *compiled*
   schedules;
 - :mod:`repro.static.lint` enforces the repo's source-level contracts
-  (seeded randomness, no wall clocks in simulators, a closed exception
-  hierarchy, no mutable defaults, validated chain construction, no
+  (seeded randomness, no wall clocks outside the CLI and the
+  scheduler, a closed exception hierarchy, no mutable defaults, validated chain construction, no
   stale waivers) via the R001-R010 rule catalogue
   (:mod:`repro.static.rules`).
 """

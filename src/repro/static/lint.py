@@ -1,8 +1,8 @@
 """The repo linter: apply the R001-R010 rule catalogue to a source tree.
 
 The driver walks ``.py`` files, parses each once, derives the file's
-dotted module path (so scope-limited rules like R002 know they are in
-``repro.sim``), and runs every requested rule.  Violations on lines
+dotted module path (so scope-limited rules like R007 know they are in
+``repro.journal``), and runs every requested rule.  Violations on lines
 carrying ``# noqa: RXXX`` (or a bare ``# noqa``) are waived.
 
 The R003 allowlist — exception classes that are both *defined* in

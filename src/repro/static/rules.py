@@ -9,8 +9,11 @@ at the source level:
   :func:`repro.utils.resolve_rng`: no unseeded ``random.Random()`` /
   ``np.random.default_rng()``, and no calls against the *global* RNGs
   (``random.random()``, ``np.random.rand()``, ...) anywhere.
-- **R002** — simulation code (``repro.sim``, ``repro.faults``) must
-  not read wall clocks; simulated time comes from the event queue.
+- **R002** — no ``repro.*`` module reads a wall clock except the two
+  allow-listed ones: ``repro.cli`` (the ``[N table(s) in X s]`` line)
+  and ``repro.service.scheduler`` (deadlines and served-latency
+  accounting).  Simulated time comes from the event queue, and speeds
+  are measured from outside the package by ``python3 -m bench``.
 - **R003** — every raised exception type belongs to the exported
   :mod:`repro.exceptions` hierarchy (``NotImplementedError`` is the
   one idiomatic exception).
@@ -256,12 +259,13 @@ class UnseededRandomRule(LintRule):
 
 
 class WallClockRule(LintRule):
-    """R002: simulation paths must not read wall clocks."""
+    """R002: only the allow-listed modules may read wall clocks."""
 
     rule_id = "R002"
-    summary = "wall-clock read inside simulation code (repro.sim / repro.faults)"
-
-    SCOPED_PREFIXES = ("repro.sim", "repro.faults")
+    #: The CLI's ``[N table(s) in X s]`` line, and the scheduler's
+    #: deadlines and served-latency accounting.
+    ALLOWED_MODULES = ("repro.cli", "repro.service.scheduler")
+    summary = "wall-clock read outside " + " / ".join(ALLOWED_MODULES)
     BANNED = frozenset(
         {
             "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -272,11 +276,8 @@ class WallClockRule(LintRule):
     )
 
     def check(self, ctx: FileContext) -> list[LintViolation]:
-        scoped = any(
-            ctx.module == prefix or ctx.module.startswith(prefix + ".")
-            for prefix in self.SCOPED_PREFIXES
-        )
-        if not scoped:
+        in_package = ctx.module == "repro" or ctx.module.startswith("repro.")
+        if not in_package or ctx.module in self.ALLOWED_MODULES:
             return []
         out: list[LintViolation] = []
         for node in ast.walk(ctx.tree):
@@ -288,8 +289,8 @@ class WallClockRule(LintRule):
                     self.violation(
                         ctx,
                         node,
-                        f"{name}() in simulation code; simulated time must "
-                        "come from the event clock",
+                        f"{name}() is a {self.summary}; simulated time comes "
+                        "from the event clock and speeds from `python3 -m bench`",
                     )
                 )
         return out

@@ -24,6 +24,7 @@ from repro import (
 from repro.array.filestore import FileStore
 from repro.array.stripe_cache import DirtyStripe, StripeCache
 from repro.engine import PLAN_CACHE
+from repro.engine.backends import available_backends
 from repro.exceptions import InvalidParameterError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -322,6 +323,58 @@ class TestCachedFileStore:
         cached.flush()
         for a, b in zip(cached.stripes, plain.stripes):
             assert a == b
+
+    @pytest.mark.parametrize("p, parity_writes", [(5, (192, 24)), (11, (480, 33))])
+    @pytest.mark.parametrize("evicting", [False, True], ids=["cache=S", "cache=1"])
+    @pytest.mark.parametrize(
+        "engine, journal",
+        [
+            ("vector", False),
+            ("vector", True),
+            ("fused", True),
+            ("auto", True),
+            ("native", False),
+        ],
+    )
+    def test_small_write_trace_matches_write_through(
+        self, p, parity_writes, evicting, engine, journal
+    ):
+        # The partial-stripe-write shape with rewrite locality: eight
+        # passes of seeded 16-byte overwrites at a seeded slot inside
+        # each element of a (p-1)-element hot window in three stripes.
+        if engine == "native" and "native" not in available_backends():
+            pytest.skip("no C toolchain for the native backend")
+        stripes, rounds, element_size, io_size = 3, 8, 64, 16
+        code = HVCode(p)
+        plain = FileStore(code, element_size=element_size, engine="python")
+        cached = FileStore(
+            code,
+            element_size=element_size,
+            engine=engine,
+            cache_stripes=1 if evicting else stripes,
+            journal=journal,
+        )
+        rng = np.random.default_rng(2024)
+        for _ in range(rounds):
+            for s in range(stripes):
+                for i in range(p - 1):
+                    slot = int(rng.integers(0, element_size // io_size))
+                    offset = (
+                        s * plain.bytes_per_stripe + i * element_size + slot * io_size
+                    )
+                    chunk = bytes(rng.integers(0, 256, io_size, dtype=np.uint8))
+                    plain.write(offset, chunk)
+                    cached.write(offset, chunk)
+        total = stripes * plain.bytes_per_stripe
+        assert cached.read(0, total) == plain.read(0, total)
+        cached.flush()
+        for a, b in zip(cached.stripes, plain.stripes):
+            assert a == b
+        assert cached.scrub() == []
+        assert cached.scrub_checksums(repair=False).clean
+        assert (cached.stats.journal_records > 0) == journal
+        if not evicting:
+            assert (plain.parity_writes, cached.parity_writes) == parity_writes
 
     def test_uint8_lane_elements(self):
         # element_size not a multiple of 8: the executor's uint8 fallback

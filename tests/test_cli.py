@@ -268,43 +268,6 @@ class TestLintCommand:
         assert payload["violations"][0]["rule"] == "R004"
 
 
-class TestBenchWriteCommand:
-    def test_parser_registered(self):
-        args = build_parser().parse_args(["bench-write", "--smoke"])
-        assert args.command == "bench-write"
-        assert args.smoke
-        assert args.p == 11
-        assert args.output == "BENCH_write.json"
-
-    def test_smoke_payload(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "bench.json"
-        assert main(
-            ["bench-write", "--smoke", "--output", str(target)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "headline" in out
-        payload = json.loads(target.read_text())
-        assert payload["benchmark"] == "write-path"
-        assert payload["smoke"] is True
-        assert payload["headline"]["speedup"] > 1.0
-        assert {row["code"] for row in payload["sweep"]} == {"HV", "RDP"}
-        # the sweep covers w = 1 .. 2(p-1) for each code
-        ws = [row["w"] for row in payload["sweep"] if row["code"] == "HV"]
-        assert ws == list(range(1, len(ws) + 1))
-
-    def test_single_code_sweep(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "bench.json"
-        assert main(
-            ["bench-write", "--smoke", "--code", "HV", "--output", str(target)]
-        ) == 0
-        payload = json.loads(target.read_text())
-        assert {row["code"] for row in payload["sweep"]} == {"HV"}
-
-
 class TestServeBenchCommand:
     def test_parser_registered(self):
         args = build_parser().parse_args(["serve-bench", "--smoke"])

@@ -10,6 +10,7 @@ import pytest
 from repro import HVCode
 from repro.codes.base import ElementKind
 from repro.exceptions import InvalidParameterError
+from repro.utils import EVALUATION_PRIMES
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +142,11 @@ class TestScaling:
         assert all(chain.length == p - 2 for chain in code.chains)
         stripe = code.random_stripe(element_size=2, seed=0)
         assert code.verify(stripe)
+
+    @pytest.mark.parametrize("p", EVALUATION_PRIMES)
+    def test_hv_encode_xor_count_optimal(self, p):
+        """Section IV.2: 2(p-4)/(p-3) XORs per data element is optimal."""
+        code = HVCode(p)
+        total_xors = sum(len(chain.members) - 1 for chain in code.chains)
+        per_data_element = total_xors / code.data_elements_per_stripe
+        assert per_data_element == pytest.approx(2 * (p - 4) / (p - 3))

@@ -69,7 +69,9 @@ class TestPaperShapes6a:
 class TestPaperShapes6b:
     def test_balanced_codes_near_one(self, fig6):
         for name in ("HV", "HDP", "X-Code"):
-            for value in fig6["fig6b"].row_for(name)[1:]:
+            row = fig6["fig6b"].row_for(name)
+            assert row[1] < 1.3  # uniform_w_10
+            for value in row[2:]:
                 assert value < 1.4
 
     def test_rdp_badly_unbalanced(self, fig6):

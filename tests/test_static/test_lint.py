@@ -122,17 +122,29 @@ class TestR002WallClock:
             return time.time()
         """
 
+    def lint_as(self, tmp_path, name):
+        # Fabricate the `repro` package so the module path matches.
+        package = (tmp_path / name).parent
+        package.mkdir(parents=True)
+        while package != tmp_path:
+            (package / "__init__.py").write_text("")
+            package = package.parent
+        return lint_source(tmp_path, self.SIM_SNIPPET, name=name)
+
     def test_flags_wall_clock_in_sim_module(self, tmp_path):
-        # Fabricate a `repro.sim` package so the module path matches.
-        pkg = tmp_path / "repro"
-        (pkg / "sim").mkdir(parents=True)
-        (pkg / "__init__.py").write_text("")
-        (pkg / "sim" / "__init__.py").write_text("")
-        violations = lint_source(
-            tmp_path, self.SIM_SNIPPET, name="repro/sim/clocked.py"
-        )
+        violations = self.lint_as(tmp_path, "repro/sim/clocked.py")
         assert [v.rule for v in violations] == ["R002"]
         assert "event clock" in violations[0].message
+
+    @pytest.mark.parametrize(
+        "name", ["repro/engine/stopwatch.py", "repro/array/filestore.py"]
+    )
+    def test_flags_wall_clock_anywhere_else_in_the_package(self, tmp_path, name):
+        violations = self.lint_as(tmp_path, name)
+        assert [v.rule for v in violations] == ["R002"]
+
+    def test_allows_wall_clock_in_the_scheduler(self, tmp_path):
+        assert self.lint_as(tmp_path, "repro/service/scheduler.py") == ()
 
     def test_ignores_wall_clock_outside_simulators(self, tmp_path):
         violations = lint_source(tmp_path, self.SIM_SNIPPET)
