@@ -4,9 +4,9 @@
 The RAID-6 write hole: a write-back cache lands data bytes immediately
 but defers the parity delta, so a power cut between the two leaves
 parity disagreeing with data.  The parity intent journal closes the
-hole — every cached write frames an intent flag (dirty pattern plus
-first-touch pre-images) *before* the first data byte mutates, and
-recovery re-derives parity for every flagged stripe.
+hole — every cached write frames an intent flag (the slots it is
+about to dirty) *before* the first data byte mutates, and recovery
+re-derives parity for every flagged stripe.
 
 This demo walks the whole lifecycle:
 

@@ -33,10 +33,11 @@ re-encode when the cost model says the stripe is mostly dirty
 are refreshed once per flushed element, not once per overwrite.
 
 Deferring parity opens the RAID-6 **write hole**, and a cached store
-therefore journals by default: every write frames an intent record in
-a :class:`~repro.journal.ParityIntentJournal` *before* any stripe byte
-mutates, every flushed stripe frames a commit after its parity and
-sidecars land, and the device is truncated when the cache drains.
+therefore journals by default: every write flags the elements it is
+about to dirty in a :class:`~repro.journal.ParityIntentJournal`
+*before* any stripe byte mutates, every flushed stripe frames a commit
+after its parity and sidecars land, and the device is truncated when
+the cache drains (compacted, if it outgrows ``journal_bound`` first).
 After a crash, :meth:`reopen_from` adopts the durable state (stripes,
 sidecar, failed disks, journal device) and :meth:`recover` replays
 complete records, discards the torn tail, and re-derives parity for
@@ -46,10 +47,10 @@ for the kill-anywhere harness built on the store's ``crash_hook``.
 
 The store is a context manager: a clean exit flushes, but an exit
 with an exception propagating **discards** the dirty cache instead —
-rolling every dirty element back to its pre-image behind a journaled
-discard record — so a half-written poisoned stripe is never pushed
-into parity (a :class:`~repro.array.iostats.DirtyCacheDiscarded` note
-lands in :attr:`stats`).
+rolling every dirty element back to its pre-image behind a discard
+record carrying those pre-images — so a half-written poisoned stripe
+is never pushed into parity (a :class:`~repro.array.iostats.
+DirtyCacheDiscarded` note lands in :attr:`stats`).
 
 Every element carries a CRC32 sidecar entry
 (:class:`~repro.faults.checksum.ChecksumSidecar`) so silent corruption
@@ -85,6 +86,8 @@ from ..exceptions import (
 from ..faults.checksum import ChecksumSidecar, crc_of
 from ..faults.healing import HealingStats, decode_resilient, recover_element
 from ..journal import (
+    COMPACT_FACTOR,
+    FLAG_BYTES,
     JournalPiece,
     ParityIntentJournal,
     RecoveryReport,
@@ -147,6 +150,12 @@ class FileStore:
         elif journal is False:
             journal = None
         self.journal: ParityIntentJournal | None = journal
+        #: most bytes the journal device holds once a write returns
+        #: (see :meth:`_maybe_checkpoint`): ``COMPACT_FACTOR`` times the
+        #: flag bytes of a cache whose every cell is dirty
+        self.journal_bound = (
+            COMPACT_FACTOR * cache_stripes * code.rows * code.cols * FLAG_BYTES
+        )
         #: optional per-store :class:`~repro.engine.backends.RegionArena`
         #: for flush delta batches (a service shard pins its own so its
         #: segments stay warm); None borrows the parallel backend's.
@@ -283,10 +292,11 @@ class FileStore:
         """Fire the crash hook at a durable-I/O boundary.
 
         Sites: ``journal-intent[-mid]``, ``journal-commit[-mid]``,
-        ``journal-discard[-mid]`` (fired by the journal device),
-        ``data-write``, ``flush-start``, ``parity-write``.  A hook that
-        raises models a power cut *at that instant*: everything already
-        written stays, everything after is lost.
+        ``journal-discard[-mid]``, ``journal-compact[-mid]``,
+        ``journal-trim`` (fired by the journal), ``data-write``,
+        ``flush-start``, ``parity-write``, ``rollback-write``.  A hook
+        that raises models a power cut *at that instant*: everything
+        already written stays, everything after is lost.
         """
         if self._crash_hook is not None:
             self._crash_hook(site)
@@ -296,49 +306,33 @@ class FileStore:
     def _journal_intent(
         self,
         stripe_idx: int,
-        stripe: Stripe,
         pieces: list[Piece],
         entry: DirtyStripe | None = None,
     ) -> None:
         """Flag the stripe's deferred parity before any data byte lands.
 
-        Write-ahead discipline: the intent frame (dirty pattern plus a
-        full pre-image of each first-touched element, the same snapshot
-        discipline as :class:`DirtyStripe`) is on the journal device
-        before the write mutates the stripe, so recovery always knows
-        which stripes may hold landed data over stale parity.  With a
-        cache entry only *first touches* are framed — a write that hits
-        only already-dirty elements is absorbed by the flag that is
-        already durable, which is what keeps the journal off the
-        small-write hot path.  Without an entry (write-through /
-        reconstruct-write) every write frames its pattern: the stripe
-        commits immediately after, so there is no flag to absorb into.
+        Write-ahead discipline: the intent frame (the slots about to go
+        dirty; no pre-images — only :meth:`discard_dirty` reads those,
+        and frames them then) is on the journal device before the write
+        mutates the stripe, so recovery always knows which stripes may
+        hold landed data over stale parity.  With a cache entry only
+        *first touches* are framed — a write that hits only
+        already-dirty elements is absorbed by the flag that is already
+        durable, which is what keeps the journal off the small-write
+        hot path.  Without an entry (write-through / reconstruct-write)
+        every write frames its pattern: the stripe commits immediately
+        after, so there is no flag to absorb into.
         """
         assert self.journal is not None
         cols = self.code.cols
-        journal_pieces = []
-        if entry is not None:
-            seen_first: set[Position] = set()
-            for pos, within, _ in pieces:
-                if entry.is_dirty(pos) or pos in seen_first:
-                    continue  # absorbed: the stripe's flag is already durable
-                seen_first.add(pos)
-                journal_pieces.append(
-                    JournalPiece(
-                        pos[0] * cols + pos[1],
-                        within,
-                        b"",
-                        stripe.data[pos].tobytes(),
-                    )
-                )
-            if not journal_pieces:
-                return
+        if entry is None:
+            slots = [r * cols + c for (r, c), _, _ in pieces]
         else:
-            journal_pieces = [
-                JournalPiece(pos[0] * cols + pos[1], within, b"")
-                for pos, within, _ in pieces
-            ]
-        self.stats.record_journal(self.journal.log_intent(stripe_idx, journal_pieces))
+            old = entry.old
+            slots = [r * cols + c for (r, c), _, _ in pieces if (r, c) not in old]
+            if not slots:
+                return  # absorbed: the stripe's flag is already durable
+        self.stats.record_journal(self.journal.log_intent(stripe_idx, slots))
 
     def _journal_commit(self, stripe_idx: int) -> None:
         """Void the stripe's intents: its parity and sidecars landed."""
@@ -346,32 +340,52 @@ class FileStore:
             self.stats.record_journal(self.journal.log_commit(stripe_idx))
 
     def _maybe_checkpoint(self) -> None:
-        """Truncate the journal once nothing is deferred any more."""
-        if self.journal is not None and (self.cache is None or not len(self.cache)):
+        """Truncate the journal once nothing is deferred any more; until
+        then keep the device within :attr:`journal_bound`.
+
+        Under sustained load the cache never drains and every evicted
+        stripe leaves a dead intent and a commit behind; flags are
+        idempotent, so past the bound the live ones are re-logged (one
+        intent per dirty stripe) and the rest trimmed.
+        """
+        if self.journal is None:
+            return
+        if self.cache is None or not len(self.cache):
             self.journal.checkpoint()
+        elif len(self.journal.device) > self.journal_bound:
+            cols = self.code.cols
+            live = [(i, e.pattern(cols)) for i, e in self.cache.items() if e.num_dirty]
+            sizes = self.journal.compact(live)
+            self.stats.record_journal(sum(sizes), len(sizes))
 
     # -- crash recovery ----------------------------------------------------------
 
     def discard_dirty(self) -> int:
         """Roll every dirty cached stripe back to its pre-images.
 
-        The error-exit path: each dirty stripe is journaled with a
-        discard record *before* its rollback (write-ahead in both
-        directions — a crash mid-rollback replays deterministically),
-        then every first-touch pre-image is restored.  Returns the
-        number of stripes rolled back and leaves a
-        :class:`DirtyCacheDiscarded` note in :attr:`stats`.
+        The error-exit path: each dirty stripe frames a discard record
+        carrying its pre-images (the cache's first-touch snapshots)
+        *before* the first of them is restored.  A crash that tears the
+        frame keeps the stripe's landed writes; once it is durable
+        recovery finishes the rollback from it.  Returns the number of
+        stripes rolled back and leaves a :class:`DirtyCacheDiscarded`
+        note in :attr:`stats`.
         """
         if self.cache is None or not len(self.cache):
             return 0
         stripes_rolled = 0
         elements = 0
+        cols = self.code.cols
         for idx, entry in self.cache.discard_all():
             if not entry.num_dirty:
                 continue
             stripes_rolled += 1
             if self.journal is not None:
-                self.stats.record_journal(self.journal.log_discard(idx))
+                undo = [
+                    JournalPiece(r * cols + c, 0, b"", old.tobytes())
+                    for (r, c), old in entry.old.items()
+                ]
+                self.stats.record_journal(self.journal.log_discard(idx, undo))
             stripe = self.stripes[idx]
             for pos, old in entry.old.items():
                 r, c = pos
@@ -381,6 +395,7 @@ class FileStore:
                 stripe.latent[r, c] = False
                 elements += 1
                 self.stats.record_write(c)
+                self._crash_point("rollback-write")
         if stripes_rolled:
             self.stats.record_note(DirtyCacheDiscarded(stripes_rolled, elements))
         self._maybe_checkpoint()
@@ -392,13 +407,14 @@ class FileStore:
         The recovery contract (see ``docs/JOURNAL.md``): a write is
         durable once its data bytes landed under an intent flag that is
         fully on the journal device.  Replay trusts the log up to the
-        first torn frame, rolls back discarded intents (newest first),
-        redoes any payload-carrying pending pieces (oldest first),
-        then re-derives parity for every flagged stripe —
-        healthy stripes through the engine's compiled encode plans,
-        degraded ones chain-by-chain where every member is readable
-        (the rest are reported ``unrecovered``).  Finishes with a
-        checkpoint: the journal only ever describes in-flight work.
+        first torn frame, finishes announced rollbacks from their
+        discard records' pre-images (newest first), redoes any
+        payload-carrying pending pieces (oldest first), then re-derives
+        parity for every flagged stripe — healthy stripes through the
+        engine's compiled encode plans, degraded ones chain-by-chain
+        where every member is readable (the rest are reported
+        ``unrecovered``).  Finishes with a checkpoint: the journal only
+        ever describes in-flight work.
         """
         report = RecoveryReport()
         if self.journal is None:
@@ -706,7 +722,7 @@ class FileStore:
         """
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
-            self._journal_intent(stripe_idx, stripe, pieces)
+            self._journal_intent(stripe_idx, pieces)
         updates = self._merge_pieces(stripe, pieces, charge_reads=True)
         rewritten = self.code.update_elements(stripe, updates)
         for pos, buf in updates.items():
@@ -726,17 +742,16 @@ class FileStore:
     def _write_stripe_cached(self, stripe_idx: int, pieces: list[Piece]) -> None:
         """Write-back: land the data bytes now, defer the parity delta.
 
-        Write-ahead discipline: the intent flag (dirty pattern plus
-        first-touch pre-images) is fully framed *before* the first data
-        byte mutates, so recovery can re-derive the stripe's parity
-        from whatever data landed; a crash mid-frame loses the write
-        atomically.
+        Write-ahead discipline: the intent flag (the first-touched
+        slots) is fully framed *before* the first data byte mutates, so
+        recovery can re-derive the stripe's parity from whatever data
+        landed; a crash mid-frame loses the write atomically.
         """
         assert self.cache is not None
         entry = self.cache.entry(stripe_idx)
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
-            self._journal_intent(stripe_idx, stripe, pieces, entry)
+            self._journal_intent(stripe_idx, pieces, entry)
         for pos, within, piece in pieces:
             element = stripe.data[pos]
             if entry.snapshot(pos, element):
@@ -753,6 +768,8 @@ class FileStore:
         evicted = self.cache.evict_over_capacity()
         if evicted:
             self._flush_entries(evicted)
+        else:
+            self._maybe_checkpoint()  # a flush ends in one too
 
     def _write_stripe_degraded(self, stripe_idx: int, pieces: list[Piece]) -> None:
         """Reconstruct-write: decode once, update, persist survivors once.
@@ -763,10 +780,8 @@ class FileStore:
         """
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
-            # Flag-only intent (no pre-images: nothing to roll back, a
-            # reconstruct-write is never cached).  Recovery re-derives
-            # what parity the surviving chains allow.
-            self._journal_intent(stripe_idx, stripe, pieces)
+            # Recovery re-derives what parity the surviving chains allow.
+            self._journal_intent(stripe_idx, pieces)
         restored = self._reconstructed(stripe)
         updates = self._merge_pieces(restored, pieces, charge_reads=False)
         rewritten = self.code.update_elements(restored, updates)

@@ -40,9 +40,6 @@ class DirtyStripe:
     def __init__(self) -> None:
         self.old: dict[Position, np.ndarray] = {}
 
-    def is_dirty(self, pos: Position) -> bool:
-        return pos in self.old
-
     def snapshot(self, pos: Position, current: np.ndarray) -> bool:
         """Record ``pos`` dirty; copy its pre-image on first touch.
 

@@ -278,13 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0, help="trace seed")
     serve.add_argument(
-        "--headline-ops",
-        type=int,
-        default=0,
-        help="append one HV run at this trace length (the acceptance-"
-        "scale configuration; 0 skips it)",
-    )
-    serve.add_argument(
         "--engine",
         choices=("python", "vector", "fused", "parallel", "native", "auto"),
         default="vector",
@@ -815,7 +808,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         element_size=args.element_size,
         cache_stripes=args.cache,
         seed=args.seed,
-        headline_ops=args.headline_ops,
         smoke=args.smoke,
         engine=args.engine,
         backend_affinity=args.affinity,

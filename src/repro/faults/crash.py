@@ -8,25 +8,31 @@ convenient ones.  This module makes that exhaustive check cheap:
 - :class:`CrashingStore` wraps a :class:`~repro.array.filestore.
   FileStore` and raises :class:`~repro.exceptions.CrashError` at the
   N-th durable-I/O boundary (the store's ``crash_hook`` fires at every
-  journal half-frame, data landing, flush start, and parity landing —
-  see :meth:`FileStore._crash_point`).
-- :func:`run_crash_scenario` replays a seeded write trace, kills the
+  journal half-frame, data landing, flush start, parity landing,
+  journal trim, and rolled-back element — see
+  :meth:`FileStore._crash_point`).
+- :func:`run_crash_scenario` replays a seeded write trace (ended by
+  a flush, or by the error exit's ``discard_dirty``), kills the
   store at one scheduled boundary, reopens it with
   :meth:`FileStore.reopen_from`, and differentially checks the
   recovered image against a **write-through oracle** that applied
-  exactly the durable prefix of the trace.
-- :func:`crash_matrix` does that for *every* boundary the trace
-  crosses: first a clean run counts the boundaries, then one scenario
-  per crash index.  The result is a deterministic summary the
-  crash-bench pins by hash.
+  exactly the durable writes of the trace.
+- :func:`crash_matrix` does that for *every* boundary of the flushed
+  trace, of the same trace's rollback, and of a trace across a journal
+  compaction: first a clean run counts the boundaries, then one
+  scenario per crash index.  The result is a deterministic summary
+  the crash-bench pins by hash.
 
-Which prefix is durable?  If the crash fired at one of the in-flight
+Which writes are durable?  If the crash fired at one of the in-flight
 write's own intent-frame boundaries (``journal-intent-mid`` or
 ``journal-intent``), its data had not landed yet and the write is
 lost; from the ``data-write`` boundary on — and at every later site
-inside an eviction or flush — it is durable.  The traces used here
-keep each write inside a single element precisely so that per-op site
-bookkeeping stays exact.
+inside an eviction, flush or compaction (whose re-logged intents fire
+as ``journal-compact*`` for exactly this reason) — it is durable.  A
+rollback takes back a stripe's writes since its last commit: all of
+them once its DISCARD frame is whole (``journal-discard`` fired), none
+before.  The traces used here keep each write inside a single element
+precisely so that per-op site bookkeeping stays exact.
 
 No wall clocks, no unseeded randomness: every scenario is a pure
 function of (code, trace, crash index), which is what lets CI diff the
@@ -41,6 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exceptions import CrashError, InvalidParameterError
+from ..journal.log import FLAG_BYTES
 from ..journal.recovery import RecoveryReport
 from ..utils import RandomState, resolve_rng
 
@@ -144,7 +151,9 @@ class CrashScenarioResult:
     crashed: bool
     site: str | None
     boundaries: int
-    #: how many trace writes were durable at the instant of the crash
+    #: every boundary the run crossed, in order (the crash site last)
+    sites: list[str]
+    #: how many trace writes survive the crash (landed and not rolled back)
     durable_writes: int
     report: RecoveryReport
     byte_identical: bool
@@ -175,11 +184,13 @@ def run_crash_scenario(
     element_size: int = 16,
     cache_stripes: int = 2,
     engine: str = "vector",
+    rollback: bool = False,
 ) -> CrashScenarioResult:
     """Kill a journaled store at one boundary and verify recovery.
 
+    The trace ends in a flush, or with ``rollback`` in the error exit.
     The oracle is a plain write-through python-engine store replaying
-    exactly the durable prefix of the trace; the recovered image must
+    exactly the durable writes of the trace; the recovered image must
     match it stripe for stripe (data *and* parity *and* CRC sidecars).
     """
     from ..array.filestore import FileStore
@@ -188,13 +199,27 @@ def run_crash_scenario(
     wrapper = CrashingStore(store, crash_at=crash_at)
     applied = 0
     crashed = False
+    cached = store.cache if store.cache is not None else ()
+    #: per cached stripe, the writes landed since its last commit
+    uncommitted: dict[int, list[int]] = {}
+    order: list[int] = []
     try:
-        for offset, payload in trace:
+        for i, (offset, payload) in enumerate(trace):
             wrapper.write(offset, payload)
             applied += 1
-        wrapper.flush()
+            uncommitted.setdefault(offset // store.bytes_per_stripe, []).append(i)
+            uncommitted = {s: w for s, w in uncommitted.items() if s in cached}
+        if rollback:
+            order = [idx for idx, _ in store.cache.items()] if cached else []
+            wrapper.discard_dirty()
+        else:
+            wrapper.flush()
     except CrashError:
         crashed = True
+    # A rollback takes stripes in cache order, and each is undone from
+    # the instant its DISCARD frame is whole (only a rollback fires it).
+    announced = wrapper.trace.count("journal-discard")
+    undone = {i for idx in order[:announced] for i in uncommitted[idx]}
     site = wrapper.crashed_at[1] if wrapper.crashed_at else None
     durable = applied
     if crashed and applied < len(trace) and site not in INTENT_SITES:
@@ -204,8 +229,9 @@ def run_crash_scenario(
     recovered, report = FileStore.reopen_from(store)
 
     oracle = FileStore(code, element_size=element_size, engine="python")
-    for offset, payload in trace[:durable]:
-        oracle.write(offset, payload)
+    for i, (offset, payload) in enumerate(trace[:durable]):
+        if i not in undone:
+            oracle.write(offset, payload)
     # A torn final intent can leave the crashed store grown past the
     # oracle (capacity grows before the intent is framed).
     oracle._ensure_capacity(recovered.capacity)
@@ -221,7 +247,8 @@ def run_crash_scenario(
         crashed=crashed,
         site=site,
         boundaries=wrapper.boundaries,
-        durable_writes=durable,
+        sites=wrapper.trace,
+        durable_writes=durable - len(undone),
         report=report,
         byte_identical=byte_identical,
         parity_consistent=parity_consistent,
@@ -229,9 +256,24 @@ def run_crash_scenario(
     )
 
 
+def _trace_across_compaction(code, seed, **options) -> list[WriteOp]:
+    """The seeded trace up to its first journal compaction, plus two
+    more writes that land over the compacted device."""
+    store = _make_store(code, **options)
+    # Spread over four times the cache few writes are absorbed, and the
+    # rest each append more than their one flag: these cross the bound.
+    ops, span = store.journal_bound // FLAG_BYTES, 4 * options["cache_stripes"]
+    trace = seeded_write_trace(code, options["element_size"], ops, seed, span)
+    for done, (offset, payload) in enumerate(trace, start=1):
+        store.write(offset, payload)
+        if store.journal.device.truncations:  # the cache never drains: a trim
+            return trace[: done + 2]
+    raise CrashError(f"{code.name}: {len(trace)} writes never compacted the journal")
+
+
 @dataclass
 class CrashMatrixResult:
-    """Every boundary of one (code, trace) pair, killed once each."""
+    """Every scheduled boundary of one code's runs, killed once each."""
 
     code: str
     boundaries: int
@@ -280,31 +322,29 @@ def crash_matrix(
 ) -> CrashMatrixResult:
     """Kill one store per durable-I/O boundary and verify each recovery.
 
-    A clean (no-crash) run first counts the boundaries the seeded
-    trace crosses; then one scenario per index exercises a power cut
-    exactly there.  Deterministic end to end.
+    Three runs, each first executed cleanly to count its boundaries
+    and then killed once per index: the seeded trace ended by a flush
+    (every boundary); the same trace ended by the error exit (the
+    rollback's boundaries — the earlier ones are the first run's); and
+    a trace across a journal compaction (from the first re-logged
+    intent on: around the trim, then two writes and the flush over the
+    compacted device).  Deterministic end to end.
     """
+    options = dict(element_size=element_size, cache_stripes=cache_stripes, engine=engine)
     trace = seeded_write_trace(code, element_size, ops, seed)
-    clean = run_crash_scenario(
-        code,
-        trace,
-        None,
-        element_size=element_size,
-        cache_stripes=cache_stripes,
-        engine=engine,
-    )
-    if not clean.ok:  # pragma: no cover - the differential base case
-        raise CrashError("clean run failed its own differential check")
-    result = CrashMatrixResult(code=code.name, boundaries=clean.boundaries)
-    for crash_at in range(clean.boundaries):
-        result.scenarios.append(
-            run_crash_scenario(
-                code,
-                trace,
-                crash_at,
-                element_size=element_size,
-                cache_stripes=cache_stripes,
-                engine=engine,
-            )
-        )
+    runs: list[tuple[list[WriteOp], bool, str | None]] = [(trace, False, None)]
+    if cache_stripes:  # nothing to roll back or compact without a cache
+        long_trace = _trace_across_compaction(code, seed, **options)
+        runs += [(trace, True, "journal-discard-mid"), (long_trace, False, "journal-compact-mid")]
+    result = CrashMatrixResult(code=code.name, boundaries=0)
+    for run_trace, rollback, first_site in runs:
+        clean = run_crash_scenario(code, run_trace, None, rollback=rollback, **options)
+        if not clean.ok:  # pragma: no cover - the differential base case
+            raise CrashError("clean run failed its own differential check")
+        start = clean.sites.index(first_site) if first_site else 0
+        result.scenarios += [
+            run_crash_scenario(code, run_trace, at, rollback=rollback, **options)
+            for at in range(start, clean.boundaries)
+        ]
+    result.boundaries = len(result.scenarios)
     return result

@@ -6,9 +6,9 @@ folds the results into one canonical-JSON payload whose SHA-256 is the
 histograms, repair totals, per-scenario verdicts — never timings, so
 the hash is bit-stable across machines; the ``--smoke`` configuration
 is pinned in :data:`CRASH_SMOKE_HASH` and diffed in CI, turning any
-behavioral drift of the journal/recovery protocol (a new crash site, a
-changed frame size, a scenario that stops recovering) into a loud
-failure instead of a silent one.
+behavioral drift of the journal/recovery protocol (a new crash site,
+a scenario that stops recovering) into a loud failure instead of a
+silent one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SMOKE_SEED = 0
 #: Pinned report hash of ``run_crash_bench(smoke=True)``.  Recompute
 #: with ``repro crash-bench --smoke`` after an *intentional* protocol
 #: change and update this constant in the same commit.
-CRASH_SMOKE_HASH = "90be71cc06a6c202d37a06923849d4099cbcdb015b59dec1eebd8dfe5452ffa6"
+CRASH_SMOKE_HASH = "5a98d4f11d8c9680567c3a050a29eeb8ffb33c00dcf55e9848784da32c939b1c"
 
 
 def run_crash_bench(

@@ -5,30 +5,32 @@ immediately and defers parity — the classic RAID-6 *write hole*: a
 crash between the two leaves stripes whose parity silently disagrees
 with their data.  The journal closes the hole with write-intent
 logging (the same idea as md's write-intent bitmap, carried per
-element and with pre-images):
+element):
 
 1. **Intent** — before a write's first data byte mutates a stripe, an
-   intent frames the dirty pattern (element slots) plus a full
-   pre-image of every first-touched element.  Later writes to
-   already-dirty elements are *absorbed*: the stripe's flag is already
-   durable, so no new frame is needed — the journal stays off the
-   small-write hot path.  Recovery re-derives flagged stripes' parity
-   from whatever data is on disk (frames may also carry redo payloads;
-   the store's flag-style producer leaves them empty).
+   intent flags the first-touched element slots, and nothing else.
+   Later writes to already-dirty elements are *absorbed*: the stripe's
+   flag is already durable, so no new frame is needed — the journal
+   stays off the small-write hot path.  Recovery re-derives flagged
+   stripes' parity from whatever data is on disk (the frame format
+   also admits redo payloads; the store never produces them).
 2. **Commit** — after a stripe's deferred parity and CRC sidecars have
    landed, a commit record voids every earlier record for that stripe.
 3. **Discard** — the error-exit path (:meth:`FileStore.__exit__` with
-   an exception propagating) frames a discard record *before* rolling
-   the stripe back to its pre-images, so a crash mid-rollback is
-   recoverable in either direction.
+   an exception propagating) frames a discard record *carrying the
+   stripe's pre-images* before the first of them is restored, so a
+   torn discard keeps the landed writes and a durable one lets
+   recovery finish the rollback.
 4. **Checkpoint** — when the cache drains, the device is truncated;
-   a journal only ever describes in-flight work.
+   a journal only ever describes in-flight work.  Flags are
+   idempotent, so a device that outgrows its bound first is
+   *compacted* (:meth:`ParityIntentJournal.compact`).
 
 Each record is one frame::
 
     magic "HVJL" | kind u8 | seq u64 | stripe u32 | npieces u16
     | per piece: slot u16, offset u32, len u32, preimage_len u32
-    | piece payloads | first-touch pre-images | crc32 u32
+    | per piece: payload, then pre-image | crc32 u32
 
 Replay scans frames front to back and stops at the first *torn tail*:
 a truncated frame, a magic or CRC mismatch, or a non-monotonic
@@ -64,7 +66,16 @@ _KIND_NAMES = {INTENT: "intent", COMMIT: "commit", DISCARD: "discard"}
 
 _HEADER = struct.Struct("<BQIH")  # kind, seq, stripe, npieces
 _PIECE = struct.Struct("<HIII")  # slot, offset, payload_len, preimage_len
+_FLAG = struct.Struct("<H12x")  # a piece that only names its slot
 _CRC = struct.Struct("<I")
+
+#: Bytes one flagged slot adds to an intent frame.
+FLAG_BYTES = _PIECE.size
+
+#: A cached store compacts its device past this many times the flag
+#: bytes of a cache whose every cell is dirty; the compacted log is
+#: under a sixth of that, so re-logs stay a small share of the appends.
+COMPACT_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -76,9 +87,9 @@ class JournalPiece:
     within the element — left *empty* by the store's flag-style
     intents (recovery re-derives parity from on-disk data instead of
     replaying bytes).  ``preimage`` carries the element's *full*
-    pre-write content, captured only on the element's first touch
-    during its cache residency (later touches reuse the earlier
-    pre-image, same as the stripe cache's snapshot discipline).
+    content from before its cache residency; the store frames it on
+    the stripe's discard record only, from the snapshot the stripe
+    cache took at the element's first touch.
     """
 
     slot: int
@@ -104,9 +115,9 @@ class JournalRecord:
 def encode_record(record: JournalRecord) -> bytes:
     """Frame a record: magic + body + CRC32 over the body.
 
-    The body is CRC'd incrementally and joined exactly once — intent
-    frames carry the write's full redo payload, so every avoided copy
-    here is a direct win on the journaled write path.
+    The general framer, for records that carry payloads or pre-images;
+    the body is CRC'd incrementally and joined exactly once.  The write
+    path's intents and commits are flags and take :func:`_flag_frame`.
     """
     if record.kind not in _KIND_NAMES:
         raise JournalError(f"unknown record kind {record.kind}")
@@ -131,6 +142,18 @@ def encode_record(record: JournalRecord) -> bytes:
         crc = zlib.crc32(chunk, crc)
     parts.append(_CRC.pack(crc))
     return b"".join(parts)
+
+
+def _flag_frame(kind: int, seq: int, stripe: int, slots: Sequence[int]) -> bytes:
+    """Frame a record whose pieces are bare slots — what
+    :func:`encode_record` makes of empty pieces at offset 0, without a
+    record or piece object on the append path."""
+    try:
+        flags = b"".join(map(_FLAG.pack, slots))
+        body = _HEADER.pack(kind, seq, stripe, len(slots)) + flags
+    except struct.error as exc:
+        raise JournalError(f"stripe {stripe} or slots {slots!r} out of range") from exc
+    return MAGIC + body + _CRC.pack(zlib.crc32(body))
 
 
 def _decode_frame(buf: bytes, pos: int) -> tuple[JournalRecord, int] | None:
@@ -173,28 +196,21 @@ class JournalReplay:
     """The trusted prefix of a journal device, bucketed per stripe.
 
     ``pending`` holds uncommitted, undiscarded intents (to redo, in
-    order); ``discarded`` holds intents voided by a discard record (to
-    undo, in reverse order).  A commit clears *both* buckets for its
-    stripe — committed parity supersedes all earlier history.
+    order); ``discarded`` holds the discard records themselves, whose
+    pre-images undo the stripe (newest first).  A discard voids its
+    stripe's pending intents; a commit clears *both* buckets —
+    committed parity supersedes all earlier history.
     """
 
     records: tuple[JournalRecord, ...] = ()
     torn_bytes: int = 0
     max_seq: int = 0
+    #: trusted frames of each kind, counted during the scan
+    intents: int = 0
+    commits: int = 0
+    discards: int = 0
     pending: dict[int, list[JournalRecord]] = field(default_factory=dict)
     discarded: dict[int, list[JournalRecord]] = field(default_factory=dict)
-
-    @property
-    def intents(self) -> int:
-        return sum(1 for r in self.records if r.kind == INTENT)
-
-    @property
-    def commits(self) -> int:
-        return sum(1 for r in self.records if r.kind == COMMIT)
-
-    @property
-    def discards(self) -> int:
-        return sum(1 for r in self.records if r.kind == DISCARD)
 
     def dirty_stripes(self) -> list[int]:
         """Stripes with unresolved history, ascending."""
@@ -220,13 +236,16 @@ def replay_device(buf: bytes | bytearray) -> JournalReplay:
         last_seq = record.seq
         records.append(record)
         if record.kind == INTENT:
+            replay.intents += 1
             replay.pending.setdefault(record.stripe, []).append(record)
         elif record.kind == COMMIT:
+            replay.commits += 1
             replay.pending.pop(record.stripe, None)
             replay.discarded.pop(record.stripe, None)
-        else:  # DISCARD: void the pending intents, remember them for undo
-            voided = replay.pending.pop(record.stripe, [])
-            replay.discarded.setdefault(record.stripe, []).extend(voided)
+        else:  # DISCARD: void the pending flags, keep the undo image
+            replay.discards += 1
+            replay.pending.pop(record.stripe, None)
+            replay.discarded.setdefault(record.stripe, []).append(record)
     replay.records = tuple(records)
     replay.torn_bytes = len(buf) - pos
     replay.max_seq = last_seq
@@ -268,8 +287,9 @@ class JournalDevice:
         if io_hook is not None:
             io_hook(f"journal-{label}")
 
-    def truncate(self) -> None:
-        self.buf.clear()
+    def truncate(self, head: int | None = None) -> None:
+        """Drop the first ``head`` bytes in one step (all, by default)."""
+        del self.buf[:head]
         self.truncations += 1
 
     def __len__(self) -> int:
@@ -284,56 +304,82 @@ class ParityIntentJournal:
 
     The journal owns sequencing and framing; the store owns *when* to
     log (intent before data, commit after parity, discard before
-    rollback, checkpoint when the cache drains).  ``io_hook`` — set by
-    the store to its crash-point trampoline — fires at every append
-    boundary so the crash harness can kill the machine mid-record.
+    rollback, checkpoint when the cache drains, compaction past the
+    bound).  ``io_hook`` — set by the store to its crash-point
+    trampoline — fires at every append boundary so the crash harness
+    can kill the machine mid-record.
     """
 
     def __init__(self, device: JournalDevice | None = None) -> None:
         self.device = device if device is not None else JournalDevice()
         self.io_hook: Callable[[str], None] | None = None
         # Resuming over a surviving device: continue its numbering so
-        # replay's monotonicity check keeps rejecting stale frames.
-        self._seq = replay_device(self.device.buf).max_seq if len(self.device) else 0
+        # replay's monotonicity check keeps rejecting stale frames (and
+        # keep the scan: recovery asks for it next).
+        self._opened = replay_device(self.device.buf) if len(self.device) else None
+        self._seq = self._opened.max_seq if self._opened else 0
         self.intents_logged = 0
         self.commits_logged = 0
         self.discards_logged = 0
 
-    def _append(self, record: JournalRecord) -> int:
-        frame = encode_record(record)
-        self.device.append(frame, record.kind_name, self.io_hook)
+    def _append(self, frame: bytes, label: str) -> int:
+        self._opened = None
+        self.device.append(frame, label, self.io_hook)
         return len(frame)
 
-    def log_intent(self, stripe: int, pieces: Sequence[JournalPiece]) -> int:
-        """Frame a write's intent; returns the frame size in bytes."""
-        if not pieces:
+    def log_intent(self, stripe: int, slots: Sequence[int], label: str = "intent") -> int:
+        """Flag ``slots`` of ``stripe`` dirty; returns the frame size in
+        bytes.  ``label`` names the crash site the append fires."""
+        if not slots:
             raise JournalError("an intent record needs at least one piece")
         self._seq += 1
-        size = self._append(JournalRecord(INTENT, self._seq, stripe, tuple(pieces)))
+        size = self._append(_flag_frame(INTENT, self._seq, stripe, slots), label)
         self.intents_logged += 1
         return size
 
     def log_commit(self, stripe: int) -> int:
         """Void all earlier records for ``stripe`` (its parity landed)."""
         self._seq += 1
-        size = self._append(JournalRecord(COMMIT, self._seq, stripe))
+        size = self._append(_flag_frame(COMMIT, self._seq, stripe, ()), "commit")
         self.commits_logged += 1
         return size
 
-    def log_discard(self, stripe: int) -> int:
-        """Announce a rollback of ``stripe``'s uncommitted intents."""
+    def log_discard(self, stripe: int, pieces: Sequence[JournalPiece] = ()) -> int:
+        """Announce a rollback of ``stripe``; ``pieces`` carry the
+        pre-image of each element the rollback is about to restore."""
         self._seq += 1
-        size = self._append(JournalRecord(DISCARD, self._seq, stripe))
+        record = JournalRecord(DISCARD, self._seq, stripe, tuple(pieces))
+        size = self._append(encode_record(record), "discard")
         self.discards_logged += 1
         return size
 
     def checkpoint(self) -> None:
         """Truncate the device: nothing is in flight any more."""
+        self._opened = None
         self.device.truncate()
 
+    def compact(self, live: Sequence[tuple[int, Sequence[int]]]) -> list[int]:
+        """Cut the device back to one intent per ``(stripe, dirty slots)``.
+
+        The intents are re-logged at the tail first (crash sites
+        ``journal-compact[-mid]``: no write is in flight, so they must
+        not read as ``journal-intent``), then everything before them is
+        trimmed in one step (``journal-trim``): whichever side of the
+        trim a crash lands on, replay flags the same stripes.  Returns
+        the re-logged frame sizes.
+        """
+        head = len(self.device)
+        sizes = [self.log_intent(stripe, slots, "compact") for stripe, slots in live]
+        self.device.truncate(head)
+        if self.io_hook is not None:
+            self.io_hook("journal-trim")
+        return sizes
+
     def replay(self) -> JournalReplay:
-        """Decode the device's trusted prefix (see :func:`replay_device`)."""
-        return replay_device(self.device.buf)
+        """Decode the device's trusted prefix (see :func:`replay_device`);
+        until the first append, the scan made when the journal was
+        opened over a surviving device is the answer."""
+        return self._opened or replay_device(self.device.buf)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -65,12 +65,12 @@ def apply_record(record: JournalRecord, stripe: "Stripe", cols: int) -> list[Pos
 
 
 def undo_record(record: JournalRecord, stripe: "Stripe", cols: int) -> list[Position]:
-    """Roll back an intent: restore each first-touch pre-image in full.
+    """Roll a stripe back: restore each pre-image the record carries.
 
-    Only pieces carrying a pre-image restore anything — later touches
-    of the same element were absorbed by the first touch's snapshot,
-    so undoing records newest-to-oldest leaves every element at its
-    oldest (pre-residency) content.  Idempotent for the same reason.
+    The store frames pre-images on a stripe's discard record (each
+    dirty element's content from before its cache residency), so
+    undoing that record finishes — or, idempotently, repeats — the
+    rollback it announced.  Other pieces restore nothing.
     """
     if record.kind not in (INTENT, DISCARD):
         raise JournalError(f"cannot undo a {record.kind_name} record")

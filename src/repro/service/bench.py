@@ -50,7 +50,7 @@ SMOKE_SEED = 0
 #: Pinned report hash of ``run_serve_bench(smoke=True)``.  Recompute
 #: with ``repro serve-bench --smoke`` after an *intentional* service
 #: change and update this constant in the same commit.
-SERVE_SMOKE_HASH = "c11c32391c7eb21fb3779855dca132ec6e68654634620695a6fe06185942f855"
+SERVE_SMOKE_HASH = "432eee09c05a8d8cfb8381495cb1ace556d143e75654acab3a04f1588a408d53"
 
 #: The disk the rebuild-contention phase fails on shard 0.
 FAIL_DISK = 0
@@ -72,21 +72,19 @@ def run_serve_bench(
     write_fraction: float = 0.7,
     num_clients: int = 64,
     seed: int = SMOKE_SEED,
-    headline_ops: int = 0,
     smoke: bool = False,
     engine: str = "vector",
     backend_affinity: bool = False,
 ) -> dict:
     """Run the serving benchmark per code; return the hashable payload.
 
-    ``headline_ops`` > 0 appends one extra HV run at that trace length
-    (the acceptance-scale configuration); smoke mode pins everything to
-    the small SMOKE constants.  ``engine=`` selects the kernel backend
-    every shard store runs on and ``backend_affinity=`` pins each shard
-    to its own arena + worker slots; both land in the *timing* half of
-    the report (execution strategy, not op mix), and smoke mode forces
-    the pinned ``vector``/off configuration so the report hash stays
-    comparable across hosts.
+    Smoke mode pins everything to the small SMOKE constants.
+    ``engine=`` selects the kernel backend every shard store runs on
+    and ``backend_affinity=`` pins each shard to its own arena + worker
+    slots; both land in the *timing* half of the report (execution
+    strategy, not op mix), and smoke mode forces the pinned
+    ``vector``/off configuration so the report hash stays comparable
+    across hosts.
     """
     # Deferred: the registry pulls in every code class, and importing
     # it at module scope closes a codes -> service cycle.
@@ -97,7 +95,6 @@ def run_serve_bench(
         codes, p, ops, seed = SMOKE_CODES, SMOKE_P, SMOKE_OPS, SMOKE_SEED
         num_stripes, num_shards, workers = 16, 2, 2
         element_size, cache_stripes, queue_depth = 64, 4, 64
-        headline_ops = 0
         engine, backend_affinity = "vector", False
     elif codes is None:
         codes = available_codes()
@@ -121,24 +118,15 @@ def run_serve_bench(
         _serve_one(name, dict(cfg), engine, backend_affinity)
         for name in codes
     ]
-    headline = None
-    if headline_ops:
-        head_cfg = dict(cfg, ops=headline_ops)
-        headline = _serve_one("HV", head_cfg, engine, backend_affinity)
     payload = {
         "bench": "serve",
         **cfg,
         "smoke": smoke,
-        "headline_ops": headline_ops,
         # Execution strategy lives in a timing subtree: stripped from
         # the report hash, so engine choice can't drift the pin.
         "timing": {"engine": engine, "backend_affinity": backend_affinity},
         "codes": entries,
-        "headline": headline,
-        "all_ok": all(
-            e["deterministic"]["ok"]
-            for e in entries + ([headline] if headline else [])
-        ),
+        "all_ok": all(e["deterministic"]["ok"] for e in entries),
     }
     payload["report_hash"] = serve_report_hash(payload)
     return payload
@@ -353,9 +341,7 @@ def check_smoke_hash(payload: dict) -> None:
 
 
 def render_serve_report(payload: dict) -> str:
-    entries = list(payload["codes"])
-    if payload.get("headline"):
-        entries.append(payload["headline"])
+    entries = payload["codes"]
     lines = [
         f"serve-bench: {len(entries)} run(s) at p={payload['p']}, "
         f"{payload['num_shards']} shard(s) ({payload['policy']}), "

@@ -276,7 +276,6 @@ class TestServeBenchCommand:
         assert args.shards == 4
         assert args.workers == 4
         assert args.policy == "range"
-        assert args.headline_ops == 0
 
     def test_small_run_json_output(self, capsys, tmp_path):
         import json

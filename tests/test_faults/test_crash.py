@@ -4,8 +4,9 @@ The acceptance property for the crash-consistent write path: for every
 instrumented crash point and every registered code, crash -> reopen ->
 ``recover()`` produces a byte-identical store image vs the
 write-through oracle.  The exhaustive form runs per code class via the
-``code_class`` fixture; the hypothesis form samples (code, seed,
-boundary) triples on top of that.
+``code_class`` fixture — a flushed trace, the error exit's rollback,
+and a trace across a journal compaction; the hypothesis form samples
+(code, seed, exit, boundary) on top of that.
 """
 
 import numpy as np
@@ -116,6 +117,41 @@ class TestCrashScenario:
         assert result.durable_writes == 0
         assert result.ok
 
+    def test_error_exit_keeps_only_committed_writes(self):
+        # The trace ends in discard_dirty instead of a flush: what
+        # survives is what evictions had already committed.
+        code = HVCode(5)
+        trace = seeded_write_trace(code, 16, 6, seed=0)
+        result = run_crash_scenario(code, trace, None, rollback=True)
+        assert not result.crashed and result.ok
+        assert 0 < result.durable_writes < len(trace)
+        assert result.sites[-1] == "rollback-write"
+        assert result.report.records_scanned == 0  # the rollback checkpointed
+
+    def test_rollback_is_undone_stripe_by_stripe(self):
+        # Two dirty stripes at the error exit.  Killed between the two
+        # DISCARD frames, the first stripe is rolled back and the
+        # second keeps every landed write; the oracle follows.
+        code = HVCode(5)
+        trace = seeded_write_trace(code, 16, 6, seed=0)
+        clean = run_crash_scenario(code, trace, None, rollback=True)
+        first, second = (
+            i for i, site in enumerate(clean.sites) if site == "journal-discard"
+        )
+        kept = [
+            run_crash_scenario(code, trace, at, rollback=True)
+            for at in (first - 1, first, second)
+        ]
+        assert all(result.ok for result in kept)
+        assert [result.report.discards for result in kept] == [0, 1, 2]
+        assert (
+            len(trace)
+            == kept[0].durable_writes
+            > kept[1].durable_writes
+            > kept[2].durable_writes
+            == clean.durable_writes
+        )
+
 
 def _exhaustive_matrix(code_cls):
     code = code_cls(5)
@@ -140,7 +176,19 @@ class TestCrashMatrix:
         _, matrix = _exhaustive_matrix(HVCode)
         hist = matrix.site_histogram()
         assert sum(hist.values()) == matrix.boundaries
-        assert set(hist) >= {"journal-intent-mid", "data-write", "parity-write"}
+        assert set(hist) >= {
+            "journal-intent-mid",
+            "data-write",
+            "parity-write",
+            # the error exit ...
+            "journal-discard-mid",
+            "journal-discard",
+            "rollback-write",
+            # ... and a compaction, cut before, at and after the trim
+            "journal-compact-mid",
+            "journal-compact",
+            "journal-trim",
+        }
         payload = matrix.to_dict()
         assert payload["all_ok"] is True
         assert payload["failures"] == []
@@ -161,22 +209,25 @@ class TestCrashMatrix:
 @given(data=st.data())
 def test_crash_recovery_differential_property(data):
     """Sampled form of the acceptance property: any code, any seed,
-    any boundary -> recovery matches the write-through oracle."""
+    either exit, any boundary -> recovery matches the write-through
+    oracle."""
     from repro.codes.registry import available_codes, get_code
 
     name = data.draw(st.sampled_from(sorted(available_codes())), label="code")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     code = get_code(name, 5)
+    rollback = data.draw(st.booleans(), label="rollback")
     trace = seeded_write_trace(code, 16, 4, seed=seed)
-    clean = run_crash_scenario(code, trace, None)
+    clean = run_crash_scenario(code, trace, None, rollback=rollback)
     assert clean.ok
     crash_at = data.draw(
         st.integers(0, clean.boundaries - 1), label="crash_at"
     )
-    result = run_crash_scenario(code, trace, crash_at)
+    result = run_crash_scenario(code, trace, crash_at, rollback=rollback)
     assert result.crashed
     assert result.ok, (
-        f"{name} seed={seed} crash_at={crash_at} site={result.site}: "
+        f"{name} seed={seed} rollback={rollback} crash_at={crash_at} "
+        f"site={result.site}: "
         f"byte_identical={result.byte_identical} "
         f"parity={result.parity_consistent} crc={result.checksums_clean}"
     )

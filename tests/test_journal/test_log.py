@@ -124,13 +124,17 @@ class TestReplayBucketing:
         assert replay.intents == 1 and replay.commits == 1
 
     def test_discard_moves_pending_to_discarded(self):
-        buf = encode_record(intent(1, 4, JournalPiece(0, 0, b"", b"x"))) + (
-            encode_record(JournalRecord(DISCARD, 2, 4))
+        # The discard voids the stripe's pending flags and is itself
+        # what the discarded bucket keeps: it carries the undo image.
+        undo = JournalPiece(0, 0, b"", b"x")
+        buf = encode_record(intent(1, 4, JournalPiece(0, 0, b""))) + (
+            encode_record(JournalRecord(DISCARD, 2, 4, (undo,)))
         )
         replay = replay_device(buf)
         assert replay.pending == {}
-        assert [r.seq for r in replay.discarded[4]] == [1]
+        assert replay.discarded[4] == [JournalRecord(DISCARD, 2, 4, (undo,))]
         assert replay.dirty_stripes() == [4]
+        assert (replay.intents, replay.commits, replay.discards) == (1, 0, 1)
 
     def test_commit_also_voids_discarded(self):
         # discard then a later commit: the post-rollback state was
@@ -181,7 +185,7 @@ class TestDevice:
 class TestParityIntentJournal:
     def test_sequencing_and_counters(self):
         journal = ParityIntentJournal()
-        journal.log_intent(0, [JournalPiece(0, 0, b"", b"x")])
+        journal.log_intent(0, [0])
         journal.log_commit(0)
         journal.log_discard(1)
         replay = journal.replay()
@@ -196,19 +200,86 @@ class TestParityIntentJournal:
 
     def test_checkpoint_truncates(self):
         journal = ParityIntentJournal()
-        journal.log_intent(0, [JournalPiece(0, 0, b"", b"x")])
+        journal.log_intent(0, [0])
         journal.checkpoint()
         assert len(journal.device) == 0
         assert journal.replay().records == ()
+
+    def test_flag_frames_match_the_general_framer(self):
+        # log_intent / log_commit pack their frames directly; the
+        # bytes must be what encode_record makes of the same record.
+        journal = ParityIntentJournal()
+        journal.log_intent(7, [3, 0, 19])
+        journal.log_commit(7)
+        flags = tuple(JournalPiece(slot, 0, b"") for slot in (3, 0, 19))
+        assert bytes(journal.device.buf) == encode_record(
+            JournalRecord(INTENT, 1, 7, flags)
+        ) + encode_record(JournalRecord(COMMIT, 2, 7))
+
+    def test_out_of_range_flag_rejected(self):
+        with pytest.raises(JournalError, match="out of range"):
+            ParityIntentJournal().log_intent(0, [1 << 16])
+        with pytest.raises(JournalError, match="out of range"):
+            ParityIntentJournal().log_commit(-1)
+
+    def test_discard_carries_preimages(self):
+        journal = ParityIntentJournal()
+        undo = (JournalPiece(2, 0, b"", b"\x07" * 8),)
+        journal.log_discard(5, undo)
+        (record,) = journal.replay().discarded[5]
+        assert record.kind == DISCARD and record.pieces == undo
+
+    def test_compact_relogs_live_flags_then_trims_the_head(self):
+        journal = ParityIntentJournal()
+        sites = []
+        journal.io_hook = sites.append
+        journal.log_intent(0, [1])
+        journal.log_commit(0)
+        journal.log_intent(1, [2])
+        journal.log_intent(1, [5])
+        del sites[:]
+        sizes = journal.compact([(1, (2, 5))])
+        assert sites == ["journal-compact-mid", "journal-compact", "journal-trim"]
+        assert sizes == [len(journal.device)]
+        replay = journal.replay()
+        assert [(r.kind, r.seq, r.stripe) for r in replay.records] == [(INTENT, 5, 1)]
+        assert [p.slot for p in replay.records[0].pieces] == [2, 5]
+        assert replay.dirty_stripes() == [1]
+        assert journal.device.truncations == 1
+
+    def test_crash_before_the_trim_replays_the_same_flagged_set(self):
+        journal = ParityIntentJournal()
+        journal.log_intent(0, [1])
+        journal.log_commit(0)
+        journal.log_intent(1, [2])
+        before = journal.replay().dirty_stripes()
+
+        def cut(site):
+            if site == "journal-compact":
+                raise RuntimeError("power cut")
+
+        journal.io_hook = cut
+        with pytest.raises(RuntimeError):
+            journal.compact([(1, (2,))])
+        assert journal.device.truncations == 0  # the head is still there
+        assert journal.replay().dirty_stripes() == before == [1]
+
+    def test_replay_reuses_the_scan_made_at_open(self):
+        first = ParityIntentJournal()
+        first.log_intent(3, [0])
+        reopened = ParityIntentJournal(first.device)
+        assert reopened.replay() is reopened.replay()  # the constructor's scan
+        reopened.log_commit(3)
+        assert reopened.replay().dirty_stripes() == []  # rescanned after an append
 
     def test_seq_resumes_over_surviving_device(self):
         # Reopening over a crashed device must continue the numbering,
         # or replay's monotonicity check would reject new frames.
         first = ParityIntentJournal()
-        first.log_intent(0, [JournalPiece(0, 0, b"", b"x")])
+        first.log_intent(0, [0])
         first.log_commit(0)
         second = ParityIntentJournal(first.device)
-        second.log_intent(1, [JournalPiece(0, 0, b"", b"y")])
+        second.log_intent(1, [0])
         replay = second.replay()
         assert [r.seq for r in replay.records] == [1, 2, 3]
         assert replay.dirty_stripes() == [1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import HVCode
+from repro import CrashError, HVCode
 from repro.array.filestore import FileStore
 from repro.exceptions import JournalError
 from repro.journal import (
@@ -152,20 +152,35 @@ class TestFileStoreRecovery:
         assert recovered.scrub() == []
 
     def test_crashed_discard_rolls_back_via_preimages(self):
-        # A DISCARD record framed but the machine died before (or
-        # mid-) rollback: recovery must finish the rollback.
-        store = self.make()
-        store.write(0, payload(32, seed=5))
-        store.flush()
-        before = store.read(0, 32)
-        store.write(0, payload(32, seed=6))  # dirty again, intent framed
-        store.journal.log_discard(0)  # the rollback announcement...
-        # ...but the rollback itself never ran (crash).
-        recovered, report = FileStore.reopen_from(store)
-        assert report.elements_undone > 0
-        assert recovered.read(0, 32) == before
-        assert recovered.scrub() == []
-        assert recovered.scrub_checksums(repair=False).clean
+        # discard_dirty dies at each site of a rollback.  The DISCARD
+        # frame carries the stripe's pre-images: once it is durable
+        # recovery finishes the rollback from it; torn, every landed
+        # write is kept.
+        for site, rolled_back in [
+            ("journal-discard-mid", False),  # torn frame: nothing announced
+            ("journal-discard", True),  # durable frame, no element restored yet
+            ("rollback-write", True),  # one element restored, three to go
+        ]:
+            store = self.make()
+            store.write(0, payload(64, seed=5))
+            store.flush()
+            before = store.read(0, 64)
+            landed = payload(64, seed=6)
+            store.write(0, landed)  # dirty again: four flagged elements
+
+            def power_cut(at):
+                if at == site:
+                    raise CrashError(at)
+
+            store.crash_hook = power_cut
+            with pytest.raises(CrashError):
+                store.discard_dirty()
+            recovered, report = FileStore.reopen_from(store)
+            assert report.discards == int(rolled_back), site
+            assert report.elements_undone == (4 if rolled_back else 0), site
+            assert recovered.read(0, 64) == (before if rolled_back else landed), site
+            assert recovered.scrub() == []
+            assert recovered.scrub_checksums(repair=False).clean
 
     def test_degraded_write_commits_synchronously(self):
         # Once a disk is down there is no deferred parity to lose:

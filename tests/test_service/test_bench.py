@@ -58,13 +58,6 @@ class TestHarness:
             assert summary["p50_us"] <= summary["p99_us"]
         assert len(entry["timing"]["rebuild_overlap"]) == 1
 
-    def test_headline_run_appended(self):
-        payload = run_serve_bench(["HV"], 5, headline_ops=200, **TINY)
-        assert payload["headline"] is not None
-        head = payload["headline"]["deterministic"]
-        assert head["ok"] is True
-        assert sum(head["healthy"]["counts"].values()) == 200
-
     def test_render(self, tiny_payload):
         text = render_serve_report(tiny_payload)
         assert "serve-bench" in text
