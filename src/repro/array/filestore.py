@@ -24,9 +24,10 @@ update is deferred in a :class:`~repro.array.stripe_cache.StripeCache`
 — a bounded LRU of dirty stripes, each a set of first-touch pre-image
 snapshots.  :meth:`flush` (or LRU eviction, or any operation that
 needs consistent parity — disk failure, scrub, rebuild, degraded
-read) computes ``old ⊕ new`` deltas, groups dirty stripes sharing a
-dirty pattern into one :class:`~repro.array.stripe.StripeBatch`, and
-executes a single compiled ``update`` plan per pattern
+read) groups dirty stripes sharing a dirty pattern and hands each
+group, with its pre-images, to the kernel backend's
+:meth:`~repro.engine.backends.KernelBackend.update` under a single
+compiled ``update`` plan per pattern
 (:func:`repro.engine.compile.compile_plan`), falling back to a full
 re-encode when the cost model says the stripe is mostly dirty
 (:func:`repro.engine.compile.choose_update_strategy`).  CRC sidecars
@@ -95,7 +96,7 @@ from ..journal import (
     undo_record,
 )
 from .iostats import DirtyCacheDiscarded, IOStats
-from .stripe import Stripe, StripeBatch
+from .stripe import Stripe
 from .stripe_cache import DirtyStripe, StripeCache
 
 if TYPE_CHECKING:  # imported lazily to avoid a codes<->array cycle
@@ -156,13 +157,6 @@ class FileStore:
         self.journal_bound = (
             COMPACT_FACTOR * cache_stripes * code.rows * code.cols * FLAG_BYTES
         )
-        #: optional per-store :class:`~repro.engine.backends.RegionArena`
-        #: for flush delta batches (a service shard pins its own so its
-        #: segments stay warm); None borrows the parallel backend's.
-        self.arena = None
-        #: worker-affinity hint forwarded to pooled backends (set by
-        #: :class:`~repro.service.pool.VolumePool` per shard).
-        self.backend_affinity: int | None = None
         #: crash-harness trampoline: called with a site label at every
         #: durable-I/O boundary (see :mod:`repro.faults.crash`).
         self._crash_hook = None
@@ -850,11 +844,10 @@ class FileStore:
     def _flush_entries(self, entries: list[tuple[int, DirtyStripe]]) -> int:
         """Land deferred parity for the given dirty stripes.
 
-        Stripes sharing a dirty pattern are grouped into one
-        :class:`StripeBatch` of ``old ⊕ new`` deltas and run through a
+        Stripes sharing a dirty pattern are grouped and run through a
         single compiled ``update`` plan (or a full re-encode when the
-        cost model prefers it), executed on whichever kernel backend
-        the store's ``engine=`` selected.  Degraded stripes and the
+        cost model prefers it), executed by whichever kernel backend
+        the store's ``engine=`` resolves to.  Degraded stripes and the
         pure-Python engine take the per-stripe chain walk instead.
 
         An attached injector's clock was already advanced per dirty
@@ -882,8 +875,9 @@ class FileStore:
             # Bound late and through its module, so whoever instruments
             # ``repro.engine.compile`` sees the store's calls too.
             from ..engine import compile as compiler
+            from ..engine.backends import resolve_backend
 
-            backend = self._resolved_backend()
+            backend = resolve_backend(self.engine)
             for pattern, group in sorted(groups.items()):
                 try:
                     strategy, plan = compiler.choose_update_strategy(
@@ -900,89 +894,25 @@ class FileStore:
         self._maybe_checkpoint()
         return flushed
 
-    def _resolved_backend(self):
-        """The :class:`~repro.engine.backends.KernelBackend` this store's
-        ``engine=`` resolves to, or None for the python/vector paths."""
-        if self.engine in ("python", "vector"):
-            return None
-        from ..engine.backends import resolve_backend
-
-        return resolve_backend(self.engine)
-
-    def _lease_delta_batch(self, backend, count: int):
-        """A delta batch for one flush group, arena-backed when the
-        resolved backend executes over shared memory.
-
-        Returns ``(batch, lease)``; the lease is None for a plain numpy
-        batch.  An arena-resident batch is what lets the parallel
-        backend's workers run the update plan with zero copy-in/out.
-        """
-        if backend is not None and backend.name == "parallel":
-            arena = self.arena if self.arena is not None else backend.arena
-            return arena.lease_batch(
-                self.code.rows,
-                self.code.cols,
-                self.element_size,
-                count,
-                stats=self.stats,
-            )
-        return (
-            StripeBatch(
-                self.code.rows, self.code.cols, self.element_size, count
-            ),
-            None,
-        )
-
     def _flush_group_rmw(
         self, plan, group: list[tuple[int, DirtyStripe]], backend
     ) -> None:
-        """One update plan over a batch of same-pattern stripe deltas.
+        """One update plan over a group of same-pattern dirty stripes.
 
-        Three executions, picked by the resolved ``backend``: the native
-        backend fuses delta build + plan + parity fold into one C call
-        per stripe (:meth:`~repro.engine.backends.NativeBackend.execute_update`);
-        the parallel backend runs the plan over an *arena-resident*
-        delta batch (workers mutate shared memory in place, no per-call
-        copies); everything else builds a plain numpy delta batch and
-        executes through the registry.
+        The parity arithmetic is the backend's
+        (:meth:`~repro.engine.backends.KernelBackend.update`); sidecars,
+        counters and the journal commit are the store's.
         """
         cells = plan.pattern_positions
-        if backend is not None and hasattr(backend, "execute_update"):
-            for idx, entry in group:
-                old = {
-                    slot: entry.old[pos] for slot, pos in zip(plan.pattern, cells)
-                }
-                backend.execute_update(
-                    plan, self.stripes[idx], old, stats=self.stats
-                )
-        else:
-            from ..engine.executor import apply_update, execute_plan
-
-            delta, lease = self._lease_delta_batch(backend, len(group))
-            try:
-                for i, (idx, entry) in enumerate(group):
-                    live = self.stripes[idx].data
-                    for pos in cells:
-                        np.bitwise_xor(
-                            live[pos], entry.old[pos], out=delta.data[i][pos]
-                        )
-                execute_plan(
-                    plan,
-                    delta,
-                    stats=self.stats,
-                    backend=self.engine,
-                    affinity=self.backend_affinity,
-                )
-                apply_update(
-                    plan,
-                    delta,
-                    [self.stripes[idx] for idx, _ in group],
-                    stats=self.stats,
-                )
-            finally:
-                del delta  # release the view before the lease recycles
-                if lease is not None:
-                    lease.release()
+        backend.update(
+            plan,
+            [self.stripes[idx] for idx, _ in group],
+            [
+                {slot: entry.old[pos] for slot, pos in zip(plan.pattern, cells)}
+                for _, entry in group
+            ],
+            stats=self.stats,
+        )
         self._crash_point("parity-write")
         for idx, _ in group:
             stripe = self.stripes[idx]

@@ -65,15 +65,6 @@ class IOStats:
     journal_bytes: int = 0
     #: out-of-band events (e.g. :class:`DirtyCacheDiscarded`).
     notes: list = field(default_factory=list)
-    #: arena leases served by an already-resident shared segment.
-    arena_hits: int = 0
-    #: arena leases that had to allocate a fresh shared segment.
-    arena_misses: int = 0
-    #: high-water mark of bytes resident in arena segments.
-    arena_resident_bytes: int = 0
-    #: bytes copied in/out of shared memory by the parallel backend
-    #: (zero when the target already lives inside an arena segment).
-    shm_copy_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.num_disks <= 0:
@@ -116,23 +107,6 @@ class IOStats:
             raise InvalidParameterError("journal counters must be >= 0")
         self.journal_bytes += nbytes
         self.journal_records += records
-
-    def record_arena(
-        self, *, hits: int = 0, misses: int = 0, resident_bytes: int = 0
-    ) -> None:
-        """Charge arena lease traffic; ``resident_bytes`` is a high-water
-        mark, not an accumulator."""
-        if hits < 0 or misses < 0 or resident_bytes < 0:
-            raise InvalidParameterError("arena counters must be >= 0")
-        self.arena_hits += hits
-        self.arena_misses += misses
-        self.arena_resident_bytes = max(self.arena_resident_bytes, resident_bytes)
-
-    def record_shm_copy(self, nbytes: int) -> None:
-        """Charge ``nbytes`` copied across a shared-memory boundary."""
-        if nbytes < 0:
-            raise InvalidParameterError("shm copy bytes must be >= 0")
-        self.shm_copy_bytes += nbytes
 
     def record_note(self, note: object) -> None:
         """Attach an out-of-band event to the ledger."""
@@ -183,12 +157,6 @@ class IOStats:
         self.journal_records += other.journal_records
         self.journal_bytes += other.journal_bytes
         self.notes.extend(other.notes)
-        self.arena_hits += other.arena_hits
-        self.arena_misses += other.arena_misses
-        self.arena_resident_bytes = max(
-            self.arena_resident_bytes, other.arena_resident_bytes
-        )
-        self.shm_copy_bytes += other.shm_copy_bytes
 
     @classmethod
     def merged(cls, num_disks: int, parts: "list[IOStats]") -> "IOStats":
@@ -217,10 +185,6 @@ class IOStats:
             self.journal_records,
             self.journal_bytes,
             list(self.notes),
-            self.arena_hits,
-            self.arena_misses,
-            self.arena_resident_bytes,
-            self.shm_copy_bytes,
         )
 
     def reset(self) -> None:
@@ -233,7 +197,3 @@ class IOStats:
         self.journal_records = 0
         self.journal_bytes = 0
         self.notes = []
-        self.arena_hits = 0
-        self.arena_misses = 0
-        self.arena_resident_bytes = 0
-        self.shm_copy_bytes = 0

@@ -160,13 +160,13 @@ class RAID6Volume:
     def _charge_compute(self, pattern_io: IOStats, choices: dict) -> None:
         """Charge the XOR-compute cost of repair chain choices.
 
-        Only the ``engine="vector"`` volume accounts compute: each lost
-        element repaired through a chain of ``k`` equation cells costs
-        ``k - 2`` element-wide XOR kernels.  The volume is symbolic, so
-        the unit is element-XORs, not words — the byte-true counters
-        live in :mod:`repro.engine`'s executor.
+        Every engine but the scalar ``python`` reference accounts
+        compute: each lost element repaired through a chain of ``k``
+        equation cells costs ``k - 2`` element-wide XOR kernels.  The
+        volume is symbolic, so the unit is element-XORs, not words —
+        the byte-true counters live in :mod:`repro.engine`'s executor.
         """
-        if self.engine != "vector" or not choices:
+        if self.engine == "python" or not choices:
             return
         xors = sum(len(ch.equation_cells) - 2 for ch in choices.values())
         pattern_io.record_xor(xors, xors)
@@ -175,14 +175,14 @@ class RAID6Volume:
     def _charge_update_compute(self, pattern_io: IOStats, cells) -> None:
         """Charge the XOR-compute cost of one stripe's parity-delta RMW.
 
-        The write half of :meth:`_charge_compute`: the vector volume
-        compiles the same ``update`` plan the write-back flush path
-        executes for these dirty cells and charges its element-XOR
+        The write half of :meth:`_charge_compute`: the volume compiles
+        the same ``update`` plan the write-back flush path executes
+        for these dirty cells and charges its element-XOR
         count, plus one XOR per dirtied parity for folding the delta
         in (``parity ^= delta``).  Symbolic units (element-XORs), like
         the read-side charge.
         """
-        if self.engine != "vector" or not cells:
+        if self.engine == "python" or not cells:
             return
         from ..engine.compile import compile_plan
 

@@ -26,6 +26,8 @@ from .version import PAPER, __version__
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .engine import ENGINE_CHOICES
+
     parser = argparse.ArgumentParser(
         prog="hvcode-repro",
         description=f"Reproduce: {PAPER}",
@@ -279,16 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0, help="trace seed")
     serve.add_argument(
         "--engine",
-        choices=("python", "vector", "fused", "parallel", "native", "auto"),
+        choices=ENGINE_CHOICES,
         default="vector",
         help="kernel backend every shard store runs on (timing-side "
         "knob; the report hash never sees it)",
-    )
-    serve.add_argument(
-        "--affinity",
-        action="store_true",
-        help="pin each shard to its own resident arena and parallel-"
-        "backend worker slots",
     )
     serve.add_argument(
         "--smoke",
@@ -810,7 +806,6 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         smoke=args.smoke,
         engine=args.engine,
-        backend_affinity=args.affinity,
     )
     if args.json:
         rendered = json.dumps(payload, indent=2, sort_keys=True)

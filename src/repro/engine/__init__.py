@@ -18,19 +18,15 @@ Typical use::
 
 Higher layers normally never touch this module directly — they pass
 ``engine="vector"`` (or any backend name from
-:mod:`repro.engine.backends`: ``fused``, ``parallel``, ``native``,
-``auto``) to :meth:`ArrayCode.encode/decode`, the recovery planners,
-or :class:`RAID6Volume` and the wiring lands here.
+:mod:`repro.engine.backends`: ``fused``, ``native``, ``auto``) to
+:meth:`ArrayCode.encode/decode`, the recovery planners, or
+:class:`RAID6Volume` and the wiring lands here.
 """
 
 from .backends import (
     ENGINE_CHOICES,
     KernelBackend,
-    RegionArena,
-    RegionLease,
     available_backends,
-    configure_backend,
-    find_resident,
     get_backend,
     register_backend,
     require_engine,
@@ -63,19 +59,15 @@ __all__ = [
     "UPDATE_STRATEGIES",
     "KernelBackend",
     "PlanCache",
-    "RegionArena",
-    "RegionLease",
     "XorPlan",
     "XorStep",
     "apply_update",
     "available_backends",
     "choose_update_strategy",
     "compile_plan",
-    "configure_backend",
     "eliminate_common_pairs",
     "execute_plan",
     "execute_plan_scalar",
-    "find_resident",
     "get_backend",
     "lower_single_recovery",
     "register_backend",

@@ -4,7 +4,7 @@ Every site that accepted ``engine="python" | "vector"`` now accepts any
 registered backend name, plus ``"auto"``.  Backends are *execution
 strategies only*: they consume the same compiled, hash-pinned
 :class:`~repro.engine.plan.XorPlan` IR and differ solely in how the
-kernels are issued.  The registry ships four:
+kernels are issued.  The registry ships three:
 
 ``vector``
     The classic per-step executor (:func:`repro.engine.executor.execute_plan`)
@@ -12,10 +12,6 @@ kernels are issued.  The registry ships four:
 ``fused``
     Tiled whole-region execution; the plan runs L2-block by L2-block so
     steps reuse cache-resident data (:mod:`.fused`).
-``parallel``
-    The fused executor sharded across a persistent process pool over
-    ``multiprocessing.shared_memory``, word-axis split so the result is
-    byte-identical regardless of worker count (:mod:`.parallel`).
 ``native``
     A C inner loop compiled on first use via ``ctypes``; optional —
     :meth:`~.base.KernelBackend.available` is False without a host
@@ -32,11 +28,9 @@ from typing import TYPE_CHECKING
 
 from ...exceptions import InvalidParameterError
 from .. import executor as _executor
-from .arena import RegionArena, RegionLease, find_resident
 from .base import KernelBackend, Target, charge_stats, split_targets
 from .fused import FusedBackend
 from .native import NativeBackend
-from .parallel import ParallelBackend, configure_backend, shutdown_parallel_pool
 
 if TYPE_CHECKING:
     from ...array.iostats import IOStats
@@ -47,15 +41,10 @@ __all__ = [
     "Target",
     "VectorBackend",
     "FusedBackend",
-    "ParallelBackend",
     "NativeBackend",
-    "RegionArena",
-    "RegionLease",
     "ENGINE_CHOICES",
     "available_backends",
     "charge_stats",
-    "configure_backend",
-    "find_resident",
     "get_backend",
     "register_backend",
     "require_engine",
@@ -77,7 +66,6 @@ class VectorBackend(KernelBackend):
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
         _executor.execute_plan(plan, target, stats=stats, workers=workers)
 
@@ -98,12 +86,11 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 register_backend(VectorBackend())
 register_backend(FusedBackend())
-register_backend(ParallelBackend())
 register_backend(NativeBackend())
 
 #: Every value the ``engine=`` seam accepts.  ``python`` is the scalar
 #: reference path (no backend object); the rest resolve here.
-ENGINE_CHOICES = ("python", "vector", "fused", "parallel", "native", "auto")
+ENGINE_CHOICES = ("python", "vector", "fused", "native", "auto")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -157,11 +144,5 @@ def require_engine(engine: str) -> str:
 
 
 def shutdown_backends() -> None:
-    """Release pooled resources (worker processes, executor threads,
-    arena shared-memory segments)."""
-    shutdown_parallel_pool()
+    """Release pooled resources (the ``workers=`` executor threads)."""
     _executor.shutdown_executor_pool()
-    for backend in _REGISTRY.values():
-        arena = getattr(backend, "arena", None)
-        if arena is not None:
-            arena.close()

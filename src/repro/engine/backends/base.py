@@ -3,9 +3,9 @@
 A :class:`KernelBackend` is an *execution strategy* for a compiled
 :class:`~repro.engine.plan.XorPlan`: same IR in, same bytes out, only
 the kernel shape differs (per-step numpy calls, fused tiled regions,
-a native C inner loop, a shared-memory process pool).  Backends never
-touch the compiler or the plan — the plan-hash pins stay untouched by
-construction — and every backend must:
+a native C inner loop).  Backends never touch the compiler or the
+plan — the plan-hash pins stay untouched by construction — and every
+backend must:
 
 - be **byte-identical** to the scalar oracle
   (:func:`~repro.engine.executor.execute_plan_scalar`) for any target
@@ -22,13 +22,14 @@ construction — and every backend must:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from ...array.stripe import Stripe, StripeBatch
 from ...exceptions import InvalidParameterError
+from .. import executor as _executor
 
 if TYPE_CHECKING:
     from ...array.iostats import IOStats
@@ -61,16 +62,40 @@ class KernelBackend:
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
-        """Run ``plan`` in place on ``target`` (see module contract).
-
-        ``affinity`` is an optional integer hint identifying the caller
-        (e.g. a service shard) so pooled backends can keep routing its
-        regions to the same warm resources; backends without pooled
-        state ignore it.
-        """
+        """Run ``plan`` in place on ``target`` (see module contract)."""
         raise NotImplementedError
+
+    def update(
+        self,
+        plan: "XorPlan",
+        stripes: Sequence[Stripe],
+        olds: "Sequence[Mapping[int, np.ndarray]]",
+        *,
+        stats: "IOStats | None" = None,
+    ) -> None:
+        """Fold an ``update`` plan's parity deltas into live stripes.
+
+        Each of ``stripes`` already holds its *new* data; ``olds[i]``
+        maps every dirty cell slot of ``plan.pattern`` to the bytes
+        ``stripes[i]`` held there before.  The group's ``old ⊕ new``
+        deltas are built in one :class:`StripeBatch`, the plan runs
+        over it through :meth:`execute`, and
+        :func:`~repro.engine.executor.apply_update` folds each parity
+        delta into its stripe — so a backend that implements only
+        :meth:`execute` has a correct parity update.
+        """
+        cells = plan.pattern_positions
+        delta = StripeBatch(
+            plan.rows, plan.cols, stripes[0].element_size, len(stripes)
+        )
+        for i, (stripe, old) in enumerate(zip(stripes, olds)):
+            for slot, pos in zip(plan.pattern, cells):
+                np.bitwise_xor(stripe.data[pos], old[slot], out=delta.data[i][pos])
+        self.execute(plan, delta, stats=stats)
+        # Through the module, so whoever instruments ``apply_update``
+        # on ``repro.engine.executor`` sees this call too.
+        _executor.apply_update(plan, delta, stripes, stats=stats)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -19,10 +19,8 @@ Each destination is one fused reduction per tile in the cost model
 the ledger records — the regression test pins that
 ``kernel_invocations`` drops versus the per-step vector path.
 
-:func:`run_plan_region` is the engine-room both this backend and the
-process-pool workers of :mod:`repro.engine.backends.parallel` share:
-a pure function over an ndarray region, no Stripe objects, so it runs
-unchanged against a shared-memory mapping in a worker process.
+:func:`run_plan_region` is the engine-room: a pure function over an
+ndarray region, no Stripe objects.
 """
 
 from __future__ import annotations
@@ -106,14 +104,11 @@ class FusedBackend(KernelBackend):
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
         """Run ``plan`` tile by tile over each contiguous region.
 
-        ``workers`` and ``affinity`` are accepted for seam
-        compatibility and ignored —
-        fusion is a single-thread strategy; combine with the
-        ``parallel`` backend for multi-core execution.
+        ``workers`` is accepted for seam compatibility and ignored —
+        fusion is a single-thread strategy.
         """
         for piece in split_targets(target):
             _check_geometry(plan, piece)

@@ -314,13 +314,11 @@ class NativeBackend(KernelBackend):
         *,
         stats: "IOStats | None" = None,
         workers: int | None = None,
-        affinity: int | None = None,
     ) -> None:
         """Run the whole schedule in one C call per contiguous region.
 
-        ``workers`` and ``affinity`` are accepted for seam
-        compatibility and ignored (the native loop is single-thread;
-        the ``parallel`` backend layers multi-core on top).
+        ``workers`` is accepted for seam compatibility and ignored
+        (the native loop is single-thread).
         """
         fn = _kernel()
         if fn is None:
@@ -355,6 +353,19 @@ class NativeBackend(KernelBackend):
             _clear_outputs(plan, piece)
 
     # -- the end-to-end update path -------------------------------------------
+
+    def update(
+        self,
+        plan: "XorPlan",
+        stripes: "Sequence[Stripe]",
+        olds: "Sequence[Mapping[int, np.ndarray]]",
+        *,
+        stats: "IOStats | None" = None,
+    ) -> None:
+        """One fused :meth:`execute_update` call per stripe: no delta
+        batch, no separate fold."""
+        for stripe, old in zip(stripes, olds):
+            self.execute_update(plan, stripe, old, stats=stats)
 
     def execute_update(
         self,

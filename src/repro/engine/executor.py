@@ -24,10 +24,9 @@ assert it):
 Element sizes that are not a multiple of 8 fall back from the
 ``uint64`` view to a ``uint8`` view transparently.
 
-Further execution strategies — fused tiled regions, a shared-memory
-process pool, a compiled C inner loop — live in
-:mod:`repro.engine.backends` and are reachable here through
-``execute_plan(..., backend=...)`` or directly via the registry.
+Further execution strategies — fused tiled regions, a compiled C inner
+loop — live in :mod:`repro.engine.backends` and are reachable here
+through ``execute_plan(..., backend=...)`` or directly via the registry.
 """
 
 from __future__ import annotations
@@ -105,7 +104,6 @@ def execute_plan(
     stats: "IOStats | None" = None,
     workers: int | None = None,
     backend: str | None = None,
-    affinity: int | None = None,
 ) -> None:
     """Execute ``plan`` in place on a stripe, batch, or list of stripes.
 
@@ -113,17 +111,13 @@ def execute_plan(
     the word-XOR and kernel-invocation counts of the run.  ``workers``
     enables the parallel path for plans with independent groups.
     ``backend`` selects a registered kernel backend by name (``fused``,
-    ``parallel``, ``native``, ``auto``); ``None`` or ``"vector"`` runs
-    the classic per-step path below.  ``affinity`` is forwarded to
-    pooled backends so a caller (e.g. a service shard) keeps hitting
-    the same warm workers; the classic path ignores it.
+    ``native``, ``auto``); ``None`` or ``"vector"`` runs the classic
+    per-step path below.
     """
     if backend is not None and backend != "vector":
         from .backends import resolve_backend
 
-        resolve_backend(backend).execute(
-            plan, target, stats=stats, workers=workers, affinity=affinity
-        )
+        resolve_backend(backend).execute(plan, target, stats=stats, workers=workers)
         return
     if isinstance(target, Stripe):
         _execute_on(plan, target, stats=stats, workers=workers)

@@ -74,17 +74,14 @@ def run_serve_bench(
     seed: int = SMOKE_SEED,
     smoke: bool = False,
     engine: str = "vector",
-    backend_affinity: bool = False,
 ) -> dict:
     """Run the serving benchmark per code; return the hashable payload.
 
     Smoke mode pins everything to the small SMOKE constants.
-    ``engine=`` selects the kernel backend every shard store runs on
-    and ``backend_affinity=`` pins each shard to its own arena + worker
-    slots; both land in the *timing* half of the report (execution
-    strategy, not op mix), and smoke mode forces the pinned
-    ``vector``/off configuration so the report hash stays comparable
-    across hosts.
+    ``engine=`` selects the kernel backend every shard store runs on;
+    it lands in the *timing* half of the report (execution strategy,
+    not op mix), and smoke mode forces the pinned ``vector``
+    configuration so the report hash stays comparable across hosts.
     """
     # Deferred: the registry pulls in every code class, and importing
     # it at module scope closes a codes -> service cycle.
@@ -95,7 +92,7 @@ def run_serve_bench(
         codes, p, ops, seed = SMOKE_CODES, SMOKE_P, SMOKE_OPS, SMOKE_SEED
         num_stripes, num_shards, workers = 16, 2, 2
         element_size, cache_stripes, queue_depth = 64, 4, 64
-        engine, backend_affinity = "vector", False
+        engine = "vector"
     elif codes is None:
         codes = available_codes()
     engine = require_engine(engine)
@@ -114,17 +111,14 @@ def run_serve_bench(
         num_clients=num_clients,
         seed=seed,
     )
-    entries = [
-        _serve_one(name, dict(cfg), engine, backend_affinity)
-        for name in codes
-    ]
+    entries = [_serve_one(name, dict(cfg), engine) for name in codes]
     payload = {
         "bench": "serve",
         **cfg,
         "smoke": smoke,
         # Execution strategy lives in a timing subtree: stripped from
         # the report hash, so engine choice can't drift the pin.
-        "timing": {"engine": engine, "backend_affinity": backend_affinity},
+        "timing": {"engine": engine},
         "codes": entries,
         "all_ok": all(e["deterministic"]["ok"] for e in entries),
     }
@@ -132,14 +126,9 @@ def run_serve_bench(
     return payload
 
 
-def _serve_one(
-    code_name: str,
-    cfg: dict,
-    engine: str = "vector",
-    backend_affinity: bool = False,
-) -> dict:
+def _serve_one(code_name: str, cfg: dict, engine: str = "vector") -> dict:
     """Both phases plus the differential oracle for one code."""
-    probe = _make_pool(code_name, cfg, engine, backend_affinity)
+    probe = _make_pool(code_name, cfg, engine)
     bps = probe.bytes_per_stripe
     trace = service_trace(
         cfg["num_stripes"],
@@ -160,14 +149,14 @@ def _serve_one(
     digest_a = pool_a.content_digest()
 
     # The differential oracle: single-threaded replay, no scheduler.
-    pool_o = _make_pool(code_name, cfg, engine, backend_affinity)
+    pool_o = _make_pool(code_name, cfg, engine)
     _replay_single(pool_o, trace, block)
     pool_o.flush_all()
     oracle_match = pool_o.content_digest() == digest_a
     ledger_match = _io_dict(pool_o) == _io_dict(pool_a)
 
     # Phase 2: the same trace with a mid-stream failure + rebuild.
-    pool_b = _make_pool(code_name, cfg, engine, backend_affinity)
+    pool_b = _make_pool(code_name, cfg, engine)
     stats_b = _serve_trace(
         pool_b, trace, block, cfg, fail_at=cfg["ops"] // 2
     )
@@ -197,12 +186,7 @@ def _serve_one(
     }
 
 
-def _make_pool(
-    code_name: str,
-    cfg: dict,
-    engine: str = "vector",
-    backend_affinity: bool = False,
-) -> VolumePool:
+def _make_pool(code_name: str, cfg: dict, engine: str = "vector") -> VolumePool:
     return VolumePool(
         code_name,
         cfg["p"],
@@ -212,7 +196,6 @@ def _make_pool(
         policy=cfg["policy"],
         engine=engine,
         cache_stripes=cfg["cache_stripes"],
-        backend_affinity=backend_affinity,
     )
 
 

@@ -172,48 +172,3 @@ class TestNotes:
         assert len(a.notes) == 1
         a.reset()
         assert a.notes == []
-
-
-class TestArenaCounters:
-    def test_record_arena_accumulates_and_high_waters(self):
-        s = IOStats(3)
-        s.record_arena(hits=1, resident_bytes=4096)
-        s.record_arena(misses=2, resident_bytes=1024)
-        assert (s.arena_hits, s.arena_misses) == (1, 2)
-        # resident_bytes is a high-water mark, not a running sum
-        assert s.arena_resident_bytes == 4096
-        s.record_shm_copy(100)
-        s.record_shm_copy(28)
-        assert s.shm_copy_bytes == 128
-
-    def test_rejects_negative_arena_traffic(self):
-        s = IOStats(1)
-        with pytest.raises(InvalidParameterError):
-            s.record_arena(hits=-1)
-        with pytest.raises(InvalidParameterError):
-            s.record_arena(misses=-1)
-        with pytest.raises(InvalidParameterError):
-            s.record_arena(resident_bytes=-1)
-        with pytest.raises(InvalidParameterError):
-            s.record_shm_copy(-1)
-
-    def test_merge_copy_reset_cover_arena(self):
-        a, b = IOStats(2), IOStats(2)
-        a.record_arena(hits=1, resident_bytes=2048)
-        a.record_shm_copy(64)
-        b.record_arena(misses=1, resident_bytes=8192)
-        b.record_shm_copy(32)
-        a.merge(b)
-        assert (a.arena_hits, a.arena_misses) == (1, 1)
-        assert a.arena_resident_bytes == 8192  # max, not sum
-        assert a.shm_copy_bytes == 96
-        dup = a.copy()
-        dup.record_shm_copy(1)
-        assert a.shm_copy_bytes == 96
-        a.reset()
-        assert (
-            a.arena_hits,
-            a.arena_misses,
-            a.arena_resident_bytes,
-            a.shm_copy_bytes,
-        ) == (0, 0, 0, 0)

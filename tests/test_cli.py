@@ -277,6 +277,24 @@ class TestServeBenchCommand:
         assert args.workers == 4
         assert args.policy == "range"
 
+    def test_engine_flag_offers_engine_choices(self, capsys):
+        """``--engine`` offers ``ENGINE_CHOICES`` itself, not a second
+        list, and the removed backend and its flag are usage errors."""
+        from repro.engine import ENGINE_CHOICES
+
+        (serve,) = (
+            action.choices["serve-bench"]
+            for action in build_parser()._actions
+            if isinstance(action.choices, dict)
+        )
+        (engine,) = (a for a in serve._actions if a.dest == "engine")
+        assert engine.choices is ENGINE_CHOICES
+        for argv in (["--engine", "parallel"], ["--affinity"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["serve-bench", *argv])
+            assert excinfo.value.code == 2
+            capsys.readouterr()
+
     def test_small_run_json_output(self, capsys, tmp_path):
         import json
 

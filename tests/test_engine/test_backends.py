@@ -1,7 +1,7 @@
 """Differential proof for the kernel-backend registry.
 
-Every registered backend — vector, fused, parallel, and (when a C
-compiler exists) native — must be *byte-identical* to the scalar
+Every registered backend — vector, fused, and (when a C compiler
+exists) native — must be *byte-identical* to the scalar
 oracle on every code, every plan kind, aligned and unaligned element
 sizes, single stripes and batches, and degraded inputs.  Hypothesis
 drives the sweep; the scalar executor and the pure-Python decoder are
@@ -9,8 +9,8 @@ the ground truth.
 
 Alongside the differential sweep this file pins the backend contract:
 registry resolution rules, the fused kernel-call accounting drop, the
-shared-memory parallel path, persistent pool reuse, and graceful
-handling of unavailable backends.
+``update`` contract (one inherited default, one native override), and
+graceful handling of unavailable backends.
 """
 
 import gc
@@ -54,7 +54,6 @@ from repro.engine import (
     resolve_backend,
 )
 from repro.engine.backends import KernelBackend
-from repro.engine.backends import parallel as parallel_mod
 from repro.exceptions import InvalidParameterError, PlanError
 
 CODE_CLASSES = [
@@ -74,7 +73,6 @@ NATIVE_AVAILABLE = get_backend("native").available()
 BACKENDS = [
     "vector",
     "fused",
-    "parallel",
     pytest.param(
         "native",
         marks=pytest.mark.skipif(
@@ -207,7 +205,9 @@ class TestBackendsMatchOracle:
             assert got == want
 
     def test_filestore_flush_matches_python_store(self, engine):
-        """The write-back flush path stores identical bytes per backend."""
+        """The write-back flush path stores identical bytes per backend
+        — and so does a third-party backend that implements nothing
+        but ``execute``: the ``update`` it inherits is sufficient."""
         code = get_code("RDP", 5)
         payload = bytes((i * 37) % 256 for i in range(500))
         reference = FileStore(code, element_size=32, engine="python")
@@ -216,6 +216,39 @@ class TestBackendsMatchOracle:
             s.write(0, payload)
         for a, b in zip(reference.stripes, store.stripes):
             assert a == b
+
+        inner, ops = resolve_backend(engine), []
+
+        class ExecuteOnly(KernelBackend):
+            name = "fused"  # stands in for the shipped one while registered
+
+            def execute(self, plan, target, *, stats=None, workers=None):
+                ops.append(plan.op)
+                inner.execute(plan, target, stats=stats, workers=workers)
+
+        shipped = get_backend("fused")
+        register_backend(ExecuteOnly())
+        try:
+            oracle, third_party = (
+                FileStore(code, element_size=32, engine=e, cache_stripes=2)
+                for e in ("python", "fused")
+            )
+            for s in (oracle, third_party):
+                s.write(0, payload + payload)
+                s.flush()
+                # the same two cells of both stripes (one two-stripe
+                # group), then a second pattern on the first stripe
+                for offset in (10, s.bytes_per_stripe + 10, 300):
+                    s.write(offset, payload[:40])
+                s.flush()
+        finally:
+            register_backend(shipped)
+        assert "update" in ops
+        assert third_party.parity_writes == oracle.parity_writes
+        for a, b in zip(oracle.stripes, third_party.stripes):
+            assert a == b
+        for a, b in zip(oracle.sidecar.stripes, third_party.sidecar.stripes):
+            assert np.array_equal(a, b)
 
 
 class TestKernelAccounting:
@@ -236,8 +269,7 @@ class TestKernelAccounting:
 
         vector_calls = run("vector")
         assert vector_calls == plan.kernel_calls
-        for backend in ("fused", "parallel"):
-            assert run(backend) == plan.fused_kernel_calls
+        assert run("fused") == plan.fused_kernel_calls
         if NATIVE_AVAILABLE:
             assert run("native") == plan.fused_kernel_calls
 
@@ -250,64 +282,18 @@ class TestKernelAccounting:
         code = get_code("EVENODD", 7)
         plan = compile_plan(code, "encode")
         words = {}
-        for backend in ("vector", "fused", "parallel"):
+        for backend in ("vector", "fused"):
             stripe = code.random_stripe(element_size=64, seed=5)
             stats = IOStats(code.cols)
             execute_plan(plan, stripe, stats=stats, backend=backend)
             words[backend] = stats.xor_words
         assert words["fused"] == words["vector"]
-        assert words["parallel"] == words["vector"]
-
-
-class TestParallelBackend:
-    def test_shared_memory_path_is_byte_identical(self, monkeypatch):
-        """Force the copy-in/copy-out shm path (normally gated behind
-        MIN_PARALLEL_BYTES) and demand bit-exact agreement."""
-        monkeypatch.setattr(parallel_mod, "MIN_PARALLEL_BYTES", 1)
-        code = get_code("HV", 7)
-        plan = compile_plan(code, "encode")
-        stripes = [
-            code.random_stripe(element_size=512, seed=i) for i in range(3)
-        ]
-        expected = [s.copy() for s in stripes]
-        for s in expected:
-            execute_plan_scalar(plan, s)
-        batch = StripeBatch.from_stripes(stripes)
-        stats = IOStats(code.cols)
-        execute_plan(plan, batch, stats=stats, backend="parallel", workers=4)
-        for got, want in zip(batch.stripes(), expected):
-            assert got == want
-        assert stats.kernel_invocations >= plan.fused_kernel_calls
-
-    def test_pool_persists_across_calls(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod, "MIN_PARALLEL_BYTES", 1)
-        code = get_code("HV", 7)
-        plan = compile_plan(code, "encode")
-        backend = get_backend("parallel")
-        for _ in range(2):
-            stripe = code.random_stripe(element_size=256, seed=9)
-            backend.execute(plan, stripe, workers=2)
-        first = parallel_mod._POOL
-        assert first is not None
-        stripe = code.random_stripe(element_size=256, seed=10)
-        backend.execute(plan, stripe, workers=2)
-        assert parallel_mod._POOL is first
-
-    def test_small_regions_run_inline(self):
-        # Below the shm threshold the backend must not touch the pool.
-        code = get_code("HV", 5)
-        plan = compile_plan(code, "encode")
-        stripe = code.random_stripe(element_size=8, seed=1)
-        expected = stripe.copy()
-        execute_plan_scalar(plan, expected)
-        get_backend("parallel").execute(plan, stripe, workers=4)
-        assert stripe == expected
 
 
 class TestRegistry:
     def test_engine_choices_cover_registry(self):
         assert set(available_backends()) <= set(ENGINE_CHOICES)
-        for name in ("vector", "fused", "parallel"):
+        for name in ("vector", "fused"):
             assert name in available_backends()
 
     def test_require_engine_accepts_all_choices(self):
@@ -317,6 +303,15 @@ class TestRegistry:
     def test_require_engine_rejects_unknown(self):
         with pytest.raises(InvalidParameterError, match="unknown engine"):
             require_engine("cuda")
+
+    def test_the_removed_engine_is_an_unknown_engine(self):
+        """No alias or deprecation path for the deleted process-pool
+        backend: its name fails the one validator like any other."""
+        assert ENGINE_CHOICES == ("python", "vector", "fused", "native", "auto")
+        with pytest.raises(InvalidParameterError, match="unknown engine"):
+            require_engine("parallel")
+        with pytest.raises(InvalidParameterError, match="unknown backend"):
+            get_backend("parallel")
 
     def test_resolve_auto_prefers_native_else_fused(self):
         resolved = resolve_backend("auto")
@@ -349,6 +344,42 @@ class TestRegistry:
             backend.execute(plan, stripe)
         # ...while auto degrades gracefully to a working backend.
         assert resolve_backend("auto").name == "fused"
+
+    def test_no_process_machinery_is_imported(self):
+        """A cached ``auto`` store driven through writes, a flush, a
+        disk failure and a rebuild never imports ``multiprocessing``:
+        no pool to fork from a threaded scheduler, no ``/dev/shm``."""
+        probe = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.array.filestore import FileStore\n"
+            "from repro.codes.registry import get_code\n"
+            "from repro.engine import shutdown_backends\n"
+            "store = FileStore(\n"
+            "    get_code('HV', 7), element_size=16, engine='auto', cache_stripes=2\n"
+            ")\n"
+            "for i in range(20):\n"
+            "    store.write(i * 37, bytes([i + 1]) * 50)\n"
+            "assert store.flush()\n"
+            "store.fail_disk(1)\n"
+            "store.write(5, b'x' * 40)\n"
+            "store.rebuild(1)\n"
+            "assert store.scrub() == []\n"
+            "shutdown_backends()\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        env = {
+            "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
+            "PATH": os.environ.get("PATH", ""),
+        }
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("broken_compiler", [False, True])
     def test_native_build_directory_is_removed(self, tmp_path, broken_compiler):
@@ -389,6 +420,63 @@ class TestRegistry:
         elif NATIVE_AVAILABLE:
             assert result.stdout.strip() == "available"
         assert not list(tmp_path.glob("repro-native-*"))
+
+
+class TestUpdateContract:
+    """``KernelBackend.update`` — the inherited default (one delta
+    batch -> ``execute`` -> ``apply_update``) and the native override
+    (one fused C call per stripe) — against the chain-walk oracle."""
+
+    UPDATERS = [name for name in BACKENDS if name != "auto"]
+
+    def test_one_default_one_override(self):
+        for name in ("vector", "fused"):
+            assert type(get_backend(name)).update is KernelBackend.update
+        assert type(get_backend("native")).update is not KernelBackend.update
+
+    @pytest.mark.parametrize("name", UPDATERS)
+    @pytest.mark.parametrize("element_size", [5, 8, 13, 64])
+    @pytest.mark.parametrize("code_cls", CODE_CLASSES)
+    def test_multi_stripe_group_matches_chain_walk(
+        self, code_cls, element_size, name
+    ):
+        code = code_cls(7)
+        cells = code.data_positions[1:3]
+        plan = compile_plan(code, "update", cells)
+        rng = np.random.default_rng(element_size)
+        live = [
+            code.random_stripe(element_size=element_size, seed=s) for s in range(3)
+        ]
+        oracle = [s.copy() for s in live]
+        olds = []
+        for stripe, expected in zip(live, oracle):
+            news = {
+                pos: rng.integers(0, 256, element_size, dtype=np.uint8)
+                for pos in cells
+            }
+            code.update_elements(expected, news)
+            olds.append({plan.slot_of(pos): stripe.data[pos].copy() for pos in cells})
+            for pos, new in news.items():
+                stripe.data[pos] = new
+        stats = IOStats(code.cols)
+        get_backend(name).update(plan, live, olds, stats=stats)
+        assert live == oracle
+        assert stats.xor_words > 0
+
+    @pytest.mark.parametrize("name", UPDATERS)
+    def test_non_update_plans_are_still_refused(self, name):
+        code = get_code("HV", 7)
+        stripe = code.random_stripe(element_size=8, seed=0)
+        before = stripe.copy()
+        for plan in (
+            compile_plan(code, "encode"),
+            compile_plan(code, "recover-double", (0, 2)),
+        ):
+            with pytest.raises(
+                (PlanError, InvalidParameterError), match="update|names disks"
+            ):
+                get_backend(name).update(plan, [stripe], [{}])
+        assert stripe == before
 
 
 @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="no C compiler on this host")

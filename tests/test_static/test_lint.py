@@ -579,36 +579,6 @@ class TestR010BackendHygiene:
         )
         assert violations == ()
 
-    def test_segment_creation_flagged_outside_the_arena_module(self, tmp_path):
-        self._pkg(tmp_path, "engine/backends")
-        source = """
-            from multiprocessing import shared_memory
-
-            def execute(plan, target, *, stats=None):
-                seg = shared_memory.SharedMemory(create=True, size=8)
-                seg.close()
-                seg.unlink()
-            """
-        flagged = lint_source(
-            tmp_path, source, name="repro/engine/backends/mine.py"
-        )
-        assert [v.rule for v in flagged] == ["R010"]
-        assert "arena" in flagged[0].message
-
-    def test_segment_creation_allowed_in_the_arena_module(self, tmp_path):
-        self._pkg(tmp_path, "engine/backends")
-        violations = lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def lease(nbytes):
-                return shared_memory.SharedMemory(create=True, size=nbytes)
-            """,
-            name="repro/engine/backends/arena.py",
-        )
-        assert violations == ()
-
     def test_flags_backend_entry_point_without_stats_seam(self, tmp_path):
         self._pkg(tmp_path, "engine/backends")
         violations = lint_source(
