@@ -123,7 +123,7 @@ class FileStore:
         cache_stripes: int = 0,
         journal: "ParityIntentJournal | bool | None" = None,
     ) -> None:
-        from ..engine import require_engine
+        from .. import engine as engine_pkg
 
         if element_size <= 0:
             raise InvalidParameterError("element_size must be positive")
@@ -131,8 +131,16 @@ class FileStore:
             raise InvalidParameterError("cache_stripes must be >= 0")
         self.code = code
         self.element_size = element_size
-        self.engine = require_engine(engine)
-        self._eps = code.data_elements_per_stripe  # hot-path copy
+        self.engine = engine_pkg.require_engine(engine)
+        # Bound once, and the compiler as its *module*: the flush path
+        # looks ``choose_update_strategy`` up on it per call, so whoever
+        # instruments ``repro.engine.compile`` sees the store's calls.
+        self._compiler = engine_pkg.compile
+        self._resolve_backend = engine_pkg.resolve_backend
+        # hot-path copies of the geometry
+        self._eps = code.data_elements_per_stripe
+        self._cols = code.cols
+        self._data_positions = code.data_positions
         self.stripes: list[Stripe] = []
         self.failed_disks: set[int] = set()
         self.sidecar = ChecksumSidecar(code.rows, code.cols)
@@ -200,7 +208,7 @@ class FileStore:
 
     def _locate(self, element_index: int) -> tuple[int, Position]:
         stripe_idx, offset = divmod(element_index, self._eps)
-        return stripe_idx, self.code.data_positions[offset]
+        return stripe_idx, self._data_positions[offset]
 
     def _ensure_capacity(self, end_byte: int) -> None:
         while self.capacity < end_byte:
@@ -297,36 +305,26 @@ class FileStore:
 
     # -- journal plumbing --------------------------------------------------------
 
-    def _journal_intent(
-        self,
-        stripe_idx: int,
-        pieces: list[Piece],
-        entry: DirtyStripe | None = None,
-    ) -> None:
+    def _journal_intent(self, stripe_idx: int, cells: list[Position]) -> None:
         """Flag the stripe's deferred parity before any data byte lands.
 
         Write-ahead discipline: the intent frame (the slots about to go
         dirty; no pre-images — only :meth:`discard_dirty` reads those,
         and frames them then) is on the journal device before the write
         mutates the stripe, so recovery always knows which stripes may
-        hold landed data over stale parity.  With a cache entry only
-        *first touches* are framed — a write that hits only
-        already-dirty elements is absorbed by the flag that is already
-        durable, which is what keeps the journal off the small-write
-        hot path.  Without an entry (write-through / reconstruct-write)
-        every write frames its pattern: the stripe commits immediately
-        after, so there is no flag to absorb into.
+        hold landed data over stale parity.  The write-back path passes
+        only *first touches* — a write that hits only already-dirty
+        elements is absorbed by the flag that is already durable, which
+        is what keeps the journal off the small-write hot path.
+        Write-through and reconstruct-writes frame their whole pattern:
+        the stripe commits immediately after, so there is no flag to
+        absorb into.
         """
         assert self.journal is not None
-        cols = self.code.cols
-        if entry is None:
-            slots = [r * cols + c for (r, c), _, _ in pieces]
-        else:
-            old = entry.old
-            slots = [r * cols + c for (r, c), _, _ in pieces if (r, c) not in old]
-            if not slots:
-                return  # absorbed: the stripe's flag is already durable
-        self.stats.record_journal(self.journal.log_intent(stripe_idx, slots))
+        cols = self._cols
+        self.stats.record_journal(
+            self.journal.log_intent(stripe_idx, [r * cols + c for r, c in cells])
+        )
 
     def _journal_commit(self, stripe_idx: int) -> None:
         """Void the stripe's intents: its parity and sidecars landed."""
@@ -342,14 +340,15 @@ class FileStore:
         idempotent, so past the bound the live ones are re-logged (one
         intent per dirty stripe) and the rest trimmed.
         """
-        if self.journal is None:
+        journal = self.journal
+        if journal is None:
             return
-        if self.cache is None or not len(self.cache):
-            self.journal.checkpoint()
-        elif len(self.journal.device) > self.journal_bound:
-            cols = self.code.cols
+        if not self.cache:  # no cache, or a drained one
+            journal.checkpoint()
+        elif len(journal.device.buf) > self.journal_bound:
+            cols = self._cols
             live = [(i, e.pattern(cols)) for i, e in self.cache.items() if e.num_dirty]
-            sizes = self.journal.compact(live)
+            sizes = journal.compact(live)
             self.stats.record_journal(sum(sizes), len(sizes))
 
     # -- crash recovery ----------------------------------------------------------
@@ -594,7 +593,7 @@ class FileStore:
         Routes through the resilient decoder so latent sector errors on
         surviving disks are absorbed instead of crashing the read.
         """
-        if not stripe.erased.any() and not stripe.latent.any():
+        if not stripe.any_faults():
             return stripe
         return decode_resilient(self.code, stripe, self.healing, engine=self.engine)
 
@@ -604,6 +603,19 @@ class FileStore:
         """Read ``size`` bytes at ``offset`` (degraded reads included)."""
         if offset < 0 or size < 0:
             raise InvalidParameterError("offset and size must be >= 0")
+        element_index, within = divmod(offset, self.element_size)
+        if self.injector is None and 0 < size <= self.element_size - within:
+            # Inside one element with no fault clock to advance, the
+            # small-read hot path: a readable cell is one ledger charge
+            # and one copy.  Everything else (and a range beyond
+            # capacity) takes the general loop, which agrees with this.
+            stripe_idx, slot = divmod(element_index, self._eps)
+            if stripe_idx < len(self.stripes):
+                stripe = self.stripes[stripe_idx]
+                r, c = self._data_positions[slot]
+                if not (stripe.erased[r, c] or stripe.latent[r, c]):
+                    self.stats.record_read(c)
+                    return stripe.data[r, c, within : within + size].tobytes()
         if offset + size > self.capacity:
             raise InvalidParameterError(
                 f"read [{offset}, {offset + size}) beyond capacity {self.capacity}"
@@ -648,24 +660,30 @@ class FileStore:
         """Write ``data`` at ``offset``, growing the store as needed."""
         if offset < 0:
             raise InvalidParameterError("offset must be >= 0")
-        if not data:
-            return
-        self._ensure_capacity(offset + len(data))
         view = memoryview(data)
+        if view.format != "B":
+            view = view.cast("B")  # the store moves bytes, whatever they were
+        size = len(view)
+        if not size:
+            return
+        if offset + size > len(self.stripes) * self._eps * self.element_size:
+            self._ensure_capacity(offset + size)  # rare: past ``capacity``
         element_index, within = divmod(offset, self.element_size)
-        if within + len(data) <= self.element_size:
+        if within + size <= self.element_size:
             # Sub-element write, the small-write hot path: no grouping
             # pass needed.
-            stripe_idx, pos = self._locate(element_index)
-            self._write_stripe(stripe_idx, [(pos, within, view)])
+            stripe_idx, slot = divmod(element_index, self._eps)
+            self._write_stripe(
+                stripe_idx, [(self._data_positions[slot], within, view)]
+            )
             return
         by_stripe: dict[int, list[Piece]] = {}
         cursor = offset
         consumed = 0
-        while consumed < len(data):
+        while consumed < size:
             element_index, within = divmod(cursor, self.element_size)
             stripe_idx, pos = self._locate(element_index)
-            chunk = min(len(data) - consumed, self.element_size - within)
+            chunk = min(size - consumed, self.element_size - within)
             by_stripe.setdefault(stripe_idx, []).append(
                 (pos, within, view[consumed : consumed + chunk])
             )
@@ -716,7 +734,7 @@ class FileStore:
         """
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
-            self._journal_intent(stripe_idx, pieces)
+            self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
         updates = self._merge_pieces(stripe, pieces, charge_reads=True)
         rewritten = self.code.update_elements(stripe, updates)
         for pos, buf in updates.items():
@@ -741,25 +759,31 @@ class FileStore:
         recovery can re-derive the stripe's parity from whatever data
         landed; a crash mid-frame loses the write atomically.
         """
-        assert self.cache is not None
-        entry = self.cache.entry(stripe_idx)
-        stripe = self.stripes[stripe_idx]
-        if self.journal is not None:
-            self._journal_intent(stripe_idx, pieces, entry)
+        cache = self.cache
+        assert cache is not None
+        entry = cache.entry(stripe_idx)
+        data = self.stripes[stripe_idx].data
+        first = [pos for pos, _, _ in pieces if pos not in entry.old]
+        if first:
+            if self.journal is not None:
+                self._journal_intent(stripe_idx, first)
+            for pos in first:
+                entry.snapshot(pos, data[pos])
+            self.stats.record_reads([c for _, c in first])  # the RMW old-data reads
         for pos, within, piece in pieces:
-            element = stripe.data[pos]
-            if entry.snapshot(pos, element):
-                self.stats.record_read(pos[1])  # the RMW old-data read
-            element[within : within + len(piece)] = np.frombuffer(
-                piece, dtype=np.uint8
-            )
-            self.stats.record_write(pos[1])
-            self.data_writes += 1
-        self._crash_point("data-write")
-        over = len(self.cache) - self.cache.capacity
-        if over > 0:
-            self._ping_flush_io(self.cache.items()[:over])
-        evicted = self.cache.evict_over_capacity()
+            # Through the buffer protocol, not a numpy assignment: numpy
+            # drops the GIL for copies above 500 elements, and a waiting
+            # thread would take it mid-op (docs/ENGINE.md).
+            memoryview(data[pos])[within : within + len(piece)] = piece
+        self.stats.record_writes([pos[1] for pos, _, _ in pieces])
+        self.data_writes += len(pieces)
+        if self._crash_hook is not None:
+            self._crash_hook("data-write")
+        if self.injector is not None:
+            over = len(cache) - cache.capacity
+            if over > 0:
+                self._ping_flush_io(cache.items()[:over])
+        evicted = cache.evict_over_capacity()
         if evicted:
             self._flush_entries(evicted)
         else:
@@ -775,7 +799,7 @@ class FileStore:
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
             # Recovery re-derives what parity the surviving chains allow.
-            self._journal_intent(stripe_idx, pieces)
+            self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
         restored = self._reconstructed(stripe)
         updates = self._merge_pieces(restored, pieces, charge_reads=False)
         rewritten = self.code.update_elements(restored, updates)
@@ -857,30 +881,20 @@ class FileStore:
         """
         groups: dict[tuple[int, ...], list[tuple[int, DirtyStripe]]] = {}
         flushed = 0
-        cols = self.code.cols
+        cols = self._cols
         for idx, entry in entries:
-            if not entry.num_dirty:
+            if not entry.old:
                 continue
             flushed += 1
-            stripe = self.stripes[idx]
-            if (
-                self.engine == "python"
-                or stripe.erased.any()
-                or stripe.latent.any()
-            ):
+            if self.engine == "python" or self.stripes[idx].any_faults():
                 self._flush_python(idx, entry)
                 continue
             groups.setdefault(entry.pattern(cols), []).append((idx, entry))
         if groups:
-            # Bound late and through its module, so whoever instruments
-            # ``repro.engine.compile`` sees the store's calls too.
-            from ..engine import compile as compiler
-            from ..engine.backends import resolve_backend
-
-            backend = resolve_backend(self.engine)
+            backend = self._resolve_backend(self.engine)
             for pattern, group in sorted(groups.items()):
                 try:
-                    strategy, plan = compiler.choose_update_strategy(
+                    strategy, plan = self._compiler.choose_update_strategy(
                         self.code, pattern
                     )
                 except PlanError:
@@ -904,6 +918,7 @@ class FileStore:
         counters and the journal commit are the store's.
         """
         cells = plan.pattern_positions
+        parities = plan.output_positions
         backend.update(
             plan,
             [self.stripes[idx] for idx, _ in group],
@@ -914,15 +929,13 @@ class FileStore:
             stats=self.stats,
         )
         self._crash_point("parity-write")
+        touched = cells + parities
+        parity_disks = [c for _, c in parities]
         for idx, _ in group:
-            stripe = self.stripes[idx]
-            for pos in cells:
-                self.sidecar.record(idx, pos, stripe.data[pos])
-            for pos in plan.output_positions:
-                self.sidecar.record(idx, pos, stripe.data[pos])
-                self.stats.record_read(pos[1])
-                self.stats.record_write(pos[1])
-                self.parity_writes += 1
+            self.sidecar.record_stripe(idx, self.stripes[idx], touched)
+            self.stats.record_reads(parity_disks)
+            self.stats.record_writes(parity_disks)
+            self.parity_writes += len(parities)
             self._journal_commit(idx)
         self.stats.record_flush(len(group) * len(cells))
 
@@ -930,20 +943,20 @@ class FileStore:
         self, pattern: tuple[int, ...], group: list[tuple[int, DirtyStripe]]
     ) -> None:
         """Mostly-dirty stripes: re-encoding beats the delta chain walk."""
-        dirty_cells = {divmod(slot, self.code.cols) for slot in pattern}
+        dirty_cells = tuple(divmod(slot, self._cols) for slot in pattern)
+        parities = self.code.parity_positions
+        # the clean inputs of the encode, and what it rewrites
+        dirty = set(dirty_cells)
+        clean_disks = [c for r, c in self._data_positions if (r, c) not in dirty]
+        parity_disks = [c for _, c in parities]
         for idx, entry in group:
             stripe = self.stripes[idx]
-            for pos in self.code.data_positions:
-                if pos not in dirty_cells:
-                    self.stats.record_read(pos[1])  # clean inputs of the encode
+            self.stats.record_reads(clean_disks)
             self.code.encode(stripe, engine=self.engine)
             self._crash_point("parity-write")
-            for pos in sorted(dirty_cells):
-                self.sidecar.record(idx, pos, stripe.data[pos])
-            for pos in self.code.parity_positions:
-                self.sidecar.record(idx, pos, stripe.data[pos])
-                self.stats.record_write(pos[1])
-                self.parity_writes += 1
+            self.sidecar.record_stripe(idx, stripe, dirty_cells + parities)
+            self.stats.record_writes(parity_disks)
+            self.parity_writes += len(parities)
             self._journal_commit(idx)
         self.stats.record_flush(len(group) * len(dirty_cells))
 

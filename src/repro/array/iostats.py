@@ -19,6 +19,7 @@ rolled back dirty cache entries instead of flushing them.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..exceptions import InvalidParameterError
@@ -85,6 +86,23 @@ class IOStats:
     def record_write(self, disk: int, count: int = 1) -> None:
         self._check(disk, count)
         self.writes[disk] += count
+
+    def record_reads(self, disks: "Iterable[int]") -> None:
+        """One :meth:`record_read` per disk listed (a repeated disk is
+        charged once per mention): a whole op's reads in one call."""
+        reads, num_disks = self.reads, self.num_disks
+        for disk in disks:
+            if not 0 <= disk < num_disks:
+                self._check(disk, 1)  # raises
+            reads[disk] += 1
+
+    def record_writes(self, disks: "Iterable[int]") -> None:
+        """As :meth:`record_reads`, for writes."""
+        writes, num_disks = self.writes, self.num_disks
+        for disk in disks:
+            if not 0 <= disk < num_disks:
+                self._check(disk, 1)  # raises
+            writes[disk] += 1
 
     def record_xor(self, words: int, kernels: int = 1) -> None:
         """Charge ``words`` word-XORs executed across ``kernels`` calls."""

@@ -41,14 +41,19 @@ class DirtyStripe:
         self.old: dict[Position, np.ndarray] = {}
 
     def snapshot(self, pos: Position, current: np.ndarray) -> bool:
-        """Record ``pos`` dirty; copy its pre-image on first touch.
+        """Record ``pos`` dirty; copy its pre-image (``current``, the
+        element's uint8 buffer) on first touch.
 
         Returns True when this was the first touch (the caller charges
         the read-modify-write's old-data read exactly once).
         """
         if pos in self.old:
             return False
-        self.old[pos] = current.copy()
+        # Copied out as bytes, not ``current.copy()``: numpy drops the
+        # GIL for copies above 500 elements and a waiting thread would
+        # take it mid-write (docs/ENGINE.md).  The pre-image is never
+        # written to, so a read-only array over the bytes serves.
+        self.old[pos] = np.frombuffer(current.tobytes(), dtype=np.uint8)
         return True
 
     def dirty_positions(self) -> list[Position]:
@@ -151,7 +156,7 @@ class StripeCache:
 
     def note_flushed(self, entry: DirtyStripe) -> None:
         self.flushes += 1
-        self.flushed_elements += entry.num_dirty
+        self.flushed_elements += len(entry.old)
 
     def stats(self) -> dict[str, int]:
         """A snapshot of the cache counters."""

@@ -207,6 +207,14 @@ def _compile_kernel() -> "ctypes._CFuncPtr | None":
     return fn
 
 
+def _address(buf: np.ndarray) -> int:
+    """Where a writable, C-contiguous array's bytes start (anything
+    else is refused with ``TypeError``/``ValueError``) — a third of
+    the cost of ``buf.ctypes.data``, which builds a helper object per
+    call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
+
 def _kernel() -> "ctypes._CFuncPtr | None":
     global _KERNEL
     if _KERNEL is None:
@@ -339,8 +347,8 @@ class NativeBackend(KernelBackend):
             )
             tile = max(1, min(cell_bytes, NATIVE_TILE_BYTES))
             fn(
-                flat.ctypes.data,
-                temps.ctypes.data if temps is not None else None,
+                _address(flat),
+                _address(temps) if temps is not None else None,
                 lanes,
                 plan.num_cells * cell_bytes,
                 cell_bytes,
@@ -394,29 +402,31 @@ class NativeBackend(KernelBackend):
             raise InvalidParameterError(
                 f"execute_update needs an 'update' plan, got {plan.op!r}"
             )
-        missing = [slot for slot in plan.pattern if slot not in old]
-        if missing:
-            raise InvalidParameterError(
-                f"missing pre-images for dirty slots {missing}"
-            )
         schedule = plan.derived("native_update_schedule", _update_schedule)
         _check_geometry(plan, stripe)
-        flat = stripe.flat_view()
-        cell_bytes = flat.shape[-1]
+        cell_bytes = stripe.element_size
         # Every row but the pre-images is written before it is read.
-        scratch = np.empty((schedule.scratch_rows, cell_bytes), dtype=np.uint8)
-        for row, slot in enumerate(plan.pattern):
-            scratch[row] = old[slot]
+        # Filled through the buffer protocol: a numpy assignment above
+        # 500 elements drops the GIL around the copy (docs/ENGINE.md).
+        scratch = np.empty(schedule.scratch_rows * cell_bytes, dtype=np.uint8)
+        rows = memoryview(scratch)
+        try:
+            for start, slot in zip(range(0, len(rows), cell_bytes), plan.pattern):
+                rows[start : start + cell_bytes] = old[slot]
+        except KeyError as exc:
+            raise InvalidParameterError(
+                f"missing pre-image for dirty slot {exc.args[0]}"
+            ) from None
         fn(
-            flat.ctypes.data,
-            scratch.ctypes.data,
+            _address(stripe.data),
+            _address(scratch),
             1,
             0,
             cell_bytes,
             schedule.addr,
             schedule.n_steps,
             plan.num_cells,
-            max(1, min(cell_bytes, NATIVE_TILE_BYTES)),
+            min(cell_bytes, NATIVE_TILE_BYTES),
         )
         if stats is not None:
             stats.record_xor(schedule.xors * max(cell_bytes // 8, 1), 1)

@@ -17,6 +17,7 @@ identical fault plans.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -35,13 +36,14 @@ Position = tuple[int, int]
 def crc_of(buf) -> int:
     """CRC32 of one element buffer.
 
-    Contiguous numpy arrays (the common case: element views into a
-    stripe) go straight through the buffer protocol; anything else
-    pays one ``bytes()`` copy.
+    Anything contiguous (the common case: element views into a stripe)
+    goes straight through the buffer protocol; anything else pays one
+    ``bytes()`` copy.
     """
-    if isinstance(buf, np.ndarray) and buf.flags["C_CONTIGUOUS"]:
+    try:
         return zlib.crc32(buf)
-    return zlib.crc32(bytes(buf))
+    except (TypeError, ValueError, BufferError):
+        return zlib.crc32(bytes(buf))
 
 
 class ChecksumSidecar:
@@ -75,12 +77,21 @@ class ChecksumSidecar:
         """Update one element's CRC after a content change."""
         self.stripes[stripe_idx][pos] = crc_of(buf)
 
-    def record_stripe(self, stripe_idx: int, stripe: "Stripe") -> None:
-        """Recompute every CRC of one stripe (degraded full-stripe write)."""
+    def record_stripe(
+        self,
+        stripe_idx: int,
+        stripe: "Stripe",
+        cells: "Iterable[Position] | None" = None,
+    ) -> None:
+        """Recompute the CRCs of ``cells`` of one stripe — every cell
+        when ``None`` — as :meth:`record` would one by one (a flush
+        re-checksums its dirty and parity cells in one call)."""
         grid = self.stripes[stripe_idx]
-        for r in range(self.rows):
-            for c in range(self.cols):
-                grid[r, c] = crc_of(stripe.data[r, c])
+        data = stripe.data
+        if cells is None:
+            cells = [(r, c) for r in range(self.rows) for c in range(self.cols)]
+        for r, c in cells:
+            grid[r, c] = crc_of(data[r, c])
 
     def expected(self, stripe_idx: int, pos: Position) -> int:
         return int(self.stripes[stripe_idx][pos])

@@ -16,16 +16,22 @@ admission queue; a pool of worker threads executes them against the
   raises :class:`~repro.exceptions.BackpressureError` so callers can
   shed load.
 - **Deadlines.**  An op may carry a relative deadline; a worker that
-  dequeues it past that instant completes it as ``expired`` without
-  touching the shard.  Expiry depends on real time, so it is reported
+  reaches it past that instant completes it as ``expired`` without
+  touching the store.  Expiry depends on real time, so it is reported
   in the timing half of :class:`~repro.service.ServiceStats`, never
   hashed — deterministic runs simply set no deadlines.
 
-Workers take the shard's **write** lock for every op (FileStore is a
-single-writer object; see ``docs/SERVICE.md``), which is also what
-lets a rebuild op monopolize one shard while every other shard keeps
-serving — the scheduler records how many ops completed elsewhere
-during each rebuild as direct evidence of that isolation.
+A worker that wins a shard **drains** it: it takes the shard's
+**write** lock once (FileStore is a single-writer object; see
+``docs/SERVICE.md``) and serves, in order, the ops that were queued on
+the shard when it won — later arrivals wait for the shard's next
+round-robin turn.  Each op is still popped under the scheduler's mutex
+as it starts, so ``queued <= queue_depth`` and ``inflight <= workers``
+hold exactly, and a blocked submitter is released by the first pop.
+Holding the write lock is also what lets a rebuild op monopolize one
+shard while every other shard keeps serving — the scheduler records
+how many ops completed elsewhere during each rebuild as direct
+evidence of that isolation.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from dataclasses import dataclass
 from ..exceptions import (
     BackpressureError,
     InvalidParameterError,
-    ReproError,
     ServiceError,
 )
 from .pool import VolumePool
@@ -78,6 +83,11 @@ class OpResult:
     error: str | None = None
 
 
+#: What an op is retired with when its worker is unwound mid-op by
+#: something that is not an ``Exception``.
+_ABORTED = ("error", None, "worker stopped mid-op")
+
+
 class RequestScheduler:
     """Bounded-queue, per-shard-FIFO thread-pool op scheduler."""
 
@@ -97,7 +107,16 @@ class RequestScheduler:
         self.workers = workers
         self.queue_depth = queue_depth
         self.keep_results = keep_results
-        self._cv = threading.Condition()
+        # One mutex, three wait sets, so that a wake-up goes only to a
+        # thread that can use it.
+        self._lock = threading.RLock()
+        #: idle workers; notified when a shard becomes serveable
+        self._work_cv = threading.Condition(self._lock)
+        #: submitters blocked on a full queue; notified by every pop
+        self._room_cv = threading.Condition(self._lock)
+        #: ``drain()`` callers; notified when nothing is queued or in flight
+        self._idle_cv = threading.Condition(self._lock)
+        #: per shard: ``(op, local offset, submitted at, deadline at)``
         self._queues: list[deque] = [deque() for _ in range(pool.num_shards)]
         self._busy = [False] * pool.num_shards
         self._queued = 0
@@ -118,7 +137,7 @@ class RequestScheduler:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> "RequestScheduler":
-        with self._cv:
+        with self._lock:
             if self._started:
                 raise ServiceError("scheduler already started")
             self._started = True
@@ -144,11 +163,12 @@ class RequestScheduler:
 
     def submit(self, op: Op, *, block: bool = True) -> None:
         """Enqueue one op; blocks (or raises) when the queue is full."""
-        shard = self._route(op)
+        shard, local = self._route(op)
+        submitted_at = time.perf_counter()
         deadline_at = (
-            time.monotonic() + op.deadline if op.deadline is not None else None
+            submitted_at + op.deadline if op.deadline is not None else None
         )
-        with self._cv:
+        with self._lock:
             if self._closed or not self._started:
                 raise ServiceError("submit outside the scheduler's lifetime")
             if self._queued >= self.queue_depth:
@@ -159,44 +179,49 @@ class RequestScheduler:
                     )
                 self._backpressure_waits += 1
                 while self._queued >= self.queue_depth and not self._closed:
-                    self._cv.wait()
+                    self._room_cv.wait()
                 if self._closed:
                     raise ServiceError("scheduler closed while waiting")
-            self._queues[shard].append((op, deadline_at))
+            queue = self._queues[shard]
+            queue.append((op, local, submitted_at, deadline_at))
             self._queued += 1
-            self._cv.notify_all()
+            if len(queue) == 1 and not self._busy[shard]:
+                self._work_cv.notify()  # the shard just became serveable
 
-    def _route(self, op: Op) -> int:
+    def _route(self, op: Op) -> tuple[int, int]:
+        """``(shard, local offset)`` of an op: located once, here."""
         if op.kind in ("read", "write"):
             size = len(op.payload) if op.kind == "write" else op.size
-            shard, _ = self.pool.locate(op.offset, size)
-            return shard
+            return self.pool.locate(op.offset, size)
         if op.kind in ("fail", "rebuild", "flush"):
             if op.shard is None:
                 raise ServiceError(f"{op.kind} op needs an explicit shard")
             self.pool.lock(op.shard)  # validates the index
-            return op.shard
+            return op.shard, 0
         raise ServiceError(f"unknown op kind {op.kind!r}")
 
     # -- completion --------------------------------------------------------------
 
     def drain(self) -> None:
         """Block until every submitted op has completed."""
-        with self._cv:
+        with self._lock:
             while self._queued or self._inflight:
-                self._cv.wait()
+                self._idle_cv.wait()
 
     def close(self) -> ServiceStats:
         """Drain, stop the workers, and build the final roll-up."""
         self.drain()
-        with self._cv:
+        with self._lock:
             if not self._closed:
                 self._closed = True
-                self._cv.notify_all()
+                self._work_cv.notify_all()
+                self._room_cv.notify_all()
         for thread in self._threads:
             thread.join()
         if self.stats is None:
-            wall = time.perf_counter() - self._started_at
+            wall = (
+                time.perf_counter() - self._started_at if self._started else 0.0
+            )
             # noqa-rationale: every worker has joined; close() is a
             # single-threaded epilogue.
             self.stats = ServiceStats.from_recorders(  # noqa: R008 - workers joined
@@ -214,104 +239,150 @@ class RequestScheduler:
     def results(self) -> list[OpResult]:
         if not self.keep_results:
             raise ServiceError("results were not kept; pass keep_results=True")
-        with self._cv:
+        with self._lock:
             return list(self._results)
 
     @property
     def completed(self) -> int:
-        with self._cv:
+        with self._lock:
             return self._completed
 
-    # -- the worker loop ---------------------------------------------------------
+    # -- the worker loop: win a shard, drain what it holds ------------------------
 
-    def _pick_shard_locked(self) -> int | None:
-        """Next serveable shard, round-robin for fairness (cv held)."""
-        for step in range(self.pool.num_shards):
-            shard = (self._next_scan + step) % self.pool.num_shards
+    def _win_shard_locked(self) -> int | None:
+        """Claim the next serveable shard, round-robin (mutex held).
+
+        A second serveable shard left behind is work for one more
+        worker, so the wake-up is passed on.
+        """
+        shards = len(self._queues)
+        won = None
+        for step in range(shards):
+            shard = (self._next_scan + step) % shards
             if self._queues[shard] and not self._busy[shard]:
-                self._next_scan = shard + 1
-                return shard
-        return None
+                if won is not None:
+                    self._work_cv.notify()
+                    break
+                won = shard
+        if won is not None:
+            self._busy[won] = True
+            self._next_scan = won + 1
+        return won
+
+    def _pop_locked(self, shard: int) -> tuple:
+        """Start the shard's next op (mutex held): ``(queue entry,
+        dequeued at, ops completed so far)``."""
+        entry = self._queues[shard].popleft()
+        self._queued -= 1
+        self._inflight += 1
+        self._room_cv.notify()
+        return entry, time.perf_counter(), self._completed
 
     def _worker(self, wid: int) -> None:
         rec = self._recorders[wid]
         while True:
-            with self._cv:
-                shard = self._pick_shard_locked()
+            with self._lock:
+                shard = self._win_shard_locked()
                 while shard is None:
                     if self._closed and not self._queued:
                         return
-                    self._cv.wait()
-                    shard = self._pick_shard_locked()
-                op, deadline_at = self._queues[shard].popleft()
-                self._busy[shard] = True
-                self._queued -= 1
-                self._inflight += 1
-                completed_at_start = self._completed
-                self._cv.notify_all()
-            status, seconds, data, error = self._execute(
-                op, shard, deadline_at
-            )
-            nbytes = (
-                len(op.payload)
-                if op.kind == "write" and op.payload is not None
-                else op.size
-            )
-            rec.record(op.kind, status, seconds, nbytes)
-            if error is not None:
-                rec.record_error(error)
-            with self._cv:
-                self._busy[shard] = False
-                self._inflight -= 1
-                self._completed += 1
-                if op.kind == "rebuild":
-                    self._rebuild_windows.append(
-                        {
-                            "shard": shard,
-                            "status": status,
-                            "ops_completed_elsewhere": self._completed
-                            - 1
-                            - completed_at_start,
-                        }
-                    )
-                if self.keep_results:
-                    self._results.append(
-                        OpResult(op.kind, status, shard, seconds, data, error)
-                    )
-                self._cv.notify_all()
+                    self._work_cv.wait()
+                    shard = self._win_shard_locked()
+                # The budget is what is queued *now*: later arrivals wait
+                # for the shard's next round-robin turn, so more shards
+                # than workers cannot starve behind a busy one.
+                budget = len(self._queues[shard])
+                started = self._pop_locked(shard)
+            self._drain(rec, shard, budget, started)
+
+    def _drain(
+        self, rec: WorkerRecorder, shard: int, budget: int, started: tuple
+    ) -> None:
+        """Serve ``budget`` ops of a won shard, in order, under one
+        hold of its write lock; each op is popped under the mutex as it
+        starts, so ``queued`` and ``inflight`` stay exact throughout.
+        """
+        shard_lock = self.pool.lock(shard)
+        shard_lock.acquire_write()
+        outcome = _ABORTED
+        try:
+            while True:
+                op, local, _, deadline_at = started[0]
+                outcome = self._execute(op, shard, local, deadline_at)
+                budget -= 1
+                if not budget:
+                    break
+                started = self._retire(rec, shard, started, outcome, more=True)
+                outcome = _ABORTED
+        finally:
+            # Whatever unwinds a worker, the lock, the op in flight and
+            # the shard are released.
+            shard_lock.release_write()
+            self._retire(rec, shard, started, outcome, more=False)
 
     def _execute(
-        self, op: Op, shard: int, deadline_at: float | None
-    ) -> tuple[str, float, bytes | None, str | None]:
-        """Run one op under the shard's write lock; never raises."""
-        started = time.perf_counter()
-        if deadline_at is not None and time.monotonic() > deadline_at:
-            return "expired", time.perf_counter() - started, None, None
+        self, op: Op, shard: int, local: int, deadline_at: float | None
+    ) -> tuple[str, bytes | None, str | None]:
+        """Run one op (shard write lock held): ``(status, data, error)``.
+
+        Whatever the op raises is its outcome, not the worker's: a
+        dead worker would leave its shard claimed and ``drain()``
+        waiting forever.
+        """
+        if deadline_at is not None and time.perf_counter() > deadline_at:
+            return "expired", None, None
         data: bytes | None = None
         try:
-            with self.pool.lock(shard).write_locked():
-                if op.kind == "read":
-                    _, local = self.pool.locate(op.offset, op.size)
-                    data = self.pool.read(shard, local, op.size)
-                elif op.kind == "write":
-                    assert op.payload is not None
-                    _, local = self.pool.locate(op.offset, len(op.payload))
-                    self.pool.write(shard, local, op.payload)
-                elif op.kind == "fail":
-                    assert op.disk is not None
-                    self.pool.fail_disk(shard, op.disk)
-                elif op.kind == "rebuild":
-                    assert op.disk is not None
-                    self.pool.rebuild(shard, op.disk)
-                elif op.kind == "flush":
-                    self.pool.flush(shard)
-        except ReproError as exc:
-            return (
-                "error",
-                time.perf_counter() - started,
-                None,
-                f"{type(exc).__name__}: {exc}",
-            )
-        if not self.keep_results:
-            data = None  # a million read payloads must not accumulate
-        return "ok", time.perf_counter() - started, data, None
+            if op.kind == "read":
+                data = self.pool.read(shard, local, op.size)
+                if not self.keep_results:
+                    data = None  # a million read payloads must not accumulate
+            elif op.kind == "write":
+                self.pool.write(shard, local, op.payload)
+            elif op.kind == "fail":
+                self.pool.fail_disk(shard, op.disk)
+            elif op.kind == "rebuild":
+                self.pool.rebuild(shard, op.disk)
+            elif op.kind == "flush":
+                self.pool.flush(shard)
+        except Exception as exc:
+            return "error", None, f"{type(exc).__name__}: {exc}"
+        return "ok", data, None
+
+    def _retire(
+        self, rec: WorkerRecorder, shard: int, started: tuple, outcome: tuple,
+        *, more: bool,
+    ) -> tuple | None:
+        """Record a finished op and, in one mutex hold, retire it and
+        either start the shard's next op (``more``) or release the
+        shard."""
+        (op, _, submitted_at, _), dequeued_at, completed_before = started
+        status, data, error = outcome
+        seconds = time.perf_counter() - dequeued_at
+        nbytes = len(op.payload) if op.kind == "write" else op.size
+        rec.record(op.kind, status, seconds, nbytes, dequeued_at - submitted_at)
+        if error is not None:
+            rec.record_error(error)
+        with self._lock:
+            self._inflight -= 1
+            self._completed += 1
+            if op.kind == "rebuild":
+                self._rebuild_windows.append(
+                    {
+                        "shard": shard,
+                        "status": status,
+                        "ops_completed_elsewhere": self._completed
+                        - 1
+                        - completed_before,
+                    }
+                )
+            if self.keep_results:
+                self._results.append(
+                    OpResult(op.kind, status, shard, seconds, data, error)
+                )
+            if more:
+                return self._pop_locked(shard)
+            self._busy[shard] = False
+            if not (self._queued or self._inflight):
+                self._idle_cv.notify_all()
+            return None

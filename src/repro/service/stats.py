@@ -13,8 +13,9 @@ it), so the roll-up is independent of which worker served which op.
   the merged I/O ledger.  Per-shard execution is FIFO, so these are a
   pure function of the trace and the sharding policy: they feed the
   serve-bench's pinnable op-mix hash.
-- :meth:`timing_dict` — wall clock, throughput, and per-kind latency
-  percentiles (p50/p99/p999).  Real measurements, never hashed.
+- :meth:`timing_dict` — wall clock, throughput, per-kind service
+  latency percentiles (p50/p99/p999) and, beside them, the time ops
+  spent queued before service.  Real measurements, never hashed.
 """
 
 from __future__ import annotations
@@ -50,12 +51,24 @@ class WorkerRecorder:
         self.bytes_read = 0
         self.bytes_written = 0
         self.latencies: dict[str, list[float]] = {kind: [] for kind in OP_KINDS}
+        #: seconds each op sat queued, submit to dequeue (one per op)
+        self.queue_waits: list[float] = []
         self.errors: list[str] = []
 
     def record(
-        self, kind: str, status: str, seconds: float, nbytes: int = 0
+        self,
+        kind: str,
+        status: str,
+        seconds: float,
+        nbytes: int = 0,
+        queue_wait: float = 0.0,
     ) -> None:
-        """Charge one completed op to this worker's ledger."""
+        """Charge one completed op to this worker's ledger.
+
+        ``seconds`` is service time (dequeue to completion, the wait
+        for the shard's lock included); ``queue_wait`` is what the op
+        spent queued before that.
+        """
         self.counts[kind] += 1  # noqa: R008 - single-owner worker ledger
         self.statuses[status] += 1  # noqa: R008 - single-owner worker ledger
         if status == "ok":
@@ -64,6 +77,7 @@ class WorkerRecorder:
             elif kind == "write":
                 self.bytes_written += nbytes  # noqa: R008 - single-owner ledger
         self.latencies[kind].append(seconds)  # noqa: R008 - single-owner ledger
+        self.queue_waits.append(queue_wait)  # noqa: R008 - single-owner ledger
 
     def record_error(self, message: str) -> None:
         self.errors.append(message)  # noqa: R008 - single-owner worker ledger
@@ -108,6 +122,8 @@ class ServiceStats:
     errors: list = field(default_factory=list)
     #: latency samples per kind (seconds); summarized on demand.
     latencies: dict = field(default_factory=dict)
+    #: queue-wait samples (seconds), one per completed op of any kind.
+    queue_waits: list = field(default_factory=list)
     wall_seconds: float = 0.0
 
     @property
@@ -152,6 +168,7 @@ class ServiceStats:
                 statuses[status] += rec.statuses[status]
             stats.bytes_read += rec.bytes_read
             stats.bytes_written += rec.bytes_written
+            stats.queue_waits.extend(rec.queue_waits)
             stats.errors.extend(rec.errors)
         stats.latencies = latencies
         return stats
@@ -193,6 +210,7 @@ class ServiceStats:
             "backpressure_waits": self.backpressure_waits,
             "rejected": self.rejected,
             "rebuild_windows": list(self.rebuild_windows),
+            "queue_wait": latency_summary(self.queue_waits),
             "latency": {
                 kind: latency_summary(samples)
                 for kind, samples in sorted(self.latencies.items())

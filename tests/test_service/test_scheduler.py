@@ -251,3 +251,354 @@ class TestFaultOpsAndRebuildProgress:
         assert windows[0]["status"] == "ok"
         assert windows[0]["ops_completed_elsewhere"] > 0
         assert stats.statuses["ok"] == 502
+
+
+JOIN = 10.0  # seconds any wait in these tests may take before it fails
+
+
+def first_stripe_on(pool, shard):
+    return next(
+        s for s in range(pool.num_stripes) if pool.shard_of_stripe(s) == shard
+    )
+
+
+class Gate:
+    """Holds a drain open: every read on ``shard`` announces itself
+    and waits for a permit, until the gate is opened for good."""
+
+    def __init__(self, pool, shard=0):
+        self._arrivals = threading.Semaphore(0)
+        self._permits = threading.Semaphore(0)
+        self._open = False
+        store = pool.shards[shard]
+        read = store.read
+
+        def gated(offset, size):
+            if not self._open:
+                self._arrivals.release()
+                assert self._permits.acquire(timeout=JOIN)
+            return read(offset, size)
+
+        store.read = gated
+
+    def wait_arrival(self):
+        """Block until one more read is waiting at the gate."""
+        assert self._arrivals.acquire(timeout=JOIN)
+
+    def let_one_through(self):
+        self._permits.release()
+
+    def open(self):
+        self._open = True
+        self._permits.release()  # whoever is waiting right now
+
+
+def close_within(sched, seconds=JOIN):
+    """``close()`` on a helper thread, so a hang fails instead of hanging."""
+    closer = threading.Thread(target=sched.close, daemon=True)
+    closer.start()
+    closer.join(seconds)
+    assert not closer.is_alive(), "close() did not return"
+    return sched.stats
+
+
+class TestWorkerSurvivesAnyException:
+    """A non-ReproError used to kill the worker with its shard claimed:
+    ``drain()`` and ``close()`` then waited forever."""
+
+    def test_drain_of_one(self):
+        pool = make_pool()
+
+        def broken(offset, data):
+            raise RuntimeError("disk on fire")
+
+        pool.shards[0].write = broken
+        sched = RequestScheduler(pool, workers=1).start()
+        sched.submit(Op("write", offset=0, payload=b"x"))
+        # the shard stays serveable and the worker alive
+        sched.submit(Op("read", offset=0, size=1))
+        stats = close_within(sched)
+        assert all(not t.is_alive() for t in sched._threads)
+        assert stats.statuses == {"ok": 1, "expired": 0, "error": 1}
+        assert stats.errors == ["RuntimeError: disk on fire"]
+
+    def test_second_op_of_a_longer_drain(self):
+        pool = make_pool()
+        gate = Gate(pool)
+        calls = []
+        write = pool.shards[0].write
+
+        def second_write_breaks(offset, data):
+            calls.append(data)
+            if len(calls) == 1:
+                raise KeyError("not a ReproError")
+            write(offset, data)
+
+        pool.shards[0].write = second_write_breaks
+        sched = RequestScheduler(pool, workers=1, keep_results=True).start()
+        sched.submit(Op("read", offset=0, size=1))
+        gate.wait_arrival()
+        # queued behind the gated read: one drain serves all three
+        sched.submit(Op("write", offset=0, payload=b"a"))
+        sched.submit(Op("write", offset=0, payload=b"b"))
+        sched.submit(Op("read", offset=0, size=1))
+        gate.open()
+        stats = close_within(sched)
+        assert [r.status for r in sched.results] == ["ok", "error", "ok", "ok"]
+        assert sched.results[-1].data == b"b"
+        assert stats.errors == ["KeyError: 'not a ReproError'"]
+        assert pool.lock(0).acquire_write() is None  # not left held
+        pool.lock(0).release_write()
+
+
+class TestCloseBeforeStart:
+    def test_never_started_scheduler_reports_no_wall_time(self):
+        stats = RequestScheduler(make_pool()).close()
+        assert stats.wall_seconds == 0.0
+        assert stats.ops_per_second == 0.0
+        assert stats.total_ops == 0
+
+
+class TestQueueWait:
+    def test_every_completed_op_has_a_queue_wait(self):
+        pool = make_pool()
+        gate = Gate(pool)
+        with RequestScheduler(pool, workers=2) as sched:
+            sched.submit(Op("read", offset=0, size=1))
+            gate.wait_arrival()
+            for _ in range(5):
+                sched.submit(Op("write", offset=0, payload=b"q"))
+            time.sleep(0.02)  # the writes sit queued behind the gate
+            gate.open()
+        stats = sched.stats
+        assert len(stats.queue_waits) == stats.total_ops == 6
+        summary = stats.timing_dict()["queue_wait"]
+        assert summary["count"] == 6
+        assert summary["max_us"] >= 20_000  # the gated 20 ms are visible
+        assert min(stats.queue_waits) >= 0.0
+        # timing half only: the pinned smoke hash cannot see it
+        assert "queue_wait" not in stats.deterministic_dict()
+
+
+class TestDrain:
+    """A worker that wins a shard serves what was queued on it at that
+    moment under one hold of the shard's write lock."""
+
+    def test_mixed_drain_matches_single_thread_replay(self):
+        def ops(pool):
+            bps = pool.bytes_per_stripe
+            mine = first_stripe_on(pool, 0) * bps
+            return [
+                Op("read", offset=mine, size=4),
+                Op("write", offset=mine + 3, payload=b"first"),
+                Op("flush", shard=0),
+                Op("fail", shard=0, disk=1),
+                Op("write", offset=mine + 40, payload=b"degraded"),
+                Op("read", offset=mine, size=64),
+                Op("rebuild", shard=0, disk=1),
+                Op("write", offset=mine + 5, payload=b"after"),
+                Op("flush", shard=0),
+            ]
+
+        pool = make_pool()
+        gate = Gate(pool)
+        acquires = []
+        lock = pool.lock(0)
+        acquire = lock.acquire_write
+
+        def counted():
+            acquires.append(1)
+            acquire()
+
+        lock.acquire_write = counted
+        with RequestScheduler(pool, workers=1, keep_results=True) as sched:
+            stream = ops(pool)
+            sched.submit(stream[0])
+            gate.wait_arrival()
+            for op in stream[1:]:
+                sched.submit(op)
+            gate.open()
+        assert [r.kind for r in sched.results] == [op.kind for op in stream]
+        assert all(r.status == "ok" for r in sched.results)
+        # one hold for the gated read (a drain of one), one for the rest
+        assert len(acquires) == 2
+
+        oracle = make_pool()
+        with RequestScheduler(oracle, workers=1) as replay:
+            for op in ops(oracle):
+                replay.submit(op)
+                replay.drain()  # one op per drain: the per-op path
+        assert pool.content_digest() == oracle.content_digest()
+        assert (
+            sched.stats.deterministic_dict() == replay.stats.deterministic_dict()
+        )
+
+    def test_first_pop_releases_a_blocked_submitter(self):
+        depth = 3
+        pool = make_pool()
+        gate = Gate(pool)
+        stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
+        sched = RequestScheduler(pool, workers=1, queue_depth=depth).start()
+        sched.submit(Op("read", offset=stripe0, size=1))
+        gate.wait_arrival()  # a drain of one, held open
+        for _ in range(depth):
+            sched.submit(Op("read", offset=stripe0, size=1))
+        with pytest.raises(BackpressureError):
+            sched.submit(Op("read", offset=stripe0, size=1), block=False)
+
+        seen = []
+        admitted = threading.Event()
+        write = pool.shards[0].write
+
+        def observing_write(offset, data):
+            # runs inside the next drain, whose budget is ``depth`` reads
+            # and which has popped them all by the time a write is served
+            with sched._lock:
+                seen.append((sched._queued, sched._inflight))
+            write(offset, data)
+
+        pool.shards[0].write = observing_write
+
+        def blocked():
+            sched.submit(Op("write", offset=stripe0, payload=b"w"))
+            admitted.set()
+
+        submitter = threading.Thread(target=blocked, daemon=True)
+        submitter.start()
+        assert not admitted.wait(0.1)  # the queue really is full
+        # Let exactly one read through: the gated one ends its drain of
+        # one, the next drain starts by popping its first op — and that
+        # pop, not the end of the drain, must admit the submitter.
+        gate.let_one_through()
+        gate.wait_arrival()  # the first read of the second drain
+        assert admitted.wait(JOIN), "first pop did not release the submitter"
+        with sched._lock:
+            assert sched._queued <= depth
+            assert sched._inflight == 1
+        gate.open()
+        submitter.join(JOIN)
+        stats = close_within(sched)
+        assert stats.statuses["ok"] == depth + 2
+        assert stats.backpressure_waits == 1
+        assert all(q <= depth and i <= 1 for q, i in seen)
+
+    def test_late_arrival_waits_for_the_other_shards(self):
+        pool = make_pool(num_stripes=9, num_shards=3)
+        bps = pool.bytes_per_stripe
+        at = [first_stripe_on(pool, s) * bps for s in range(3)]
+        gate = Gate(pool)
+        with RequestScheduler(pool, workers=1, keep_results=True) as sched:
+            sched.submit(Op("read", offset=at[0], size=1))
+            gate.wait_arrival()
+            # queued while shard 0 drains: two on the other shards
+            # first, then one more on shard 0 itself
+            sched.submit(Op("write", offset=at[1], payload=b"1"))
+            sched.submit(Op("write", offset=at[2], payload=b"2"))
+            sched.submit(Op("write", offset=at[0], payload=b"0"))
+            gate.open()
+        assert [r.shard for r in sched.results] == [0, 1, 2, 0]
+
+    def test_deadline_passing_mid_drain_expires_only_that_op(self):
+        pool = make_pool()
+        stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
+        gate = Gate(pool)
+        with RequestScheduler(pool, workers=1, keep_results=True) as sched:
+            sched.submit(Op("read", offset=stripe0, size=1))
+            gate.wait_arrival()
+            sched.submit(Op("write", offset=stripe0, payload=b"kept"))
+            sched.submit(Op("read", offset=stripe0, size=4))  # holds the drain
+            sched.submit(
+                Op("write", offset=stripe0, payload=b"late", deadline=0.05)
+            )
+            sched.submit(Op("read", offset=stripe0, size=4))
+            gate.let_one_through()  # ends the drain of one; the next takes all four
+            gate.wait_arrival()  # its second op, the read, is gated
+            time.sleep(0.1)  # the deadline passes *inside* the drain
+            gate.open()
+        assert [r.status for r in sched.results] == [
+            "ok", "ok", "ok", "expired", "ok",
+        ]
+        assert sched.results[-1].data == b"kept"
+
+    def test_rebuild_inside_a_drain_counts_ops_elsewhere(self):
+        pool = make_pool()
+        bps = pool.bytes_per_stripe
+        at = [first_stripe_on(pool, s) * bps for s in range(2)]
+        gate = Gate(pool)
+        rebuild = pool.shards[0].rebuild
+        rebuilding, served_elsewhere = threading.Event(), threading.Event()
+
+        def held_rebuild(disk):
+            rebuilding.set()
+            assert served_elsewhere.wait(JOIN)
+            rebuild(disk)
+
+        pool.shards[0].rebuild = held_rebuild
+        with RequestScheduler(pool, workers=2) as sched:
+            sched.submit(Op("read", offset=at[0], size=1))
+            gate.wait_arrival()
+            sched.submit(Op("fail", shard=0, disk=0))
+            sched.submit(Op("rebuild", shard=0, disk=0))
+            sched.submit(Op("read", offset=at[0], size=1))
+            gate.open()
+            assert rebuilding.wait(JOIN)
+            for _ in range(7):
+                sched.submit(Op("write", offset=at[1], payload=b"elsewhere"))
+            deadline = time.monotonic() + JOIN
+            while sched.completed < 9 and time.monotonic() < deadline:
+                time.sleep(0.001)  # gated read + fail + the seven writes
+            served_elsewhere.set()
+        (window,) = sched.stats.rebuild_windows
+        assert window == {
+            "shard": 0, "status": "ok", "ops_completed_elsewhere": 7,
+        }
+
+    def test_invariants_hold_under_thread_churn(self):
+        """More workers than cores, a 10 µs switch interval: a lost
+        update to ``queued``/``inflight`` or a broken per-shard order
+        would show as a bound breach, a hang or a digest mismatch."""
+        import sys
+
+        depth, workers = 8, 6
+        pool = make_pool(num_stripes=12, num_shards=4)
+        trace = service_trace(12, pool.bytes_per_stripe, 1500, seed=3)
+        block = _payload_block(3)
+        breaches = []
+        stop = threading.Event()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sched = RequestScheduler(
+                pool, workers=workers, queue_depth=depth
+            ).start()
+
+            def watch():
+                while not stop.is_set():
+                    with sched._lock:
+                        q, i = sched._queued, sched._inflight
+                        busy = sum(sched._busy)
+                    if not (0 <= q <= depth and 0 <= i <= workers and i <= busy):
+                        breaches.append((q, i, busy))
+
+            watcher = threading.Thread(target=watch, daemon=True)
+            watcher.start()
+            for i, op in enumerate(trace):
+                if op.kind == "write":
+                    sched.submit(
+                        Op("write", offset=op.offset,
+                           payload=_payload(block, i, op.size))
+                    )
+                else:
+                    sched.submit(Op("read", offset=op.offset, size=op.size))
+            stats = close_within(sched, 60.0)
+            stop.set()
+            watcher.join(JOIN)
+        finally:
+            sys.setswitchinterval(interval)
+        assert breaches == []
+        assert stats.statuses["ok"] == len(trace)
+        pool.flush_all()
+        oracle = make_pool(num_stripes=12, num_shards=4)
+        _replay_single(oracle, trace, block)
+        oracle.flush_all()
+        assert pool.content_digest() == oracle.content_digest()

@@ -152,6 +152,24 @@ class TestServiceStatsRollup:
             ServiceStats.from_recorders(recs)
         ) == rollup_key(ServiceStats.from_recorders(list(reversed(recs))))
 
+    @settings(max_examples=40, deadline=None)
+    @given(ops=service_ops, num_workers=st.integers(1, 5))
+    def test_queue_waits_are_one_per_completed_op(self, ops, num_workers):
+        """Whatever the split, the roll-up holds exactly one queue wait
+        per op, and summarises them in the timing half only."""
+        recs = [WorkerRecorder() for _ in range(num_workers)]
+        for i, (kind, status, micros, nbytes) in enumerate(ops):
+            recs[i % num_workers].record(
+                kind, status, micros * 1e-6, nbytes, queue_wait=i * 1e-6
+            )
+        stats = ServiceStats.from_recorders(recs)
+        assert len(stats.queue_waits) == stats.total_ops == len(ops)
+        assert Counter(stats.queue_waits) == Counter(
+            i * 1e-6 for i in range(len(ops))
+        )
+        assert stats.timing_dict()["queue_wait"]["count"] == len(ops)
+        assert "queue_wait" not in stats.deterministic_dict()
+
     def test_bytes_counted_only_for_ok_ops(self):
         rec = WorkerRecorder()
         rec.record("read", "ok", 1e-5, 100)
