@@ -5,13 +5,21 @@ real bytes.  It stripes a growable byte space across a code's data
 elements, keeps parity consistent through the small-write delta path,
 and honours disk failures the way an array does:
 
-- **degraded reads** reconstruct lost elements on the fly from the
-  surviving cells (the stripe itself stays degraded);
-- **degraded writes** are reconstruct-writes: the store decodes the
-  stripe, applies the update, and persists the surviving columns plus
-  refreshed parity, so the lost element's *logical* content is the new
-  data even though its disk is gone;
-- **rebuild** decodes every stripe to bring a replaced disk back.
+- **degraded reads** fetch exactly the paper's Fig. 7 read set: with
+  one disk down, the degraded-read planner's cheapest chains for the
+  lost elements (the cells the request fetches anyway are free), and
+  with more lost, the decode schedule sliced back to the requested
+  cells.  The compiled ``read`` plan runs into scratch, so the stripe
+  stays degraded and readers may share it;
+- **degraded writes** are read-modify-writes priced as
+  :meth:`~repro.array.raid.RAID6Volume.write`: only a lost written
+  element's old value is recovered, the new bytes land, and the deltas
+  fold into the surviving parities, so the lost element's *logical*
+  content is the new data even though its disk is gone; a parity on a
+  failed disk is never read or written, only its CRC advanced;
+- **rebuild** runs Fig. 9's hybrid ``recover-single`` plan (or, with a
+  second disk down, the read plan sliced to the column) stripe by
+  stripe to bring a replaced disk back.
 
 Writes touching several elements of one stripe update parity **once
 per stripe**, not once per element: the deltas of all touched elements
@@ -60,9 +68,9 @@ FaultInjector` can be attached to fire scheduled faults as element I/O
 streams through; with a write-back cache the injector's clock also
 advances once per dirty element at flush time, when the deferred
 parity actually lands.  Reads self-heal: an element hit by a latent
-sector error (URE) is transparently rebuilt through a parity chain,
-escalating to the full decoder when chains are poisoned (see
-:mod:`repro.faults.healing`).
+sector error (URE) is transparently computed through the same read
+plans, escalating to the full decoder only for patterns the planner
+and peeling both reject (see :mod:`repro.faults.healing`).
 
 Used by ``examples/file_storage_demo.py``, the fault-injection demo,
 the stack benchmark (``python3 -m bench``), and the end-to-end tests.
@@ -72,7 +80,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -101,6 +109,7 @@ from .stripe_cache import DirtyStripe, StripeCache
 
 if TYPE_CHECKING:  # imported lazily to avoid a codes<->array cycle
     from ..codes.base import ArrayCode
+    from ..engine.plan import XorPlan
     from ..faults.checksum import ScrubReport
     from ..faults.injector import FaultInjector
 
@@ -316,7 +325,7 @@ class FileStore:
         only *first touches* — a write that hits only already-dirty
         elements is absorbed by the flag that is already durable, which
         is what keeps the journal off the small-write hot path.
-        Write-through and reconstruct-writes frame their whole pattern:
+        Write-through and degraded writes frame their whole pattern:
         the stripe commits immediately after, so there is no flag to
         absorb into.
         """
@@ -542,27 +551,52 @@ class FileStore:
     def rebuild(self, disk: int) -> None:
         """Reconstruct a failed disk's content and bring it back.
 
-        Restored elements are verified against their CRC sidecars, so a
-        rebuild silently poisoned by an undetected flip fails loudly
-        (run a scrub first).  For a fault-aware, checkpointed rebuild
-        use :class:`repro.faults.rebuild_orchestrator.
-        RebuildOrchestrator`.
+        A stripe whose only loss is ``disk`` runs Fig. 9's hybrid
+        ``recover-single`` plan in place; with another disk (or a latent
+        cell) down too, the read plan sliced to the column computes it
+        into scratch and the other losses stay erased and zeroed; a
+        pattern neither can serve decodes a copy (rung 3 of the ladder).
+        The elements the plans read are charged to :attr:`healing`, not
+        :attr:`stats`.  Only the column is written, and only once all of
+        it matched its CRC sidecar, so a rebuild silently poisoned by an
+        undetected flip fails loudly (run a scrub first).  For a
+        fault-aware, checkpointed rebuild use
+        :class:`repro.faults.rebuild_orchestrator.RebuildOrchestrator`.
         """
         if disk not in self.failed_disks:
             raise InvalidParameterError(f"disk {disk} is not failed")
         with self._exclusive("rebuild"):
             self.flush()
+            rows = self.code.rows
+            column = tuple(r * self._cols + disk for r in range(rows))
+            single = self._compiler.compile_plan(self.code, "recover-single", (disk,))
+            backend = None if self.engine == "python" else self._resolve_backend(self.engine)
             for idx, stripe in enumerate(self.stripes):
-                column = self._reconstructed(stripe).data[:, disk]
+                alone = not stripe.latent.any() and np.count_nonzero(stripe.erased) == rows
+                plan = single if alone else self._read_plan(stripe, column)
+                if plan is None:
+                    restored = decode_resilient(
+                        self.code, stripe, self.healing, engine=self.engine
+                    )
+                    values = restored.data[:, disk]
+                elif plan is single and backend is not None:
+                    self.healing.reads += len(plan.reads)
+                    self.healing.chain_repairs += rows
+                    backend.execute(plan, stripe)
+                    values = stripe.data[:, disk]
+                else:
+                    self.healing.reads += len(plan.reads)
+                    values = self._planned(stripe, plan)
                 # Gate the whole column before any of it is committed.
-                for r in range(self.code.rows):
-                    if crc_of(column[r]) != self.sidecar.expected(idx, (r, disk)):
+                for r in range(rows):
+                    if crc_of(values[r]) != self.sidecar.expected(idx, (r, disk)):
+                        stripe.erase_disks([disk])  # an in-place run un-erased it
                         raise ChecksumMismatchError(
                             f"rebuild of disk {disk}: stripe {idx} element "
                             f"({r}, {disk}) decoded to content that fails "
                             "its checksum — scrub before rebuilding"
                         )
-                stripe.set_column(disk, column)
+                stripe.set_column(disk, values)
             self.failed_disks.discard(disk)
 
     def scrub(self) -> list[int]:
@@ -587,20 +621,52 @@ class FileStore:
         self.flush()
         return scrub_store(self, repair=repair)
 
-    def _reconstructed(self, stripe: Stripe) -> Stripe:
-        """A fully-decoded copy of a (possibly degraded) stripe.
+    # -- degraded plans: what a lost cell costs -------------------------------------
 
-        Routes through the resilient decoder so latent sector errors on
-        surviving disks are absorbed instead of crashing the read.
+    def _read_plan(
+        self, stripe: Stripe, wanted: tuple[int, ...], free: tuple[int, ...] = ()
+    ) -> "XorPlan | None":
+        """The compiled ``read`` plan of the lost slots ``wanted``, the
+        stripe's erased and latent cells being its erasure pattern and
+        the readable slots ``free`` fetched anyway; ``None`` when the
+        planner and peeling both reject the pattern (rung 3)."""
+        erasure = tuple(np.flatnonzero(stripe.erased | stripe.latent).tolist())
+        try:
+            return self._compiler.compile_plan(
+                self.code, "read", (erasure, wanted, free)
+            )
+        except PlanError:
+            return None
+
+    def _planned(
+        self, stripe: Stripe, plan: "XorPlan", stats: IOStats | None = None
+    ) -> np.ndarray:
+        """The bytes of ``plan.outputs``, one row each, the live stripe
+        left untouched (readers may share it).
+
+        ``engine="python"`` is the independent byte oracle: it decodes a
+        copy of the whole stripe and picks the same cells out — every
+        counter is the plan's either way.
         """
-        if not stripe.any_faults():
-            return stripe
-        return decode_resilient(self.code, stripe, self.healing, engine=self.engine)
+        self.healing.chain_repairs += len(plan.outputs)
+        if self.engine != "python":
+            return self._resolve_backend(self.engine).gather(plan, stripe, stats=stats)
+        work = stripe.copy()
+        work.erased |= work.latent
+        work.latent[:] = False
+        self.code.decode(work)
+        return work.flat_view()[list(plan.outputs)]
 
     # -- byte I/O ----------------------------------------------------------------
 
     def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset`` (degraded reads included)."""
+        """Read ``size`` bytes at ``offset`` (degraded reads included).
+
+        A read writes no stripe (bar the flush a cached stripe needs
+        before parity can recover one of its cells), so readers may
+        share a store: lost elements are computed into scratch by their
+        stripe's read plan (:meth:`_read_stripe`).
+        """
         if offset < 0 or size < 0:
             raise InvalidParameterError("offset and size must be >= 0")
         element_index, within = divmod(offset, self.element_size)
@@ -621,40 +687,77 @@ class FileStore:
                 f"read [{offset}, {offset + size}) beyond capacity {self.capacity}"
             )
         out = bytearray()
-        cursor = offset
-        remaining = size
-        decoded_cache: dict[int, Stripe] = {}
-        while remaining > 0:
-            element_index, within = divmod(cursor, self.element_size)
-            stripe_idx, pos = self._locate(element_index)
-            chunk = min(remaining, self.element_size - within)
-            stripe = self.stripes[stripe_idx]
-            if (
-                self.cache is not None
-                and stripe_idx in self.cache
-                and not stripe.readable(pos)
+        stripe_bytes = self._eps * self.element_size
+        cursor, end = offset, offset + size
+        while cursor < end:
+            stripe_idx, start = divmod(cursor, stripe_bytes)
+            chunk = min(end - cursor, stripe_bytes - start)
+            out += self._read_stripe(stripe_idx, start, chunk)
+            cursor += chunk
+        return bytes(out)
+
+    def _read_stripe(self, stripe_idx: int, start: int, size: int) -> bytearray:
+        """Bytes ``[start, start + size)`` of one stripe's data cells.
+
+        Readable cells are copied as the read reaches them; the lost ones
+        are computed together afterwards by one read plan — Fig. 7's
+        minimal read set with one disk down (the readable cells this read
+        fetches anyway count as free), the decode schedule sliced to the
+        lost cells otherwise.  The ledger is charged what that fetches:
+        the requested readable cells plus the plan's extra reads, never
+        a lost cell — exactly what :meth:`RAID6Volume.degraded_read`
+        prices.
+        """
+        es, cols = self.element_size, self._cols
+        stripe = self.stripes[stripe_idx]
+        erased, latent = stripe.erased, stripe.latent
+        first = start // es
+        cells = self._data_positions[first : (start + size - 1) // es + 1]
+        out = bytearray()
+        lost: list[tuple[int, int, int]] = []  # (offset in out, lo, hi)
+        wanted: list[int] = []
+        for i, pos in enumerate(cells, first):
+            r, c = pos
+            lo, hi = max(start - i * es, 0), min(start + size - i * es, es)
+            if self.cache is not None and stripe_idx in self.cache and (
+                erased[r, c] or latent[r, c]
             ):
                 # Parity-based recovery needs the deferred deltas in.
                 self._flush_stripe(stripe_idx)
             served = self._element_io(stripe_idx, pos, "read")
-            self.stats.record_read(pos[1])
-            if stripe.readable(pos) and served:
-                buf = stripe.get(pos)
-            elif stripe_idx in decoded_cache:
-                buf = decoded_cache[stripe_idx].get(pos)
-            elif stripe.readable(pos):
-                # Transient exhaustion only: the media is fine, rebuild
-                # this element from its peers without decoding the rest.
-                buf = recover_element(
-                    self.code, stripe, pos, self.healing, engine=self.engine
-                )
+            if erased[r, c] or latent[r, c]:
+                lost.append((len(out), lo, hi))
+                wanted.append(r * cols + c)
+                out += bytes(hi - lo)
+            elif served:
+                out += memoryview(stripe.data[r, c, lo:hi])
             else:
-                decoded_cache[stripe_idx] = self._reconstructed(stripe)
-                buf = decoded_cache[stripe_idx].get(pos)
-            out += bytes(buf[within : within + chunk])
-            cursor += chunk
-            remaining -= chunk
-        return bytes(out)
+                # Transient exhaustion only: the media is fine, rebuild
+                # this element from its peers (rung 2 of the ladder).
+                out += memoryview(
+                    recover_element(
+                        self.code, stripe, pos, self.healing, engine=self.engine
+                    )[lo:hi]
+                )
+        if not lost:
+            self.stats.record_reads([c for _, c in cells])
+            return out
+        free = tuple(
+            r * cols + c for r, c in cells if not (erased[r, c] or latent[r, c])
+        )
+        plan = self._read_plan(stripe, tuple(wanted), free)
+        if plan is None:
+            restored = decode_resilient(
+                self.code, stripe, self.healing, engine=self.engine
+            )
+            values = restored.flat_view()[wanted]
+            self.stats.record_reads([c for _, c in cells])
+        else:
+            values = self._planned(stripe, plan, self.stats)
+            self.stats.record_reads([s % cols for s in sorted({*free, *plan.reads})])
+        for (at, lo, hi), value in zip(lost, values):
+            out[at : at + hi - lo] = memoryview(value[lo:hi])
+        return out
 
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, growing the store as needed."""
@@ -710,19 +813,18 @@ class FileStore:
         else:
             self._write_stripe_through(stripe_idx, pieces)
 
+    @staticmethod
     def _merge_pieces(
-        self, stripe: Stripe, pieces: list[Piece], charge_reads: bool
+        pieces: list[Piece], old: Callable[[Position], np.ndarray]
     ) -> dict[Position, np.ndarray]:
-        """Fold write pieces into full new element buffers (the RMW read)."""
+        """Fold write pieces into full new element buffers over
+        ``old(pos)``, each element's current bytes (the RMW read)."""
         updates: dict[Position, np.ndarray] = {}
         for pos, within, piece in pieces:
             base = updates.get(pos)
             if base is None:
-                base = stripe.get(pos).copy()
-                if charge_reads:
-                    self.stats.record_read(pos[1])
+                base = updates[pos] = old(pos).copy()
             base[within : within + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
-            updates[pos] = base
         return updates
 
     def _write_stripe_through(self, stripe_idx: int, pieces: list[Piece]) -> None:
@@ -735,7 +837,8 @@ class FileStore:
         stripe = self.stripes[stripe_idx]
         if self.journal is not None:
             self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
-        updates = self._merge_pieces(stripe, pieces, charge_reads=True)
+        updates = self._merge_pieces(pieces, stripe.get)
+        self.stats.record_reads([c for _, c in updates])
         rewritten = self.code.update_elements(stripe, updates)
         for pos, buf in updates.items():
             self.sidecar.record(stripe_idx, pos, buf)
@@ -790,35 +893,88 @@ class FileStore:
             self._maybe_checkpoint()  # a flush ends in one too
 
     def _write_stripe_degraded(self, stripe_idx: int, pieces: list[Piece]) -> None:
-        """Reconstruct-write: decode once, update, persist survivors once.
+        """Degraded read-modify-write, priced as :meth:`RAID6Volume.write`.
 
-        The decoded copy absorbs every piece before anything is
-        persisted, so a multi-element write costs one decode and one
-        stripe-wide persist instead of one of each per element.
+        Only the old values the disks cannot return are computed — of a
+        written cell that is lost, through its own read plan (Fig. 7's
+        cheapest chain with one disk down), and of a latent parity — then
+        the new bytes land and the compiled ``update`` plan folds the
+        deltas into every dirtied parity (:meth:`KernelBackend.update`).
+        A parity on a failed disk is neither read nor written; only its
+        CRC advances, by the delta it would have taken
+        (:meth:`ChecksumSidecar.record_delta`).  Every other cell keeps
+        its CRC, so a silent flip stays on record for scrub and rebuild.
         """
         stripe = self.stripes[stripe_idx]
+        data, erased, latent = stripe.data, stripe.erased, stripe.latent
         if self.journal is not None:
             # Recovery re-derives what parity the surviving chains allow.
             self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
-        restored = self._reconstructed(stripe)
-        updates = self._merge_pieces(restored, pieces, charge_reads=False)
-        rewritten = self.code.update_elements(restored, updates)
-        surviving = [c for c in range(self.code.cols) if c not in self.failed_disks]
-        for c in surviving:
-            # The decode read the column; the persist rewrites it.
-            self.stats.record_read(c, self.code.rows)
-            self.stats.record_write(c, self.code.rows)
-            stripe.set_column(c, restored.data[:, c])
-        # Only what the write changed is re-checksummed (failed columns
-        # included: the sidecar tracks logical content), so a silent flip
-        # the decode read through stays on record for scrub and rebuild.
-        for pos in updates.keys() | rewritten:
-            self.sidecar.record(stripe_idx, pos, restored.data[pos])
-        self.data_writes += len(updates)
-        self.parity_writes += sum(
-            1 for (_, c) in self.code.parity_positions if c not in self.failed_disks
+        plan = self._compiler.compile_plan(
+            self.code, "update", [pos for pos, _, _ in pieces]
         )
+        cells, parities = plan.pattern_positions, plan.output_positions
+        olds: dict[Position, np.ndarray] = {}
+        extra: set[int] = set()
+        for pos in [p for p in cells if erased[p] or latent[p]] + [
+            p for p in parities if latent[p]
+        ]:
+            read = self._read_plan(stripe, (pos[0] * self._cols + pos[1],))
+            if read is None:
+                olds[pos] = recover_element(
+                    self.code, stripe, pos, self.healing, engine=self.engine
+                )
+            else:
+                olds[pos] = self._planned(stripe, read, self.stats)[0]
+                extra.update(read.reads)
+        news = self._merge_pieces(pieces, lambda pos: olds.get(pos, data[pos]))
+        # What each dirty slot held, as the update plan's delta build
+        # sees it (``live ⊕ pre``): a lost cell stays zeroed, so its
+        # pre-image is the whole delta.
+        pre: dict[int, np.ndarray] = {}
+        for slot, pos in zip(plan.pattern, cells):
+            if erased[pos]:
+                data[pos] = 0
+                pre[slot] = olds[pos] ^ news[pos]
+            else:
+                pre[slot] = olds[pos] if pos in olds else data[pos].copy()
+                data[pos] = news[pos]
+                latent[pos] = False
+        for pos in parities:
+            if erased[pos]:
+                data[pos] = 0  # the fold leaves the parity's delta here
+            elif latent[pos]:
+                data[pos] = olds[pos]
+        self._crash_point("data-write")
+        if self.engine == "python":
+            deltas = {pos: data[pos] ^ pre[slot] for slot, pos in zip(plan.pattern, cells)}
+            for chain in self.code.encode_order:
+                members = [deltas[m] for m in chain.members if m in deltas]
+                if members:
+                    deltas[chain.parity] = np.bitwise_xor.reduce(members)
+                    data[chain.parity] ^= deltas[chain.parity]
+        else:
+            self._resolve_backend(self.engine).update(
+                plan, [stripe], [pre], stats=self.stats
+            )
         self._crash_point("parity-write")
+        for pos in cells:
+            self.sidecar.record(stripe_idx, pos, news[pos])
+        for pos in parities:
+            if erased[pos]:
+                self.sidecar.record_delta(stripe_idx, pos, data[pos])
+                data[pos] = 0
+            else:
+                latent[pos] = False
+                self.sidecar.record(stripe_idx, pos, data[pos])
+        # The ledger: RAID6Volume.write's prices.
+        landed = [c for r, c in cells if not erased[r, c]]
+        rewritten = [c for r, c in parities if not erased[r, c]]
+        self.stats.record_reads(landed + rewritten)
+        self.stats.record_writes(landed + rewritten)
+        self.stats.record_reads(s % self._cols for s in extra.difference(plan.pattern))
+        self.data_writes += len(landed)
+        self.parity_writes += len(rewritten)
         self._journal_commit(stripe_idx)
         self._maybe_checkpoint()
 

@@ -133,12 +133,15 @@ class Stripe:
         self.data[r, c] = 0
 
     def erase_disks(self, disks: Iterable[int]) -> None:
-        """Erase every element of the given columns (whole-disk failure)."""
+        """Erase every element of the given columns (whole-disk failure),
+        as :meth:`erase` does per element: one slice assignment per
+        array."""
         for d in disks:
             if not 0 <= d < self.cols:
                 raise InvalidParameterError(f"disk {d} outside 0..{self.cols - 1}")
-            for r in range(self.rows):
-                self.erase((r, d))
+            self.erased[:, d] = True
+            self.latent[:, d] = False
+            self.data[:, d] = 0
 
     def erased_positions(self) -> list[Position]:
         """All currently-erased cells, row-major."""

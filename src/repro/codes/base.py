@@ -92,9 +92,10 @@ class ParityChain:
         if len(set(self.members)) != len(self.members):
             raise LayoutError(f"chain at {self.parity} has duplicate members")
 
-    @property
+    @cached_property
     def equation_cells(self) -> frozenset[Position]:
-        """All cells of the XOR-to-zero equation (members + parity)."""
+        """All cells of the XOR-to-zero equation (members + parity);
+        built once per chain, the planners ask for it in their loops."""
         return frozenset(self.members) | {self.parity}
 
     @property

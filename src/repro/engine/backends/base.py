@@ -18,6 +18,11 @@ backend must:
 - **clear outputs**: erased/latent flags of the cells the plan wrote
   are lifted exactly like :func:`~repro.engine.executor.execute_plan`
   does.
+
+:meth:`KernelBackend.gather` is the one entry point that writes no
+stripe: it runs a plan with every cell it writes moved to scratch and
+hands the outputs back — how a degraded read computes lost cells of a
+stripe other readers share.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from ...array.stripe import Stripe, StripeBatch
-from ...exceptions import InvalidParameterError
+from ...exceptions import InvalidParameterError, PlanError
 from .. import executor as _executor
 
 if TYPE_CHECKING:
@@ -97,8 +102,74 @@ class KernelBackend:
         # on ``repro.engine.executor`` sees this call too.
         _executor.apply_update(plan, delta, stripes, stats=stats)
 
+    def gather(
+        self,
+        plan: "XorPlan",
+        stripe: Stripe,
+        *,
+        stats: "IOStats | None" = None,
+    ) -> np.ndarray:
+        """Run ``plan`` over ``stripe`` without writing it; return the
+        bytes of ``plan.outputs``, one row each, in that order.
+
+        Every cell the plan writes lives in a scratch row instead
+        (:func:`scratch_steps`), so threads reading one stripe under a
+        shared lock never see another's half-computed cell — the
+        degraded read's contract.  The rows are the caller's.
+        """
+        _executor._check_geometry(plan, stripe)
+        steps, rows = plan.derived("scratch_steps", scratch_steps)
+        buf = _executor._word_view(stripe)
+        scratch = np.empty((rows, buf.shape[-1]), dtype=buf.dtype)
+        cells = plan.num_cells
+
+        def view(slot: int) -> np.ndarray:
+            return buf[slot] if slot < cells else scratch[slot - cells]
+
+        for dst, srcs in steps:
+            out = view(dst)
+            if len(srcs) == 1:
+                np.copyto(out, view(srcs[0]))
+                continue
+            np.bitwise_xor(view(srcs[0]), view(srcs[1]), out=out)
+            for src in srcs[2:]:
+                np.bitwise_xor(out, view(src), out=out)
+        charge_stats(stats, plan, buf, len(steps))
+        return scratch[: len(plan.outputs)].view(np.uint8)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def scratch_steps(
+    plan: "XorPlan",
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
+    """``plan``'s steps with every cell it writes moved to scratch, and
+    the scratch rows that takes.
+
+    Slot ``num_cells + i`` is scratch row ``i``: the outputs first, in
+    order, then the other cells the plan writes, then its temporaries.
+    Cells the plan only reads stay where they are.
+    """
+    cells = plan.num_cells
+    written = [step.dst for step in plan.steps if step.dst < cells]
+    moved = {
+        slot: cells + i
+        for i, slot in enumerate(dict.fromkeys([*plan.outputs, *written]))
+    }
+    if not moved.keys().isdisjoint(plan.reads):
+        raise PlanError(
+            f"{plan.code_name} {plan.op} plan reads a cell before writing it; "
+            "it cannot run into scratch"
+        )
+
+    def slot_of(slot: int) -> int:
+        return slot + len(moved) if slot >= cells else moved.get(slot, slot)
+
+    steps = tuple(
+        (slot_of(step.dst), tuple(map(slot_of, step.srcs))) for step in plan.steps
+    )
+    return steps, len(moved) + plan.num_temps
 
 
 def split_targets(target: Target) -> "list[Stripe | StripeBatch]":

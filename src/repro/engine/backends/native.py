@@ -38,7 +38,13 @@ import numpy as np
 
 from ...exceptions import InvalidParameterError, PlanError
 from ..executor import _check_geometry, _clear_outputs
-from .base import KernelBackend, Target, charge_stats, split_targets
+from .base import (
+    KernelBackend,
+    Target,
+    charge_stats,
+    scratch_steps,
+    split_targets,
+)
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -251,6 +257,11 @@ def _plain_schedule(plan: "XorPlan") -> _Schedule:
     return _Schedule((step.dst, step.srcs) for step in plan.steps)
 
 
+def _gather_schedule(plan: "XorPlan") -> _Schedule:
+    steps, rows = plan.derived("scratch_steps", scratch_steps)
+    return _Schedule(steps, scratch_rows=rows)
+
+
 def _update_schedule(plan: "XorPlan") -> _Schedule:
     """The extended ``[delta build | plan | fold]`` schedule of an
     update plan.
@@ -359,6 +370,40 @@ class NativeBackend(KernelBackend):
             )
             charge_stats(stats, plan, flat, plan.fused_kernel_calls)
             _clear_outputs(plan, piece)
+
+    def gather(
+        self,
+        plan: "XorPlan",
+        stripe: "Stripe",
+        *,
+        stats: "IOStats | None" = None,
+    ) -> np.ndarray:
+        """:meth:`KernelBackend.gather` in one C call: the plan's
+        scratch rows are the kernel's temporaries."""
+        fn = _kernel()
+        if fn is None:
+            raise InvalidParameterError(
+                "native backend unavailable on this host (no C compiler); "
+                "use engine='auto' for graceful fallback"
+            )
+        schedule = plan.derived("native_gather_schedule", _gather_schedule)
+        _check_geometry(plan, stripe)
+        cell_bytes = stripe.element_size
+        scratch = np.empty((schedule.scratch_rows, cell_bytes), dtype=np.uint8)
+        fn(
+            _address(stripe.data),
+            _address(scratch),
+            1,
+            0,
+            cell_bytes,
+            schedule.addr,
+            schedule.n_steps,
+            plan.num_cells,
+            min(cell_bytes, NATIVE_TILE_BYTES),
+        )
+        if stats is not None:
+            stats.record_xor(schedule.xors * max(cell_bytes // 8, 1), 1)
+        return scratch[: len(plan.outputs)]
 
     # -- the end-to-end update path -------------------------------------------
 

@@ -19,6 +19,13 @@ One compiler per operation, all funneled through :func:`compile_plan`:
   sharing and cross-row vertical-parity sharing collapse into single
   multi-source steps, and the pairwise CSE below deduplicates cell
   pairs shared between chains.
+- ``read`` — a degraded read of some lost cells, pattern
+  ``(erased, wanted, free)``: with one whole disk lost, the Fig. 7
+  degraded-read planner (:func:`repro.recovery.single.plan_degraded_read`)
+  chooses one chain per wanted cell, counting the ``free`` cells the
+  request fetches anyway as already read; any other pattern runs the
+  ``decode`` schedule sliced backward from the wanted cells
+  (:func:`slice_plan`).
 
 Plans that peeling cannot complete (patterns needing the Gaussian
 reference decoder) raise :class:`~repro.exceptions.PlanError`; callers
@@ -47,7 +54,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from ..exceptions import InvalidParameterError, PlanError
+from ..exceptions import DecodeError, InvalidParameterError, PlanError
 from ..recovery.peeling import peel_schedule
 from .plan import PLAN_OPS, Position, XorPlan, XorStep
 
@@ -215,7 +222,9 @@ def compile_plan(
     / ``(f1, f2)`` for single/double disk recovery, and an iterable of
     erased positions for a generic decode.  ``planner`` selects the
     single-disk read minimizer (``greedy`` is deterministic and within
-    ~1% of the MILP; pass ``milp`` for the exact Fig. 9 optimum).
+    ~1% of the MILP; pass ``milp`` for the exact Fig. 9 optimum) for
+    ``recover-single`` and ``read``, whose pattern is ``(erased, wanted,
+    free)``: three iterables of cells.
     """
     if op not in PLAN_OPS:
         raise PlanError(f"unknown plan op {op!r}; known: {PLAN_OPS}")
@@ -235,6 +244,8 @@ def compile_plan(
         plan = _compile_double(code, canonical[0], canonical[1])
     elif op == "update":
         plan = _compile_update(code, canonical)
+    elif op == "read":
+        plan = _compile_read(code, canonical, planner, cache)
     else:
         plan = _compile_decode(code, canonical)
     if cse:
@@ -299,6 +310,17 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
                     "is a parity element, not data"
                 )
         return slots
+    if op == "read":
+        if len(pattern) != 3:
+            raise PlanError("read takes (erased, wanted, free) cells")
+        erased, wanted, free = (_slots(code, part) for part in pattern)
+        if not wanted or not set(wanted) <= set(erased):
+            raise PlanError("a read wants at least one cell, every one erased")
+        if not set(free).isdisjoint(erased):
+            raise PlanError("a read's free cells must be readable")
+        # Only the single-disk planner prices the cells a request
+        # fetches anyway; a sliced decode reads what its schedule reads.
+        return erased, wanted, free if _failed_disk(code, erased) is not None else ()
     if pattern and set(map(type, pattern)) == {int}:
         # All slots already (an erasure mask's flat non-zero indices):
         # the ends of the sorted tuple bound every one of them.
@@ -306,6 +328,16 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
         if 0 <= slots[0] and slots[-1] < code.rows * code.cols:
             return slots
     return tuple(sorted(_slot(code, cell) for cell in pattern))
+
+
+def _slots(code: "ArrayCode", cells) -> tuple[int, ...]:
+    """Cells as a sorted tuple of distinct slots; slots already (what a
+    store passes) cost one type pass and two bound checks."""
+    if set(map(type, cells)) == {int}:
+        slots = tuple(sorted(set(cells)))
+        if 0 <= slots[0] and slots[-1] < code.rows * code.cols:
+            return slots
+    return tuple(sorted({_slot(code, cell) for cell in cells}))
 
 
 def _slot(code: "ArrayCode", cell) -> int:
@@ -390,12 +422,7 @@ def lower_single_recovery(
     run exactly the chain choices its planner made (which may differ
     from the cache's default planner).
     """
-    slot = lambda pos: pos[0] * code.cols + pos[1]  # noqa: E731
-    steps = []
-    for cell in sorted(recovery.choices):
-        chain = recovery.choices[cell]
-        srcs = tuple(sorted(slot(c) for c in chain.equation_cells if c != cell))
-        steps.append(XorStep(dst=slot(cell), srcs=srcs))
+    steps = _chain_steps(code, recovery.choices)
     return XorPlan(
         code_name=code.name,
         p=code.p,
@@ -403,11 +430,26 @@ def lower_single_recovery(
         pattern=(recovery.failed_disk,),
         rows=code.rows,
         cols=code.cols,
-        steps=tuple(steps),
+        steps=steps,
         erased=tuple(step.dst for step in steps),
         outputs=tuple(step.dst for step in steps),
         rounds=1,
         groups=tuple((i,) for i in range(len(steps))),
+    )
+
+
+def _chain_steps(code: "ArrayCode", choices: dict) -> tuple[XorStep, ...]:
+    """One step per repaired cell, in cell order, XORing the rest of the
+    chain chosen for it."""
+    cols = code.cols
+    return tuple(
+        XorStep(
+            dst=r * cols + c,
+            srcs=tuple(
+                sorted(m[0] * cols + m[1] for m in chain.equation_cells if m != (r, c))
+            ),
+        )
+        for (r, c), chain in sorted(choices.items())
     )
 
 
@@ -563,6 +605,85 @@ def choose_update_strategy(
     return decision
 
 
+def _failed_disk(code: "ArrayCode", erased: tuple[int, ...]) -> int | None:
+    """The disk whose whole column is exactly the sorted slots ``erased``."""
+    disk = erased[0] % code.cols
+    if len(erased) == code.rows and all(slot % code.cols == disk for slot in erased):
+        return disk
+    return None
+
+
+def _compile_read(
+    code: "ArrayCode", pattern: tuple, planner: str, cache: PlanCache | None
+) -> XorPlan:
+    """Lower a degraded read: Fig. 7's chain choice, or a sliced decode."""
+    erased, wanted, free = pattern
+    disk = _failed_disk(code, erased)
+    if disk is not None:
+        from ..recovery.single import plan_degraded_read
+
+        try:
+            read = plan_degraded_read(
+                code,
+                disk,
+                [divmod(slot, code.cols) for slot in wanted + free],
+                method=planner,
+            )
+        except DecodeError:
+            pass  # no chain avoids the column: peeling may still reach it
+        else:
+            return XorPlan(
+                code_name=code.name,
+                p=code.p,
+                op="read",
+                pattern=pattern,
+                rows=code.rows,
+                cols=code.cols,
+                steps=_chain_steps(code, read.choices),
+                erased=erased,
+                outputs=wanted,
+                rounds=1,
+            )
+    decode = compile_plan(code, "decode", erased, cse=False, cache=cache)
+    return slice_plan(decode, pattern)
+
+
+def slice_plan(plan: XorPlan, pattern: tuple) -> XorPlan:
+    """The ``read`` plan of ``pattern = (erased, wanted, free)`` cut
+    from ``plan``, a schedule that repairs every erased cell.
+
+    P001's dead-step walk run in reverse: walking the schedule backward
+    from the wanted cells keeps exactly the steps they depend on, so
+    the other erased cells are computed only as far as the wanted ones
+    read them.
+    """
+    wanted = pattern[1]
+    needed = set(wanted)
+    kept: list[XorStep] = []
+    for step in reversed(plan.steps):
+        if step.dst in needed:
+            needed.discard(step.dst)
+            needed.update(step.srcs)
+            kept.append(step)
+    kept.reverse()
+    depth: dict[int, int] = {}
+    for step in kept:
+        depth[step.dst] = 1 + max(depth.get(s, 0) for s in step.srcs)
+    return XorPlan(
+        code_name=plan.code_name,
+        p=plan.p,
+        op="read",
+        pattern=pattern,
+        rows=plan.rows,
+        cols=plan.cols,
+        steps=tuple(kept),
+        num_temps=plan.num_temps,
+        erased=plan.erased,
+        outputs=wanted,
+        rounds=max(depth.values(), default=0),
+    )
+
+
 def _compile_decode(code: "ArrayCode", pattern: tuple[int, ...]) -> XorPlan:
     erased = [divmod(slot, code.cols) for slot in pattern]
     return _peel_to_plan(code, "decode", pattern, erased)
@@ -617,6 +738,8 @@ def eliminate_common_pairs(plan: XorPlan, max_temps: int = MAX_CSE_TEMPS) -> Xor
     tests check byte identity — with a strictly smaller
     :attr:`XorPlan.xors_per_word`.
     """
+    if len(plan.steps) < 2:
+        return plan  # no pair can be shared
     written = {step.dst for step in plan.steps}
     src_lists = [set(step.srcs) for step in plan.steps]
     temp_steps: list[XorStep] = []

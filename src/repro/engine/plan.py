@@ -25,6 +25,12 @@ dirtied parity slot to the XOR of the dirty members of its chain
 :func:`~repro.engine.executor.apply_update` then folds those deltas
 into the live stripe's parity cells.
 
+A ``read`` plan is a decode with *partial outputs*: its ``outputs``
+are the lost cells a degraded read wants, and the other erased cells
+may stay undefined.  It is run into scratch
+(:meth:`~repro.engine.backends.KernelBackend.gather`), never in place:
+readers sharing a stripe must not see a half-computed cell.
+
 Plans are immutable and hashable by content: :attr:`XorPlan.plan_hash`
 is the SHA-256 of the canonical JSON serialization, so a hash pinned in
 :mod:`repro.static.pins` detects any schedule drift — a changed chain
@@ -55,6 +61,7 @@ PLAN_OPS = (
     "recover-double",
     "decode",
     "update",
+    "read",
 )
 
 

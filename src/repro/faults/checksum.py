@@ -16,6 +16,7 @@ identical fault plans.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -44,6 +45,11 @@ def crc_of(buf) -> int:
         return zlib.crc32(buf)
     except (TypeError, ValueError, BufferError):
         return zlib.crc32(bytes(buf))
+
+
+@functools.lru_cache(maxsize=None)
+def _zeros_crc(size: int) -> int:
+    return zlib.crc32(bytes(size))
 
 
 class ChecksumSidecar:
@@ -92,6 +98,13 @@ class ChecksumSidecar:
             cells = [(r, c) for r in range(self.rows) for c in range(self.cols)]
         for r, c in cells:
             grid[r, c] = crc_of(data[r, c])
+
+    def record_delta(self, stripe_idx: int, pos: Position, delta) -> None:
+        """Advance one element's CRC by an XOR ``delta`` of its content,
+        without its bytes: CRC32 is affine over XOR, so
+        ``crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ)`` for equal lengths —
+        how a parity on a failed disk keeps its logical CRC current."""
+        self.stripes[stripe_idx][pos] ^= crc_of(delta) ^ _zeros_crc(len(delta))
 
     def expected(self, stripe_idx: int, pos: Position) -> int:
         return int(self.stripes[stripe_idx][pos])

@@ -37,10 +37,16 @@ Position = tuple[int, int]
 
 
 class HealingStats:
-    """Counters one healing call chain accumulates.
+    """Counters one healing call chain (or one store) accumulates.
 
-    ``chain_repairs`` and ``escalations`` mirror the scrub report;
-    ``reads`` is the element reads the ladder charged.
+    - ``chain_repairs``: lost or unreadable elements recomputed through
+      parity chains — by rung 2, and each cell a ``FileStore`` read,
+      degraded write or rebuild computes with a compiled plan;
+    - ``escalations``: rung-3 full decodes;
+    - ``reads``: element reads charged here rather than to a store's
+      :class:`~repro.array.iostats.IOStats` — rungs 1-3, and the
+      cells a ``FileStore.rebuild`` plan reads (degraded reads and
+      writes charge their plans' reads to ``IOStats``).
     """
 
     def __init__(self) -> None:

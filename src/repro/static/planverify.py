@@ -45,6 +45,11 @@ Pattern families (closed and enumerated, per op):
   cross-row neighbour — the shapes HV's sharing claims rest on) and
   the full-stripe write.
 
+A ``read`` plan is a decode with *partial outputs*: only its wanted
+cells must finish at their valuation, the other erased cells may stay
+undefined.  :func:`verify_plan` proves one; it is not a certificate
+family (its patterns are the requests a store meets).
+
 Patterns the compiler rejects (:class:`~repro.exceptions.PlanError`,
 e.g. EVENODD double erasures that need the Gaussian reference decoder)
 are counted as ``patterns_rejected`` — they produce no plan, so there
@@ -308,6 +313,43 @@ def _verify_update(symbols: CodeSymbols, plan: XorPlan) -> None:
             )
 
 
+def _verify_read(symbols: CodeSymbols, plan: XorPlan) -> None:
+    """Decode with partial outputs: the wanted cells must finish at
+    their valuation; the other erased cells may stay undefined."""
+    what = _describe(plan)
+    erased, wanted, _ = plan.pattern
+    lost = set(erased)
+    if (
+        tuple(plan.erased) != erased
+        or tuple(plan.outputs) != wanted
+        or not wanted
+        or not lost.issuperset(wanted)
+    ):
+        raise CertificationError(
+            f"{what}: erased {list(plan.erased)} / outputs "
+            f"{list(plan.outputs)} do not read the wanted cells of its pattern"
+        )
+    for i, step in enumerate(plan.steps):
+        if step.dst < plan.num_cells and step.dst not in lost:
+            raise CertificationError(
+                f"{what}: step {i} writes live cell slot {step.dst}"
+            )
+    init = {
+        slot: symbols.valuation[slot]
+        for slot in range(symbols.num_cells)
+        if slot not in lost
+    }
+    values = _symbolic_execute(plan, init, what=what)
+    for slot in wanted:
+        expect = symbols.valuation[slot]
+        if values[slot] != expect:
+            raise CertificationError(
+                f"{what}: wanted slot {slot} computes "
+                f"{symbols.render_mask(values[slot])}, parity-check system "
+                f"requires {symbols.render_mask(expect)}"
+            )
+
+
 def verify_plan(
     code: ArrayCode,
     plan: XorPlan,
@@ -338,6 +380,8 @@ def verify_plan(
         _verify_encode(symbols, plan)
     elif plan.op == "update":
         _verify_update(symbols, plan)
+    elif plan.op == "read":
+        _verify_read(symbols, plan)
     else:
         _verify_repair(symbols, plan)
 

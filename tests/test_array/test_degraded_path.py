@@ -1,14 +1,14 @@
 """The degraded path: plan first, rank oracle last.
 
 A degraded ``FileStore`` operation on a compiled engine costs one plan
-lookup and one kernel call per decode — finding the plan *is* the
+lookup and one kernel call per stripe — finding the plan *is* the
 recoverability proof — while the GF(2) rank oracle still guards the
 pure-Python decoder and every pattern peeling cannot finish.  These
 tests pin both halves, the engine differential of the whole
-fail → read → reconstruct-write → fail → read → rebuild drive, and the
-two checksum promises of that path: a reconstruct-write re-checksums
-only what it changed, and a rebuild gates a whole column before it
-commits any of it.
+fail → read → degraded write → fail → read → rebuild drive, and the
+two checksum promises of that path: a degraded write re-checksums only
+what it changed, and a rebuild gates a whole column before it commits
+any of it — refusing it exactly when the chains it chose read a flip.
 """
 
 import numpy as np
@@ -84,9 +84,10 @@ class TestHotPathIsEliminationFree:
         first = drive(store)
         del eliminations[:]
         misses = PLAN_CACHE.misses
-        escalations = store.healing.escalations
+        repairs = store.healing.chain_repairs
         second = drive(store)
-        assert store.healing.escalations > escalations  # it did decode
+        assert store.healing.chain_repairs > repairs  # it did decode
+        assert store.healing.escalations == 0  # never a full one
         assert eliminations == []
         assert PLAN_CACHE.misses == misses
         assert second[0] == first[2]  # the volume the first pass left
@@ -214,25 +215,61 @@ def test_drive_matches_the_python_engine(cls, p, engine):
     assert store.scrub_checksums(repair=False).clean
 
 
+def flip_then_write(code, flipped):
+    """Flip ``flipped`` in stripe 0 (or nothing), fail disk 4, and write
+    one data cell elsewhere through the degraded read-modify-write."""
+    store = filled_store(code, "auto")
+    flips = []
+    if flipped is not None:
+        store.stripes[0].flip_bits(flipped, byte_index=5)
+        flips = [(0, flipped)]
+    assert store.scrub_checksums(repair=False).flips_detected == flips
+    store.fail_disk(4)
+    store.write(written(code) * ELEMENT_SIZE, b"\xa5" * ELEMENT_SIZE)
+    # Only the written cell and its parities were re-checksummed: the
+    # flip is still on record.
+    assert store.scrub_checksums(repair=False).flips_detected == flips
+    return store, flips
+
+
+def written(code):
+    """The data element :func:`flip_then_write` writes."""
+    return next(i for i, pos in enumerate(code.data_positions) if pos[1] not in (2, 4))
+
+
+def rebuild_reads(code, disk):
+    """The other data cells the ``recover-single`` plan does / does not read."""
+    reads = {divmod(s, code.cols) for s in compile_plan(code, "recover-single", (disk,)).reads}
+    cells = [
+        pos
+        for i, pos in enumerate(code.data_positions)
+        if pos[1] != disk and i != written(code)
+    ]
+    return [p for p in cells if p in reads], [p for p in cells if p not in reads]
+
+
 class TestChecksumPromises:
     def test_reconstruct_write_does_not_launder_a_silent_flip(self):
         code = HVCode(7)
-        store = filled_store(code, "auto")
-        store.stripes[0].flip_bits((1, 2), byte_index=5)
-        flips = [(0, (1, 2))]
-        assert store.scrub_checksums(repair=False).flips_detected == flips
-        store.fail_disk(4)
-        other = next(
-            i for i, (r, c) in enumerate(code.data_positions) if c not in (2, 4)
-        )
-        store.write(other * ELEMENT_SIZE, b"\xa5" * ELEMENT_SIZE)
-        # Only the written cell and its parities were re-checksummed:
-        # the flip the decode read through is still on record ...
-        assert store.scrub_checksums(repair=False).flips_detected == flips
-        # ... and what was decoded *from* it cannot pass for good data.
+        read, _ = rebuild_reads(code, 4)
+        store, _ = flip_then_write(code, read[0])
+        # What the rebuild plan decodes *from* the flip cannot pass for
+        # good data.
         with pytest.raises(ChecksumMismatchError):
             store.rebuild(4)
         assert store.failed_disks == {4}
+
+    def test_a_flip_no_chosen_chain_reads_does_not_stop_the_rebuild(self):
+        code = HVCode(7)
+        _, unread = rebuild_reads(code, 4)
+        store, flips = flip_then_write(code, unread[0])
+        reference, _ = flip_then_write(code, None)
+        store.rebuild(4)
+        reference.rebuild(4)
+        for ours, theirs in zip(store.stripes, reference.stripes):
+            assert np.array_equal(ours.data[:, 4], theirs.data[:, 4])
+        assert store.failed_disks == set()
+        assert store.scrub_checksums(repair=False).flips_detected == flips
 
     @pytest.mark.parametrize("engine", ["python", "auto"])
     def test_rebuild_gates_the_whole_column_before_committing(self, engine):

@@ -4,7 +4,7 @@ Intents are idempotent flags, so a cached store that never drains
 compacts its device instead of growing it: past
 ``FileStore.journal_bound`` the live flags are re-logged (one intent
 per dirty stripe) and the rest is trimmed.  The property below drives
-that through interleaved cached writes, reads and reconstruct-writes
+that through interleaved cached writes, reads and degraded writes
 with **no flush**, and checks after every op that the device is within
 the bound and names exactly the cache's dirty stripes; the sustained
 run proves a long one really crosses compactions and what they cost.
@@ -65,12 +65,13 @@ def test_device_bounded_and_names_the_dirty_set(
         else:
             payload = np.random.default_rng(where).bytes(size)
             if kind == "reconstruct-write":
-                # A latent sector error under the write's first stripe:
-                # the store flushes that stripe alone, decodes it and
-                # commits the write synchronously, healing the sector.
-                stripe = store.stripes[offset // store.bytes_per_stripe]
-                cells = code.data_positions
-                stripe.latent[cells[where % len(cells)]] = True
+                # A latent sector error under the write's first element:
+                # the store flushes that stripe alone, recovers the old
+                # bytes through a read plan and commits the write
+                # synchronously, rewriting the sector.
+                stripe_idx, within = divmod(offset, store.bytes_per_stripe)
+                cell = code.data_positions[within // ELEMENT_SIZE]
+                store.stripes[stripe_idx].latent[cell] = True
             store.write(offset, payload)
             oracle.write(offset, payload)
         check_journal(store)
