@@ -36,7 +36,7 @@ SEED = 0
 
 def build_store() -> FileStore:
     return FileStore(
-        HVCode(P), element_size=ELEMENT_SIZE, engine="vector", cache_stripes=2
+        HVCode(P), element_size=ELEMENT_SIZE, engine="fused", cache_stripes=2
     )
 
 

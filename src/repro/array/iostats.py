@@ -5,9 +5,9 @@ many element-sized reads and writes land on each disk.  ``IOStats``
 is the ledger: the RAID volume records into it, and the metrics module
 (load-balancing rate, totals) reads from it.
 
-Engine runs add a *compute* dimension: the vectorized executor
-(:mod:`repro.engine.executor`) records how many 64-bit word XORs and
-how many vector-kernel invocations a plan cost, so experiments can
+Engine runs add a *compute* dimension: the kernel backends
+(:mod:`repro.engine.backends`) record how many 64-bit word XORs and
+how many kernel invocations a plan cost, so experiments can
 report compute cost alongside I/O cost from the same object.
 
 Journaled stores (:mod:`repro.journal`) add a third dimension: how
@@ -53,7 +53,8 @@ class IOStats:
     writes: list[int] = field(default_factory=list)
     #: 64-bit word XOR operations executed by the compute engine.
     xor_words: int = 0
-    #: vector-kernel invocations (one numpy ufunc call each).
+    #: kernel invocations; the unit is backend-specific
+    #: (:func:`repro.engine.backends.charge_stats`).
     kernel_invocations: int = 0
     #: batched parity-delta flushes executed by the write-back cache
     #: (one per update-plan execution over a dirty-pattern group).

@@ -282,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
-        default="vector",
-        help="kernel backend every shard store runs on (timing-side "
-        "knob; the report hash never sees it)",
+        default="fused",
+        help="kernel backend every shard store runs on; its XOR and "
+        "kernel counts are hashed, so --smoke pins fused",
     )
     serve.add_argument(
         "--smoke",

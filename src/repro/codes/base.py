@@ -307,8 +307,8 @@ class ArrayCode(ABC):
     def encode(self, stripe: Stripe, *, engine: str = "python") -> None:
         """Fill every parity cell of ``stripe`` from its members.
 
-        Any compiled engine (``"vector"``, ``"fused"``, ``"native"``,
-        ``"auto"`` — see :mod:`repro.engine.backends`) routes
+        Any compiled engine (``"fused"``, ``"native"``, ``"auto"`` —
+        see :mod:`repro.engine.backends`) routes
         through the plan executor: the parity schedule is
         lowered once, cached, and run as in-place word-wide XOR
         kernels by the selected backend.  The default ``"python"``
@@ -468,8 +468,8 @@ class ArrayCode(ABC):
         the paper's codes use), then falls back to Gaussian elimination
         over the parity-check system for anything peeling cannot reach.
 
-        Any compiled engine (``"vector"``, ``"fused"``, ``"native"``,
-        ``"auto"``) compiles the peel schedule for this erasure
+        Any compiled engine (``"fused"``, ``"native"``, ``"auto"``)
+        compiles the peel schedule for this erasure
         pattern into an :class:`~repro.engine.XorPlan` (cached
         per pattern) and executes it with word-wide XOR kernels on the
         selected backend.  Patterns that peeling alone cannot finish —

@@ -72,7 +72,6 @@ class HVDoubleFailurePlan:
         *,
         engine: str = "python",
         stats=None,
-        workers: int | None = None,
     ) -> None:
         """Repair the stripe in place, chain by chain.
 
@@ -81,11 +80,11 @@ class HVDoubleFailurePlan:
         bug in the claimed independence of the four chains would
         surface as a read of a still-erased element.
 
-        ``engine="vector"`` compiles the same four chains into an
-        :class:`~repro.engine.XorPlan` (one plan group per chain) and
-        runs it with word-wide XOR kernels; ``workers=`` then executes
-        the chains genuinely concurrently — the paper's parallel
-        Algorithm-1 claim made operational — and ``stats`` accumulates
+        A compiled engine (``"fused"``, ``"native"``, ``"auto"``)
+        compiles the same four chains into an
+        :class:`~repro.engine.XorPlan` — one plan group per chain,
+        proven independent by :mod:`repro.static.planverify` — and runs
+        it with word-wide XOR kernels; ``stats`` accumulates
         XOR-word/kernel counters.
         """
         self.code._check_stripe(stripe)
@@ -93,7 +92,7 @@ class HVDoubleFailurePlan:
 
         if require_engine(engine) != "python":
             plan = compile_plan(self.code, "recover-double", (self.f1, self.f2))
-            execute_plan(plan, stripe, stats=stats, workers=workers, backend=engine)
+            execute_plan(plan, stripe, stats=stats, backend=engine)
             return
         depth = self.longest_chain
         for step in range(depth):

@@ -1,9 +1,10 @@
-"""repro.engine — plan compiler and vectorized XOR executor.
+"""repro.engine — plan compiler and XOR plan executor.
 
 The engine turns a code's parity equations into a flat, topologically
 ordered XOR schedule (:class:`XorPlan`) once, caches it, and then runs
-that schedule over ``uint64``-viewed stripe buffers with a handful of
-numpy kernels per step.  The pure-Python decoders in
+that schedule over ``uint64``-viewed stripe buffers through a kernel
+backend: tiled numpy kernels (``fused``) or a compiled C loop
+(``native``).  The pure-Python decoders in
 :mod:`repro.codes` remain the reference oracle; every plan is checked
 byte-identical against them in the differential tests.
 
@@ -12,15 +13,17 @@ Typical use::
     from repro.engine import compile_plan, execute_plan
 
     plan = compile_plan(code, "recover-double", (0, 2))
-    execute_plan(plan, stripe)           # one stripe
-    execute_plan(plan, batch)            # a StripeBatch, one kernel per step
-    execute_plan(plan, stripe, workers=4)  # chains in parallel
+    execute_plan(plan, stripe)                  # one stripe, fused
+    execute_plan(plan, batch, backend="auto")   # a StripeBatch, native if built
 
 Higher layers normally never touch this module directly — they pass
-``engine="vector"`` (or any backend name from
-:mod:`repro.engine.backends`: ``fused``, ``native``, ``auto``) to
-:meth:`ArrayCode.encode/decode`, the recovery planners, or
-:class:`RAID6Volume` and the wiring lands here.
+a backend name from :mod:`repro.engine.backends` (``fused``,
+``native``, ``auto``) as ``engine=`` to :meth:`ArrayCode.encode/decode`,
+the recovery planners, or :class:`RAID6Volume` and the wiring lands
+here.  Algorithm 1's independent recovery chains are plan structure
+(:attr:`XorPlan.groups`, :attr:`XorPlan.rounds`) that
+:mod:`repro.static.planverify` proves independent (rule P003); no
+executor runs them on threads.
 """
 
 from .backends import (
@@ -43,12 +46,7 @@ from .compile import (
     eliminate_common_pairs,
     lower_single_recovery,
 )
-from .executor import (
-    apply_update,
-    execute_plan,
-    execute_plan_scalar,
-    shutdown_executor_pool,
-)
+from .executor import apply_update, execute_plan, execute_plan_scalar
 from .plan import PLAN_OPS, XorPlan, XorStep
 
 __all__ = [
@@ -74,5 +72,4 @@ __all__ = [
     "require_engine",
     "resolve_backend",
     "shutdown_backends",
-    "shutdown_executor_pool",
 ]

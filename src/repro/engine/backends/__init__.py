@@ -1,17 +1,14 @@
 """Pluggable kernel backends behind the ``engine=`` seam.
 
-Every site that accepted ``engine="python" | "vector"`` now accepts any
-registered backend name, plus ``"auto"``.  Backends are *execution
+Every site that takes an ``engine=`` accepts any registered backend
+name, plus ``"auto"`` and ``"python"``.  Backends are *execution
 strategies only*: they consume the same compiled, hash-pinned
 :class:`~repro.engine.plan.XorPlan` IR and differ solely in how the
-kernels are issued.  The registry ships three:
+kernels are issued.  The registry ships two:
 
-``vector``
-    The classic per-step executor (:func:`repro.engine.executor.execute_plan`)
-    — one numpy kernel per XOR source, ``groups`` thread fan-out.
 ``fused``
-    Tiled whole-region execution; the plan runs L2-block by L2-block so
-    steps reuse cache-resident data (:mod:`.fused`).
+    The one numpy executor: the plan runs L2-block by L2-block over
+    the whole region so steps reuse cache-resident data (:mod:`.fused`).
 ``native``
     A C inner loop compiled on first use via ``ctypes``; optional —
     :meth:`~.base.KernelBackend.available` is False without a host
@@ -24,22 +21,14 @@ handled by the callers themselves (codes, stores), not by a backend.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ...exceptions import InvalidParameterError
-from .. import executor as _executor
 from .base import KernelBackend, Target, charge_stats, split_targets
 from .fused import FusedBackend
 from .native import NativeBackend
 
-if TYPE_CHECKING:
-    from ...array.iostats import IOStats
-    from ..plan import XorPlan
-
 __all__ = [
     "KernelBackend",
     "Target",
-    "VectorBackend",
     "FusedBackend",
     "NativeBackend",
     "ENGINE_CHOICES",
@@ -52,22 +41,6 @@ __all__ = [
     "shutdown_backends",
     "split_targets",
 ]
-
-
-class VectorBackend(KernelBackend):
-    """The classic per-step executor, wrapped as a backend."""
-
-    name = "vector"
-
-    def execute(
-        self,
-        plan: "XorPlan",
-        target: Target,
-        *,
-        stats: "IOStats | None" = None,
-        workers: int | None = None,
-    ) -> None:
-        _executor.execute_plan(plan, target, stats=stats, workers=workers)
 
 
 #: The backend registry, keyed by the ``engine=`` string.
@@ -84,13 +57,12 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
     return backend
 
 
-register_backend(VectorBackend())
 register_backend(FusedBackend())
 register_backend(NativeBackend())
 
 #: Every value the ``engine=`` seam accepts.  ``python`` is the scalar
 #: reference path (no backend object); the rest resolve here.
-ENGINE_CHOICES = ("python", "vector", "fused", "native", "auto")
+ENGINE_CHOICES = ("python", "fused", "native", "auto")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -115,12 +87,13 @@ def resolve_backend(engine: str) -> KernelBackend:
 
     ``"auto"`` walks the fallback ladder — ``native`` when the host can
     compile it, else ``fused``.  Asking for an unavailable backend by
-    its explicit name is an error (the caller opted out of fallback).
+    its explicit name is an error (the caller opted out of fallback),
+    and so is a name outside :data:`ENGINE_CHOICES`.
     """
     if engine == "auto":
         native = _REGISTRY["native"]
         return native if native.available() else _REGISTRY["fused"]
-    backend = get_backend(engine)
+    backend = get_backend(require_engine(engine))
     if not backend.available():
         raise InvalidParameterError(
             f"backend {engine!r} is unavailable on this host; "
@@ -144,5 +117,5 @@ def require_engine(engine: str) -> str:
 
 
 def shutdown_backends() -> None:
-    """Release pooled resources (the ``workers=`` executor threads)."""
-    _executor.shutdown_executor_pool()
+    """The teardown hook: no backend holds pooled resources, so there
+    is nothing to release."""

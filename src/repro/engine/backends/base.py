@@ -2,18 +2,17 @@
 
 A :class:`KernelBackend` is an *execution strategy* for a compiled
 :class:`~repro.engine.plan.XorPlan`: same IR in, same bytes out, only
-the kernel shape differs (per-step numpy calls, fused tiled regions,
-a native C inner loop).  Backends never touch the compiler or the
-plan — the plan-hash pins stay untouched by construction — and every
-backend must:
+the kernel shape differs (tiled numpy regions, a native C inner
+loop).  Backends never touch the compiler or the plan — the plan-hash
+pins stay untouched by construction — and every backend must:
 
 - be **byte-identical** to the scalar oracle
-  (:func:`~repro.engine.executor.execute_plan_scalar`) for any target
-  the vector executor accepts, including uint8-lane fallbacks for
-  unaligned element sizes and degraded stripes;
+  (:func:`~repro.engine.executor.execute_plan_scalar`) for any
+  :data:`Target`, including uint8-lane fallbacks for unaligned element
+  sizes and degraded stripes;
 - **charge the ledger**: word-XOR and kernel counts are recorded on
-  the caller's :class:`~repro.array.iostats.IOStats` with the same
-  64-bit-word normalization the vector executor uses (lint rule R010
+  the caller's :class:`~repro.array.iostats.IOStats`, XOR work
+  normalized to 64-bit words (:func:`charge_stats`; lint rule R010
   enforces that every backend entry point takes the ``stats`` seam);
 - **clear outputs**: erased/latent flags of the cells the plan wrote
   are lifted exactly like :func:`~repro.engine.executor.execute_plan`
@@ -35,6 +34,7 @@ import numpy as np
 from ...array.stripe import Stripe, StripeBatch
 from ...exceptions import InvalidParameterError, PlanError
 from .. import executor as _executor
+from ..plan import XorStep
 
 if TYPE_CHECKING:
     from ...array.iostats import IOStats
@@ -66,7 +66,6 @@ class KernelBackend:
         target: Target,
         *,
         stats: "IOStats | None" = None,
-        workers: int | None = None,
     ) -> None:
         """Run ``plan`` in place on ``target`` (see module contract)."""
         raise NotImplementedError
@@ -117,33 +116,24 @@ class KernelBackend:
         shared lock never see another's half-computed cell — the
         degraded read's contract.  The rows are the caller's.
         """
+        from .fused import run_plan_region, tile_columns  # fused builds on this module
+
         _executor._check_geometry(plan, stripe)
         steps, rows = plan.derived("scratch_steps", scratch_steps)
         buf = _executor._word_view(stripe)
-        scratch = np.empty((rows, buf.shape[-1]), dtype=buf.dtype)
-        cells = plan.num_cells
-
-        def view(slot: int) -> np.ndarray:
-            return buf[slot] if slot < cells else scratch[slot - cells]
-
-        for dst, srcs in steps:
-            out = view(dst)
-            if len(srcs) == 1:
-                np.copyto(out, view(srcs[0]))
-                continue
-            np.bitwise_xor(view(srcs[0]), view(srcs[1]), out=out)
-            for src in srcs[2:]:
-                np.bitwise_xor(out, view(src), out=out)
-        charge_stats(stats, plan, buf, len(steps))
+        words = buf.shape[-1]
+        scratch = np.empty((rows, words), dtype=buf.dtype)
+        ntiles = run_plan_region(
+            buf, steps, plan.num_cells, scratch, tile_columns(buf.dtype, words)
+        )
+        charge_stats(stats, plan, buf, len(steps) * ntiles)
         return scratch[: len(plan.outputs)].view(np.uint8)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-def scratch_steps(
-    plan: "XorPlan",
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], int]:
+def scratch_steps(plan: "XorPlan") -> "tuple[tuple[XorStep, ...], int]":
     """``plan``'s steps with every cell it writes moved to scratch, and
     the scratch rows that takes.
 
@@ -167,7 +157,8 @@ def scratch_steps(
         return slot + len(moved) if slot >= cells else moved.get(slot, slot)
 
     steps = tuple(
-        (slot_of(step.dst), tuple(map(slot_of, step.srcs))) for step in plan.steps
+        XorStep(slot_of(step.dst), tuple(map(slot_of, step.srcs)))
+        for step in plan.steps
     )
     return steps, len(moved) + plan.num_temps
 
@@ -197,10 +188,11 @@ def charge_stats(
     """Record a region execution on the ledger.
 
     ``buf`` is the word (or uint8-fallback) view the region ran over;
-    XOR work is normalized to 64-bit words exactly like the vector
-    executor so the counter has one unit regardless of backend or
-    dtype path.  ``kernels`` is backend-specific: fused reductions for
-    the region backends, ufunc invocations for the vector path.
+    XOR work is normalized to 64-bit words so the counter has one unit
+    regardless of backend or dtype path.  ``kernels`` is
+    backend-specific: one per step per tile on ``fused``, one per step
+    per region on ``native``'s ``execute``, one per call on its
+    ``gather`` and ``update``.
     """
     if stats is None:
         return

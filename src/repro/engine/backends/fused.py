@@ -1,9 +1,8 @@
 """The fused region executor: tiled, multi-stripe, cache-resident.
 
-The classic vector executor issues one numpy kernel per XOR source per
-step over the *whole* buffer.  At megabyte regions that streams every
-cell through DRAM once per step; at L2-resident sizes the per-call
-dispatch overhead dominates.  The fused executor fixes both ends:
+The one place numpy interprets a plan's steps.  Per step and tile it
+issues one ``bitwise_xor`` per extra source; what it adds to a plain
+step loop is the region and the tiling:
 
 - the region — a :class:`~repro.array.stripe.StripeBatch` is executed
   as one ``(lanes, cells, words)`` array, so each kernel covers every
@@ -16,11 +15,12 @@ dispatch overhead dominates.  The fused executor fixes both ends:
 
 Each destination is one fused reduction per tile in the cost model
 (:attr:`~repro.engine.plan.XorPlan.fused_kernel_calls`), which is what
-the ledger records — the regression test pins that
-``kernel_invocations`` drops versus the per-step vector path.
+the ledger records.
 
 :func:`run_plan_region` is the engine-room: a pure function over an
-ndarray region, no Stripe objects.
+ndarray region, no Stripe objects.  :meth:`FusedBackend.execute`, the
+default :meth:`~.base.KernelBackend.gather` and
+:func:`~repro.engine.executor.execute_plan` all run through it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from ..executor import _check_geometry, _clear_outputs, _word_view
 from .base import KernelBackend, Target, charge_stats, split_targets
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from ...array.iostats import IOStats
     from ..plan import XorPlan, XorStep
 
@@ -50,35 +52,33 @@ def tile_columns(dtype: np.dtype, words: int) -> int:
 
 def run_plan_region(
     buf: np.ndarray,
-    steps: "tuple[XorStep, ...]",
+    steps: "Iterable[XorStep]",
     num_cells: int,
-    num_temps: int,
+    scratch: np.ndarray | None,
     tile: int,
 ) -> int:
     """Execute a step schedule over one region, tiled; returns tile count.
 
     ``buf`` is ``(cells, words)`` or ``(lanes, cells, words)``; dtype
     is whatever view the caller holds (uint64 fast path or the uint8
-    fallback for unaligned elements).  Temporaries live per tile, so
-    scratch stays small no matter how large the region is.
+    fallback for unaligned elements).  Slot ``num_cells + i`` is row
+    ``i`` of ``scratch``, which is either ``tile`` columns wide —
+    temporaries reused by every tile, so scratch stays small however
+    large the region is — or as wide as ``buf``: rows the caller keeps.
     """
     words = buf.shape[-1]
-    temps = (
-        np.empty(buf.shape[:-2] + (num_temps, tile), dtype=buf.dtype)
-        if num_temps
-        else None
-    )
+    full = scratch is not None and scratch.shape[-1] == words
     ntiles = 0
     for start in range(0, words, tile):
         stop = min(start + tile, words)
-        n = stop - start
+        base = start if full else 0
         ntiles += 1
 
         def view(slot: int) -> np.ndarray:
             if slot < num_cells:
                 return buf[..., slot, start:stop]
-            assert temps is not None
-            return temps[..., slot - num_cells, :n]
+            assert scratch is not None
+            return scratch[..., slot - num_cells, base : base + stop - start]
 
         for step in steps:
             dst = view(step.dst)
@@ -103,19 +103,17 @@ class FusedBackend(KernelBackend):
         target: Target,
         *,
         stats: "IOStats | None" = None,
-        workers: int | None = None,
     ) -> None:
-        """Run ``plan`` tile by tile over each contiguous region.
-
-        ``workers`` is accepted for seam compatibility and ignored —
-        fusion is a single-thread strategy.
-        """
+        """Run ``plan`` tile by tile over each contiguous region."""
         for piece in split_targets(target):
             _check_geometry(plan, piece)
             buf = _word_view(piece)
             tile = tile_columns(buf.dtype, buf.shape[-1])
-            ntiles = run_plan_region(
-                buf, plan.steps, plan.num_cells, plan.num_temps, tile
+            temps = (
+                np.empty(buf.shape[:-2] + (plan.num_temps, tile), dtype=buf.dtype)
+                if plan.num_temps
+                else None
             )
+            ntiles = run_plan_region(buf, plan.steps, plan.num_cells, temps, tile)
             charge_stats(stats, plan, buf, plan.fused_kernel_calls * ntiles)
             _clear_outputs(plan, piece)

@@ -7,8 +7,9 @@ memory pass per call.  The C kernel collapses each step into a single
 multi-source reduction — every source read once, the destination
 written once — and walks the whole schedule tile by tile in one
 ``ctypes`` call per region, so per-step overhead disappears entirely.
-Measured on the benchmark host this is 2–4x over the single-thread
-vector path at both L2-resident and DRAM-resident region sizes.
+Measured on the benchmark host this is 1.6–2x over the fused numpy
+path at both L2-resident and DRAM-resident region sizes
+(docs/ENGINE.md).
 
 The backend is **optional by construction**: the C source below is
 compiled with whatever ``cc``/``gcc``/``clang`` the host has, at first
@@ -259,7 +260,7 @@ def _plain_schedule(plan: "XorPlan") -> _Schedule:
 
 def _gather_schedule(plan: "XorPlan") -> _Schedule:
     steps, rows = plan.derived("scratch_steps", scratch_steps)
-    return _Schedule(steps, scratch_rows=rows)
+    return _Schedule(((step.dst, step.srcs) for step in steps), scratch_rows=rows)
 
 
 def _update_schedule(plan: "XorPlan") -> _Schedule:
@@ -332,13 +333,8 @@ class NativeBackend(KernelBackend):
         target: Target,
         *,
         stats: "IOStats | None" = None,
-        workers: int | None = None,
     ) -> None:
-        """Run the whole schedule in one C call per contiguous region.
-
-        ``workers`` is accepted for seam compatibility and ignored
-        (the native loop is single-thread).
-        """
+        """Run the whole schedule in one C call per contiguous region."""
         fn = _kernel()
         if fn is None:
             raise InvalidParameterError(

@@ -1,40 +1,26 @@
 """Run :class:`XorPlan` schedules over word-viewed stripe buffers.
 
-Three execution tiers, all byte-identical (the differential tests
-assert it):
+Two execution tiers, byte-identical (the differential tests assert
+it):
 
-- :func:`execute_plan` — the vectorized path: the stripe (or a whole
-  :class:`~repro.array.stripe.StripeBatch`) is reinterpreted as a
-  ``(..., cells, words)`` ``uint64`` view and every step becomes a
-  handful of in-place ``numpy.bitwise_xor`` kernels.  A batch executes
-  each kernel once across all N stripes (the batch is the leading
-  axis), so per-step Python overhead amortizes to nothing.
-- the ``workers=`` path inside :func:`execute_plan` — plans that carry
-  independent step groups (the four Algorithm-1 recovery chains, the
-  per-element steps of a single-disk rebuild) fan the groups out over
-  a thread pool.  numpy releases the GIL inside ``bitwise_xor``, so on
-  multicore hosts the chains genuinely overlap, mirroring the paper's
-  parallel-recovery claim; on a single core it degrades gracefully to
-  the serial schedule.
+- :func:`execute_plan` — dispatch through the kernel-backend registry
+  (:mod:`repro.engine.backends`): ``fused`` by default, the one numpy
+  executor, which reinterprets the stripe (or a whole
+  :class:`~repro.array.stripe.StripeBatch`) as a ``(..., cells, words)``
+  ``uint64`` view and runs the plan tile by tile; ``native`` or
+  ``auto`` by name.
 - :func:`execute_plan_scalar` — the pure-Python oracle: the same plan
   executed word by word with Python integers, no numpy.  Slow by
   design; it exists so the compiled schedule can be checked against an
-  implementation with nothing in common with the vector kernels.
+  implementation with nothing in common with the numpy kernels.
 
 Element sizes that are not a multiple of 8 fall back from the
 ``uint64`` view to a ``uint8`` view transparently.
-
-Further execution strategies — fused tiled regions, a compiled C inner
-loop — live in :mod:`repro.engine.backends` and are reachable here
-through ``execute_plan(..., backend=...)`` or directly via the registry.
 """
 
 from __future__ import annotations
 
-import atexit
-import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -48,38 +34,6 @@ if TYPE_CHECKING:
 
 #: What the executor accepts as a target.
 Target = Union[Stripe, StripeBatch, Sequence[Stripe]]
-
-# The ``workers=`` thread pool is created lazily on first use and kept
-# for the life of the process: recovery workloads execute thousands of
-# small plans, and paying ThreadPoolExecutor startup (thread spawn,
-# queue setup) per call used to dominate sub-millisecond executions.
-_THREAD_POOL: ThreadPoolExecutor | None = None
-_THREAD_POOL_SIZE = 0
-_THREAD_POOL_LOCK = threading.Lock()
-
-
-def _thread_pool(workers: int) -> ThreadPoolExecutor:
-    global _THREAD_POOL, _THREAD_POOL_SIZE
-    with _THREAD_POOL_LOCK:
-        if _THREAD_POOL is None or _THREAD_POOL_SIZE < workers:
-            if _THREAD_POOL is not None:
-                _THREAD_POOL.shutdown(wait=True)
-            _THREAD_POOL = ThreadPoolExecutor(max_workers=workers)
-            _THREAD_POOL_SIZE = workers
-        return _THREAD_POOL
-
-
-def shutdown_executor_pool() -> None:
-    """Tear down the persistent ``workers=`` thread pool (idempotent)."""
-    global _THREAD_POOL, _THREAD_POOL_SIZE
-    with _THREAD_POOL_LOCK:
-        if _THREAD_POOL is not None:
-            _THREAD_POOL.shutdown(wait=True)
-            _THREAD_POOL = None
-            _THREAD_POOL_SIZE = 0
-
-
-atexit.register(shutdown_executor_pool)
 
 
 def _word_view(target: Stripe | StripeBatch) -> np.ndarray:
@@ -102,106 +56,18 @@ def execute_plan(
     target: Target,
     *,
     stats: "IOStats | None" = None,
-    workers: int | None = None,
     backend: str | None = None,
 ) -> None:
     """Execute ``plan`` in place on a stripe, batch, or list of stripes.
 
     ``stats`` (an :class:`~repro.array.iostats.IOStats`) accumulates
-    the word-XOR and kernel-invocation counts of the run.  ``workers``
-    enables the parallel path for plans with independent groups.
-    ``backend`` selects a registered kernel backend by name (``fused``,
-    ``native``, ``auto``); ``None`` or ``"vector"`` runs the classic
-    per-step path below.
+    the word-XOR and kernel-invocation counts of the run.  ``backend``
+    selects a registered kernel backend by name (``fused``, ``native``,
+    ``auto``); ``None`` means ``fused``.
     """
-    if backend is not None and backend != "vector":
-        from .backends import resolve_backend
+    from .backends import resolve_backend
 
-        resolve_backend(backend).execute(plan, target, stats=stats, workers=workers)
-        return
-    if isinstance(target, Stripe):
-        _execute_on(plan, target, stats=stats, workers=workers)
-    elif isinstance(target, StripeBatch):
-        _execute_on(plan, target, stats=stats, workers=workers)
-    elif isinstance(target, Sequence):
-        for stripe in target:
-            _execute_on(plan, stripe, stats=stats, workers=workers)
-    else:
-        raise InvalidParameterError(
-            f"cannot execute a plan on {type(target).__name__}"
-        )
-
-
-def _execute_on(
-    plan: XorPlan,
-    target: Stripe | StripeBatch,
-    *,
-    stats: "IOStats | None",
-    workers: int | None,
-) -> None:
-    _check_geometry(plan, target)
-    buf = _word_view(target)  # (cells, W) or (N, cells, W)
-    words = buf.shape[-1]
-    lanes = buf.shape[0] if buf.ndim == 3 else 1
-    temps = (
-        np.empty(buf.shape[:-2] + (plan.num_temps, words), dtype=buf.dtype)
-        if plan.num_temps
-        else None
-    )
-
-    def run_steps(indices: range | tuple[int, ...]) -> tuple[int, int]:
-        xors = 0
-        kernels = 0
-        for i in indices:
-            step = plan.steps[i]
-            dst = _slot_view(buf, temps, plan.num_cells, step.dst)
-            srcs = step.srcs
-            if len(srcs) == 1:
-                np.copyto(dst, _slot_view(buf, temps, plan.num_cells, srcs[0]))
-                kernels += 1
-                continue
-            np.bitwise_xor(
-                _slot_view(buf, temps, plan.num_cells, srcs[0]),
-                _slot_view(buf, temps, plan.num_cells, srcs[1]),
-                out=dst,
-            )
-            for s in srcs[2:]:
-                np.bitwise_xor(
-                    dst, _slot_view(buf, temps, plan.num_cells, s), out=dst
-                )
-            xors += len(srcs) - 1
-            kernels += len(srcs) - 1
-        return xors, kernels
-
-    if workers and workers > 1 and plan.groups:
-        xors, kernels = run_steps(range(plan.preamble))
-        for gx, gk in _thread_pool(workers).map(run_steps, plan.groups):
-            xors += gx
-            kernels += gk
-    else:
-        xors, kernels = run_steps(range(len(plan.steps)))
-
-    if stats is not None:
-        # Normalize uint8-lane runs to 64-bit words so the counter has
-        # one unit regardless of the fallback path.
-        per_call_words = (
-            words if buf.dtype == np.uint64 else max(words // 8, 1)
-        )
-        stats.record_xor(xors * per_call_words * lanes, kernels)
-
-    _clear_outputs(plan, target)
-
-
-def _slot_view(
-    buf: np.ndarray,
-    temps: np.ndarray | None,
-    num_cells: int,
-    slot: int,
-) -> np.ndarray:
-    if slot < num_cells:
-        return buf[..., slot, :]
-    assert temps is not None
-    return temps[..., slot - num_cells, :]
+    resolve_backend(backend or "fused").execute(plan, target, stats=stats)
 
 
 def _clear_outputs(plan: XorPlan, target: Stripe | StripeBatch) -> None:
@@ -291,7 +157,7 @@ def execute_plan_scalar(plan: XorPlan, stripe: Stripe) -> None:
 
     Every buffer is a plain list of ints; every step XORs word by word
     in interpreted Python.  Nothing here touches numpy's kernels, so a
-    bug in the vectorized executor cannot hide in this path (and vice
+    bug in a compiled backend cannot hide in this path (and vice
     versa).
     """
     _check_geometry(plan, stripe)

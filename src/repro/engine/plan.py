@@ -114,8 +114,9 @@ class XorPlan:
         ``Lc``; dependency depth for encode).
     groups:
         Optional partition of step indices into mutually independent
-        sequential groups (e.g. Algorithm 1's four recovery chains);
-        the executor's ``workers=`` path runs groups concurrently.
+        sequential groups (e.g. Algorithm 1's four recovery chains),
+        which :mod:`repro.static.planverify` proves race-free; the
+        schedule's parallelism, reported and certified, not threads.
     preamble:
         When ``groups`` is set, the first ``preamble`` steps (hoisted
         CSE temporaries) run serially before the groups start; the
@@ -204,16 +205,21 @@ class XorPlan:
 
     @cached_property
     def kernel_calls(self) -> int:
-        """Vector-kernel invocations the executor issues per batch."""
+        """Cost-model kernel count: one binary XOR per extra source of
+        each step, one for a copy.  It prices a plan, it does not count what
+        a backend issues — :func:`~repro.engine.compile.choose_update_strategy`
+        compares it across the update-versus-re-encode crossover, and
+        :class:`~repro.array.raid.RAID6Volume` charges it as compute.
+        """
         return sum(max(step.xors, 1) for step in self.steps)
 
     @property
     def fused_kernel_calls(self) -> int:
-        """Kernel invocations under the fused backends: one multi-source
-        reduction per destination, however many sources a step has.
-        Always ≤ :attr:`kernel_calls`; the gap is the dispatch overhead
-        fusion eliminates.  A cost-model property only — not part of
-        :meth:`to_dict`, so plan hashes are unaffected.
+        """Kernel invocations ``execute`` charges per tile (``fused``)
+        or region (``native``): one multi-source reduction per
+        destination, however many sources a step has.  Always ≤ :attr:`kernel_calls`.  A cost-model
+        property only — not part of :meth:`to_dict`, so plan hashes are
+        unaffected.
         """
         return len(self.steps)
 

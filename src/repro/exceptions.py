@@ -57,8 +57,8 @@ class PlanError(DecodeError):
     schedule — e.g. an erasure pattern that chain peeling alone cannot
     reach (EVENODD's coupled adjuster under some double failures) and
     that therefore needs the Gaussian reference decoder.  Callers that
-    pass ``engine="vector"`` fall back to the pure-Python path when
-    they catch this.
+    pass a compiled engine (``"fused"``, ``"native"``, ``"auto"``) fall
+    back to the pure-Python path when they catch this.
     """
 
 

@@ -183,7 +183,7 @@ def run_crash_scenario(
     *,
     element_size: int = 16,
     cache_stripes: int = 2,
-    engine: str = "vector",
+    engine: str = "fused",
     rollback: bool = False,
 ) -> CrashScenarioResult:
     """Kill a journaled store at one boundary and verify recovery.
@@ -316,7 +316,7 @@ def crash_matrix(
     *,
     element_size: int = 16,
     cache_stripes: int = 2,
-    engine: str = "vector",
+    engine: str = "fused",
     ops: int = 10,
     seed: RandomState = 0,
 ) -> CrashMatrixResult:

@@ -29,7 +29,7 @@ SMOKE_SEED = 0
 #: Pinned report hash of ``run_crash_bench(smoke=True)``.  Recompute
 #: with ``repro crash-bench --smoke`` after an *intentional* protocol
 #: change and update this constant in the same commit.
-CRASH_SMOKE_HASH = "5a98d4f11d8c9680567c3a050a29eeb8ffb33c00dcf55e9848784da32c939b1c"
+CRASH_SMOKE_HASH = "d8ad625c6522f2b09ba6370829061007d6e7f22ad52176751035edf3e1bbd5d0"
 
 
 def run_crash_bench(
@@ -38,7 +38,7 @@ def run_crash_bench(
     *,
     element_size: int = 16,
     cache_stripes: int = 2,
-    engine: str = "vector",
+    engine: str = "fused",
     ops: int = SMOKE_OPS,
     seed: int = SMOKE_SEED,
     smoke: bool = False,

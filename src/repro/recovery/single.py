@@ -74,18 +74,16 @@ class SingleDiskRecoveryPlan:
         code: "ArrayCode",
         stripe,
         *,
-        engine: str = "vector",
+        engine: str = "fused",
         stats=None,
-        workers: int | None = None,
     ) -> None:
         """Repair the failed disk of ``stripe`` in place.
 
         Runs exactly the chain choices this planner made (which may
         differ from the plan cache's default planner).  The default
-        ``engine="vector"`` lowers the choices into an
-        :class:`~repro.engine.XorPlan` and executes it with word-wide
-        kernels — each lost element is an independent plan group, so
-        ``workers=`` rebuilds elements concurrently; ``stats`` (an
+        ``engine="fused"`` lowers the choices into an
+        :class:`~repro.engine.XorPlan` (one plan group per lost
+        element) and executes it with word-wide kernels; ``stats`` (an
         :class:`~repro.array.iostats.IOStats`) accumulates the XOR-word
         and kernel counters.  ``engine="python"`` applies the same
         choices one chain at a time through :meth:`Stripe.xor_of`.
@@ -98,8 +96,7 @@ class SingleDiskRecoveryPlan:
 
         if require_engine(engine) != "python":
             execute_plan(
-                lower_single_recovery(code, self), stripe,
-                stats=stats, workers=workers, backend=engine,
+                lower_single_recovery(code, self), stripe, stats=stats, backend=engine
             )
             return
         for cell in sorted(self.choices):

@@ -39,7 +39,7 @@ class VolumePool:
     """A fixed-size volume sharded over independent FileStores.
 
     ``engine=`` accepts any kernel-backend name from
-    :data:`repro.engine.ENGINE_CHOICES` (``vector``, ``fused``,
+    :data:`repro.engine.ENGINE_CHOICES` (``fused``, the default,
     ``native``, ``auto``, or the pure-Python reference path) and
     applies it to every shard's store, so encode, flush, and rebuild
     work inside the shard workers all run on the selected backend.
@@ -54,7 +54,7 @@ class VolumePool:
         element_size: int = 4096,
         num_shards: int = 4,
         policy: "str | ShardingPolicy" = "range",
-        engine: str = "vector",
+        engine: str = "fused",
         cache_stripes: int = 0,
         journal: bool | None = None,
     ) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.engine.backends.fused as fused
 from repro import (
     CauchyRSCode,
     EvenOddCode,
@@ -41,6 +42,25 @@ EVALUATED_CLASSES = (RDPCode, HDPCode, XCode, HCode, HVCode)
 
 #: Primes small enough for exhaustive structural checks.
 SMALL_PRIMES = (5, 7, 11)
+
+#: The ``vector`` case of an engine sweep: the numpy kernels cut into
+#: one-word tiles — ``fused`` with :data:`FUSED_TILE_BYTES` shrunk to
+#: 8, so every plan runs across many tiles (per-tile temporaries,
+#: full-width ``gather`` scratch), which no element under 128 KiB
+#: reaches at the real tile size.
+VECTOR = pytest.param("fused", id="vector", marks=pytest.mark.narrow_tiles)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "narrow_tiles: run the fused backend with one-word tiles"
+    )
+
+
+@pytest.fixture(autouse=True)
+def _narrow_tiles(request, monkeypatch):
+    if request.node.get_closest_marker("narrow_tiles"):
+        monkeypatch.setattr(fused, "FUSED_TILE_BYTES", 8)
 
 
 @pytest.fixture(params=ALL_CODE_CLASSES, ids=lambda cls: cls.name)

@@ -27,7 +27,7 @@ from repro.exceptions import (
 )
 from repro.faults.healing import HealingStats, decode_resilient
 
-from ..conftest import ALL_CODE_CLASSES
+from ..conftest import ALL_CODE_CLASSES, VECTOR
 from ..test_engine.test_backends import BACKENDS as COMPILED
 
 ELEMENT_SIZE = 64
@@ -189,7 +189,7 @@ class TestFallbackKeepsTheOracle:
         assert erased == before
 
 
-@pytest.mark.parametrize("engine", ["vector", "fused", "auto"])
+@pytest.mark.parametrize("engine", [VECTOR, "fused", "auto"])
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("cls", ALL_CODE_CLASSES, ids=lambda cls: cls.name)
 def test_drive_matches_the_python_engine(cls, p, engine):

@@ -153,10 +153,11 @@ class TestComputeAccounting:
     @pytest.mark.parametrize("engine", ENGINE_CHOICES)
     def test_every_engine_but_python_charges_what_vector_charges(self, engine):
         """Compute is charged by every engine the constructor accepts
-        except the scalar reference, and identically by all of them."""
+        except the scalar reference, and identically by all of them:
+        the vectorized engines share one cost model."""
         charges = self._charges(engine)
         if engine == "python":
             assert charges == [(0, 0), (0, 0)]
         else:
-            assert charges == self._charges("vector")
+            assert charges == self._charges("fused")
             assert all(words and kernels for words, kernels in charges)

@@ -177,7 +177,7 @@ class TestStripeCache:
 
 
 class TestCachedFileStore:
-    def make(self, cache=4, engine="vector", element_size=16, p=7):
+    def make(self, cache=4, engine="fused", element_size=16, p=7):
         return FileStore(
             HVCode(p),
             element_size=element_size,
@@ -329,8 +329,7 @@ class TestCachedFileStore:
     @pytest.mark.parametrize(
         "engine, journal",
         [
-            ("vector", False),
-            ("vector", True),
+            ("fused", False),
             ("fused", True),
             ("auto", True),
             ("native", False),
@@ -404,7 +403,7 @@ class TestParityWriteAccounting:
 
     def test_cached_flush_parity_writes_match_write_targets(self):
         code = HVCode(7)
-        store = FileStore(code, element_size=8, engine="vector", cache_stripes=2)
+        store = FileStore(code, element_size=8, engine="fused", cache_stripes=2)
         cells = code.data_positions[:4]
         store.write(0, payload(4 * 8, seed=12))
         store.flush()
@@ -480,7 +479,7 @@ def test_cached_writes_match_write_through(code, seed, data):
     element_size = data.draw(st.sampled_from([8, 12, 16]))
     cache = data.draw(st.integers(1, 3))
     cached = FileStore(
-        code, element_size=element_size, engine="vector", cache_stripes=cache
+        code, element_size=element_size, engine="fused", cache_stripes=cache
     )
     plain = FileStore(code, element_size=element_size)
     span = 2 * cached.bytes_per_stripe

@@ -212,7 +212,7 @@ class TestPlanCache:
         assert (plan_a.cols, plan_b.cols) == (a.cols, b.cols) == (9, 13)
         stripe = b.random_stripe(element_size=16, seed=0)
         compile_plan(a, "encode")  # the order that poisoned the shared cache
-        b.encode(stripe, engine="vector")
+        b.encode(stripe, engine="fused")
         assert b.verify(stripe)
 
     def test_clear_resets_counters(self, cache):

@@ -1,5 +1,7 @@
-"""Differential proof: the vector engine is byte-identical to pure Python.
+"""Differential proof: the vectorized numpy engine is byte-identical to
+pure Python.
 
+``fused`` is the one numpy backend (the ``vector`` tests name it).
 Hypothesis drives every registered code, both evaluation primes, random
 data, and random erasure patterns through both execution paths and
 demands bit-exact agreement.  The pure-Python decoder is the oracle —
@@ -65,7 +67,7 @@ def test_vector_encode_matches_python(code, seed, element_size):
     redone = stripe.copy()
     for pos in code.parity_positions:
         redone.set(pos, np.zeros(element_size, dtype=np.uint8))
-    code.encode(redone, engine="vector")
+    code.encode(redone, engine="fused")
     assert redone == stripe
 
 
@@ -79,11 +81,11 @@ def test_vector_double_decode_matches_python(code, seed, data):
     stripe = code.random_stripe(element_size=8, seed=seed)
     f1 = data.draw(st.integers(0, code.cols - 1))
     f2 = data.draw(st.integers(0, code.cols - 1).filter(lambda x: x != f1))
-    via_python, via_vector = stripe.copy(), stripe.copy()
+    via_python, via_fused = stripe.copy(), stripe.copy()
     code.decode(via_python, failed_disks=[f1, f2])
-    code.decode(via_vector, failed_disks=[f1, f2], engine="vector")
+    code.decode(via_fused, failed_disks=[f1, f2], engine="fused")
     assert via_python == stripe
-    assert via_vector == stripe
+    assert via_fused == stripe
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,14 +104,14 @@ def test_vector_random_erasures_match_python(code, seed, data):
     )
     if not code.can_recover(erased):
         return
-    via_python, via_vector = stripe.copy(), stripe.copy()
+    via_python, via_fused = stripe.copy(), stripe.copy()
     for pos in erased:
         via_python.erase(pos)
-        via_vector.erase(pos)
+        via_fused.erase(pos)
     code.decode(via_python)
-    code.decode(via_vector, engine="vector")
+    code.decode(via_fused, engine="fused")
     assert via_python == stripe
-    assert via_vector == stripe
+    assert via_fused == stripe
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,26 +152,29 @@ class TestRecoveryPlanWiring:
         vec, py = stripe.copy(), stripe.copy()
         vec.erase_disks([disk])
         py.erase_disks([disk])
-        plan.execute(code, vec, engine="vector")
+        plan.execute(code, vec, engine="fused")
         plan.execute(code, py, engine="python")
         assert vec == stripe
         assert py == stripe
 
-    def test_hv_double_failure_plan_vector_with_workers(self):
+    def test_hv_double_failure_plan_vector_with_four_chain_groups(self):
+        """Algorithm 1's four chains stay plan structure: the compiled
+        plan carries them as four groups, and runs them correctly."""
         code = get_code("HV", 11)
         for f1, f2 in [(0, 1), (2, 7), (0, 9)]:
             plan = plan_double_failure_recovery(code, f1, f2)
+            assert len(compile_plan(code, "recover-double", (f1, f2)).groups) == 4
             stripe = code.random_stripe(element_size=16, seed=f1 * 13 + f2)
             broken = stripe.copy()
             broken.erase_disks([f1, f2])
-            plan.execute(broken, engine="vector", workers=4)
+            plan.execute(broken, engine="fused")
             assert broken == stripe
 
 
 class TestArrayWiring:
     def test_filestore_vector_roundtrip_with_failure(self):
         code = get_code("HV", 7)
-        store = FileStore(code, element_size=64, engine="vector")
+        store = FileStore(code, element_size=64, engine="fused")
         payload = bytes(range(256)) * 4
         store.write(0, payload)
         store.fail_disk(2)
@@ -182,32 +187,32 @@ class TestArrayWiring:
         payload = bytes((i * 37) % 256 for i in range(500))
         stores = {
             name: FileStore(code, element_size=32, engine=name)
-            for name in ("python", "vector")
+            for name in ("python", "fused")
         }
         for store in stores.values():
             store.write(0, payload)
-        for a, b in zip(stores["python"].stripes, stores["vector"].stripes):
+        for a, b in zip(stores["python"].stripes, stores["fused"].stripes):
             assert a == b
 
     def test_raid_volume_vector_charges_compute(self):
         code = get_code("HV", 7)
-        vector = RAID6Volume(code, num_stripes=4, engine="vector")
+        fused = RAID6Volume(code, num_stripes=4, engine="fused")
         python = RAID6Volume(code, num_stripes=4)
-        for vol in (vector, python):
+        for vol in (fused, python):
             vol.fail_disk(1)
             vol.degraded_read(0, code.rows * 2)
-        assert vector.stats.xor_words > 0
-        assert vector.stats.kernel_invocations > 0
+        assert fused.stats.xor_words > 0
+        assert fused.stats.kernel_invocations > 0
         assert python.stats.xor_words == 0
 
     def test_raid_volume_engines_agree_on_io(self):
         # Compute accounting differs; the disk I/O pattern must not.
         code = get_code("HV", 7)
-        vector = RAID6Volume(code, num_stripes=4, engine="vector")
+        fused = RAID6Volume(code, num_stripes=4, engine="fused")
         python = RAID6Volume(code, num_stripes=4)
-        for vol in (vector, python):
+        for vol in (fused, python):
             vol.fail_disk(1)
             vol.write(0, code.rows)
             vol.degraded_read(0, code.rows * 2)
-        assert vector.stats.reads == python.stats.reads
-        assert vector.stats.writes == python.stats.writes
+        assert fused.stats.reads == python.stats.reads
+        assert fused.stats.writes == python.stats.writes

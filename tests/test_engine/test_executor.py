@@ -1,4 +1,5 @@
-"""The vector executor: byte-identity, batching, stats, worker fan-out."""
+"""The default executor (``execute_plan`` → ``fused``): byte-identity,
+batching, stats."""
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestStatsAndWorkers:
         stats = IOStats(code.cols)
         execute_plan(plan, work, stats=stats)
         assert stats.xor_words == plan.xors_per_word * work.words_per_element
-        assert stats.kernel_invocations == plan.kernel_calls
+        assert stats.kernel_invocations == plan.fused_kernel_calls
 
     def test_byte_lane_stats_normalize_to_words(self):
         code = get_code("HV", 5)
@@ -130,57 +131,6 @@ class TestStatsAndWorkers:
         execute_plan(plan, one, stats=single)
         execute_plan(plan, batch, stats=batched)
         assert batched.xor_words == 4 * single.xor_words
-
-    def test_worker_pool_matches_serial(self):
-        code = get_code("HV", 7)
-        plan = compile_plan(code, "recover-double", (0, 1))
-        assert plan.groups  # Algorithm 1 exposes independent chains
-        ref = code.random_stripe(element_size=32, seed=3)
-        serial, pooled = ref.copy(), ref.copy()
-        serial.erase_disks([0, 1])
-        pooled.erase_disks([0, 1])
-        execute_plan(plan, serial)
-        execute_plan(plan, pooled, workers=4)
-        assert serial == ref
-        assert pooled == ref
-
-    def test_worker_pool_persists_across_calls(self, monkeypatch):
-        """Regression: each workers= call used to spin up (and tear down)
-        a fresh ThreadPoolExecutor.  The pool must now be created once,
-        reused while big enough, and grown — not churned — on demand."""
-        from repro.engine import executor as executor_mod
-
-        executor_mod.shutdown_executor_pool()
-        built = []
-        real_pool_cls = executor_mod.ThreadPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            pool = real_pool_cls(*args, **kwargs)
-            built.append(kwargs.get("max_workers"))
-            return pool
-
-        monkeypatch.setattr(
-            executor_mod, "ThreadPoolExecutor", counting_pool
-        )
-        code = get_code("HV", 7)
-        plan = compile_plan(code, "recover-double", (0, 1))
-        ref = code.random_stripe(element_size=32, seed=11)
-
-        def run(workers):
-            work = ref.copy()
-            work.erase_disks([0, 1])
-            execute_plan(plan, work, workers=workers)
-            assert work == ref
-
-        run(2)
-        run(2)
-        assert built == [2]  # second call reused the pool
-        run(4)
-        run(3)  # 3 <= 4: the grown pool still serves
-        assert built == [2, 4]
-        executor_mod.shutdown_executor_pool()
-        executor_mod.shutdown_executor_pool()  # idempotent
-        assert executor_mod._THREAD_POOL is None
 
 
 class TestGuards:

@@ -106,7 +106,7 @@ class TestFileStoreRecovery:
 
     def make(self, cache=2, element_size=16):
         return FileStore(
-            HVCode(5), element_size=element_size, engine="vector", cache_stripes=cache
+            HVCode(5), element_size=element_size, engine="fused", cache_stripes=cache
         )
 
     def test_reopen_recomputes_parity_for_flagged_stripes(self):

@@ -9,7 +9,8 @@ operations may ever lose or corrupt a byte.
 The machine runs at three ``(engine, cache_stripes)`` points: the
 write-through python oracle, and a journalled write-back cache over
 ``auto`` (the native ``update`` override where a compiler exists) and
-over ``vector`` (the inherited ``KernelBackend.update``).
+over the vectorized numpy backend, ``fused`` (the inherited
+``KernelBackend.update``).
 """
 
 import numpy as np
@@ -109,7 +110,7 @@ class AutoCachedModel(FileStoreModel):
 
 
 class VectorCachedModel(FileStoreModel):
-    engine, cache_stripes = "vector", 2
+    engine, cache_stripes = "fused", 2
 
 
 SETTINGS = settings(max_examples=25, stateful_step_count=30, deadline=None)
