@@ -11,20 +11,18 @@ and honours disk failures the way an array does:
   with more lost, the decode schedule sliced back to the requested
   cells.  The compiled ``read`` plan runs into scratch, so the stripe
   stays degraded and readers may share it;
-- **degraded writes** are read-modify-writes priced as
+- **writes**, degraded or not, are read-modify-writes priced as
   :meth:`~repro.array.raid.RAID6Volume.write`: only a lost written
-  element's old value is recovered, the new bytes land, and the deltas
-  fold into the surviving parities, so the lost element's *logical*
-  content is the new data even though its disk is gone; a parity on a
-  failed disk is never read or written, only its CRC advanced;
+  element's old value is recovered, the new bytes land, and one
+  compiled ``update`` plan folds the deltas of every touched element
+  into the surviving parities — each rewritten **once per stripe**, the
+  XOR work charged to :attr:`stats` on a kernel engine.  A lost
+  element's *logical* content is the new data even though its disk is
+  gone; a parity on a failed disk is never read or written, only its
+  CRC advanced;
 - **rebuild** runs Fig. 9's hybrid ``recover-single`` plan (or, with a
   second disk down, the read plan sliced to the column) stripe by
   stripe to bring a replaced disk back.
-
-Writes touching several elements of one stripe update parity **once
-per stripe**, not once per element: the deltas of all touched elements
-are folded down each parity chain in a single pass
-(:meth:`ArrayCode.update_elements`).
 
 With ``cache_stripes > 0`` the store runs **write-back**: data bytes
 land in the stripe immediately (reads stay coherent) but the parity
@@ -32,12 +30,10 @@ update is deferred in a :class:`~repro.array.stripe_cache.StripeCache`
 — a bounded LRU of dirty stripes, each a set of first-touch pre-image
 snapshots.  :meth:`flush` (or LRU eviction, or any operation that
 needs consistent parity — disk failure, scrub, rebuild, degraded
-read) groups dirty stripes sharing a dirty pattern and hands each
-group, with its pre-images, to the kernel backend's
-:meth:`~repro.engine.backends.KernelBackend.update` under a single
-compiled ``update`` plan per pattern
-(:func:`repro.engine.compile.compile_plan`), falling back to a full
-re-encode when the cost model says the stripe is mostly dirty
+read) groups dirty stripes sharing a dirty pattern and folds each
+group, with its pre-images, under a single compiled ``update`` plan
+per pattern — the same fold as an immediate write — or re-encodes it
+when the cost model says the stripe is mostly dirty
 (:func:`repro.engine.compile.choose_update_strategy`).  CRC sidecars
 are refreshed once per flushed element, not once per overwrite.
 
@@ -79,8 +75,9 @@ the stack benchmark (``python3 -m bench``), and the end-to-end tests.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -802,16 +799,16 @@ class FileStore:
         if self.injector is not None:
             for pos, _, _ in pieces:
                 self._element_io(stripe_idx, pos, "write")
-        if stripe.any_faults():
-            # Stale deferred parity must land before a reconstruct-write
-            # decodes the stripe.
-            if self.cache is not None and stripe_idx in self.cache:
-                self._flush_stripe(stripe_idx)
-            self._write_stripe_degraded(stripe_idx, pieces)
-        elif self.cache is not None:
+        if self.cache is None:
+            self._write_stripe_rmw(stripe_idx, pieces)
+        elif not stripe.any_faults():
             self._write_stripe_cached(stripe_idx, pieces)
         else:
-            self._write_stripe_through(stripe_idx, pieces)
+            # Stale deferred parity must land before the write recovers
+            # a lost cell's old value through it.
+            if stripe_idx in self.cache:
+                self._flush_stripe(stripe_idx)
+            self._write_stripe_rmw(stripe_idx, pieces)
 
     @staticmethod
     def _merge_pieces(
@@ -826,33 +823,6 @@ class FileStore:
                 base = updates[pos] = old(pos).copy()
             base[within : within + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
         return updates
-
-    def _write_stripe_through(self, stripe_idx: int, pieces: list[Piece]) -> None:
-        """Healthy write-through: one parity pass for the whole stripe.
-
-        All touched elements' deltas are folded down each parity chain
-        together, so a write spanning several elements of one stripe
-        rewrites each parity element exactly once.
-        """
-        stripe = self.stripes[stripe_idx]
-        if self.journal is not None:
-            self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
-        updates = self._merge_pieces(pieces, stripe.get)
-        self.stats.record_reads([c for _, c in updates])
-        rewritten = self.code.update_elements(stripe, updates)
-        for pos, buf in updates.items():
-            self.sidecar.record(stripe_idx, pos, buf)
-            self.stats.record_write(pos[1])
-            self.data_writes += 1
-        self._crash_point("data-write")
-        for parity in sorted(rewritten):
-            self.sidecar.record(stripe_idx, parity, stripe.get(parity))
-            self.stats.record_read(parity[1])
-            self.stats.record_write(parity[1])
-            self.parity_writes += 1
-        self._crash_point("parity-write")
-        self._journal_commit(stripe_idx)
-        self._maybe_checkpoint()
 
     def _write_stripe_cached(self, stripe_idx: int, pieces: list[Piece]) -> None:
         """Write-back: land the data bytes now, defer the parity delta.
@@ -892,18 +862,19 @@ class FileStore:
         else:
             self._maybe_checkpoint()  # a flush ends in one too
 
-    def _write_stripe_degraded(self, stripe_idx: int, pieces: list[Piece]) -> None:
-        """Degraded read-modify-write, priced as :meth:`RAID6Volume.write`.
+    def _write_stripe_rmw(self, stripe_idx: int, pieces: list[Piece]) -> None:
+        """Immediate read-modify-write, priced as :meth:`RAID6Volume.write`.
 
         Only the old values the disks cannot return are computed — of a
         written cell that is lost, through its own read plan (Fig. 7's
         cheapest chain with one disk down), and of a latent parity — then
-        the new bytes land and the compiled ``update`` plan folds the
-        deltas into every dirtied parity (:meth:`KernelBackend.update`).
-        A parity on a failed disk is neither read nor written; only its
-        CRC advances, by the delta it would have taken
-        (:meth:`ChecksumSidecar.record_delta`).  Every other cell keeps
-        its CRC, so a silent flip stays on record for scrub and rebuild.
+        the new bytes land and :meth:`_fold` runs the compiled ``update``
+        plan, so each dirtied parity is read and rewritten once however
+        many written cells share it.  On a healthy stripe nothing is lost
+        and this is the plain small write.  A lost written cell's CRC
+        becomes its new content, which the parity now decodes to; every
+        unwritten cell keeps its CRC, so a silent flip stays on record
+        for scrub and rebuild.
         """
         stripe = self.stripes[stripe_idx]
         data, erased, latent = stripe.data, stripe.erased, stripe.latent
@@ -928,53 +899,30 @@ class FileStore:
                 olds[pos] = self._planned(stripe, read, self.stats)[0]
                 extra.update(read.reads)
         news = self._merge_pieces(pieces, lambda pos: olds.get(pos, data[pos]))
-        # What each dirty slot held, as the update plan's delta build
-        # sees it (``live ⊕ pre``): a lost cell stays zeroed, so its
+        # What each written slot held, as the fold's delta build sees it
+        # (``live ⊕ pre``): a lost cell's slot stays zero, so its
         # pre-image is the whole delta.
         pre: dict[int, np.ndarray] = {}
         for slot, pos in zip(plan.pattern, cells):
             if erased[pos]:
-                data[pos] = 0
                 pre[slot] = olds[pos] ^ news[pos]
             else:
                 pre[slot] = olds[pos] if pos in olds else data[pos].copy()
                 data[pos] = news[pos]
                 latent[pos] = False
         for pos in parities:
-            if erased[pos]:
-                data[pos] = 0  # the fold leaves the parity's delta here
-            elif latent[pos]:
+            if latent[pos]:
                 data[pos] = olds[pos]
         self._crash_point("data-write")
-        if self.engine == "python":
-            deltas = {pos: data[pos] ^ pre[slot] for slot, pos in zip(plan.pattern, cells)}
-            for chain in self.code.encode_order:
-                members = [deltas[m] for m in chain.members if m in deltas]
-                if members:
-                    deltas[chain.parity] = np.bitwise_xor.reduce(members)
-                    data[chain.parity] ^= deltas[chain.parity]
-        else:
-            self._resolve_backend(self.engine).update(
-                plan, [stripe], [pre], stats=self.stats
-            )
-        self._crash_point("parity-write")
+        self._fold(plan, (stripe_idx,), [pre], faulted=stripe.any_faults())
         for pos in cells:
-            self.sidecar.record(stripe_idx, pos, news[pos])
-        for pos in parities:
             if erased[pos]:
-                self.sidecar.record_delta(stripe_idx, pos, data[pos])
-                data[pos] = 0
-            else:
-                latent[pos] = False
-                self.sidecar.record(stripe_idx, pos, data[pos])
-        # The ledger: RAID6Volume.write's prices.
+                self.sidecar.record(stripe_idx, pos, news[pos])
         landed = [c for r, c in cells if not erased[r, c]]
-        rewritten = [c for r, c in parities if not erased[r, c]]
-        self.stats.record_reads(landed + rewritten)
-        self.stats.record_writes(landed + rewritten)
+        self.stats.record_reads(landed)
+        self.stats.record_writes(landed)
         self.stats.record_reads(s % self._cols for s in extra.difference(plan.pattern))
         self.data_writes += len(landed)
-        self.parity_writes += len(rewritten)
         self._journal_commit(stripe_idx)
         self._maybe_checkpoint()
 
@@ -1024,11 +972,11 @@ class FileStore:
     def _flush_entries(self, entries: list[tuple[int, DirtyStripe]]) -> int:
         """Land deferred parity for the given dirty stripes.
 
-        Stripes sharing a dirty pattern are grouped and run through a
-        single compiled ``update`` plan (or a full re-encode when the
-        cost model prefers it), executed by whichever kernel backend
-        the store's ``engine=`` resolves to.  Degraded stripes and the
-        pure-Python engine take the per-stripe chain walk instead.
+        Healthy stripes sharing a dirty pattern are grouped and folded
+        under a single compiled ``update`` plan, or re-encoded when the
+        cost model prefers it
+        (:func:`~repro.engine.compile.choose_update_strategy`), on every
+        engine.  A stripe with a lost or latent cell is folded alone.
 
         An attached injector's clock was already advanced per dirty
         element by :meth:`_ping_flush_io` before these entries were
@@ -1042,56 +990,50 @@ class FileStore:
             if not entry.old:
                 continue
             flushed += 1
-            if self.engine == "python" or self.stripes[idx].any_faults():
-                self._flush_python(idx, entry)
+            if self.stripes[idx].any_faults():
+                # A lost or latent cell cannot feed a re-encode.
+                plan = self._compiler.compile_plan(
+                    self.code, "update", entry.pattern(cols)
+                )
+                self._flush_group_rmw(plan, [(idx, entry)], faulted=True)
                 continue
             groups.setdefault(entry.pattern(cols), []).append((idx, entry))
-        if groups:
-            backend = self._resolve_backend(self.engine)
-            for pattern, group in sorted(groups.items()):
-                try:
-                    strategy, plan = self._compiler.choose_update_strategy(
-                        self.code, pattern
-                    )
-                except PlanError:
-                    for idx, entry in group:
-                        self._flush_python(idx, entry)
-                    continue
-                if strategy == "reencode":
-                    self._flush_group_reencode(pattern, group)
-                else:
-                    self._flush_group_rmw(plan, group, backend)
+        for pattern, group in sorted(groups.items()):
+            strategy, plan = self._compiler.choose_update_strategy(self.code, pattern)
+            if strategy == "reencode":
+                self._flush_group_reencode(pattern, group)
+            else:
+                self._flush_group_rmw(plan, group)
         self._maybe_checkpoint()
         return flushed
 
     def _flush_group_rmw(
-        self, plan, group: list[tuple[int, DirtyStripe]], backend
+        self, plan: "XorPlan", group: list[tuple[int, DirtyStripe]], faulted: bool = False
     ) -> None:
-        """One update plan over a group of same-pattern dirty stripes.
+        """Fold the deferred deltas of same-pattern healthy stripes, or of
+        one ``faulted`` stripe.
 
-        The parity arithmetic is the backend's
-        (:meth:`~repro.engine.backends.KernelBackend.update`); sidecars,
-        counters and the journal commit are the store's.
+        The pre-images are the cache's first-touch snapshots, except for
+        a dirty data cell erased before its parity landed — the genuine
+        write hole: the new bytes died with the disk, so its pre-image
+        is its zeroed slot, its delta is zero and its CRC keeps the
+        pre-image's; the cell's logical content stays the old data,
+        which is what decoding the untouched parity reconstructs.
         """
         cells = plan.pattern_positions
-        parities = plan.output_positions
-        backend.update(
-            plan,
-            [self.stripes[idx] for idx, _ in group],
-            [
-                {slot: entry.old[pos] for slot, pos in zip(plan.pattern, cells)}
-                for _, entry in group
-            ],
-            stats=self.stats,
-        )
-        self._crash_point("parity-write")
-        touched = cells + parities
-        parity_disks = [c for _, c in parities]
-        for idx, _ in group:
-            self.sidecar.record_stripe(idx, self.stripes[idx], touched)
-            self.stats.record_reads(parity_disks)
-            self.stats.record_writes(parity_disks)
-            self.parity_writes += len(parities)
+        indices, _ = zip(*group)
+        stripes = self.stripes
+        pres = [
+            {
+                slot: stripes[idx].data[pos]
+                if faulted and stripes[idx].erased[pos]
+                else entry.old[pos]
+                for slot, pos in zip(plan.pattern, cells)
+            }
+            for idx, entry in group
+        ]
+        self._fold(plan, indices, pres, faulted=faulted)
+        for idx in indices:
             self._journal_commit(idx)
         self.stats.record_flush(len(group) * len(cells))
 
@@ -1116,49 +1058,72 @@ class FileStore:
             self._journal_commit(idx)
         self.stats.record_flush(len(group) * len(dirty_cells))
 
-    def _flush_python(self, idx: int, entry: DirtyStripe) -> None:
-        """Per-stripe chain-walk flush: the oracle and the degraded path.
+    # -- the one parity fold -----------------------------------------------------
 
-        Works on degraded stripes too: an erased parity column's delta
-        is still propagated to nested chains (its *logical* content
-        shifts even though no disk write happens), matching what the
-        decoder will reconstruct.
+    def _fold(
+        self,
+        plan: "XorPlan",
+        indices: "Sequence[int]",
+        pres: list[dict[int, np.ndarray]],
+        *,
+        faulted: bool,
+    ) -> None:
+        """Fold an ``update`` plan's parity deltas into stripes ``indices``.
 
-        A dirty *data* cell that was erased before its parity landed is
-        the genuine write hole: the new bytes died with the disk, so
-        its delta is not folded and its sidecar keeps the pre-image CRC
-        — the cell's logical content remains the old data, which is
-        what decoding the untouched parity will reconstruct.
+        Each stripe's pattern cells already hold their new bytes;
+        ``pres[i]`` maps every slot of ``plan.pattern`` to what stripe
+        ``indices[i]`` held there before, so ``live ⊕ pre`` is the delta.
+        The kernel backend runs the compiled plan
+        (:meth:`~repro.engine.backends.KernelBackend.update`);
+        ``engine="python"`` walks the chains instead
+        (:meth:`ArrayCode.apply_parity_deltas`), the independent oracle.
+
+        Then every parity is read, rewritten and re-checksummed with the
+        live pattern cells — except, when the stripes are ``faulted``
+        (may hold lost or latent cells; a flush group never does), a
+        parity on a failed disk.  Its slot is zero (:meth:`Stripe.erase`),
+        so it holds exactly its delta, which nested chains saw; its disk
+        is neither read nor written, its CRC advances by that delta
+        (:meth:`ChecksumSidecar.record_delta`) and the slot is zeroed
+        again.  A latent parity is healed by its rewrite.  A lost pattern
+        cell's CRC, the data side of the ledger and the journal commit
+        are the caller's.
         """
-        stripe = self.stripes[idx]
-        deltas: dict[Position, np.ndarray] = {}
-        for pos in entry.dirty_positions():
-            if stripe.erased[pos]:
-                continue
-            deltas[pos] = np.bitwise_xor(stripe.data[pos], entry.old[pos])
-            self.sidecar.record(idx, pos, stripe.data[pos])
-        for chain in self.code.encode_order:
-            chain_delta: np.ndarray | None = None
-            for member in chain.members:
-                d = deltas.get(member)
-                if d is None:
-                    continue
-                chain_delta = d.copy() if chain_delta is None else chain_delta ^ d
-            if chain_delta is None or not chain_delta.any():
-                continue
-            deltas[chain.parity] = chain_delta
-            r, c = chain.parity
-            if stripe.erased[r, c]:
-                continue  # the column is gone; a rebuild re-derives it
-            stripe.data[r, c] ^= chain_delta
-            stripe.latent[r, c] = False
-            self.sidecar.record(idx, chain.parity, stripe.data[r, c])
-            self.stats.record_read(c)
-            self.stats.record_write(c)
-            self.parity_writes += 1
-        self._crash_point("parity-write")
-        self._journal_commit(idx)
-        self.stats.record_flush(entry.num_dirty)
+        stripes = [self.stripes[idx] for idx in indices]
+        cells, parities = plan.pattern_positions, plan.output_positions
+        if self.engine == "python":
+            for stripe, pre in zip(stripes, pres):
+                self.code.apply_parity_deltas(
+                    stripe,
+                    {
+                        pos: stripe.data[pos] ^ pre[slot]
+                        for slot, pos in zip(plan.pattern, cells)
+                    },
+                )
+        else:
+            self._resolve_backend(self.engine).update(
+                plan, stripes, pres, stats=self.stats
+            )
+        if self._crash_hook is not None:
+            self._crash_hook("parity-write")
+        touched = cells + parities
+        parity_disks = [c for _, c in parities]
+        for idx, stripe in zip(indices, stripes):
+            live, rewritten = touched, parity_disks
+            if faulted:
+                data, erased = stripe.data, stripe.erased
+                for pos in parities:
+                    if erased[pos]:
+                        self.sidecar.record_delta(idx, pos, data[pos])
+                        data[pos] = 0
+                    else:
+                        stripe.latent[pos] = False
+                live = [pos for pos in touched if not erased[pos]]
+                rewritten = [c for r, c in parities if not erased[r, c]]
+            self.sidecar.record_stripe(idx, stripe, live)
+            self.stats.record_reads(rewritten)
+            self.stats.record_writes(rewritten)
+            self.parity_writes += len(rewritten)
 
     def __repr__(self) -> str:
         dirty = len(self.cache) if self.cache is not None else 0

@@ -7,8 +7,8 @@ is the ledger: the RAID volume records into it, and the metrics module
 
 Engine runs add a *compute* dimension: the kernel backends
 (:mod:`repro.engine.backends`) record how many 64-bit word XORs and
-how many kernel invocations a plan cost, so experiments can
-report compute cost alongside I/O cost from the same object.
+how many kernel invocations a plan cost, on the ledger of the
+``FileStore`` or service pool that ran it.
 
 Journaled stores (:mod:`repro.journal`) add a third dimension: how
 many write-ahead records were framed and how many bytes they cost,

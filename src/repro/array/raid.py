@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from ..exceptions import (
     InvalidParameterError,
-    PlanError,
     SimulationError,
     TransientIOError,
 )
@@ -76,12 +75,8 @@ class RAID6Volume:
         num_stripes: int = 16,
         latency: LatencyModel | None = None,
         rotate_stripes: bool = False,
-        engine: str = "python",
     ) -> None:
-        from ..engine import require_engine
-
         self.code = code
-        self.engine = require_engine(engine)
         self.latency = latency or LatencyModel()
         self.addressing = VolumeAddressing(code, num_stripes, rotate_stripes)
         self.disks = [
@@ -157,44 +152,6 @@ class RAID6Volume:
             for d in range(self.num_disks)
         )
 
-    def _charge_compute(self, pattern_io: IOStats, choices: dict) -> None:
-        """Charge the XOR-compute cost of repair chain choices.
-
-        Every engine but the scalar ``python`` reference accounts
-        compute: each lost element repaired through a chain of ``k``
-        equation cells costs ``k - 2`` element-wide XOR kernels.  The
-        volume is symbolic, so the unit is element-XORs, not words —
-        the byte-true counters live in :mod:`repro.engine`'s executor.
-        """
-        if self.engine == "python" or not choices:
-            return
-        xors = sum(len(ch.equation_cells) - 2 for ch in choices.values())
-        pattern_io.record_xor(xors, xors)
-        self.stats.record_xor(xors, xors)
-
-    def _charge_update_compute(self, pattern_io: IOStats, cells) -> None:
-        """Charge the XOR-compute cost of one stripe's parity-delta RMW.
-
-        The write half of :meth:`_charge_compute`: the volume compiles
-        the same ``update`` plan the write-back flush path executes
-        for these dirty cells and charges its element-XOR
-        count, plus one XOR per dirtied parity for folding the delta
-        in (``parity ^= delta``).  Symbolic units (element-XORs), like
-        the read-side charge.
-        """
-        if self.engine == "python" or not cells:
-            return
-        from ..engine.compile import compile_plan
-
-        try:
-            plan = compile_plan(self.code, "update", tuple(cells))
-        except PlanError:
-            return
-        xors = plan.xors_per_word + len(plan.outputs)
-        kernels = plan.kernel_calls + len(plan.outputs)
-        pattern_io.record_xor(xors, kernels)
-        self.stats.record_xor(xors, kernels)
-
     # -- write patterns ---------------------------------------------------------------
 
     def write(self, start: int, length: int) -> PatternResult:
@@ -234,7 +191,6 @@ class RAID6Volume:
                         self.code, failed_col, [loc.position], method="greedy"
                     )
                     extra_read_cells |= set(plan.fetched)
-                    self._charge_compute(pattern_io, plan.choices)
                 else:
                     self._charge(pattern_io, loc.disk, reads=1, writes=1)
                     data_writes += 1
@@ -250,7 +206,6 @@ class RAID6Volume:
                 disk = self.addressing.disk_of(stripe, parity_pos[1])
                 self._charge(pattern_io, disk, reads=1, writes=1)
                 parity_writes += 1
-            self._charge_update_compute(pattern_io, cells)
         return PatternResult(
             io=pattern_io,
             seconds=self._pattern_seconds(pattern_io),
@@ -311,7 +266,6 @@ class RAID6Volume:
                 self.code, failed_col, requested, method=planner
             )
             returned += plan.elements_returned
-            self._charge_compute(pattern_io, plan.choices)
             for cell in sorted(plan.fetched):
                 disk = self.addressing.disk_of(stripe, cell[1])
                 self._charge(pattern_io, disk, reads=1, writes=0)

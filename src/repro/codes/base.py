@@ -664,9 +664,12 @@ class ArrayCode(ABC):
 
         ``deltas`` maps already-written data cells to their
         ``old ⊕ new`` buffers (the dict is extended in place with the
-        parity deltas as they are derived).  This is the pure-Python
-        oracle of the engine's ``update`` plans; the write-back cache
-        uses it when a stripe cannot take the vectorized path.
+        parity deltas as they are derived).  Each delta is XORed into the
+        parity's slot of ``stripe.data`` whatever its flags, as the
+        compiled fold does: an erased parity's zeroed slot ends up
+        holding its delta.  This is the pure-Python oracle of the
+        engine's ``update`` plans and ``FileStore``'s fold on
+        ``engine="python"``.
         """
         rewritten: set[Position] = set()
         for chain in self.encode_order:
@@ -678,7 +681,7 @@ class ArrayCode(ABC):
                 chain_delta = d.copy() if chain_delta is None else chain_delta ^ d
             if chain_delta is None or not chain_delta.any():
                 continue
-            stripe.set(chain.parity, stripe.get(chain.parity) ^ chain_delta)
+            stripe.data[chain.parity] ^= chain_delta
             deltas[chain.parity] = chain_delta
             rewritten.add(chain.parity)
         return frozenset(rewritten)

@@ -208,8 +208,7 @@ class XorPlan:
         """Cost-model kernel count: one binary XOR per extra source of
         each step, one for a copy.  It prices a plan, it does not count what
         a backend issues — :func:`~repro.engine.compile.choose_update_strategy`
-        compares it across the update-versus-re-encode crossover, and
-        :class:`~repro.array.raid.RAID6Volume` charges it as compute.
+        compares it across the update-versus-re-encode crossover.
         """
         return sum(max(step.xors, 1) for step in self.steps)
 

@@ -1,12 +1,13 @@
 """Stripe-by-stripe hot-spare rebuilds that survive injected faults.
 
-:meth:`FileStore.rebuild` is the clean-room rebuild: decode everything,
-write the column back.  A real array rebuilds onto a hot spare while
-the workload — and the fault process — keeps running.  The
+:meth:`FileStore.rebuild` is the clean-room rebuild: Fig. 9's
+``recover-single`` plan stripe by stripe, the column written back only
+once it matches its checksums.  A real array rebuilds onto a hot spare
+while the workload — and the fault process — keeps running.  The
 :class:`RebuildOrchestrator` models that:
 
-- stripes are rebuilt one at a time through the minimal-I/O recovery
-  planner (the same plan Fig. 9(a) measures), falling back to the
+- stripes are rebuilt one at a time through the greedy minimal-I/O
+  recovery planner (Fig. 9(a)'s hybrid chains), falling back to the
   self-healing ladder when a planned read hits a latent sector error
   or when a *second* disk crashes mid-rebuild;
 - progress is checkpointed every ``checkpoint_every`` stripes, so a
@@ -98,14 +99,12 @@ class RebuildOrchestrator:
         store: "FileStore",
         latency: LatencyModel | None = None,
         checkpoint_every: int = 8,
-        planner: str = "greedy",
     ) -> None:
         if checkpoint_every <= 0:
             raise InvalidParameterError("checkpoint_every must be positive")
         self.store = store
         self.latency = latency or LatencyModel()
         self.checkpoint_every = checkpoint_every
-        self.planner = planner
         self.checkpoint: int | None = None
         self._report: RebuildReport | None = None
 
@@ -178,7 +177,7 @@ class RebuildOrchestrator:
         if not other_failures:
             try:
                 plan = plan_single_disk_recovery(
-                    code, disk, method=self.planner, unreadable=unreadable
+                    code, disk, method="greedy", unreadable=unreadable
                 )
                 if unreadable:
                     report.latent_hits += len(unreadable)

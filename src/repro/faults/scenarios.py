@@ -73,7 +73,6 @@ def run_scenario(
     latent: int = 1,
     flips: int = 1,
     transients: int = 1,
-    planner: str = "greedy",
 ) -> ScenarioResult:
     """One full adversity pass against one code instance.
 
@@ -124,7 +123,7 @@ def run_scenario(
         result.degraded_read_ok = store.read(0, len(payload)) == payload
 
         phase = "rebuild"
-        orchestrator = RebuildOrchestrator(store, planner=planner)
+        orchestrator = RebuildOrchestrator(store)
         for disk in sorted(store.failed_disks):
             result.rebuilds.append(orchestrator.rebuild(disk).to_dict())
 

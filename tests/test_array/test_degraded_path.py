@@ -27,30 +27,37 @@ from repro.exceptions import (
 )
 from repro.faults.healing import HealingStats, decode_resilient
 
-from ..conftest import ALL_CODE_CLASSES, VECTOR
+from ..conftest import ALL_CODE_CLASSES
 from ..test_engine.test_backends import BACKENDS as COMPILED
 
 ELEMENT_SIZE = 64
 STRIPES = 3
 
 
-def filled_store(code, engine, seed=7):
-    store = FileStore(code, element_size=ELEMENT_SIZE, engine=engine)
+def filled_store(code, engine, seed=7, cache_stripes=0):
+    store = FileStore(
+        code, element_size=ELEMENT_SIZE, engine=engine, cache_stripes=cache_stripes
+    )
     rng = np.random.default_rng(seed)
     store.write(0, rng.bytes(STRIPES * store.bytes_per_stripe))
     return store
 
 
 def drive(store, seed=11):
-    """Fail, read and write degraded, fail again, read, rebuild both.
+    """Rewrite a whole stripe, fail, read and write degraded, fail
+    again, read, rebuild both.
 
-    Ends healthy, so a second call repeats every erasure pattern of the
-    first.  Returns everything the reads returned.
+    The rewrite lands the bytes the stripe already holds: a full-stripe
+    write the cost model re-encodes when it is deferred, and a
+    read-modify-write of every cell otherwise.  Ends healthy, so a
+    second call repeats every erasure pattern of the first.  Returns
+    everything the reads returned.
     """
     rng = np.random.default_rng(seed)
     d1, d2 = 1, store.code.cols - 2
     span = 3 * ELEMENT_SIZE
     seen = []
+    store.write(0, store.read(0, store.bytes_per_stripe))
     store.fail_disk(d1)
     seen.append(store.read(0, store.capacity))
     for stripe_idx in range(STRIPES):  # one reconstruct-write per stripe
@@ -189,11 +196,27 @@ class TestFallbackKeepsTheOracle:
         assert erased == before
 
 
-@pytest.mark.parametrize("engine", [VECTOR, "fused", "auto"])
+#: every compiled engine write-through (the bare id) and over a
+#: two-stripe write-back cache
+DRIVE_ENGINES = [
+    pytest.param(engine, cache_stripes, id=name + ("-cached" if cache_stripes else ""), marks=marks)
+    for cache_stripes in (0, 2)
+    for name, engine, marks in [
+        ("vector", "fused", pytest.mark.narrow_tiles),
+        ("fused", "fused", ()),
+        ("auto", "auto", ()),
+    ]
+]
+
+
+@pytest.mark.parametrize("engine, cache_stripes", DRIVE_ENGINES)
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("cls", ALL_CODE_CLASSES, ids=lambda cls: cls.name)
-def test_drive_matches_the_python_engine(cls, p, engine):
-    stores = [filled_store(cls(p), e) for e in ("python", engine)]
+def test_drive_matches_the_python_engine(cls, p, engine, cache_stripes):
+    stores = [
+        filled_store(cls(p), e, cache_stripes=cache_stripes)
+        for e in ("python", engine)
+    ]
     seen = [drive(store) for store in stores]
     oracle, store = stores
     assert seen[1] == seen[0]

@@ -28,6 +28,14 @@ ELEMENT = 16
 STRIPES = 3
 
 
+def charged_since(store, before):
+    """The store's per-disk (reads, writes) since ledger ``before``."""
+    return (
+        [a - b for a, b in zip(store.stats.reads, before.reads)],
+        [a - b for a, b in zip(store.stats.writes, before.writes)],
+    )
+
+
 @pytest.mark.parametrize("engine", ["python", "auto"])
 @pytest.mark.parametrize("name", EVALUATED_CODE_NAMES)
 def test_filestore_charges_what_the_volume_prices(name, engine):
@@ -36,12 +44,27 @@ def test_filestore_charges_what_the_volume_prices(name, engine):
     store = FileStore(code, element_size=ELEMENT, engine=engine, cache_stripes=0)
     model = bytearray(rng.bytes(STRIPES * store.bytes_per_stripe))
     store.write(0, bytes(model))
+    volume = RAID6Volume(code, num_stripes=STRIPES)
+    elements = STRIPES * code.data_elements_per_stripe
+    # Healthy: every write-through element run is one read-modify-write,
+    # even an element rewritten with the bytes it holds (a zero delta).
+    for i in range(20):
+        length = 1 if i == 0 else int(rng.integers(1, 2 * code.cols + 1))
+        start = int(rng.integers(0, elements - length + 1))
+        lo, hi = start * ELEMENT, (start + length) * ELEMENT
+        payload = bytes(model[lo:hi]) if i == 0 else rng.bytes(hi - lo)
+        before = store.stats.copy()
+        store.write(lo, payload)
+        model[lo:hi] = payload
+        priced = volume.write(start, length)
+        assert charged_since(store, before) == (priced.io.reads, priced.io.writes), (
+            start,
+            length,
+        )
     disk = int(rng.integers(code.cols))
     store.fail_disk(disk)
     store.stats.reset()
-    volume = RAID6Volume(code, num_stripes=STRIPES)
     volume.fail_disk(disk)
-    elements = STRIPES * code.data_elements_per_stripe
     for i in range(60):
         length = int(rng.integers(1, 2 * code.cols + 1))
         start = int(rng.integers(0, elements - length + 1))
@@ -55,11 +78,10 @@ def test_filestore_charges_what_the_volume_prices(name, engine):
         else:
             assert store.read(lo, hi - lo) == model[lo:hi]
             priced = volume.degraded_read(start, length, planner="greedy")
-        charged = (
-            [a - b for a, b in zip(store.stats.reads, before.reads)],
-            [a - b for a, b in zip(store.stats.writes, before.writes)],
+        assert charged_since(store, before) == (priced.io.reads, priced.io.writes), (
+            start,
+            length,
         )
-        assert charged == (priced.io.reads, priced.io.writes), (start, length)
     assert store.stats.reads[disk] == store.stats.writes[disk] == 0
     healed = store.healing.reads
     store.rebuild(disk)
@@ -68,6 +90,14 @@ def test_filestore_charges_what_the_volume_prices(name, engine):
     assert store.read(0, len(model)) == model
     assert store.scrub() == []
     assert store.scrub_checksums(repair=False).clean
+
+
+@pytest.mark.parametrize("engine", ["fused", "auto"])
+def test_a_write_through_store_charges_its_compiled_fold(engine):
+    store = FileStore(get_code("HV", 7), element_size=ELEMENT, engine=engine)
+    store.write(3 * ELEMENT, bytes(range(2 * ELEMENT)))
+    assert store.stats.xor_words > 0
+    assert store.stats.kernel_invocations > 0
 
 
 def test_concurrent_degraded_reads_never_write_the_shared_stripe():

@@ -8,6 +8,7 @@ ledger — from the loop it short-cuts, and the number of calls an op
 makes is pinned so the overhead cannot creep back unnoticed.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -216,7 +217,13 @@ class TestBulkLedgerCharges:
 
 def calls_made(fn) -> int:
     """Python-level and C-level calls ``fn()`` makes, itself included —
-    exact and timing-free, the same on every host."""
+    exact and timing-free, the same on every host.
+
+    The cyclic collector is paused meanwhile: a collection that happens
+    to fall inside ``fn()`` would count the ``gc.callbacks`` it runs
+    (Hypothesis registers one to time its deadlines), calls that depend
+    on the allocation history, not on ``fn``.
+    """
     count = 0
 
     def profiler(frame, event, arg):
@@ -224,11 +231,15 @@ def calls_made(fn) -> int:
         if event in ("call", "c_call"):
             count += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return count - 1  # the closing ``sys.setprofile`` call itself
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro import HVCode, RDPCode, XCode
 from repro.array.latency import LatencyModel
 from repro.array.raid import RAID6Volume
-from repro.engine import ENGINE_CHOICES
 from repro.exceptions import InvalidParameterError, SimulationError
 
 
@@ -138,26 +137,3 @@ class TestTraceReplay:
         results = volume.replay_write_trace(trace)
         assert len(results) == 3
         assert all(r.data_writes == 2 for r in results)
-
-
-class TestComputeAccounting:
-    @staticmethod
-    def _charges(engine):
-        """(xor_words, kernel_invocations) of one write and one degraded read."""
-        volume = RAID6Volume(HVCode(7), engine=engine)
-        written = volume.write(0, 5).io
-        volume.fail_disk(1)
-        read = volume.degraded_read(0, 12).io
-        return [(io.xor_words, io.kernel_invocations) for io in (written, read)]
-
-    @pytest.mark.parametrize("engine", ENGINE_CHOICES)
-    def test_every_engine_but_python_charges_what_vector_charges(self, engine):
-        """Compute is charged by every engine the constructor accepts
-        except the scalar reference, and identically by all of them:
-        the vectorized engines share one cost model."""
-        charges = self._charges(engine)
-        if engine == "python":
-            assert charges == [(0, 0), (0, 0)]
-        else:
-            assert charges == self._charges("fused")
-            assert all(words and kernels for words, kernels in charges)

@@ -24,7 +24,6 @@ from repro import (
     XCode,
 )
 from repro.array.filestore import FileStore
-from repro.array.raid import RAID6Volume
 from repro.codes.registry import get_code
 from repro.core.recovery import plan_double_failure_recovery
 from repro.engine import compile_plan, execute_plan, execute_plan_scalar
@@ -193,26 +192,3 @@ class TestArrayWiring:
             store.write(0, payload)
         for a, b in zip(stores["python"].stripes, stores["fused"].stripes):
             assert a == b
-
-    def test_raid_volume_vector_charges_compute(self):
-        code = get_code("HV", 7)
-        fused = RAID6Volume(code, num_stripes=4, engine="fused")
-        python = RAID6Volume(code, num_stripes=4)
-        for vol in (fused, python):
-            vol.fail_disk(1)
-            vol.degraded_read(0, code.rows * 2)
-        assert fused.stats.xor_words > 0
-        assert fused.stats.kernel_invocations > 0
-        assert python.stats.xor_words == 0
-
-    def test_raid_volume_engines_agree_on_io(self):
-        # Compute accounting differs; the disk I/O pattern must not.
-        code = get_code("HV", 7)
-        fused = RAID6Volume(code, num_stripes=4, engine="fused")
-        python = RAID6Volume(code, num_stripes=4)
-        for vol in (fused, python):
-            vol.fail_disk(1)
-            vol.write(0, code.rows)
-            vol.degraded_read(0, code.rows * 2)
-        assert fused.stats.reads == python.stats.reads
-        assert fused.stats.writes == python.stats.writes

@@ -1,16 +1,17 @@
 """Stateful model test: FileStore vs a plain bytearray.
 
 Hypothesis drives random interleavings of writes, reads, disk
-failures, rebuilds and scrubs against an HV-coded FileStore, checking
-every read against a reference bytearray.  This is the strongest
-correctness statement in the suite: no sequence of supported
-operations may ever lose or corrupt a byte.
+failures, latent sector errors, rebuilds and scrubs against an
+HV-coded FileStore, checking every read against a reference bytearray.
+This is the strongest correctness statement in the suite: no sequence
+of supported operations may ever lose or corrupt a byte.
 
-The machine runs at three ``(engine, cache_stripes)`` points: the
-write-through python oracle, and a journalled write-back cache over
-``auto`` (the native ``update`` override where a compiler exists) and
-over the vectorized numpy backend, ``fused`` (the inherited
-``KernelBackend.update``).
+The machine runs at five ``(engine, cache_stripes)`` points: the python
+oracle and ``auto`` (the native ``update`` override where a compiler
+exists) each write-through and over a journalled write-back cache, and
+the cache over the vectorized numpy backend, ``fused`` (the inherited
+``KernelBackend.update``).  Latent cells make stripes with faults take
+every write and flush path on every engine.
 """
 
 import numpy as np
@@ -66,7 +67,15 @@ class FileStoreModel(RuleBasedStateMachine):
         out = self.store.read(offset, size)
         assert out == bytes(self.reference[offset : offset + size])
 
-    @precondition(lambda self: len(self.store.failed_disks) < 2)
+    def _any_latent(self):
+        return any(stripe.latent.any() for stripe in self.store.stripes)
+
+    # A second failure plus a latent cell can exceed RAID-6: the second
+    # disk waits until every latent cell is healed.
+    @precondition(
+        lambda self: not self.store.failed_disks
+        or (len(self.store.failed_disks) == 1 and not self._any_latent())
+    )
     @rule(data=st.data())
     def fail_disk(self, data):
         healthy = [
@@ -86,6 +95,23 @@ class FileStoreModel(RuleBasedStateMachine):
     def flush(self):
         self.store.flush()
 
+    # One disk plus one latent cell per stripe is within RAID-6.
+    @precondition(lambda self: len(self.store.failed_disks) <= 1 and self.store.stripes)
+    @rule(data=st.data())
+    def latent(self, data):
+        """One readable cell of a stripe with no latent cell gets a URE."""
+        clean = [s for s in self.store.stripes if not s.latent.any()]
+        if not clean:
+            return
+        stripe = data.draw(st.sampled_from(clean))
+        readable = [
+            (r, c)
+            for r in range(self.code.rows)
+            for c in range(self.code.cols)
+            if not stripe.erased[r, c]
+        ]
+        stripe.mark_latent(data.draw(st.sampled_from(readable)))
+
     @invariant()
     def capacity_covers_reference(self):
         assert self.store.capacity >= len(self.reference)
@@ -97,12 +123,24 @@ class FileStoreModel(RuleBasedStateMachine):
     )
     @invariant()
     def parity_always_consistent(self):
+        self.store.scrub_checksums()  # heals latent cells
         assert self.store.scrub() == []
 
     def teardown(self):
-        if not self.store.failed_disks:
-            assert self.store.scrub() == []  # lands whatever is still deferred
         assert self.store.read(0, len(self.reference)) == bytes(self.reference)
+        if not self.store.failed_disks:
+            # Lands whatever is still deferred, then heals latent cells.
+            self.store.scrub_checksums()
+            assert self.store.scrub() == []
+        assert self.store.read(0, len(self.reference)) == bytes(self.reference)
+
+
+class AutoModel(FileStoreModel):
+    engine, cache_stripes = "auto", 0
+
+
+class PythonCachedModel(FileStoreModel):
+    engine, cache_stripes = "python", 2
 
 
 class AutoCachedModel(FileStoreModel):
@@ -117,6 +155,10 @@ SETTINGS = settings(max_examples=25, stateful_step_count=30, deadline=None)
 
 TestFileStoreStateful = FileStoreModel.TestCase
 TestFileStoreStateful.settings = SETTINGS
+TestFileStoreStatefulAuto = AutoModel.TestCase
+TestFileStoreStatefulAuto.settings = SETTINGS
+TestFileStoreStatefulPythonCached = PythonCachedModel.TestCase
+TestFileStoreStatefulPythonCached.settings = SETTINGS
 TestFileStoreStatefulAutoCached = AutoCachedModel.TestCase
 TestFileStoreStatefulAutoCached.settings = SETTINGS
 TestFileStoreStatefulVectorCached = VectorCachedModel.TestCase
