@@ -20,9 +20,9 @@ and honours disk failures the way an array does:
   element's *logical* content is the new data even though its disk is
   gone; a parity on a failed disk is never read or written, only its
   CRC advanced;
-- **rebuild** runs Fig. 9's hybrid ``recover-single`` plan (or, with a
-  second disk down, the read plan sliced to the column) stripe by
-  stripe to bring a replaced disk back.
+- **rebuild** brings a replaced disk back stripe by stripe, healing
+  latent cells on the way, through one ``read`` plan per stripe: Fig.
+  9's hybrid ``recover-single`` chains when the disk is the only loss.
 
 With ``cache_stripes > 0`` the store runs **write-back**: data bytes
 land in the stripe immediately (reads stay coherent) but the parity
@@ -548,53 +548,66 @@ class FileStore:
     def rebuild(self, disk: int) -> None:
         """Reconstruct a failed disk's content and bring it back.
 
-        A stripe whose only loss is ``disk`` runs Fig. 9's hybrid
-        ``recover-single`` plan in place; with another disk (or a latent
-        cell) down too, the read plan sliced to the column computes it
-        into scratch and the other losses stay erased and zeroed; a
-        pattern neither can serve decodes a copy (rung 3 of the ladder).
-        The elements the plans read are charged to :attr:`healing`, not
-        :attr:`stats`.  Only the column is written, and only once all of
-        it matched its CRC sidecar, so a rebuild silently poisoned by an
-        undetected flip fails loudly (run a scrub first).  For a
-        fault-aware, checkpointed rebuild use
-        :class:`repro.faults.rebuild_orchestrator.RebuildOrchestrator`.
+        Every stripe goes through :meth:`_rebuild_stripe`: one compiled
+        ``read`` plan restores the column and heals the stripe's latent
+        cells — Fig. 9's hybrid ``recover-single`` chains when ``disk``
+        is the only loss, the decode sliced to the wanted cells
+        otherwise — and a pattern the planner and peeling both reject
+        decodes a copy (rung 3 of the ladder).  Another failed disk's
+        column stays erased and zeroed.  For a fault-aware, checkpointed
+        rebuild use
+        :class:`repro.faults.rebuild_orchestrator.RebuildOrchestrator`,
+        which drives the same routine.
         """
         if disk not in self.failed_disks:
             raise InvalidParameterError(f"disk {disk} is not failed")
         with self._exclusive("rebuild"):
             self.flush()
-            rows = self.code.rows
-            column = tuple(r * self._cols + disk for r in range(rows))
-            single = self._compiler.compile_plan(self.code, "recover-single", (disk,))
-            backend = None if self.engine == "python" else self._resolve_backend(self.engine)
-            for idx, stripe in enumerate(self.stripes):
-                alone = not stripe.latent.any() and np.count_nonzero(stripe.erased) == rows
-                plan = single if alone else self._read_plan(stripe, column)
-                if plan is None:
-                    restored = decode_resilient(
-                        self.code, stripe, self.healing, engine=self.engine
-                    )
-                    values = restored.data[:, disk]
-                elif plan is single and backend is not None:
-                    self.healing.reads += len(plan.reads)
-                    self.healing.chain_repairs += rows
-                    backend.execute(plan, stripe)
-                    values = stripe.data[:, disk]
-                else:
-                    self.healing.reads += len(plan.reads)
-                    values = self._planned(stripe, plan)
-                # Gate the whole column before any of it is committed.
-                for r in range(rows):
-                    if crc_of(values[r]) != self.sidecar.expected(idx, (r, disk)):
-                        stripe.erase_disks([disk])  # an in-place run un-erased it
-                        raise ChecksumMismatchError(
-                            f"rebuild of disk {disk}: stripe {idx} element "
-                            f"({r}, {disk}) decoded to content that fails "
-                            "its checksum — scrub before rebuilding"
-                        )
-                stripe.set_column(disk, values)
+            plans: dict = {}
+            for idx in range(len(self.stripes)):
+                self._rebuild_stripe(idx, disk, plans)
             self.failed_disks.discard(disk)
+
+    def _rebuild_stripe(self, idx: int, disk: int, plans: dict) -> None:
+        """Restore stripe ``idx``'s cells on ``disk`` and heal its latent
+        cells: the one routine every rebuild runs.
+
+        The wanted cells' ``read`` plan (:meth:`_read_plan`) runs into
+        scratch through :meth:`_planned`, its reads charged to
+        :attr:`healing`, not :attr:`stats`; a pattern it rejects decodes
+        a copy (rung 3).  ``plans`` memoises plan and wanted slots per
+        loss pattern over one pass of one ``disk``.  Nothing lands until
+        every wanted cell matched its CRC sidecar, so a rebuild silently
+        poisoned by an undetected flip fails loudly (scrub first).
+        """
+        stripe = self.stripes[idx]
+        cols = self._cols
+        key = stripe.erased.tobytes() + stripe.latent.tobytes()
+        if key not in plans:
+            slots = sorted(
+                {r * cols + disk for r in range(self.code.rows)}
+                | set(np.flatnonzero(stripe.latent).tolist())
+            )
+            plans[key] = (self._read_plan(stripe, tuple(slots)), slots)
+        plan, slots = plans[key]
+        if plan is None:
+            restored = decode_resilient(
+                self.code, stripe, self.healing, engine=self.engine
+            )
+            values = restored.flat_view()[slots]
+        else:
+            self.healing.reads += len(plan.reads)
+            values = self._planned(stripe, plan)
+        for slot, value in zip(slots, values):
+            if crc_of(value) != self.sidecar.expected(idx, divmod(slot, cols)):
+                raise ChecksumMismatchError(
+                    f"rebuild of disk {disk}: stripe {idx} element "
+                    f"{divmod(slot, cols)} decoded to content that fails "
+                    "its checksum — scrub before rebuilding"
+                )
+        stripe.flat_view()[slots] = values
+        stripe.erased.flat[slots] = False
+        stripe.latent.flat[slots] = False
 
     def scrub(self) -> list[int]:
         """Verify parity of every healthy stripe; return bad indices."""

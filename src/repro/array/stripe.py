@@ -91,20 +91,6 @@ class Stripe:
         self.erased[r, c] = False
         self.latent[r, c] = False
 
-    def set_column(self, col: int, column: np.ndarray) -> None:
-        """Overwrite every element of disk ``col`` at once, as
-        :meth:`set` does per element (erasures and faults cleared)."""
-        if not 0 <= col < self.cols:
-            raise InvalidParameterError(f"disk {col} outside 0..{self.cols - 1}")
-        arr = np.asarray(column, dtype=np.uint8)
-        if arr.shape != (self.rows, self.element_size):
-            raise InvalidParameterError(
-                f"column shape {arr.shape} != ({self.rows}, {self.element_size})"
-            )
-        self.data[:, col] = arr
-        self.erased[:, col] = False
-        self.latent[:, col] = False
-
     def alive(self, pos: Position) -> bool:
         r, c = self._check(pos)
         return not self.erased[r, c]

@@ -345,21 +345,31 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
 
 
 def _run_faults(args: argparse.Namespace) -> int:
-    """Run seeded adversity scenarios and summarize per code."""
+    """Run seeded adversity scenarios and summarize per code.
+
+    A fault mix no plan can draw (``--crashes 2`` with sector faults,
+    say) is a usage error: one line on stderr and exit 2, as argparse
+    reports one.
+    """
     import json
 
+    from .exceptions import InvalidParameterError
     from .faults.scenarios import compare_codes
 
     names = (args.code,) if args.code else None
-    table = compare_codes(
-        range(args.seed, args.seed + args.scenarios),
-        p=args.p,
-        code_names=names,
-        stripes=args.stripes,
-        crashes=args.crashes,
-        latent=args.latent,
-        flips=args.flips,
-    )
+    try:
+        table = compare_codes(
+            range(args.seed, args.seed + args.scenarios),
+            p=args.p,
+            code_names=names,
+            stripes=args.stripes,
+            crashes=args.crashes,
+            latent=args.latent,
+            flips=args.flips,
+        )
+    except InvalidParameterError as exc:
+        print(f"hvcode-repro faults: error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         rendered = json.dumps(table, indent=2)
     else:

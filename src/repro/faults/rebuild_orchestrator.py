@@ -1,23 +1,22 @@
 """Stripe-by-stripe hot-spare rebuilds that survive injected faults.
 
-:meth:`FileStore.rebuild` is the clean-room rebuild: Fig. 9's
-``recover-single`` plan stripe by stripe, the column written back only
-once it matches its checksums.  A real array rebuilds onto a hot spare
-while the workload — and the fault process — keeps running.  The
-:class:`RebuildOrchestrator` models that:
+A real array rebuilds onto a hot spare while the workload — and the
+fault process — keeps running.  The :class:`RebuildOrchestrator`
+models that around the store's own per-stripe repair
+(:meth:`FileStore._rebuild_stripe`, which :meth:`FileStore.rebuild`
+loops): the same compiled ``read`` plan, rung-3 fallback and CRC32
+gate restore each stripe whichever driver runs it.  The orchestrator
+adds only:
 
-- stripes are rebuilt one at a time through the greedy minimal-I/O
-  recovery planner (Fig. 9(a)'s hybrid chains), falling back to the
-  self-healing ladder when a planned read hits a latent sector error
-  or when a *second* disk crashes mid-rebuild;
-- progress is checkpointed every ``checkpoint_every`` stripes, so a
-  rebuild interrupted by an :class:`UnrecoverableFaultError` can
+- the injector's clock, ticked once per column cell before each
+  stripe, so scheduled faults — a second crash, a URE — land
+  mid-rebuild;
+- checkpoints every ``checkpoint_every`` stripes, so a rebuild
+  interrupted by an :class:`UnrecoverableFaultError` can
   :meth:`resume` without redoing finished stripes;
-- every restored element is verified against its CRC32 sidecar before
-  it is committed to the spare;
-- the outcome is a structured, deterministic :class:`RebuildReport`
-  with repaired-element counts, retries, escalations, and simulated
-  seconds under the latency model.
+- a structured, deterministic :class:`RebuildReport`, filled from the
+  store's :class:`~repro.faults.healing.HealingStats` deltas, with
+  simulated seconds under the latency model.
 """
 
 from __future__ import annotations
@@ -26,29 +25,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..array.latency import LatencyModel
-from ..exceptions import (
-    ChecksumMismatchError,
-    DecodeError,
-    InvalidParameterError,
-    UnrecoverableFaultError,
-)
-from ..recovery.single import plan_single_disk_recovery
-from .checksum import crc_of
-from .healing import HealingStats, decode_resilient
+from ..exceptions import InvalidParameterError, UnrecoverableFaultError
 
 if TYPE_CHECKING:
     from ..array.filestore import FileStore
-
-Position = tuple[int, int]
 
 
 @dataclass
 class RebuildReport:
     """Structured outcome of one orchestrated rebuild.
 
-    ``elements_repaired`` counts cells written back to the spare;
-    ``chain_reads`` is the planned minimal-I/O read traffic,
-    ``escalation_reads`` the extra traffic of full decodes.
+    ``elements_repaired`` counts cells written back: the column's rows
+    plus the latent cells healed on the way (``latent_hits``);
+    ``chain_reads`` are the reads of stripes a compiled plan restored,
+    ``escalations`` and ``escalation_reads`` the stripes that needed a
+    full decode and theirs.
     ``seconds`` prices reads across surviving disks in parallel, the
     spare's writes serially, plus any injector backoff.
     """
@@ -138,14 +129,15 @@ class RebuildOrchestrator:
         report = self._report
         assert report is not None and self.checkpoint is not None
         start = self.checkpoint
+        plans: dict = {}
         for stripe_idx in range(start, len(self.store.stripes)):
             try:
-                self._rebuild_stripe(stripe_idx, disk, report)
+                self._rebuild_stripe(stripe_idx, disk, report, plans)
             except UnrecoverableFaultError:
                 # Leave the checkpoint at the first unfinished stripe so
                 # resume() retries it (e.g. after an operator scrub).
                 self.checkpoint = stripe_idx
-                self._finalize_time(report)
+                self._finalize_time(report, disk)
                 raise
             report.stripes_done += 1
             if (stripe_idx + 1) % self.checkpoint_every == 0:
@@ -156,77 +148,44 @@ class RebuildOrchestrator:
         self.store.failed_disks.discard(disk)
         report.completed = True
         self.checkpoint = None
-        self._finalize_time(report)
+        self._finalize_time(report, disk)
         return report
 
     def _rebuild_stripe(
-        self, stripe_idx: int, disk: int, report: RebuildReport
+        self,
+        stripe_idx: int,
+        disk: int,
+        report: RebuildReport,
+        plans: dict,
     ) -> None:
-        code = self.store.code
-        stripe = self.store.stripes[stripe_idx]
-        lost = [(r, disk) for r in range(code.rows)]
+        """One stripe through :meth:`FileStore._rebuild_stripe`, with
+        the injector's clock ticked first and the report charged from
+        the store's ``healing`` counters afterwards."""
+        store = self.store
+        rows = store.code.rows
         # Tick the injector clock: the fault process keeps running while
         # we rebuild, so a scheduled second crash or URE can land here.
-        for cell in lost:
-            self.store._element_io(stripe_idx, cell, "write")
-        # Mid-rebuild crashes may have taken a second column down; the
-        # cheap planner only handles the single-disk pattern.
-        other_failures = self.store.failed_disks - {disk}
-        unreadable = frozenset(stripe.latent_positions())
-        restored: dict[Position, object] = {}
-        if not other_failures:
-            try:
-                plan = plan_single_disk_recovery(
-                    code, disk, method="greedy", unreadable=unreadable
-                )
-                if unreadable:
-                    report.latent_hits += len(unreadable)
-                for cell, chain in plan.choices.items():
-                    others = [c for c in chain.equation_cells if c != cell]
-                    restored[cell] = stripe.xor_of(others)
-                report.chain_reads += plan.total_reads
-            except DecodeError:
-                restored = {}  # every chain of some cell is poisoned
-        if not restored:
-            # Escalate: the full decoder absorbs second crashes and
-            # latent cells together (one-disk-plus-one-sector and the
-            # genuine double-erasure cases).
-            stats = HealingStats()
-            work = decode_resilient(
-                code, stripe, stats, engine=self.store.engine
-            )
-            if unreadable:
-                report.latent_hits += len(unreadable)
-            restored = {cell: work.get(cell) for cell in lost}
+        for r in range(rows):
+            store._element_io(stripe_idx, (r, disk), "write")
+        latent = int(store.stripes[stripe_idx].latent.sum())
+        healing = store.healing
+        reads, escalations = healing.reads, healing.escalations
+        with store._exclusive("rebuild"):
+            store._rebuild_stripe(stripe_idx, disk, plans)
+        if healing.escalations > escalations:
             report.escalations += 1
-            report.escalation_reads += stats.reads
-        for cell in lost:
-            buf = restored[cell]
-            if crc_of(buf) != self.store.sidecar.expected(stripe_idx, cell):
-                raise ChecksumMismatchError(
-                    f"rebuild of disk {disk}: stripe {stripe_idx} element "
-                    f"{cell} fails its checksum — scrub, then resume"
-                )
-            stripe.set(cell, buf)
-            report.elements_repaired += 1
-        # Repairing through chains re-read latent cells' neighbours;
-        # the latent cells themselves are healed by rewriting.
-        for pos in stripe.latent_positions():
-            if code.can_recover({pos} | set(stripe.erased_positions())):
-                stats = HealingStats()
-                work = decode_resilient(
-                    code, stripe, stats, engine=self.store.engine
-                )
-                stripe.set(pos, work.get(pos))
-                report.escalation_reads += stats.reads
-                report.elements_repaired += 1
+            report.escalation_reads += healing.reads - reads
+        else:
+            report.chain_reads += healing.reads - reads
+        report.latent_hits += latent
+        report.elements_repaired += rows + latent
 
     # -- time model ---------------------------------------------------------------
 
-    def _finalize_time(self, report: RebuildReport) -> None:
+    def _finalize_time(self, report: RebuildReport, disk: int) -> None:
         """Price the rebuild: parallel survivor reads, serial writes."""
-        code = self.store.code
-        survivors = max(code.cols - 1 - len(self.store.failed_disks), 1)
+        # ``disk`` is still in ``failed_disks`` when a stripe raised.
+        survivors = max(self.store.code.cols - len(self.store.failed_disks | {disk}), 1)
         read_seconds = self.latency.serve(
             -(-report.total_reads // survivors)  # ceil-divide across disks
         )

@@ -170,6 +170,26 @@ class TestFaultsCommand:
         table = json.loads(capsys.readouterr().out)
         assert table["HV"]["survival_rate"] == 1.0
 
+    def test_two_crashes_with_sector_faults_is_a_usage_error(self, capsys):
+        # The default mix carries a URE and a flip; two crashes on top
+        # exceed RAID-6, and the plan's refusal is one line, exit 2.
+        assert main(
+            ["faults", "--code", "HV", "--p", "5", "--scenarios", "1",
+             "--crashes", "2"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "2 crashes plus sector faults exceed RAID-6" in captured.err
+
+    def test_two_crashes_alone_run(self, capsys):
+        assert main(
+            ["faults", "--code", "HV", "--p", "5", "--scenarios", "1",
+             "--stripes", "2", "--crashes", "2", "--latent", "0",
+             "--flips", "0"]
+        ) == 0
+        assert "2 crash(es)" in capsys.readouterr().out
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "faults.txt"
         assert main(

@@ -55,6 +55,20 @@ class TestCompileRecovery:
             # every lost element is an independent group
             assert len(plan.groups) == len(plan.steps) - plan.preamble
 
+    @pytest.mark.parametrize("name", available_codes())
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_whole_column_read_is_recover_single(self, name, p):
+        # FileStore rebuilds a lone lost column through its ``read``
+        # plan, so that plan must be Fig. 9's ``recover-single``, step
+        # for step and read for read.
+        code = get_code(name, p)
+        for disk in range(code.cols):
+            column = tuple(r * code.cols + disk for r in range(code.rows))
+            read = compile_plan(code, "read", (column, column, ()), cache=None)
+            single = compile_plan(code, "recover-single", (disk,), cache=None)
+            assert read.steps == single.steps
+            assert read.reads == single.reads
+
     def test_hv_double_recovery_keeps_four_chains(self):
         code = get_code("HV", 7)
         plan = compile_plan(code, "recover-double", (0, 1), cache=None, cse=False)

@@ -5,6 +5,7 @@ import pytest
 from repro import HVCode, RDPCode
 from repro.array.filestore import FileStore
 from repro.codes.base import ArrayCode
+from repro.codes.evenodd import EvenOddCode
 from repro.exceptions import UnrecoverableFaultError
 from repro.faults import (
     HealingStats,
@@ -146,8 +147,8 @@ class TestRepairPathsDecodeOnTheStoresEngine:
         return seen
 
     @staticmethod
-    def make_store(engine):
-        store = FileStore(HVCode(5), element_size=16, engine=engine)
+    def make_store(engine, code=None):
+        store = FileStore(code or HVCode(5), element_size=16, engine=engine)
         payload = bytes(
             (i * 11 + 5) % 256 for i in range(3 * store.bytes_per_stripe)
         )
@@ -176,9 +177,11 @@ class TestRepairPathsDecodeOnTheStoresEngine:
         assert store.scrub_checksums(repair=False).clean
 
     def test_orchestrated_rebuild_escalation(self, decode_engines):
-        store, payload = self.make_store("fused")
+        # EVENODD with disks 0 and 1 down is a pattern peeling cannot
+        # finish, so every stripe climbs to rung 3.
+        store, payload = self.make_store("fused", EvenOddCode(5))
         store.fail_disk(0)
-        store.fail_disk(2)
+        store.fail_disk(1)
         report = RebuildOrchestrator(store).rebuild(0)
         assert report.escalations == len(store.stripes)
         assert len(decode_engines) == len(store.stripes)

@@ -1,9 +1,11 @@
 """Tests for the fault-tolerant rebuild orchestrator."""
 
+import numpy as np
 import pytest
 
 from repro import HVCode
 from repro.array.filestore import FileStore
+from repro.codes.registry import EVALUATED_CODE_NAMES, get_code
 from repro.exceptions import (
     ChecksumMismatchError,
     InvalidParameterError,
@@ -70,7 +72,9 @@ class TestRebuild:
         store.fail_disk(2)
         report = RebuildOrchestrator(store).rebuild(0)
         assert report.completed
-        assert report.escalations == len(store.stripes)
+        # The decode sliced to the column is a compiled plan: no stripe
+        # needs rung 3.
+        assert report.escalations == 0
         assert store.failed_disks == {2}
         assert store.read(0, len(payload)) == payload
 
@@ -112,6 +116,23 @@ class TestResume:
         assert report.stripes_done == 6
         assert store.read(0, len(payload)) == payload
 
+    def test_interrupted_report_prices_every_survivor(self):
+        # Disks 0 and 2 down leave two survivors of HV@5's four columns;
+        # the rebuilt disk is still failed when stripe 3 raises, and
+        # must not be subtracted a second time.
+        store, _ = make_store(stripes=6)
+        store.fail_disk(0)
+        store.fail_disk(2)
+        store.stripes[3].mark_latent((0, 3))
+        orchestrator = RebuildOrchestrator(store)
+        with pytest.raises(UnrecoverableFaultError):
+            orchestrator.rebuild(0)
+        report = orchestrator._report
+        assert (report.total_reads, report.elements_repaired) == (24, 12)
+        serve = orchestrator.latency.serve
+        assert report.seconds == max(serve(24 // 2), serve(12))
+        assert report.seconds < serve(24)
+
     def test_resume_without_interruption_rejected(self):
         store, _ = make_store()
         store.fail_disk(0)
@@ -144,3 +165,57 @@ class TestChecksumGuard:
         store.sidecar.record(0, (0, 1), b"not the real content")
         with pytest.raises(ChecksumMismatchError):
             store.rebuild(1)
+
+
+#: (code, fault pattern) pairs: the three patterns on every evaluated
+#: code and EVENODD, plus EVENODD@5's (0, 1), which peeling rejects.
+TWIN_CASES = [
+    (name, pattern)
+    for name in EVALUATED_CODE_NAMES + ("EVENODD",)
+    for pattern in ("one-disk", "latent-survivor", "two-disks")
+] + [("EVENODD", "rung-3")]
+
+
+def faulted_store(name, engine, pattern):
+    """A 3-stripe store under ``pattern``; returns it and the disk to
+    rebuild."""
+    store = FileStore(get_code(name, 5), element_size=16, engine=engine)
+    payload = bytes((i * 7 + 3) % 256 for i in range(3 * store.bytes_per_stripe))
+    store.write(0, payload)
+    failed = {"two-disks": (1, store.code.cols - 1), "rung-3": (0, 1)}.get(
+        pattern, (1,)
+    )
+    for disk in failed:
+        store.fail_disk(disk)
+    if pattern == "latent-survivor":
+        store.stripes[1].mark_latent((0, store.code.cols - 1))
+    return store, failed[0]
+
+
+def healing_counts(store):
+    h = store.healing
+    return h.reads, h.escalations, h.chain_repairs
+
+
+@pytest.mark.parametrize("engine", ["python", "auto"])
+@pytest.mark.parametrize("name,pattern", TWIN_CASES)
+def test_store_and_orchestrator_rebuild_alike(name, pattern, engine):
+    """One per-stripe routine, two drivers: the same bytes, flags and
+    counters, and the report charges exactly what ``healing`` saw."""
+    plain, disk = faulted_store(name, engine, pattern)
+    driven, _ = faulted_store(name, engine, pattern)
+    plain.rebuild(disk)
+    before = healing_counts(driven)[0]
+    report = RebuildOrchestrator(driven).rebuild(disk)
+    assert report.total_reads == driven.healing.reads - before
+    assert report.escalations == (len(driven.stripes) if pattern == "rung-3" else 0)
+    latent = int(pattern == "latent-survivor")
+    assert report.latent_hits == latent
+    assert report.elements_repaired == len(driven.stripes) * driven.code.rows + latent
+    assert plain.failed_disks == driven.failed_disks
+    assert healing_counts(plain) == healing_counts(driven)
+    for a, b in zip(plain.stripes, driven.stripes):
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.erased, b.erased)
+        assert np.array_equal(a.latent, b.latent)
+        assert not a.latent.any()
