@@ -89,7 +89,7 @@ from ..exceptions import (
     TransientIOError,
     UnrecoverableFailureError,
 )
-from ..faults.checksum import ChecksumSidecar, crc_of
+from ..faults.checksum import CellSlots, ChecksumSidecar, _zeros_crc, crc_rows
 from ..faults.healing import HealingStats, decode_resilient, recover_element
 from ..journal import (
     COMPACT_FACTOR,
@@ -218,9 +218,9 @@ class FileStore:
 
     def _ensure_capacity(self, end_byte: int) -> None:
         while self.capacity < end_byte:
+            # All-zero data: every code is linear, so the parity is zero too.
             stripe = self.code.make_stripe(self.element_size)
-            self.code.encode(stripe, engine=self.engine)  # all-zero data, valid parity
-            self.sidecar.add_stripe(stripe)
+            self.sidecar.add_zero_stripe(self.element_size)
             for disk in self.failed_disks:
                 stripe.erase_disks([disk])
             self.stripes.append(stripe)
@@ -575,10 +575,11 @@ class FileStore:
         The wanted cells' ``read`` plan (:meth:`_read_plan`) runs into
         scratch through :meth:`_planned`, its reads charged to
         :attr:`healing`, not :attr:`stats`; a pattern it rejects decodes
-        a copy (rung 3).  ``plans`` memoises plan and wanted slots per
-        loss pattern over one pass of one ``disk``.  Nothing lands until
-        every wanted cell matched its CRC sidecar, so a rebuild silently
-        poisoned by an undetected flip fails loudly (scrub first).
+        a copy (rung 3).  ``plans`` memoises plan, wanted slots and the
+        CRC gate's slots per loss pattern over one pass of one ``disk``.
+        Nothing lands until every wanted cell matched its CRC sidecar, so
+        a rebuild silently poisoned by an undetected flip fails loudly
+        (scrub first).
         """
         stripe = self.stripes[idx]
         cols = self._cols
@@ -588,8 +589,12 @@ class FileStore:
                 {r * cols + disk for r in range(self.code.rows)}
                 | set(np.flatnonzero(stripe.latent).tolist())
             )
-            plans[key] = (self._read_plan(stripe, tuple(slots)), slots)
-        plan, slots = plans[key]
+            plans[key] = (
+                self._read_plan(stripe, tuple(slots)),
+                slots,
+                CellSlots(range(len(slots))),
+            )
+        plan, slots, rows = plans[key]
         if plan is None:
             restored = decode_resilient(
                 self.code, stripe, self.healing, engine=self.engine
@@ -598,13 +603,14 @@ class FileStore:
         else:
             self.healing.reads += len(plan.reads)
             values = self._planned(stripe, plan)
-        for slot, value in zip(slots, values):
-            if crc_of(value) != self.sidecar.expected(idx, divmod(slot, cols)):
-                raise ChecksumMismatchError(
-                    f"rebuild of disk {disk}: stripe {idx} element "
-                    f"{divmod(slot, cols)} decoded to content that fails "
-                    "its checksum — scrub before rebuilding"
-                )
+        crcs = crc_rows(values, rows)
+        bad = np.flatnonzero(crcs != self.sidecar.stripes[idx].flat[slots])
+        if len(bad):
+            raise ChecksumMismatchError(
+                f"rebuild of disk {disk}: stripe {idx} element "
+                f"{divmod(slots[bad[0]], cols)} decoded to content that fails "
+                "its checksum — scrub before rebuilding"
+            )
         stripe.flat_view()[slots] = values
         stripe.erased.flat[slots] = False
         stripe.latent.flat[slots] = False
@@ -1092,15 +1098,15 @@ class FileStore:
         (:meth:`ArrayCode.apply_parity_deltas`), the independent oracle.
 
         Then every parity is read, rewritten and re-checksummed with the
-        live pattern cells — except, when the stripes are ``faulted``
-        (may hold lost or latent cells; a flush group never does), a
-        parity on a failed disk.  Its slot is zero (:meth:`Stripe.erase`),
-        so it holds exactly its delta, which nested chains saw; its disk
-        is neither read nor written, its CRC advances by that delta
-        (:meth:`ChecksumSidecar.record_delta`) and the slot is zeroed
-        again.  A latent parity is healed by its rewrite.  A lost pattern
-        cell's CRC, the data side of the ledger and the journal commit
-        are the caller's.
+        live pattern cells, in one :meth:`ChecksumSidecar.record_stripe`
+        call per stripe — except, when the stripes are ``faulted`` (may
+        hold lost or latent cells; a flush group never does), a parity
+        on a failed disk.  Its slot is zero (:meth:`Stripe.erase`), so it
+        holds exactly its delta, which nested chains saw; its disk is
+        neither read nor written, its CRC advances by that delta (CRC32
+        is affine over XOR) and the slot is zeroed again.  A latent
+        parity is healed by its rewrite.  A lost pattern cell's CRC, the
+        data side of the ledger and the journal commit are the caller's.
         """
         stripes = [self.stripes[idx] for idx in indices]
         cells, parities = plan.pattern_positions, plan.output_positions
@@ -1119,21 +1125,30 @@ class FileStore:
             )
         if self._crash_hook is not None:
             self._crash_hook("parity-write")
-        touched = cells + parities
-        parity_disks = [c for _, c in parities]
+        touched, parity_disks = plan.derived("fold_cells", _fold_cells)
         for idx, stripe in zip(indices, stripes):
-            live, rewritten = touched, parity_disks
+            rewritten = parity_disks
             if faulted:
                 data, erased = stripe.data, stripe.erased
+                crcs = self.sidecar.stripes[idx]
+                logical: dict[Position, int] = {}  # lost parities: slot = delta
                 for pos in parities:
                     if erased[pos]:
-                        self.sidecar.record_delta(idx, pos, data[pos])
-                        data[pos] = 0
+                        logical[pos] = crcs[pos]
                     else:
                         stripe.latent[pos] = False
-                live = [pos for pos in touched if not erased[pos]]
+                # One call re-checksums the live pattern cells and every
+                # parity, then crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
+                live = [pos for pos in cells if not erased[pos]]
+                self.sidecar.record_stripe(
+                    idx, stripe, touched if len(live) == len(cells) else live + [*parities]
+                )
+                for pos, crc in logical.items():
+                    crcs[pos] ^= crc ^ _zeros_crc(self.element_size)
+                    data[pos] = 0
                 rewritten = [c for r, c in parities if not erased[r, c]]
-            self.sidecar.record_stripe(idx, stripe, live)
+            else:
+                self.sidecar.record_stripe(idx, stripe, touched)
             self.stats.record_reads(rewritten)
             self.stats.record_writes(rewritten)
             self.parity_writes += len(rewritten)
@@ -1145,3 +1160,9 @@ class FileStore:
             f"capacity={self.capacity}, failed={sorted(self.failed_disks)}, "
             f"dirty={dirty})"
         )
+
+
+def _fold_cells(plan: "XorPlan") -> tuple[CellSlots, list[int]]:
+    """What :meth:`FileStore._fold` re-checksums on a healthy stripe
+    (the pattern and output slots) and the disks it rewrites, per plan."""
+    return CellSlots(plan.pattern + plan.outputs), [c for _, c in plan.output_positions]

@@ -14,16 +14,23 @@ path at both L2-resident and DRAM-resident region sizes
 The backend is **optional by construction**: the C source below is
 compiled with whatever ``cc``/``gcc``/``clang`` the host has, at first
 use, in a temporary directory that is removed once the library is
-loaded.  No compiler, a failed compile, or ``REPRO_DISABLE_NATIVE=1``
-in the environment all make :meth:`NativeBackend.available` report
-False and the registry's ``auto`` resolution falls back to the fused
-numpy backend — presence of the backend can never be a correctness or
-import-time concern.
+loaded.  No compiler, a failed compile, a library that will not load
+or lacks an entry point, or ``REPRO_DISABLE_NATIVE=1`` in the
+environment all make :meth:`NativeBackend.available` report False
+(:data:`UNAVAILABLE_REASON` says which) and the registry's ``auto``
+resolution falls back to the fused numpy backend — presence of the
+backend can never be a correctness or import-time concern.
 
-The kernel is byte-oriented (sizes and strides in bytes), so the
+The XOR kernel is byte-oriented (sizes and strides in bytes), so the
 unaligned uint8-lane fallback needs no second entry point: gcc/clang
 auto-vectorize the byte XOR loops to the same SIMD the uint64 view
 would get.
+
+The library also carries the checksum sidecar's CRC-32, zlib's values
+(``crc32_cells``, behind :func:`repro.faults.checksum.crc_rows`): a
+PCLMULQDQ fold through GCC vector builtins where the build has
+``__PCLMUL__`` and ``__SSE4_1__`` (an intrinsics header would slow the
+compile), slicing-by-8 tables otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 import numpy as np
 
@@ -151,11 +158,109 @@ void xor_exec_plan(uint8_t *buf, uint8_t *temps,
         }
     }
 }
+
+/* CRC-32 as zlib computes it (reflected polynomial 0xedb88320, the
+ * register inverted on entry and exit).  The tables fill once, at load. */
+static uint32_t crc_table[8][256];
+
+__attribute__((constructor)) static void crc_table_init(void)
+{
+    for (uint32_t i = 0; i < 256; i++) {
+        uint32_t c = i;
+        for (int k = 0; k < 8; k++)
+            c = c >> 1 ^ (0xedb88320u & -(c & 1));
+        crc_table[0][i] = c;
+    }
+    for (int t = 1; t < 8; t++)
+        for (int i = 0; i < 256; i++)
+            crc_table[t][i] = crc_table[t - 1][i] >> 8
+                              ^ crc_table[0][crc_table[t - 1][i] & 0xff];
+}
+
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+typedef long long v2di __attribute__((vector_size(16)));
+typedef long long v2du __attribute__((vector_size(16), may_alias, aligned(1)));
+typedef int v4si __attribute__((vector_size(16)));
+#define CLMUL __builtin_ia32_pclmulqdq128
+#define LOAD(p) ((v2di)*(const v2du *)(p))
+
+/* x carried 512 (k12) or 128 (k34) bits forward, plus the next block */
+static v2di fold(v2di x, v2di k, v2di next)
+{
+    return CLMUL(x, k, 0x00) ^ CLMUL(x, k, 0x11) ^ next;
+}
+
+/* n >= 64, a multiple of 16: four 128-bit lanes folded over 64-byte
+ * blocks, then into one, then 128 -> 64 -> 32 bits by k4 and k5 and a
+ * Barrett reduction by P' and mu. */
+static uint32_t crc_fold(uint32_t crc, const uint8_t *p, ptrdiff_t n)
+{
+    const v2di k12 = {0x154442bd4, 0x1c6e41596}, k34 = {0x1751997d0, 0x0ccaa009e},
+               k5 = {0x163cd6124, 0}, pu = {0x1db710641, 0x1f7011641},
+               lo32 = {0xffffffff, 0};
+    v2di x0 = LOAD(p) ^ (v2di){crc, 0}, x1 = LOAD(p + 16), x2 = LOAD(p + 32),
+         x3 = LOAD(p + 48);
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x0 = fold(x0, k12, LOAD(p));
+        x1 = fold(x1, k12, LOAD(p + 16));
+        x2 = fold(x2, k12, LOAD(p + 32));
+        x3 = fold(x3, k12, LOAD(p + 48));
+    }
+    for (x0 = fold(fold(fold(x0, k34, x1), k34, x2), k34, x3); n; p += 16, n -= 16)
+        x0 = fold(x0, k34, LOAD(p));
+    x0 = CLMUL(x0, k34, 0x10) ^ (v2di){x0[1], 0};
+    v4si w = (v4si)x0;
+    x0 = CLMUL(x0 & lo32, k5, 0x00) ^ (v2di)(v4si){w[1], w[2], w[3], 0};
+    x0 ^= CLMUL(CLMUL(x0 & lo32, pu, 0x10) & lo32, pu, 0x00);
+    return ((v4si)x0)[1];
+}
+#endif
+
+/* For each of the n slots s: out[s] = CRC-32 of cell s of base. */
+void crc32_cells(const uint8_t *base, ptrdiff_t cell_bytes,
+                 const int32_t *slots, ptrdiff_t n, uint32_t *out)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const uint8_t *p = base + (ptrdiff_t)slots[i] * cell_bytes;
+        ptrdiff_t left = cell_bytes;
+        uint32_t crc = 0xffffffffu;
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+        if (left >= 64) {
+            crc = crc_fold(crc, p, left & ~(ptrdiff_t)15);
+            p += left & ~(ptrdiff_t)15;
+            left &= 15;
+        }
+#else
+        /* slicing-by-8: zlib's speed without the instruction */
+        for (; left >= 8; p += 8, left -= 8) {
+            uint32_t lo = crc ^ (p[0] | p[1] << 8 | p[2] << 16 | (uint32_t)p[3] << 24);
+            crc = crc_table[7][lo & 0xff] ^ crc_table[6][lo >> 8 & 0xff]
+                  ^ crc_table[5][lo >> 16 & 0xff] ^ crc_table[4][lo >> 24]
+                  ^ crc_table[3][p[4]] ^ crc_table[2][p[5]]
+                  ^ crc_table[1][p[6]] ^ crc_table[0][p[7]];
+        }
+#endif
+        for (; left > 0; left--)
+            crc = crc >> 8 ^ crc_table[0][(crc ^ *p++) & 0xff];
+        out[slots[i]] = ~crc;
+    }
+}
 """
 
+class _Kernel(NamedTuple):
+    """One loaded library: ``xor_exec_plan`` through ``CDLL`` (a call
+    releases the GIL), ``crc32_cells`` through ``PYFUNCTYPE`` (it holds it)."""
+
+    xor: "ctypes._CFuncPtr"
+    crc: "ctypes._CFuncPtr"
+
+
 #: Lazily-populated compile state: None = not tried, False = failed,
-#: otherwise the loaded ctypes function.
-_KERNEL: "ctypes._CFuncPtr | None | bool" = None
+#: otherwise the loaded :class:`_Kernel`.
+_KERNEL: "_Kernel | Literal[False] | None" = None
+
+#: Why the kernel did not load, once a build was tried and failed.
+UNAVAILABLE_REASON: str | None = None
 
 
 def _find_compiler() -> str | None:
@@ -166,13 +271,16 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _compile_kernel() -> "ctypes._CFuncPtr | None":
-    """Compile and load the C kernel; None on any failure."""
+def _compile_kernel(
+    flag_sets: "Sequence[Sequence[str]]" = (("-march=native",), ()),
+) -> "_Kernel | str":
+    """Compile and load the C kernel with the first of ``flag_sets``
+    that builds; on any failure, the reason instead."""
     if os.environ.get("REPRO_DISABLE_NATIVE"):
-        return None
+        return "disabled by REPRO_DISABLE_NATIVE"
     compiler = _find_compiler()
     if compiler is None:
-        return None
+        return "no compiler"
     # The build directory goes as soon as the library is mapped (the
     # mapping outlives the file), and on every failure path.
     with tempfile.TemporaryDirectory(prefix="repro-native-") as workdir:
@@ -180,38 +288,33 @@ def _compile_kernel() -> "ctypes._CFuncPtr | None":
         lib = os.path.join(workdir, "xor_kernel.so")
         with open(src, "w") as fh:
             fh.write(_C_SOURCE)
-        base_cmd = [compiler, "-O3", "-shared", "-fPIC", src, "-o", lib]
-        for extra in (["-march=native"], []):
+        for flags in flag_sets:
             try:
                 result = subprocess.run(
-                    base_cmd[:2] + extra + base_cmd[2:],
+                    [compiler, "-O3", *flags, "-shared", "-fPIC", src, "-o", lib],
                     capture_output=True,
                     timeout=120,
                 )
-            except (OSError, subprocess.SubprocessError):
-                return None
+            except (OSError, subprocess.SubprocessError) as exc:
+                return f"compile failed: {exc}"
             if result.returncode == 0:
                 break
         else:
-            return None
+            stderr = result.stderr.decode(errors="replace").splitlines()
+            return f"compile failed: {stderr[0] if stderr else ''}".rstrip()
         try:
             dll = ctypes.CDLL(lib)
         except OSError:
-            return None
-    fn = dll.xor_exec_plan
-    fn.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_void_p,
-        ctypes.c_ssize_t,
-        ctypes.c_ssize_t,
-        ctypes.c_ssize_t,
-        ctypes.c_void_p,
-        ctypes.c_int32,
-        ctypes.c_int32,
-        ctypes.c_ssize_t,
-    ]
-    fn.restype = None
-    return fn
+            return "load failed"
+        ptr, size, i32 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int32
+        try:
+            xor = dll.xor_exec_plan
+            crc = ctypes.PYFUNCTYPE(None, ptr, size, ptr, size, ptr)(("crc32_cells", dll))
+        except AttributeError:
+            return "missing symbol"
+    xor.argtypes = [ptr, ptr, size, size, size, ptr, i32, i32, size]
+    xor.restype = None
+    return _Kernel(xor, crc)
 
 
 def _address(buf: np.ndarray) -> int:
@@ -222,10 +325,14 @@ def _address(buf: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
-def _kernel() -> "ctypes._CFuncPtr | None":
-    global _KERNEL
+def _kernel() -> "_Kernel | None":
+    global _KERNEL, UNAVAILABLE_REASON
     if _KERNEL is None:
-        _KERNEL = _compile_kernel() or False
+        built = _compile_kernel()
+        if isinstance(built, str):
+            UNAVAILABLE_REASON, _KERNEL = built, False
+        else:
+            _KERNEL = built
     return _KERNEL or None
 
 
@@ -335,8 +442,8 @@ class NativeBackend(KernelBackend):
         stats: "IOStats | None" = None,
     ) -> None:
         """Run the whole schedule in one C call per contiguous region."""
-        fn = _kernel()
-        if fn is None:
+        kernel = _kernel()
+        if kernel is None:
             raise InvalidParameterError(
                 "native backend unavailable on this host (no C compiler); "
                 "use engine='auto' for graceful fallback"
@@ -353,7 +460,7 @@ class NativeBackend(KernelBackend):
                 else None
             )
             tile = max(1, min(cell_bytes, NATIVE_TILE_BYTES))
-            fn(
+            kernel.xor(
                 _address(flat),
                 _address(temps) if temps is not None else None,
                 lanes,
@@ -376,8 +483,8 @@ class NativeBackend(KernelBackend):
     ) -> np.ndarray:
         """:meth:`KernelBackend.gather` in one C call: the plan's
         scratch rows are the kernel's temporaries."""
-        fn = _kernel()
-        if fn is None:
+        kernel = _kernel()
+        if kernel is None:
             raise InvalidParameterError(
                 "native backend unavailable on this host (no C compiler); "
                 "use engine='auto' for graceful fallback"
@@ -386,7 +493,7 @@ class NativeBackend(KernelBackend):
         _check_geometry(plan, stripe)
         cell_bytes = stripe.element_size
         scratch = np.empty((schedule.scratch_rows, cell_bytes), dtype=np.uint8)
-        fn(
+        kernel.xor(
             _address(stripe.data),
             _address(scratch),
             1,
@@ -433,8 +540,8 @@ class NativeBackend(KernelBackend):
         every dirtied parity cell has been updated in place.  The
         extended schedule is kept on the plan like the plain one.
         """
-        fn = _kernel()
-        if fn is None:
+        kernel = _kernel()
+        if kernel is None:
             raise InvalidParameterError(
                 "native backend unavailable on this host (no C compiler); "
                 "use engine='auto' for graceful fallback"
@@ -458,7 +565,7 @@ class NativeBackend(KernelBackend):
             raise InvalidParameterError(
                 f"missing pre-image for dirty slot {exc.args[0]}"
             ) from None
-        fn(
+        kernel.xor(
             _address(stripe.data),
             _address(scratch),
             1,

@@ -12,10 +12,15 @@ decoder when chains are poisoned.
 The scrub counts its repair I/O (elements read and written) so the
 scenario runner can compare the scrubbing cost of different codes under
 identical fault plans.
+
+Every CRC is ``zlib.crc32``'s value; the cells of a stripe checksummed
+together go through :func:`crc_rows`, one call into the native kernel
+library when it is loaded, ``zlib.crc32`` per cell otherwise.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import zlib
 from collections.abc import Iterable
@@ -24,6 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..engine.backends import native
 from ..exceptions import InvalidParameterError, UnrecoverableFaultError
 
 if TYPE_CHECKING:  # avoid an array<->faults import cycle
@@ -52,6 +58,54 @@ def _zeros_crc(size: int) -> int:
     return zlib.crc32(bytes(size))
 
 
+class CellSlots:
+    """Cell slots (``r * cols + c``) in the int32 form the native CRC
+    kernel reads, checked non-negative once; a caller that checksums
+    the same cells often builds them once."""
+
+    __slots__ = ("array", "n", "end")
+
+    def __init__(self, slots: "Iterable[int]") -> None:
+        slots = list(slots)
+        self.n = len(slots)
+        if self.n and min(slots) < 0:
+            raise InvalidParameterError("cell slots must be non-negative")
+        #: one past the highest slot: the rows a buffer must have
+        self.end = max(slots) + 1 if self.n else 0
+        self.array = (ctypes.c_int32 * self.n)(*slots)
+
+
+def crc_rows(
+    buf: np.ndarray, slots: CellSlots, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Set ``out[s]`` to the CRC32 of row ``s`` of ``buf`` (its last
+    axis; a stripe's ``data`` has a row per cell) for every slot ``s``
+    and return ``out``: uint32, an entry per row, zeroed when None.
+    Both arrays writable and C-contiguous."""
+    if out is None:
+        out = np.zeros(buf.shape[:-1], dtype=np.uint32)
+    width = buf.shape[-1]
+    if buf.dtype != np.uint8 or out.dtype != np.uint32:
+        raise InvalidParameterError("crc_rows takes uint8 rows into uint32 CRCs")
+    if slots.end > out.size or slots.end * width > buf.size:
+        raise InvalidParameterError(f"slot {slots.end - 1} is past the last row")
+    # The global once the library is loaded: no call on the hot path.
+    kernel = native._KERNEL or native._kernel()
+    if kernel is None or not buf.size:
+        rows, crcs = buf.reshape(out.size, width), out.reshape(-1)
+        for s in slots.array:
+            crcs[s] = zlib.crc32(rows[s])
+    else:  # native._address inlined: every call counts on a served op
+        kernel.crc(
+            ctypes.addressof(ctypes.c_char.from_buffer(buf)),
+            width,
+            slots.array,
+            slots.n,
+            ctypes.addressof(ctypes.c_char.from_buffer(out)),
+        )
+    return out
+
+
 class ChecksumSidecar:
     """CRC32 of the logical content of every element, per stripe.
 
@@ -67,17 +121,20 @@ class ChecksumSidecar:
         self.rows = rows
         self.cols = cols
         self.stripes: list[np.ndarray] = []
+        self._every = CellSlots(range(rows * cols))
 
     def __len__(self) -> int:
         return len(self.stripes)
 
     def add_stripe(self, stripe: "Stripe") -> None:
         """Record CRCs for a freshly encoded stripe."""
-        grid = np.zeros((self.rows, self.cols), dtype=np.uint32)
-        for r in range(self.rows):
-            for c in range(self.cols):
-                grid[r, c] = crc_of(stripe.data[r, c])
-        self.stripes.append(grid)
+        self.stripes.append(crc_rows(stripe.data, self._every))
+
+    def add_zero_stripe(self, element_size: int) -> None:
+        """Record CRCs for an all-zero stripe (a zero codeword)."""
+        self.stripes.append(
+            np.full((self.rows, self.cols), _zeros_crc(element_size), np.uint32)
+        )
 
     def record(self, stripe_idx: int, pos: Position, buf) -> None:
         """Update one element's CRC after a content change."""
@@ -87,24 +144,22 @@ class ChecksumSidecar:
         self,
         stripe_idx: int,
         stripe: "Stripe",
-        cells: "Iterable[Position] | None" = None,
+        cells: "Iterable[Position] | CellSlots | None" = None,
     ) -> None:
         """Recompute the CRCs of ``cells`` of one stripe — every cell
-        when ``None`` — as :meth:`record` would one by one (a flush
-        re-checksums its dirty and parity cells in one call)."""
-        grid = self.stripes[stripe_idx]
-        data = stripe.data
+        when ``None`` — as :meth:`record` would one by one, in one
+        :func:`crc_rows` call (a flush passes the :class:`CellSlots`
+        its plan keeps)."""
         if cells is None:
-            cells = [(r, c) for r in range(self.rows) for c in range(self.cols)]
-        for r, c in cells:
-            grid[r, c] = crc_of(data[r, c])
-
-    def record_delta(self, stripe_idx: int, pos: Position, delta) -> None:
-        """Advance one element's CRC by an XOR ``delta`` of its content,
-        without its bytes: CRC32 is affine over XOR, so
-        ``crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ)`` for equal lengths —
-        how a parity on a failed disk keeps its logical CRC current."""
-        self.stripes[stripe_idx][pos] ^= crc_of(delta) ^ _zeros_crc(len(delta))
+            cells = self._every
+        elif not isinstance(cells, CellSlots):
+            # A column off the grid is refused here, a row by the bound
+            # checks of CellSlots (negative) and crc_rows (past the end).
+            cols, cells = self.cols, list(cells)
+            if not all(0 <= c < cols for _, c in cells):
+                raise InvalidParameterError(f"cells outside the {self.rows}x{cols} grid")
+            cells = CellSlots([r * cols + c for r, c in cells])
+        crc_rows(stripe.data, cells, self.stripes[stripe_idx])
 
     def expected(self, stripe_idx: int, pos: Position) -> int:
         return int(self.stripes[stripe_idx][pos])
@@ -204,22 +259,20 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
     code = store.code
     sidecar = store.sidecar
     report = ScrubReport()
+    cols = code.cols
     for stripe_idx, stripe in enumerate(store.stripes):
-        bad: set[Position] = set()
-        for r in range(code.rows):
-            for c in range(code.cols):
-                pos = (r, c)
-                if not stripe.alive(pos):
-                    continue  # erased: the rebuild path owns it
-                if stripe.is_latent(pos):
-                    report.latent_detected.append((stripe_idx, pos))
-                    bad.add(pos)
-                    continue
-                report.elements_checked += 1
-                report.scrub_reads += 1
-                if not sidecar.matches(stripe_idx, pos, stripe.data[r, c]):
-                    report.flips_detected.append((stripe_idx, pos))
-                    bad.add(pos)
+        # Erased cells are the rebuild path's; a live cell is latent
+        # (unreadable) or CRC-checked, in one batched call per stripe.
+        latent = np.flatnonzero(stripe.latent & ~stripe.erased).tolist()
+        readable = np.flatnonzero(~(stripe.erased | stripe.latent))
+        crcs = crc_rows(stripe.data, CellSlots(readable.tolist())).flat[readable]
+        expected = sidecar.stripes[stripe_idx].flat[readable]
+        flipped = readable[crcs != expected].tolist()
+        report.elements_checked += len(readable)
+        report.scrub_reads += len(readable)
+        report.latent_detected += [(stripe_idx, divmod(s, cols)) for s in latent]
+        report.flips_detected += [(stripe_idx, divmod(s, cols)) for s in flipped]
+        bad = {divmod(s, cols) for s in latent + flipped}
         if not bad:
             continue
         if not repair:

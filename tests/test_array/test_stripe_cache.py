@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.array.filestore import FileStore
 from repro.array.stripe_cache import DirtyStripe, StripeCache
-from repro.engine import PLAN_CACHE
+from repro.engine import PLAN_CACHE, compile_plan
 from repro.engine.backends import available_backends
 from repro.exceptions import InvalidParameterError
 from repro.faults.injector import FaultInjector
@@ -445,7 +445,8 @@ class TestFlushPlanLookups:
         PLAN_CACHE.clear()
         store = FileStore(HVCode(7), element_size=8, engine="auto", cache_stripes=1)
         flushes = 20
-        store.reserve(flushes)  # growing the volume compiles the encode plan
+        store.reserve(flushes)  # zero codewords: no plan compiled
+        compile_plan(store.code, "encode")  # the crossover's other side
         before = PLAN_CACHE.stats()
         for stripe in range(flushes):  # each write evicts the one before
             store.write(stripe * store.bytes_per_stripe + 8, payload(16, seed=stripe))

@@ -362,6 +362,19 @@ class TestRegistry:
         # ...while auto degrades gracefully to a working backend.
         assert resolve_backend("auto").name == "fused"
 
+    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="needs a C compiler")
+    def test_library_missing_a_symbol_falls_back(self, monkeypatch):
+        """A library that builds but lacks an entry point is refused
+        with its reason, and ``auto`` keeps working on fused."""
+        from repro.engine.backends import native as native_mod
+
+        monkeypatch.setattr(native_mod, "_C_SOURCE", "void xor_exec_plan(void) {}\n")
+        monkeypatch.setattr(native_mod, "_KERNEL", None)
+        monkeypatch.setattr(native_mod, "UNAVAILABLE_REASON", None)
+        assert not get_backend("native").available()
+        assert native_mod.UNAVAILABLE_REASON == "missing symbol"
+        assert resolve_backend("auto").name == "fused"
+
     def test_no_process_machinery_is_imported(self):
         """A cached ``auto`` store driven through writes, a flush, a
         disk failure and a rebuild never imports ``multiprocessing``:
@@ -412,6 +425,8 @@ class TestRegistry:
             "    native.execute(compile_plan(code, 'encode'), stripe)\n"
             "    assert code.verify(stripe)\n"
             "print('available' if native.available() else 'unavailable')\n"
+            "from repro.engine.backends.native import UNAVAILABLE_REASON\n"
+            "print(UNAVAILABLE_REASON)\n"
         )
         env = {
             "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
@@ -421,7 +436,7 @@ class TestRegistry:
         if broken_compiler:
             fake = tmp_path / "bin"
             fake.mkdir()
-            (fake / "cc").write_text("#!/bin/sh\nexit 1\n")
+            (fake / "cc").write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
             (fake / "cc").chmod(0o755)
             env["PATH"] = str(fake)
         result = subprocess.run(
@@ -433,9 +448,12 @@ class TestRegistry:
         )
         assert result.returncode == 0, result.stderr
         if broken_compiler:
-            assert result.stdout.strip() == "unavailable"
+            assert result.stdout.split("\n")[:2] == [
+                "unavailable",
+                "compile failed: cc: broken",
+            ]
         elif NATIVE_AVAILABLE:
-            assert result.stdout.strip() == "available"
+            assert result.stdout.split("\n")[:2] == ["available", "None"]
         assert not list(tmp_path.glob("repro-native-*"))
 
 
