@@ -137,12 +137,14 @@ class FileStore:
             raise InvalidParameterError("cache_stripes must be >= 0")
         self.code = code
         self.element_size = element_size
-        self.engine = engine_pkg.require_engine(engine)
-        # Bound once, and the compiler as its *module*: the flush path
-        # looks ``choose_update_strategy`` up on it per call, so whoever
+        #: the requested name, for the stores and decodes it spawns
+        self.engine = engine
+        #: what computes the bytes of every plan this store runs
+        self._backend = engine_pkg.resolve_backend(engine)
+        # The compiler as its *module*: the flush path looks
+        # ``choose_update_strategy`` up on it per call, so whoever
         # instruments ``repro.engine.compile`` sees the store's calls.
         self._compiler = engine_pkg.compile
-        self._resolve_backend = engine_pkg.resolve_backend
         # hot-path copies of the geometry
         self._eps = code.data_elements_per_stripe
         self._cols = code.cols
@@ -643,10 +645,13 @@ class FileStore:
         self, stripe: Stripe, wanted: tuple[int, ...], free: tuple[int, ...] = ()
     ) -> "XorPlan | None":
         """The compiled ``read`` plan of the lost slots ``wanted``, the
-        stripe's erased and latent cells being its erasure pattern and
-        the readable slots ``free`` fetched anyway; ``None`` when the
-        planner and peeling both reject the pattern (rung 3)."""
+        stripe's erased and latent cells and ``wanted`` itself being its
+        erasure pattern and the readable slots ``free`` fetched anyway;
+        ``None`` when the planner and peeling both reject the pattern
+        (rung 3)."""
         erasure = tuple(np.flatnonzero(stripe.erased | stripe.latent).tolist())
+        if not set(wanted).issubset(erasure):  # a cell a read cannot fetch is lost to it
+            erasure = tuple(sorted({*erasure, *wanted}))
         try:
             return self._compiler.compile_plan(
                 self.code, "read", (erasure, wanted, free)
@@ -658,20 +663,12 @@ class FileStore:
         self, stripe: Stripe, plan: "XorPlan", stats: IOStats | None = None
     ) -> np.ndarray:
         """The bytes of ``plan.outputs``, one row each, the live stripe
-        left untouched (readers may share it).
-
-        ``engine="python"`` is the independent byte oracle: it decodes a
-        copy of the whole stripe and picks the same cells out — every
-        counter is the plan's either way.
+        left untouched (readers may share it).  On ``engine="python"``
+        the oracle decodes a copy of the stripe instead of running the
+        plan; every counter is the plan's either way.
         """
         self.healing.chain_repairs += len(plan.outputs)
-        if self.engine != "python":
-            return self._resolve_backend(self.engine).gather(plan, stripe, stats=stats)
-        work = stripe.copy()
-        work.erased |= work.latent
-        work.latent[:] = False
-        self.code.decode(work)
-        return work.flat_view()[list(plan.outputs)]
+        return self._backend.gather(self.code, plan, stripe, stats=stats)
 
     # -- byte I/O ----------------------------------------------------------------
 
@@ -735,32 +732,22 @@ class FileStore:
         for i, pos in enumerate(cells, first):
             r, c = pos
             lo, hi = max(start - i * es, 0), min(start + size - i * es, es)
-            if self.cache is not None and stripe_idx in self.cache and (
-                erased[r, c] or latent[r, c]
-            ):
-                # Parity-based recovery needs the deferred deltas in.
-                self._flush_stripe(stripe_idx)
+            # A cell whose transient window outlasted the retries is as
+            # unreadable for this read as a lost one: parity computes it.
             served = self._element_io(stripe_idx, pos, "read")
-            if erased[r, c] or latent[r, c]:
+            if erased[r, c] or latent[r, c] or not served:
+                if self.cache is not None and stripe_idx in self.cache:
+                    # Parity-based recovery needs the deferred deltas in.
+                    self._flush_stripe(stripe_idx)
                 lost.append((len(out), lo, hi))
                 wanted.append(r * cols + c)
                 out += bytes(hi - lo)
-            elif served:
-                out += memoryview(stripe.data[r, c, lo:hi])
             else:
-                # Transient exhaustion only: the media is fine, rebuild
-                # this element from its peers (rung 2 of the ladder).
-                out += memoryview(
-                    recover_element(
-                        self.code, stripe, pos, self.healing, engine=self.engine
-                    )[lo:hi]
-                )
+                out += memoryview(stripe.data[r, c, lo:hi])
         if not lost:
             self.stats.record_reads([c for _, c in cells])
             return out
-        free = tuple(
-            r * cols + c for r, c in cells if not (erased[r, c] or latent[r, c])
-        )
+        free = tuple(r * cols + c for r, c in cells if r * cols + c not in wanted)
         plan = self._read_plan(stripe, tuple(wanted), free)
         if plan is None:
             restored = decode_resilient(
@@ -1092,10 +1079,10 @@ class FileStore:
         Each stripe's pattern cells already hold their new bytes;
         ``pres[i]`` maps every slot of ``plan.pattern`` to what stripe
         ``indices[i]`` held there before, so ``live ⊕ pre`` is the delta.
-        The kernel backend runs the compiled plan
-        (:meth:`~repro.engine.backends.KernelBackend.update`);
-        ``engine="python"`` walks the chains instead
-        (:meth:`ArrayCode.apply_parity_deltas`), the independent oracle.
+        The engine's :meth:`~repro.engine.backends.KernelBackend.update`
+        computes them: a kernel backend runs the compiled plan, the
+        ``python`` oracle walks the chains
+        (:meth:`ArrayCode.apply_parity_deltas`).
 
         Then every parity is read, rewritten and re-checksummed with the
         live pattern cells, in one :meth:`ChecksumSidecar.record_stripe`
@@ -1110,19 +1097,7 @@ class FileStore:
         """
         stripes = [self.stripes[idx] for idx in indices]
         cells, parities = plan.pattern_positions, plan.output_positions
-        if self.engine == "python":
-            for stripe, pre in zip(stripes, pres):
-                self.code.apply_parity_deltas(
-                    stripe,
-                    {
-                        pos: stripe.data[pos] ^ pre[slot]
-                        for slot, pos in zip(plan.pattern, cells)
-                    },
-                )
-        else:
-            self._resolve_backend(self.engine).update(
-                plan, stripes, pres, stats=self.stats
-            )
+        self._backend.update(self.code, plan, stripes, pres, stats=self.stats)
         if self._crash_hook is not None:
             self._crash_hook("parity-write")
         touched, parity_disks = plan.derived("fold_cells", _fold_cells)

@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--output", default=None)
 
     lint = sub.add_parser(
-        "lint", help="repo lint rules R001-R010 (AST-based, repo-specific)"
+        "lint", help="repo lint rules R001-R011 (AST-based, repo-specific)"
     )
     lint.add_argument(
         "paths",
@@ -833,7 +833,7 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    """Run the R001-R010 catalogue; exits 1 when violations remain."""
+    """Run the R001-R011 catalogue; exits 1 when violations remain."""
     import json
 
     from .static import default_lint_target, lint_paths

@@ -305,23 +305,14 @@ class ArrayCode(ABC):
         return tuple(tuple(indices) for indices in fed)
 
     def encode(self, stripe: Stripe, *, engine: str = "python") -> None:
-        """Fill every parity cell of ``stripe`` from its members.
-
-        Any compiled engine (``"fused"``, ``"native"``, ``"auto"`` —
-        see :mod:`repro.engine.backends`) routes
-        through the plan executor: the parity schedule is
-        lowered once, cached, and run as in-place word-wide XOR
-        kernels by the selected backend.  The default ``"python"``
-        path below stays the reference implementation.
-        """
+        """Fill every parity cell of ``stripe`` from its members, on
+        whatever ``resolve_backend(engine)`` returns: the ``"python"``
+        oracle walks :attr:`encode_order`, a kernel backend runs the
+        cached ``encode`` plan."""
         self._check_stripe(stripe)
-        from ..engine import compile_plan, execute_plan, require_engine
+        from ..engine import resolve_backend
 
-        if require_engine(engine) != "python":
-            execute_plan(compile_plan(self, "encode"), stripe, backend=engine)
-            return
-        for chain in self.encode_order:
-            stripe.set(chain.parity, stripe.xor_of(chain.members))
+        resolve_backend(engine).encode(self, stripe)
 
     def verify(self, stripe: Stripe) -> bool:
         """True iff every parity equation holds and nothing is erased."""
@@ -468,13 +459,10 @@ class ArrayCode(ABC):
         the paper's codes use), then falls back to Gaussian elimination
         over the parity-check system for anything peeling cannot reach.
 
-        Any compiled engine (``"fused"``, ``"native"``, ``"auto"``)
-        compiles the peel schedule for this erasure
-        pattern into an :class:`~repro.engine.XorPlan` (cached
-        per pattern) and executes it with word-wide XOR kernels on the
-        selected backend.  Patterns that peeling alone cannot finish —
-        the ones that need the Gaussian reference decoder — fall back
-        to this pure-Python path transparently.
+        ``resolve_backend(engine)`` does the work: the ``"python"``
+        oracle runs :meth:`_decode_python`; a kernel backend runs the
+        peel schedule compiled for this erasure pattern and hands the
+        patterns peeling alone cannot finish to :meth:`_decode_python`.
 
         Raises :class:`UnrecoverableFailureError` when the pattern
         exceeds the code's capability.  The GF(2) rank oracle deciding
@@ -485,13 +473,9 @@ class ArrayCode(ABC):
         self._check_stripe(stripe)
         if failed_disks is not None:
             stripe.erase_disks(failed_disks)
-        from ..engine import require_engine
+        from ..engine import resolve_backend
 
-        if require_engine(engine) != "python":
-            report = self._decode_vector(stripe, engine)
-            if report is not None:
-                return report
-        return self._decode_python(stripe)
+        return resolve_backend(engine).decode(self, stripe)
 
     def _decode_python(self, stripe: Stripe) -> DecodeReport:
         """The reference decoder: rank oracle, peeling, then Gaussian."""
@@ -507,23 +491,6 @@ class ArrayCode(ABC):
         if erased:
             self._gaussian_decode(stripe, sorted(erased), report)
         return report
-
-    def _decode_vector(self, stripe: Stripe, engine: str) -> DecodeReport | None:
-        """Compiled-plan decode; None when peeling cannot finish (no
-        plan).  The erasure mask's flat non-zero indices are the plan's
-        canonical pattern as they come."""
-        from ..engine import compile_plan, execute_plan
-        from ..exceptions import PlanError
-
-        pattern = tuple(np.flatnonzero(stripe.erased).tolist())
-        if not pattern:
-            return DecodeReport()
-        try:
-            plan = compile_plan(self, "decode", pattern)
-        except PlanError:
-            return None
-        execute_plan(plan, stripe, backend=engine)
-        return DecodeReport(peeled=list(plan.output_positions), rounds=plan.rounds)
 
     def _peel(self, stripe: Stripe, erased: set[Position]) -> DecodeReport:
         """Iterative chain peeling; mutates ``erased`` as cells recover."""

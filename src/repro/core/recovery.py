@@ -66,34 +66,16 @@ class HVDoubleFailurePlan:
     def total_recovered(self) -> int:
         return sum(len(chain) for chain in self.chains)
 
-    def execute(
-        self,
-        stripe: Stripe,
-        *,
-        engine: str = "python",
-        stats=None,
-    ) -> None:
+    def execute(self, stripe: Stripe) -> None:
         """Repair the stripe in place, chain by chain.
 
-        With the default ``engine="python"``, chains are interleaved
-        round-robin exactly as parallel execution would proceed, so a
-        bug in the claimed independence of the four chains would
-        surface as a read of a still-erased element.
-
-        A compiled engine (``"fused"``, ``"native"``, ``"auto"``)
-        compiles the same four chains into an
-        :class:`~repro.engine.XorPlan` — one plan group per chain,
-        proven independent by :mod:`repro.static.planverify` — and runs
-        it with word-wide XOR kernels; ``stats`` accumulates
-        XOR-word/kernel counters.
+        Chains are interleaved round-robin exactly as parallel execution
+        would proceed, so a bug in the claimed independence of the four
+        chains would surface as a read of a still-erased element.  Their
+        compiled form, one plan group per chain, is
+        ``compile_plan(code, "recover-double", (f1, f2))``.
         """
         self.code._check_stripe(stripe)
-        from ..engine import compile_plan, execute_plan, require_engine
-
-        if require_engine(engine) != "python":
-            plan = compile_plan(self.code, "recover-double", (self.f1, self.f2))
-            execute_plan(plan, stripe, stats=stats, backend=engine)
-            return
         depth = self.longest_chain
         for step in range(depth):
             for chain in self.chains:

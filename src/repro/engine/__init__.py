@@ -17,10 +17,11 @@ Typical use::
     execute_plan(plan, batch, backend="auto")   # a StripeBatch, native if built
 
 Higher layers normally never touch this module directly — they pass
-a backend name from :mod:`repro.engine.backends` (``fused``,
-``native``, ``auto``) as ``engine=`` to :meth:`ArrayCode.encode/decode`,
-the recovery planners, or :class:`RAID6Volume` and the wiring lands
-here.  Algorithm 1's independent recovery chains are plan structure
+an engine name (``python``, ``fused``, ``native``, ``auto``) as
+``engine=`` to :meth:`ArrayCode.encode/decode`, :class:`FileStore` or
+:class:`VolumePool`, and :func:`resolve_backend` turns it into the
+object that computes the bytes: a kernel backend, or the ``python``
+chain-walking oracle.  Algorithm 1's independent recovery chains are plan structure
 (:attr:`XorPlan.groups`, :attr:`XorPlan.rounds`) that
 :mod:`repro.static.planverify` proves independent (rule P003); no
 executor runs them on threads.
@@ -32,7 +33,6 @@ from .backends import (
     available_backends,
     get_backend,
     register_backend,
-    require_engine,
     resolve_backend,
     shutdown_backends,
 )
@@ -69,7 +69,6 @@ __all__ = [
     "get_backend",
     "lower_single_recovery",
     "register_backend",
-    "require_engine",
     "resolve_backend",
     "shutdown_backends",
 ]

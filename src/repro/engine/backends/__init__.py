@@ -1,10 +1,11 @@
-"""Pluggable kernel backends behind the ``engine=`` seam.
+"""The ``engine=`` seam: one object per engine name.
 
-Every site that takes an ``engine=`` accepts any registered backend
-name, plus ``"auto"`` and ``"python"``.  Backends are *execution
-strategies only*: they consume the same compiled, hash-pinned
-:class:`~repro.engine.plan.XorPlan` IR and differ solely in how the
-kernels are issued.  The registry ships two:
+Every site that takes an ``engine=`` hands the string to
+:func:`resolve_backend`, the only code that reads it, and calls the
+object it returns (the interface is :class:`~.base.KernelBackend`'s).
+Kernel backends are *execution strategies only*: they consume the
+same compiled, hash-pinned :class:`~repro.engine.plan.XorPlan` IR and
+differ solely in how the kernels are issued.  The registry ships two:
 
 ``fused``
     The one numpy executor: the plan runs L2-block by L2-block over
@@ -15,8 +16,8 @@ kernels are issued.  The registry ships two:
     compiler (:mod:`.native`).
 
 ``"auto"`` resolves down the fallback ladder: ``native`` if available,
-else ``fused``.  ``"python"`` remains the scalar/reference path and is
-handled by the callers themselves (codes, stores), not by a backend.
+else ``fused``.  ``"python"`` resolves to the unregistered byte oracle,
+which walks parity chains instead of running plans (:mod:`.oracle`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from ...exceptions import InvalidParameterError
 from .base import KernelBackend, Target, charge_stats, split_targets
 from .fused import FusedBackend
 from .native import NativeBackend
+from .oracle import PythonOracle
 
 __all__ = [
     "KernelBackend",
@@ -36,7 +38,6 @@ __all__ = [
     "charge_stats",
     "get_backend",
     "register_backend",
-    "require_engine",
     "resolve_backend",
     "shutdown_backends",
     "split_targets",
@@ -60,8 +61,7 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 register_backend(FusedBackend())
 register_backend(NativeBackend())
 
-#: Every value the ``engine=`` seam accepts.  ``python`` is the scalar
-#: reference path (no backend object); the rest resolve here.
+#: Every value the ``engine=`` seam accepts.
 ENGINE_CHOICES = ("python", "fused", "native", "auto")
 
 
@@ -82,38 +82,34 @@ def get_backend(name: str) -> KernelBackend:
         ) from None
 
 
-def resolve_backend(engine: str) -> KernelBackend:
-    """Map an ``engine=`` string to the backend that will execute.
+_ORACLE = PythonOracle()
 
-    ``"auto"`` walks the fallback ladder — ``native`` when the host can
-    compile it, else ``fused``.  Asking for an unavailable backend by
-    its explicit name is an error (the caller opted out of fallback),
-    and so is a name outside :data:`ENGINE_CHOICES`.
+
+def resolve_backend(engine: str) -> KernelBackend:
+    """Map an ``engine=`` string to the object that computes the bytes.
+
+    ``"python"`` is the chain-walking oracle; ``"auto"`` walks the
+    fallback ladder — ``native`` when the host can compile it, else
+    ``fused``.  Asking for an unavailable backend by its explicit name
+    is an error (the caller opted out of fallback), and so is a name
+    outside :data:`ENGINE_CHOICES`.
     """
+    if engine not in ENGINE_CHOICES:
+        raise InvalidParameterError(
+            f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
+        )
+    if engine == "python":
+        return _ORACLE
     if engine == "auto":
         native = _REGISTRY["native"]
         return native if native.available() else _REGISTRY["fused"]
-    backend = get_backend(require_engine(engine))
+    backend = get_backend(engine)
     if not backend.available():
         raise InvalidParameterError(
             f"backend {engine!r} is unavailable on this host; "
             "use engine='auto' for graceful fallback"
         )
     return backend
-
-
-def require_engine(engine: str) -> str:
-    """Validate an ``engine=`` value, returning it unchanged.
-
-    The single choke point for the seam: codes, stores, recovery plans
-    and the service pool all validate here so the error message (and
-    the set of accepted names) cannot drift between layers.
-    """
-    if engine not in ENGINE_CHOICES:
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; expected one of {ENGINE_CHOICES}"
-        )
-    return engine
 
 
 def shutdown_backends() -> None:

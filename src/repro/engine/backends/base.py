@@ -1,5 +1,8 @@
-"""The kernel-backend contract and the helpers every backend shares.
+"""The engine contract and the helpers every kernel backend shares.
 
+Whatever :func:`~repro.engine.backends.resolve_backend` returns answers
+``encode``, ``decode``, ``gather`` and ``update`` (their ``code``
+argument is for the chain-walking ``python`` oracle, :mod:`.oracle`).
 A :class:`KernelBackend` is an *execution strategy* for a compiled
 :class:`~repro.engine.plan.XorPlan`: same IR in, same bytes out, only
 the kernel shape differs (tiled numpy regions, a native C inner
@@ -33,11 +36,13 @@ import numpy as np
 
 from ...array.stripe import Stripe, StripeBatch
 from ...exceptions import InvalidParameterError, PlanError
+from .. import compile as _compile
 from .. import executor as _executor
 from ..plan import XorStep
 
 if TYPE_CHECKING:
     from ...array.iostats import IOStats
+    from ...codes.base import ArrayCode, DecodeReport
     from ..plan import XorPlan
 
 #: What every backend accepts as a target (mirrors the executor).
@@ -70,8 +75,29 @@ class KernelBackend:
         """Run ``plan`` in place on ``target`` (see module contract)."""
         raise NotImplementedError
 
+    def encode(self, code: "ArrayCode", stripe: Stripe, *, stats: "IOStats | None" = None) -> None:
+        """Fill every parity cell of ``stripe`` by ``code``'s ``encode`` plan."""
+        self.execute(_compile.compile_plan(code, "encode"), stripe, stats=stats)
+
+    def decode(self, code: "ArrayCode", stripe: Stripe) -> "DecodeReport":
+        """Recover every erased cell of ``stripe`` by its erasure
+        pattern's plan (the mask's flat indices are the canonical
+        pattern); a pattern with none goes to the reference decoder."""
+        from ...codes.base import DecodeReport  # codes import this package
+
+        pattern = tuple(np.flatnonzero(stripe.erased).tolist())
+        if not pattern:
+            return DecodeReport()
+        try:
+            plan = _compile.compile_plan(code, "decode", pattern)
+        except PlanError:
+            return code._decode_python(stripe)
+        self.execute(plan, stripe)
+        return DecodeReport(peeled=list(plan.output_positions), rounds=plan.rounds)
+
     def update(
         self,
+        code: "ArrayCode",
         plan: "XorPlan",
         stripes: Sequence[Stripe],
         olds: "Sequence[Mapping[int, np.ndarray]]",
@@ -103,6 +129,7 @@ class KernelBackend:
 
     def gather(
         self,
+        code: "ArrayCode",
         plan: "XorPlan",
         stripe: Stripe,
         *,

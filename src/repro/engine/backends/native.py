@@ -59,6 +59,7 @@ if TYPE_CHECKING:
 
     from ...array.iostats import IOStats
     from ...array.stripe import Stripe
+    from ...codes.base import ArrayCode
     from ..plan import XorPlan
 
 #: Per-cell tile budget in bytes (same heuristic as the fused backend).
@@ -476,6 +477,7 @@ class NativeBackend(KernelBackend):
 
     def gather(
         self,
+        code: "ArrayCode",
         plan: "XorPlan",
         stripe: "Stripe",
         *,
@@ -512,6 +514,7 @@ class NativeBackend(KernelBackend):
 
     def update(
         self,
+        code: "ArrayCode",
         plan: "XorPlan",
         stripes: "Sequence[Stripe]",
         olds: "Sequence[Mapping[int, np.ndarray]]",

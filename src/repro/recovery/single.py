@@ -69,36 +69,18 @@ class SingleDiskRecoveryPlan:
     def reads_per_lost_element(self) -> float:
         return len(self.reads) / len(self.choices)
 
-    def execute(
-        self,
-        code: "ArrayCode",
-        stripe,
-        *,
-        engine: str = "fused",
-        stats=None,
-    ) -> None:
+    def execute(self, code: "ArrayCode", stripe) -> None:
         """Repair the failed disk of ``stripe`` in place.
 
-        Runs exactly the chain choices this planner made (which may
-        differ from the plan cache's default planner).  The default
-        ``engine="fused"`` lowers the choices into an
-        :class:`~repro.engine.XorPlan` (one plan group per lost
-        element) and executes it with word-wide kernels; ``stats`` (an
-        :class:`~repro.array.iostats.IOStats`) accumulates the XOR-word
-        and kernel counters.  ``engine="python"`` applies the same
-        choices one chain at a time through :meth:`Stripe.xor_of`.
+        Applies exactly the chain choices this planner made (which may
+        differ from the plan cache's default planner), one chain at a
+        time through :meth:`Stripe.xor_of`.  Their compiled form is
+        :func:`~repro.engine.lower_single_recovery`.
         """
         if code.name != self.code_name:
             raise InvalidParameterError(
                 f"plan for {self.code_name} cannot run on {code.name}"
             )
-        from ..engine import execute_plan, lower_single_recovery, require_engine
-
-        if require_engine(engine) != "python":
-            execute_plan(
-                lower_single_recovery(code, self), stripe, stats=stats, backend=engine
-            )
-            return
         for cell in sorted(self.choices):
             chain = self.choices[cell]
             others = [c for c in chain.equation_cells if c != cell]

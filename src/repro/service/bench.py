@@ -90,7 +90,7 @@ def run_serve_bench(
     # Deferred: the registry pulls in every code class, and importing
     # it at module scope closes a codes -> service cycle.
     from ..codes.registry import available_codes
-    from ..engine import require_engine
+    from ..engine import resolve_backend
 
     if smoke:
         codes, p, ops, seed = SMOKE_CODES, SMOKE_P, SMOKE_OPS, SMOKE_SEED
@@ -99,7 +99,7 @@ def run_serve_bench(
         engine = "fused"
     elif codes is None:
         codes = available_codes()
-    engine = require_engine(engine)
+    resolve_backend(engine)  # an unknown or unavailable engine fails here
     cfg = dict(
         p=p,
         num_stripes=num_stripes,

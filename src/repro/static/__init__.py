@@ -16,7 +16,7 @@ Three pillars, all usable as library calls, CLI subcommands
 - :mod:`repro.static.lint` enforces the repo's source-level contracts
   (seeded randomness, no wall clocks outside the CLI and the
   scheduler, a closed exception hierarchy, no mutable defaults, validated chain construction, no
-  stale waivers) via the R001-R010 rule catalogue
+  stale waivers) via the R001-R011 rule catalogue
   (:mod:`repro.static.rules`).
 """
 

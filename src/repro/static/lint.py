@@ -1,4 +1,4 @@
-"""The repo linter: apply the R001-R010 rule catalogue to a source tree.
+"""The repo linter: apply the R001-R011 rule catalogue to a source tree.
 
 The driver walks ``.py`` files, parses each once, derives the file's
 dotted module path (so scope-limited rules like R007 know they are in

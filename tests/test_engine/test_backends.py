@@ -40,7 +40,7 @@ from repro import (
 from repro.array.filestore import FileStore
 from repro.array.iostats import IOStats
 from repro.array.stripe import StripeBatch
-from repro.codes.registry import get_code
+from repro.codes.registry import EVALUATED_CODE_NAMES, get_code
 from repro.engine import (
     ENGINE_CHOICES,
     XorPlan,
@@ -51,7 +51,6 @@ from repro.engine import (
     execute_plan_scalar,
     get_backend,
     register_backend,
-    require_engine,
     resolve_backend,
 )
 from repro.engine.backends import KernelBackend
@@ -298,18 +297,20 @@ class TestRegistry:
 
     def test_require_engine_accepts_all_choices(self):
         for name in ENGINE_CHOICES:
-            assert require_engine(name) == name
+            if name == "native" and not NATIVE_AVAILABLE:
+                continue
+            assert resolve_backend(name).name in (name, "fused", "native")
 
     def test_require_engine_rejects_unknown(self):
         with pytest.raises(InvalidParameterError, match="unknown engine"):
-            require_engine("cuda")
+            resolve_backend("cuda")
 
     def test_the_removed_engine_is_an_unknown_engine(self):
         """No alias or deprecation path for the deleted process-pool
         backend: its name fails the one validator like any other."""
         assert ENGINE_CHOICES == ("python", "fused", "native", "auto")
         with pytest.raises(InvalidParameterError, match="unknown engine"):
-            require_engine("parallel")
+            resolve_backend("parallel")
         with pytest.raises(InvalidParameterError, match="unknown backend"):
             get_backend("parallel")
 
@@ -322,7 +323,7 @@ class TestRegistry:
         before = stripe.copy()
         listed = re.escape(str(ENGINE_CHOICES))
         for attempt in (
-            lambda: require_engine("vector"),
+            lambda: resolve_backend("vector"),
             lambda: FileStore(code, element_size=8, engine="vector"),
             lambda: execute_plan(plan, stripe, backend="vector"),
         ):
@@ -493,7 +494,7 @@ class TestUpdateContract:
             for pos, new in news.items():
                 stripe.data[pos] = new
         stats = IOStats(code.cols)
-        get_backend(name).update(plan, live, olds, stats=stats)
+        get_backend(name).update(code, plan, live, olds, stats=stats)
         assert live == oracle
         assert stats.xor_words > 0
 
@@ -509,7 +510,7 @@ class TestUpdateContract:
             with pytest.raises(
                 (PlanError, InvalidParameterError), match="update|names disks"
             ):
-                get_backend(name).update(plan, [stripe], [{}])
+                get_backend(name).update(code, plan, [stripe], [{}])
         assert stripe == before
 
 
@@ -688,3 +689,140 @@ class TestNativeUpdate:
         assert store.stats.kernel_invocations >= 1
         for a, b in zip(reference.stripes, store.stripes):
             assert a == b
+
+
+ENGINES = ["python", "fused"] + (["native"] if NATIVE_AVAILABLE else [])
+INTERFACE_CODES = [
+    (name, p) for name in (*EVALUATED_CODE_NAMES, "EVENODD") for p in (5, 7)
+]
+
+
+@pytest.mark.parametrize("name,p", INTERFACE_CODES, ids=lambda v: str(v))
+class TestOneInterface:
+    """Every object ``resolve_backend`` returns — the chain-walking
+    oracle and each kernel backend — answers encode, decode, gather and
+    update with the same bytes, and no caller needs to know which."""
+
+    @staticmethod
+    def each(fn):
+        """``fn(engine object)`` per engine, all results equal; one."""
+        results = [fn(resolve_backend(engine)) for engine in ENGINES]
+        for result in results[1:]:
+            assert result == results[0]
+        return results[0]
+
+    def test_encode(self, name, p):
+        code = get_code(name, p)
+        reference = code.random_stripe(element_size=16, seed=p)
+
+        def encode(backend):
+            stripe = reference.copy()
+            for pos in code.parity_positions:
+                stripe.data[pos] = 0
+            backend.encode(code, stripe)
+            return stripe
+
+        assert self.each(encode) == reference
+
+    def test_decode_two_disks(self, name, p):
+        code = get_code(name, p)
+        reference = code.random_stripe(element_size=16, seed=p + 1)
+        pattern = tuple(
+            r * code.cols + c for r in range(code.rows) for c in (0, 1)
+        )
+        if (name, p) == ("EVENODD", 5):  # the no-plan case: the fallback
+            with pytest.raises(PlanError):
+                compile_plan(code, "decode", pattern)
+
+        def decode(backend):
+            stripe = reference.copy()
+            stripe.erase_disks([0, 1])
+            report = backend.decode(code, stripe)
+            return stripe, report.recovered
+
+        stripe, recovered = self.each(decode)
+        assert stripe == reference
+        assert recovered == 2 * code.rows
+
+    def test_gather_of_a_read_plan(self, name, p):
+        code = get_code(name, p)
+        reference = code.random_stripe(element_size=16, seed=p + 2)
+        stripe = reference.copy()
+        stripe.erase_disks([0])
+        stripe.latent[code.data_positions[-1]] = True
+        erasure = tuple(np.flatnonzero(stripe.erased | stripe.latent).tolist())
+        plan = compile_plan(code, "read", (erasure, erasure, ()))
+        before = stripe.copy()
+
+        def gather(backend):
+            return bytes(np.ascontiguousarray(backend.gather(code, plan, stripe)))
+
+        rows = self.each(gather)
+        assert stripe == before  # gather writes no stripe
+        assert rows == reference.flat_view()[list(plan.outputs)].tobytes()
+
+    def test_update_over_three_stripes(self, name, p):
+        code = get_code(name, p)
+        rng = np.random.default_rng(p)
+        cells = list(code.data_positions[1:4])
+        plan = compile_plan(code, "update", cells)
+        live = [code.random_stripe(element_size=16, seed=s) for s in range(3)]
+        news = [
+            {pos: rng.integers(0, 256, 16, dtype=np.uint8) for pos in cells}
+            for _ in live
+        ]
+
+        def update(backend):
+            stripes = [stripe.copy() for stripe in live]
+            olds = []
+            for stripe, new in zip(stripes, news):
+                olds.append({plan.slot_of(pos): stripe.data[pos].copy() for pos in cells})
+                for pos, value in new.items():
+                    stripe.data[pos] = value
+            backend.update(code, plan, stripes, olds, stats=IOStats(code.cols))
+            return stripes
+
+        for stripe, new in zip(live, news):
+            code.update_elements(stripe, new)
+        assert self.each(update) == live
+
+
+def test_the_oracle_runs_no_plan_and_is_not_registered():
+    code = get_code("HV", 5)
+    stripe = code.random_stripe(element_size=8, seed=0)
+    before = stripe.copy()
+    with pytest.raises(InvalidParameterError, match="python"):
+        resolve_backend("python").execute(compile_plan(code, "encode"), stripe)
+    with pytest.raises(InvalidParameterError, match="python"):
+        execute_plan(compile_plan(code, "encode"), stripe, backend="python")
+    assert stripe == before
+    with pytest.raises(InvalidParameterError, match="unknown backend"):
+        get_backend("python")
+
+
+class TestNoCompiler:
+    """Without a C compiler, ``native`` fails where it is asked for —
+    at construction — and ``auto`` resolves to ``fused``."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        from repro.engine.backends import native as native_mod
+
+        monkeypatch.setattr(native_mod, "_KERNEL", False)
+
+    def test_native_store_fails_at_construction(self):
+        with pytest.raises(InvalidParameterError, match="unavailable"):
+            FileStore(get_code("HV", 5), element_size=16, engine="native")
+
+    def test_native_pool_fails_at_construction(self):
+        from repro.service import VolumePool
+
+        with pytest.raises(InvalidParameterError, match="unavailable"):
+            VolumePool("HV", 5, num_stripes=4, element_size=16, num_shards=2,
+                       engine="native")
+
+    def test_auto_resolves_to_fused(self):
+        assert resolve_backend("auto").name == "fused"
+        store = FileStore(get_code("HV", 5), element_size=16, engine="auto")
+        store.write(0, bytes(range(48)))
+        assert store.read(0, 48) == bytes(range(48))

@@ -26,7 +26,12 @@ from repro import (
 from repro.array.filestore import FileStore
 from repro.codes.registry import get_code
 from repro.core.recovery import plan_double_failure_recovery
-from repro.engine import compile_plan, execute_plan, execute_plan_scalar
+from repro.engine import (
+    compile_plan,
+    execute_plan,
+    execute_plan_scalar,
+    lower_single_recovery,
+)
 from repro.exceptions import PlanError
 from repro.recovery.single import plan_single_disk_recovery
 
@@ -151,8 +156,8 @@ class TestRecoveryPlanWiring:
         vec, py = stripe.copy(), stripe.copy()
         vec.erase_disks([disk])
         py.erase_disks([disk])
-        plan.execute(code, vec, engine="fused")
-        plan.execute(code, py, engine="python")
+        execute_plan(lower_single_recovery(code, plan), vec)
+        plan.execute(code, py)
         assert vec == stripe
         assert py == stripe
 
@@ -162,11 +167,12 @@ class TestRecoveryPlanWiring:
         code = get_code("HV", 11)
         for f1, f2 in [(0, 1), (2, 7), (0, 9)]:
             plan = plan_double_failure_recovery(code, f1, f2)
-            assert len(compile_plan(code, "recover-double", (f1, f2)).groups) == 4
+            compiled = compile_plan(code, "recover-double", (f1, f2))
+            assert len(compiled.groups) == len(plan.chains) == 4
             stripe = code.random_stripe(element_size=16, seed=f1 * 13 + f2)
             broken = stripe.copy()
             broken.erase_disks([f1, f2])
-            plan.execute(broken, engine="fused")
+            execute_plan(compiled, broken)
             assert broken == stripe
 
 

@@ -178,15 +178,23 @@ class TestTransientWindows:
         assert injector.retries == 0
 
     def test_store_read_survives_transient_exhaustion(self):
-        store = make_store()
-        payload = store.read(0, store.bytes_per_stripe)
-        plan = FaultPlan(
-            [FaultEvent(FaultKind.TRANSIENT_IO, at_op=0, disk=0, count=100)]
-        )
-        FaultInjector(plan, max_retries=1).attach(store)
-        # Every access to disk 0 exhausts its retries; the store heals
-        # each element through parity instead of failing the read.
-        assert store.read(0, store.bytes_per_stripe) == payload
+        for engine in ("python", "auto"):
+            store = FileStore(HVCode(5), element_size=16, engine=engine)
+            payload = bytes(i % 251 for i in range(store.bytes_per_stripe))
+            store.write(0, payload)
+            plan = FaultPlan(
+                [FaultEvent(FaultKind.TRANSIENT_IO, at_op=0, disk=0, count=100)]
+            )
+            FaultInjector(plan, max_retries=1).attach(store)
+            reads, healed = list(store.stats.reads), store.healing.reads
+            # Every access to disk 0 exhausts its retries; the store
+            # computes each of its two data elements through parity, like
+            # a lost one, instead of failing the read — and never reads
+            # disk 0 for them.
+            assert store.read(0, store.bytes_per_stripe) == payload
+            assert store.healing.chain_repairs == 2
+            assert store.healing.reads == healed
+            assert store.stats.reads[0] == reads[0]
 
 
 class TestSummary:

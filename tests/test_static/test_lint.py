@@ -1,4 +1,4 @@
-"""Tests for the repo linter (rules R001-R010)."""
+"""Tests for the repo linter (rules R001-R011)."""
 
 import textwrap
 
@@ -505,50 +505,6 @@ class TestR010BackendHygiene:
                 path.mkdir(exist_ok=True)
                 (path / "__init__.py").write_text("")
 
-    def test_flags_multiprocessing_import_outside_backends(self, tmp_path):
-        self._pkg(tmp_path, "array")
-        violations = lint_source(
-            tmp_path,
-            """
-            import multiprocessing
-
-            def spawn():
-                return multiprocessing.Pool(4)
-            """,
-            name="repro/array/fastpath.py",
-        )
-        assert [v.rule for v in violations] == ["R010", "R010"]
-        assert "repro.engine.backends" in violations[0].message
-
-    def test_flags_shared_memory_import_outside_backends(self, tmp_path):
-        self._pkg(tmp_path, "engine")
-        violations = lint_source(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-            """,
-            name="repro/engine/shortcut.py",
-        )
-        assert [v.rule for v in violations] == ["R010", "R010"]
-
-    def test_flags_process_pool_import_outside_backends(self, tmp_path):
-        self._pkg(tmp_path, "service")
-        violations = lint_source(
-            tmp_path,
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def pool():
-                return ProcessPoolExecutor(max_workers=2)
-            """,
-            name="repro/service/workers.py",
-        )
-        assert [v.rule for v in violations] == ["R010", "R010"]
-        assert "ProcessPoolExecutor" in violations[0].message
-
     def test_thread_pool_stays_legal_everywhere(self, tmp_path):
         self._pkg(tmp_path, "engine")
         violations = lint_source(
@@ -595,6 +551,23 @@ class TestR010BackendHygiene:
         assert [v.rule for v in violations] == ["R010", "R010"]
         assert "IOStats" in violations[0].message
 
+    def test_flags_backend_gather_without_stats_seam(self, tmp_path):
+        self._pkg(tmp_path, "engine/backends")
+        violations = lint_source(
+            tmp_path,
+            """
+            class Quiet:
+                def gather(self, code, plan, stripe):
+                    pass
+
+                def update(self, code, plan, stripes, olds, *, stats=None):
+                    pass
+            """,
+            name="repro/engine/backends/quiet.py",
+        )
+        assert [(v.rule, v.line) for v in violations] == [("R010", 3)]
+        assert "gather()" in violations[0].message
+
     def test_ignores_files_outside_the_package(self, tmp_path):
         violations = lint_source(
             tmp_path,
@@ -616,6 +589,53 @@ class TestR010BackendHygiene:
             [Path(repro.__file__).parent], rule_ids=["R010"]
         )
         assert report.clean
+
+
+class TestR011EngineNames:
+    _pkg = TestR010BackendHygiene._pkg
+
+    def test_flags_engine_name_comparisons(self, tmp_path):
+        self._pkg(tmp_path, "array")
+        violations = lint_source(
+            tmp_path,
+            """
+            def run(self, engine, require_engine):
+                if self.engine != "python":
+                    pass
+                if require_engine(engine) == "fused":
+                    pass
+                return engine in ("auto", "native"), self.backend == "native"
+            """,
+            name="repro/array/branchy.py",
+        )
+        assert [(v.rule, v.line) for v in violations] == [
+            ("R011", 3), ("R011", 5), ("R011", 7), ("R011", 7),
+        ]
+        assert "resolve_backend" in violations[0].message
+
+    def test_other_string_comparisons_stay_legal(self, tmp_path):
+        self._pkg(tmp_path, "recovery")
+        violations = lint_source(
+            tmp_path,
+            """
+            def pick(method, engine, names):
+                return method == "auto", engine is None, engine == names[0]
+            """,
+            name="repro/recovery/planner.py",
+        )
+        assert violations == ()
+
+    def test_the_resolver_itself_may_read_the_name(self, tmp_path):
+        self._pkg(tmp_path, "engine/backends")
+        violations = lint_source(
+            tmp_path,
+            """
+            def resolve_backend(engine):
+                return engine == "auto"
+            """,
+            name="repro/engine/backends/__init__.py",
+        )
+        assert violations == ()
 
 
 class TestWaivers:
@@ -692,11 +712,11 @@ class TestDriver:
     def test_catalogue_is_complete(self):
         assert [r.rule_id for r in ALL_RULES] == [
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008", "R009", "R010",
+            "R008", "R009", "R010", "R011",
         ]
         assert set(RULES_BY_ID) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008", "R009", "R010",
+            "R008", "R009", "R010", "R011",
         }
 
     def test_report_json_shape(self, tmp_path):
