@@ -21,7 +21,7 @@ The package is organized as:
   rebuild simulator (imported on demand; not pulled in by
   ``import repro``).
 - :mod:`repro.service` — the sharded concurrent volume service: a
-  `VolumePool` of per-shard stores behind readers-writer locks, a
+  `VolumePool` of per-shard stores, each behind its own lock, a
   bounded-queue request scheduler, and the oracle-checked serve-bench
   (imported on demand; not pulled in by ``import repro``).
 - :mod:`repro.experiments` — one module per paper figure/table.

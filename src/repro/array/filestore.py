@@ -176,8 +176,9 @@ class FileStore:
         #: crash-harness trampoline: called with a site label at every
         #: durable-I/O boundary (see :mod:`repro.faults.crash`).
         self._crash_hook = None
-        #: tripwire for the structural-op exclusivity contract (below).
-        self._op_lock = threading.RLock()
+        #: the store's one lock: the owning shard's lock and the
+        #: structural-op tripwire (see :meth:`_exclusive`).
+        self.lock = threading.RLock()
         #: logical data elements written (payload landing, not parity)
         self.data_writes = 0
         #: parity elements physically rewritten (the RMW overhead)
@@ -248,24 +249,26 @@ class FileStore:
         ``flush``/``recover``/``fail_disk``/``rebuild`` rewrite parity,
         drain the cache, or re-shape erasure state across many stripes;
         two threads interleaving them on one store would corrupt it in
-        ways no counter could detect.  The store does **not** serialize
-        callers — that is the owning :class:`~repro.service.ShardLock`'s
-        job — it *detects* the contract being broken and raises
-        :class:`~repro.exceptions.ConcurrentMutationError` immediately
-        instead of corrupting silently.  The underlying RLock keeps
-        same-thread reentrancy legal (``fail_disk`` and ``rebuild``
+        ways no counter could detect.  Callers serialize on
+        :attr:`lock`, which is also the owning shard's lock
+        (:class:`~repro.service.ShardLock`); the store does not wait on
+        it here but *detects* the contract being broken — another
+        thread holds :attr:`lock`, inside a structural op or not — and
+        raises :class:`~repro.exceptions.ConcurrentMutationError`
+        immediately instead of corrupting silently.  Reentrancy keeps
+        the holder's own calls legal (``fail_disk`` and ``rebuild``
         flush internally; an injector's whole-disk crash fires
         ``fail_disk`` from inside a flush).
         """
-        if not self._op_lock.acquire(blocking=False):
+        if not self.lock.acquire(blocking=False):
             raise ConcurrentMutationError(
-                f"{op}() entered while another thread runs a structural "
-                "op on this store; serialize through the shard's lock"
+                f"{op}() entered while another thread holds this store's "
+                "lock; serialize through the shard's lock"
             )
         try:
             yield
         finally:
-            self._op_lock.release()
+            self.lock.release()
 
     # -- fault plumbing ----------------------------------------------------------
 

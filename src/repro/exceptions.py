@@ -190,10 +190,11 @@ class ConcurrentMutationError(ServiceError):
     :class:`~repro.array.filestore.FileStore` is a single-writer
     object: ``flush()``, ``recover()``, ``fail_disk()`` and
     ``rebuild()`` mutate stripe buffers, the cache, and the journal
-    with no internal synchronization.  The store detects a second
-    thread entering one of these sections while another is inside and
-    fails loudly instead of corrupting parity — wrap each shard in its
-    own lock (see ``docs/SERVICE.md`` for the locking discipline).
+    with no internal synchronization.  The store detects a thread
+    entering one of these sections while another holds the store's
+    ``lock`` and fails loudly instead of corrupting parity — serialize
+    through that lock, which is also the shard's (see
+    ``docs/SERVICE.md`` for the locking discipline).
     """
 
 

@@ -4,8 +4,8 @@ This package turns the single-volume :class:`~repro.array.filestore.FileStore`
 into a served system: a :class:`VolumePool` shards one flat stripe
 space across many independent stores (pluggable
 :class:`ShardingPolicy` — contiguous ranges or a splitmix64 hash),
-guards each shard with a write-preferring readers-writer
-:class:`ShardLock`, and a :class:`RequestScheduler` executes a
+guards each shard with its store's own reentrant lock (seen as a
+:class:`ShardLock`), and a :class:`RequestScheduler` executes a
 many-client op stream on a worker pool with bounded-queue
 backpressure and per-op deadlines.
 

@@ -1,70 +1,43 @@
-"""The per-shard readers-writer lock.
+"""The per-shard lock.
 
 Every shard of a :class:`~repro.service.VolumePool` is guarded by one
-:class:`ShardLock`.  The discipline (enforced by lint rule R008 and
-documented in ``docs/SERVICE.md``):
+lock, and it is the shard's own store's: :attr:`FileStore.lock
+<repro.array.filestore.FileStore.lock>`, a reentrant lock.  A
+:class:`ShardLock` is a view over it, so a caller that serializes on a
+shard and the store's structural-op tripwire use the same object.
 
-- **write mode** — any operation that drives the shard's
-  :class:`~repro.array.filestore.FileStore`.  The store is a
-  single-writer object: even logically read-only ops mutate its I/O
-  ledger and may trigger healing or a cache flush, so op execution is
-  exclusive *within* a shard; the service's unit of parallelism is the
-  shard, not the op.
-- **read mode** — snapshots that only observe: live stats sampling,
-  geometry queries, progress probes.  Many readers share the lock, so
-  monitoring never queues behind a rebuild on some *other* shard and
-  never blocks ops on shards it is not currently reading.
-
-The lock is write-preferring (a waiting writer blocks new readers, so
-a flush cannot starve behind a stats poller) and write-reentrant (a
-rebuild that reentrantly flushes on the same thread does not deadlock).
+Any operation that drives the shard's store holds it (discipline
+enforced by lint rule R008, documented in ``docs/SERVICE.md``).  The
+store is a single-writer object: even logically read-only ops mutate
+its I/O ledger and may trigger healing or a cache flush, so op
+execution is exclusive *within* a shard; the service's unit of
+parallelism is the shard, not the op.  Reentrancy lets a rebuild that
+flushes on the same thread proceed.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 from ..exceptions import ServiceError
 
 
 class ShardLock:
-    """A write-preferring, write-reentrant readers-writer lock."""
+    """Exclusive, reentrant access to one shard, through its store's lock."""
 
-    def __init__(self) -> None:
-        self._cv = threading.Condition()
-        self._readers = 0
-        self._writer: int | None = None  # owning thread ident
-        self._writer_depth = 0
-        self._waiting_writers = 0
-
-    # -- write mode -------------------------------------------------------------
+    def __init__(self, lock) -> None:
+        self._lock = lock
 
     def acquire_write(self) -> None:
-        me = threading.get_ident()
-        with self._cv:
-            if self._writer == me:
-                self._writer_depth += 1
-                return
-            self._waiting_writers += 1
-            try:
-                while self._readers or self._writer is not None:
-                    self._cv.wait()
-                self._writer = me
-                self._writer_depth = 1
-            finally:
-                self._waiting_writers -= 1
+        self._lock.acquire()
 
     def release_write(self) -> None:
-        with self._cv:
-            if self._writer != threading.get_ident():
-                raise ServiceError(
-                    "release_write by a thread that does not hold the lock"
-                )
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                self._writer = None
-                self._cv.notify_all()
+        try:
+            self._lock.release()
+        except RuntimeError as exc:
+            raise ServiceError(
+                "release_write by a thread that does not hold the lock"
+            ) from exc
 
     @contextmanager
     def write_locked(self):
@@ -74,51 +47,3 @@ class ShardLock:
             yield self
         finally:
             self.release_write()
-
-    # -- read mode --------------------------------------------------------------
-
-    def acquire_read(self) -> None:
-        me = threading.get_ident()
-        with self._cv:
-            if self._writer == me:
-                raise ServiceError(
-                    "read-lock acquisition while holding the write lock; "
-                    "the write lock already grants observation"
-                )
-            while self._writer is not None or self._waiting_writers:
-                self._cv.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cv:
-            if self._readers <= 0:
-                raise ServiceError(
-                    "release_read without a matching acquire_read"
-                )
-            self._readers -= 1
-            if not self._readers:
-                self._cv.notify_all()
-
-    @contextmanager
-    def read_locked(self):
-        """Shared context: stats snapshots and other pure observation."""
-        self.acquire_read()
-        try:
-            yield self
-        finally:
-            self.release_read()
-
-    # -- introspection ----------------------------------------------------------
-
-    @property
-    def write_held(self) -> bool:
-        """True when the *calling* thread holds the write lock."""
-        with self._cv:
-            return self._writer == threading.get_ident()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        with self._cv:
-            return (
-                f"ShardLock(readers={self._readers}, writer={self._writer}, "
-                f"waiting_writers={self._waiting_writers})"
-            )

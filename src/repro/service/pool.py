@@ -2,18 +2,19 @@
 
 A :class:`VolumePool` splits a fixed stripe space across ``num_shards``
 independent :class:`~repro.array.filestore.FileStore` volumes using a
-:class:`~repro.service.sharding.ShardingPolicy`, and pairs each shard
-with its own :class:`~repro.service.locks.ShardLock`.  The pool itself
-holds no mutable state after construction — every byte lives in some
-shard's store, every synchronization decision lives in that shard's
-lock — which is what makes flushes, journal checkpoints, and rebuilds
-on one shard invisible to the others.
+:class:`~repro.service.sharding.ShardingPolicy`; each shard's lock is
+its store's own ``lock``, seen through a
+:class:`~repro.service.locks.ShardLock`.  The pool itself holds no
+mutable state after construction — every byte lives in some shard's
+store, every synchronization decision lives in that shard's lock —
+which is what makes flushes, journal checkpoints, and rebuilds on one
+shard invisible to the others.
 
-The pool does **not** acquire locks itself: the scheduler (or any
-direct caller) brackets each call in ``pool.lock(shard)`` — write mode
-for ops, read mode for snapshots.  That split keeps lock scope visible
-at the call site and lets the scheduler hold one acquisition across an
-op that issues several store calls.
+The pool's op methods do **not** acquire locks: the scheduler (or any
+direct caller) brackets each call in ``pool.lock(shard)``, which keeps
+lock scope visible at the call site and lets the scheduler hold one
+acquisition across many ops.  Only the pool-wide sweeps (``flush_all``
+and the snapshots) take each shard's lock themselves.
 
 Ops are byte-addressed against the *global* volume and must fall
 within a single stripe (the service trace generator guarantees this),
@@ -90,7 +91,7 @@ class VolumePool:
             )
             store.reserve(count)
             self.shards.append(store)
-            self.locks.append(ShardLock())
+            self.locks.append(ShardLock(store.lock))
         self.bytes_per_stripe = self.shards[0].bytes_per_stripe
 
     # -- geometry ----------------------------------------------------------------
@@ -145,7 +146,7 @@ class VolumePool:
             )
         return shard
 
-    # -- ops (caller holds the shard's write lock) -------------------------------
+    # -- ops (caller holds the shard's lock) -------------------------------------
 
     def read(self, shard: int, local_offset: int, size: int) -> bytes:
         return self.shards[self._check_shard(shard)].read(local_offset, size)
@@ -163,25 +164,25 @@ class VolumePool:
         self.shards[self._check_shard(shard)].rebuild(disk)
 
     def flush_all(self) -> int:
-        """Flush every shard (each under its own write lock)."""
+        """Flush every shard (each under its own lock)."""
         flushed = 0
         for shard, store in enumerate(self.shards):
             with self.locks[shard].write_locked():
                 flushed += store.flush()
         return flushed
 
-    # -- snapshots (read-locked) -------------------------------------------------
+    # -- snapshots (each shard under its store's lock) ---------------------------
 
     def merged_stats(self) -> IOStats:
         """The pool-wide I/O ledger: every shard's counters, summed.
 
-        Takes each shard's read lock in turn — a live sample during a
-        run sees each shard at *some* consistent point without stalling
-        ops on the others.
+        Takes each shard's lock in turn — a live sample during a run
+        sees each shard at *some* consistent point without stalling ops
+        on the others.
         """
         parts = []
-        for shard, store in enumerate(self.shards):
-            with self.locks[shard].read_locked():
+        for store in self.shards:
+            with store.lock:
                 parts.append(store.stats.copy())
         return IOStats.merged(self.shards[0].code.cols, parts)
 
@@ -189,7 +190,7 @@ class VolumePool:
         """Per-shard counter snapshot (stripes, dirty, totals)."""
         rows = []
         for shard, store in enumerate(self.shards):
-            with self.locks[shard].read_locked():
+            with store.lock:
                 rows.append(
                     {
                         "shard": shard,
@@ -218,8 +219,9 @@ class VolumePool:
         for idx in range(self.num_stripes):
             shard = int(self._shard_of[idx])
             local = int(self._local_of[idx])
-            with self.locks[shard].read_locked():
-                stripe = self.shards[shard].stripes[local]
+            store = self.shards[shard]
+            with store.lock:
+                stripe = store.stripes[local]
                 h.update(stripe.data.tobytes())
                 h.update(stripe.erased.tobytes())
         for store in self.shards:

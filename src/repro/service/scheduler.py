@@ -21,14 +21,14 @@ admission queue; a pool of worker threads executes them against the
   in the timing half of :class:`~repro.service.ServiceStats`, never
   hashed — deterministic runs simply set no deadlines.
 
-A worker that wins a shard **drains** it: it takes the shard's
-**write** lock once (FileStore is a single-writer object; see
-``docs/SERVICE.md``) and serves, in order, the ops that were queued on
-the shard when it won — later arrivals wait for the shard's next
-round-robin turn.  Each op is still popped under the scheduler's mutex
-as it starts, so ``queued <= queue_depth`` and ``inflight <= workers``
-hold exactly, and a blocked submitter is released by the first pop.
-Holding the write lock is also what lets a rebuild op monopolize one
+A worker that wins a shard **drains** it: it takes the shard's lock
+once (FileStore is a single-writer object; see ``docs/SERVICE.md``)
+and serves, in order, the ops that were queued on the shard when it
+won — later arrivals wait for the shard's next round-robin turn.
+Each op is still popped under the scheduler's mutex as it starts, so
+``queued <= queue_depth`` and ``inflight <= workers`` hold exactly,
+and a blocked submitter is released by the first pop.
+Holding the shard lock is also what lets a rebuild op monopolize one
 shard while every other shard keeps serving — the scheduler records
 how many ops completed elsewhere during each rebuild as direct
 evidence of that isolation.
@@ -190,6 +190,10 @@ class RequestScheduler:
 
     def _route(self, op: Op) -> tuple[int, int]:
         """``(shard, local offset)`` of an op: located once, here."""
+        if op.kind == "write" and op.payload is None:
+            raise ServiceError("write op needs a payload")
+        if op.kind in ("fail", "rebuild") and op.disk is None:
+            raise ServiceError(f"{op.kind} op needs an explicit disk")
         if op.kind in ("read", "write"):
             size = len(op.payload) if op.kind == "write" else op.size
             return self.pool.locate(op.offset, size)
@@ -299,7 +303,7 @@ class RequestScheduler:
         self, rec: WorkerRecorder, shard: int, budget: int, started: tuple
     ) -> None:
         """Serve ``budget`` ops of a won shard, in order, under one
-        hold of its write lock; each op is popped under the mutex as it
+        hold of its lock; each op is popped under the mutex as it
         starts, so ``queued`` and ``inflight`` stay exact throughout.
         """
         shard_lock = self.pool.lock(shard)
@@ -323,7 +327,7 @@ class RequestScheduler:
     def _execute(
         self, op: Op, shard: int, local: int, deadline_at: float | None
     ) -> tuple[str, bytes | None, str | None]:
-        """Run one op (shard write lock held): ``(status, data, error)``.
+        """Run one op (shard lock held): ``(status, data, error)``.
 
         Whatever the op raises is its outcome, not the worker's: a
         dead worker would leave its shard claimed and ``drain()``

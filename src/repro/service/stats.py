@@ -114,7 +114,7 @@ class ServiceStats:
     #: non-blocking submits rejected by backpressure.
     rejected: int = 0
     #: per-rebuild instrumentation: ops completed on *other* shards
-    #: while the rebuild held its shard's write lock.
+    #: while the rebuild held its shard's lock.
     rebuild_windows: list = field(default_factory=list)
     #: the pool-wide merged I/O ledger.
     io: IOStats | None = None

@@ -2,9 +2,11 @@
 
 A FileStore is a single-writer object: two threads interleaving
 ``flush``/``recover``/``fail_disk``/``rebuild`` on one store would
-corrupt parity silently.  The store does not serialize callers — the
-service layer's ShardLock does — but it must *detect* the contract
-being broken (ConcurrentMutationError) while keeping two legal shapes
+corrupt parity silently.  Callers serialize on the store's one lock,
+which the service layer's ShardLock is a view of; the store must
+*detect* the contract being broken (ConcurrentMutationError) — a
+second thread entering a structural op while another holds that lock —
+while keeping two legal shapes
 working: same-thread reentrancy (``fail_disk`` flushes internally) and
 full parallelism across *different* stores (shards must not serialize
 against each other through any hidden global).
@@ -17,6 +19,7 @@ import pytest
 from repro.array.filestore import FileStore
 from repro.codes.registry import get_code
 from repro.exceptions import ConcurrentMutationError
+from repro.service import VolumePool
 
 
 def dirty_store(**kw):
@@ -101,6 +104,38 @@ class TestCrossThreadInterleaveDetected:
         with ParkedFlush(store):
             with pytest.raises(ConcurrentMutationError):
                 store.recover()
+
+    def test_flush_that_skips_a_held_shard_lock(self):
+        """The shard lock is the store's lock: bypassing it is caught
+        even when the holder is not inside a structural op."""
+        pool = VolumePool(
+            "HV", 5, num_stripes=1, element_size=32, num_shards=1,
+            cache_stripes=4,
+        )
+        pool.write(0, 0, b"dirty bytes")
+        store = pool.shards[0]
+        errors = []
+
+        def bypass():
+            try:
+                store.flush()
+            except ConcurrentMutationError as exc:
+                errors.append(exc)
+
+        sampled = threading.Event()
+        sampler = threading.Thread(
+            target=lambda: (pool.merged_stats(), sampled.set()), daemon=True
+        )
+        with pool.lock(0).write_locked():
+            thread = threading.Thread(target=bypass, daemon=True)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert len(errors) == 1
+            assert len(store.cache)  # the bypassing flush never ran
+            sampler.start()
+            assert not sampled.wait(0.05)  # the snapshot waits for the holder
+        assert sampled.wait(5.0)
+        sampler.join(timeout=5.0)
 
 
 class TestDifferentStoresRunInParallel:

@@ -1,9 +1,6 @@
-"""Tests for the write-preferring, write-reentrant ShardLock."""
+"""Tests for ShardLock, the view over a store's reentrant lock."""
 
 import threading
-import time
-
-import pytest
 
 from repro.exceptions import ServiceError
 from repro.service import ShardLock
@@ -15,17 +12,31 @@ def run_thread(fn):
     return t
 
 
+def free_elsewhere(inner) -> bool:
+    """Whether another thread could take ``inner`` right now."""
+    got = []
+
+    def probe():
+        if inner.acquire(blocking=False):
+            got.append(True)
+            inner.release()
+
+    run_thread(probe).join()
+    return bool(got)
+
+
 class TestWriteMode:
     def test_reentrant_for_owner(self):
-        lock = ShardLock()
+        inner = threading.RLock()
+        lock = ShardLock(inner)
         with lock.write_locked():
             with lock.write_locked():
-                assert lock.write_held
-            assert lock.write_held
-        assert not lock.write_held
+                assert not free_elsewhere(inner)
+            assert not free_elsewhere(inner)  # still held once
+        assert free_elsewhere(inner)
 
     def test_excludes_other_writers(self):
-        lock = ShardLock()
+        lock = ShardLock(threading.RLock())
         acquired = threading.Event()
         lock.acquire_write()
         t = run_thread(lambda: (lock.acquire_write(), acquired.set()))
@@ -35,7 +46,7 @@ class TestWriteMode:
         t.join()
 
     def test_release_by_stranger_rejected(self):
-        lock = ShardLock()
+        lock = ShardLock(threading.RLock())
         lock.acquire_write()
         err = []
 
@@ -48,70 +59,3 @@ class TestWriteMode:
         run_thread(stranger).join()
         assert err
         lock.release_write()
-
-
-class TestReadMode:
-    def test_readers_share(self):
-        lock = ShardLock()
-        both_in = threading.Barrier(2, timeout=2.0)
-
-        def reader():
-            with lock.read_locked():
-                both_in.wait()  # only passes if both hold it at once
-
-        threads = [run_thread(reader) for _ in range(2)]
-        for t in threads:
-            t.join(timeout=2.0)
-        assert not any(t.is_alive() for t in threads)
-
-    def test_writer_excludes_readers(self):
-        lock = ShardLock()
-        got_read = threading.Event()
-        lock.acquire_write()
-        t = run_thread(lambda: (lock.acquire_read(), got_read.set()))
-        assert not got_read.wait(0.05)
-        lock.release_write()
-        assert got_read.wait(1.0)
-        t.join()
-
-    def test_waiting_writer_blocks_new_readers(self):
-        """Write preference: a queued writer beats later readers."""
-        lock = ShardLock()
-        events = []
-        lock.acquire_read()
-        writer_done = threading.Event()
-        reader_done = threading.Event()
-
-        def writer():
-            lock.acquire_write()
-            events.append("writer")
-            lock.release_write()
-            writer_done.set()
-
-        tw = run_thread(writer)
-        time.sleep(0.05)  # writer is now queued behind the reader
-
-        def late_reader():
-            lock.acquire_read()
-            events.append("reader")
-            lock.release_read()
-            reader_done.set()
-
-        tr = run_thread(late_reader)
-        assert not writer_done.wait(0.05)  # still blocked on the reader
-        assert not reader_done.is_set()  # and the late reader waits too
-        lock.release_read()
-        assert writer_done.wait(1.0) and reader_done.wait(1.0)
-        assert events[0] == "writer"
-        tw.join()
-        tr.join()
-
-    def test_unmatched_release_rejected(self):
-        with pytest.raises(ServiceError):
-            ShardLock().release_read()
-
-    def test_read_upgrade_from_write_rejected(self):
-        lock = ShardLock()
-        with lock.write_locked():
-            with pytest.raises(ServiceError):
-                lock.acquire_read()

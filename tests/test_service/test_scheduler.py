@@ -114,6 +114,22 @@ class TestLifecycleAndRouting:
             with pytest.raises(ServiceError):
                 sched.submit(Op("flush"))
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            Op("write", offset=0),
+            Op("fail", shard=0),
+            Op("rebuild", shard=0),
+        ],
+        ids=["write-without-payload", "fail-without-disk", "rebuild-without-disk"],
+    )
+    def test_malformed_op_rejected_at_submit(self, op):
+        pool = make_pool()
+        with RequestScheduler(pool) as sched:
+            with pytest.raises(ServiceError):
+                sched.submit(op)
+        assert sched.stats.total_ops == 0  # nothing was queued
+
     def test_results_guarded_by_keep_results(self):
         pool = make_pool()
         with RequestScheduler(pool) as sched:
@@ -179,6 +195,7 @@ class TestDeadlines:
     def test_stale_op_expires_without_touching_the_shard(self):
         pool = make_pool()
         pool.lock(0).acquire_write()
+        held = True
         try:
             with RequestScheduler(pool, workers=2) as sched:
                 # First op blocks on the held lock; the second sits
@@ -189,8 +206,9 @@ class TestDeadlines:
                 )
                 time.sleep(0.08)
                 pool.lock(0).release_write()
+                held = False
         except BaseException:
-            if pool.lock(0).write_held:
+            if held:
                 pool.lock(0).release_write()
             raise
         stats = sched.stats
