@@ -11,12 +11,12 @@ and honours disk failures the way an array does:
   with more lost, the decode schedule sliced back to the requested
   cells.  The compiled ``read`` plan runs into scratch, so the stripe
   stays degraded and readers may share it;
-- **writes**, degraded or not, are read-modify-writes priced as
-  :meth:`~repro.array.raid.RAID6Volume.write`: only a lost written
-  element's old value is recovered, the new bytes land, and one
-  compiled ``update`` plan folds the deltas of every touched element
-  into the surviving parities — each rewritten **once per stripe**, the
-  XOR work charged to :attr:`stats` on a kernel engine.  A lost
+- **writes**, degraded or not, are read-modify-writes through the
+  same plans :meth:`~repro.array.raid.RAID6Volume.write` prices: only
+  a lost written element's old value is recovered, the new bytes land,
+  and one compiled ``update`` plan folds the deltas of every touched
+  element into the surviving parities — each rewritten **once per
+  stripe**, the XOR work charged to :attr:`stats` on a kernel engine.  A lost
   element's *logical* content is the new data even though its disk is
   gone; a parity on a failed disk is never read or written, only its
   CRC advanced;
@@ -277,7 +277,7 @@ class FileStore:
 
         Returns False when a transient window on the element's disk
         outlasted the retry budget — the caller treats the element as
-        unreadable for this operation and recovers through parity.
+        lost for this operation and recovers through parity.
         """
         if self.injector is None:
             return True
@@ -721,7 +721,7 @@ class FileStore:
         fetches anyway count as free), the decode schedule sliced to the
         lost cells otherwise.  The ledger is charged what that fetches:
         the requested readable cells plus the plan's extra reads, never
-        a lost cell — exactly what :meth:`RAID6Volume.degraded_read`
+        a lost cell — the same plans :meth:`RAID6Volume.degraded_read`
         prices.
         """
         es, cols = self.element_size, self._cols
@@ -736,7 +736,7 @@ class FileStore:
             r, c = pos
             lo, hi = max(start - i * es, 0), min(start + size - i * es, es)
             # A cell whose transient window outlasted the retries is as
-            # unreadable for this read as a lost one: parity computes it.
+            # lost to this read as an erased one: parity computes it.
             served = self._element_io(stripe_idx, pos, "read")
             if erased[r, c] or latent[r, c] or not served:
                 if self.cache is not None and stripe_idx in self.cache:
@@ -872,7 +872,7 @@ class FileStore:
             self._maybe_checkpoint()  # a flush ends in one too
 
     def _write_stripe_rmw(self, stripe_idx: int, pieces: list[Piece]) -> None:
-        """Immediate read-modify-write, priced as :meth:`RAID6Volume.write`.
+        """Immediate read-modify-write: the same plans :meth:`RAID6Volume.write` prices.
 
         Only the old values the disks cannot return are computed — of a
         written cell that is lost, through its own read plan (Fig. 7's

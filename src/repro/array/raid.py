@@ -1,10 +1,14 @@
-"""The RAID-6 volume: code + disks + addressing, executing patterns.
+"""The RAID-6 volume: a price sheet over the compiled plans.
 
 ``RAID6Volume`` is the layer the experiments drive.  It resolves the
-paper's logical access patterns onto stripes, derives the induced
-parity I/O from the code's chain structure, charges every element
-request to a simulated disk, and reports per-pattern results (I/O
-ledger, induced writes, service time, degraded-read ``L'``).
+paper's logical access patterns onto stripes and prices each stripe
+segment by the compiled plans :class:`~repro.array.filestore.FileStore`
+runs: a small write by its ``update`` plan (the parity chains it
+dirties, Section IV.5), a lost cell by its ``read`` plan (the cheapest
+chains that rebuild it, Section V.B).  What the store does not model —
+rotated addressing, the set of failed disks, the per-disk
+:class:`IOStats` ledger and the latency model — lives here; the price
+itself is the plan's.
 
 I/O accounting follows standard read-modify-write small writes: a data
 write reads the old data and writes the new; every dirtied parity is
@@ -18,19 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..exceptions import (
-    InvalidParameterError,
-    SimulationError,
-    TransientIOError,
-)
-from ..recovery.single import plan_degraded_read
+from ..engine.compile import compile_plan
+from ..exceptions import InvalidParameterError, SimulationError
 from .addressing import VolumeAddressing
-from .disk import SimulatedDisk
 from .iostats import IOStats
 from .latency import LatencyModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a codes<->array cycle
     from ..codes.base import ArrayCode
+    from ..engine.plan import XorPlan
 
 
 @dataclass
@@ -64,10 +64,7 @@ class PatternResult:
 
 
 class RAID6Volume:
-    """A multi-stripe RAID-6 volume over simulated disks."""
-
-    #: Bounded retry budget for transient disk errors per request.
-    MAX_TRANSIENT_RETRIES = 3
+    """A multi-stripe RAID-6 volume priced by the compiled plans."""
 
     def __init__(
         self,
@@ -79,11 +76,8 @@ class RAID6Volume:
         self.code = code
         self.latency = latency or LatencyModel()
         self.addressing = VolumeAddressing(code, num_stripes, rotate_stripes)
-        self.disks = [
-            SimulatedDisk(d, latency=self.latency) for d in range(code.cols)
-        ]
         self.stats = IOStats(code.cols)
-        self.transient_retries = 0
+        self._failed: set[int] = set()
 
     # -- disk state ------------------------------------------------------------
 
@@ -99,19 +93,19 @@ class RAID6Volume:
         recovery experiments may drive a doubly-failed volume.
         """
         self._check_disk(disk)
-        others = [d.disk_id for d in self.disks if d.failed and d.disk_id != disk]
+        others = sorted(self._failed - {disk})
         if len(others) >= 2:
             raise SimulationError(
                 f"disks {others} already failed; a third failure exceeds RAID-6"
             )
-        self.disks[disk].fail()
+        self._failed.add(disk)
 
     def heal_disk(self, disk: int) -> None:
         self._check_disk(disk)
-        self.disks[disk].heal()
+        self._failed.discard(disk)
 
     def failed_disks(self) -> list[int]:
-        return [d.disk_id for d in self.disks if d.failed]
+        return sorted(self._failed)
 
     def _check_disk(self, disk: int) -> None:
         if not 0 <= disk < self.num_disks:
@@ -119,30 +113,13 @@ class RAID6Volume:
 
     # -- request plumbing ----------------------------------------------------------
 
-    def _serve(self, disk: int, kind: str, count: int) -> None:
-        """One disk request with a bounded transient-retry loop.
-
-        Each retry is charged as an extra request on the disk's ledger
-        (the bus really did carry the command); when the budget runs
-        out the :class:`TransientIOError` propagates to the caller.
-        """
-        op = self.disks[disk].read if kind == "read" else self.disks[disk].write
-        for attempt in range(self.MAX_TRANSIENT_RETRIES + 1):
-            try:
-                op(count)
-                return
-            except TransientIOError:
-                self.transient_retries += 1
-                if attempt == self.MAX_TRANSIENT_RETRIES:
-                    raise
-
     def _charge(self, pattern_io: IOStats, disk: int, reads: int, writes: int) -> None:
+        if disk in self._failed:
+            raise SimulationError(f"I/O charged to failed disk {disk}")
         if reads:
-            self._serve(disk, "read", reads)
             pattern_io.record_read(disk, reads)
             self.stats.record_read(disk, reads)
         if writes:
-            self._serve(disk, "write", writes)
             pattern_io.record_write(disk, writes)
             self.stats.record_write(disk, writes)
 
@@ -152,58 +129,72 @@ class RAID6Volume:
             for d in range(self.num_disks)
         )
 
+    def _column_of(self, stripe: int, disk: int) -> int:
+        """The column of ``stripe`` that lives on physical ``disk``."""
+        return next(
+            c for c in range(self.code.cols) if self.addressing.disk_of(stripe, c) == disk
+        )
+
+    def _read_plan(
+        self,
+        column: int,
+        wanted: tuple[int, ...],
+        free: tuple[int, ...] = (),
+        planner: str = "greedy",
+    ) -> "XorPlan":
+        """The compiled ``read`` plan of the lost slots ``wanted`` with
+        ``column`` down and the readable slots ``free`` fetched anyway."""
+        cols = self.code.cols
+        column_slots = tuple(range(column, self.code.rows * cols, cols))
+        return compile_plan(
+            self.code, "read", (column_slots, wanted, free), planner=planner
+        )
+
     # -- write patterns ---------------------------------------------------------------
 
     def write(self, start: int, length: int) -> PatternResult:
         """Execute a partial-stripe write of continuous data elements.
 
-        With one failed disk the write runs degraded: elements on the
-        failed disk become reconstruct-writes (their old value is
-        rebuilt from one surviving chain so the surviving parities can
-        absorb the delta), and parity cells on the failed disk are
-        skipped — they are rebuilt when the disk is replaced.
+        Each stripe segment is priced by its compiled ``update`` plan:
+        every written cell and every parity in ``plan.outputs`` is one
+        read-modify-write.  With one failed disk the write runs
+        degraded, as :class:`~repro.array.filestore.FileStore` runs it:
+        a written cell on the failed disk becomes a reconstruct-write
+        (its old value is priced by its one-cell ``read`` plan, the
+        delta flows into surviving parity), and a parity on the failed
+        disk is skipped — it is rebuilt when the disk is replaced.
         """
         failed = self.failed_disks()
         if len(failed) > 1:
             raise SimulationError("writes with two failed disks are out of scope")
         failed_disk = failed[0] if failed else None
+        cols = self.code.cols
         locations = self.addressing.locate_range(start, length)
         pattern_io = IOStats(self.num_disks)
         data_writes = 0
         parity_writes = 0
         for stripe, locs in self.addressing.by_stripe(locations).items():
-            failed_col = None
-            if failed_disk is not None:
-                failed_col = next(
-                    c
-                    for c in range(self.code.cols)
-                    if self.addressing.disk_of(stripe, c) == failed_disk
-                )
-            cells = [loc.position for loc in locs]
-            written_here = set(cells)
-            extra_read_cells: set = set()
+            plan = compile_plan(self.code, "update", [loc.position for loc in locs])
+            failed_col = (
+                None if failed_disk is None else self._column_of(stripe, failed_disk)
+            )
+            extra_reads: set[int] = set()
             for loc in locs:
                 if loc.disk == failed_disk:
-                    # Reconstruct-write: rebuild the old value through
-                    # one surviving chain; no write lands on the lost
-                    # disk, the delta flows into surviving parity.
-                    plan = plan_degraded_read(
-                        self.code, failed_col, [loc.position], method="greedy"
-                    )
-                    extra_read_cells |= set(plan.fetched)
+                    r, c = loc.position
+                    extra_reads.update(self._read_plan(c, (r * cols + c,)).reads)
                 else:
                     self._charge(pattern_io, loc.disk, reads=1, writes=1)
                     data_writes += 1
             # Cells this pattern writes are already read by their RMW;
             # don't charge the reconstruction for them twice.
-            extra_read_cells -= written_here
-            for cell in sorted(extra_read_cells):
-                disk = self.addressing.disk_of(stripe, cell[1])
+            for slot in sorted(extra_reads.difference(plan.pattern)):
+                disk = self.addressing.disk_of(stripe, slot % cols)
                 self._charge(pattern_io, disk, reads=1, writes=0)
-            for parity_pos in sorted(self.code.write_targets(cells)):
-                if failed_col is not None and parity_pos[1] == failed_col:
+            for slot in sorted(plan.outputs):
+                if slot % cols == failed_col:
                     continue  # lost parity is rebuilt later, not written
-                disk = self.addressing.disk_of(stripe, parity_pos[1])
+                disk = self.addressing.disk_of(stripe, slot % cols)
                 self._charge(pattern_io, disk, reads=1, writes=1)
                 parity_writes += 1
         return PatternResult(
@@ -225,7 +216,7 @@ class RAID6Volume:
 
     def read(self, start: int, length: int) -> PatternResult:
         """A healthy read of continuous data elements."""
-        if self.failed_disks():
+        if self._failed:
             return self.degraded_read(start, length)
         locations = self.addressing.locate_range(start, length)
         pattern_io = IOStats(self.num_disks)
@@ -242,9 +233,10 @@ class RAID6Volume:
     ) -> PatternResult:
         """A read while one disk is down (paper Section V.B).
 
-        Lost requested elements are rebuilt from their cheapest parity
-        chains; already-requested surviving elements are reused for
-        free.  ``elements_returned`` is the paper's ``L'``.
+        Per stripe, the requested cells on the failed disk are the
+        compiled ``read`` plan's wanted cells and the other requested
+        cells its free ones: the fetch is the free cells plus the plan's
+        reads, and its size is the paper's ``L'`` (``elements_returned``).
         """
         failed = self.failed_disks()
         if len(failed) != 1:
@@ -252,22 +244,21 @@ class RAID6Volume:
                 f"degraded_read expects exactly one failed disk, have {failed}"
             )
         failed_disk = failed[0]
+        cols = self.code.cols
         locations = self.addressing.locate_range(start, length)
         pattern_io = IOStats(self.num_disks)
         returned = 0
         for stripe, locs in self.addressing.by_stripe(locations).items():
-            # Column that maps to the failed physical disk in this stripe.
-            failed_col = next(
-                c for c in range(self.code.cols)
-                if self.addressing.disk_of(stripe, c) == failed_disk
-            )
-            requested = [loc.position for loc in locs]
-            plan = plan_degraded_read(
-                self.code, failed_col, requested, method=planner
-            )
-            returned += plan.elements_returned
-            for cell in sorted(plan.fetched):
-                disk = self.addressing.disk_of(stripe, cell[1])
+            failed_col = self._column_of(stripe, failed_disk)
+            requested = [r * cols + c for r, c in (loc.position for loc in locs)]
+            wanted = tuple(s for s in requested if s % cols == failed_col)
+            free = tuple(s for s in requested if s % cols != failed_col)
+            fetched = set(free)
+            if wanted:
+                fetched.update(self._read_plan(failed_col, wanted, free, planner).reads)
+            returned += len(fetched)
+            for slot in sorted(fetched):
+                disk = self.addressing.disk_of(stripe, slot % cols)
                 self._charge(pattern_io, disk, reads=1, writes=0)
         return PatternResult(
             io=pattern_io,
@@ -279,5 +270,3 @@ class RAID6Volume:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-        for disk in self.disks:
-            disk.reset_counters()

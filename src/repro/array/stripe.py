@@ -68,8 +68,8 @@ class Stripe:
         a copy — callers may XOR into it in place.
 
         A cell carrying a latent sector error raises
-        :class:`LatentSectorError` — the disk is up but the media is
-        unreadable, and callers are expected to repair through a parity
+        :class:`LatentSectorError` — the disk is up but the media
+        cannot be read, and callers are expected to repair through a parity
         chain (which rewrites the cell and clears the fault).
         """
         r, c = self._check(pos)

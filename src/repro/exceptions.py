@@ -98,7 +98,7 @@ class LatentSectorError(FaultInjectionError):
     """An unrecoverable read error (URE) on one element.
 
     Models a latent sector error: the disk is up, but this element's
-    media is unreadable until it is rewritten.  Carries the position so
+    media cannot be read until it is rewritten.  Carries the position so
     recovery planners can route around the poisoned cell.
     """
 

@@ -6,11 +6,12 @@ completion time (Fig. 7(a)) and the I/O efficiency ``L'/L`` —
 elements actually fetched over elements requested — (Fig. 7(b)), then
 takes the expectation over every choice of failed disk.
 
-Implementation note: a pattern decomposes into per-stripe segments,
-and a segment's degraded plan depends only on (failed column, local
-start, segment length).  Plans are cached on that key, which turns the
-``codes x disks x lengths x patterns`` sweep into a few hundred
-planner invocations per code.
+Each pattern is priced by :meth:`RAID6Volume.degraded_read`, i.e. by
+the compiled ``read`` plan of every stripe segment it touches — the
+plan a degraded :class:`~repro.array.filestore.FileStore` runs.  A
+segment's plan depends only on (failed column, wanted cells, free
+cells), so :data:`~repro.engine.compile.PLAN_CACHE` memoizes the
+``codes x disks x lengths x patterns`` sweep.
 """
 
 from __future__ import annotations
@@ -19,67 +20,15 @@ import math
 from collections.abc import Sequence
 
 from ..array.latency import LatencyModel
+from ..array.raid import RAID6Volume
 from ..codes.base import ArrayCode
 from ..codes.registry import evaluated_codes
-from ..recovery.single import plan_degraded_read
 from ..utils import mean
-from ..workloads.degraded import ReadPattern, uniform_read_patterns
+from ..workloads.degraded import uniform_read_patterns
 from .runner import ExperimentResult
 
 #: Default logical volume size (in data elements) for Fig. 7 runs.
 DEFAULT_VOLUME_ELEMENTS = 600
-
-
-class _SegmentPlanCache:
-    """Memoized per-stripe degraded-read segment plans for one code."""
-
-    def __init__(self, code: ArrayCode, planner: str) -> None:
-        self.code = code
-        self.planner = planner
-        self._cache: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
-
-    def segment(
-        self, failed_col: int, local_start: int, seg_len: int
-    ) -> tuple[tuple[int, ...], int]:
-        """Per-disk read counts and L' for one in-stripe segment."""
-        key = (failed_col, local_start, seg_len)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        requested = self.code.data_positions[local_start : local_start + seg_len]
-        plan = plan_degraded_read(
-            self.code, failed_col, requested, method=self.planner
-        )
-        counts = [0] * self.code.cols
-        for cell in plan.fetched:
-            counts[cell[1]] += 1
-        result = (tuple(counts), plan.elements_returned)
-        self._cache[key] = result
-        return result
-
-
-def measure_pattern(
-    cache: _SegmentPlanCache,
-    pattern: ReadPattern,
-    failed_disk: int,
-    latency: LatencyModel,
-) -> tuple[float, float]:
-    """(completion seconds, L'/L) of one degraded read pattern."""
-    per_stripe = cache.code.data_elements_per_stripe
-    counts = [0] * cache.code.cols
-    returned = 0
-    index = pattern.start
-    remaining = pattern.length
-    while remaining > 0:
-        local = index % per_stripe
-        seg_len = min(remaining, per_stripe - local)
-        seg_counts, seg_returned = cache.segment(failed_disk, local, seg_len)
-        counts = [a + b for a, b in zip(counts, seg_counts)]
-        returned += seg_returned
-        index += seg_len
-        remaining -= seg_len
-    seconds = latency.serve(max(counts))
-    return seconds, returned / pattern.length
 
 
 def run(
@@ -104,26 +53,27 @@ def run(
 
     time_rows: list[list[object]] = []
     eff_rows: list[list[object]] = []
+    # The volume must cover every pattern; stripes beyond that do not
+    # change per-pattern results.
+    needed = max(pat.end for pats in patterns_by_length.values() for pat in pats)
     for code in codes:
-        # The volume must cover every pattern; stripes beyond that do
-        # not change per-pattern results.
-        needed = max(pat.end for pats in patterns_by_length.values() for pat in pats)
-        math.ceil(needed / code.data_elements_per_stripe)  # sanity only
-        cache = _SegmentPlanCache(code, planner)
-        time_row: list[object] = [code.name]
-        eff_row: list[object] = [code.name]
-        for length in lengths:
-            seconds: list[float] = []
-            ratios: list[float] = []
-            for failed_disk in range(code.cols):
+        volume = RAID6Volume(
+            code,
+            num_stripes=math.ceil(needed / code.data_elements_per_stripe),
+            latency=latency,
+        )
+        seconds: dict[int, list[float]] = {length: [] for length in lengths}
+        ratios: dict[int, list[float]] = {length: [] for length in lengths}
+        for failed_disk in range(code.cols):
+            volume.fail_disk(failed_disk)
+            for length in lengths:
                 for pattern in patterns_by_length[length]:
-                    s, ratio = measure_pattern(cache, pattern, failed_disk, latency)
-                    seconds.append(s)
-                    ratios.append(ratio)
-            time_row.append(mean(seconds))
-            eff_row.append(mean(ratios))
-        time_rows.append(time_row)
-        eff_rows.append(eff_row)
+                    result = volume.degraded_read(pattern.start, pattern.length, planner)
+                    seconds[length].append(result.seconds)
+                    ratios[length].append(result.elements_returned / pattern.length)
+            volume.heal_disk(failed_disk)
+        time_rows.append([code.name] + [mean(seconds[length]) for length in lengths])
+        eff_rows.append([code.name] + [mean(ratios[length]) for length in lengths])
 
     params = {
         "p": p,

@@ -12,8 +12,8 @@ reliability simulator's Crashed/LatentError/Corrupted unit states).
   windows, latent sector errors (UREs), and silent bit flips.
 - :mod:`repro.faults.injector` — :class:`FaultInjector` arms a
   :class:`~repro.array.filestore.FileStore` with a plan and fires the
-  events at the simulated ``SimulatedDisk``/``Stripe`` boundary as
-  element I/O streams by.
+  events at the store's per-element I/O boundary
+  (``FileStore._element_io``) as element I/O streams by.
 - :mod:`repro.faults.checksum` — per-element CRC32 sidecars and the
   checksum scrub: detect silent flips and latent errors, repair each
   bad element through a parity chain, escalating to the full decoder.

@@ -262,7 +262,7 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
     cols = code.cols
     for stripe_idx, stripe in enumerate(store.stripes):
         # Erased cells are the rebuild path's; a live cell is latent
-        # (unreadable) or CRC-checked, in one batched call per stripe.
+        # (not readable) or CRC-checked, in one batched call per stripe.
         latent = np.flatnonzero(stripe.latent & ~stripe.erased).tolist()
         readable = np.flatnonzero(~(stripe.erased | stripe.latent))
         crcs = crc_rows(stripe.data, CellSlots(readable.tolist())).flat[readable]

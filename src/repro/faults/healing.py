@@ -39,7 +39,7 @@ Position = tuple[int, int]
 class HealingStats:
     """Counters one healing call chain (or one store) accumulates.
 
-    - ``chain_repairs``: lost or unreadable elements recomputed through
+    - ``chain_repairs``: lost or latent elements recomputed through
       parity chains — by rung 2, and each cell a ``FileStore`` read,
       degraded write or rebuild computes with a compiled plan;
     - ``escalations``: rung-3 full decodes;

@@ -78,7 +78,7 @@ class FaultInjector:
 
         Raises :class:`TransientIOError` when a transient window on the
         element's disk outlasts the retry budget; callers treat the
-        element as unreadable for this operation and escalate.
+        element as lost for this operation and escalate.
         """
         self.ops += 1
         self.fire_due()

@@ -52,17 +52,12 @@ def simulate_rebuild(
     per_disk_elements: int,
     latency: LatencyModel | None = None,
     method: str = "greedy",
-    unreadable: tuple = (),
 ) -> RebuildResult:
     """Rebuild ``failed_disk`` for a disk holding ``per_disk_elements``.
 
     The per-stripe recovery plan repeats across ``per_disk_elements /
     rows`` stripes (the capacity normalization that makes codes with
-    different stripe heights comparable).  ``unreadable`` cells —
-    latent sector errors on survivors, the rebuild-window hazard the
-    fault injector models — are avoided by the plan, raising
-    :class:`~repro.exceptions.DecodeError` when no clean chain set
-    exists (the orchestrator's cue to escalate to the full decoder).
+    different stripe heights comparable).
     """
     if per_disk_elements < code.rows:
         raise InvalidParameterError(
@@ -71,9 +66,7 @@ def simulate_rebuild(
         )
     latency = latency or LatencyModel()
     stripes = per_disk_elements // code.rows
-    plan = plan_single_disk_recovery(
-        code, failed_disk, method=method, unreadable=unreadable
-    )
+    plan = plan_single_disk_recovery(code, failed_disk, method=method)
     reads = [0] * code.cols
     for cell in plan.reads:
         reads[cell[1]] += stripes

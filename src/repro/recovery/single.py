@@ -122,23 +122,18 @@ def plan_single_disk_recovery(
     code: ArrayCode,
     failed_disk: int,
     method: str = "milp",
-    unreadable: Iterable[Position] = (),
 ) -> SingleDiskRecoveryPlan:
     """Minimal-read repair plan for the loss of ``failed_disk``.
 
-    ``unreadable`` marks surviving cells that cannot be fetched (latent
-    sector errors discovered mid-rebuild); chains reading them are
-    excluded, which is how the self-healing layer retries an element
-    through its *other* parity chain.  Raises :class:`DecodeError` when
-    every chain of some lost cell is poisoned — the caller should then
-    escalate to the full double-erasure decoder.
+    Raises :class:`DecodeError` when some lost cell has no parity chain
+    that avoids the disk.
     """
     if not 0 <= failed_disk < code.cols:
         raise InvalidParameterError(
             f"disk {failed_disk} outside 0..{code.cols - 1}"
         )
     lost = [(r, failed_disk) for r in range(code.rows)]
-    candidates = _candidates(code, lost, unreadable=unreadable)
+    candidates = _candidates(code, lost)
     choices, reads = _minimize_reads(candidates, free=frozenset(), method=method)
     return SingleDiskRecoveryPlan(
         code_name=code.name,
@@ -162,13 +157,8 @@ def plan_degraded_read(
     failed_disk: int,
     requested: Sequence[Position],
     method: str = "milp",
-    unreadable: Iterable[Position] = (),
 ) -> DegradedReadPlan:
-    """Plan a read of ``requested`` data cells with ``failed_disk`` down.
-
-    ``unreadable`` excludes chains through latent-error cells, exactly
-    as in :func:`plan_single_disk_recovery`.
-    """
+    """Plan a read of ``requested`` data cells with ``failed_disk`` down."""
     if not requested:
         raise InvalidParameterError("degraded read needs at least one cell")
     requested = tuple(requested)
@@ -182,7 +172,7 @@ def plan_degraded_read(
             choices={},
             fetched=frozenset(requested),
         )
-    candidates = _candidates(code, lost, unreadable=unreadable)
+    candidates = _candidates(code, lost)
     choices, reads = _minimize_reads(candidates, free=alive_requested, method=method)
     return DegradedReadPlan(
         failed_disk=failed_disk,
@@ -197,30 +187,20 @@ def plan_degraded_read(
 
 
 def _candidates(
-    code: ArrayCode,
-    lost: Iterable[Position],
-    unreadable: Iterable[Position] = (),
+    code: ArrayCode, lost: Iterable[Position]
 ) -> dict[Position, list[ParityChain]]:
-    """Usable repair equations per lost cell (other members all alive).
-
-    Cells in ``unreadable`` count as unavailable without being lost:
-    chains that would read them are dropped from the candidate table.
-    """
+    """Usable repair equations per lost cell (other members all alive)."""
     lost_set = set(lost)
-    bad = lost_set | set(unreadable)
     table: dict[Position, list[ParityChain]] = {}
     for cell in lost_set:
         options = [
             chain
             for chain in code.chains
             if cell in chain.equation_cells
-            and all(c == cell or c not in bad for c in chain.equation_cells)
+            and all(c == cell or c not in lost_set for c in chain.equation_cells)
         ]
         if not options:
-            raise DecodeError(
-                f"{code.name}: no single-pass repair equation for {cell}"
-                + (f" avoiding {sorted(set(unreadable))}" if unreadable else "")
-            )
+            raise DecodeError(f"{code.name}: no single-pass repair equation for {cell}")
         table[cell] = options
     return table
 

@@ -1,12 +1,14 @@
 """Degraded I/O at the paper's price.
 
-A degraded ``FileStore`` read fetches Fig. 7's read set, a degraded
-write is ``RAID6Volume.write``'s read-modify-write, and a rebuild runs
-Fig. 9's ``recover-single`` plan.  The differential drives both stores
-with the same element runs and asks for the same ledger; the
-concurrency test holds the read path to its promise that it never
-writes the stripe readers share; the plan test proves every sliced read
-plan symbolically.
+``RAID6Volume`` prices a write by its compiled ``update`` plan and a
+lost cell by its compiled ``read`` plan (Fig. 7's read set), the plans
+a ``FileStore`` runs; a rebuild runs Fig. 9's ``recover-single`` plan.
+The differential drives the store and the volume with the same element
+runs, over every implemented code, and asks for the same ledger — the
+store runs the plans, the volume only counts them, so a divergence is
+a pricing bug in one of the two; the concurrency test holds the read
+path to its promise that it never writes the stripe readers share; the
+plan test proves every sliced read plan symbolically.
 """
 
 import sys
@@ -17,7 +19,7 @@ import pytest
 
 from repro.array.filestore import FileStore
 from repro.array.raid import RAID6Volume
-from repro.codes.registry import EVALUATED_CODE_NAMES, available_codes, get_code
+from repro.codes.registry import available_codes, get_code
 from repro.engine import compile_plan
 from repro.exceptions import PlanError
 from repro.service import VolumePool
@@ -37,7 +39,7 @@ def charged_since(store, before):
 
 
 @pytest.mark.parametrize("engine", ["python", "auto"])
-@pytest.mark.parametrize("name", EVALUATED_CODE_NAMES)
+@pytest.mark.parametrize("name", available_codes())
 def test_filestore_charges_what_the_volume_prices(name, engine):
     code = get_code(name, 7)
     rng = np.random.default_rng(3)
@@ -82,6 +84,7 @@ def test_filestore_charges_what_the_volume_prices(name, engine):
             start,
             length,
         )
+        assert priced.io.reads[disk] == priced.io.writes[disk] == 0
     assert store.stats.reads[disk] == store.stats.writes[disk] == 0
     healed = store.healing.reads
     store.rebuild(disk)

@@ -54,9 +54,10 @@ class TestDegradedWrites:
         assert result.parity_writes >= 1
 
     def test_two_failures_rejected_for_writes(self, volume):
-        # The simulator models single-degraded writes only.
+        # The simulator models single-degraded writes only; a second
+        # failure is legal for the volume, only a write under it is not.
         volume.fail_disk(0)
-        volume.disks[1].fail()  # bypass the one-failure guard
+        volume.fail_disk(1)
         with pytest.raises(SimulationError):
             volume.write(0, 1)
 

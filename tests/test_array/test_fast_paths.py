@@ -56,7 +56,7 @@ def filled_store(kind: str, *, general: bool) -> FileStore:
     elif cached:
         store.write(5, b"dirty bytes across two elements")
         store.write(store.bytes_per_stripe + 3, b"more")
-        # an unreadable cell under a dirty stripe: the read must flush first
+        # a latent cell under a dirty stripe: the read must flush first
         store.stripes[0].mark_latent(code.data_positions[1])
     if general:
         FaultInjector(FaultPlan()).attach(store)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import HVCode, RDPCode, XCode
+from repro.array.iostats import IOStats
 from repro.array.latency import LatencyModel
 from repro.array.raid import RAID6Volume
 from repro.exceptions import InvalidParameterError, SimulationError
@@ -117,6 +118,21 @@ class TestDiskManagement:
         with pytest.raises(SimulationError):
             hv_volume.write(0, 3)
 
+    def test_failed_disk_refuses_io(self, hv_volume):
+        # Every pricing path steers around a failed disk; the ledger
+        # refuses a charge that would land on one anyway.
+        hv_volume.fail_disk(1)
+        with pytest.raises(SimulationError):
+            hv_volume._charge(IOStats(hv_volume.num_disks), 1, reads=1, writes=0)
+        with pytest.raises(SimulationError):
+            hv_volume._charge(IOStats(hv_volume.num_disks), 1, reads=0, writes=1)
+
+    def test_heal_restores_service(self, hv_volume):
+        disk = HVCode(7).data_positions[0][1]
+        hv_volume.fail_disk(disk)
+        hv_volume.heal_disk(disk)
+        assert hv_volume.read(0, 1).io.reads[disk] == 1
+
     def test_fail_out_of_range(self, hv_volume):
         with pytest.raises(InvalidParameterError):
             hv_volume.fail_disk(99)
@@ -125,7 +141,6 @@ class TestDiskManagement:
         hv_volume.write(0, 3)
         hv_volume.reset_stats()
         assert hv_volume.stats.total_requests == 0
-        assert all(d.requests == 0 for d in hv_volume.disks)
 
 
 class TestTraceReplay:
