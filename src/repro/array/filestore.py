@@ -101,7 +101,7 @@ from ..journal import (
     undo_record,
 )
 from .iostats import DirtyCacheDiscarded, IOStats
-from .stripe import Stripe
+from .stripe import ERASED, HEALTHY, LATENT, Stripe
 from .stripe_cache import DirtyStripe, StripeCache
 
 if TYPE_CHECKING:  # imported lazily to avoid a codes<->array cycle
@@ -393,10 +393,10 @@ class FileStore:
             stripe = self.stripes[idx]
             for pos, old in entry.old.items():
                 r, c = pos
-                if stripe.erased[r, c]:
+                if stripe.state[r, c] == ERASED:
                     continue
                 stripe.data[r, c] = old
-                stripe.latent[r, c] = False
+                stripe.state[r, c] = HEALTHY
                 elements += 1
                 self.stats.record_write(c)
                 self._crash_point("rollback-write")
@@ -465,7 +465,7 @@ class FileStore:
             repaired = False
             for chain in self.code.encode_order:
                 r, c = chain.parity
-                if stripe.erased[r, c]:
+                if stripe.state[r, c] == ERASED:
                     continue  # gone with its disk; a rebuild re-derives it
                 if any(not stripe.readable(m) for m in chain.members):
                     report.chains_skipped += 1
@@ -588,11 +588,11 @@ class FileStore:
         """
         stripe = self.stripes[idx]
         cols = self._cols
-        key = stripe.erased.tobytes() + stripe.latent.tobytes()
+        key = stripe.state.tobytes()
         if key not in plans:
             slots = sorted(
                 {r * cols + disk for r in range(self.code.rows)}
-                | set(np.flatnonzero(stripe.latent).tolist())
+                | set(np.flatnonzero(stripe.state == LATENT).tolist())
             )
             plans[key] = (
                 self._read_plan(stripe, tuple(slots)),
@@ -617,8 +617,7 @@ class FileStore:
                 "its checksum — scrub before rebuilding"
             )
         stripe.flat_view()[slots] = values
-        stripe.erased.flat[slots] = False
-        stripe.latent.flat[slots] = False
+        stripe.state.flat[slots] = HEALTHY
 
     def scrub(self) -> list[int]:
         """Verify parity of every healthy stripe; return bad indices."""
@@ -652,7 +651,7 @@ class FileStore:
         erasure pattern and the readable slots ``free`` fetched anyway;
         ``None`` when the planner and peeling both reject the pattern
         (rung 3)."""
-        erasure = tuple(np.flatnonzero(stripe.erased | stripe.latent).tolist())
+        erasure = tuple(np.flatnonzero(stripe.state).tolist())
         if not set(wanted).issubset(erasure):  # a cell a read cannot fetch is lost to it
             erasure = tuple(sorted({*erasure, *wanted}))
         try:
@@ -695,7 +694,7 @@ class FileStore:
             if stripe_idx < len(self.stripes):
                 stripe = self.stripes[stripe_idx]
                 r, c = self._data_positions[slot]
-                if not (stripe.erased[r, c] or stripe.latent[r, c]):
+                if not stripe.state[r, c]:
                     self.stats.record_read(c)
                     return stripe.data[r, c, within : within + size].tobytes()
         if offset + size > self.capacity:
@@ -726,7 +725,6 @@ class FileStore:
         """
         es, cols = self.element_size, self._cols
         stripe = self.stripes[stripe_idx]
-        erased, latent = stripe.erased, stripe.latent
         first = start // es
         cells = self._data_positions[first : (start + size - 1) // es + 1]
         out = bytearray()
@@ -738,7 +736,7 @@ class FileStore:
             # A cell whose transient window outlasted the retries is as
             # lost to this read as an erased one: parity computes it.
             served = self._element_io(stripe_idx, pos, "read")
-            if erased[r, c] or latent[r, c] or not served:
+            if stripe.state[r, c] or not served:
                 if self.cache is not None and stripe_idx in self.cache:
                     # Parity-based recovery needs the deferred deltas in.
                     self._flush_stripe(stripe_idx)
@@ -886,7 +884,7 @@ class FileStore:
         for scrub and rebuild.
         """
         stripe = self.stripes[stripe_idx]
-        data, erased, latent = stripe.data, stripe.erased, stripe.latent
+        data, state = stripe.data, stripe.state
         if self.journal is not None:
             # Recovery re-derives what parity the surviving chains allow.
             self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
@@ -896,9 +894,7 @@ class FileStore:
         cells, parities = plan.pattern_positions, plan.output_positions
         olds: dict[Position, np.ndarray] = {}
         extra: set[int] = set()
-        for pos in [p for p in cells if erased[p] or latent[p]] + [
-            p for p in parities if latent[p]
-        ]:
+        for pos in [p for p in cells if state[p]] + [p for p in parities if state[p] == LATENT]:
             read = self._read_plan(stripe, (pos[0] * self._cols + pos[1],))
             if read is None:
                 olds[pos] = recover_element(
@@ -913,21 +909,21 @@ class FileStore:
         # pre-image is the whole delta.
         pre: dict[int, np.ndarray] = {}
         for slot, pos in zip(plan.pattern, cells):
-            if erased[pos]:
+            if state[pos] == ERASED:
                 pre[slot] = olds[pos] ^ news[pos]
             else:
                 pre[slot] = olds[pos] if pos in olds else data[pos].copy()
                 data[pos] = news[pos]
-                latent[pos] = False
+                state[pos] = HEALTHY
         for pos in parities:
-            if latent[pos]:
+            if state[pos] == LATENT:
                 data[pos] = olds[pos]
         self._crash_point("data-write")
         self._fold(plan, (stripe_idx,), [pre], faulted=stripe.any_faults())
         for pos in cells:
-            if erased[pos]:
+            if state[pos] == ERASED:
                 self.sidecar.record(stripe_idx, pos, news[pos])
-        landed = [c for r, c in cells if not erased[r, c]]
+        landed = [c for r, c in cells if state[r, c] != ERASED]
         self.stats.record_reads(landed)
         self.stats.record_writes(landed)
         self.stats.record_reads(s % self._cols for s in extra.difference(plan.pattern))
@@ -1035,7 +1031,7 @@ class FileStore:
         pres = [
             {
                 slot: stripes[idx].data[pos]
-                if faulted and stripes[idx].erased[pos]
+                if faulted and stripes[idx].state[pos] == ERASED
                 else entry.old[pos]
                 for slot, pos in zip(plan.pattern, cells)
             }
@@ -1107,24 +1103,24 @@ class FileStore:
         for idx, stripe in zip(indices, stripes):
             rewritten = parity_disks
             if faulted:
-                data, erased = stripe.data, stripe.erased
+                data, state = stripe.data, stripe.state
                 crcs = self.sidecar.stripes[idx]
                 logical: dict[Position, int] = {}  # lost parities: slot = delta
                 for pos in parities:
-                    if erased[pos]:
+                    if state[pos] == ERASED:
                         logical[pos] = crcs[pos]
                     else:
-                        stripe.latent[pos] = False
+                        state[pos] = HEALTHY
                 # One call re-checksums the live pattern cells and every
                 # parity, then crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
-                live = [pos for pos in cells if not erased[pos]]
+                live = [pos for pos in cells if state[pos] != ERASED]
                 self.sidecar.record_stripe(
                     idx, stripe, touched if len(live) == len(cells) else live + [*parities]
                 )
                 for pos, crc in logical.items():
                     crcs[pos] ^= crc ^ _zeros_crc(self.element_size)
                     data[pos] = 0
-                rewritten = [c for r, c in parities if not erased[r, c]]
+                rewritten = [c for r, c in parities if state[r, c] != ERASED]
             else:
                 self.sidecar.record_stripe(idx, stripe, touched)
             self.stats.record_reads(rewritten)

@@ -1,10 +1,13 @@
-"""The in-memory stripe: a grid of element buffers with erasure state.
+"""The in-memory stripe: a grid of element buffers and their loss state.
 
 A stripe is the unit over which an array code's equations hold: a
 ``rows x cols`` grid where each cell holds one *element* — a byte
 buffer of fixed size (the paper uses 16 MB elements on its testbed;
-tests use a few bytes).  Cells can be *erased* to simulate disk or
-element failures; a code's decoder restores them.
+tests use a few bytes).  One ``uint8`` array, ``state``, says which
+cells are lost: each is :data:`HEALTHY`, :data:`ERASED` (gone with its
+disk, zeroed; a decoder restores it) or :data:`LATENT` (a latent sector
+error: the bytes are kept but unreadable until a chain rewrites them).
+A silent bit flip is not a state: only a checksum or scrub can see it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from ..utils import RandomState, resolve_rng
 
 #: A cell coordinate: ``(row, col)``, 0-based.
 Position = tuple[int, int]
+
+#: The loss states of a cell in :attr:`Stripe.state`; nonzero is lost.
+HEALTHY, ERASED, LATENT = 0, 1, 2
 
 #: The machine-word dtype the vectorized engine reinterprets buffers as.
 WORD_DTYPE = np.uint64
@@ -47,8 +53,7 @@ class Stripe:
         self.cols = cols
         self.element_size = element_size
         self.data = np.zeros((rows, cols, element_size), dtype=np.uint8)
-        self.erased = np.zeros((rows, cols), dtype=bool)
-        self.latent = np.zeros((rows, cols), dtype=bool)
+        self.state = np.zeros((rows, cols), dtype=np.uint8)
 
     # -- accessors ------------------------------------------------------------
 
@@ -73,14 +78,14 @@ class Stripe:
         chain (which rewrites the cell and clears the fault).
         """
         r, c = self._check(pos)
-        if self.erased[r, c]:
+        if self.state[r, c] == ERASED:
             raise SimulationError(f"element {pos} is erased")
-        if self.latent[r, c]:
+        if self.state[r, c] == LATENT:
             raise LatentSectorError((r, c))
         return self.data[r, c]
 
     def set(self, pos: Position, buf: np.ndarray) -> None:
-        """Overwrite the element at ``pos`` (also clears its erasure)."""
+        """Overwrite the element at ``pos``, leaving it :data:`HEALTHY`."""
         r, c = self._check(pos)
         arr = np.asarray(buf, dtype=np.uint8)
         if arr.shape != (self.element_size,):
@@ -88,34 +93,31 @@ class Stripe:
                 f"buffer shape {arr.shape} != ({self.element_size},)"
             )
         self.data[r, c] = arr
-        self.erased[r, c] = False
-        self.latent[r, c] = False
+        self.state[r, c] = HEALTHY
 
     def alive(self, pos: Position) -> bool:
         r, c = self._check(pos)
-        return not self.erased[r, c]
+        return self.state[r, c] != ERASED
 
     def readable(self, pos: Position) -> bool:
         """True when the element can actually be fetched right now."""
         r, c = self._check(pos)
-        return not (self.erased[r, c] or self.latent[r, c])
+        return self.state[r, c] == HEALTHY
 
     def any_faults(self) -> bool:
         """True when any cell is erased or latent.
 
-        Equivalent to ``erased.any() or latent.any()`` but a plain
-        byte scan — the write path asks this per call, and two ufunc
-        reductions per write are measurable at small-write rates.
+        Equivalent to ``state.any()`` but a plain byte scan: the write
+        path asks this per call, where a ufunc reduction is measurable.
         """
-        return b"\x01" in self.erased.tobytes() or b"\x01" in self.latent.tobytes()
+        return bool(self.state.tobytes().lstrip(b"\x00"))
 
     # -- erasure --------------------------------------------------------------
 
     def erase(self, pos: Position) -> None:
         """Erase one element (content is zeroed to make stale reads loud)."""
         r, c = self._check(pos)
-        self.erased[r, c] = True
-        self.latent[r, c] = False  # erasure supersedes a media fault
+        self.state[r, c] = ERASED
         self.data[r, c] = 0
 
     def erase_disks(self, disks: Iterable[int]) -> None:
@@ -125,13 +127,12 @@ class Stripe:
         for d in disks:
             if not 0 <= d < self.cols:
                 raise InvalidParameterError(f"disk {d} outside 0..{self.cols - 1}")
-            self.erased[:, d] = True
-            self.latent[:, d] = False
+            self.state[:, d] = ERASED
             self.data[:, d] = 0
 
     def erased_positions(self) -> list[Position]:
         """All currently-erased cells, row-major."""
-        rs, cs = np.nonzero(self.erased)
+        rs, cs = np.nonzero(self.state == ERASED)
         return [(int(r), int(c)) for r, c in zip(rs, cs)]
 
     # -- injected media faults ----------------------------------------------------
@@ -144,22 +145,23 @@ class Stripe:
         layers can verify a chain repair restored the original content.
         """
         r, c = self._check(pos)
-        if self.erased[r, c]:
+        if self.state[r, c] == ERASED:
             raise SimulationError(f"element {pos} is erased, cannot be latent")
-        self.latent[r, c] = True
+        self.state[r, c] = LATENT
 
     def clear_latent(self, pos: Position) -> None:
         """Lift a latent error without rewriting (sector remap)."""
         r, c = self._check(pos)
-        self.latent[r, c] = False
+        if self.state[r, c] == LATENT:
+            self.state[r, c] = HEALTHY
 
     def is_latent(self, pos: Position) -> bool:
         r, c = self._check(pos)
-        return bool(self.latent[r, c])
+        return bool(self.state[r, c] == LATENT)
 
     def latent_positions(self) -> list[Position]:
         """All cells currently carrying a latent sector error."""
-        rs, cs = np.nonzero(self.latent)
+        rs, cs = np.nonzero(self.state == LATENT)
         return [(int(r), int(c)) for r, c in zip(rs, cs)]
 
     def flip_bits(self, pos: Position, byte_index: int, mask: int = 0x01) -> None:
@@ -169,7 +171,7 @@ class Stripe:
         error on read.  Only a checksum or parity scrub can notice.
         """
         r, c = self._check(pos)
-        if self.erased[r, c]:
+        if self.state[r, c] == ERASED:
             raise SimulationError(f"element {pos} is erased, cannot be flipped")
         if not 0 <= byte_index < self.element_size:
             raise InvalidParameterError(
@@ -240,16 +242,17 @@ class Stripe:
             np.bitwise_xor(acc, self.get(pos), out=acc)
         return acc
 
+    @classmethod
+    def _over(cls, data: np.ndarray, state: np.ndarray) -> "Stripe":
+        """A stripe sharing ``data`` and ``state``; not through
+        ``__init__``, whose zero-filled arrays would be thrown away."""
+        stripe = cls.__new__(cls)
+        stripe.rows, stripe.cols, stripe.element_size = data.shape
+        stripe.data, stripe.state = data, state
+        return stripe
+
     def copy(self) -> "Stripe":
-        # Not through __init__: its zero-filled buffers would be thrown away.
-        dup = Stripe.__new__(Stripe)
-        dup.rows = self.rows
-        dup.cols = self.cols
-        dup.element_size = self.element_size
-        dup.data = self.data.copy()
-        dup.erased = self.erased.copy()
-        dup.latent = self.latent.copy()
-        return dup
+        return Stripe._over(self.data.copy(), self.state.copy())
 
     def fill_random(self, positions: Iterable[Position], seed: "RandomState" = None) -> None:
         """Fill the given cells with deterministic pseudo-random bytes.
@@ -261,8 +264,7 @@ class Stripe:
         for pos in positions:
             r, c = self._check(pos)
             self.data[r, c] = rng.integers(0, 256, self.element_size, dtype=np.uint8)
-            self.erased[r, c] = False
-            self.latent[r, c] = False
+            self.state[r, c] = HEALTHY
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -271,14 +273,13 @@ class Stripe:
             and self.cols == other.cols
             and self.element_size == other.element_size
             and bool(np.array_equal(self.data, other.data))
-            and bool(np.array_equal(self.erased, other.erased))
-            and bool(np.array_equal(self.latent, other.latent))
+            and bool(np.array_equal(self.state, other.state))
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Stripe(rows={self.rows}, cols={self.cols}, "
-            f"element_size={self.element_size}, erased={int(self.erased.sum())})"
+            f"element_size={self.element_size}, lost={int(np.count_nonzero(self.state))})"
         )
 
 
@@ -288,7 +289,7 @@ class StripeBatch:
     The vectorized engine's batched execution wants one kernel call
     across N stripes; that requires the stripes to share a single
     buffer with the batch on the leading axis.  ``stripe(i)`` hands out
-    a :class:`Stripe` whose ``data``/``erased``/``latent`` arrays are
+    a :class:`Stripe` whose ``data``/``state`` arrays are
     *views* into the batch storage, so per-stripe operations (fills,
     erasures, the pure-Python oracle) and whole-batch kernels see the
     same bytes.
@@ -306,8 +307,7 @@ class StripeBatch:
         self.element_size = element_size
         self.count = count
         self.data = np.zeros((count, rows, cols, element_size), dtype=np.uint8)
-        self.erased = np.zeros((count, rows, cols), dtype=bool)
-        self.latent = np.zeros((count, rows, cols), dtype=bool)
+        self.state = np.zeros((count, rows, cols), dtype=np.uint8)
 
     @classmethod
     def from_stripes(cls, stripes: "Iterable[Stripe]") -> "StripeBatch":
@@ -326,8 +326,7 @@ class StripeBatch:
         batch = cls(first.rows, first.cols, first.element_size, len(stripes))
         for i, s in enumerate(stripes):
             batch.data[i] = s.data
-            batch.erased[i] = s.erased
-            batch.latent[i] = s.latent
+            batch.state[i] = s.state
         return batch
 
     def stripe(self, index: int) -> Stripe:
@@ -336,14 +335,7 @@ class StripeBatch:
             raise InvalidParameterError(
                 f"stripe index {index} outside 0..{self.count - 1}"
             )
-        view = Stripe.__new__(Stripe)
-        view.rows = self.rows
-        view.cols = self.cols
-        view.element_size = self.element_size
-        view.data = self.data[index]
-        view.erased = self.erased[index]
-        view.latent = self.latent[index]
-        return view
+        return Stripe._over(self.data[index], self.state[index])
 
     def stripes(self) -> list[Stripe]:
         return [self.stripe(i) for i in range(self.count)]

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument("--stripes", type=int, default=4)
     faults.add_argument("--crashes", type=int, default=1)
-    faults.add_argument("--latent", type=int, default=1)
+    faults.add_argument("--latent", type=int, default=1, dest="ures")
     faults.add_argument("--flips", type=int, default=1)
     faults.add_argument(
         "--format", choices=("text", "json"), default="text"
@@ -364,7 +364,7 @@ def _run_faults(args: argparse.Namespace) -> int:
             code_names=names,
             stripes=args.stripes,
             crashes=args.crashes,
-            latent=args.latent,
+            latent=args.ures,
             flips=args.flips,
         )
     except InvalidParameterError as exc:
@@ -376,7 +376,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         lines = [
             f"fault scenarios: p={args.p}, seeds {args.seed}.."
             f"{args.seed + args.scenarios - 1}, "
-            f"{args.crashes} crash(es) + {args.latent} URE(s) + "
+            f"{args.crashes} crash(es) + {args.ures} URE(s) + "
             f"{args.flips} flip(s) per scenario",
             f"{'code':<10} {'survived':>9} {'rebuild s':>10} {'repair reads':>13}",
         ]

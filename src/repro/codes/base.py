@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..array.stripe import Stripe
+from ..array.stripe import ERASED, Stripe
 from ..exceptions import (
     DecodeError,
     InvalidParameterError,
@@ -317,7 +317,7 @@ class ArrayCode(ABC):
     def verify(self, stripe: Stripe) -> bool:
         """True iff every parity equation holds and nothing is erased."""
         self._check_stripe(stripe)
-        if stripe.erased.any():
+        if ERASED in stripe.state:
             return False
         return all(
             not np.any(stripe.xor_of(chain.equation_cells)) for chain in self.chains

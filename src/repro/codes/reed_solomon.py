@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..array.stripe import Stripe
+from ..array.stripe import ERASED, Stripe
 from ..exceptions import InvalidParameterError, UnrecoverableFailureError
 from ..gf.gf256 import gf256
 from ..utils import RandomState
@@ -94,7 +94,7 @@ class ReedSolomonRAID6:
 
     def verify(self, stripe: Stripe) -> bool:
         self._check_stripe(stripe)
-        if stripe.erased.any():
+        if ERASED in stripe.state:
             return False
         expect = stripe.copy()
         self.encode(expect)

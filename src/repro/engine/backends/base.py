@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ...array.stripe import Stripe, StripeBatch
+from ...array.stripe import ERASED, Stripe, StripeBatch
 from ...exceptions import InvalidParameterError, PlanError
 from .. import compile as _compile
 from .. import executor as _executor
@@ -85,7 +85,7 @@ class KernelBackend:
         pattern); a pattern with none goes to the reference decoder."""
         from ...codes.base import DecodeReport  # codes import this package
 
-        pattern = tuple(np.flatnonzero(stripe.erased).tolist())
+        pattern = tuple(np.flatnonzero(stripe.state == ERASED).tolist())
         if not pattern:
             return DecodeReport()
         try:

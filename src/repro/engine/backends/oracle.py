@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ...array.stripe import ERASED, LATENT
 from ...exceptions import InvalidParameterError
 from .base import KernelBackend
 
@@ -50,8 +51,7 @@ class PythonOracle(KernelBackend):
         """Decode a copy of the stripe, latent cells erased, and pick
         ``plan.outputs`` out of it."""
         work = stripe.copy()
-        work.erased |= work.latent
-        work.latent[:] = False
+        work.state[work.state == LATENT] = ERASED
         code.decode(work)
         return work.flat_view()[list(plan.outputs)]
 

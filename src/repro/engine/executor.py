@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from ..array.stripe import Stripe, StripeBatch
+from ..array.stripe import HEALTHY, Stripe, StripeBatch
 from ..exceptions import InvalidParameterError, PlanError
 from .plan import XorPlan
 
@@ -76,8 +76,7 @@ def _clear_outputs(plan: XorPlan, target: Stripe | StripeBatch) -> None:
         return
     rows = [slot // plan.cols for slot in plan.outputs]
     cols = [slot % plan.cols for slot in plan.outputs]
-    target.erased[..., rows, cols] = False
-    target.latent[..., rows, cols] = False
+    target.state[..., rows, cols] = HEALTHY
 
 
 # -- the write pipeline: fold parity deltas into live stripes ------------------------

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..array.stripe import HEALTHY, LATENT
 from ..engine.backends import native
 from ..exceptions import InvalidParameterError, UnrecoverableFaultError
 
@@ -263,8 +264,8 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
     for stripe_idx, stripe in enumerate(store.stripes):
         # Erased cells are the rebuild path's; a live cell is latent
         # (not readable) or CRC-checked, in one batched call per stripe.
-        latent = np.flatnonzero(stripe.latent & ~stripe.erased).tolist()
-        readable = np.flatnonzero(~(stripe.erased | stripe.latent))
+        latent = np.flatnonzero(stripe.state == LATENT).tolist()
+        readable = np.flatnonzero(stripe.state == HEALTHY)
         crcs = crc_rows(stripe.data, CellSlots(readable.tolist())).flat[readable]
         expected = sidecar.stripes[stripe_idx].flat[readable]
         flipped = readable[crcs != expected].tolist()

@@ -115,10 +115,9 @@ def decode_resilient(
     """
     stats = stats if stats is not None else HealingStats()
     work = stripe.copy()
-    if work.latent.any():
-        for pos in work.latent_positions():
-            work.erase(pos)
-    lost = int(np.count_nonzero(work.erased))
+    for pos in work.latent_positions():
+        work.erase(pos)
+    lost = int(np.count_nonzero(work.state))
     if not lost:
         return work
     try:

@@ -167,7 +167,7 @@ class RebuildOrchestrator:
         # we rebuild, so a scheduled second crash or URE can land here.
         for r in range(rows):
             store._element_io(stripe_idx, (r, disk), "write")
-        latent = int(store.stripes[stripe_idx].latent.sum())
+        latent = len(store.stripes[stripe_idx].latent_positions())
         healing = store.healing
         reads, escalations = healing.reads, healing.escalations
         with store._exclusive("rebuild"):

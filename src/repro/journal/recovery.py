@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..array.stripe import HEALTHY
 from ..exceptions import JournalError
 from .log import DISCARD, INTENT, JournalRecord
 
@@ -48,7 +49,7 @@ def apply_record(record: JournalRecord, stripe: "Stripe", cols: int) -> list[Pos
         if not piece.payload:
             continue  # a flag piece: nothing to redo
         r, c = divmod(piece.slot, cols)
-        if stripe.erased[r, c]:
+        if not stripe.alive((r, c)):
             continue
         end = piece.offset + len(piece.payload)
         if not (0 <= piece.offset and end <= stripe.element_size):
@@ -59,7 +60,7 @@ def apply_record(record: JournalRecord, stripe: "Stripe", cols: int) -> list[Pos
         stripe.data[r, c][piece.offset : end] = np.frombuffer(
             piece.payload, dtype=np.uint8
         )
-        stripe.latent[r, c] = False  # a redo is a rewrite: media refreshed
+        stripe.state[r, c] = HEALTHY  # a redo is a rewrite: media refreshed
         applied.append((r, c))
     return applied
 
@@ -79,15 +80,14 @@ def undo_record(record: JournalRecord, stripe: "Stripe", cols: int) -> list[Posi
         if piece.preimage is None:
             continue
         r, c = divmod(piece.slot, cols)
-        if stripe.erased[r, c]:
+        if not stripe.alive((r, c)):
             continue
         if len(piece.preimage) != stripe.element_size:
             raise JournalError(
                 f"pre-image of {len(piece.preimage)} bytes does not cover an "
                 f"element of {stripe.element_size}"
             )
-        stripe.data[r, c] = np.frombuffer(piece.preimage, dtype=np.uint8)
-        stripe.latent[r, c] = False
+        stripe.set((r, c), np.frombuffer(piece.preimage, dtype=np.uint8))
         restored.append((r, c))
     return restored
 

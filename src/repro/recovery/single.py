@@ -189,15 +189,17 @@ def plan_degraded_read(
 def _candidates(
     code: ArrayCode, lost: Iterable[Position]
 ) -> dict[Position, list[ParityChain]]:
-    """Usable repair equations per lost cell (other members all alive)."""
+    """Usable repair equations per lost cell: other members all off the
+    lost cells' columns (a read may want only some of a failed one)."""
     lost_set = set(lost)
+    down = {c for _, c in lost_set}
     table: dict[Position, list[ParityChain]] = {}
     for cell in lost_set:
         options = [
             chain
             for chain in code.chains
             if cell in chain.equation_cells
-            and all(c == cell or c not in lost_set for c in chain.equation_cells)
+            and all(c == cell or c[1] not in down for c in chain.equation_cells)
         ]
         if not options:
             raise DecodeError(f"{code.name}: no single-pass repair equation for {cell}")

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..array.filestore import FileStore
 from ..array.iostats import IOStats
+from ..array.stripe import ERASED
 from ..exceptions import InvalidParameterError, ServiceError
 from .locks import ShardLock
 from .sharding import ShardingPolicy, build_shard_map, make_policy
@@ -223,7 +224,7 @@ class VolumePool:
             with store.lock:
                 stripe = store.stripes[local]
                 h.update(stripe.data.tobytes())
-                h.update(stripe.erased.tobytes())
+                h.update((stripe.state == ERASED).tobytes())
         for store in self.shards:
             h.update(bytes(sorted(store.failed_disks)))
         return h.hexdigest()

@@ -483,11 +483,11 @@ class JournalMutationRule(LintRule):
     )
 
     def _subscript_hits_data(self, node: ast.expr) -> bool:
-        """True when a subscript chain bottoms out at a ``.data`` attr."""
+        """True when a subscript chain bottoms out at ``.data``/``.state``."""
         cur = node
         while isinstance(cur, ast.Subscript):
             cur = cur.value
-        return isinstance(cur, ast.Attribute) and cur.attr == "data"
+        return isinstance(cur, ast.Attribute) and cur.attr in ("data", "state")
 
     def check(self, ctx: FileContext) -> list[LintViolation]:
         scoped = any(
@@ -516,7 +516,7 @@ class JournalMutationRule(LintRule):
                                 self.violation(
                                     ctx,
                                     node,
-                                    "stripe buffer write outside "
+                                    "stripe buffer or state write outside "
                                     "apply_record/undo_record; journal code "
                                     "may only mutate disks through a framed "
                                     "record replay",

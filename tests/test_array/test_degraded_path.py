@@ -17,6 +17,7 @@ import pytest
 import repro.xor.bitmatrix as bitmatrix
 from repro import EvenOddCode, HVCode
 from repro.array.filestore import FileStore
+from repro.array.stripe import ERASED
 from repro.codes.base import ArrayCode
 from repro.engine import PLAN_CACHE, compile_plan
 from repro.exceptions import (
@@ -309,6 +310,6 @@ class TestChecksumPromises:
         assert store.failed_disks == {disk}
         assert store.stripes[0] == pristine[0]  # restored before the refusal
         poisoned = store.stripes[1]
-        assert poisoned.erased[:, disk].all()
+        assert (poisoned.state[:, disk] == ERASED).all()
         assert not poisoned.data[:, disk].any()
-        assert store.stripes[2].erased[:, disk].all()  # never reached
+        assert (store.stripes[2].state[:, disk] == ERASED).all()  # never reached

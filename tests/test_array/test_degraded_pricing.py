@@ -19,6 +19,7 @@ import pytest
 
 from repro.array.filestore import FileStore
 from repro.array.raid import RAID6Volume
+from repro.array.stripe import ERASED
 from repro.codes.registry import available_codes, get_code
 from repro.engine import compile_plan
 from repro.exceptions import PlanError
@@ -139,7 +140,7 @@ def test_concurrent_degraded_reads_never_write_the_shared_stripe():
         sys.setswitchinterval(interval)
     assert wrong == []
     stripe = pool.shards[0].stripes[0]
-    assert stripe.erased[:, [0, 3]].all() and not stripe.data[:, [0, 3]].any()
+    assert (stripe.state[:, [0, 3]] == ERASED).all() and not stripe.data[:, [0, 3]].any()
 
 
 def read_patterns(code):
@@ -166,3 +167,32 @@ def test_every_sliced_read_plan_is_verified(name, p):
         verify_plan(code, plan)  # symbolic proof plus the P001-P004 lint
         verified += 1
     assert verified >= len(read_patterns(code)) // 2
+
+
+def one_disk_reads(code):
+    """Every read of 1..15 elements starting at element 0..19 of a
+    two-stripe volume, as ``(start, length)``."""
+    elements = 2 * code.data_elements_per_stripe
+    return [(s, n) for s in range(20) for n in range(1, 16) if s + n <= elements]
+
+
+@pytest.mark.parametrize("name", available_codes())
+def test_one_disk_reads_plan_around_the_whole_failed_column(name):
+    """A lost cell's chain avoids the failed column's unrequested cells
+    too: EVENODD, Liberation and Cauchy-RS chains can touch one column
+    twice, and a plan through such a cell fails validation (the volume)
+    or falls to rung 3's whole-stripe decode (the store)."""
+    code = get_code(name, 5)
+    for disk in range(code.cols):
+        volume = RAID6Volume(code, num_stripes=2)
+        volume.fail_disk(disk)
+        store = FileStore(code, element_size=ELEMENT, engine="fused")
+        model = np.random.default_rng(disk).bytes(2 * store.bytes_per_stripe)
+        store.write(0, model)
+        store.fail_disk(disk)
+        escalations = store.healing.escalations
+        for start, length in one_disk_reads(code):
+            volume.degraded_read(start, length, planner="greedy")
+            lo, hi = start * ELEMENT, (start + length) * ELEMENT
+            assert store.read(lo, hi - lo) == model[lo:hi]
+        assert store.healing.escalations == escalations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.array.stripe import Stripe, StripeBatch
+from repro.array.stripe import ERASED, HEALTHY, LATENT, Stripe, StripeBatch
 from repro.exceptions import InvalidParameterError, SimulationError
 
 
@@ -11,7 +11,8 @@ class TestConstruction:
     def test_dimensions(self):
         s = Stripe(3, 4, 16)
         assert s.data.shape == (3, 4, 16)
-        assert not s.erased.any()
+        assert s.state.shape == (3, 4) and s.state.dtype == np.uint8
+        assert not s.state.any()
 
     @pytest.mark.parametrize("rows,cols,size", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
     def test_rejects_bad_dimensions(self, rows, cols, size):
@@ -43,27 +44,42 @@ class TestAccess:
         s.erase((0, 1))
         with pytest.raises(SimulationError):
             s.get((0, 1))
+        with pytest.raises(SimulationError):
+            s.mark_latent((0, 1))
+        assert s.state[0, 1] == ERASED
 
     def test_set_clears_erasure(self):
-        s = Stripe(2, 2, 4)
-        s.erase((0, 1))
-        s.set((0, 1), np.ones(4, dtype=np.uint8))
-        assert s.alive((0, 1))
+        for fault in ("erase", "mark_latent"):
+            for writer in ("set", "fill_random"):
+                s = Stripe(2, 2, 4)
+                getattr(s, fault)((0, 1))
+                if writer == "set":
+                    s.set((0, 1), np.ones(4, dtype=np.uint8))
+                else:
+                    s.fill_random([(0, 1)], seed=1)
+                assert s.alive((0, 1)) and s.readable((0, 1))
+                assert s.state[0, 1] == HEALTHY
 
 
 class TestErasure:
     def test_erase_zeroes_content(self):
-        s = Stripe(1, 1, 4)
-        s.set((0, 0), np.full(4, 7, dtype=np.uint8))
-        s.erase((0, 0))
-        assert not s.data[0, 0].any()
+        for latent in (False, True):
+            s = Stripe(1, 1, 4)
+            s.set((0, 0), np.full(4, 7, dtype=np.uint8))
+            if latent:
+                s.mark_latent((0, 0))
+            s.erase((0, 0))
+            assert not s.data[0, 0].any()
+            assert s.state[0, 0] == ERASED and not s.is_latent((0, 0))
 
     def test_erase_disks(self):
         s = Stripe(3, 4, 2)
+        s.mark_latent((2, 1))
+        s.mark_latent((2, 0))
         s.erase_disks([1, 3])
-        assert s.erased[:, 1].all()
-        assert s.erased[:, 3].all()
-        assert not s.erased[:, 0].any()
+        assert (s.state[:, 1] == ERASED).all()
+        assert (s.state[:, 3] == ERASED).all()
+        assert list(s.state[:, 0]) == [HEALTHY, HEALTHY, LATENT]
 
     def test_erase_disks_out_of_range(self):
         s = Stripe(2, 2, 2)
@@ -90,11 +106,15 @@ class TestHelpers:
         assert not s.xor_of([]).any()
 
     def test_copy_is_deep(self):
-        s = Stripe(1, 1, 2)
+        s = Stripe(1, 2, 2)
         s.set((0, 0), np.array([9, 9], dtype=np.uint8))
+        s.mark_latent((0, 1))
         dup = s.copy()
+        assert dup == s and dup.is_latent((0, 1))
         dup.set((0, 0), np.zeros(2, dtype=np.uint8))
+        dup.erase((0, 1))
         assert s.get((0, 0))[0] == 9
+        assert s.state[0, 1] == LATENT
 
     def test_fill_random_deterministic(self):
         a = Stripe(2, 2, 8)
@@ -104,11 +124,12 @@ class TestHelpers:
         assert a == b
 
     def test_equality_covers_erasure(self):
-        a = Stripe(1, 1, 1)
-        b = Stripe(1, 1, 1)
-        assert a == b
-        b.erase((0, 0))
-        assert a != b
+        for fault in ("erase", "mark_latent"):
+            a = Stripe(1, 1, 1)
+            b = Stripe(1, 1, 1)
+            assert a == b
+            getattr(b, fault)((0, 0))
+            assert a != b
 
 
 class TestWordViews:
@@ -168,6 +189,9 @@ class TestStripeBatch:
         lane = batch.stripe(1)
         lane.set((0, 0), np.full(8, 0x5A, dtype=np.uint8))
         assert batch.data[1, 0, 0, 0] == 0x5A
+        lane.mark_latent((1, 2))
+        assert np.shares_memory(lane.state, batch.state)
+        assert batch.state[1, 1, 2] == LATENT and batch.state.sum() == LATENT
 
     def test_word_views(self):
         batch = StripeBatch.from_stripes(self._stripes())

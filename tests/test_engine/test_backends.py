@@ -749,8 +749,8 @@ class TestOneInterface:
         reference = code.random_stripe(element_size=16, seed=p + 2)
         stripe = reference.copy()
         stripe.erase_disks([0])
-        stripe.latent[code.data_positions[-1]] = True
-        erasure = tuple(np.flatnonzero(stripe.erased | stripe.latent).tolist())
+        stripe.mark_latent(code.data_positions[-1])
+        erasure = tuple(np.flatnonzero(stripe.state).tolist())
         plan = compile_plan(code, "read", (erasure, erasure, ()))
         before = stripe.copy()
 

@@ -40,7 +40,7 @@ class TestVectorIdentity:
             work.erase_disks([disk])
             execute_plan(compile_plan(code, "recover-single", (disk,)), work)
             assert work == ref
-            assert not work.erased.any()
+            assert not work.state.any()
 
     def test_double_disk_recovery_matches_reference(self):
         code = get_code("HV", 7)
@@ -94,7 +94,7 @@ class TestBatchTargets:
             w.erase_disks([0, 1])
         batch = StripeBatch.from_stripes(works)
         execute_plan(compile_plan(code, "recover-double", (0, 1)), batch)
-        assert not batch.erased.any()
+        assert not batch.state.any()
         for i, ref in enumerate(refs):
             assert batch.stripe(i) == ref
 

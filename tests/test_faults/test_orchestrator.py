@@ -216,6 +216,5 @@ def test_store_and_orchestrator_rebuild_alike(name, pattern, engine):
     assert healing_counts(plain) == healing_counts(driven)
     for a, b in zip(plain.stripes, driven.stripes):
         assert np.array_equal(a.data, b.data)
-        assert np.array_equal(a.erased, b.erased)
-        assert np.array_equal(a.latent, b.latent)
-        assert not a.latent.any()
+        assert np.array_equal(a.state, b.state)
+        assert not a.latent_positions()

@@ -71,7 +71,7 @@ def test_device_bounded_and_names_the_dirty_set(
                 # synchronously, rewriting the sector.
                 stripe_idx, within = divmod(offset, store.bytes_per_stripe)
                 cell = code.data_positions[within // ELEMENT_SIZE]
-                store.stripes[stripe_idx].latent[cell] = True
+                store.stripes[stripe_idx].mark_latent(cell)
             store.write(offset, payload)
             oracle.write(offset, payload)
         check_journal(store)

@@ -55,10 +55,10 @@ class TestApplyRecord:
 
     def test_clears_latent_flag(self):
         code, stripe = make_stripe()
-        stripe.latent[0, 1] = True
+        stripe.mark_latent((0, 1))
         record = JournalRecord(INTENT, 1, 0, (JournalPiece(1, 0, b"\xff"),))
         apply_record(record, stripe, code.cols)
-        assert not stripe.latent[0, 1]
+        assert not stripe.is_latent((0, 1))
 
     def test_out_of_bounds_piece_rejected(self):
         code, stripe = make_stripe(element_size=8)

@@ -26,6 +26,7 @@ from hypothesis.stateful import (
 
 from repro import HVCode
 from repro.array.filestore import FileStore
+from repro.array.stripe import LATENT
 
 #: Keep the modelled volume small so runs stay fast.
 MAX_BYTES = 2000
@@ -68,7 +69,7 @@ class FileStoreModel(RuleBasedStateMachine):
         assert out == bytes(self.reference[offset : offset + size])
 
     def _any_latent(self):
-        return any(stripe.latent.any() for stripe in self.store.stripes)
+        return any(LATENT in stripe.state for stripe in self.store.stripes)
 
     # A second failure plus a latent cell can exceed RAID-6: the second
     # disk waits until every latent cell is healed.
@@ -100,7 +101,7 @@ class FileStoreModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def latent(self, data):
         """One readable cell of a stripe with no latent cell gets a URE."""
-        clean = [s for s in self.store.stripes if not s.latent.any()]
+        clean = [s for s in self.store.stripes if LATENT not in s.state]
         if not clean:
             return
         stripe = data.draw(st.sampled_from(clean))
@@ -108,7 +109,7 @@ class FileStoreModel(RuleBasedStateMachine):
             (r, c)
             for r in range(self.code.rows)
             for c in range(self.code.cols)
-            if not stripe.erased[r, c]
+            if stripe.alive((r, c))
         ]
         stripe.mark_latent(data.draw(st.sampled_from(readable)))
 

@@ -317,16 +317,17 @@ class TestR007JournalMutation:
 
     def test_flags_buffer_write_outside_replayers(self, tmp_path):
         self._journal_pkg(tmp_path)
-        violations = lint_source(
-            tmp_path,
-            """
-            def sneak(stripe, payload):
-                stripe.data[0, 1][4:8] = payload
-            """,
-            name="repro/journal/sneaky.py",
-        )
-        assert [v.rule for v in violations] == ["R007"]
-        assert "framed record" in violations[0].message
+        for store in ("stripe.data[0, 1][4:8] = payload", "stripe.state[0, 1] = 0"):
+            violations = lint_source(
+                tmp_path,
+                f"""
+                def sneak(stripe, payload):
+                    {store}
+                """,
+                name="repro/journal/sneaky.py",
+            )
+            assert [v.rule for v in violations] == ["R007"], store
+            assert "framed record" in violations[0].message
 
     def test_flags_mutator_call_outside_replayers(self, tmp_path):
         self._journal_pkg(tmp_path)
@@ -347,6 +348,7 @@ class TestR007JournalMutation:
             """
             def apply_record(record, stripe, cols):
                 stripe.data[0, 1][0:4] = record.payload
+                stripe.state[0, 1] = 0
                 stripe.clear_latent((0, 1))
 
             def undo_record(record, stripe, cols):
