@@ -10,7 +10,7 @@ Run:  python examples/failure_recovery_demo.py
 
 from repro import HVCode
 from repro.core.recovery import plan_double_failure_recovery
-from repro.recovery.double import analyze_double_failure
+from repro.recovery.cost import repair_cost
 from repro.recovery.single import plan_single_disk_recovery
 
 
@@ -34,9 +34,9 @@ def double_disk(code: HVCode, f1: int, f2: int) -> None:
         print(f"  chain {idx}: {pretty}")
     print(f"  longest chain Lc = {plan.longest_chain}")
 
-    analysis = analyze_double_failure(code, f1, f2)
-    print(f"  peeling scheduler agrees: {analysis.rounds} parallel rounds, "
-          f"{analysis.start_parallelism} chains start at once")
+    cost = repair_cost(code, (f1, f2))
+    print(f"  compiled recovery plan: {cost.rounds} parallel rounds, "
+          f"{cost.parallelism} chains start at once")
 
     # Prove the plan on real bytes.
     stripe = code.random_stripe(element_size=32, seed=7)

@@ -1,8 +1,9 @@
 """Golden tables: the priced experiments print what paper_results.txt says.
 
 Every table the volume or the compiled plans price — Fig. 6, Fig. 7,
-the rotation ablation, degraded writes, the write-length sweep and the
-rebuild window — is rendered at full scale exactly as ``repro <name>``
+Fig. 9(a) and 9(b), Table III, the rotation ablation, degraded writes,
+the write-length sweep, the rebuild window, the MTTDL model and the
+code zoo — is rendered at full scale exactly as ``repro <name>``
 prints it, and must appear verbatim in ``paper_results.txt`` (the
 CLI's trailing timing line is not part of a rendered table).  A
 pricing change that moves any number fails here instead of leaving the
@@ -17,7 +18,19 @@ from repro.experiments.runner import render_results, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent.parent / "paper_results.txt"
 
-PRICED = ("fig6", "fig7", "rotation", "degraded-writes", "lsweep", "rebuild")
+PRICED = (
+    "fig6",
+    "fig7",
+    "fig9a",
+    "fig9b",
+    "table3",
+    "rotation",
+    "degraded-writes",
+    "lsweep",
+    "rebuild",
+    "reliability",
+    "zoo",
+)
 
 
 @pytest.fixture(scope="module")

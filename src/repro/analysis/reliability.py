@@ -13,7 +13,8 @@ standard continuous-time Markov model for an N-disk RAID-6 group:
 
 MTTDL is the expected absorption time from state 0, obtained exactly
 from the generator matrix (no λ ≪ μ approximation).  The repair rates
-come from this package's own measurements:
+come from the code's repair price, read off its compiled recovery plans
+(:func:`repro.recovery.cost.repair_cost`):
 
 - the single-disk rebuild moves ``reads_per_lost_element`` (Fig. 9(a))
   elements per lost element; surviving disks stream those reads in
@@ -36,8 +37,7 @@ import numpy as np
 
 from ..array.latency import LatencyModel
 from ..exceptions import InvalidParameterError
-from ..recovery.double import expected_double_failure_rounds
-from ..recovery.single import expected_recovery_reads_per_element
+from ..recovery.cost import expected_double_rounds, expected_recovery_reads_per_element
 
 if TYPE_CHECKING:
     from ..codes.base import ArrayCode
@@ -111,37 +111,35 @@ def raid6_mttdl_hours(
     return float(MarkovChainModel(generator).expected_absorption_times()[0])
 
 
-def single_disk_rebuild_hours(
+def rebuild_hours(
     code: "ArrayCode",
     params: ReliabilityParameters,
-    reads_per_lost_element: float | None = None,
-) -> float:
-    """Rebuild time of one disk under the parallel-read model."""
-    reads = (
-        reads_per_lost_element
-        if reads_per_lost_element is not None
-        else expected_recovery_reads_per_element(code, method="greedy")
-    )
-    total_reads = reads * params.disk_capacity_elements
-    per_surviving_disk = total_reads / (code.cols - 1)
-    return per_surviving_disk * params.latency.request_seconds / 3600.0
+    reads_per_lost_element: float,
+    double_rounds: float,
+) -> tuple[float, float]:
+    """Single- and double-disk rebuild hours from the code's repair price.
 
-
-def double_disk_rebuild_hours(
-    code: "ArrayCode",
-    params: ReliabilityParameters,
-    single_hours: float,
-) -> float:
-    """Double-failure rebuild time, scaled by chain-depth parallelism.
-
-    Fig. 9(b)'s model: the repair pipeline is gated by the longest
-    recovery chain.  Relative to a fully parallel repair of one disk
-    (depth = rows), the measured expected depth inflates the time, on
+    The single rebuild streams ``reads_per_lost_element`` (Fig. 9(a))
+    reads per lost element from the surviving disks in parallel.  The
+    double rebuild is Fig. 9(b)'s model: gated by the longest recovery
+    chain, so relative to a fully parallel repair of one disk (depth =
+    rows) the expected depth ``double_rounds`` inflates the time, on
     twice the data volume.
     """
-    rounds = expected_double_failure_rounds(code)
-    depth_penalty = rounds / code.rows
-    return 2.0 * single_hours * max(depth_penalty, 1.0)
+    total_reads = reads_per_lost_element * params.disk_capacity_elements
+    per_surviving_disk = total_reads / (code.cols - 1)
+    single = per_surviving_disk * params.latency.request_seconds / 3600.0
+    depth_penalty = double_rounds / code.rows
+    return single, 2.0 * single * max(depth_penalty, 1.0)
+
+
+def _measured_rebuild(
+    code: "ArrayCode", params: ReliabilityParameters
+) -> tuple[float, float, float]:
+    """Greedy reads per lost element, then both rebuild durations."""
+    reads = expected_recovery_reads_per_element(code, "greedy")
+    single, double = rebuild_hours(code, params, reads, expected_double_rounds(code))
+    return reads, single, double
 
 
 def mttdl_for_code(
@@ -149,8 +147,7 @@ def mttdl_for_code(
 ) -> dict[str, float]:
     """MTTDL and its ingredients for one code instance."""
     params = params or ReliabilityParameters()
-    single_hours = single_disk_rebuild_hours(code, params)
-    double_hours = double_disk_rebuild_hours(code, params, single_hours)
+    _, single_hours, double_hours = _measured_rebuild(code, params)
     mttdl = raid6_mttdl_hours(
         code.cols,
         params.failure_rate_per_hour,
@@ -260,9 +257,7 @@ def mttdl_with_sector_errors(
     """
     params = params or ReliabilityParameters()
     sector = sector or SectorErrorParameters()
-    single_hours = single_disk_rebuild_hours(code, params)
-    double_hours = double_disk_rebuild_hours(code, params, single_hours)
-    reads = expected_recovery_reads_per_element(code, method="greedy")
+    reads, single_hours, double_hours = _measured_rebuild(code, params)
     # The double rebuild reads roughly twice the single-rebuild volume.
     double_read_elements = 2.0 * reads * params.disk_capacity_elements
     p_ure = (

@@ -476,10 +476,16 @@ SIM_SMOKE = dict(
 
 
 def _run_sim(args: argparse.Namespace) -> int:
-    """Fleet reliability simulation across the evaluated codes."""
+    """Fleet reliability simulation across the evaluated codes.
+
+    A code the simulator cannot price (an unknown name, or one whose
+    chains cannot peel every disk pair) is a usage error: one line on
+    stderr and exit 2, as for ``faults``.
+    """
     import json
 
     from .codes.registry import EVALUATED_CODE_NAMES
+    from .exceptions import InvalidSimConfigError
     from .sim import (
         ExponentialLifetime,
         SimConfig,
@@ -519,7 +525,11 @@ def _run_sim(args: argparse.Namespace) -> int:
             repair_streams=args.streams,
         )
     names = (args.code,) if args.code else EVALUATED_CODE_NAMES
-    reports = compare_codes(config, code_names=names)
+    try:
+        reports = compare_codes(config, code_names=names)
+    except InvalidSimConfigError as exc:
+        print(f"hvcode-repro sim: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.json:
         rendered = json.dumps(

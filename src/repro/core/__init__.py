@@ -13,10 +13,8 @@ from .hvcode import HVCode
 from .recovery import HVDoubleFailurePlan, plan_double_failure_recovery
 from .partial_write import (
     PartialWriteAnalysis,
-    RMWDeltaCost,
     analyze_partial_write,
     cross_row_sharing_rate,
-    rmw_delta_cost,
 )
 from .ablation import GeneralizedHVCode
 
@@ -25,9 +23,7 @@ __all__ = [
     "HVDoubleFailurePlan",
     "plan_double_failure_recovery",
     "PartialWriteAnalysis",
-    "RMWDeltaCost",
     "analyze_partial_write",
     "cross_row_sharing_rate",
-    "rmw_delta_cost",
     "GeneralizedHVCode",
 ]

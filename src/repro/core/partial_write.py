@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..codes.base import ElementKind, Position
-from ..exceptions import InvalidParameterError, PlanError
+from ..exceptions import InvalidParameterError
 from .hvcode import HVCode
 
 
@@ -107,57 +107,6 @@ def analyze_partial_write(code: HVCode, start: int, length: int) -> PartialWrite
         vertical_parities=frozenset(vertical),
         shared_vertical_pairs=tuple(shared),
         unshared_vertical_pairs=tuple(unshared),
-    )
-
-
-@dataclass
-class RMWDeltaCost:
-    """The compiled-engine cost of one partial write's parity delta.
-
-    Bridges the symbolic Section IV.5 analysis to the plan the
-    write-back flush path actually executes: same dirty cells, same
-    parity targets, with the engine's XOR and kernel counts attached.
-    """
-
-    analysis: PartialWriteAnalysis
-    #: ``"rmw"`` or ``"reencode"`` — what the cost model would run.
-    strategy: str
-    plan_hash: str
-    #: element-wide XORs the update plan performs to build the deltas.
-    xor_element_ops: int
-    kernel_calls: int
-    #: parity cells the plan dirties, row-major.
-    parity_outputs: tuple[Position, ...]
-
-
-def rmw_delta_cost(code: HVCode, start: int, length: int) -> RMWDeltaCost:
-    """Compile the update plan for a continuous write and cost it.
-
-    The plan's dirtied parities must be exactly the ones
-    :func:`analyze_partial_write` predicts (row sharing and cross-row
-    vertical sharing included) — a mismatch means the engine and the
-    paper's analysis disagree, and raises :class:`PlanError` rather
-    than returning a silently wrong cost.
-    """
-    from ..engine.compile import choose_update_strategy, compile_plan
-
-    analysis = analyze_partial_write(code, start, length)
-    plan = compile_plan(code, "update", analysis.data_cells)
-    strategy, _ = choose_update_strategy(code, analysis.data_cells)
-    outputs = tuple(divmod(slot, code.cols) for slot in plan.outputs)
-    expected = analysis.horizontal_parities | analysis.vertical_parities
-    if set(outputs) != expected:
-        raise PlanError(
-            f"{code.name}: update plan dirties {sorted(outputs)} but the "
-            f"partial-write analysis predicts {sorted(expected)}"
-        )
-    return RMWDeltaCost(
-        analysis=analysis,
-        strategy=strategy,
-        plan_hash=plan.plan_hash,
-        xor_element_ops=plan.xors_per_word,
-        kernel_calls=plan.kernel_calls,
-        parity_outputs=outputs,
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..codes.base import ArrayCode
 from ..codes.registry import available_codes, get_code
 from ..metrics.balance import is_parity_balanced
-from ..recovery.single import expected_recovery_reads_per_element
+from ..recovery.cost import expected_recovery_reads_per_element
 from .runner import ExperimentResult
 
 
@@ -36,7 +36,7 @@ def run(p: int = 7) -> ExperimentResult:
                 is_parity_balanced(code),
                 code.average_update_complexity(),
                 _max_chain_length(code),
-                expected_recovery_reads_per_element(code, method="greedy"),
+                expected_recovery_reads_per_element(code, "greedy"),
             ]
         )
     rows.sort(key=lambda r: str(r[0]))

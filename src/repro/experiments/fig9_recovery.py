@@ -5,9 +5,11 @@
   selection, averaged over every choice of failed disk, for each
   evaluated prime.
 - **Fig. 9(b)** — double-disk recovery time: the paper's ``Lc x Re``
-  model, where ``Lc`` is the longest recovery chain (our peeling round
-  count) and ``Re`` the per-element recovery time, averaged over every
-  failed-disk pair.
+  model, where ``Lc`` is the longest recovery chain (the compiled
+  recovery plan's round count) and ``Re`` the per-element recovery
+  time, averaged over every failed-disk pair.
+
+Both read the price off :func:`repro.recovery.cost.repair_cost`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from collections.abc import Sequence
 
 from ..array.latency import LatencyModel
 from ..codes.registry import EVALUATED_CODE_NAMES, get_code
-from ..recovery.double import expected_double_failure_rounds
-from ..recovery.single import expected_recovery_reads_per_element
+from ..recovery.cost import expected_double_rounds, expected_recovery_reads_per_element
 from ..utils import EVALUATION_PRIMES
 from .runner import ExperimentResult
 
@@ -42,7 +43,7 @@ def run_fig9a(
             planner = method
             if method == "auto":
                 planner = "milp" if p <= MILP_PRIME_LIMIT else "greedy"
-            row.append(expected_recovery_reads_per_element(code, method=planner))
+            row.append(expected_recovery_reads_per_element(code, planner))
         rows.append(row)
     return ExperimentResult(
         experiment="fig9a",
@@ -67,8 +68,7 @@ def run_fig9b(
         row: list[object] = [name]
         for p in primes:
             code = get_code(name, p)
-            rounds = expected_double_failure_rounds(code)
-            row.append(rounds * re_seconds)
+            row.append(expected_double_rounds(code) * re_seconds)
         rows.append(row)
     return ExperimentResult(
         experiment="fig9b",

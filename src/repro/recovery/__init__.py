@@ -1,16 +1,18 @@
 """Erasure-recovery engines and I/O-minimal recovery planners.
 
 - :mod:`repro.recovery.peeling` — the symbolic peeling scheduler: which
-  lost cells become solvable in which parallel round.  It powers both
-  the generic decoder and the double-failure parallelism analysis.
+  lost cells become solvable in which parallel round.  The plan
+  compiler lowers it into the generic decode and double-failure plans.
 - :mod:`repro.recovery.gauss` — helpers around the Gaussian reference
   decoder (the universal XOR decoder).
 - :mod:`repro.recovery.single` — minimal-I/O single-disk recovery and
   degraded reads: the hybrid parity-chain selection of Xiang et al.
   (SIGMETRICS'10), solved exactly as a small integer program with a
   greedy fallback.
-- :mod:`repro.recovery.double` — double-disk failure analysis: recovery
-  chains, parallel rounds, and the paper's ``Lc x Re`` time model.
+- :mod:`repro.recovery.cost` — the one repair price: reads per disk,
+  rounds (the paper's ``Lc``) and start parallelism, read off the
+  compiled recovery plan the store runs (Fig. 9, Table III, the rebuild
+  window, the MTTDL model and the fleet simulator all use it).
 """
 
 from .peeling import PeelSchedule, peel_schedule
@@ -20,7 +22,7 @@ from .single import (
     plan_single_disk_recovery,
     plan_degraded_read,
 )
-from .double import DoubleFailureAnalysis, analyze_double_failure
+from .cost import RepairCost, repair_cost
 
 __all__ = [
     "PeelSchedule",
@@ -29,6 +31,6 @@ __all__ = [
     "DegradedReadPlan",
     "plan_single_disk_recovery",
     "plan_degraded_read",
-    "DoubleFailureAnalysis",
-    "analyze_double_failure",
+    "RepairCost",
+    "repair_cost",
 ]

@@ -9,10 +9,11 @@ parallelism: the number of rounds equals the length of the longest
 recovery chain ``Lc``, and the round-1 width is the number of chains
 that can run in parallel.
 
-This module is purely structural (no data buffers), so the same
-schedule drives both the buffer decoder in
-:meth:`repro.codes.base.ArrayCode.decode` and the double-failure time
-model of Fig. 9(b).
+This module is purely structural (no data buffers).  Two callers use
+it: the plan compiler lowers a schedule into the ``decode`` and
+``recover-double`` plans (:mod:`repro.engine.compile`), whose price
+Fig. 9(b) reads (:mod:`repro.recovery.cost`), and the static certifier
+peels every disk pair as its independent proof.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..exceptions import DecodeError, InvalidParameterError
-from ..utils import mean, resolve_rng
+from ..utils import resolve_rng
 
 if TYPE_CHECKING:  # imported lazily to avoid a codes<->recovery cycle
     from ..codes.base import ArrayCode, ParityChain
@@ -141,14 +141,6 @@ def plan_single_disk_recovery(
         choices=choices,
         reads=reads,
         method=method,
-    )
-
-
-def expected_recovery_reads_per_element(code: ArrayCode, method: str = "milp") -> float:
-    """Fig. 9(a)'s metric: reads per lost element, averaged over disks."""
-    return mean(
-        plan_single_disk_recovery(code, d, method=method).reads_per_lost_element
-        for d in range(code.cols)
     )
 
 

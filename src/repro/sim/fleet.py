@@ -9,8 +9,8 @@ What makes this a *code* simulator rather than a generic RAID model is
 the repair clock: rebuild durations are not a constant but come from
 the code's own measured recovery behaviour
 (:class:`CodeRepairProfile`) — the per-element read count of the
-single-disk planner (Fig. 9(a)) and the chain-depth parallelism of the
-double-failure peeling schedule (Fig. 9(b)).  HV Code's ``p - 2``
+compiled single-disk recovery plan (Fig. 9(a)) and the chain depth of
+the compiled double-failure plan (Fig. 9(b)).  HV Code's ``p - 2``
 parity chains and four-way parallel double recovery therefore shorten
 its simulated repair windows, which is precisely the mechanism by
 which the paper argues reliability improves; the simulation turns that
@@ -43,13 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.reliability import (
-    double_disk_rebuild_hours,
-    single_disk_rebuild_hours,
-)
-from ..exceptions import SimulationError
-from ..recovery.double import expected_double_failure_rounds
-from ..recovery.single import expected_recovery_reads_per_element
+from ..analysis.reliability import rebuild_hours
+from ..exceptions import InvalidSimConfigError, PlanError, SimulationError
+from ..recovery.cost import expected_double_rounds, expected_recovery_reads_per_element
 from ..utils import mean, resolve_rng
 from .config import SimConfig
 from .events import Event, EventKind, EventQueue
@@ -64,13 +60,16 @@ CAUSE_URE_DOUBLE = "ure-during-double-rebuild"
 class CodeRepairProfile:
     """Measured repair costs of one code — the simulator's clock.
 
+    ``reads_per_lost_element`` and ``double_rounds`` are the code's
+    repair price, read off its compiled recovery plans
+    (:func:`repro.recovery.cost.repair_cost`).
     ``single_rebuild_hours`` is the full-bandwidth duration of a
     one-disk rebuild under the parallel-read model;
-    ``double_rebuild_hours`` scales it by the measured chain-depth
-    penalty on twice the volume (both via
-    :mod:`repro.analysis.reliability`, which in turn runs the recovery
-    planners).  ``chain_repair_reads`` prices one scrub repair: the
-    surviving cells of an average parity chain.
+    ``double_rebuild_hours`` scales it by the chain-depth penalty on
+    twice the volume (both via
+    :func:`repro.analysis.reliability.rebuild_hours`).
+    ``chain_repair_reads`` prices one scrub repair: the surviving cells
+    of an average parity chain.
     """
 
     code_name: str
@@ -82,18 +81,27 @@ class CodeRepairProfile:
 
     @classmethod
     def measure(cls, config: SimConfig) -> "CodeRepairProfile":
-        """Run the planners once and freeze the derived durations."""
+        """Price the code's repairs once and freeze the derived durations.
+
+        A code whose chains cannot peel every two-disk loss (EVENODD's S
+        coupling) has no double repair plan to price: an invalid config.
+        """
         code = config.make_code()
-        params = config.reliability_parameters()
-        reads = expected_recovery_reads_per_element(code, method=config.planner)
-        single = single_disk_rebuild_hours(
-            code, params, reads_per_lost_element=reads
+        try:
+            reads = expected_recovery_reads_per_element(code, config.planner)
+            rounds = expected_double_rounds(code)
+        except PlanError as exc:
+            raise InvalidSimConfigError(
+                f"{code.name} at p={config.p}: chain peeling cannot repair "
+                "every disk pair, so there is no repair plan to price"
+            ) from exc
+        single, double = rebuild_hours(
+            code, config.reliability_parameters(), reads, rounds
         )
-        double = double_disk_rebuild_hours(code, params, single)
         return cls(
             code_name=code.name,
             reads_per_lost_element=reads,
-            double_rounds=expected_double_failure_rounds(code),
+            double_rounds=rounds,
             single_rebuild_hours=single,
             double_rebuild_hours=double,
             chain_repair_reads=mean(

@@ -17,7 +17,9 @@ GF(2) parity-check matrix, never encoding a stripe:
   update (Table III), from the dependency closure.
 - **Double-failure structure**: structural peeling over every failed
   pair yields the recovery-chain parallelism (Algorithm 1's four
-  chains for HV) and the longest-chain round count ``Lc``.
+  chains for HV) and the longest-chain round count ``Lc``,
+  cross-checked against the compiled recovery plans
+  (:func:`repro.recovery.cost.repair_cost`) when every pair peels.
 
 The result is a :class:`CodeCertificate` that serializes to *canonical
 JSON* with a SHA-256 hash.  Hashes for the smoke set are pinned in
@@ -36,6 +38,7 @@ from ..codes.base import ArrayCode
 from ..codes.registry import available_codes, get_code
 from ..exceptions import CertificationError
 from ..metrics.balance import is_parity_balanced, parity_distribution
+from ..recovery.cost import repair_cost
 from ..recovery.peeling import peel_schedule
 from ..utils import EVALUATION_PRIMES, pairs
 
@@ -266,7 +269,7 @@ def certify_code(code: ArrayCode) -> CodeCertificate:
     of the same quantity disagree (certifier self-check) — e.g. the
     chain-walk parity-load vector versus
     :func:`repro.metrics.balance.parity_distribution`, or the peeling
-    parallelism versus :mod:`repro.recovery.double`.
+    parallelism and rounds versus :func:`repro.recovery.cost.repair_cost`.
     """
     mds = _mds_report(code)
     multiset = {
@@ -293,15 +296,22 @@ def certify_code(code: ArrayCode) -> CodeCertificate:
 
     profile = _double_failure_profile(code)
     if profile.fully_peelable:
-        # Independent derivation of the same figure via the Fig. 9(b)
-        # analyzer; disagreement means one of the two schedulers broke.
-        from ..recovery.double import minimum_start_parallelism
-
-        dynamic = minimum_start_parallelism(code)
-        if dynamic != profile.min_parallelism:
+        # Independent derivation of the same figures from the compiled
+        # recovery plans the store runs (HV's is Algorithm 1, not a
+        # peel); disagreement means the certifier or the compiler broke.
+        costs = [repair_cost(code, pair) for pair in pairs(code.cols)]
+        rounds = [cost.rounds for cost in costs]
+        planned = (
+            min(cost.parallelism for cost in costs),
+            max(rounds),
+            sum(rounds) / len(rounds),
+        )
+        peeled = (profile.min_parallelism, profile.max_rounds, profile.mean_rounds)
+        if planned != peeled:
             raise CertificationError(
-                f"{code.name}(p={code.p}): parallelism cross-check failed: "
-                f"static {profile.min_parallelism} != dynamic {dynamic}"
+                f"{code.name}(p={code.p}): recovery-plan cross-check failed: "
+                f"static (parallelism, max rounds, mean rounds) {peeled} "
+                f"!= compiled {planned}"
             )
 
     claims = _paper_claims(code, mds, uniform, balanced, update_mean, profile)

@@ -9,13 +9,11 @@ from repro.analysis.reliability import (
     ReliabilityParameters,
     SectorErrorParameters,
     calibrate_sector_model,
-    double_disk_rebuild_hours,
     mttdl_comparison,
     mttdl_for_code,
     mttdl_with_sector_errors,
     raid6_mttdl_hours,
     raid6_mttdl_hours_with_sector_errors,
-    single_disk_rebuild_hours,
 )
 from repro.codes.registry import evaluated_codes
 from repro.exceptions import InvalidParameterError
@@ -85,8 +83,8 @@ class TestParameters:
 class TestCodeMttdl:
     def test_rebuild_time_scales_with_reads(self):
         params = ReliabilityParameters()
-        hv = single_disk_rebuild_hours(HVCode(7), params)
-        rdp = single_disk_rebuild_hours(RDPCode(7), params)
+        hv = mttdl_for_code(HVCode(7), params)["single_rebuild_hours"]
+        rdp = mttdl_for_code(RDPCode(7), params)["single_rebuild_hours"]
         # HV reads ~36% less per lost element but has fewer surviving
         # disks to spread over; it must still win per-disk.
         assert hv < rdp
@@ -94,8 +92,8 @@ class TestCodeMttdl:
     def test_double_rebuild_slower_than_single(self):
         params = ReliabilityParameters()
         code = HVCode(7)
-        single = single_disk_rebuild_hours(code, params)
-        double = double_disk_rebuild_hours(code, params, single)
+        row = mttdl_for_code(code, params)
+        single, double = row["single_rebuild_hours"], row["double_rebuild_hours"]
         assert double >= 2 * single * 0.99
 
     def test_hv_highest_mttdl_at_p13(self):

@@ -142,6 +142,25 @@ class TestSimCommand:
         with _pytest.raises(InvalidSimConfigError):
             main(["sim", "--code", "HV", "--p", "4", "--fleet", "1"])
 
+    @pytest.mark.parametrize(
+        "code, reason",
+        [
+            ("EVENODD", "chain peeling cannot repair every disk pair"),
+            ("Liberation", "chain peeling cannot repair every disk pair"),
+            ("Cauchy-RS", "chain peeling cannot repair every disk pair"),
+            ("NOPE", "unknown code 'NOPE'"),
+        ],
+    )
+    def test_unpriceable_code_is_a_usage_error(self, capsys, code, reason):
+        # A code without a double repair plan to price, or no code at
+        # all, is refused in one line with exit 2, as `faults` does.
+        assert main(["sim", "--code", code, "--p", "5", "--fleet", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("hvcode-repro sim: error: ")
+        assert reason in captured.err
+
 
 class TestFaultsCommand:
     def test_parser_registered(self):

@@ -11,7 +11,7 @@ from repro import HVCode, RDPCode
 from repro.codes.base import ElementKind
 from repro.core.recovery import plan_double_failure_recovery
 from repro.exceptions import InvalidParameterError
-from repro.recovery.double import analyze_double_failure
+from repro.recovery.peeling import peel_schedule
 from repro.utils import pairs
 
 
@@ -89,6 +89,14 @@ class TestExecution:
         assert broken == stripe
 
 
+def peel(code, f1, f2):
+    """The symbolic peel of two lost disks, the reference Algorithm 1
+    is held to."""
+    schedule = peel_schedule(code.equations, code.disk_cells(f1) + code.disk_cells(f2))
+    assert schedule.complete
+    return schedule
+
+
 class TestAgainstPeeling:
     def test_longest_chain_matches_peeling_rounds(self, hv):
         # The scheduler's round count and Algorithm 1's longest chain
@@ -96,13 +104,12 @@ class TestAgainstPeeling:
         # degenerate-overlap slack, and never in HV's favor.
         for f1, f2 in pairs(hv.cols):
             plan = plan_double_failure_recovery(hv, f1, f2)
-            analysis = analyze_double_failure(hv, f1, f2)
-            assert plan.longest_chain >= analysis.rounds
+            schedule = peel(hv, f1, f2)
+            assert plan.longest_chain >= schedule.num_rounds
 
     def test_start_parallelism_at_least_four(self, hv):
         for f1, f2 in pairs(hv.cols):
-            analysis = analyze_double_failure(hv, f1, f2)
-            assert analysis.start_parallelism >= 4
+            assert peel(hv, f1, f2).parallelism >= 4
 
 
 class TestValidation:

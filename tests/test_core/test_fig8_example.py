@@ -9,10 +9,8 @@ repair each lost element on the failed disk."
 import pytest
 
 from repro import HVCode
-from repro.recovery.single import (
-    expected_recovery_reads_per_element,
-    plan_single_disk_recovery,
-)
+from repro.recovery.cost import expected_recovery_reads_per_element
+from repro.recovery.single import plan_single_disk_recovery
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +32,7 @@ class TestFig8:
             assert plan.total_reads == 18, disk
 
     def test_expectation_is_three(self, hv):
-        assert expected_recovery_reads_per_element(hv) == pytest.approx(3.0)
+        assert expected_recovery_reads_per_element(hv, "milp") == pytest.approx(3.0)
 
     def test_plan_mixes_both_chain_flavors(self, hv):
         # The minimum is achieved by hybrid recovery: some elements

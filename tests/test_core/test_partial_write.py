@@ -3,11 +3,8 @@
 import pytest
 
 from repro import HVCode
-from repro.core.partial_write import (
-    analyze_partial_write,
-    cross_row_sharing_rate,
-    rmw_delta_cost,
-)
+from repro.core.partial_write import analyze_partial_write, cross_row_sharing_rate
+from repro.engine.compile import choose_update_strategy, compile_plan
 from repro.exceptions import InvalidParameterError
 
 
@@ -80,35 +77,44 @@ class TestWholeStripeWrites:
         assert len(analysis.horizontal_parities) == 1
 
 
+def dirtied_parities(code, analysis):
+    """The parity cells the compiled ``update`` plan of a write dirties."""
+    plan = compile_plan(code, "update", analysis.data_cells)
+    return plan, tuple(divmod(slot, code.cols) for slot in plan.outputs)
+
+
 class TestRMWDeltaCost:
     @pytest.mark.parametrize("p", [5, 7, 11])
     @pytest.mark.parametrize("start,length", [(0, 1), (0, 2), (1, 3)])
     def test_plan_outputs_match_analysis(self, p, start, length):
-        # rmw_delta_cost raises PlanError internally if the compiled
-        # plan's dirtied parities disagree with the symbolic analysis;
-        # here we also pin the derived counts to the analysis.
-        cost = rmw_delta_cost(HVCode(p), start, length)
-        assert len(cost.parity_outputs) == cost.analysis.parity_writes
-        assert set(cost.parity_outputs) == (
-            cost.analysis.horizontal_parities | cost.analysis.vertical_parities
+        # The compiled plan's dirtied parities are exactly the ones the
+        # symbolic analysis predicts, row and cross-row sharing included.
+        code = HVCode(p)
+        analysis = analyze_partial_write(code, start, length)
+        plan, outputs = dirtied_parities(code, analysis)
+        assert len(outputs) == analysis.parity_writes
+        assert set(outputs) == (
+            analysis.horizontal_parities | analysis.vertical_parities
         )
-        assert cost.kernel_calls > 0
-        assert len(cost.plan_hash) == 64
+        assert plan.kernel_calls > 0
+        assert len(plan.plan_hash) == 64
 
     def test_small_write_strategy_is_rmw(self):
-        assert rmw_delta_cost(HVCode(11), 0, 2).strategy == "rmw"
+        code = HVCode(11)
+        cells = analyze_partial_write(code, 0, 2).data_cells
+        assert choose_update_strategy(code, cells)[0] == "rmw"
 
     def test_matches_volume_accounting(self):
-        # The engine cost and the RAID simulator must count the same
+        # The compiled plan and the RAID volume must count the same
         # parity writes for the same logical write.
         from repro.array.raid import RAID6Volume
 
         code = HVCode(7)
         for start, length in [(0, 1), (2, 2), (0, 4)]:
-            cost = rmw_delta_cost(code, start, length)
+            _, outputs = dirtied_parities(code, analyze_partial_write(code, start, length))
             vol = RAID6Volume(HVCode(7), num_stripes=2)
             report = vol.write(start, length)
-            assert report.parity_writes == len(cost.parity_outputs)
+            assert report.parity_writes == len(outputs)
 
 
 class TestValidation:

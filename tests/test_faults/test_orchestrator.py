@@ -5,13 +5,14 @@ import pytest
 
 from repro import HVCode
 from repro.array.filestore import FileStore
-from repro.codes.registry import EVALUATED_CODE_NAMES, get_code
+from repro.codes.registry import EVALUATED_CODE_NAMES, available_codes, get_code
 from repro.exceptions import (
     ChecksumMismatchError,
     InvalidParameterError,
     UnrecoverableFaultError,
 )
 from repro.faults import RebuildOrchestrator
+from repro.recovery.cost import repair_cost
 
 
 def make_store(p=5, element_size=16, stripes=6):
@@ -218,3 +219,17 @@ def test_store_and_orchestrator_rebuild_alike(name, pattern, engine):
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.state, b.state)
         assert not a.latent_positions()
+
+
+@pytest.mark.parametrize("name", available_codes())
+def test_clean_rebuild_reads_what_the_repair_price_says(name):
+    """A clean rebuild reads, stripe by stripe, exactly the compiled
+    single-disk recovery plan that :func:`repair_cost` prices."""
+    code = get_code(name, 5)
+    store = FileStore(code, element_size=16)
+    store.write(0, bytes((i * 11 + 5) % 256 for i in range(4 * store.bytes_per_stripe)))
+    for disk in range(code.cols):
+        store.fail_disk(disk)
+        report = RebuildOrchestrator(store).rebuild(disk)
+        assert report.escalations == 0, disk
+        assert report.chain_reads == 4 * repair_cost(code, (disk,)).reads, disk

@@ -1,49 +1,47 @@
-"""Tests for the single-disk rebuild simulator."""
+"""Tests for the single-disk rebuild window (``repro rebuild``)."""
 
 import pytest
 
 from repro import HVCode, RDPCode
 from repro.array.latency import LatencyModel
 from repro.exceptions import InvalidParameterError
-from repro.recovery.rebuild import (
-    RebuildResult,
-    expected_rebuild_seconds,
-    simulate_rebuild,
-)
+from repro.experiments.rebuild_time import expected_rebuild_seconds
+from repro.recovery.cost import repair_cost
 from repro.recovery.single import plan_single_disk_recovery
+from repro.utils import mean
 
 
 class TestSimulation:
     def test_reads_match_plan(self):
         code = HVCode(7)
         plan = plan_single_disk_recovery(code, 0, method="greedy")
-        result = simulate_rebuild(code, 0, per_disk_elements=code.rows * 10)
-        assert result.total_reads == plan.total_reads * 10
-        assert result.reads_per_disk[0] == 0  # failed disk reads nothing
+        cost = repair_cost(code, (0,))
+        assert cost.reads == plan.total_reads
+        assert cost.reads_per_disk[0] == 0  # failed disk reads nothing
 
     def test_spare_writes_cover_capacity(self):
+        # The spare receives every lost element of every stripe.
         code = HVCode(7)
-        result = simulate_rebuild(code, 1, per_disk_elements=code.rows * 4)
-        assert result.spare_writes == code.rows * 4
+        assert repair_cost(code, (1,)).lost == code.rows
 
     def test_seconds_equal_busiest_reader(self):
         code = HVCode(7)
         latency = LatencyModel()
-        result = simulate_rebuild(code, 2, code.rows * 5, latency=latency)
-        assert result.seconds == pytest.approx(
-            latency.serve(max(result.reads_per_disk))
+        busiest = [max(repair_cost(code, (d,)).reads_per_disk) for d in range(code.cols)]
+        assert expected_rebuild_seconds(code, code.rows * 5, latency) == pytest.approx(
+            mean(latency.serve(reads * 5) for reads in busiest)
         )
 
     def test_time_linear_in_capacity(self):
         code = HVCode(7)
-        small = simulate_rebuild(code, 0, code.rows * 2).seconds
-        large = simulate_rebuild(code, 0, code.rows * 20).seconds
+        small = expected_rebuild_seconds(code, code.rows * 2)
+        large = expected_rebuild_seconds(code, code.rows * 20)
         assert large == pytest.approx(10 * small)
 
     def test_capacity_below_stripe_rejected(self):
         code = HVCode(7)
         with pytest.raises(InvalidParameterError):
-            simulate_rebuild(code, 0, per_disk_elements=code.rows - 1)
+            expected_rebuild_seconds(code, per_disk_elements=code.rows - 1)
 
 
 class TestExpectation:

@@ -116,6 +116,26 @@ class TestBaselineProfiles:
         assert cert.double_failure.max_stuck_cells > 0
 
 
+class TestPlanCrossCheck:
+    def test_wrong_plan_rounds_fail_certification(self, monkeypatch):
+        # The certifier's own peel and the compiled recovery plans must
+        # agree on Lc; a plan priced one round too long is caught.
+        import dataclasses
+        import importlib
+
+        # The package's ``certify`` function shadows the module name.
+        certify_module = importlib.import_module("repro.static.certify")
+        real = certify_module.repair_cost
+
+        def skewed(code, failed, planner="greedy"):
+            cost = real(code, failed, planner)
+            return dataclasses.replace(cost, rounds=cost.rounds + 1)
+
+        monkeypatch.setattr(certify_module, "repair_cost", skewed)
+        with pytest.raises(CertificationError, match="recovery-plan cross-check"):
+            certify_code(HVCode(5))
+
+
 class TestSerialization:
     def test_canonical_json_round_trips(self):
         cert = certify("HV", 5)
