@@ -77,7 +77,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -116,6 +116,20 @@ Position = tuple[int, int]
 #: ``(position, byte offset within the element, payload view)``.
 Piece = tuple[Position, int, memoryview]
 
+#: Most loss states a store remembers (see :meth:`FileStore._loss`);
+#: one failed disk, two, and a few latent cells on top stay far below.
+LOSS_MEMO_SIZE = 256
+
+
+class Loss(NamedTuple):
+    """One stripe loss state's slots, as the degraded paths ask for them."""
+
+    #: every lost (erased or latent) slot, ascending: a read plan's erasure
+    slots: tuple[int, ...]
+    lost: frozenset[int]
+    erased: frozenset[int]
+    latent: frozenset[int]
+
 
 class FileStore:
     """A growable byte store protected by one RAID-6 array code."""
@@ -149,6 +163,14 @@ class FileStore:
         self._eps = code.data_elements_per_stripe
         self._cols = code.cols
         self._data_positions = code.data_positions
+        #: each disk's column as ascending slots, by disk
+        self._columns = tuple(
+            tuple(range(disk, code.rows * code.cols, code.cols))
+            for disk in range(code.cols)
+        )
+        #: ``stripe.state.tobytes()`` → its :class:`Loss`, by value (a
+        #: memo of a pure function, never stale; see :meth:`_loss`)
+        self._losses: dict[bytes, Loss] = {}
         self.stripes: list[Stripe] = []
         self.failed_disks: set[int] = set()
         self.sidecar = ChecksumSidecar(code.rows, code.cols)
@@ -580,44 +602,43 @@ class FileStore:
         The wanted cells' ``read`` plan (:meth:`_read_plan`) runs into
         scratch through :meth:`_planned`, its reads charged to
         :attr:`healing`, not :attr:`stats`; a pattern it rejects decodes
-        a copy (rung 3).  ``plans`` memoises plan, wanted slots and the
-        CRC gate's slots per loss pattern over one pass of one ``disk``.
-        Nothing lands until every wanted cell matched its CRC sidecar, so
-        a rebuild silently poisoned by an undetected flip fails loudly
-        (scrub first).
+        a copy (rung 3).  ``plans`` memoises plan, wanted slots (as an
+        index array) and the CRC gate's rows per loss pattern over one
+        pass of one ``disk``.  Nothing lands until every wanted cell
+        matched its CRC sidecar — one comparison of the whole column, the
+        failing cell located only on a refusal — so a rebuild silently
+        poisoned by an undetected flip fails loudly (scrub first).
         """
         stripe = self.stripes[idx]
-        cols = self._cols
         key = stripe.state.tobytes()
-        if key not in plans:
-            slots = sorted(
-                {r * cols + disk for r in range(self.code.rows)}
-                | set(np.flatnonzero(stripe.state == LATENT).tolist())
-            )
-            plans[key] = (
-                self._read_plan(stripe, tuple(slots)),
-                slots,
+        memo = plans.get(key)
+        if memo is None:
+            slots = tuple(sorted({*self._columns[disk], *self._loss(stripe).latent}))
+            memo = plans[key] = (
+                self._read_plan(stripe, slots),
+                np.array(slots, dtype=np.intp),
                 CellSlots(range(len(slots))),
             )
-        plan, slots, rows = plans[key]
+        plan, index, rows = memo
         if plan is None:
             restored = decode_resilient(
                 self.code, stripe, self.healing, engine=self.engine
             )
-            values = restored.flat_view()[slots]
+            values = restored.flat_view()[index]
         else:
             self.healing.reads += len(plan.reads)
             values = self._planned(stripe, plan)
         crcs = crc_rows(values, rows)
-        bad = np.flatnonzero(crcs != self.sidecar.stripes[idx].flat[slots])
-        if len(bad):
+        expected = self.sidecar.stripes[idx].flat[index]
+        if crcs.tobytes() != expected.tobytes():
+            bad = int(index[np.flatnonzero(crcs != expected)[0]])
             raise ChecksumMismatchError(
                 f"rebuild of disk {disk}: stripe {idx} element "
-                f"{divmod(slots[bad[0]], cols)} decoded to content that fails "
+                f"{divmod(bad, self._cols)} decoded to content that fails "
                 "its checksum — scrub before rebuilding"
             )
-        stripe.flat_view()[slots] = values
-        stripe.state.flat[slots] = HEALTHY
+        stripe.flat_view()[index] = values
+        stripe.state.flat[index] = HEALTHY
 
     def scrub(self) -> list[int]:
         """Verify parity of every healthy stripe; return bad indices."""
@@ -643,6 +664,27 @@ class FileStore:
 
     # -- degraded plans: what a lost cell costs -------------------------------------
 
+    def _loss(self, stripe: Stripe) -> Loss:
+        """``stripe``'s lost, erased and latent slots.
+
+        Memoised by the value of its state (``state.tobytes()``), not by
+        stripe: the key *is* the state, so nothing is kept beside it and
+        nothing can go stale.  At most :data:`LOSS_MEMO_SIZE` states are
+        kept; a full memo starts over.
+        """
+        state = stripe.state
+        key = state.tobytes()
+        loss = self._losses.get(key)
+        if loss is None:
+            slots = tuple(np.flatnonzero(state).tolist())
+            latent = frozenset(np.flatnonzero(state == LATENT).tolist())
+            lost = frozenset(slots)
+            loss = Loss(slots, lost, lost - latent, latent)
+            if len(self._losses) >= LOSS_MEMO_SIZE:
+                self._losses.clear()
+            self._losses[key] = loss
+        return loss
+
     def _read_plan(
         self, stripe: Stripe, wanted: tuple[int, ...], free: tuple[int, ...] = ()
     ) -> "XorPlan | None":
@@ -650,10 +692,19 @@ class FileStore:
         stripe's erased and latent cells and ``wanted`` itself being its
         erasure pattern and the readable slots ``free`` fetched anyway;
         ``None`` when the planner and peeling both reject the pattern
-        (rung 3)."""
-        erasure = tuple(np.flatnonzero(stripe.state).tolist())
-        if not set(wanted).issubset(erasure):  # a cell a read cannot fetch is lost to it
+        (rung 3).
+
+        ``wanted`` and ``free`` are ascending distinct slots, and the
+        pattern goes out canonical — ``free`` only beside a lone lost
+        column, the one erasure it prices — so the compiler's probe
+        answers it with one lookup.
+        """
+        loss = self._loss(stripe)
+        erasure = loss.slots
+        if not loss.lost.issuperset(wanted):  # a cell a read cannot fetch is lost to it
             erasure = tuple(sorted({*erasure, *wanted}))
+        if free and erasure != self._columns[erasure[0] % self._cols]:
+            free = ()  # only a lone lost column's plan prices them
         try:
             return self._compiler.compile_plan(
                 self.code, "read", (erasure, wanted, free)
@@ -701,18 +752,20 @@ class FileStore:
             raise InvalidParameterError(
                 f"read [{offset}, {offset + size}) beyond capacity {self.capacity}"
             )
-        out = bytearray()
+        out = bytearray(size)
+        view = memoryview(out)
         stripe_bytes = self._eps * self.element_size
-        cursor, end = offset, offset + size
-        while cursor < end:
-            stripe_idx, start = divmod(cursor, stripe_bytes)
-            chunk = min(end - cursor, stripe_bytes - start)
-            out += self._read_stripe(stripe_idx, start, chunk)
-            cursor += chunk
+        at = 0
+        while at < size:
+            stripe_idx, start = divmod(offset + at, stripe_bytes)
+            chunk = min(size - at, stripe_bytes - start)
+            self._read_stripe(stripe_idx, start, view[at : at + chunk])
+            at += chunk
         return bytes(out)
 
-    def _read_stripe(self, stripe_idx: int, start: int, size: int) -> bytearray:
-        """Bytes ``[start, start + size)`` of one stripe's data cells.
+    def _read_stripe(self, stripe_idx: int, start: int, out: memoryview) -> None:
+        """Fill ``out`` with bytes ``[start, start + len(out))`` of one
+        stripe's data cells.
 
         Readable cells are copied as the read reaches them; the lost ones
         are computed together afterwards by one read plan — Fig. 7's
@@ -725,31 +778,34 @@ class FileStore:
         """
         es, cols = self.element_size, self._cols
         stripe = self.stripes[stripe_idx]
+        state, data = stripe.state, stripe.data
+        end = start + len(out)
         first = start // es
-        cells = self._data_positions[first : (start + size - 1) // es + 1]
-        out = bytearray()
+        cells = self._data_positions[first : (end - 1) // es + 1]
         lost: list[tuple[int, int, int]] = []  # (offset in out, lo, hi)
         wanted: list[int] = []
-        for i, pos in enumerate(cells, first):
-            r, c = pos
-            lo, hi = max(start - i * es, 0), min(start + size - i * es, es)
+        free: list[int] = []  # ascending, as ``data_positions`` is
+        injector = self.injector
+        at = 0
+        for i, (r, c) in enumerate(cells, first):
+            lo, hi = max(start - i * es, 0), min(end - i * es, es)
             # A cell whose transient window outlasted the retries is as
             # lost to this read as an erased one: parity computes it.
-            served = self._element_io(stripe_idx, pos, "read")
-            if stripe.state[r, c] or not served:
+            served = injector is None or self._element_io(stripe_idx, (r, c), "read")
+            if state[r, c] or not served:
                 if self.cache is not None and stripe_idx in self.cache:
                     # Parity-based recovery needs the deferred deltas in.
                     self._flush_stripe(stripe_idx)
-                lost.append((len(out), lo, hi))
+                lost.append((at, lo, hi))
                 wanted.append(r * cols + c)
-                out += bytes(hi - lo)
             else:
-                out += memoryview(stripe.data[r, c, lo:hi])
+                free.append(r * cols + c)
+                out[at : at + hi - lo] = data[r, c, lo:hi]
+            at += hi - lo
         if not lost:
             self.stats.record_reads([c for _, c in cells])
-            return out
-        free = tuple(r * cols + c for r, c in cells if r * cols + c not in wanted)
-        plan = self._read_plan(stripe, tuple(wanted), free)
+            return
+        plan = self._read_plan(stripe, tuple(wanted), tuple(free))
         if plan is None:
             restored = decode_resilient(
                 self.code, stripe, self.healing, engine=self.engine
@@ -758,10 +814,12 @@ class FileStore:
             self.stats.record_reads([c for _, c in cells])
         else:
             values = self._planned(stripe, plan, self.stats)
-            self.stats.record_reads([s % cols for s in sorted({*free, *plan.reads})])
+            if len(plan.pattern[2]) == len(free):  # the plan priced them all
+                self.stats.record_reads(plan.derived("fetched_disks", _fetched_disks))
+            else:
+                self.stats.record_reads([s % cols for s in {*free, *plan.reads}])
         for (at, lo, hi), value in zip(lost, values):
-            out[at : at + hi - lo] = memoryview(value[lo:hi])
-        return out
+            out[at : at + hi - lo] = value[lo:hi]
 
     def write(self, offset: int, data: bytes) -> None:
         """Write ``data`` at ``offset``, growing the store as needed."""
@@ -885,17 +943,23 @@ class FileStore:
         """
         stripe = self.stripes[stripe_idx]
         data, state = stripe.data, stripe.state
+        cols = self._cols
         if self.journal is not None:
             # Recovery re-derives what parity the surviving chains allow.
             self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
+        # The pieces' slots, ascending and distinct as ``write`` lays
+        # them out: the canonical pattern, one probe.
         plan = self._compiler.compile_plan(
-            self.code, "update", [pos for pos, _, _ in pieces]
+            self.code, "update", tuple(r * cols + c for (r, c), _, _ in pieces)
         )
         cells, parities = plan.pattern_positions, plan.output_positions
+        loss = self._loss(stripe)
+        unreadable = [(s, p) for s, p in zip(plan.pattern, cells) if s in loss.lost]
+        unreadable += [(s, p) for s, p in zip(plan.outputs, parities) if s in loss.latent]
         olds: dict[Position, np.ndarray] = {}
         extra: set[int] = set()
-        for pos in [p for p in cells if state[p]] + [p for p in parities if state[p] == LATENT]:
-            read = self._read_plan(stripe, (pos[0] * self._cols + pos[1],))
+        for slot, pos in unreadable:
+            read = self._read_plan(stripe, (slot,))
             if read is None:
                 olds[pos] = recover_element(
                     self.code, stripe, pos, self.healing, engine=self.engine
@@ -908,25 +972,26 @@ class FileStore:
         # (``live ⊕ pre``): a lost cell's slot stays zero, so its
         # pre-image is the whole delta.
         pre: dict[int, np.ndarray] = {}
+        landed: list[int] = []
         for slot, pos in zip(plan.pattern, cells):
-            if state[pos] == ERASED:
+            if slot in loss.erased:
                 pre[slot] = olds[pos] ^ news[pos]
             else:
                 pre[slot] = olds[pos] if pos in olds else data[pos].copy()
                 data[pos] = news[pos]
                 state[pos] = HEALTHY
-        for pos in parities:
-            if state[pos] == LATENT:
+                landed.append(pos[1])
+        for slot, pos in zip(plan.outputs, parities):
+            if slot in loss.latent:
                 data[pos] = olds[pos]
         self._crash_point("data-write")
         self._fold(plan, (stripe_idx,), [pre], faulted=stripe.any_faults())
-        for pos in cells:
-            if state[pos] == ERASED:
+        for slot, pos in zip(plan.pattern, cells):
+            if slot in loss.erased:
                 self.sidecar.record(stripe_idx, pos, news[pos])
-        landed = [c for r, c in cells if state[r, c] != ERASED]
         self.stats.record_reads(landed)
         self.stats.record_writes(landed)
-        self.stats.record_reads(s % self._cols for s in extra.difference(plan.pattern))
+        self.stats.record_reads(s % cols for s in extra.difference(plan.pattern))
         self.data_writes += len(landed)
         self._journal_commit(stripe_idx)
         self._maybe_checkpoint()
@@ -1095,32 +1160,32 @@ class FileStore:
         data side of the ledger and the journal commit are the caller's.
         """
         stripes = [self.stripes[idx] for idx in indices]
-        cells, parities = plan.pattern_positions, plan.output_positions
         self._backend.update(self.code, plan, stripes, pres, stats=self.stats)
         if self._crash_hook is not None:
             self._crash_hook("parity-write")
         touched, parity_disks = plan.derived("fold_cells", _fold_cells)
+        cols = self._cols
         for idx, stripe in zip(indices, stripes):
             rewritten = parity_disks
             if faulted:
-                data, state = stripe.data, stripe.state
+                loss = self._loss(stripe)
                 crcs = self.sidecar.stripes[idx]
-                logical: dict[Position, int] = {}  # lost parities: slot = delta
-                for pos in parities:
-                    if state[pos] == ERASED:
-                        logical[pos] = crcs[pos]
-                    else:
-                        state[pos] = HEALTHY
-                # One call re-checksums the live pattern cells and every
-                # parity, then crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
-                live = [pos for pos in cells if state[pos] != ERASED]
-                self.sidecar.record_stripe(
-                    idx, stripe, touched if len(live) == len(cells) else live + [*parities]
-                )
-                for pos, crc in logical.items():
-                    crcs[pos] ^= crc ^ _zeros_crc(self.element_size)
-                    data[pos] = 0
-                rewritten = [c for r, c in parities if state[r, c] != ERASED]
+                # The one re-checksum below covers every touched slot, but
+                # a lost slot's CRC is logical: a lost pattern cell's is put
+                # back as it was, a lost parity's (its slot holds its delta)
+                # advanced by it, crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
+                lost_cells = {s: crcs.flat[s] for s in plan.pattern if s in loss.erased}
+                lost_parities = {s: crcs.flat[s] for s in plan.outputs if s in loss.erased}
+                for s in plan.outputs:
+                    if s in loss.latent:
+                        stripe.state.flat[s] = HEALTHY  # healed by its rewrite
+                self.sidecar.record_stripe(idx, stripe, touched)
+                for s, crc in lost_cells.items():
+                    crcs.flat[s] = crc
+                for s, crc in lost_parities.items():
+                    crcs.flat[s] ^= crc ^ _zeros_crc(self.element_size)
+                    stripe.data[divmod(s, cols)] = 0
+                rewritten = [s % cols for s in plan.outputs if s not in loss.erased]
             else:
                 self.sidecar.record_stripe(idx, stripe, touched)
             self.stats.record_reads(rewritten)
@@ -1134,6 +1199,12 @@ class FileStore:
             f"capacity={self.capacity}, failed={sorted(self.failed_disks)}, "
             f"dirty={dirty})"
         )
+
+
+def _fetched_disks(plan: "XorPlan") -> list[int]:
+    """The disk of every cell a ``read`` plan that prices its free cells
+    fetches: the free cells and the plan's reads, each once."""
+    return [slot % plan.cols for slot in {*plan.pattern[2], *plan.reads}]
 
 
 def _fold_cells(plan: "XorPlan") -> tuple[CellSlots, list[int]]:

@@ -43,12 +43,16 @@ Compiled plans are cached in a per-process LRU (:class:`PlanCache`)
 keyed by code, geometry, op and pattern — compilation runs once,
 execution many times — and the cache also remembers which strategy
 :func:`choose_update_strategy` picked for each update plan it holds, so
-a flush that repeats a dirty pattern costs one lookup.
+a flush that repeats a dirty pattern costs one lookup.  A pattern a
+caller already spells canonically is its own key: one probe, nothing
+normalised (see :func:`compile_plan`).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import operator
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
@@ -93,8 +97,9 @@ class PlanCache:
     Beside each ``update`` plan the cache keeps the ``(strategy, plan)``
     :func:`choose_update_strategy` decided for it, under the same key
     and lock and evicted with it.  ``hits`` counts lookups answered
-    from either table, ``misses`` lookups after which a plan had to be
-    compiled.
+    from either table — :func:`compile_plan`'s canonical-key
+    :meth:`probe` among them — ``misses`` lookups after which a plan
+    had to be compiled.
 
     Two introspection hooks support the static layer:
 
@@ -143,6 +148,17 @@ class PlanCache:
                 return None
             self._plans.move_to_end(key)
             self.hits += 1
+            return plan
+
+    def probe(self, key: tuple) -> XorPlan | None:
+        """:meth:`lookup` for a key that may not be canonical: a hit
+        counts as one, a miss counts nothing (the canonical lookup that
+        follows it does)."""
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self.hits += 1
             return plan
 
     def store(self, key: tuple, plan: XorPlan) -> XorPlan:
@@ -224,10 +240,29 @@ def compile_plan(
     single-disk read minimizer (``greedy`` is deterministic and within
     ~1% of the MILP; pass ``milp`` for the exact Fig. 9 optimum) for
     ``recover-single`` and ``read``, whose pattern is ``(erased, wanted,
-    free)``: three iterables of cells.
+    free)``: three iterables of cells.  A cell is a slot ``r * cols +
+    c`` or a ``(row, col)`` position, a disk an integer; anything else —
+    a float, a string, ``None``, a bool, the wrong arity — raises
+    :class:`~repro.exceptions.PlanError`.
+
+    Canonical-key probe: a ``pattern`` already spelled as a canonical
+    one (a tuple of ints, or of tuples of ints) is first tried as its
+    own cache key.  That is sound because every key the cache holds was
+    built from :func:`_canonical_pattern`'s output and canonicalising is
+    idempotent: a hit means ``pattern == _canonical_pattern(pattern)``,
+    so the plan is the one the slow path would return.  A miss falls
+    through to canonicalising and the usual lookup, so every call moves
+    ``hits + misses`` by exactly one.  Callers on a hot path (the
+    store's degraded reads, writes and rebuilds) pass canonical
+    patterns and pay one locked lookup.
     """
     if op not in PLAN_OPS:
         raise PlanError(f"unknown plan op {op!r}; known: {PLAN_OPS}")
+    if cache is not None and _spelled_canonically(pattern):
+        # the canonical-key probe (see above): a miss counts nothing
+        plan = cache.probe(plan_key(code, op, pattern, planner, cse))
+        if plan is not None:
+            return plan
     canonical = _canonical_pattern(code, op, pattern)
     key = plan_key(code, op, canonical, planner, cse)
     if cache is not None:
@@ -280,7 +315,15 @@ def plan_key(
 
 
 def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
-    """Normalize a pattern to the canonical cache/pin form."""
+    """Normalize a pattern to the canonical cache/pin form.
+
+    Idempotent: a canonical pattern is its own canonical form, which is
+    what :func:`compile_plan`'s probe rests on.  Cell sets (``decode``,
+    ``update`` and each part of ``read``) become sorted tuples of
+    distinct slots, a disk pair a sorted tuple; every cell and disk is
+    an exact ``int``.
+    """
+    pattern = _sequence(pattern, f"{op} pattern")
     if op == "encode":
         if pattern:
             raise PlanError("encode takes no erasure pattern")
@@ -296,13 +339,14 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
             raise PlanError("recover-single takes one failed disk")
         return (_disk(code, pattern[0]),)
     if op == "recover-double":
-        if len(pattern) != 2 or pattern[0] == pattern[1]:
+        disks = tuple(sorted(_disk(code, d) for d in pattern))
+        if len(disks) != 2 or disks[0] == disks[1]:
             raise PlanError("recover-double takes two distinct failed disks")
-        return tuple(sorted(_disk(code, d) for d in pattern))
+        return disks
     if op == "update":
         if not pattern:
             raise PlanError("update needs at least one dirty data cell")
-        slots = tuple(sorted({_slot(code, cell) for cell in pattern}))
+        slots = _slots(code, pattern)
         for slot in slots:
             if not code.is_data(divmod(slot, code.cols)):
                 raise PlanError(
@@ -321,40 +365,75 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
         # Only the single-disk planner prices the cells a request
         # fetches anyway; a sliced decode reads what its schedule reads.
         return erased, wanted, free if _failed_disk(code, erased) is not None else ()
-    if pattern and set(map(type, pattern)) == {int}:
-        # All slots already (an erasure mask's flat non-zero indices):
-        # the ends of the sorted tuple bound every one of them.
-        slots = tuple(sorted(pattern))
-        if 0 <= slots[0] and slots[-1] < code.rows * code.cols:
-            return slots
-    return tuple(sorted(_slot(code, cell) for cell in pattern))
+    return _slots(code, pattern)  # decode: a set of erased cells
+
+
+def _spelled_canonically(pattern) -> bool:
+    """Whether ``pattern`` has a canonical pattern's spelling: a tuple
+    of exact ints, or of tuples of exact ints.
+
+    Only such a pattern is probed as its own key.  Python equality
+    would otherwise let ``True``, ``1.0`` or a numpy integer hit the
+    plan of ``1``, answering from the cache what
+    :func:`_canonical_pattern` refuses.
+    """
+    if type(pattern) is not tuple:
+        return False
+    types = set(map(type, pattern))
+    if types == _TUPLE:  # ``read``'s three parts
+        types = set(map(type, itertools.chain.from_iterable(pattern)))
+    return types <= _INT
+
+
+_INT, _TUPLE = frozenset((int,)), frozenset((tuple,))
+
+
+def _sequence(items, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError:
+        raise PlanError(f"{what} {items!r} is not a sequence") from None
 
 
 def _slots(code: "ArrayCode", cells) -> tuple[int, ...]:
-    """Cells as a sorted tuple of distinct slots; slots already (what a
-    store passes) cost one type pass and two bound checks."""
-    if set(map(type, cells)) == {int}:
-        slots = tuple(sorted(set(cells)))
-        if 0 <= slots[0] and slots[-1] < code.rows * code.cols:
-            return slots
-    return tuple(sorted({_slot(code, cell) for cell in cells}))
+    """Cells as a sorted tuple of distinct slots."""
+    return tuple(sorted({_slot(code, cell) for cell in _sequence(cells, "cells")}))
 
 
 def _slot(code: "ArrayCode", cell) -> int:
-    if isinstance(cell, int):
-        if not 0 <= cell < code.rows * code.cols:
-            raise PlanError(f"cell slot {cell} outside the stripe")
-        return cell
-    r, c = cell
-    if not (0 <= r < code.rows and 0 <= c < code.cols):
-        raise PlanError(f"cell {cell} outside {code.rows}x{code.cols} grid")
-    return r * code.cols + c
+    """A cell, given as a slot or a ``(row, col)`` position, as its slot."""
+    if type(cell) is not int:
+        try:
+            r, c = cell
+        except (TypeError, ValueError):
+            cell = _index(cell, "cell")
+        else:
+            r, c = _index(r, "cell row"), _index(c, "cell column")
+            if not (0 <= r < code.rows and 0 <= c < code.cols):
+                raise PlanError(
+                    f"cell {(r, c)} outside {code.rows}x{code.cols} grid"
+                )
+            return r * code.cols + c
+    if not 0 <= cell < code.rows * code.cols:
+        raise PlanError(f"cell slot {cell} outside the stripe")
+    return cell
 
 
 def _disk(code: "ArrayCode", disk) -> int:
-    if not isinstance(disk, int) or not 0 <= disk < code.cols:
+    index = _index(disk, "disk")
+    if not 0 <= index < code.cols:
         raise PlanError(f"disk {disk!r} outside 0..{code.cols - 1}")
-    return disk
+    return index
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an exact ``int``; a bool or a non-integer is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise PlanError(f"{what} {value!r} is not an integer index")
 
 
 # -- per-op lowering ----------------------------------------------------------------
@@ -580,10 +659,11 @@ def choose_update_strategy(
     every parity once and wins, which is exactly the paper's
     RMW-versus-reconstruct-write crossover.
     """
-    if cache is not None:
+    if cache is not None and _spelled_canonically(cells):
         # ``cells`` already in canonical form (sorted slots, what the
-        # stripe cache hands over) is the key itself: one lookup.
-        decision = cache.lookup_strategy(plan_key(code, "update", tuple(cells)))
+        # stripe cache hands over) is the key itself: one lookup, sound
+        # for the reason :func:`compile_plan`'s probe is.
+        decision = cache.lookup_strategy(plan_key(code, "update", cells))
         if decision is not None:
             return decision
     update_plan = compile_plan(code, "update", cells, cache=cache)

@@ -14,6 +14,7 @@ any of it — refusing it exactly when the chains it chose read a flip.
 import numpy as np
 import pytest
 
+import repro.engine.compile as compile_mod
 import repro.xor.bitmatrix as bitmatrix
 from repro import EvenOddCode, HVCode
 from repro.array.filestore import FileStore
@@ -100,6 +101,25 @@ class TestHotPathIsEliminationFree:
         assert PLAN_CACHE.misses == misses
         assert second[0] == first[2]  # the volume the first pass left
         assert store.scrub() == []
+
+    def test_warm_drive_asks_for_every_plan_in_canonical_form(self, monkeypatch):
+        # Every plan lookup of the store is the compiler's canonical-key
+        # probe: a store that handed it a list or positions again would
+        # pay for normalising the pattern on every degraded op.
+        store = filled_store(HVCode(7), "auto")
+        drive(store)
+        normalised = []
+        canonical = compile_mod._canonical_pattern
+
+        def spy(code, op, pattern):
+            normalised.append((op, pattern))
+            return canonical(code, op, pattern)
+
+        monkeypatch.setattr(compile_mod, "_canonical_pattern", spy)
+        hits = PLAN_CACHE.hits
+        drive(store)
+        assert PLAN_CACHE.hits > hits  # it did look plans up
+        assert normalised == []
 
     def test_python_engine_consults_the_oracle_once_per_decode(
         self, monkeypatch, eliminations

@@ -12,7 +12,7 @@ from repro.engine import (
     compile_plan,
     eliminate_common_pairs,
 )
-from repro.engine.compile import plan_key
+from repro.engine.compile import _canonical_pattern, plan_key
 from repro.exceptions import InvalidParameterError, PlanError
 
 XOR_CODES = [n for n in available_codes() if n != "Cauchy-RS"]
@@ -245,3 +245,186 @@ class TestPlanCache:
         before = PLAN_CACHE.stats()["misses"]
         compile_plan(code, "encode", cache=None)
         assert PLAN_CACHE.stats()["misses"] == before
+
+
+# -- the canonical-key probe ------------------------------------------------------
+
+#: Every registered code at p = 5, and the benchmark's HV@11.
+PROBED_CODES = [(name, 5) for name in available_codes()] + [("HV", 11)]
+
+
+def spellings(code):
+    """``(op, canonical pattern, other spellings of it)`` for each op."""
+    cols = code.cols
+    a, b = code.data_positions[0], code.data_positions[-1]
+    sa, sb = a[0] * cols + a[1], b[0] * cols + b[1]
+    column = tuple(range(1, code.rows * cols, cols))
+    wanted = column[1]
+    free = tuple(r * cols + c for r, c in code.data_positions[:3] if c != 1)
+    return [
+        ("encode", (), [[]]),
+        ("reconstruct", (sa,), [[sa], a, (a,), [list(a)]]),
+        ("recover-single", (1,), [[1]]),
+        ("recover-double", (0, cols - 1), [(cols - 1, 0), [cols - 1, 0]]),
+        ("decode", (sa, sb), [(sb, sa), [sb, sa, sb], (b, a), [list(a), sb]]),
+        ("update", (sa, sb), [(sb, sa), [sa, sb], (a, b), [b, sa, a]]),
+        (
+            "read",
+            (column, (wanted,), free),
+            [
+                [list(column), [wanted], list(free)],
+                (column[::-1], (wanted, wanted), free[::-1]),
+                (
+                    tuple(divmod(s, cols) for s in column),
+                    (divmod(wanted, cols),),
+                    tuple(divmod(s, cols) for s in free),
+                ),
+            ],
+        ),
+    ]
+
+
+class TestCanonicalProbe:
+    @pytest.mark.parametrize("name, p", PROBED_CODES)
+    def test_store_keys_are_canonical_fixed_points(self, name, p):
+        from ..test_array.test_degraded_path import drive, filled_store
+
+        code = get_code(name, p)
+        drive(filled_store(code, "auto"))
+        keys = [
+            key
+            for key in list(PLAN_CACHE._plans)
+            if key[:2] == (code.name, code.p) and key[6:] == (code.rows, code.cols)
+        ]
+        assert {key[2] for key in keys} >= {"update", "read"}
+        for key in keys:
+            pattern = key[3]
+            canonical = _canonical_pattern(code, key[2], pattern)
+            # equal, and spelled alike: no bool or float passes for an int
+            assert (canonical, repr(canonical)) == (pattern, repr(pattern))
+
+    @pytest.mark.parametrize("name, p", PROBED_CODES)
+    def test_every_spelling_returns_the_same_plan_for_one_count(self, name, p):
+        code = get_code(name, p)
+        cache = PlanCache(maxsize=64)
+        for op, canonical, others in spellings(code):
+            size = len(cache)
+            try:
+                plan = compile_plan(code, op, canonical, cache=cache)
+            except PlanError:
+                for other in others:
+                    with pytest.raises(PlanError):
+                        compile_plan(code, op, other, cache=cache)
+                continue
+            assert plan.pattern == canonical
+            for spelling in [canonical, *others]:
+                before = cache.stats()
+                assert compile_plan(code, op, spelling, cache=cache) is plan
+                after = cache.stats()
+                assert after["hits"] - before["hits"] == 1
+                assert after["misses"] == before["misses"]
+            # one entry per op (a read may have compiled its decode too)
+            assert len(cache) - size in ((1, 2) if op == "read" else (1,))
+
+    def test_a_cold_probe_counts_one_miss(self, cache):
+        code = get_code("HV", 5)
+        compile_plan(code, "recover-single", (2,), cache=cache)
+        assert cache.stats()["hits"] + cache.stats()["misses"] == 1
+        compile_plan(code, "recover-double", (3, 1), cache=cache)  # not canonical
+        assert cache.stats() == {"size": 2, "hits": 0, "misses": 2, "evictions": 0}
+
+    @pytest.mark.parametrize("name, p", PROBED_CODES)
+    def test_verify_and_on_store_see_each_compiled_plan_once(self, name, p, monkeypatch):
+        import repro.static.planverify as planverify
+
+        verified = []
+        verify_plan = planverify.verify_plan
+
+        def counting(code, plan):
+            verified.append(plan)
+            return verify_plan(code, plan)
+
+        monkeypatch.setattr(planverify, "verify_plan", counting)
+        stored = []
+        cache = PlanCache(maxsize=64, verify=True, on_store=lambda key, plan: stored.append(key))
+        code = get_code(name, p)
+        for _ in range(2):
+            for op, canonical, others in spellings(code):
+                for spelling in [canonical, *others]:
+                    try:
+                        compile_plan(code, op, spelling, cache=cache)
+                    except PlanError:
+                        pass
+        assert len(stored) == len(set(stored)) == len(cache)
+        assert set(stored) == set(cache._plans)
+        assert len(verified) == len(stored)
+
+
+class TestPatternValidation:
+    def test_decode_patterns_are_sets(self, cache):
+        code = get_code("HV", 5)
+        single = compile_plan(code, "decode", (3,), cache=cache)
+        assert compile_plan(code, "decode", (3, 3), cache=cache) is single
+        pair = compile_plan(code, "decode", (0, 3), cache=cache)
+        assert compile_plan(code, "decode", ((0, 3), (0, 3)), cache=cache) is single
+        assert compile_plan(code, "decode", (3, 0, 3), cache=cache) is pair
+        assert single.erased == (3,)
+        assert len(cache) == 2
+
+    #: ``(op, malformed pattern, the int pattern it equals or None)``
+    MALFORMED = [
+        ("encode", (0,), None),
+        ("encode", (None,), None),
+        ("reconstruct", (3.0,), (3,)),
+        ("reconstruct", (True,), (1,)),
+        ("reconstruct", ("a",), None),
+        ("reconstruct", (None,), None),
+        ("reconstruct", ((0, 1, 2),), None),
+        ("reconstruct", (True, 0), None),
+        ("recover-single", (1.0,), (1,)),
+        ("recover-single", (True,), (1,)),
+        ("recover-single", ("1",), None),
+        ("recover-single", (None,), None),
+        ("recover-single", (0, 1), None),
+        ("recover-single", 1, None),
+        ("recover-double", (0, 1.0), (0, 1)),
+        ("recover-double", (False, 1), (0, 1)),
+        ("recover-double", (0, None), None),
+        ("recover-double", (0,), None),
+        ("recover-double", (0, 1, 2), None),
+        ("decode", [3, 3.0], None),
+        ("decode", (3.0,), (3,)),
+        ("decode", (True,), (1,)),
+        ("decode", [None], None),
+        ("decode", ["ab"], None),
+        ("decode", [(0, 1, 2)], None),
+        ("decode", [(0.0, 3)], None),
+        ("decode", 3, None),
+        ("update", (0.0,), (0,)),
+        ("update", (False,), (0,)),
+        ("update", [(0, True)], None),
+        ("update", [None], None),
+        ("read", ((1,), (1.0,), ()), ((1,), (1,), ())),
+        ("read", ((1,), (True,), ()), ((1,), (1,), ())),
+        ("read", ((1,), (1,), (None,)), None),
+        ("read", ((1,), (1,)), None),
+        ("read", (1, 1, 1), None),
+    ]
+
+    @pytest.mark.parametrize(
+        "op, pattern, equal",
+        MALFORMED,
+        ids=[f"{op}-{pattern!r}" for op, pattern, _ in MALFORMED],
+    )
+    def test_malformed_cell_or_disk_is_a_plan_error(self, op, pattern, equal, cache):
+        code = get_code("HV", 5)
+        with pytest.raises(PlanError):
+            compile_plan(code, op, pattern, cache=None)
+        if equal is not None:
+            # with the int pattern it equals cached, the probe must not
+            # answer for it either
+            compile_plan(code, op, equal, cache=cache)
+        with pytest.raises(PlanError):
+            compile_plan(code, op, pattern, cache=cache)
+        for key in cache._plans:
+            assert repr(key[3]) == repr(_canonical_pattern(code, key[2], key[3]))
