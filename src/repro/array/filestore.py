@@ -268,8 +268,8 @@ class FileStore:
     def _exclusive(self, op: str):
         """Tripwire: structural ops must not interleave across threads.
 
-        ``flush``/``recover``/``fail_disk``/``rebuild`` rewrite parity,
-        drain the cache, or re-shape erasure state across many stripes;
+        ``flush``/``recover``/``fail_disk``/``rebuild``/``scrub`` rewrite
+        parity, drain the cache, or re-shape loss state across many stripes;
         two threads interleaving them on one store would corrupt it in
         ways no counter could detect.  Callers serialize on
         :attr:`lock`, which is also the owning shard's lock
@@ -595,9 +595,14 @@ class FileStore:
                 self._rebuild_stripe(idx, disk, plans)
             self.failed_disks.discard(disk)
 
-    def _rebuild_stripe(self, idx: int, disk: int, plans: dict) -> None:
+    def _rebuild_stripe(
+        self, idx: int, disk: int | None, plans: dict
+    ) -> tuple[int, bool]:
         """Restore stripe ``idx``'s cells on ``disk`` and heal its latent
-        cells: the one routine every rebuild runs.
+        cells — only the latent cells when ``disk`` is None (the checksum
+        scrub, which marks a flipped cell latent first): the one routine
+        every rebuild and every scrub repair runs.  Returns the reads it
+        charged to :attr:`healing` and whether it climbed to rung 3.
 
         The wanted cells' ``read`` plan (:meth:`_read_plan`) runs into
         scratch through :meth:`_planned`, its reads charged to
@@ -607,19 +612,22 @@ class FileStore:
         pass of one ``disk``.  Nothing lands until every wanted cell
         matched its CRC sidecar — one comparison of the whole column, the
         failing cell located only on a refusal — so a rebuild silently
-        poisoned by an undetected flip fails loudly (scrub first).
+        poisoned by an undetected flip fails loudly (scrub first), and a
+        refused stripe keeps its state.
         """
         stripe = self.stripes[idx]
         key = stripe.state.tobytes()
         memo = plans.get(key)
         if memo is None:
-            slots = tuple(sorted({*self._columns[disk], *self._loss(stripe).latent}))
+            column = self._columns[disk] if disk is not None else ()
+            slots = tuple(sorted({*column, *self._loss(stripe).latent}))
             memo = plans[key] = (
                 self._read_plan(stripe, slots),
                 np.array(slots, dtype=np.intp),
                 CellSlots(range(len(slots))),
             )
         plan, index, rows = memo
+        reads = self.healing.reads
         if plan is None:
             restored = decode_resilient(
                 self.code, stripe, self.healing, engine=self.engine
@@ -632,13 +640,18 @@ class FileStore:
         expected = self.sidecar.stripes[idx].flat[index]
         if crcs.tobytes() != expected.tobytes():
             bad = int(index[np.flatnonzero(crcs != expected)[0]])
+            what, hint = (
+                ("", "a second silent fault poisoned the decode")
+                if disk is None
+                else (f"rebuild of disk {disk}: ", "scrub before rebuilding")
+            )
             raise ChecksumMismatchError(
-                f"rebuild of disk {disk}: stripe {idx} element "
-                f"{divmod(bad, self._cols)} decoded to content that fails "
-                "its checksum — scrub before rebuilding"
+                f"{what}stripe {idx} element {divmod(bad, self._cols)} "
+                f"decoded to content that fails its checksum — {hint}"
             )
         stripe.flat_view()[index] = values
         stripe.state.flat[index] = HEALTHY
+        return self.healing.reads - reads, plan is None
 
     def scrub(self) -> list[int]:
         """Verify parity of every healthy stripe; return bad indices."""

@@ -5,9 +5,12 @@ either a parity scrub (expensive, whole-stripe) or per-element
 checksums (cheap, local).  :class:`ChecksumSidecar` keeps a CRC32 per
 stripe cell — the *logical* content, so CRCs of a lost column describe
 what a rebuild must reproduce — and :func:`scrub_store` walks a store,
-classifies every readable element as clean / flipped / latent, and
-repairs each bad element through a parity chain, escalating to the full
-decoder when chains are poisoned.
+classifies every live element as clean / flipped / latent, and heals
+the bad ones through the routine every rebuild runs
+(:meth:`~repro.array.filestore.FileStore._rebuild_stripe`): a flipped
+cell is marked latent, and one CRC-gated ``read`` plan per stripe
+restores them all, the full decoder only for a pattern the compiler
+rejects.
 
 The scrub counts its repair I/O (elements read and written) so the
 scenario runner can compare the scrubbing cost of different codes under
@@ -31,12 +34,15 @@ import numpy as np
 
 from ..array.stripe import HEALTHY, LATENT
 from ..engine.backends import native
-from ..exceptions import InvalidParameterError, UnrecoverableFaultError
+from ..exceptions import (
+    ChecksumMismatchError,
+    InvalidParameterError,
+    UnrecoverableFaultError,
+)
 
 if TYPE_CHECKING:  # avoid an array<->faults import cycle
     from ..array.filestore import FileStore
     from ..array.stripe import Stripe
-    from ..codes.base import ArrayCode
 
 Position = tuple[int, int]
 
@@ -173,16 +179,15 @@ class ChecksumSidecar:
 class ScrubReport:
     """Outcome of one checksum scrub pass.
 
-    ``elements_checked`` counts readable cells whose CRC was compared;
-    ``repair_reads``/``repair_writes`` is the extra I/O the repairs
-    cost.  ``chain_repairs`` were fixed through a single parity chain,
-    ``escalations`` needed the full decoder (a poisoned chain), and
-    ``unrepaired`` lists positions left bad (only when ``repair=False``
-    or truly stuck).
+    ``elements_checked`` counts readable cells whose CRC was compared
+    (the detection reads); ``repair_reads``/``repair_writes`` is the
+    extra I/O the repairs cost.  ``chain_repairs`` were restored by a
+    stripe's compiled ``read`` plan, ``escalations`` by a rung-3 full
+    decode (a pattern the compiler rejects), and ``unrepaired`` lists
+    positions left bad (only when ``repair=False`` or truly stuck).
     """
 
     elements_checked: int = 0
-    scrub_reads: int = 0
     flips_detected: list[tuple[int, Position]] = field(default_factory=list)
     latent_detected: list[tuple[int, Position]] = field(default_factory=list)
     chain_repairs: int = 0
@@ -202,7 +207,6 @@ class ScrubReport:
     def to_dict(self) -> dict:
         return {
             "elements_checked": self.elements_checked,
-            "scrub_reads": self.scrub_reads,
             "flips_detected": [[i, list(p)] for i, p in self.flips_detected],
             "latent_detected": [[i, list(p)] for i, p in self.latent_detected],
             "chain_repairs": self.chain_repairs,
@@ -213,106 +217,53 @@ class ScrubReport:
         }
 
 
-def _repair_via_chain(
-    code: "ArrayCode",
-    stripe: "Stripe",
-    sidecar: ChecksumSidecar,
-    stripe_idx: int,
-    pos: Position,
-    bad: set[Position],
-    report: ScrubReport,
-) -> bool:
-    """Try to rebuild ``pos`` from one parity chain avoiding ``bad``.
-
-    A chain is usable when every other member is readable and not
-    itself suspected bad; the XOR of those members must match the
-    sidecar CRC, otherwise the chain was poisoned by an undetected
-    fault and the next chain is tried.
-    """
-    chains = list(code.chains_through[pos])
-    if pos in code.chain_at:
-        chains.append(code.chain_at[pos])
-    for chain in chains:
-        others = [c for c in chain.equation_cells if c != pos]
-        if any(c in bad or not stripe.readable(c) for c in others):
-            continue
-        candidate = stripe.xor_of(others)
-        report.repair_reads += len(others)
-        if crc_of(candidate) != sidecar.expected(stripe_idx, pos):
-            continue  # chain poisoned by another (undetected) fault
-        stripe.set(pos, candidate)
-        report.repair_writes += 1
-        return True
-    return False
-
-
 def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
     """Checksum-scrub every stripe of a store, repairing bad elements.
 
-    Works on healthy *and* degraded stores: erased columns are skipped
-    (their content is the rebuild orchestrator's job), every other cell
-    is CRC-verified.  Detected flips and latent errors are repaired
-    through a parity chain when one is clean, and by erasing all bad
-    cells and running the full decoder when not.  Raises
-    :class:`UnrecoverableFaultError` only when ``repair=True`` and even
-    the decoder cannot absorb the pattern.
+    Runs under the store's structural-op tripwire, on healthy *and*
+    degraded stores: erased cells are skipped (their content is the
+    rebuild's job), every other live cell is latent or CRC-checked, in
+    one batched :func:`crc_rows` call per stripe.  With
+    ``repair=True`` each flipped cell is marked latent — as
+    untrustworthy as a URE — and :meth:`FileStore._rebuild_stripe`
+    restores the stripe's latent cells: one compiled ``read`` plan over
+    its whole loss pattern (rung 3 when the compiler rejects it), every
+    restored cell CRC-checked before any lands.  Raises
+    :class:`UnrecoverableFaultError`, naming the stripe, when the
+    pattern exceeds the code or its decode fails a checksum; the bad
+    cells are then left latent, erased cells only in failed columns.
     """
-    code = store.code
-    sidecar = store.sidecar
     report = ScrubReport()
-    cols = code.cols
-    for stripe_idx, stripe in enumerate(store.stripes):
-        # Erased cells are the rebuild path's; a live cell is latent
-        # (not readable) or CRC-checked, in one batched call per stripe.
-        latent = np.flatnonzero(stripe.state == LATENT).tolist()
-        readable = np.flatnonzero(stripe.state == HEALTHY)
-        crcs = crc_rows(stripe.data, CellSlots(readable.tolist())).flat[readable]
-        expected = sidecar.stripes[stripe_idx].flat[readable]
-        flipped = readable[crcs != expected].tolist()
-        report.elements_checked += len(readable)
-        report.scrub_reads += len(readable)
-        report.latent_detected += [(stripe_idx, divmod(s, cols)) for s in latent]
-        report.flips_detected += [(stripe_idx, divmod(s, cols)) for s in flipped]
-        bad = {divmod(s, cols) for s in latent + flipped}
-        if not bad:
-            continue
-        if not repair:
-            report.unrepaired.extend((stripe_idx, p) for p in sorted(bad))
-            continue
-        # First pass: cheap single-chain repairs.
-        remaining: set[Position] = set()
-        for pos in sorted(bad):
-            if _repair_via_chain(
-                code, stripe, sidecar, stripe_idx, pos, bad - {pos}, report
-            ):
-                report.chain_repairs += 1
-            else:
-                remaining.add(pos)
-        # Escalation: erase everything still bad and run the decoder.
-        if remaining:
-            for pos in remaining:
-                stripe.erase(pos)
-            erased = set(stripe.erased_positions())
-            if not code.can_recover(erased):
-                report.unrepaired.extend((stripe_idx, p) for p in sorted(remaining))
+    cols = store.code.cols
+    plans: dict = {}
+    with store._exclusive("scrub"):
+        for stripe_idx, stripe in enumerate(store.stripes):
+            latent = np.flatnonzero(stripe.state == LATENT).tolist()
+            readable = np.flatnonzero(stripe.state == HEALTHY)
+            crcs = crc_rows(stripe.data, CellSlots(readable.tolist())).flat[readable]
+            expected = store.sidecar.stripes[stripe_idx].flat[readable]
+            flipped = readable[crcs != expected].tolist()
+            report.elements_checked += len(readable)
+            report.latent_detected += [(stripe_idx, divmod(s, cols)) for s in latent]
+            report.flips_detected += [(stripe_idx, divmod(s, cols)) for s in flipped]
+            bad = [(stripe_idx, divmod(s, cols)) for s in sorted(latent + flipped)]
+            if not bad:
+                continue
+            if not repair:
+                report.unrepaired += bad
+                continue
+            stripe.state.flat[flipped] = LATENT
+            try:
+                reads, escalated = store._rebuild_stripe(stripe_idx, None, plans)
+            except (UnrecoverableFaultError, ChecksumMismatchError) as exc:
+                report.unrepaired += bad
                 raise UnrecoverableFaultError(
-                    f"scrub: stripe {stripe_idx} has {len(erased)} bad/erased "
-                    f"cells, beyond {code.name}'s capability"
-                )
-            # Decode on a copy: failed columns must stay erased in the
-            # live stripe, only the scrubbed cells are written back.
-            work = stripe.copy()
-            code.decode(work, engine=store.engine)
-            report.repair_reads += sum(1 for p in code.layout if p not in erased)
-            for pos in sorted(remaining):
-                restored = work.get(pos)
-                if crc_of(restored) != sidecar.expected(stripe_idx, pos):
-                    raise UnrecoverableFaultError(
-                        f"scrub: stripe {stripe_idx} element {pos} decoded to "
-                        "content that fails its checksum — a second silent "
-                        "fault poisoned the decode"
-                    )
-                stripe.set(pos, restored)
-                report.repair_writes += 1
-            report.escalations += len(remaining)
+                    f"scrub: stripe {stripe_idx} cannot be healed: {exc}"
+                ) from exc
+            report.repair_reads += reads
+            report.repair_writes += len(bad)
+            if escalated:
+                report.escalations += len(bad)
+            else:
+                report.chain_repairs += len(bad)
     return report

@@ -19,6 +19,13 @@ rebuild-window data loss.  This module implements the ladder:
 
 Steps are cheap-first: a chain repair reads ``chain length - 1``
 elements, a full decode reads the whole surviving stripe.
+
+A :class:`~repro.array.filestore.FileStore` takes rungs 2 and 3
+together with one compiled plan per stripe loss pattern, and keeps
+:func:`decode_resilient` for the patterns the plan compiler rejects;
+its rebuilds and the checksum scrub (a flipped cell marked latent)
+restore cells through one routine,
+:meth:`~repro.array.filestore.FileStore._rebuild_stripe`.
 """
 
 from __future__ import annotations
@@ -41,12 +48,12 @@ class HealingStats:
 
     - ``chain_repairs``: lost or latent elements recomputed through
       parity chains — by rung 2, and each cell a ``FileStore`` read,
-      degraded write or rebuild computes with a compiled plan;
+      degraded write, rebuild or scrub computes with a compiled plan;
     - ``escalations``: rung-3 full decodes;
     - ``reads``: element reads charged here rather than to a store's
       :class:`~repro.array.iostats.IOStats` — rungs 1-3, and the
-      cells a ``FileStore.rebuild`` plan reads (degraded reads and
-      writes charge their plans' reads to ``IOStats``).
+      cells a ``FileStore`` rebuild or scrub plan reads (degraded reads
+      and writes charge their plans' reads to ``IOStats``).
     """
 
     def __init__(self) -> None:
@@ -77,8 +84,8 @@ def recover_element(
 ) -> np.ndarray:
     """Return the logical content of ``pos``, healing as needed.
 
-    Does not mutate the stripe — callers that want the repair persisted
-    (scrub, rebuild) write the returned buffer back themselves.
+    Does not mutate the stripe — a caller that wants the repair
+    persisted writes the returned buffer back itself.
     ``engine`` selects how a rung-3 full decode executes.
     """
     stats = stats if stats is not None else HealingStats()

@@ -14,9 +14,10 @@ adds only:
 - checkpoints every ``checkpoint_every`` stripes, so a rebuild
   interrupted by an :class:`UnrecoverableFaultError` can
   :meth:`resume` without redoing finished stripes;
-- a structured, deterministic :class:`RebuildReport`, filled from the
-  store's :class:`~repro.faults.healing.HealingStats` deltas, with
-  simulated seconds under the latency model.
+- a structured, deterministic :class:`RebuildReport`, filled from what
+  each stripe's repair returns — its charge to the store's
+  :class:`~repro.faults.healing.HealingStats`, as the checksum scrub
+  reads it too — with simulated seconds under the latency model.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class RebuildOrchestrator:
         plans: dict,
     ) -> None:
         """One stripe through :meth:`FileStore._rebuild_stripe`, with
-        the injector's clock ticked first and the report charged from
-        the store's ``healing`` counters afterwards."""
+        the injector's clock ticked first and the report charged the
+        reads the routine returns."""
         store = self.store
         rows = store.code.rows
         # Tick the injector clock: the fault process keeps running while
@@ -168,15 +169,13 @@ class RebuildOrchestrator:
         for r in range(rows):
             store._element_io(stripe_idx, (r, disk), "write")
         latent = len(store.stripes[stripe_idx].latent_positions())
-        healing = store.healing
-        reads, escalations = healing.reads, healing.escalations
         with store._exclusive("rebuild"):
-            store._rebuild_stripe(stripe_idx, disk, plans)
-        if healing.escalations > escalations:
+            reads, escalated = store._rebuild_stripe(stripe_idx, disk, plans)
+        if escalated:
             report.escalations += 1
-            report.escalation_reads += healing.reads - reads
+            report.escalation_reads += reads
         else:
-            report.chain_reads += healing.reads - reads
+            report.chain_reads += reads
         report.latent_hits += latent
         report.elements_repaired += rows + latent
 

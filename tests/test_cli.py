@@ -4,6 +4,17 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: ``faults --p 5 --seed 0 --scenarios 3 --stripes 2``, verbatim.
+SEEDED_FAULTS_TABLE = """\
+fault scenarios: p=5, seeds 0..2, 1 crash(es) + 1 URE(s) + 1 flip(s) per scenario
+code        survived  rebuild s  repair reads
+RDP           3/3        1.1170          36.7
+HDP           2/3        1.1197          20.0
+X-Code        3/3        1.3983          31.0
+H-Code        3/3        1.1193          35.7
+HV            3/3        1.1203          17.7
+"""
+
 
 class TestParser:
     def test_all_experiments_registered(self):
@@ -208,6 +219,15 @@ class TestFaultsCommand:
              "--flips", "0"]
         ) == 0
         assert "2 crash(es)" in capsys.readouterr().out
+
+    def test_seeded_table_is_pinned(self, capsys):
+        # Every column, repair pricing included: a change in what a
+        # scrub, degraded read or rebuild reads shows here.
+        assert main(
+            ["faults", "--p", "5", "--seed", "0", "--scenarios", "3",
+             "--stripes", "2"]
+        ) == 0
+        assert capsys.readouterr().out == SEEDED_FAULTS_TABLE
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "faults.txt"

@@ -1,9 +1,11 @@
 """Tests for CRC sidecars and the checksum scrub."""
 
+import numpy as np
 import pytest
 
 from repro import HVCode
 from repro.array.filestore import FileStore
+from repro.array.stripe import ERASED
 from repro.exceptions import UnrecoverableFaultError
 from repro.faults import ChecksumSidecar, scrub_store
 from repro.faults.checksum import crc_of
@@ -151,3 +153,17 @@ class TestScrubGivesUp:
         store.stripes[0].mark_latent((0, 2))
         with pytest.raises(UnrecoverableFaultError):
             store.scrub_checksums()
+
+    def test_give_up_leaves_bad_cells_latent(self):
+        store, _ = make_store()
+        store.fail_disk(0)
+        store.fail_disk(1)
+        stripe = store.stripes[0]
+        stripe.mark_latent((0, 2))
+        stripe.flip_bits((1, 3), 0, 0x01)
+        with pytest.raises(UnrecoverableFaultError, match="stripe 0"):
+            store.scrub_checksums()
+        # Erased cells only in the failed columns; the URE and the flip
+        # are latent, so a rebuild still wants them.
+        assert set(np.flatnonzero(stripe.state == ERASED) % store.code.cols) == {0, 1}
+        assert stripe.latent_positions() == [(0, 2), (1, 3)]

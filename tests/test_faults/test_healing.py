@@ -1,11 +1,14 @@
 """Tests for the self-healing escalation ladder."""
 
+import numpy as np
 import pytest
 
 from repro import HVCode, RDPCode
 from repro.array.filestore import FileStore
 from repro.codes.base import ArrayCode
 from repro.codes.evenodd import EvenOddCode
+from repro.codes.registry import get_code
+from repro.engine.compile import compile_plan
 from repro.exceptions import UnrecoverableFaultError
 from repro.faults import (
     HealingStats,
@@ -166,13 +169,30 @@ class TestRepairPathsDecodeOnTheStoresEngine:
         assert decode_engines == ["fused"]
 
     def test_scrub_escalation(self, decode_engines):
+        # A flip beside two latent cells of one Cauchy-RS row: the rank
+        # oracle accepts the pattern, the plan compiler rejects it.
+        store, payload = self.make_store("fused", get_code("Cauchy-RS", 5))
+        stripe = store.stripes[1]
+        stripe.flip_bits((0, 0), 3)
+        stripe.mark_latent((0, 2))
+        stripe.mark_latent((0, 3))
+        report = store.scrub_checksums()
+        assert report.escalations == 3
+        assert decode_engines and set(decode_engines) == {"fused"}
+        assert store.read(0, len(payload)) == payload
+        assert store.scrub_checksums(repair=False).clean
+
+    def test_scrub_heals_poisoned_chains_by_plan(self, decode_engines):
         store, payload = self.make_store("fused")
         stripe = store.stripes[1]
         stripe.flip_bits((0, 0), 3)
         poison_chains(store.code, stripe, (0, 0))
+        lost = (0, *np.flatnonzero(stripe.state).tolist())
+        plan = compile_plan(store.code, "read", (lost, lost, ()))
         report = store.scrub_checksums()
-        assert report.escalations >= 1
-        assert decode_engines and set(decode_engines) == {"fused"}
+        assert (report.chain_repairs, report.escalations) == (len(lost), 0)
+        assert report.repair_reads == len(plan.reads)
+        assert decode_engines == []
         assert store.read(0, len(payload)) == payload
         assert store.scrub_checksums(repair=False).clean
 
