@@ -75,7 +75,7 @@ the stack benchmark (``python3 -m bench``), and the end-to-end tests.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -408,7 +408,7 @@ class FileStore:
             stripes_rolled += 1
             if self.journal is not None:
                 undo = [
-                    JournalPiece(r * cols + c, 0, b"", old.tobytes())
+                    JournalPiece(r * cols + c, 0, b"", old)
                     for (r, c), old in entry.old.items()
                 ]
                 self.stats.record_journal(self.journal.log_discard(idx, undo))
@@ -417,7 +417,7 @@ class FileStore:
                 r, c = pos
                 if stripe.state[r, c] == ERASED:
                     continue
-                stripe.data[r, c] = old
+                memoryview(stripe.data[r, c])[:] = old
                 stripe.state[r, c] = HEALTHY
                 elements += 1
                 self.stats.record_write(c)
@@ -655,14 +655,15 @@ class FileStore:
 
     def scrub(self) -> list[int]:
         """Verify parity of every healthy stripe; return bad indices."""
-        if self.failed_disks:
-            raise InvalidParameterError("scrub requires a healthy array")
-        self.flush()
-        return [
-            idx
-            for idx, stripe in enumerate(self.stripes)
-            if not self.code.verify(stripe)
-        ]
+        with self._exclusive("scrub"):
+            if self.failed_disks:
+                raise InvalidParameterError("scrub requires a healthy array")
+            self.flush()
+            return [
+                idx
+                for idx, stripe in enumerate(self.stripes)
+                if not self.code.verify(stripe)
+            ]
 
     def scrub_checksums(self, repair: bool = True) -> "ScrubReport":
         """CRC-scrub every element, repairing flips and latent errors.
@@ -1066,22 +1067,26 @@ class FileStore:
         popped.  Each flushed stripe is journal-committed once its
         parity and sidecars are durable.
         """
-        groups: dict[tuple[int, ...], list[tuple[int, DirtyStripe]]] = {}
+        batches: list[tuple[tuple[int, ...], list[tuple[int, DirtyStripe]]]] = []
         flushed = 0
         cols = self._cols
         for idx, entry in entries:
             if not entry.old:
                 continue
             flushed += 1
+            pattern = entry.pattern(cols)
             if self.stripes[idx].any_faults():
                 # A lost or latent cell cannot feed a re-encode.
-                plan = self._compiler.compile_plan(
-                    self.code, "update", entry.pattern(cols)
-                )
+                plan = self._compiler.compile_plan(self.code, "update", pattern)
                 self._flush_group_rmw(plan, [(idx, entry)], faulted=True)
-                continue
-            groups.setdefault(entry.pattern(cols), []).append((idx, entry))
-        for pattern, group in sorted(groups.items()):
+            else:
+                batches.append((pattern, [(idx, entry)]))
+        if len(batches) > 1:  # a lone eviction has nothing to group or order
+            groups: dict[tuple[int, ...], list[tuple[int, DirtyStripe]]] = {}
+            for pattern, group in batches:
+                groups.setdefault(pattern, []).extend(group)
+            batches = sorted(groups.items())
+        for pattern, group in batches:
             strategy, plan = self._compiler.choose_update_strategy(self.code, pattern)
             if strategy == "reencode":
                 self._flush_group_reencode(pattern, group)
@@ -1106,7 +1111,7 @@ class FileStore:
         cells = plan.pattern_positions
         indices, _ = zip(*group)
         stripes = self.stripes
-        pres = [
+        pres: list[dict[int, bytes | np.ndarray]] = [
             {
                 slot: stripes[idx].data[pos]
                 if faulted and stripes[idx].state[pos] == ERASED
@@ -1147,7 +1152,7 @@ class FileStore:
         self,
         plan: "XorPlan",
         indices: "Sequence[int]",
-        pres: list[dict[int, np.ndarray]],
+        pres: "Sequence[Mapping[int, bytes | np.ndarray]]",
         *,
         faulted: bool,
     ) -> None:
@@ -1157,50 +1162,45 @@ class FileStore:
         ``pres[i]`` maps every slot of ``plan.pattern`` to what stripe
         ``indices[i]`` held there before, so ``live ⊕ pre`` is the delta.
         The engine's :meth:`~repro.engine.backends.KernelBackend.update`
-        computes them: a kernel backend runs the compiled plan, the
+        computes them — a kernel backend runs the compiled plan, the
         ``python`` oracle walks the chains
-        (:meth:`ArrayCode.apply_parity_deltas`).
+        (:meth:`ArrayCode.apply_parity_deltas`) — and re-checksums the
+        touched cells into the stripes' sidecar rows.
 
-        Then every parity is read, rewritten and re-checksummed with the
-        live pattern cells, in one :meth:`ChecksumSidecar.record_stripe`
-        call per stripe — except, when the stripes are ``faulted`` (may
-        hold lost or latent cells; a flush group never does), a parity
-        on a failed disk.  Its slot is zero (:meth:`Stripe.erase`), so it
-        holds exactly its delta, which nested chains saw; its disk is
-        neither read nor written, its CRC advances by that delta (CRC32
-        is affine over XOR) and the slot is zeroed again.  A latent
-        parity is healed by its rewrite.  A lost pattern cell's CRC, the
-        data side of the ledger and the journal commit are the caller's.
+        Every parity is read and rewritten — except, when the stripes
+        are ``faulted`` (may hold lost or latent cells; a flush group
+        never does), a parity on a failed disk.  Its slot is zero
+        (:meth:`Stripe.erase`), so it holds exactly its delta, which
+        nested chains saw; its disk is neither read nor written, its CRC
+        advances by that delta (CRC32 is affine over XOR) and the slot
+        is zeroed again.  A latent parity is healed by its rewrite.  A
+        lost pattern cell keeps its CRC; its new one, the data side of
+        the ledger and the journal commit are the caller's.
         """
         stripes = [self.stripes[idx] for idx in indices]
-        self._backend.update(self.code, plan, stripes, pres, stats=self.stats)
+        sums = [self.sidecar.stripes[idx] for idx in indices]
+        # A lost slot's CRC from before the call: a lost pattern cell's
+        # goes back as it was, a lost parity's (its slot holds its delta)
+        # advances by it, crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
+        before = [crcs.copy() for crcs in sums] if faulted else []
+        self._backend.update(self.code, plan, stripes, pres, stats=self.stats, sums=sums)
         if self._crash_hook is not None:
             self._crash_hook("parity-write")
-        touched, parity_disks = plan.derived("fold_cells", _fold_cells)
+        rewritten = plan.derived("parity_disks", _parity_disks)
         cols = self._cols
-        for idx, stripe in zip(indices, stripes):
-            rewritten = parity_disks
+        for i, stripe in enumerate(stripes):
             if faulted:
-                loss = self._loss(stripe)
-                crcs = self.sidecar.stripes[idx]
-                # The one re-checksum below covers every touched slot, but
-                # a lost slot's CRC is logical: a lost pattern cell's is put
-                # back as it was, a lost parity's (its slot holds its delta)
-                # advanced by it, crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
-                lost_cells = {s: crcs.flat[s] for s in plan.pattern if s in loss.erased}
-                lost_parities = {s: crcs.flat[s] for s in plan.outputs if s in loss.erased}
+                loss, crcs, old = self._loss(stripe), sums[i].flat, before[i].flat
                 for s in plan.outputs:
                     if s in loss.latent:
                         stripe.state.flat[s] = HEALTHY  # healed by its rewrite
-                self.sidecar.record_stripe(idx, stripe, touched)
-                for s, crc in lost_cells.items():
-                    crcs.flat[s] = crc
-                for s, crc in lost_parities.items():
-                    crcs.flat[s] ^= crc ^ _zeros_crc(self.element_size)
-                    stripe.data[divmod(s, cols)] = 0
+                    elif s in loss.erased:
+                        crcs[s] ^= old[s] ^ _zeros_crc(self.element_size)
+                        stripe.data[divmod(s, cols)] = 0
+                for s in plan.pattern:
+                    if s in loss.erased:
+                        crcs[s] = old[s]
                 rewritten = [s % cols for s in plan.outputs if s not in loss.erased]
-            else:
-                self.sidecar.record_stripe(idx, stripe, touched)
             self.stats.record_reads(rewritten)
             self.stats.record_writes(rewritten)
             self.parity_writes += len(rewritten)
@@ -1220,7 +1220,6 @@ def _fetched_disks(plan: "XorPlan") -> list[int]:
     return [slot % plan.cols for slot in {*plan.pattern[2], *plan.reads}]
 
 
-def _fold_cells(plan: "XorPlan") -> tuple[CellSlots, list[int]]:
-    """What :meth:`FileStore._fold` re-checksums on a healthy stripe
-    (the pattern and output slots) and the disks it rewrites, per plan."""
-    return CellSlots(plan.pattern + plan.outputs), [c for _, c in plan.output_positions]
+def _parity_disks(plan: "XorPlan") -> list[int]:
+    """The disks :meth:`FileStore._fold` rewrites on a healthy stripe."""
+    return [c for _, c in plan.output_positions]

@@ -31,14 +31,14 @@ Position = tuple[int, int]
 class DirtyStripe:
     """Dirty state of one cached stripe.
 
-    ``old`` holds a pre-image copy of each dirty element, taken on its
-    *first* overwrite — later writes to the same element only touch the
-    live buffer, which is exactly how the cache absorbs rewrites of a
-    hot element.  Its keys are the dirty set.
+    ``old`` holds a pre-image copy of each dirty element, as ``bytes``,
+    taken on its *first* overwrite — later writes to the same element
+    only touch the live buffer, which is exactly how the cache absorbs
+    rewrites of a hot element.  Its keys are the dirty set.
     """
 
     def __init__(self) -> None:
-        self.old: dict[Position, np.ndarray] = {}
+        self.old: dict[Position, bytes] = {}
 
     def snapshot(self, pos: Position, current: np.ndarray) -> bool:
         """Record ``pos`` dirty; copy its pre-image (``current``, the
@@ -51,9 +51,9 @@ class DirtyStripe:
             return False
         # Copied out as bytes, not ``current.copy()``: numpy drops the
         # GIL for copies above 500 elements and a waiting thread would
-        # take it mid-write (docs/ENGINE.md).  The pre-image is never
-        # written to, so a read-only array over the bytes serves.
-        self.old[pos] = np.frombuffer(current.tobytes(), dtype=np.uint8)
+        # take it mid-write (docs/ENGINE.md).  Its readers take bytes
+        # through the buffer protocol, so no array is wrapped around it.
+        self.old[pos] = current.tobytes()
         return True
 
     def dirty_positions(self) -> list[Position]:

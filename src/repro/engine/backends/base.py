@@ -100,20 +100,24 @@ class KernelBackend:
         code: "ArrayCode",
         plan: "XorPlan",
         stripes: Sequence[Stripe],
-        olds: "Sequence[Mapping[int, np.ndarray]]",
+        olds: "Sequence[Mapping[int, bytes | np.ndarray]]",
         *,
         stats: "IOStats | None" = None,
+        sums: "Sequence[np.ndarray] | None" = None,
     ) -> None:
         """Fold an ``update`` plan's parity deltas into live stripes.
 
         Each of ``stripes`` already holds its *new* data; ``olds[i]``
         maps every dirty cell slot of ``plan.pattern`` to the bytes
-        ``stripes[i]`` held there before.  The group's ``old ⊕ new``
-        deltas are built in one :class:`StripeBatch`, the plan runs
-        over it through :meth:`execute`, and
-        :func:`~repro.engine.executor.apply_update` folds each parity
-        delta into its stripe — so a backend that implements only
-        :meth:`execute` has a correct parity update.
+        ``stripes[i]`` held there before (``bytes`` or a uint8 array).
+        The group's ``old ⊕ new`` deltas are built in one
+        :class:`StripeBatch`, the plan runs over it through
+        :meth:`execute`, and :func:`~repro.engine.executor.apply_update`
+        folds each parity delta into its stripe — so a backend that
+        implements only :meth:`execute` has a correct parity update.
+        Given ``sums`` (``sums[i]`` the uint32 CRC per cell of
+        ``stripes[i]``, its sidecar row), the CRC of every cell the fold
+        touched, ``plan.pattern + plan.outputs``, is refreshed there.
         """
         cells = plan.pattern_positions
         delta = StripeBatch(
@@ -121,11 +125,13 @@ class KernelBackend:
         )
         for i, (stripe, old) in enumerate(zip(stripes, olds)):
             for slot, pos in zip(plan.pattern, cells):
-                np.bitwise_xor(stripe.data[pos], old[slot], out=delta.data[i][pos])
+                pre = np.frombuffer(old[slot], dtype=np.uint8)
+                np.bitwise_xor(stripe.data[pos], pre, out=delta.data[i][pos])
         self.execute(plan, delta, stats=stats)
         # Through the module, so whoever instruments ``apply_update``
         # on ``repro.engine.executor`` sees this call too.
         _executor.apply_update(plan, delta, stripes, stats=stats)
+        refresh_sums(plan, stripes, sums)
 
     def gather(
         self,
@@ -188,6 +194,18 @@ def scratch_steps(plan: "XorPlan") -> "tuple[tuple[XorStep, ...], int]":
         for step in plan.steps
     )
     return steps, len(moved) + plan.num_temps
+
+
+def refresh_sums(
+    plan: "XorPlan", stripes: "Sequence[Stripe]", sums: "Sequence[np.ndarray] | None"
+) -> None:
+    """:meth:`KernelBackend.update`'s ``sums`` contract, after a fold."""
+    if sums is not None:
+        from ...faults.checksum import CellSlots, crc_rows  # faults builds on engine
+
+        touched = plan.derived("touched_cells", lambda p: CellSlots(p.pattern + p.outputs))
+        for stripe, crcs in zip(stripes, sums):
+            crc_rows(stripe.data, touched, crcs)
 
 
 def split_targets(target: Target) -> "list[Stripe | StripeBatch]":

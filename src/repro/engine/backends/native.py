@@ -27,7 +27,8 @@ auto-vectorize the byte XOR loops to the same SIMD the uint64 view
 would get.
 
 The library also carries the checksum sidecar's CRC-32, zlib's values
-(``crc32_cells``, behind :func:`repro.faults.checksum.crc_rows`): a
+(``crc32_cells``, behind :func:`repro.faults.checksum.crc_rows` and at
+the end of ``xor_update_crc``, a flushed stripe's fold): a
 PCLMULQDQ fold through GCC vector builtins where the build has
 ``__PCLMUL__`` and ``__SSE4_1__`` (an intrinsics header would slow the
 compile), slicing-by-8 tables otherwise.
@@ -246,14 +247,26 @@ void crc32_cells(const uint8_t *base, ptrdiff_t cell_bytes,
         out[slots[i]] = ~crc;
     }
 }
+
+/* A flushed stripe's fold and its CRC refresh: the update schedule over
+ * buf (one lane), then crc32_cells over the n cells in slots. */
+void xor_update_crc(uint8_t *buf, uint8_t *scratch, ptrdiff_t cell_bytes,
+                    const int32_t *enc, int32_t n_steps, int32_t num_cells,
+                    ptrdiff_t tile, const int32_t *slots, ptrdiff_t n, uint32_t *out)
+{
+    xor_exec_plan(buf, scratch, 1, 0, cell_bytes, enc, n_steps, num_cells, tile);
+    crc32_cells(buf, cell_bytes, slots, n, out);
+}
 """
 
 class _Kernel(NamedTuple):
-    """One loaded library: ``xor_exec_plan`` through ``CDLL`` (a call
-    releases the GIL), ``crc32_cells`` through ``PYFUNCTYPE`` (it holds it)."""
+    """One loaded library: ``xor_exec_plan`` and ``xor_update_crc``
+    through ``CDLL`` (a call releases the GIL), ``crc32_cells`` through
+    ``PYFUNCTYPE`` (it holds it)."""
 
     xor: "ctypes._CFuncPtr"
     crc: "ctypes._CFuncPtr"
+    update: "ctypes._CFuncPtr"
 
 
 #: Lazily-populated compile state: None = not tried, False = failed,
@@ -310,12 +323,15 @@ def _compile_kernel(
         ptr, size, i32 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int32
         try:
             xor = dll.xor_exec_plan
+            update = dll.xor_update_crc
             crc = ctypes.PYFUNCTYPE(None, ptr, size, ptr, size, ptr)(("crc32_cells", dll))
         except AttributeError:
             return "missing symbol"
     xor.argtypes = [ptr, ptr, size, size, size, ptr, i32, i32, size]
-    xor.restype = None
-    return _Kernel(xor, crc)
+    buf = ctypes.POINTER(ctypes.c_ubyte)
+    update.argtypes = [buf, buf, size, ptr, i32, i32, size, ptr, size, buf]
+    xor.restype = update.restype = None
+    return _Kernel(xor, crc, update)
 
 
 def _address(buf: np.ndarray) -> int:
@@ -344,10 +360,14 @@ class _Schedule:
     (:meth:`XorPlan.derived`), so a schedule is freed with its plan.
     """
 
-    __slots__ = ("enc", "addr", "n_steps", "scratch_rows", "xors")
+    __slots__ = ("enc", "addr", "n_steps", "scratch_rows", "xors", "cells", "crc_slots", "n_crc")
 
     def __init__(
-        self, steps: "Iterable[tuple[int, Sequence[int]]]", scratch_rows: int = 0
+        self,
+        steps: "Iterable[tuple[int, Sequence[int]]]",
+        scratch_rows: int = 0,
+        cells: int = 0,
+        crc_slots: "Sequence[int]" = (),
     ) -> None:
         enc: list[int] = []
         self.n_steps = self.xors = 0
@@ -355,11 +375,14 @@ class _Schedule:
             enc += (dst, len(srcs), *srcs)
             self.n_steps += 1
             self.xors += len(srcs) - 1
-        #: the program; ``addr`` is only valid while this array lives
-        self.enc = np.asarray(enc, dtype=np.int32)
+        #: the program, then ``crc_slots``; the addresses are only valid
+        #: while this array lives
+        self.enc = np.asarray([*enc, *crc_slots], dtype=np.int32)
         self.addr = self.enc.ctypes.data
-        #: update schedules: scratch rows to allocate per call
-        self.scratch_rows = scratch_rows
+        #: update schedules: scratch rows to allocate per call, the
+        #: stripe's cells, and the slots whose CRCs a call refreshes
+        self.scratch_rows, self.cells = scratch_rows, cells
+        self.crc_slots, self.n_crc = self.addr + 4 * len(enc), len(crc_slots)
 
 
 def _plain_schedule(plan: "XorPlan") -> _Schedule:
@@ -397,6 +420,10 @@ def _update_schedule(plan: "XorPlan") -> _Schedule:
     rows, so a plan that reads any other cell before writing it is
     refused here, once, instead of computing on garbage.
     """
+    if plan.op != "update":
+        raise InvalidParameterError(
+            f"execute_update needs an 'update' plan, got {plan.op!r}"
+        )
     dirty = set(plan.pattern)
     undefined = sorted(set(plan.reads) - dirty)
     if undefined:
@@ -424,7 +451,8 @@ def _update_schedule(plan: "XorPlan") -> _Schedule:
         for out in plan.outputs:
             yield out, (out, delta_slot(out))  # parity ^= delta
 
-    return _Schedule(program(), scratch_rows=len(touched) + plan.num_temps)
+    rows = len(touched) + plan.num_temps
+    return _Schedule(program(), rows, ncells, plan.pattern + plan.outputs)
 
 
 class NativeBackend(KernelBackend):
@@ -517,67 +545,68 @@ class NativeBackend(KernelBackend):
         code: "ArrayCode",
         plan: "XorPlan",
         stripes: "Sequence[Stripe]",
-        olds: "Sequence[Mapping[int, np.ndarray]]",
+        olds: "Sequence[Mapping[int, bytes | np.ndarray]]",
         *,
         stats: "IOStats | None" = None,
+        sums: "Sequence[np.ndarray] | None" = None,
     ) -> None:
-        """One fused :meth:`execute_update` call per stripe: no delta
-        batch, no separate fold."""
-        for stripe, old in zip(stripes, olds):
-            self.execute_update(plan, stripe, old, stats=stats)
+        """One fused :meth:`execute_update` call per stripe, its CRC
+        refresh inside: no delta batch, no separate fold."""
+        for i, (stripe, old) in enumerate(zip(stripes, olds)):
+            crcs = None if sums is None else sums[i]
+            self.execute_update(plan, stripe, old, stats=stats, sums=crcs)
 
     def execute_update(
         self,
         plan: "XorPlan",
         stripe: "Stripe",
-        old: "Mapping[int, np.ndarray]",
+        old: "Mapping[int, bytes | np.ndarray]",
         *,
         stats: "IOStats | None" = None,
+        sums: np.ndarray | None = None,
     ) -> None:
         """Fold an update plan's parity deltas into a live stripe.
 
-        One C call covers what the numpy flush path spreads over three
-        layers (delta build, plan execution, ``apply_update``):
+        One C call covers what the numpy flush path spreads over four
+        layers (delta build, plan execution, ``apply_update``, CRC):
         ``stripe`` holds the *new* data, ``old`` maps each dirty cell
         slot (``r * cols + c``) to its pre-image bytes, and on return
-        every dirtied parity cell has been updated in place.  The
-        extended schedule is kept on the plan like the plain one.
+        every dirtied parity cell has been updated in place and, given
+        ``sums`` (the stripe's uint32 CRC per cell), the CRC of every
+        cell the plan touched is in it.  The extended schedule is kept
+        on the plan like the plain one.
         """
-        kernel = _kernel()
+        kernel = _KERNEL or _kernel()
         if kernel is None:
             raise InvalidParameterError(
                 "native backend unavailable on this host (no C compiler); "
                 "use engine='auto' for graceful fallback"
             )
-        if plan.op != "update":
-            raise InvalidParameterError(
-                f"execute_update needs an 'update' plan, got {plan.op!r}"
-            )
         schedule = plan.derived("native_update_schedule", _update_schedule)
         _check_geometry(plan, stripe)
+        crcs, n_crc = None, 0  # no sums: the kernel checksums no cell
+        if sums is not None:
+            if sums.dtype != np.uint32 or sums.size != schedule.cells:
+                raise InvalidParameterError("sums must hold one uint32 CRC per cell")
+            crcs, n_crc = ctypes.c_ubyte.from_buffer(sums), schedule.n_crc
         cell_bytes = stripe.element_size
         # Every row but the pre-images is written before it is read.
         # Filled through the buffer protocol: a numpy assignment above
         # 500 elements drops the GIL around the copy (docs/ENGINE.md).
-        scratch = np.empty(schedule.scratch_rows * cell_bytes, dtype=np.uint8)
-        rows = memoryview(scratch)
+        rows = memoryview(np.empty(schedule.scratch_rows * cell_bytes, dtype=np.uint8))
         try:
-            for start, slot in zip(range(0, len(rows), cell_bytes), plan.pattern):
-                rows[start : start + cell_bytes] = old[slot]
+            for i, slot in enumerate(plan.pattern):
+                rows[i * cell_bytes : (i + 1) * cell_bytes] = old[slot]
         except KeyError as exc:
             raise InvalidParameterError(
                 f"missing pre-image for dirty slot {exc.args[0]}"
             ) from None
-        kernel.xor(
-            _address(stripe.data),
-            _address(scratch),
-            1,
-            0,
-            cell_bytes,
-            schedule.addr,
-            schedule.n_steps,
-            plan.num_cells,
-            min(cell_bytes, NATIVE_TILE_BYTES),
+        # Buffers go as ``c_ubyte`` views, taken by reference by their
+        # pointer parameters; the kernel clips the last tile to the cell.
+        kernel.update(
+            ctypes.c_ubyte.from_buffer(stripe.data), ctypes.c_ubyte.from_buffer(rows),
+            cell_bytes, schedule.addr, schedule.n_steps, schedule.cells, NATIVE_TILE_BYTES,
+            schedule.crc_slots, n_crc, crcs,
         )
         if stats is not None:
             stats.record_xor(schedule.xors * max(cell_bytes // 8, 1), 1)

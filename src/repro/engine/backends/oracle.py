@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ...array.stripe import ERASED, LATENT
 from ...exceptions import InvalidParameterError
-from .base import KernelBackend
+from .base import KernelBackend, refresh_sums
 
 if TYPE_CHECKING:
     from collections.abc import Mapping, Sequence
-
-    import numpy as np
 
     from ...array.iostats import IOStats
     from ...array.stripe import Stripe
@@ -60,13 +60,19 @@ class PythonOracle(KernelBackend):
         code: ArrayCode,
         plan: XorPlan,
         stripes: Sequence[Stripe],
-        olds: Sequence[Mapping[int, np.ndarray]],
+        olds: Sequence[Mapping[int, bytes | np.ndarray]],
         *,
         stats: IOStats | None = None,
+        sums: Sequence[np.ndarray] | None = None,
     ) -> None:
         """Fold each stripe's ``live ⊕ old`` deltas into its chains
-        (:meth:`ArrayCode.apply_parity_deltas`)."""
+        (:meth:`ArrayCode.apply_parity_deltas`), then refresh ``sums``
+        as every backend does."""
         cells = plan.pattern_positions
         for stripe, old in zip(stripes, olds):
-            deltas = {pos: stripe.data[pos] ^ old[slot] for slot, pos in zip(plan.pattern, cells)}
+            deltas = {
+                pos: stripe.data[pos] ^ np.frombuffer(old[slot], np.uint8)
+                for slot, pos in zip(plan.pattern, cells)
+            }
             code.apply_parity_deltas(stripe, deltas)
+        refresh_sums(plan, stripes, sums)

@@ -155,8 +155,7 @@ class ChecksumSidecar:
     ) -> None:
         """Recompute the CRCs of ``cells`` of one stripe — every cell
         when ``None`` — as :meth:`record` would one by one, in one
-        :func:`crc_rows` call (a flush passes the :class:`CellSlots`
-        its plan keeps)."""
+        :func:`crc_rows` call."""
         if cells is None:
             cells = self._every
         elif not isinstance(cells, CellSlots):

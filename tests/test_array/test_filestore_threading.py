@@ -135,6 +135,35 @@ class TestCrossThreadInterleaveDetected:
         assert store.scrub_checksums().flips_detected == [(0, (0, 0))]
         assert store.scrub_checksums(repair=False).clean
 
+    def test_parity_scrub_while_another_thread_holds_the_lock(self):
+        """``scrub()`` is a structural op too: a write-through store's
+        flush returns before the tripwire, so the verify loop would run
+        unguarded beside the holder; refused, it touches nothing."""
+        store = FileStore(get_code("HV", 5), element_size=32)
+        store.write(0, bytes(range(64)))
+        stripe = store.stripes[0]
+        stripe.data[0, 0, 0] ^= 0x01  # a torn stripe for the verify to find
+        data, state = stripe.data.copy(), stripe.state.copy()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with store.lock:
+                held.set()
+                release.wait(5.0)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(5.0)
+            with pytest.raises(ConcurrentMutationError):
+                store.scrub()
+        finally:
+            release.set()
+            holder.join(timeout=5.0)
+        assert not holder.is_alive()
+        assert (stripe.data == data).all() and (stripe.state == state).all()
+        assert store.scrub() == [0]
+
     def test_flush_that_skips_a_held_shard_lock(self):
         """The shard lock is the store's lock: bypassing it is caught
         even when the holder is not inside a structural op."""

@@ -20,6 +20,7 @@ import re
 import subprocess
 import sys
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro import (
 )
 from repro.array.filestore import FileStore
 from repro.array.iostats import IOStats
-from repro.array.stripe import StripeBatch
+from repro.array.stripe import ERASED, HEALTHY, StripeBatch
 from repro.codes.registry import EVALUATED_CODE_NAMES, get_code
 from repro.engine import (
     ENGINE_CHOICES,
@@ -514,6 +515,93 @@ class TestUpdateContract:
         assert stripe == before
 
 
+#: The engines a store can fold with: the oracle and each kernel backend.
+FOLD_ENGINES = [
+    "python",
+    "fused",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(not NATIVE_AVAILABLE, reason="no C compiler on this host"),
+    ),
+]
+
+POISON = 0xDEADBEEF
+
+
+@pytest.mark.parametrize("engine", FOLD_ENGINES)
+class TestUpdateRefreshesSums:
+    """``update(..., sums=)``: the CRC of every cell the fold touched
+    (``plan.pattern + plan.outputs``) is refreshed from the live bytes,
+    every other entry is left as it was — on each engine."""
+
+    @pytest.mark.parametrize("name", ["HV", "RDP", "EVENODD"])
+    def test_healthy_stripes(self, engine, name):
+        code = get_code(name, 7)
+        cells = code.data_positions[2:4]
+        plan = compile_plan(code, "update", cells)
+        touched = set(plan.pattern + plan.outputs)
+        rng = np.random.default_rng(len(name))
+        live = [code.random_stripe(element_size=24, seed=s) for s in range(2)]
+        olds = []
+        for stripe in live:
+            # bytes, as the write-back cache keeps its pre-images
+            olds.append({plan.slot_of(pos): stripe.data[pos].tobytes() for pos in cells})
+            for pos in cells:
+                stripe.data[pos] = rng.integers(0, 256, 24, dtype=np.uint8)
+        sums = [np.full((code.rows, code.cols), POISON, np.uint32) for _ in live]
+        resolve_backend(engine).update(
+            code, plan, live, olds, stats=IOStats(code.cols), sums=sums
+        )
+        for stripe, crcs in zip(live, sums):
+            assert code.verify(stripe)
+            cells_of = stripe.flat_view()
+            for slot in range(code.rows * code.cols):
+                expected = zlib.crc32(cells_of[slot]) if slot in touched else POISON
+                assert crcs.flat[slot] == expected, slot
+
+    @staticmethod
+    def _faulted_write(engine, poison):
+        """A write-through HV@5 write to (0, 0), whose chains end in (0, 1)
+        (its disk failed) and (0, 3) (latent), through ``FileStore._fold``;
+        beside it the same writes on a healthy ``python`` twin.  Returns
+        the store, the twin and the twin's CRC row before the write."""
+        code = get_code("HV", 5)
+        store = FileStore(code, element_size=16, engine=engine)
+        twin = FileStore(code, element_size=16)
+        fill = bytes(np.random.default_rng(5).integers(0, 256, 96, dtype=np.uint8))
+        for target in (store, twin):
+            target.write(0, fill)
+        plan = compile_plan(code, "update", ((0, 0),))
+        assert plan.output_positions == ((0, 1), (0, 3))
+        store.fail_disk(1)
+        store.stripes[0].mark_latent((0, 3))
+        if poison:
+            store.sidecar.stripes[0][:] = POISON
+        before = twin.sidecar.stripes[0].copy()
+        for target in (store, twin):
+            target.write(3, b"new bytes")
+        return store, twin, before
+
+    def test_faulted_stripe_keeps_logical_crcs(self, engine):
+        store, twin, _ = self._faulted_write(engine, poison=False)
+        stripe = store.stripes[0]
+        assert stripe.state[0, 3] == HEALTHY and stripe.state[0, 1] == ERASED
+        assert not stripe.data[0, 1].any()
+        assert (store.sidecar.stripes[0] == twin.sidecar.stripes[0]).all()
+        assert store.scrub_checksums(repair=False).clean
+
+    def test_faulted_stripe_touches_only_its_cells(self, engine):
+        store, twin, before = self._faulted_write(engine, poison=True)
+        crcs, after = store.sidecar.stripes[0], twin.sidecar.stripes[0]
+        for r, c in np.ndindex(crcs.shape):
+            if (r, c) in ((0, 0), (0, 3)):  # live: the live cell's CRC
+                assert crcs[r, c] == zlib.crc32(store.stripes[0].data[r, c])
+            elif (r, c) == (0, 1):  # lost parity: advanced by its delta
+                assert crcs[r, c] == POISON ^ before[r, c] ^ after[r, c]
+            else:
+                assert crcs[r, c] == POISON, (r, c)
+
+
 @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="no C compiler on this host")
 class TestNativeUpdate:
     """The end-to-end native update path: delta build, remapped plan,
@@ -670,6 +758,27 @@ class TestNativeUpdate:
         _, plan = choose_update_strategy(code, pattern)
         with pytest.raises(InvalidParameterError, match="pre-image"):
             backend.execute_update(plan, stripe, {})
+
+    def test_malformed_sums_are_refused(self):
+        from repro.engine.compile import choose_update_strategy
+
+        code = get_code("HV", 7)
+        stripe = code.random_stripe(element_size=8, seed=0)
+        pattern = tuple(
+            sorted(r * code.cols + c for (r, c) in code.data_positions[:2])
+        )
+        _, plan = choose_update_strategy(code, pattern)
+        old = {slot: np.zeros(8, dtype=np.uint8) for slot in pattern}
+        before = stripe.copy()
+        for sums in (
+            np.zeros((code.rows, code.cols), np.uint8),
+            np.zeros((code.rows, code.cols), np.int64),
+            np.zeros(code.rows * code.cols - 1, np.uint32),
+        ):
+            with pytest.raises(InvalidParameterError, match="sums"):
+                get_backend("native").execute_update(plan, stripe, old, sums=sums)
+            assert not sums.any()
+        assert stripe == before
 
     def test_filestore_native_flush_matches_python_store(self):
         """A cached native-engine store lands the same bytes (data and
