@@ -5,7 +5,7 @@ The package is organized as:
 - :mod:`repro.core` — HV Code itself (the paper's contribution).
 - :mod:`repro.codes` — the baseline array codes the paper compares
   against (RDP, HDP, X-Code, H-Code) plus extensions (EVENODD, P-Code,
-  Reed-Solomon), all built on a shared parity-chain framework.
+  Liberation, Cauchy-RS), all built on a shared parity-chain framework.
 - :mod:`repro.gf` / :mod:`repro.xor` — arithmetic substrates.
 - :mod:`repro.array` — a discrete disk-array simulator (the paper's
   physical testbed, substituted per DESIGN.md).
@@ -61,7 +61,6 @@ from .exceptions import (
     GFDomainError,
     StaticAnalysisError,
     CertificationError,
-    LintViolationError,
 )
 from .codes.base import ArrayCode, ElementKind, ParityChain, Position
 from .codes.registry import available_codes, get_code, evaluated_codes
@@ -74,7 +73,6 @@ from .codes.hcode import HCode
 from .codes.pcode import PCode
 from .codes.liberation import LiberationCode
 from .codes.cauchy import CauchyRSCode
-from .codes.reed_solomon import ReedSolomonRAID6
 
 __all__ = [
     "__version__",
@@ -102,7 +100,6 @@ __all__ = [
     "GFDomainError",
     "StaticAnalysisError",
     "CertificationError",
-    "LintViolationError",
     "ArrayCode",
     "ElementKind",
     "ParityChain",
@@ -119,5 +116,4 @@ __all__ = [
     "PCode",
     "LiberationCode",
     "CauchyRSCode",
-    "ReedSolomonRAID6",
 ]

@@ -10,7 +10,6 @@ from .reliability import (
     MarkovChainModel,
     ReliabilityParameters,
     SectorErrorParameters,
-    calibrate_sector_model,
     mttdl_for_code,
     mttdl_comparison,
     mttdl_with_sector_errors,
@@ -21,7 +20,6 @@ __all__ = [
     "MarkovChainModel",
     "ReliabilityParameters",
     "SectorErrorParameters",
-    "calibrate_sector_model",
     "mttdl_for_code",
     "mttdl_comparison",
     "mttdl_with_sector_errors",

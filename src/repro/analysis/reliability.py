@@ -287,19 +287,3 @@ def mttdl_with_sector_errors(
         "mttdl_hours_no_sector_errors": baseline,
         "mttdl_penalty": baseline / mttdl if mttdl > 0 else float("inf"),
     }
-
-
-def calibrate_sector_model(scenario_results) -> float:
-    """A simulation-backed fatal-fault fraction from scenario dicts.
-
-    Accepts the ``results`` list of one code's entry from
-    :func:`repro.faults.scenarios.compare_codes` (or any iterable of
-    :class:`ScenarioResult`-shaped dicts) and returns the fraction that
-    did not survive — the plug-in estimate for
-    ``measured_double_failure_fraction`` above.
-    """
-    results = list(scenario_results)
-    if not results:
-        raise InvalidParameterError("calibration needs at least one scenario")
-    fatal = sum(1 for r in results if not r.get("survived", False))
-    return fatal / len(results)

@@ -225,10 +225,6 @@ class FileStore:
     # -- geometry --------------------------------------------------------------
 
     @property
-    def elements_per_stripe(self) -> int:
-        return self._eps
-
-    @property
     def bytes_per_stripe(self) -> int:
         return self._eps * self.element_size
 

@@ -149,10 +149,6 @@ class IOStats:
     def total_writes(self) -> int:
         return sum(self.writes)
 
-    @property
-    def total_requests(self) -> int:
-        return self.total_reads + self.total_writes
-
     def requests_on(self, disk: int) -> int:
         self._check(disk, 0)
         return self.reads[disk] + self.writes[disk]

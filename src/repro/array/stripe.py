@@ -149,16 +149,6 @@ class Stripe:
             raise SimulationError(f"element {pos} is erased, cannot be latent")
         self.state[r, c] = LATENT
 
-    def clear_latent(self, pos: Position) -> None:
-        """Lift a latent error without rewriting (sector remap)."""
-        r, c = self._check(pos)
-        if self.state[r, c] == LATENT:
-            self.state[r, c] = HEALTHY
-
-    def is_latent(self, pos: Position) -> bool:
-        r, c = self._check(pos)
-        return bool(self.state[r, c] == LATENT)
-
     def latent_positions(self) -> list[Position]:
         """All cells currently carrying a latent sector error."""
         rs, cs = np.nonzero(self.state == LATENT)
@@ -219,19 +209,6 @@ class Stripe:
         assert self.data.ctypes.data % WORD_BYTES == 0, "unaligned stripe buffer"
         assert np.shares_memory(words, self.data), "word view silently copied"
         return words.reshape(self.rows * self.cols, words_per_element)
-
-    def flat_column(self, col: int) -> np.ndarray:
-        """Disk ``col``'s elements as a ``(rows, element_size)`` view.
-
-        Rows are strided (one per grid row) but each element stays
-        contiguous, so per-element kernels and ``.view`` dtype changes
-        on the last axis remain copy-free.
-        """
-        if not 0 <= col < self.cols:
-            raise InvalidParameterError(f"disk {col} outside 0..{self.cols - 1}")
-        view = self.data[:, col, :]
-        assert np.shares_memory(view, self.data)
-        return view
 
     # -- whole-stripe helpers ----------------------------------------------------
 

@@ -16,6 +16,7 @@ import sys
 import time
 
 from .codes.registry import available_codes, get_code
+from .exceptions import InvalidParameterError, InvalidSimConfigError
 from .experiments.runner import (
     EXPERIMENTS,
     render_results,
@@ -348,28 +349,22 @@ def _run_faults(args: argparse.Namespace) -> int:
     """Run seeded adversity scenarios and summarize per code.
 
     A fault mix no plan can draw (``--crashes 2`` with sector faults,
-    say) is a usage error: one line on stderr and exit 2, as argparse
-    reports one.
+    say) is a usage error (see :func:`main`).
     """
     import json
 
-    from .exceptions import InvalidParameterError
     from .faults.scenarios import compare_codes
 
     names = (args.code,) if args.code else None
-    try:
-        table = compare_codes(
-            range(args.seed, args.seed + args.scenarios),
-            p=args.p,
-            code_names=names,
-            stripes=args.stripes,
-            crashes=args.crashes,
-            latent=args.ures,
-            flips=args.flips,
-        )
-    except InvalidParameterError as exc:
-        print(f"hvcode-repro faults: error: {exc}", file=sys.stderr)
-        return 2
+    table = compare_codes(
+        range(args.seed, args.seed + args.scenarios),
+        p=args.p,
+        code_names=names,
+        stripes=args.stripes,
+        crashes=args.crashes,
+        latent=args.ures,
+        flips=args.flips,
+    )
     if args.format == "json":
         rendered = json.dumps(table, indent=2)
     else:
@@ -479,13 +474,12 @@ def _run_sim(args: argparse.Namespace) -> int:
     """Fleet reliability simulation across the evaluated codes.
 
     A code the simulator cannot price (an unknown name, or one whose
-    chains cannot peel every disk pair) is a usage error: one line on
-    stderr and exit 2, as for ``faults``.
+    chains cannot peel every disk pair) is a usage error (see
+    :func:`main`).
     """
     import json
 
     from .codes.registry import EVALUATED_CODE_NAMES
-    from .exceptions import InvalidSimConfigError
     from .sim import (
         ExponentialLifetime,
         SimConfig,
@@ -525,11 +519,7 @@ def _run_sim(args: argparse.Namespace) -> int:
             repair_streams=args.streams,
         )
     names = (args.code,) if args.code else EVALUATED_CODE_NAMES
-    try:
-        reports = compare_codes(config, code_names=names)
-    except InvalidSimConfigError as exc:
-        print(f"hvcode-repro sim: error: {exc}", file=sys.stderr)
-        return 2
+    reports = compare_codes(config, code_names=names)
 
     if args.json:
         rendered = json.dumps(
@@ -872,8 +862,19 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Invalid input it hands to the library (a
+    non-prime ``--p``, an unknown ``--code``, a count out of range) is a
+    usage error: one line on stderr and exit 2, as argparse reports one.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (InvalidParameterError, InvalidSimConfigError) as exc:
+        print(f"hvcode-repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "layout":
         code = get_code(args.code, args.p)
         print(f"{code.name} (p={code.p}): {code.rows}x{code.cols} stripe, "

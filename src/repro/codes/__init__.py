@@ -6,8 +6,9 @@
   :mod:`repro.codes.hdp`, :mod:`repro.codes.hcode` — the four baselines
   the paper evaluates against.
 - :mod:`repro.codes.evenodd`, :mod:`repro.codes.pcode`,
-  :mod:`repro.codes.reed_solomon` — extension baselines discussed in
-  the paper's background section.
+  :mod:`repro.codes.liberation`, :mod:`repro.codes.cauchy` — extension
+  baselines discussed in the paper's background section, all XOR
+  parity-chain codes like the four above.
 
 HV Code itself lives in :mod:`repro.core` since it is the paper's
 contribution.

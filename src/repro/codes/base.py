@@ -30,6 +30,7 @@ from ..exceptions import (
     LayoutError,
     UnrecoverableFailureError,
 )
+from ..recovery.gauss import gaussian_decode
 from ..utils import RandomState, require_prime
 from ..xor.equations import ParityCheckSystem
 
@@ -489,7 +490,7 @@ class ArrayCode(ABC):
             )
         report = self._peel(stripe, erased)
         if erased:
-            self._gaussian_decode(stripe, sorted(erased), report)
+            report.gaussian = gaussian_decode(self.parity_check_system, stripe)
         return report
 
     def _peel(self, stripe: Stripe, erased: set[Position]) -> DecodeReport:
@@ -516,27 +517,6 @@ class ArrayCode(ABC):
                 erased.discard(pos)
                 report.peeled.append(pos)
         return report
-
-    def _gaussian_decode(
-        self,
-        stripe: Stripe,
-        erased: list[Position],
-        report: DecodeReport,
-    ) -> None:
-        """Reference decoder: solve the XOR system for the erased cells."""
-        system = self.parity_check_system
-        rhs = np.zeros((len(system.equations), stripe.element_size), dtype=np.uint8)
-        erased_set = set(erased)
-        for r, eq in enumerate(system.equations):
-            known = [pos for pos in eq if pos not in erased_set]
-            rhs[r] = stripe.xor_of(known)
-        try:
-            solved = system.solve_erased(erased, rhs)
-        except DecodeError as exc:
-            raise UnrecoverableFailureError(str(exc)) from exc
-        for pos, buf in zip(erased, solved):
-            stripe.set(pos, buf)
-            report.gaussian.append(pos)
 
     # -- update / write cost models -----------------------------------------------
 
@@ -581,22 +561,6 @@ class ArrayCode(ABC):
         """Mean parity writes per data-element update over the stripe."""
         totals = [self.update_complexity(pos) for pos in self.data_positions]
         return sum(totals) / len(totals)
-
-    def write_targets(self, data_cells: Iterable[Position]) -> frozenset[Position]:
-        """All parity cells dirtied by writing the given data cells."""
-        dirty: set[Position] = set()
-        for pos in data_cells:
-            dirty |= self.update_targets(pos)
-        return frozenset(dirty)
-
-    def update_element(self, stripe: Stripe, pos: Position, buf) -> frozenset[Position]:
-        """Small-write path: overwrite one data element in place.
-
-        Propagates the XOR *delta* through the parity chains instead of
-        re-encoding — exactly the read-modify-write a real array does.
-        Returns the parity cells that were rewritten.
-        """
-        return self.update_elements(stripe, {pos: buf})
 
     def update_elements(
         self, stripe: Stripe, updates: dict[Position, object]
@@ -654,16 +618,6 @@ class ArrayCode(ABC):
         return frozenset(rewritten)
 
     # -- reporting -----------------------------------------------------------------
-
-    def chain_lengths(self) -> dict[ElementKind, int]:
-        """Chain length (paper counting) per parity flavor."""
-        lengths: dict[ElementKind, int] = {}
-        for chain in self.chains:
-            lengths.setdefault(chain.kind, chain.length)
-            if lengths[chain.kind] != chain.length:
-                # Mixed lengths within a flavor: report the maximum.
-                lengths[chain.kind] = max(lengths[chain.kind], chain.length)
-        return lengths
 
     def describe_layout(self) -> str:
         """ASCII rendering of the stripe layout (D/H/V/... labels)."""

@@ -63,11 +63,11 @@ class CauchyRSCode(ArrayCode):
         self.w = w
         self.field = GF2w(w)
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.w
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.k + 2
 

@@ -13,6 +13,8 @@ the generic decoder.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..array.stripe import Stripe
@@ -25,11 +27,11 @@ class EvenOddCode(ArrayCode):
     name = "EVENODD"
     min_p = 3
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p - 1
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p + 2
 

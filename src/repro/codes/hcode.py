@@ -23,6 +23,8 @@ the HV paper's Section IV.5 cites.  MDS is verified exhaustively in
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base import ArrayCode, ElementKind, ParityChain
 
 
@@ -32,17 +34,13 @@ class HCode(ArrayCode):
     name = "H-Code"
     min_p = 5
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p - 1
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p + 1
-
-    @property
-    def horizontal_parity_disk(self) -> int:
-        return self.p
 
     def _build_chains(self) -> list[ParityChain]:
         p = self.p

@@ -24,6 +24,8 @@ the property for every evaluated prime.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base import ArrayCode, ElementKind, ParityChain
 
 
@@ -33,11 +35,11 @@ class HDPCode(ArrayCode):
     name = "HDP"
     min_p = 5
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p - 1
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p - 1
 

@@ -22,6 +22,8 @@ erasure decodable; the exhaustive tests verify MDS for every
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..exceptions import InvalidParameterError
 from ..utils import mod_div
 from .base import ArrayCode, ElementKind, ParityChain
@@ -41,11 +43,11 @@ class LiberationCode(ArrayCode):
                 f"k must be in 2..{self.p}, got {self.k}"
             )
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.k + 2
 
@@ -76,14 +78,6 @@ class LiberationCode(ArrayCode):
                 )
             )
         return chains
-
-    def q_matrix_density(self) -> int:
-        """Total ones across the Q bit matrices (min is k·w + k - 1)."""
-        return sum(
-            len(chain.members)
-            for chain in self.chains
-            if chain.kind is ElementKind.Q
-        )
 
     def __repr__(self) -> str:
         return f"LiberationCode(p={self.p}, k={self.k})"

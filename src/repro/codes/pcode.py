@@ -28,11 +28,11 @@ class PCode(ArrayCode):
     name = "P-Code"
     min_p = 5
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return (self.p - 1) // 2
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p - 1
 

@@ -11,6 +11,8 @@ parity cells); the diagonal ``p - 1`` is deliberately left unprotected.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base import ArrayCode, ElementKind, ParityChain
 
 
@@ -20,21 +22,13 @@ class RDPCode(ArrayCode):
     name = "RDP"
     min_p = 3
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p - 1
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p + 1
-
-    @property
-    def row_parity_disk(self) -> int:
-        return self.p - 1
-
-    @property
-    def diagonal_parity_disk(self) -> int:
-        return self.p
 
     def _build_chains(self) -> list[ParityChain]:
         p = self.p

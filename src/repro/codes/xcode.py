@@ -11,6 +11,8 @@ partial-stripe-write cost (paper Section II.C).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .base import ArrayCode, ElementKind, ParityChain
 
 
@@ -20,11 +22,11 @@ class XCode(ArrayCode):
     name = "X-Code"
     min_p = 5
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p
 

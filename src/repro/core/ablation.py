@@ -23,6 +23,8 @@ each choice buys:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..codes.base import ArrayCode, ElementKind, ParityChain
 from ..exceptions import InvalidParameterError
 from ..utils import mod_div
@@ -45,11 +47,11 @@ class GeneralizedHVCode(ArrayCode):
         self.a = a
         self.b = b
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p - 1
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p - 1
 

@@ -34,32 +34,20 @@ class HVCode(ArrayCode):
     name = "HV"
     min_p = 5
 
-    @property
+    @cached_property
     def rows(self) -> int:
         return self.p - 1
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return self.p - 1
 
     # -- paper-coordinate helpers (1-based) -----------------------------------------
 
-    def horizontal_parity_column_1based(self, i: int) -> int:
-        """Column ``<2i>_p`` of row ``i``'s horizontal parity (1-based)."""
-        self._check_row_1based(i)
-        return (2 * i) % self.p
-
     def vertical_parity_column_1based(self, i: int) -> int:
         """Column ``<4i>_p`` of row ``i``'s vertical parity (1-based)."""
         self._check_row_1based(i)
         return (4 * i) % self.p
-
-    def vertical_member_row_1based(self, i: int, j: int) -> int:
-        """The row ``k = <(j - 4i)/2>_p`` of the vertical chain's member
-        in column ``j``, for the vertical parity anchored at row ``i``."""
-        self._check_row_1based(i)
-        self._check_row_1based(j)
-        return mod_div(j - 4 * i, 2, self.p)
 
     def _check_row_1based(self, i: int) -> None:
         if not 1 <= i <= self.p - 1:
@@ -103,12 +91,6 @@ class HVCode(ArrayCode):
     @cached_property
     def vertical_chains(self) -> tuple[ParityChain, ...]:
         return tuple(c for c in self.chains if c.kind is ElementKind.VERTICAL)
-
-    def horizontal_chain_of(self, pos: Position) -> ParityChain:
-        """The horizontal chain containing the data cell ``pos``."""
-        self._require_data(pos)
-        i = pos[0] + 1
-        return self.chain_at[(pos[0], self.horizontal_parity_column_1based(i) - 1)]
 
     def vertical_chain_of(self, pos: Position) -> ParityChain:
         """The vertical chain containing the data cell ``pos``.

@@ -62,10 +62,6 @@ class HVDoubleFailurePlan:
         """The paper's ``Lc``: length of the longest recovery chain."""
         return max(len(chain) for chain in self.chains)
 
-    @property
-    def total_recovered(self) -> int:
-        return sum(len(chain) for chain in self.chains)
-
     def execute(self, stripe: Stripe) -> None:
         """Repair the stripe in place, chain by chain.
 
@@ -195,5 +191,3 @@ def _next_equation(code: HVCode, pos: Position, used: ParityChain) -> ParityChai
     if len(covering) > 1:
         raise ReproError(f"cell {pos} covered by {len(covering) + 1} equations")
     return covering[0]
-
-

@@ -21,7 +21,7 @@ One compiler per operation, all funneled through :func:`compile_plan`:
   pairs shared between chains.
 - ``read`` — a degraded read of some lost cells, pattern
   ``(erased, wanted, free)``: with one whole disk lost, the Fig. 7
-  degraded-read planner (:func:`repro.recovery.single.plan_degraded_read`)
+  degraded-read planner (:func:`repro.recovery.single.degraded_read_choices`)
   chooses one chain per wanted cell, counting the ``free`` cells the
   request fetches anyway as already read; any other pattern runs the
   ``decode`` schedule sliced backward from the wanted cells
@@ -41,11 +41,12 @@ shared S-adjuster out of every diagonal chain.
 
 Compiled plans are cached in a per-process LRU (:class:`PlanCache`)
 keyed by code, geometry, op and pattern — compilation runs once,
-execution many times — and the cache also remembers which strategy
-:func:`choose_update_strategy` picked for each update plan it holds, so
-a flush that repeats a dirty pattern costs one lookup.  A pattern a
-caller already spells canonically is its own key: one probe, nothing
-normalised (see :func:`compile_plan`).
+execution many times.  :func:`choose_update_strategy` keeps its
+decision on the update plan it priced (:meth:`XorPlan.derived`), so a
+flush that repeats a dirty pattern costs one lookup and the decision
+is evicted with its plan.  A pattern a caller already spells
+canonically is its own key: one probe, nothing normalised (see
+:func:`compile_plan`).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ MAX_CSE_TEMPS = 64
 #: benchmark) and replays them cyclically, LRU's worst case below that
 #: count.  Byte budget, measured with tracemalloc on HV@11 over all
 #: 3 240 contiguous runs of the 80-element stripe: 4.2 KB per update
-#: plan with its key and remembered decision (13.7 MB in all), plus
+#: plan with its key and strategy decision (13.7 MB in all), plus
 #: 1.8 KB for the native schedule of one that has executed — about
 #: 6 MB for a full cache, 1.5 MB for the benchmark's working set.
 DEFAULT_PLAN_CACHE_SIZE = 1024
@@ -94,12 +95,9 @@ class PlanCache:
     small internal lock; plans themselves are immutable after
     compilation and safe to execute from any thread.
 
-    Beside each ``update`` plan the cache keeps the ``(strategy, plan)``
-    :func:`choose_update_strategy` decided for it, under the same key
-    and lock and evicted with it.  ``hits`` counts lookups answered
-    from either table — :func:`compile_plan`'s canonical-key
-    :meth:`probe` among them — ``misses`` lookups after which a plan
-    had to be compiled.
+    ``hits`` counts lookups answered from the cache —
+    :func:`compile_plan`'s canonical-key :meth:`probe` among them —
+    ``misses`` lookups after which a plan had to be compiled.
 
     Two introspection hooks support the static layer:
 
@@ -123,7 +121,6 @@ class PlanCache:
         default=None, repr=False, compare=False
     )
     _plans: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _strategies: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -169,34 +166,13 @@ class PlanCache:
             resident = self._plans.setdefault(key, plan)
             self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:
-                evicted, _ = self._plans.popitem(last=False)
-                self._strategies.pop(evicted, None)
+                self._plans.popitem(last=False)
                 self.evictions += 1
         return resident
-
-    def lookup_strategy(self, key: tuple) -> tuple[str, XorPlan] | None:
-        """The decision remembered for the update plan at ``key``.
-
-        A hit refreshes that plan's LRU position and is the only lookup
-        the caller needs; a miss counts nothing (the compiles that
-        follow do).
-        """
-        with self._lock:
-            decision = self._strategies.get(key)
-            if decision is not None:
-                self._plans.move_to_end(key)
-                self.hits += 1
-            return decision
-
-    def store_strategy(self, key: tuple, decision: tuple[str, XorPlan]) -> None:
-        with self._lock:
-            if key in self._plans:  # unless its plan is already evicted
-                self._strategies[key] = decision
 
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
-            self._strategies.clear()
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -658,31 +634,39 @@ def choose_update_strategy(
     ``"reencode"`` — for a mostly-dirty stripe the re-encode touches
     every parity once and wins, which is exactly the paper's
     RMW-versus-reconstruct-write crossover.
+
+    The decision is derived once per update plan and kept on it
+    (:meth:`XorPlan.derived`): a repeated pattern costs the update
+    plan's lookup alone, and an evicted plan takes its decision along.
     """
+    update_plan = None
     if cache is not None and _spelled_canonically(cells):
         # ``cells`` already in canonical form (sorted slots, what the
-        # stripe cache hands over) is the key itself: one lookup, sound
+        # stripe cache hands over) is the key itself: one probe, sound
         # for the reason :func:`compile_plan`'s probe is.
-        decision = cache.lookup_strategy(plan_key(code, "update", cells))
-        if decision is not None:
-            return decision
-    update_plan = compile_plan(code, "update", cells, cache=cache)
+        update_plan = cache.probe(plan_key(code, "update", cells))
+    if update_plan is None:
+        update_plan = compile_plan(code, "update", cells, cache=cache)
+    encode_plan = update_plan.derived(
+        "reencode_plan", lambda plan: _cheaper_encode(code, plan, cache)
+    )
+    if encode_plan is None:
+        return "rmw", update_plan
+    return "reencode", encode_plan
+
+
+def _cheaper_encode(
+    code: "ArrayCode", update_plan: XorPlan, cache: PlanCache | None
+) -> XorPlan | None:
+    """The encode plan if it costs fewer kernels than ``update_plan``'s
+    read-modify-write, else ``None``."""
     encode_plan = compile_plan(code, "encode", cache=cache)
     rmw_kernels = (
         len(update_plan.pattern)  # delta build: one XOR per dirty cell
         + update_plan.kernel_calls
         + len(update_plan.outputs)  # fold each parity delta into the stripe
     )
-    decision = (
-        ("reencode", encode_plan)
-        if rmw_kernels > encode_plan.kernel_calls
-        else ("rmw", update_plan)
-    )
-    if cache is not None:
-        cache.store_strategy(
-            plan_key(code, "update", update_plan.pattern), decision
-        )
-    return decision
+    return encode_plan if rmw_kernels > encode_plan.kernel_calls else None
 
 
 def _failed_disk(code: "ArrayCode", erased: tuple[int, ...]) -> int | None:
@@ -700,13 +684,13 @@ def _compile_read(
     erased, wanted, free = pattern
     disk = _failed_disk(code, erased)
     if disk is not None:
-        from ..recovery.single import plan_degraded_read
+        from ..recovery.single import degraded_read_choices
 
         try:
-            read = plan_degraded_read(
+            choices = degraded_read_choices(
                 code,
-                disk,
-                [divmod(slot, code.cols) for slot in wanted + free],
+                [divmod(slot, code.cols) for slot in wanted],
+                [divmod(slot, code.cols) for slot in free],
                 method=planner,
             )
         except DecodeError:
@@ -719,7 +703,7 @@ def _compile_read(
                 pattern=pattern,
                 rows=code.rows,
                 cols=code.cols,
-                steps=_chain_steps(code, read.choices),
+                steps=_chain_steps(code, choices),
                 erased=erased,
                 outputs=wanted,
                 rounds=1,

@@ -228,16 +228,3 @@ class CertificationError(StaticAnalysisError):
     """
 
 
-class LintViolationError(StaticAnalysisError):
-    """A lint run was asked to be fatal and found violations.
-
-    Carries the violation list so programmatic callers (CI gates, the
-    test suite) can render or filter them.
-    """
-
-    def __init__(self, violations: list, message: str | None = None) -> None:
-        count = len(violations)
-        super().__init__(
-            message or f"{count} lint violation(s); run `repro lint` for details"
-        )
-        self.violations = list(violations)

@@ -133,10 +133,6 @@ class ChecksumSidecar:
     def __len__(self) -> int:
         return len(self.stripes)
 
-    def add_stripe(self, stripe: "Stripe") -> None:
-        """Record CRCs for a freshly encoded stripe."""
-        self.stripes.append(crc_rows(stripe.data, self._every))
-
     def add_zero_stripe(self, element_size: int) -> None:
         """Record CRCs for an all-zero stripe (a zero codeword)."""
         self.stripes.append(
@@ -151,27 +147,24 @@ class ChecksumSidecar:
         self,
         stripe_idx: int,
         stripe: "Stripe",
-        cells: "Iterable[Position] | CellSlots | None" = None,
+        cells: "Iterable[Position] | None" = None,
     ) -> None:
         """Recompute the CRCs of ``cells`` of one stripe — every cell
         when ``None`` — as :meth:`record` would one by one, in one
         :func:`crc_rows` call."""
         if cells is None:
-            cells = self._every
-        elif not isinstance(cells, CellSlots):
+            slots = self._every
+        else:
             # A column off the grid is refused here, a row by the bound
             # checks of CellSlots (negative) and crc_rows (past the end).
             cols, cells = self.cols, list(cells)
             if not all(0 <= c < cols for _, c in cells):
                 raise InvalidParameterError(f"cells outside the {self.rows}x{cols} grid")
-            cells = CellSlots([r * cols + c for r, c in cells])
-        crc_rows(stripe.data, cells, self.stripes[stripe_idx])
+            slots = CellSlots([r * cols + c for r, c in cells])
+        crc_rows(stripe.data, slots, self.stripes[stripe_idx])
 
     def expected(self, stripe_idx: int, pos: Position) -> int:
         return int(self.stripes[stripe_idx][pos])
-
-    def matches(self, stripe_idx: int, pos: Position, buf) -> bool:
-        return crc_of(buf) == self.expected(stripe_idx, pos)
 
 
 @dataclass

@@ -94,10 +94,6 @@ class FaultInjector:
         while self._pending:
             self._apply(self._pending.pop(0))
 
-    @property
-    def exhausted(self) -> bool:
-        return not self._pending
-
     # -- event application ---------------------------------------------------------
 
     def _apply(self, event: FaultEvent) -> None:

@@ -109,9 +109,6 @@ class FaultPlan:
         self.events.sort(key=lambda e: e.at_op)
         return self
 
-    def of_kind(self, kind: FaultKind) -> list[FaultEvent]:
-        return [e for e in self.events if e.kind is kind]
-
     def to_dict(self) -> dict:
         """A JSON-friendly rendering (used by reports and the CLI)."""
         return {

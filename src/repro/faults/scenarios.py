@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..exceptions import ReproError, UnrecoverableFaultError
+from ..exceptions import InvalidParameterError, ReproError, UnrecoverableFaultError
 from ..utils import mean, resolve_rng
 from .injector import FaultInjector
 from .plan import FaultPlan
@@ -154,12 +154,15 @@ def compare_codes(
 
     Returns per-code aggregates: survival rate, mean rebuild seconds
     and repair reads over surviving scenarios, plus every individual
-    :class:`ScenarioResult` as a dict.
+    :class:`ScenarioResult` as a dict.  An empty ``seeds`` is refused:
+    a rate over no scenarios says nothing.
     """
     from ..codes.registry import EVALUATED_CODE_NAMES, get_code
 
     names = tuple(code_names) if code_names else EVALUATED_CODE_NAMES
     seeds = list(seeds)
+    if not seeds:
+        raise InvalidParameterError("fault scenarios need at least one seed")
     table: dict[str, dict] = {}
     for name in names:
         results = [
@@ -180,7 +183,7 @@ def compare_codes(
         table[name] = {
             "scenarios": len(results),
             "survived": len(survivors),
-            "survival_rate": len(survivors) / len(results) if results else 0.0,
+            "survival_rate": len(survivors) / len(results),
             "mean_rebuild_seconds": mean(rebuild_seconds)
             if rebuild_seconds
             else 0.0,

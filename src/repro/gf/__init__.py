@@ -1,38 +1,11 @@
 """Galois-field arithmetic substrate.
 
-Provides:
-
-- :mod:`repro.gf.gfw` — a generic ``GF(2^w)`` field with log/antilog
-  tables for w up to 16.
-- :mod:`repro.gf.gf256` — the standard RAID-6 field ``GF(2^8)`` with
-  vectorized numpy kernels (used by the Reed-Solomon P+Q baseline).
-- :mod:`repro.gf.polynomial` — polynomials over a field (evaluation,
-  interpolation, syndrome work).
-- :mod:`repro.gf.matrix` — dense matrices over a field: multiply,
-  invert, Vandermonde and Cauchy constructions.
+:mod:`repro.gf.gfw` — a generic ``GF(2^w)`` field with log/antilog
+tables for w up to 16, the field :class:`~repro.codes.cauchy.CauchyRSCode`
+expands into XOR parity chains (every code here is an XOR code, so no
+byte-wise field kernel is needed).
 """
 
 from .gfw import GF2w
-from .gf256 import GF256, gf256
-from .polynomial import Polynomial
-from .matrix import (
-    gf_matmul,
-    gf_matvec,
-    gf_identity,
-    gf_invert,
-    vandermonde,
-    cauchy_matrix,
-)
 
-__all__ = [
-    "GF2w",
-    "GF256",
-    "gf256",
-    "Polynomial",
-    "gf_matmul",
-    "gf_matvec",
-    "gf_identity",
-    "gf_invert",
-    "vandermonde",
-    "cauchy_matrix",
-]
+__all__ = ["GF2w"]

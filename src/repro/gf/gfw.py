@@ -116,12 +116,6 @@ class GF2w:
         """The generator ``x`` raised to the power ``i``."""
         return self._exp[i % (self.size - 1)]
 
-    def log(self, a: int) -> int:
-        """Discrete log base the generator ``x``; undefined for 0."""
-        if a == 0:
-            raise GFDomainError("log(0) undefined in GF(2^w)")
-        return self._log[a]
-
     def elements(self):
         """Iterate over every field element, 0 first."""
         return range(self.size)

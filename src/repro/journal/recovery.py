@@ -26,10 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Position = tuple[int, int]
 
 
-def _positions(record: JournalRecord, cols: int) -> list[Position]:
-    return [divmod(piece.slot, cols) for piece in record.pieces]
-
-
 def apply_record(record: JournalRecord, stripe: "Stripe", cols: int) -> list[Position]:
     """Redo an intent: land each payload-carrying piece at its offset.
 

@@ -26,12 +26,3 @@ def writes_per_disk(results: Sequence["PatternResult"], num_disks: int) -> list[
         for d in range(num_disks):
             counts[d] += r.io.writes[d]
     return counts
-
-
-def requests_per_disk(results: Sequence["PatternResult"], num_disks: int) -> list[int]:
-    """Per-disk total request counts over a trace."""
-    counts = [0] * num_disks
-    for r in results:
-        for d in range(num_disks):
-            counts[d] += r.io.reads[d] + r.io.writes[d]
-    return counts

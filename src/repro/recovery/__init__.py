@@ -3,8 +3,8 @@
 - :mod:`repro.recovery.peeling` — the symbolic peeling scheduler: which
   lost cells become solvable in which parallel round.  The plan
   compiler lowers it into the generic decode and double-failure plans.
-- :mod:`repro.recovery.gauss` — helpers around the Gaussian reference
-  decoder (the universal XOR decoder).
+- :mod:`repro.recovery.gauss` — the Gaussian reference decoder (the
+  universal XOR decoder), the fallback of every code's ``decode``.
 - :mod:`repro.recovery.single` — minimal-I/O single-disk recovery and
   degraded reads: the hybrid parity-chain selection of Xiang et al.
   (SIGMETRICS'10), solved exactly as a small integer program with a
@@ -18,9 +18,8 @@
 from .peeling import PeelSchedule, peel_schedule
 from .single import (
     SingleDiskRecoveryPlan,
-    DegradedReadPlan,
+    degraded_read_choices,
     plan_single_disk_recovery,
-    plan_degraded_read,
 )
 from .cost import RepairCost, repair_cost
 
@@ -28,9 +27,8 @@ __all__ = [
     "PeelSchedule",
     "peel_schedule",
     "SingleDiskRecoveryPlan",
-    "DegradedReadPlan",
+    "degraded_read_choices",
     "plan_single_disk_recovery",
-    "plan_degraded_read",
     "RepairCost",
     "repair_cost",
 ]

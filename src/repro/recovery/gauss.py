@@ -1,10 +1,10 @@
-"""The Gaussian reference decoder, exposed as a standalone function.
+"""The Gaussian reference decoder: the universal XOR decoder.
 
-:class:`repro.codes.base.ArrayCode` embeds the same logic as its
-fallback; this module offers it directly for analyses that work with a
-bare :class:`~repro.xor.equations.ParityCheckSystem` plus a stripe —
-notably the cross-decoder equivalence tests, which check that peeling,
-Algorithm 1, and Gaussian elimination all restore identical bytes.
+:meth:`repro.codes.base.ArrayCode.decode` falls back to it for the
+cells chain peeling cannot reach; it works on a bare
+:class:`~repro.xor.equations.ParityCheckSystem` plus a stripe, so the
+cross-decoder equivalence tests also call it directly to check that
+peeling, Algorithm 1, and Gaussian elimination restore identical bytes.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ counts *extra* cells.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
@@ -87,37 +87,6 @@ class SingleDiskRecoveryPlan:
             stripe.set(cell, stripe.xor_of(others))
 
 
-@dataclass
-class DegradedReadPlan:
-    """What a degraded read pattern actually fetches.
-
-    ``fetched`` is the paper's ``L'`` cell set: the alive requested
-    cells plus every extra cell needed to rebuild the lost requested
-    cells; ``efficiency`` is ``L'/L``.
-    """
-
-    failed_disk: int
-    requested: tuple[Position, ...]
-    lost: tuple[Position, ...]
-    choices: dict[Position, ParityChain]
-    fetched: frozenset[Position]
-
-    @property
-    def extra_reads(self) -> frozenset[Position]:
-        alive_requested = {c for c in self.requested if c not in set(self.lost)}
-        return frozenset(self.fetched - alive_requested)
-
-    @property
-    def elements_returned(self) -> int:
-        """The paper's ``L'``."""
-        return len(self.fetched)
-
-    @property
-    def efficiency(self) -> float:
-        """The paper's ``L'/L`` (1.0 when nothing extra was needed)."""
-        return len(self.fetched) / len(self.requested)
-
-
 def plan_single_disk_recovery(
     code: ArrayCode,
     failed_disk: int,
@@ -144,35 +113,21 @@ def plan_single_disk_recovery(
     )
 
 
-def plan_degraded_read(
+def degraded_read_choices(
     code: ArrayCode,
-    failed_disk: int,
-    requested: Sequence[Position],
+    lost: Iterable[Position],
+    free: Iterable[Position],
     method: str = "milp",
-) -> DegradedReadPlan:
-    """Plan a read of ``requested`` data cells with ``failed_disk`` down."""
-    if not requested:
-        raise InvalidParameterError("degraded read needs at least one cell")
-    requested = tuple(requested)
-    lost = tuple(c for c in requested if c[1] == failed_disk)
-    alive_requested = frozenset(c for c in requested if c[1] != failed_disk)
-    if not lost:
-        return DegradedReadPlan(
-            failed_disk=failed_disk,
-            requested=requested,
-            lost=(),
-            choices={},
-            fetched=frozenset(requested),
-        )
-    candidates = _candidates(code, lost)
-    choices, reads = _minimize_reads(candidates, free=alive_requested, method=method)
-    return DegradedReadPlan(
-        failed_disk=failed_disk,
-        requested=requested,
-        lost=lost,
-        choices=choices,
-        fetched=frozenset(alive_requested | reads),
-    )
+) -> dict[Position, ParityChain]:
+    """Fig. 7's repair chain for each ``lost`` cell a degraded read wants.
+
+    Every chosen chain avoids the lost cells' columns, and the cells in
+    ``free`` (the alive cells the read fetches anyway) cost nothing, so
+    the choice minimises the extra cells fetched: ``free`` plus each
+    chain's other cells is the paper's ``L'``.  Raises
+    :class:`DecodeError` when some lost cell has no such chain.
+    """
+    return _minimize_reads(_candidates(code, lost), frozenset(free), method)[0]
 
 
 # -- planner internals ------------------------------------------------------------

@@ -133,13 +133,6 @@ class VolumePool:
         local = int(self._local_of[stripe_idx])
         return shard, local * self.bytes_per_stripe + within
 
-    def shard_of_stripe(self, stripe_idx: int) -> int:
-        if not 0 <= stripe_idx < self.num_stripes:
-            raise InvalidParameterError(
-                f"stripe {stripe_idx} outside 0..{self.num_stripes - 1}"
-            )
-        return int(self._shard_of[stripe_idx])
-
     def _check_shard(self, shard: int) -> int:
         if not 0 <= shard < self.num_shards:
             raise InvalidParameterError(
@@ -186,27 +179,6 @@ class VolumePool:
             with store.lock:
                 parts.append(store.stats.copy())
         return IOStats.merged(self.shards[0].code.cols, parts)
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard counter snapshot (stripes, dirty, totals)."""
-        rows = []
-        for shard, store in enumerate(self.shards):
-            with store.lock:
-                rows.append(
-                    {
-                        "shard": shard,
-                        "engine": store.engine,
-                        "stripes": len(store.stripes),
-                        "failed_disks": sorted(store.failed_disks),
-                        "reads": store.stats.total_reads,
-                        "writes": store.stats.total_writes,
-                        "data_writes": store.data_writes,
-                        "parity_writes": store.parity_writes,
-                        "journal_records": store.stats.journal_records,
-                        "dirty": len(store.cache) if store.cache else 0,
-                    }
-                )
-        return rows
 
     def content_digest(self) -> str:
         """SHA-256 over every stripe buffer in global stripe order.

@@ -28,7 +28,7 @@ from ..exceptions import InvalidSimConfigError
 class DiskLifetimeModel:
     """Interface: draw hours-to-failure for one fresh disk."""
 
-    #: Registry name used by :meth:`from_spec` and ``SimConfig``.
+    #: The model's name in :meth:`to_dict`.
     kind = "abstract"
 
     def draw(self, rng: np.random.Generator) -> float:
@@ -42,18 +42,6 @@ class DiskLifetimeModel:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def from_spec(spec: dict) -> "DiskLifetimeModel":
-        """Rebuild a model from its ``to_dict`` rendering."""
-        kind = spec.get("kind")
-        if kind == ExponentialLifetime.kind:
-            return ExponentialLifetime(mttf_hours=spec["mttf_hours"])
-        if kind == WeibullLifetime.kind:
-            return WeibullLifetime(
-                scale_hours=spec["scale_hours"], shape=spec["shape"]
-            )
-        raise InvalidSimConfigError(f"unknown lifetime model kind {kind!r}")
 
 
 @dataclass(frozen=True)

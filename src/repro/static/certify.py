@@ -103,9 +103,8 @@ class CodeCertificate:
     """Machine-readable static proof sheet for one ``(code, p)`` pair.
 
     All fields are derived from the chain structure; ``claims`` maps
-    paper-claim identifiers to booleans and :meth:`require_claims`
-    raises :class:`~repro.exceptions.CertificationError` on any
-    failure.  :attr:`certificate_hash` is the SHA-256 of the canonical
+    paper-claim identifiers to booleans (:meth:`failed_claims` lists
+    the false ones).  :attr:`certificate_hash` is the SHA-256 of the canonical
     JSON serialization and acts as a layout fingerprint.
     """
 
@@ -175,14 +174,6 @@ class CodeCertificate:
 
     def failed_claims(self) -> list[str]:
         return [name for name, holds in sorted(self.claims.items()) if not holds]
-
-    def require_claims(self) -> None:
-        """Raise :class:`CertificationError` if any claim fails."""
-        failed = self.failed_claims()
-        if failed:
-            raise CertificationError(
-                f"{self.key}: paper claim(s) failed: {', '.join(failed)}"
-            )
 
 
 def _mds_report(code: ArrayCode) -> MDSReport:

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..exceptions import LintViolationError, StaticAnalysisError
+from ..exceptions import StaticAnalysisError
 from .rules import ALL_RULES, RULES_BY_ID, FileContext, LintRule, LintViolation
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
@@ -68,10 +68,6 @@ class LintReport:
                 for v in self.violations
             ],
         }
-
-    def require_clean(self) -> None:
-        if not self.clean:
-            raise LintViolationError(list(self.violations))
 
 
 def select_rules(rule_ids: list[str] | None) -> tuple[LintRule, ...]:

@@ -672,12 +672,6 @@ class PlanVerificationReport:
     def patterns_rejected(self) -> int:
         return sum(op.patterns_rejected for op in self.ops)
 
-    def op_certificate(self, op: str) -> PlanOpCertificate:
-        for cert in self.ops:
-            if cert.op == op:
-                return cert
-        raise CertificationError(f"{self.key}: no op certificate for {op!r}")
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": PLAN_SCHEMA_VERSION,
@@ -700,13 +694,6 @@ class PlanVerificationReport:
 
     def failed_claims(self) -> list[str]:
         return [name for name, holds in sorted(self.claims.items()) if not holds]
-
-    def require_claims(self) -> None:
-        failed = self.failed_claims()
-        if failed:
-            raise CertificationError(
-                f"{self.key}: plan-level claim(s) failed: {', '.join(failed)}"
-            )
 
 
 def _audit_claims(

@@ -478,7 +478,7 @@ class JournalMutationRule(LintRule):
     MUTATORS = frozenset(
         {
             "set", "erase", "erase_disks", "fill_random",
-            "mark_latent", "clear_latent", "flip_bits",
+            "mark_latent", "flip_bits",
         }
     )
 

@@ -68,11 +68,6 @@ def require_prime(p: int, minimum: int = 3) -> int:
     return p
 
 
-def mod(i: int, p: int) -> int:
-    """The paper's ``<i>_p``: ``i`` reduced into ``[0, p)``."""
-    return i % p
-
-
 def mod_inverse(a: int, p: int) -> int:
     """Multiplicative inverse of ``a`` modulo prime ``p``.
 
@@ -89,11 +84,6 @@ def mod_inverse(a: int, p: int) -> int:
 def mod_div(i: int, j: int, p: int) -> int:
     """The paper's ``<i/j>_p``: the ``u`` with ``<u * j>_p = <i>_p``."""
     return (i % p) * mod_inverse(j, p) % p
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes ``q`` with ``lo <= q <= hi`` in increasing order."""
-    return [q for q in range(max(lo, 2), hi + 1) if is_prime(q)]
 
 
 def pairs(n: int) -> list[tuple[int, int]]:

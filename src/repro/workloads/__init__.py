@@ -14,14 +14,10 @@ from .traces import (
     PAPER_TABLE_II,
     paper_random_trace,
     uniform_write_trace,
-    random_write_trace,
 )
 from .degraded import ReadPattern, uniform_read_patterns
 from .service import ClientOp, ServiceTrace, service_trace
 from .synthetic import (
-    MixedOp,
-    mixed_trace,
-    read_patterns_of,
     sequential_write_trace,
     zipf_write_trace,
 )
@@ -32,12 +28,8 @@ __all__ = [
     "PAPER_TABLE_II",
     "paper_random_trace",
     "uniform_write_trace",
-    "random_write_trace",
     "ReadPattern",
     "uniform_read_patterns",
-    "MixedOp",
-    "mixed_trace",
-    "read_patterns_of",
     "sequential_write_trace",
     "zipf_write_trace",
     "ClientOp",

@@ -95,10 +95,6 @@ class ServiceTrace:
         return int(self.writes.sum())
 
     @property
-    def num_reads(self) -> int:
-        return len(self) - self.num_writes
-
-    @property
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
 

@@ -8,21 +8,15 @@ generators make both assumptions concrete:
 - :func:`sequential_write_trace` — back-to-back segments sweeping the
   volume, the backup/migration pattern;
 - :func:`zipf_write_trace` — stripe popularity drawn from a Zipf
-  distribution (the skew the rotation ablation relies on);
-- :func:`mixed_trace` — an interleaved read/write stream for
-  volume-level end-to-end runs.
+  distribution (the skew the rotation ablation relies on).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from ..exceptions import WorkloadError
 from ..utils import RandomState, resolve_rng
-from .degraded import ReadPattern
 from .traces import WritePattern, WriteTrace
 
 
@@ -90,35 +84,3 @@ def zipf_write_trace(
     return WriteTrace(name=f"zipf_{skew:g}", patterns=tuple(patterns))
 
 
-@dataclass(frozen=True)
-class MixedOp:
-    """One operation of a mixed read/write stream."""
-
-    kind: Literal["read", "write"]
-    start: int
-    length: int
-
-
-def mixed_trace(
-    volume_elements: int,
-    num_ops: int = 1000,
-    write_fraction: float = 0.3,
-    max_length: int = 16,
-    seed: RandomState = 0,
-) -> tuple[MixedOp, ...]:
-    """An interleaved uniform read/write stream."""
-    if not 0.0 <= write_fraction <= 1.0:
-        raise WorkloadError("write_fraction must be in [0, 1]")
-    rng = resolve_rng(seed)
-    ops = []
-    for _ in range(num_ops):
-        length = int(rng.integers(1, max_length + 1))
-        start = int(rng.integers(0, volume_elements - length + 1))
-        kind = "write" if rng.random() < write_fraction else "read"
-        ops.append(MixedOp(kind, start, length))
-    return tuple(ops)
-
-
-def read_patterns_of(ops: tuple[MixedOp, ...]) -> tuple[ReadPattern, ...]:
-    """The read half of a mixed stream, as degraded-read patterns."""
-    return tuple(ReadPattern(op.start, op.length) for op in ops if op.kind == "read")

@@ -79,11 +79,6 @@ class WriteTrace:
         return len(self.patterns)
 
     @property
-    def total_operations(self) -> int:
-        """Patterns weighted by frequency."""
-        return sum(p.frequency for p in self.patterns)
-
-    @property
     def total_elements_written(self) -> int:
         """Data elements written, counting repeats."""
         return sum(p.length * p.frequency for p in self.patterns)
@@ -127,25 +122,3 @@ def paper_random_trace() -> WriteTrace:
             for s, l, f in PAPER_TABLE_II
         ),
     )
-
-
-def random_write_trace(
-    volume_elements: int,
-    num_patterns: int = 25,
-    max_length: int = 45,
-    max_frequency: int = 100,
-    seed: RandomState = 0,
-) -> WriteTrace:
-    """A fresh ``(S, L, F)`` trace in the style of Table II.
-
-    The paper drew its trace from random.org; we use a seeded PRNG so
-    runs are reproducible offline.
-    """
-    rng = resolve_rng(seed)
-    patterns = []
-    for _ in range(num_patterns):
-        length = int(rng.integers(1, max_length + 1))
-        start = int(rng.integers(0, max(1, volume_elements - length + 1)))
-        freq = int(rng.integers(1, max_frequency + 1))
-        patterns.append(WritePattern(start, length, freq))
-    return WriteTrace(name=f"random(seed={seed})", patterns=tuple(patterns))

@@ -117,20 +117,6 @@ class ParityCheckSystem:
         """Rank of the full parity-check matrix."""
         return gf2_rank(self.matrix)
 
-    def redundancy(self) -> int:
-        """Number of independent parity constraints."""
-        return self.rank()
-
-    def consistent_with(self, values: dict[Position, int]) -> bool:
-        """Check scalar cell values against every equation (test aid)."""
-        for eq in self.equations:
-            acc = 0
-            for pos in eq:
-                acc ^= values[pos]
-            if acc != 0:
-                return False
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ParityCheckSystem(cells={len(self.positions)}, "

@@ -8,7 +8,6 @@ from repro.analysis.reliability import (
     MarkovChainModel,
     ReliabilityParameters,
     SectorErrorParameters,
-    calibrate_sector_model,
     mttdl_comparison,
     mttdl_for_code,
     mttdl_with_sector_errors,
@@ -172,14 +171,3 @@ class TestSectorErrorModel:
         assert clean["mttdl_hours"] == pytest.approx(
             clean["mttdl_hours_no_sector_errors"]
         )
-
-    def test_calibration_from_scenario_dicts(self):
-        results = [
-            {"survived": True},
-            {"survived": False},
-            {"survived": True},
-            {"survived": True},
-        ]
-        assert calibrate_sector_model(results) == pytest.approx(0.25)
-        with pytest.raises(InvalidParameterError):
-            calibrate_sector_model([])

@@ -21,7 +21,7 @@ from repro.array.iostats import IOStats
 from repro.codes.registry import get_code
 from repro.engine import get_backend
 from repro.exceptions import InvalidParameterError
-from repro.faults.checksum import ChecksumSidecar
+from repro.faults.checksum import ChecksumSidecar, crc_of
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 
@@ -177,7 +177,7 @@ class TestRecordStripeCells:
         stripe = code.random_stripe(element_size=ELEMENT, seed=seed)
         one_call, per_cell = (ChecksumSidecar(code.rows, code.cols) for _ in "ab")
         for sidecar in (one_call, per_cell):
-            sidecar.add_stripe(code.make_stripe(ELEMENT))
+            sidecar.add_zero_stripe(ELEMENT)
         one_call.record_stripe(0, stripe, cells)
         for pos in cells:
             per_cell.record(0, pos, stripe.data[pos])
@@ -187,9 +187,11 @@ class TestRecordStripeCells:
         code = get_code("HV", 5)
         stripe = code.random_stripe(element_size=ELEMENT, seed=1)
         sidecar = ChecksumSidecar(code.rows, code.cols)
-        sidecar.add_stripe(code.make_stripe(ELEMENT))
+        sidecar.add_zero_stripe(ELEMENT)
         sidecar.record_stripe(0, stripe)
-        assert all(sidecar.matches(0, pos, stripe.data[pos]) for pos in code.layout)
+        assert all(
+            crc_of(stripe.data[pos]) == sidecar.expected(0, pos) for pos in code.layout
+        )
 
 
 class TestBulkLedgerCharges:

@@ -140,7 +140,7 @@ class TestDiskManagement:
     def test_reset_stats(self, hv_volume):
         hv_volume.write(0, 3)
         hv_volume.reset_stats()
-        assert hv_volume.stats.total_requests == 0
+        assert hv_volume.stats.total_reads + hv_volume.stats.total_writes == 0
 
 
 class TestTraceReplay:

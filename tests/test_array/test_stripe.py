@@ -70,7 +70,7 @@ class TestErasure:
                 s.mark_latent((0, 0))
             s.erase((0, 0))
             assert not s.data[0, 0].any()
-            assert s.state[0, 0] == ERASED and not s.is_latent((0, 0))
+            assert s.state[0, 0] == ERASED
 
     def test_erase_disks(self):
         s = Stripe(3, 4, 2)
@@ -110,7 +110,7 @@ class TestHelpers:
         s.set((0, 0), np.array([9, 9], dtype=np.uint8))
         s.mark_latent((0, 1))
         dup = s.copy()
-        assert dup == s and dup.is_latent((0, 1))
+        assert dup == s and dup.state[0, 1] == LATENT
         dup.set((0, 0), np.zeros(2, dtype=np.uint8))
         dup.erase((0, 1))
         assert s.get((0, 0))[0] == 9
@@ -155,15 +155,6 @@ class TestWordViews:
         with pytest.raises(InvalidParameterError):
             Stripe(1, 1, 7).as_words()
         assert Stripe(1, 1, 8).words_per_element == 1
-
-    def test_flat_column_is_a_disk_view(self):
-        s = Stripe(3, 4, 2)
-        s.set((2, 1), np.array([7, 9], dtype=np.uint8))
-        col = s.flat_column(1)
-        assert col.shape == (3, 2)
-        assert list(col[2]) == [7, 9]
-        with pytest.raises(InvalidParameterError):
-            s.flat_column(4)
 
 
 class TestStripeBatch:

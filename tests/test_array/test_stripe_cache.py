@@ -444,7 +444,7 @@ class TestParityWriteAccounting:
         code = HVCode(7)
         store = FileStore(code, element_size=8)
         cells = code.data_positions[:3]
-        targets = code.write_targets(cells)
+        targets = frozenset().union(*map(code.update_targets, cells))
         store.write(0, payload(3 * 8, seed=11))
         assert store.parity_writes == len(targets)
         assert store.scrub() == []
@@ -455,7 +455,7 @@ class TestParityWriteAccounting:
         cells = code.data_positions[:4]
         store.write(0, payload(4 * 8, seed=12))
         store.flush()
-        assert store.parity_writes == len(code.write_targets(cells))
+        assert store.parity_writes == len(frozenset().union(*map(code.update_targets, cells)))
         assert store.stats.flushed_elements == 4
         assert store.stats.flush_batches == 1
 

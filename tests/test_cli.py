@@ -145,13 +145,11 @@ class TestSimCommand:
         assert "report hash HV:" in out
         assert target.exists()
 
-    def test_invalid_config_is_a_clean_error(self):
-        import pytest as _pytest
-
-        from repro.exceptions import InvalidSimConfigError
-
-        with _pytest.raises(InvalidSimConfigError):
-            main(["sim", "--code", "HV", "--p", "4", "--fleet", "1"])
+    def test_invalid_config_is_a_clean_error(self, capsys):
+        assert main(["sim", "--code", "HV", "--p", "4", "--fleet", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("hvcode-repro sim: error: ")
 
     @pytest.mark.parametrize(
         "code, reason",
@@ -171,6 +169,31 @@ class TestSimCommand:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("hvcode-repro sim: error: ")
         assert reason in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["layout", "--p", "4"],
+        ["table3", "--p", "4", "--quick"],
+        ["reliability", "--p", "4"],
+        ["crash-bench", "--p", "4"],
+        ["serve-bench", "--shards", "0"],
+        ["certify", "--code", "NOPE"],
+        ["faults", "--scenarios", "0"],
+        ["faults", "--scenarios", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_is_one_line_and_exit_2(capsys, argv):
+    # Invalid input any subcommand hands to the library is refused the
+    # way argparse refuses a bad flag: no traceback, no partial output.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"hvcode-repro {argv[0]}: error: ")
+    assert "Traceback" not in captured.err
 
 
 class TestFaultsCommand:

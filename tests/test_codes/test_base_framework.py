@@ -182,12 +182,6 @@ class TestUpdateModel:
         }
         assert actually_dirty == set(code.update_targets(pos))
 
-    def test_write_targets_union(self, code):
-        cells = code.data_positions[:3]
-        union = set()
-        for cell in cells:
-            union |= code.update_targets(cell)
-        assert code.write_targets(cells) == frozenset(union)
 
 
 class TestConstructionErrors:

@@ -17,10 +17,8 @@ class TestLayout:
         assert hcode.cols == 8
 
     def test_dedicated_horizontal_disk(self, hcode):
-        for r in range(hcode.rows):
-            assert hcode.layout[(r, hcode.horizontal_parity_disk)] is (
-                ElementKind.HORIZONTAL
-            )
+        for r in range(hcode.rows):  # the last column, p
+            assert hcode.layout[(r, hcode.p)] is ElementKind.HORIZONTAL
 
     def test_anti_parities_on_inner_diagonal(self, hcode):
         for i in range(1, 7):
@@ -35,7 +33,7 @@ class TestLayout:
 
         assert not is_parity_balanced(hcode)
         dist = parity_distribution(hcode)
-        assert dist[hcode.horizontal_parity_disk] == hcode.rows
+        assert dist[hcode.p] == hcode.rows
         assert dist[0] == 0
 
     def test_data_count(self, hcode):

@@ -31,7 +31,7 @@ class TestLayout:
 
     def test_parity_columns_follow_2i_4i(self, hv):
         for i in range(1, 7):
-            assert hv.horizontal_parity_column_1based(i) == (2 * i) % 7
+            assert hv.layout[cell(i, (2 * i) % 7)] is ElementKind.HORIZONTAL
             assert hv.vertical_parity_column_1based(i) == (4 * i) % 7
 
     def test_row1_parities_from_fig4(self, hv):
@@ -55,7 +55,7 @@ class TestLayout:
 
     def test_index_validation(self, hv):
         with pytest.raises(InvalidParameterError):
-            hv.horizontal_parity_column_1based(0)
+            hv.vertical_parity_column_1based(0)
         with pytest.raises(InvalidParameterError):
             hv.vertical_parity_column_1based(7)
 
@@ -109,14 +109,13 @@ class TestEquation2:
 
     def test_horizontal_chain_of_matches_membership(self, hv):
         for pos in hv.data_positions:
-            chain = hv.horizontal_chain_of(pos)
-            assert pos in chain.members
+            assert sum(pos in chain.members for chain in hv.horizontal_chains) == 1
 
     def test_chain_of_rejects_parity(self, hv):
         with pytest.raises(InvalidParameterError):
             hv.vertical_chain_of(cell(1, 2))
         with pytest.raises(InvalidParameterError):
-            hv.horizontal_chain_of(cell(1, 4))
+            hv.vertical_chain_of(cell(1, 4))
 
 
 class TestCrossRowSharing:

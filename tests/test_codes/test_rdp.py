@@ -22,9 +22,9 @@ class TestLayout:
         assert rdp.cols == 6
 
     def test_dedicated_parity_disks(self, rdp):
-        for r in range(rdp.rows):
-            assert rdp.layout[(r, rdp.row_parity_disk)] is ElementKind.ROW
-            assert rdp.layout[(r, rdp.diagonal_parity_disk)] is ElementKind.DIAGONAL
+        for r in range(rdp.rows):  # columns p - 1 and p
+            assert rdp.layout[(r, rdp.p - 1)] is ElementKind.ROW
+            assert rdp.layout[(r, rdp.p)] is ElementKind.DIAGONAL
         # All other columns are pure data.
         for c in range(rdp.cols - 2):
             for r in range(rdp.rows):
@@ -57,7 +57,7 @@ class TestChains:
         for chain in rdp.chains:
             if chain.kind is ElementKind.DIAGONAL:
                 for _, c in chain.members:
-                    if c == rdp.row_parity_disk:
+                    if c == rdp.p - 1:  # the row-parity column
                         includes = True
         assert includes
 
@@ -88,6 +88,6 @@ class TestUnbalance:
 
         assert not is_parity_balanced(rdp)
         dist = parity_distribution(rdp)
-        assert dist[rdp.row_parity_disk] == rdp.rows
-        assert dist[rdp.diagonal_parity_disk] == rdp.rows
+        assert dist[rdp.p - 1] == rdp.rows
+        assert dist[rdp.p] == rdp.rows
         assert sum(dist[: rdp.cols - 2]) == 0

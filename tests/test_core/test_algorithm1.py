@@ -60,7 +60,7 @@ class TestPlanStructure:
         # element (unless another chain already consumed its tail).
         for f1, f2 in pairs(hv.cols):
             plan = plan_double_failure_recovery(hv, f1, f2)
-            total = plan.total_recovered
+            total = sum(len(chain) for chain in plan.chains)
             ends = {chain[-1][0] for chain in plan.chains if chain}
             parity_ends = [pos for pos in ends if hv.layout[pos].is_parity]
             assert len(parity_ends) >= 2

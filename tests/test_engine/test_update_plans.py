@@ -39,7 +39,7 @@ class TestCompile:
         cells = tuple(code.data_positions[:3])
         plan = compile_plan(code, "update", cells)
         got = {divmod(slot, code.cols) for slot in plan.outputs}
-        assert got == set(code.write_targets(cells))
+        assert got == set().union(*map(code.update_targets, cells))
 
     def test_pattern_records_the_dirty_cells(self):
         code = get_code("HV", 7)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import HVCode
 from repro.array.filestore import FileStore
-from repro.array.stripe import ERASED
+from repro.array.stripe import ERASED, LATENT
 from repro.exceptions import UnrecoverableFaultError
 from repro.faults import ChecksumSidecar, scrub_store
 from repro.faults.checksum import crc_of
@@ -27,8 +27,8 @@ class TestSidecar:
         for idx, stripe in enumerate(store.stripes):
             for r in range(code.rows):
                 for c in range(code.cols):
-                    assert store.sidecar.matches(
-                        idx, (r, c), stripe.data[r, c]
+                    assert crc_of(stripe.data[r, c]) == store.sidecar.expected(
+                        idx, (r, c)
                     )
 
     def test_record_updates_one_cell(self):
@@ -44,8 +44,8 @@ class TestSidecar:
         for idx, stripe in enumerate(store.stripes):
             for r in range(store.code.rows):
                 for c in range(store.code.cols):
-                    assert store.sidecar.matches(
-                        idx, (r, c), stripe.data[r, c]
+                    assert crc_of(stripe.data[r, c]) == store.sidecar.expected(
+                        idx, (r, c)
                     )
 
     def test_crcs_survive_erasure(self):
@@ -101,7 +101,7 @@ class TestScrubRepairs:
         store.stripes[1].mark_latent((1, 3))
         report = store.scrub_checksums()
         assert report.latent_detected == [(1, (1, 3))]
-        assert not store.stripes[1].is_latent((1, 3))
+        assert store.stripes[1].state[1, 3] != LATENT
         assert store.read(0, len(payload)) == payload
         assert store.scrub() == []
 
@@ -112,9 +112,7 @@ class TestScrubRepairs:
         assert report.unrepaired == [(0, (0, 0))]
         assert report.repair_writes == 0
         # The flip is still there; a second scrub finds it again.
-        assert not store.sidecar.matches(
-            0, (0, 0), store.stripes[0].data[0, 0]
-        )
+        assert crc_of(store.stripes[0].data[0, 0]) != store.sidecar.expected(0, (0, 0))
 
     def test_scrub_on_degraded_store_repairs_survivor(self):
         store, payload = make_store()

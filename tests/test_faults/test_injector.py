@@ -4,8 +4,10 @@ import pytest
 
 from repro import HVCode
 from repro.array.filestore import FileStore
+from repro.array.stripe import LATENT
 from repro.exceptions import InvalidParameterError, TransientIOError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.faults.checksum import crc_of
 
 
 def make_store(p=5, element_size=16, stripes=2):
@@ -54,7 +56,7 @@ class TestFiring:
         assert store.failed_disks == set()
         injector.on_element_io(0, (0, 3), "read")
         assert store.failed_disks == {2}
-        assert injector.exhausted
+        assert len(injector.fired) + len(injector.skipped) == len(plan.events)
 
     def test_reads_drive_the_clock(self):
         store = make_store()
@@ -71,7 +73,7 @@ class TestFiring:
         injector = FaultInjector(plan).attach(store)
         injector.flush()
         assert store.failed_disks == {1}
-        assert injector.exhausted
+        assert len(injector.fired) + len(injector.skipped) == len(plan.events)
 
     def test_crash_on_already_failed_disk_skipped(self):
         store = make_store()
@@ -98,7 +100,7 @@ class TestFiring:
             [FaultEvent(FaultKind.LATENT_SECTOR, disk=2, stripe=0, row=1)]
         )
         FaultInjector(plan).attach(store).flush()
-        assert store.stripes[0].is_latent((1, 2))
+        assert store.stripes[0].state[1, 2] == LATENT
 
     def test_latent_on_erased_cell_skipped(self):
         store = make_store()
@@ -109,7 +111,7 @@ class TestFiring:
         injector = FaultInjector(plan).attach(store)
         injector.flush()
         assert len(injector.skipped) == 1
-        assert not store.stripes[0].is_latent((1, 2))
+        assert store.stripes[0].state[1, 2] != LATENT
 
     def test_flip_is_silent(self):
         store = make_store()
@@ -122,7 +124,7 @@ class TestFiring:
         after = store.stripes[0].get((0, 0))
         assert after[3] == before[3] ^ 0x10
         # Silent: the sidecar still expects the *original* content.
-        assert not store.sidecar.matches(0, (0, 0), after)
+        assert crc_of(after) != store.sidecar.expected(0, (0, 0))
 
     def test_flip_on_unreadable_cell_skipped(self):
         store = make_store()

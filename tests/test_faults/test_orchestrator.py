@@ -5,6 +5,7 @@ import pytest
 
 from repro import HVCode
 from repro.array.filestore import FileStore
+from repro.array.stripe import HEALTHY, LATENT
 from repro.codes.registry import EVALUATED_CODE_NAMES, available_codes, get_code
 from repro.exceptions import (
     ChecksumMismatchError,
@@ -63,7 +64,7 @@ class TestRebuild:
         report = RebuildOrchestrator(store).rebuild(3)
         assert report.completed
         assert report.latent_hits >= 1
-        assert not store.stripes[0].is_latent((0, 1))
+        assert store.stripes[0].state[0, 1] != LATENT
         assert store.read(0, len(payload)) == payload
         assert store.scrub() == []
 
@@ -111,7 +112,7 @@ class TestResume:
             orchestrator.rebuild(0)
         assert orchestrator.checkpoint == 3
         # The latent sector gets re-read successfully (cleared).
-        store.stripes[3].clear_latent((0, 3))
+        store.stripes[3].state[0, 3] = HEALTHY
         report = orchestrator.resume(0)
         assert report.completed
         assert report.stripes_done == 6

@@ -47,13 +47,11 @@ class TestFaultPlan:
         assert [e.at_op for e in plan] == [2, 5]
         assert len(plan) == 2
 
-    def test_of_kind(self):
+    def test_default_mix_has_one_crash(self):
         plan = FaultPlan.random(
             3, rows=4, cols=5, stripes=2, element_size=16
         )
-        crashes = plan.of_kind(FaultKind.DISK_CRASH)
-        assert len(crashes) == 1
-        assert all(e.kind is FaultKind.DISK_CRASH for e in crashes)
+        assert [e.kind for e in plan].count(FaultKind.DISK_CRASH) == 1
 
     def test_to_dict_round_trippable(self):
         plan = FaultPlan.random(
@@ -84,17 +82,18 @@ class TestRandomPlans:
             plan = FaultPlan.random(
                 seed, rows=6, cols=7, stripes=4, element_size=32
             )
-            crashed = {e.disk for e in plan.of_kind(FaultKind.DISK_CRASH)}
+            crashed = {e.disk for e in plan if e.kind is FaultKind.DISK_CRASH}
             for kind in (FaultKind.LATENT_SECTOR, FaultKind.BIT_FLIP):
-                assert all(e.disk not in crashed for e in plan.of_kind(kind))
+                assert all(e.disk not in crashed for e in plan if e.kind is kind)
 
     def test_event_mix_matches_request(self):
         plan = FaultPlan.random(
             5, rows=6, cols=7, stripes=4, element_size=32,
             crashes=2, latent=0, flips=0, transients=3,
         )
-        assert len(plan.of_kind(FaultKind.DISK_CRASH)) == 2
-        assert len(plan.of_kind(FaultKind.TRANSIENT_IO)) == 3
+        kinds = [e.kind for e in plan]
+        assert kinds.count(FaultKind.DISK_CRASH) == 2
+        assert kinds.count(FaultKind.TRANSIENT_IO) == 3
         assert len(plan) == 5
 
     def test_rejects_more_than_two_crashes(self):

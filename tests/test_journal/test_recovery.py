@@ -5,6 +5,7 @@ import pytest
 
 from repro import CrashError, HVCode
 from repro.array.filestore import FileStore
+from repro.array.stripe import LATENT
 from repro.exceptions import JournalError
 from repro.journal import (
     COMMIT,
@@ -58,7 +59,7 @@ class TestApplyRecord:
         stripe.mark_latent((0, 1))
         record = JournalRecord(INTENT, 1, 0, (JournalPiece(1, 0, b"\xff"),))
         apply_record(record, stripe, code.cols)
-        assert not stripe.is_latent((0, 1))
+        assert stripe.state[0, 1] != LATENT
 
     def test_out_of_bounds_piece_rejected(self):
         code, stripe = make_stripe(element_size=8)

@@ -3,7 +3,6 @@
 from repro import HVCode
 from repro.array.raid import RAID6Volume
 from repro.metrics.io_count import (
-    requests_per_disk,
     total_induced_writes,
     total_reads,
     writes_per_disk,
@@ -31,11 +30,6 @@ class TestAggregation:
         per_disk = writes_per_disk(results, volume.num_disks)
         assert sum(per_disk) == total_induced_writes(results)
         assert per_disk == volume.stats.writes
-
-    def test_requests_per_disk(self):
-        volume, results = run_small_trace()
-        per_disk = requests_per_disk(results, volume.num_disks)
-        assert per_disk == volume.stats.per_disk_requests()
 
     def test_empty_results(self):
         assert total_induced_writes([]) == 0

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import HVCode, XCode, RDPCode
 from repro.core.partial_write import analyze_partial_write
-from repro.recovery.single import plan_degraded_read, plan_single_disk_recovery
+from repro.engine import compile_plan
+from repro.recovery.single import plan_single_disk_recovery
 
 code_strategy = st.builds(
     lambda cls, p: cls(p),
@@ -38,12 +39,19 @@ def test_degraded_read_plan_bounds(code, data):
     start = data.draw(st.integers(0, total - length))
     disk = data.draw(st.integers(0, code.cols - 1))
     requested = code.data_positions[start : start + length]
-    plan = plan_degraded_read(code, disk, requested, method="greedy")
+    lost = [c for c in requested if c[1] == disk]
+    free = [c for c in requested if c[1] != disk]
+    # L' is the compiled read plan's reads plus the free cells.
+    fetched = set(free)
+    if lost:
+        column = [(r, disk) for r in range(code.rows)]
+        plan = compile_plan(code, "read", (column, lost, free), cache=None)
+        fetched |= set(map(plan.position_of, plan.reads))
     # L' is bounded below by the surviving requested cells and above by
     # requested plus one full chain per lost element.
     max_chain = max(chain.length for chain in code.chains)
-    assert plan.efficiency >= (length - len(plan.lost)) / length
-    assert plan.elements_returned <= length + len(plan.lost) * max_chain
+    assert len(fetched) >= length - len(lost)
+    assert len(fetched) <= length + len(lost) * max_chain
 
 
 @settings(max_examples=40, deadline=None)

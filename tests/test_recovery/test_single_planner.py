@@ -3,11 +3,10 @@
 import pytest
 
 from repro import HVCode, RDPCode, XCode
-from repro.exceptions import InvalidParameterError
-from repro.recovery.single import (
-    plan_degraded_read,
-    plan_single_disk_recovery,
-)
+from repro.array.raid import RAID6Volume
+from repro.engine import compile_plan
+from repro.exceptions import InvalidParameterError, PlanError
+from repro.recovery.single import plan_single_disk_recovery
 
 
 class TestPlannerEquivalence:
@@ -74,20 +73,24 @@ class TestPlanValidity:
 
 
 class TestDegradedRead:
+    """Fig. 7's degraded read, as the compiled ``read`` plan prices it:
+    the fetch is the request's free cells plus the plan's reads (L′)."""
+
     def test_no_lost_cells_is_free(self):
         code = HVCode(7)
-        requested = [pos for pos in code.data_positions if pos[1] != 0][:4]
-        plan = plan_degraded_read(code, 0, requested)
-        assert plan.elements_returned == 4
-        assert plan.efficiency == 1.0
-        assert not plan.extra_reads
+        assert all(pos[1] != 0 for pos in code.data_positions[1:5])
+        volume = RAID6Volume(code, num_stripes=1)
+        volume.fail_disk(0)
+        result = volume.degraded_read(1, 4)
+        assert result.elements_returned == 4
+        assert result.io.total_reads == 4
 
     def test_lost_cell_costs_chain(self):
         code = HVCode(7)
         lost = next(pos for pos in code.data_positions if pos[1] == 0)
-        plan = plan_degraded_read(code, 0, [lost])
-        assert plan.lost == (lost,)
-        assert plan.elements_returned == code.p - 3  # chain minus the lost cell
+        plan, fetched = _read(code, 0, [lost])
+        assert plan.output_positions == (lost,)
+        assert len(fetched) == code.p - 3  # chain minus the lost cell
 
     def test_requested_alive_cells_reused(self):
         # Request an entire horizontal chain's data: rebuilding the one
@@ -97,28 +100,36 @@ class TestDegradedRead:
         members = sorted(chain.members)
         lost = members[0]
         failed_disk = lost[1]
-        requested = [m for m in members]
-        plan = plan_degraded_read(code, failed_disk, requested)
-        assert plan.lost == (lost,)
-        assert plan.extra_reads == frozenset({chain.parity})
+        plan, fetched = _read(code, failed_disk, members)
+        assert plan.output_positions == (lost,)
+        assert fetched - set(members) == {chain.parity}
 
     def test_efficiency_at_least_one(self):
         code = XCode(7)
         for start in (0, 7, 20):
             requested = code.data_positions[start : start + 5]
             failed = requested[2][1]
-            plan = plan_degraded_read(code, failed, requested)
-            assert plan.efficiency >= 1.0
+            _, fetched = _read(code, failed, requested)
+            assert len(fetched) >= len(requested)
 
     def test_empty_request_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            plan_degraded_read(HVCode(7), 0, [])
+        code = HVCode(7)
+        column = [(r, 0) for r in range(code.rows)]
+        with pytest.raises(PlanError):
+            compile_plan(code, "read", (column, (), ()), cache=None)
 
     def test_never_reads_failed_disk(self):
         code = RDPCode(7)
         requested = code.data_positions[:10]
-        plan = plan_degraded_read(code, 1, requested, method="auto")
-        for cell in plan.fetched:
-            if cell in plan.lost:
-                continue
-            assert cell[1] != 1
+        _, fetched = _read(code, 1, requested, planner="auto")
+        assert all(cell[1] != 1 for cell in fetched)
+
+
+def _read(code, disk, requested, planner="milp"):
+    """The compiled ``read`` plan of ``requested`` with ``disk`` down,
+    and the cells it fetches: the alive requested ones plus its reads."""
+    wanted = [c for c in requested if c[1] == disk]
+    free = [c for c in requested if c[1] != disk]
+    column = [(r, disk) for r in range(code.rows)]
+    plan = compile_plan(code, "read", (column, wanted, free), planner=planner, cache=None)
+    return plan, set(free) | set(map(plan.position_of, plan.reads))

@@ -29,7 +29,7 @@ class TestGeometry:
         bps = pool.bytes_per_stripe
         for stripe in range(8):
             shard, local = pool.locate(stripe * bps + 7, 3)
-            assert shard == pool.shard_of_stripe(stripe)
+            assert shard == pool.policy.shard_of(stripe, pool.num_stripes)
             assert local % bps == 7
 
     def test_locate_rejects_spanning_ops(self):
@@ -103,12 +103,6 @@ class TestSnapshots:
         assert merged.total_reads == sum(
             s.stats.total_reads for s in pool.shards
         )
-
-    def test_shard_stats_rows(self):
-        pool = small_pool(cache_stripes=2)
-        rows = pool.shard_stats()
-        assert [r["shard"] for r in rows] == [0, 1]
-        assert sum(r["stripes"] for r in rows) == 8
 
     def test_content_digest_tracks_content(self):
         pool = small_pool()

@@ -235,7 +235,7 @@ class TestFaultOpsAndRebuildProgress:
         pool = make_pool(num_stripes=48, element_size=256, num_shards=2)
         bps = pool.bytes_per_stripe
         shard1_stripe = next(
-            s for s in range(48) if pool.shard_of_stripe(s) == 1
+            s for s in range(48) if pool.policy.shard_of(s, pool.num_stripes) == 1
         )
         store = pool.shards[0]
         rebuild = store.rebuild
@@ -276,7 +276,8 @@ JOIN = 10.0  # seconds any wait in these tests may take before it fails
 
 def first_stripe_on(pool, shard):
     return next(
-        s for s in range(pool.num_stripes) if pool.shard_of_stripe(s) == shard
+        s for s in range(pool.num_stripes)
+        if pool.policy.shard_of(s, pool.num_stripes) == shard
     )
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import InvalidSimConfigError
-from repro.sim import DiskLifetimeModel, ExponentialLifetime, WeibullLifetime
+from repro.sim import ExponentialLifetime, WeibullLifetime
 from repro.utils import resolve_rng
 
 
@@ -54,16 +54,3 @@ class TestWeibull:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(InvalidSimConfigError):
             WeibullLifetime(**kwargs)
-
-
-class TestFromSpec:
-    @pytest.mark.parametrize("model", [
-        ExponentialLifetime(mttf_hours=42.0),
-        WeibullLifetime(scale_hours=77.0, shape=0.8),
-    ], ids=["exponential", "weibull"])
-    def test_round_trips(self, model):
-        assert DiskLifetimeModel.from_spec(model.to_dict()) == model
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidSimConfigError):
-            DiskLifetimeModel.from_spec({"kind": "lognormal"})

@@ -53,8 +53,7 @@ class TestMDSVerdict:
         cert = certify_code(BrokenHV(5))
         assert not cert.mds.verdict
         assert not cert.claims["mds"]
-        with pytest.raises(CertificationError, match="mds"):
-            cert.require_claims()
+        assert "mds" in cert.failed_claims()
 
 
 class TestHVClaims:
@@ -68,7 +67,6 @@ class TestHVClaims:
             "four_parallel_recovery_chains": True,
             "optimal_update_complexity": True,
         }
-        cert.require_claims()
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_chain_length_is_p_minus_2(self, p):

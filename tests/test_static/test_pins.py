@@ -52,7 +52,7 @@ class TestPins:
 
     def test_all_smoke_claims_hold(self, smoke):
         for cert in smoke:
-            cert.require_claims()
+            assert cert.failed_claims() == [], cert.key
 
     def test_check_pins_rejects_unpinned(self, smoke):
         ghost = dataclasses.replace(smoke[0], code="Ghost")

@@ -310,7 +310,7 @@ class TestVerifyCodePlans:
     def test_every_code_verifies_at_p5(self, name):
         report = verify_code_plans(name, 5)
         assert report.patterns_verified > 0
-        report.require_claims()
+        assert report.failed_claims() == []
 
     def test_hv_claims_re_derived_from_plans(self):
         """The paper's numbers fall out of the verified schedules."""

@@ -7,11 +7,9 @@ from repro.utils import (
     EVALUATION_PRIMES,
     is_prime,
     mean,
-    mod,
     mod_div,
     mod_inverse,
     pairs,
-    primes_in_range,
     require_prime,
 )
 
@@ -55,10 +53,6 @@ class TestRequirePrime:
 
 
 class TestModularArithmetic:
-    def test_mod_matches_paper_notation(self):
-        assert mod(8, 7) == 1
-        assert mod(-1, 7) == 6
-
     def test_mod_inverse_roundtrip(self):
         for p in (5, 7, 13):
             for a in range(1, p):
@@ -84,10 +78,6 @@ class TestModularArithmetic:
 
 
 class TestHelpers:
-    def test_primes_in_range(self):
-        assert primes_in_range(5, 13) == [5, 7, 11, 13]
-        assert primes_in_range(24, 28) == []
-
     def test_pairs_count(self):
         assert len(pairs(6)) == 15
         assert pairs(2) == [(0, 1)]

@@ -58,7 +58,6 @@ class TestGeneration:
         assert trace.clients.min() >= 0
         assert trace.clients.max() < 7
         assert 0 < trace.num_writes < 2000
-        assert trace.num_reads == 2000 - trace.num_writes
 
     def test_write_fraction_extremes(self):
         all_writes = service_trace(8, 512, 300, write_fraction=1.0, seed=0)

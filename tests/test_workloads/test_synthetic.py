@@ -3,13 +3,7 @@
 import pytest
 
 from repro.exceptions import WorkloadError
-from repro.workloads.synthetic import (
-    MixedOp,
-    mixed_trace,
-    read_patterns_of,
-    sequential_write_trace,
-    zipf_write_trace,
-)
+from repro.workloads.synthetic import sequential_write_trace, zipf_write_trace
 
 
 class TestSequential:
@@ -68,29 +62,3 @@ class TestZipf:
             zipf_write_trace(1200, 120, length=121)
         with pytest.raises(WorkloadError):
             zipf_write_trace(100, 120)
-
-
-class TestMixed:
-    def test_ratio_roughly_respected(self):
-        ops = mixed_trace(1000, num_ops=800, write_fraction=0.25, seed=3)
-        writes = sum(1 for op in ops if op.kind == "write")
-        assert 0.15 <= writes / len(ops) <= 0.35
-
-    def test_read_extraction(self):
-        ops = (
-            MixedOp("read", 0, 5),
-            MixedOp("write", 5, 2),
-            MixedOp("read", 9, 1),
-        )
-        reads = read_patterns_of(ops)
-        assert len(reads) == 2
-        assert reads[0].start == 0
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            mixed_trace(100, write_fraction=1.5)
-
-    def test_bounds(self):
-        ops = mixed_trace(500, num_ops=300, max_length=8, seed=4)
-        assert all(op.start + op.length <= 500 for op in ops)
-        assert all(1 <= op.length <= 8 for op in ops)

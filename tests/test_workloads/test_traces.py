@@ -8,7 +8,6 @@ from repro.workloads.traces import (
     WritePattern,
     WriteTrace,
     paper_random_trace,
-    random_write_trace,
     uniform_write_trace,
 )
 
@@ -68,7 +67,7 @@ class TestPaperTrace:
 
     def test_total_operations(self):
         trace = paper_random_trace()
-        assert trace.total_operations == sum(f for _, _, f in PAPER_TABLE_II)
+        assert sum(p.frequency for p in trace) == sum(f for _, _, f in PAPER_TABLE_II)
 
     def test_fits_in_default_volume(self):
         from repro.experiments.fig6_partial_writes import DEFAULT_VOLUME_ELEMENTS
@@ -77,19 +76,8 @@ class TestPaperTrace:
 
 
 class TestRandomTrace:
-    def test_shape(self):
-        trace = random_write_trace(600, num_patterns=30, seed=0)
-        assert len(trace) == 30
-        assert trace.max_end <= 600
-
-    def test_respects_bounds(self):
-        trace = random_write_trace(600, max_length=5, max_frequency=2, seed=1)
-        assert all(p.length <= 5 for p in trace)
-        assert all(p.frequency <= 2 for p in trace)
-
     def test_totals(self):
         trace = WriteTrace(
             "t", (WritePattern(0, 2, 3), WritePattern(5, 4, 1))
         )
         assert trace.total_elements_written == 2 * 3 + 4
-        assert trace.total_operations == 4

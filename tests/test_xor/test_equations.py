@@ -61,11 +61,6 @@ class TestSolveErased:
         out = system.solve_erased([(0, 0)], rhs)
         assert out[0, 0] == 5
 
-    def test_consistent_with(self):
-        system = tiny_system()
-        assert system.consistent_with({(0, 0): 1, (0, 1): 2, (0, 2): 3})
-        assert not system.consistent_with({(0, 0): 1, (0, 1): 2, (0, 2): 4})
-
     def test_rank_counts_independent_constraints(self):
         code = HVCode(7)
         # All 12 chains of HV(7) are independent... up to the global
