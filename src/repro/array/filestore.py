@@ -74,8 +74,9 @@ the stack benchmark (``python3 -m bench``), and the end-to-end tests.
 
 from __future__ import annotations
 
+import operator
 import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -111,10 +112,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a codes<->array cycle
     from ..faults.injector import FaultInjector
 
 Position = tuple[int, int]
-
-#: One piece of a write landing in a single element:
-#: ``(position, byte offset within the element, payload view)``.
-Piece = tuple[Position, int, memoryview]
 
 #: Most loss states a store remembers (see :meth:`FileStore._loss`);
 #: one failed disk, two, and a few latent cells on top stay far below.
@@ -163,6 +160,9 @@ class FileStore:
         self._eps = code.data_elements_per_stripe
         self._cols = code.cols
         self._data_positions = code.data_positions
+        #: the data cells' slots and disks, in data-element order
+        self._data_slots = tuple(r * code.cols + c for r, c in code.data_positions)
+        self._data_disks = tuple(c for _, c in code.data_positions)
         #: each disk's column as ascending slots, by disk
         self._columns = tuple(
             tuple(range(disk, code.rows * code.cols, code.cols))
@@ -232,10 +232,6 @@ class FileStore:
     def capacity(self) -> int:
         """Bytes currently addressable (grows on write)."""
         return len(self.stripes) * self._eps * self.element_size
-
-    def _locate(self, element_index: int) -> tuple[int, Position]:
-        stripe_idx, offset = divmod(element_index, self._eps)
-        return stripe_idx, self._data_positions[offset]
 
     def _ensure_capacity(self, end_byte: int) -> None:
         while self.capacity < end_byte:
@@ -334,7 +330,7 @@ class FileStore:
 
     # -- journal plumbing --------------------------------------------------------
 
-    def _journal_intent(self, stripe_idx: int, cells: list[Position]) -> None:
+    def _journal_intent(self, stripe_idx: int, slots: Sequence[int]) -> None:
         """Flag the stripe's deferred parity before any data byte lands.
 
         Write-ahead discipline: the intent frame (the slots about to go
@@ -350,10 +346,7 @@ class FileStore:
         absorb into.
         """
         assert self.journal is not None
-        cols = self._cols
-        self.stats.record_journal(
-            self.journal.log_intent(stripe_idx, [r * cols + c for r, c in cells])
-        )
+        self.stats.record_journal(self.journal.log_intent(stripe_idx, slots))
 
     def _journal_commit(self, stripe_idx: int) -> None:
         """Void the stripe's intents: its parity and sidecars landed."""
@@ -375,8 +368,7 @@ class FileStore:
         if not self.cache:  # no cache, or a drained one
             journal.checkpoint()
         elif len(journal.device.buf) > self.journal_bound:
-            cols = self._cols
-            live = [(i, e.pattern(cols)) for i, e in self.cache.items() if e.num_dirty]
+            live = [(i, e.pattern()) for i, e in self.cache.items() if e.num_dirty]
             sizes = journal.compact(live)
             self.stats.record_journal(sum(sizes), len(sizes))
 
@@ -397,26 +389,23 @@ class FileStore:
             return 0
         stripes_rolled = 0
         elements = 0
-        cols = self.code.cols
+        es, cols = self.element_size, self._cols
         for idx, entry in self.cache.discard_all():
             if not entry.num_dirty:
                 continue
             stripes_rolled += 1
             if self.journal is not None:
-                undo = [
-                    JournalPiece(r * cols + c, 0, b"", old)
-                    for (r, c), old in entry.old.items()
-                ]
+                undo = [JournalPiece(slot, 0, b"", old) for slot, old in entry.old.items()]
                 self.stats.record_journal(self.journal.log_discard(idx, undo))
             stripe = self.stripes[idx]
-            for pos, old in entry.old.items():
-                r, c = pos
-                if stripe.state[r, c] == ERASED:
+            cells, state = memoryview(stripe.data).cast("B"), stripe.state.flat
+            for slot, old in entry.old.items():
+                if state[slot] == ERASED:
                     continue
-                memoryview(stripe.data[r, c])[:] = old
-                stripe.state[r, c] = HEALTHY
+                cells[slot * es : (slot + 1) * es] = old
+                state[slot] = HEALTHY
                 elements += 1
-                self.stats.record_write(c)
+                self.stats.record_write(slot % cols)
                 self._crash_point("rollback-write")
         if stripes_rolled:
             self.stats.record_note(DirtyCacheDiscarded(stripes_rolled, elements))
@@ -743,6 +732,8 @@ class FileStore:
         share a store: lost elements are computed into scratch by their
         stripe's read plan (:meth:`_read_stripe`).
         """
+        if type(offset) is not int or type(size) is not int:
+            offset, size = _index(offset, "offset"), _index(size, "size")
         if offset < 0 or size < 0:
             raise InvalidParameterError("offset and size must be >= 0")
         element_index, within = divmod(offset, self.element_size)
@@ -831,75 +822,61 @@ class FileStore:
         for (at, lo, hi), value in zip(lost, values):
             out[at : at + hi - lo] = value[lo:hi]
 
-    def write(self, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, growing the store as needed."""
+    def write(self, offset: int, data) -> None:
+        """Write ``data``, any bytes-like object, at ``offset``, growing
+        the store as needed; a buffer of another item format or shape
+        lands as its C-order bytes."""
+        if type(offset) is not int:
+            offset = _index(offset, "offset")
         if offset < 0:
             raise InvalidParameterError("offset must be >= 0")
-        view = memoryview(data)
-        if view.format != "B":
+        try:
+            view = memoryview(data)
+        except TypeError:
+            raise InvalidParameterError(
+                f"write takes a bytes-like payload, not {type(data).__name__}"
+            ) from None
+        if not view.c_contiguous:
+            view = memoryview(view.tobytes())
+        if view.ndim != 1 or view.format != "B":
             view = view.cast("B")  # the store moves bytes, whatever they were
-        size = len(view)
+        size = view.nbytes
         if not size:
             return
-        if offset + size > len(self.stripes) * self._eps * self.element_size:
+        stripe_bytes = self._eps * self.element_size
+        if offset + size > len(self.stripes) * stripe_bytes:
             self._ensure_capacity(offset + size)  # rare: past ``capacity``
-        element_index, within = divmod(offset, self.element_size)
-        if within + size <= self.element_size:
-            # Sub-element write, the small-write hot path: no grouping
-            # pass needed.
-            stripe_idx, slot = divmod(element_index, self._eps)
-            self._write_stripe(
-                stripe_idx, [(self._data_positions[slot], within, view)]
-            )
-            return
-        by_stripe: dict[int, list[Piece]] = {}
-        cursor = offset
-        consumed = 0
-        while consumed < size:
-            element_index, within = divmod(cursor, self.element_size)
-            stripe_idx, pos = self._locate(element_index)
-            chunk = min(size - consumed, self.element_size - within)
-            by_stripe.setdefault(stripe_idx, []).append(
-                (pos, within, view[consumed : consumed + chunk])
-            )
-            cursor += chunk
-            consumed += chunk
-        for stripe_idx, pieces in by_stripe.items():
-            self._write_stripe(stripe_idx, pieces)
+        # Stripe by stripe from one ``divmod``; a slice past the end of
+        # ``view`` clips to it.
+        stripe_idx, start = divmod(offset, stripe_bytes)
+        at = 0
+        while at < size:
+            stop = at + stripe_bytes - start
+            self._write_stripe(stripe_idx, start, view[at:stop])
+            at, stripe_idx, start = stop, stripe_idx + 1, 0
 
     # -- the write path, one stripe at a time -------------------------------------
 
-    def _write_stripe(self, stripe_idx: int, pieces: list[Piece]) -> None:
+    def _write_stripe(self, stripe_idx: int, start: int, view: memoryview) -> None:
+        """Write ``view`` over bytes ``[start, start + view.nbytes)`` of one
+        stripe's data cells."""
         stripe = self.stripes[stripe_idx]
         if self.injector is not None:
-            for pos, _, _ in pieces:
+            es = self.element_size
+            for pos in self._data_positions[start // es : (start + view.nbytes - 1) // es + 1]:
                 self._element_io(stripe_idx, pos, "write")
         if self.cache is None:
-            self._write_stripe_rmw(stripe_idx, pieces)
+            self._write_stripe_rmw(stripe_idx, start, view)
         elif not stripe.any_faults():
-            self._write_stripe_cached(stripe_idx, pieces)
+            self._write_stripe_cached(stripe_idx, start, view)
         else:
             # Stale deferred parity must land before the write recovers
             # a lost cell's old value through it.
             if stripe_idx in self.cache:
                 self._flush_stripe(stripe_idx)
-            self._write_stripe_rmw(stripe_idx, pieces)
+            self._write_stripe_rmw(stripe_idx, start, view)
 
-    @staticmethod
-    def _merge_pieces(
-        pieces: list[Piece], old: Callable[[Position], np.ndarray]
-    ) -> dict[Position, np.ndarray]:
-        """Fold write pieces into full new element buffers over
-        ``old(pos)``, each element's current bytes (the RMW read)."""
-        updates: dict[Position, np.ndarray] = {}
-        for pos, within, piece in pieces:
-            base = updates.get(pos)
-            if base is None:
-                base = updates[pos] = old(pos).copy()
-            base[within : within + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
-        return updates
-
-    def _write_stripe_cached(self, stripe_idx: int, pieces: list[Piece]) -> None:
+    def _write_stripe_cached(self, stripe_idx: int, start: int, view: memoryview) -> None:
         """Write-back: land the data bytes now, defer the parity delta.
 
         Write-ahead discipline: the intent flag (the first-touched
@@ -909,22 +886,36 @@ class FileStore:
         """
         cache = self.cache
         assert cache is not None
+        es = self.element_size
+        end = start + view.nbytes
+        first, last = start // es, (end - 1) // es + 1
+        slots = self._data_slots[first:last]
         entry = cache.entry(stripe_idx)
-        data = self.stripes[stripe_idx].data
-        first = [pos for pos, _, _ in pieces if pos not in entry.old]
-        if first:
+        # Every copy goes through the stripe's one flat byte view, not a
+        # numpy assignment: numpy drops the GIL for copies above 500
+        # elements, and a waiting thread would take it mid-op
+        # (docs/ENGINE.md).
+        cells = memoryview(self.stripes[stripe_idx].data).cast("B")
+        old = entry.old
+        fresh = [slot for slot in slots if slot not in old]
+        if fresh:
             if self.journal is not None:
-                self._journal_intent(stripe_idx, first)
-            for pos in first:
-                entry.snapshot(pos, data[pos])
-            self.stats.record_reads([c for _, c in first])  # the RMW old-data reads
-        for pos, within, piece in pieces:
-            # Through the buffer protocol, not a numpy assignment: numpy
-            # drops the GIL for copies above 500 elements, and a waiting
-            # thread would take it mid-op (docs/ENGINE.md).
-            memoryview(data[pos])[within : within + len(piece)] = piece
-        self.stats.record_writes([pos[1] for pos, _, _ in pieces])
-        self.data_writes += len(pieces)
+                self._journal_intent(stripe_idx, fresh)
+            entry.snapshot(cells, fresh, es)
+            cols = self._cols
+            self.stats.record_reads([slot % cols for slot in fresh])  # the RMW old-data reads
+        # Data element ``k`` sits ``(slot - k) * es`` bytes further on in
+        # ``cells`` than in the stripe's data space.
+        at = start
+        for k, slot in enumerate(slots, first):
+            stop = (k + 1) * es
+            if stop > end:
+                stop = end
+            shift = (slot - k) * es
+            cells[at + shift : stop + shift] = view[at - start : stop - start]
+            at = stop
+        self.stats.record_writes(self._data_disks[first:last])
+        self.data_writes += last - first
         if self._crash_hook is not None:
             self._crash_hook("data-write")
         if self.injector is not None:
@@ -937,7 +928,7 @@ class FileStore:
         else:
             self._maybe_checkpoint()  # a flush ends in one too
 
-    def _write_stripe_rmw(self, stripe_idx: int, pieces: list[Piece]) -> None:
+    def _write_stripe_rmw(self, stripe_idx: int, start: int, view: memoryview) -> None:
         """Immediate read-modify-write: the same plans :meth:`RAID6Volume.write` prices.
 
         Only the old values the disks cannot return are computed — of a
@@ -952,53 +943,61 @@ class FileStore:
         for scrub and rebuild.
         """
         stripe = self.stripes[stripe_idx]
-        data, state = stripe.data, stripe.state
-        cols = self._cols
+        flat, state = stripe.flat_view(), stripe.state.flat
+        es, cols = self.element_size, self._cols
+        end = start + view.nbytes
+        first = start // es
+        # The written slots, ascending and distinct as ``data_positions``
+        # lays them out: the canonical pattern, one probe.
+        slots = self._data_slots[first : (end - 1) // es + 1]
         if self.journal is not None:
             # Recovery re-derives what parity the surviving chains allow.
-            self._journal_intent(stripe_idx, [pos for pos, _, _ in pieces])
-        # The pieces' slots, ascending and distinct as ``write`` lays
-        # them out: the canonical pattern, one probe.
-        plan = self._compiler.compile_plan(
-            self.code, "update", tuple(r * cols + c for (r, c), _, _ in pieces)
-        )
-        cells, parities = plan.pattern_positions, plan.output_positions
+            self._journal_intent(stripe_idx, slots)
+        plan = self._compiler.compile_plan(self.code, "update", slots)
         loss = self._loss(stripe)
-        unreadable = [(s, p) for s, p in zip(plan.pattern, cells) if s in loss.lost]
-        unreadable += [(s, p) for s, p in zip(plan.outputs, parities) if s in loss.latent]
-        olds: dict[Position, np.ndarray] = {}
+        unreadable = [s for s in plan.pattern if s in loss.lost]
+        unreadable += [s for s in plan.outputs if s in loss.latent]
+        olds: dict[int, np.ndarray] = {}
         extra: set[int] = set()
-        for slot, pos in unreadable:
+        for slot in unreadable:
             read = self._read_plan(stripe, (slot,))
             if read is None:
-                olds[pos] = recover_element(
-                    self.code, stripe, pos, self.healing, engine=self.engine
+                olds[slot] = recover_element(
+                    self.code, stripe, divmod(slot, cols), self.healing, engine=self.engine
                 )
             else:
-                olds[pos] = self._planned(stripe, read, self.stats)[0]
+                olds[slot] = self._planned(stripe, read, self.stats)[0]
                 extra.update(read.reads)
-        news = self._merge_pieces(pieces, lambda pos: olds.get(pos, data[pos]))
         # What each written slot held, as the fold's delta build sees it
         # (``live ⊕ pre``): a lost cell's slot stays zero, so its
         # pre-image is the whole delta.
         pre: dict[int, np.ndarray] = {}
+        lost_news: dict[int, np.ndarray] = {}
         landed: list[int] = []
-        for slot, pos in zip(plan.pattern, cells):
+        at = start
+        for k, slot in enumerate(slots, first):
+            stop = min((k + 1) * es, end)
+            before = olds[slot] if slot in olds else flat[slot].copy()
+            new = before.copy()
+            new[at - k * es : stop - k * es] = np.frombuffer(
+                view[at - start : stop - start], dtype=np.uint8
+            )
+            at = stop
             if slot in loss.erased:
-                pre[slot] = olds[pos] ^ news[pos]
+                pre[slot] = before ^ new
+                lost_news[slot] = new
             else:
-                pre[slot] = olds[pos] if pos in olds else data[pos].copy()
-                data[pos] = news[pos]
-                state[pos] = HEALTHY
-                landed.append(pos[1])
-        for slot, pos in zip(plan.outputs, parities):
+                pre[slot] = before
+                flat[slot] = new
+                state[slot] = HEALTHY
+                landed.append(slot % cols)
+        for slot in plan.outputs:
             if slot in loss.latent:
-                data[pos] = olds[pos]
+                flat[slot] = olds[slot]
         self._crash_point("data-write")
         self._fold(plan, (stripe_idx,), [pre], faulted=stripe.any_faults())
-        for slot, pos in zip(plan.pattern, cells):
-            if slot in loss.erased:
-                self.sidecar.record(stripe_idx, pos, news[pos])
+        for slot, new in lost_news.items():
+            self.sidecar.record(stripe_idx, divmod(slot, cols), new)
         self.stats.record_reads(landed)
         self.stats.record_writes(landed)
         self.stats.record_reads(s % cols for s in extra.difference(plan.pattern))
@@ -1044,82 +1043,66 @@ class FileStore:
         if self.injector is None:
             return
         for idx, entry in entries:
-            for pos in entry.dirty_positions():
+            for slot in entry.pattern():
                 if idx not in self.cache:
                     break  # a reentrant flush already landed this entry
-                self._element_io(idx, pos, "flush")
+                self._element_io(idx, divmod(slot, self._cols), "flush")
 
     def _flush_entries(self, entries: list[tuple[int, DirtyStripe]]) -> int:
         """Land deferred parity for the given dirty stripes.
 
-        Healthy stripes sharing a dirty pattern are grouped and folded
-        under a single compiled ``update`` plan, or re-encoded when the
-        cost model prefers it
+        Healthy stripes sharing a dirty pattern are grouped, in pattern
+        order, and each group is folded under a single compiled
+        ``update`` plan (:meth:`_fold`, the entries' ``old`` maps being
+        its pre-images) or re-encoded when the cost model prefers it
         (:func:`~repro.engine.compile.choose_update_strategy`), on every
-        engine.  A stripe with a lost or latent cell is folded alone.
+        engine; a lone eviction is a group of one.  A stripe with a lost
+        or latent cell is folded alone, first.  Its pre-images are the
+        cache's first-touch snapshots, except for a dirty data cell
+        erased before its parity landed — the genuine write hole: the
+        new bytes died with the disk, so its pre-image is its zeroed
+        slot, its delta is zero and its CRC keeps the pre-image's; the
+        cell's logical content stays the old data, which is what
+        decoding the untouched parity reconstructs.
 
         An attached injector's clock was already advanced per dirty
         element by :meth:`_ping_flush_io` before these entries were
         popped.  Each flushed stripe is journal-committed once its
         parity and sidecars are durable.
         """
-        batches: list[tuple[tuple[int, ...], list[tuple[int, DirtyStripe]]]] = []
+        groups: dict[tuple[int, ...], list[tuple[int, DirtyStripe]]] = {}
         flushed = 0
-        cols = self._cols
         for idx, entry in entries:
             if not entry.old:
                 continue
             flushed += 1
-            pattern = entry.pattern(cols)
-            if self.stripes[idx].any_faults():
+            pattern = entry.pattern()
+            stripe = self.stripes[idx]
+            if stripe.any_faults():
                 # A lost or latent cell cannot feed a re-encode.
                 plan = self._compiler.compile_plan(self.code, "update", pattern)
-                self._flush_group_rmw(plan, [(idx, entry)], faulted=True)
+                flat, state = stripe.flat_view(), stripe.state.flat
+                pre = {
+                    slot: flat[slot] if state[slot] == ERASED else old
+                    for slot, old in entry.old.items()
+                }
+                self._fold(plan, (idx,), (pre,), faulted=True)
+                self._journal_commit(idx)
+                self.stats.record_flush(len(pattern))
             else:
-                batches.append((pattern, [(idx, entry)]))
-        if len(batches) > 1:  # a lone eviction has nothing to group or order
-            groups: dict[tuple[int, ...], list[tuple[int, DirtyStripe]]] = {}
-            for pattern, group in batches:
-                groups.setdefault(pattern, []).extend(group)
-            batches = sorted(groups.items())
-        for pattern, group in batches:
+                groups.setdefault(pattern, []).append((idx, entry))
+        for pattern, group in sorted(groups.items()) if len(groups) > 1 else groups.items():
             strategy, plan = self._compiler.choose_update_strategy(self.code, pattern)
             if strategy == "reencode":
                 self._flush_group_reencode(pattern, group)
-            else:
-                self._flush_group_rmw(plan, group)
+                continue
+            indices = [idx for idx, _ in group]
+            self._fold(plan, indices, [entry.old for _, entry in group], faulted=False)
+            for idx in indices:
+                self._journal_commit(idx)
+            self.stats.record_flush(len(group) * len(pattern))
         self._maybe_checkpoint()
         return flushed
-
-    def _flush_group_rmw(
-        self, plan: "XorPlan", group: list[tuple[int, DirtyStripe]], faulted: bool = False
-    ) -> None:
-        """Fold the deferred deltas of same-pattern healthy stripes, or of
-        one ``faulted`` stripe.
-
-        The pre-images are the cache's first-touch snapshots, except for
-        a dirty data cell erased before its parity landed — the genuine
-        write hole: the new bytes died with the disk, so its pre-image
-        is its zeroed slot, its delta is zero and its CRC keeps the
-        pre-image's; the cell's logical content stays the old data,
-        which is what decoding the untouched parity reconstructs.
-        """
-        cells = plan.pattern_positions
-        indices, _ = zip(*group)
-        stripes = self.stripes
-        pres: list[dict[int, bytes | np.ndarray]] = [
-            {
-                slot: stripes[idx].data[pos]
-                if faulted and stripes[idx].state[pos] == ERASED
-                else entry.old[pos]
-                for slot, pos in zip(plan.pattern, cells)
-            }
-            for idx, entry in group
-        ]
-        self._fold(plan, indices, pres, faulted=faulted)
-        for idx in indices:
-            self._journal_commit(idx)
-        self.stats.record_flush(len(group) * len(cells))
 
     def _flush_group_reencode(
         self, pattern: tuple[int, ...], group: list[tuple[int, DirtyStripe]]
@@ -1219,3 +1202,14 @@ def _fetched_disks(plan: "XorPlan") -> list[int]:
 def _parity_disks(plan: "XorPlan") -> list[int]:
     """The disks :meth:`FileStore._fold` rewrites on a healthy stripe."""
     return [c for _, c in plan.output_positions]
+
+
+def _index(value, what: str) -> int:
+    """``value`` as the ``int`` it stands for (``operator.index``); a
+    float, a string or ``None`` is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{what} must be an integer, not {type(value).__name__}"
+        ) from None

@@ -3,12 +3,10 @@
 A cached store writes data elements straight into the stripe buffers
 (reads stay coherent) but *defers the parity update*: each dirty
 stripe is tracked here with a pre-image snapshot of every element's
-first overwrite, whose keys are the dirty set.  At flush time the
-store computes ``old ⊕ new`` deltas from the snapshots, groups stripes
-that share a dirty pattern into one
-:class:`~repro.array.stripe.StripeBatch`, and folds the parity deltas
-in with a single compiled ``update`` plan per pattern (see
-:mod:`repro.engine.compile`).
+first overwrite, keyed by cell slot; the keys are the dirty set.  At
+flush time the store groups stripes that share a dirty pattern and
+folds each group's ``old ⊕ new`` parity deltas in with a single
+compiled ``update`` plan per pattern (see :mod:`repro.engine.compile`).
 
 The cache itself is policy only — capacity, LRU order, dirty tracking,
 hit/miss/eviction counters.  It never touches stripe bytes except to
@@ -19,51 +17,42 @@ code, the engine, and the checksum sidecar.
 from __future__ import annotations
 
 from collections import OrderedDict
-
-import numpy as np
+from collections.abc import Iterable
 
 from ..exceptions import InvalidParameterError
-
-#: A cell coordinate ``(row, col)``, 0-based.
-Position = tuple[int, int]
 
 
 class DirtyStripe:
     """Dirty state of one cached stripe.
 
-    ``old`` holds a pre-image copy of each dirty element, as ``bytes``,
-    taken on its *first* overwrite — later writes to the same element
-    only touch the live buffer, which is exactly how the cache absorbs
-    rewrites of a hot element.  Its keys are the dirty set.
+    ``old`` maps the cell slot (``r * cols + c``) of each dirty element
+    to a pre-image copy, as ``bytes``, taken on its *first* overwrite —
+    later writes to the same element only touch the live buffer, which
+    is exactly how the cache absorbs rewrites of a hot element.  Its
+    keys are the dirty set, and it is the slot → pre-image map the
+    store's parity fold takes as it is.
     """
 
     def __init__(self) -> None:
-        self.old: dict[Position, bytes] = {}
+        self.old: dict[int, bytes] = {}
 
-    def snapshot(self, pos: Position, current: np.ndarray) -> bool:
-        """Record ``pos`` dirty; copy its pre-image (``current``, the
-        element's uint8 buffer) on first touch.
+    def snapshot(self, cells: memoryview, slots: Iterable[int], size: int) -> None:
+        """Copy the pre-image of each of ``slots`` out of ``cells``, the
+        stripe's flat byte view (slot ``s`` is bytes ``[s * size, (s + 1)
+        * size)``); the caller passes first touches only.
 
-        Returns True when this was the first touch (the caller charges
-        the read-modify-write's old-data read exactly once).
+        Copied out as ``bytes`` through the buffer protocol, not as a
+        numpy copy: numpy drops the GIL for copies above 500 elements
+        and a waiting thread would take it mid-write (docs/ENGINE.md).
         """
-        if pos in self.old:
-            return False
-        # Copied out as bytes, not ``current.copy()``: numpy drops the
-        # GIL for copies above 500 elements and a waiting thread would
-        # take it mid-write (docs/ENGINE.md).  Its readers take bytes
-        # through the buffer protocol, so no array is wrapped around it.
-        self.old[pos] = current.tobytes()
-        return True
+        old = self.old
+        for slot in slots:
+            old[slot] = cells[slot * size : (slot + 1) * size].tobytes()
 
-    def dirty_positions(self) -> list[Position]:
-        """The dirty cells, row-major."""
-        return sorted(self.old)
-
-    def pattern(self, cols: int) -> tuple[int, ...]:
-        """The dirty cells as sorted cell slots — the update-plan key,
-        already in the canonical form the plan cache looks up."""
-        return tuple(sorted([r * cols + c for r, c in self.old]))
+    def pattern(self) -> tuple[int, ...]:
+        """The dirty slots, ascending — the update-plan key, already in
+        the canonical form the plan cache looks up."""
+        return tuple(sorted(self.old))
 
     @property
     def num_dirty(self) -> int:

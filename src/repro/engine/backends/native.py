@@ -321,14 +321,14 @@ def _compile_kernel(
         except OSError:
             return "load failed"
         ptr, size, i32 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int32
+        buf = ctypes.POINTER(ctypes.c_ubyte)
         try:
             xor = dll.xor_exec_plan
             update = dll.xor_update_crc
-            crc = ctypes.PYFUNCTYPE(None, ptr, size, ptr, size, ptr)(("crc32_cells", dll))
+            crc = ctypes.PYFUNCTYPE(None, buf, size, ptr, size, buf)(("crc32_cells", dll))
         except AttributeError:
             return "missing symbol"
     xor.argtypes = [ptr, ptr, size, size, size, ptr, i32, i32, size]
-    buf = ctypes.POINTER(ctypes.c_ubyte)
     update.argtypes = [buf, buf, size, ptr, i32, i32, size, ptr, size, buf]
     xor.restype = update.restype = None
     return _Kernel(xor, crc, update)

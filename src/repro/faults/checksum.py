@@ -82,6 +82,10 @@ class CellSlots:
         self.array = (ctypes.c_int32 * self.n)(*slots)
 
 
+_UINT8, _UINT32 = np.dtype(np.uint8), np.dtype(np.uint32)
+_ubyte = ctypes.c_ubyte.from_buffer
+
+
 def crc_rows(
     buf: np.ndarray, slots: CellSlots, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -92,7 +96,7 @@ def crc_rows(
     if out is None:
         out = np.zeros(buf.shape[:-1], dtype=np.uint32)
     width = buf.shape[-1]
-    if buf.dtype != np.uint8 or out.dtype != np.uint32:
+    if buf.dtype != _UINT8 or out.dtype != _UINT32:
         raise InvalidParameterError("crc_rows takes uint8 rows into uint32 CRCs")
     if slots.end > out.size or slots.end * width > buf.size:
         raise InvalidParameterError(f"slot {slots.end - 1} is past the last row")
@@ -102,14 +106,11 @@ def crc_rows(
         rows, crcs = buf.reshape(out.size, width), out.reshape(-1)
         for s in slots.array:
             crcs[s] = zlib.crc32(rows[s])
-    else:  # native._address inlined: every call counts on a served op
-        kernel.crc(
-            ctypes.addressof(ctypes.c_char.from_buffer(buf)),
-            width,
-            slots.array,
-            slots.n,
-            ctypes.addressof(ctypes.c_char.from_buffer(out)),
-        )
+    else:
+        # Both buffers go as ``c_ubyte`` views, taken by reference by
+        # their pointer parameters (a read-only or non-contiguous one is
+        # refused, not copied).
+        kernel.crc(_ubyte(buf), width, slots.array, slots.n, _ubyte(out))
     return out
 
 

@@ -48,6 +48,7 @@ torn records, not just whole-record losses.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from collections.abc import Callable, Sequence
@@ -148,12 +149,19 @@ def _flag_frame(kind: int, seq: int, stripe: int, slots: Sequence[int]) -> bytes
     """Frame a record whose pieces are bare slots — what
     :func:`encode_record` makes of empty pieces at offset 0, without a
     record or piece object on the append path."""
+    n = len(slots)
     try:
-        flags = b"".join(map(_FLAG.pack, slots))
-        body = _HEADER.pack(kind, seq, stripe, len(slots)) + flags
+        body = _flag_body(n).pack(kind, seq, stripe, n, *slots)
     except struct.error as exc:
         raise JournalError(f"stripe {stripe} or slots {slots!r} out of range") from exc
     return MAGIC + body + _CRC.pack(zlib.crc32(body))
+
+
+@functools.lru_cache(maxsize=256)  # n is at most a stripe's cell count
+def _flag_body(n: int) -> struct.Struct:
+    """The body of a record of ``n`` bare slots — ``_HEADER`` and ``n``
+    times ``_FLAG`` — as one ``Struct``: one pack per frame."""
+    return struct.Struct(_HEADER.format + _FLAG.format[1:] * n)
 
 
 def _decode_frame(buf: bytes, pos: int) -> tuple[JournalRecord, int] | None:

@@ -118,9 +118,17 @@ def as_uint8_array(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8).copy()
 
 
+def as_strided_array(data: bytes) -> np.ndarray:
+    """Every other byte of a buffer twice as long: not contiguous."""
+    spread = np.zeros(2 * len(data), dtype=np.uint8)
+    spread[::2] = np.frombuffer(data, dtype=np.uint8)
+    return spread[::2]
+
+
 class TestWriteBufferKinds:
     @pytest.mark.parametrize(
-        "wrap", [as_bytes, as_bytearray, as_memoryview_slice, as_uint8_array]
+        "wrap",
+        [as_bytes, as_bytearray, as_memoryview_slice, as_uint8_array, as_strided_array],
     )
     @pytest.mark.parametrize("cache_stripes", [0, 2])
     @settings(max_examples=25, deadline=None)
@@ -162,6 +170,51 @@ class TestWriteBufferKinds:
         store = FileStore(get_code("HV", 5), element_size=ELEMENT, cache_stripes=2)
         store.write(4, np.array([-1, 2, -3], dtype=np.int8))
         assert store.read(4, 3) == b"\xff\x02\xfd"
+
+    @pytest.mark.parametrize("cache_stripes", [0, 2])
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(10, dtype=np.uint16)[::2],
+            np.arange(40, dtype=np.uint32).reshape(5, 8)[:, ::3],
+            np.asfortranarray(np.arange(24, dtype=np.uint8).reshape(4, 6)),
+        ],
+        ids=["strided-uint16", "2d-column-slice", "fortran-order"],
+    )
+    def test_a_non_contiguous_buffer_lands_its_c_order_bytes(self, cache_stripes, array):
+        store = FileStore(get_code("HV", 5), element_size=ELEMENT, cache_stripes=cache_stripes)
+        store.write(3, array)
+        assert store.read(3, array.nbytes) == array.tobytes()
+        store.flush()
+        assert store.scrub() == []
+
+    @pytest.mark.parametrize("cache_stripes", [0, 2])
+    def test_integer_like_offsets_are_taken(self, cache_stripes):
+        store = FileStore(get_code("HV", 5), element_size=ELEMENT, cache_stripes=cache_stripes)
+        store.write(np.int64(5), b"abc")
+        assert store.read(np.int32(5), np.uint8(3)) == b"abc"
+
+    @pytest.mark.parametrize("cache_stripes", [0, 2])
+    def test_bad_offsets_sizes_and_payloads_are_refused_before_anything_lands(
+        self, cache_stripes
+    ):
+        store = FileStore(get_code("HV", 5), element_size=ELEMENT, cache_stripes=cache_stripes)
+        store.reserve(1)
+        store.write(0, b"kept")
+        before = (store.read(0, store.capacity), store.capacity, store.stats.copy())
+        for call in (
+            lambda: store.write(1.0, b"x"),
+            lambda: store.write(2.5, b"x"),
+            lambda: store.write(3, "text"),
+            lambda: store.write(3, None),
+            lambda: store.write("3", b"x"),
+            lambda: store.read(1.0, 3),
+            lambda: store.read(1, 3.0),
+            lambda: store.read(None, 3),
+        ):
+            with pytest.raises(InvalidParameterError):
+                call()
+        assert (store.read(0, store.capacity), store.capacity) == before[:2]
 
 
 class TestRecordStripeCells:
@@ -251,8 +304,11 @@ def calls_made(fn) -> int:
 class TestCallBudget:
     """Upper bounds on the calls one served op makes at the store
     boundary (HV p = 11, 4 KiB elements, ``engine="auto"``, journal and
-    sidecar on, cache of 8).  At the parent commit the three were
-    18 / 39 / 161; a later change may lower them, never raise them."""
+    sidecar on, cache of 8), as counted on Python 3.11.  They were
+    18 / 39 / 161 at first and 8 / 25 / 102 (370 for a 30-element
+    evicting write) before the write path split by stripe and landed
+    through one flat view; a later change may lower them, never raise
+    them."""
 
     @pytest.fixture()
     def store(self):
@@ -276,10 +332,21 @@ class TestCallBudget:
         assert calls_made(lambda: store.read(3 * self.bps + 200, 700)) <= 8
 
     def test_cache_hit_write(self, store):
-        assert calls_made(lambda: store.write(3 * self.bps + 100, self.payload)) <= 25
+        assert calls_made(lambda: store.write(3 * self.bps + 100, self.payload)) <= 21
 
     def test_one_element_evicting_write(self, store):
         evictions = store.cache.evictions
         calls = calls_made(lambda: store.write(9 * self.bps + 100, self.payload))
         assert store.cache.evictions == evictions + 1
-        assert calls <= 102
+        assert calls <= 96
+
+    def test_thirty_element_evicting_write(self, store):
+        run = bytes(range(256)) * 16 * 30  # 30 whole elements of one stripe
+        for s in range(12, 14):  # the 30-element pattern's plan, warm
+            store.write(s * self.bps, run)
+        for s in range(8):
+            store.write(s * self.bps + 100, self.payload)
+        evictions = store.cache.evictions
+        calls = calls_made(lambda: store.write(25 * self.bps, run))
+        assert store.cache.evictions == evictions + 1
+        assert calls <= 125

@@ -48,28 +48,34 @@ def payload(n: int, seed: int = 0) -> bytes:
 
 
 class TestDirtyStripe:
+    """``old`` is keyed by cell slot; ``snapshot`` copies first touches
+    out of the stripe's flat byte view."""
+
     def test_first_touch_snapshots_pre_image(self):
         entry = DirtyStripe()
-        buf = np.arange(8, dtype=np.uint8)
-        assert entry.snapshot((1, 2), buf) is True
+        buf = np.arange(24, dtype=np.uint8)
+        entry.snapshot(memoryview(buf), [2, 0], 8)
         buf[:] = 0  # later mutation must not reach the snapshot
-        assert list(entry.old[(1, 2)]) == list(range(8))
+        assert entry.old == {2: bytes(range(16, 24)), 0: bytes(range(8))}
+        assert list(entry.old) == [2, 0]  # insertion order: the discard record's
+        assert all(type(old) is bytes for old in entry.old.values())
 
     def test_second_touch_is_absorbed(self):
-        entry = DirtyStripe()
-        first = np.zeros(4, dtype=np.uint8)
-        assert entry.snapshot((0, 0), first) is True
-        assert entry.snapshot((0, 0), np.ones(4, dtype=np.uint8)) is False
-        assert list(entry.old[(0, 0)]) == [0, 0, 0, 0]
-        assert entry.num_dirty == 1
+        code = HVCode(5)
+        store = FileStore(code, element_size=8, engine="fused", cache_stripes=2)
+        store.write(0, payload(8, seed=1))
+        store.write(4, payload(12, seed=2))  # rewrites element 0, touches 1
+        (r0, c0), (r1, c1) = code.data_positions[:2]
+        entry = store.cache.peek(0)
+        assert entry.num_dirty == 2
+        assert entry.old[r0 * code.cols + c0] == bytes(8)  # the first pre-image
+        assert entry.pattern() == (r0 * code.cols + c0, r1 * code.cols + c1)
 
     def test_pattern_is_sorted_cell_slots(self):
         entry = DirtyStripe()
-        buf = np.zeros(2, dtype=np.uint8)
-        entry.snapshot((1, 3), buf)
-        entry.snapshot((0, 1), buf)
-        assert entry.pattern(5) == (1, 8)
-        assert entry.dirty_positions() == [(0, 1), (1, 3)]
+        buf = np.zeros(20, dtype=np.uint8)
+        entry.snapshot(memoryview(buf), [8, 1], 2)
+        assert entry.pattern() == (1, 8)
 
 
 class TestStripeCache:
@@ -110,7 +116,7 @@ class TestStripeCache:
         cache = StripeCache(8)
         buf = np.zeros(2, dtype=np.uint8)
         for idx in (3, 1, 2):
-            cache.entry(idx).snapshot((0, 0), buf)
+            cache.entry(idx).snapshot(memoryview(buf), [0], 2)
         drained = cache.pop_all()
         assert [idx for idx, _ in drained] == [3, 1, 2]
         assert len(cache) == 0
@@ -145,8 +151,8 @@ class TestStripeCache:
     def test_reset_stats_after_partial_flush(self):
         cache = StripeCache(4)
         buf = np.zeros(2, dtype=np.uint8)
-        cache.entry(0).snapshot((0, 0), buf)
-        cache.entry(1).snapshot((0, 1), buf)
+        cache.entry(0).snapshot(memoryview(buf), [0], 2)
+        cache.entry(1).snapshot(memoryview(buf), [0], 2)
         cache.pop(0)  # partial flush, then a counter epoch starts
         cache.reset_stats()
         assert cache.stats()["flushes"] == 0
@@ -167,8 +173,8 @@ class TestStripeCache:
     def test_discard_all_charges_discards_not_flushes(self):
         cache = StripeCache(4)
         buf = np.zeros(2, dtype=np.uint8)
-        cache.entry(0).snapshot((0, 0), buf)
-        cache.entry(1).snapshot((1, 2), buf)
+        cache.entry(0).snapshot(memoryview(buf), [0], 2)
+        cache.entry(1).snapshot(memoryview(buf), [0], 2)
         drained = cache.discard_all()
         assert [idx for idx, _ in drained] == [0, 1]
         assert len(cache) == 0
@@ -435,6 +441,72 @@ class TestCachedFileStore:
         for a, b in zip(cached.stripes, plain.stripes):
             assert a == b
         assert cached.scrub() == []
+
+
+class TestMultiElementWrites:
+    """A write spanning two or three stripes, with partial head and tail
+    elements, is split stripe by stripe inside ``FileStore.write``.  It
+    must leave what a write-through ``python`` store leaves (bytes,
+    sidecar, ``data_writes``) and exactly what the same bytes written
+    one stripe segment per call leave (per-disk ledgers, parity writes,
+    journal device, cache counters)."""
+
+    @pytest.mark.parametrize("journal", [False, True])
+    @pytest.mark.parametrize("cache_stripes", [1, 2])
+    @pytest.mark.parametrize("name", ["HV", "RDP", "EVENODD"])
+    def test_spanning_writes_match_write_through_and_per_stripe_calls(
+        self, name, cache_stripes, journal
+    ):
+        code, es, stripes = get_code(name, 5), 16, 6
+        plain = FileStore(code, element_size=es, engine="python", journal=journal)
+        whole, split = (
+            FileStore(
+                code, element_size=es, engine="auto",
+                cache_stripes=cache_stripes, journal=journal,
+            )
+            for _ in range(2)
+        )
+        for store in (plain, whole, split):
+            store.reserve(stripes)
+        bps, total = plain.bytes_per_stripe, stripes * plain.bytes_per_stripe
+        rng = np.random.default_rng(43)
+
+        def unaligned() -> int:  # a byte inside a stripe, off element bounds
+            return int(rng.integers(0, bps // es)) * es + int(rng.integers(1, es))
+
+        def same_program(a: FileStore, b: FileStore) -> None:
+            assert (a.stats.reads, a.stats.writes) == (b.stats.reads, b.stats.writes)
+            assert (a.data_writes, a.parity_writes) == (b.data_writes, b.parity_writes)
+            assert a.stats.flushed_elements == b.stats.flushed_elements
+            assert a.cache.stats() == b.cache.stats()
+            if journal:
+                assert a.journal.device.buf == b.journal.device.buf
+
+        for i in range(25):
+            span = int(rng.integers(1, 3))  # boundaries crossed: 2 or 3 stripes
+            first = int(rng.integers(0, stripes - span))
+            offset = first * bps + unaligned()
+            end = (first + span) * bps + unaligned()
+            data = payload(end - offset, seed=i)
+            plain.write(offset, data)
+            whole.write(offset, data)
+            at = offset
+            while at < end:
+                stop = min((at // bps + 1) * bps, end)
+                split.write(at, data[at - offset : stop - offset])
+                at = stop
+            assert whole.read(0, total) == split.read(0, total) == plain.read(0, total)
+            same_program(whole, split)
+        whole.flush()
+        split.flush()
+        same_program(whole, split)
+        assert whole.stripes == plain.stripes
+        for ours, theirs in zip(whole.sidecar.stripes, plain.sidecar.stripes):
+            assert (ours == theirs).all()
+        assert whole.data_writes == plain.data_writes
+        if journal:  # both drained: nothing is in flight
+            assert whole.journal.device.buf == plain.journal.device.buf == b""
+        assert whole.scrub() == []
 
 
 class TestParityWriteAccounting:
