@@ -605,9 +605,10 @@ class FileStore:
         memo = plans.get(key)
         if memo is None:
             column = self._columns[disk] if disk is not None else ()
-            slots = tuple(sorted({*column, *self._loss(stripe).latent}))
+            loss = self._loss(stripe)
+            slots = tuple(sorted({*column, *loss.latent}))
             memo = plans[key] = (
-                self._read_plan(stripe, slots),
+                self._read_plan(loss, slots),
                 np.array(slots, dtype=np.intp),
                 CellSlots(range(len(slots))),
             )
@@ -685,20 +686,18 @@ class FileStore:
         return loss
 
     def _read_plan(
-        self, stripe: Stripe, wanted: tuple[int, ...], free: tuple[int, ...] = ()
+        self, loss: Loss, wanted: tuple[int, ...], free: tuple[int, ...] = ()
     ) -> "XorPlan | None":
-        """The compiled ``read`` plan of the lost slots ``wanted``, the
-        stripe's erased and latent cells and ``wanted`` itself being its
-        erasure pattern and the readable slots ``free`` fetched anyway;
-        ``None`` when the planner and peeling both reject the pattern
-        (rung 3).
+        """The compiled ``read`` plan of the lost slots ``wanted`` — its
+        erasure pattern a stripe's erased and latent cells (its ``loss``)
+        and ``wanted``, the readable slots ``free`` fetched anyway — or
+        ``None`` when the planner and peeling both reject it (rung 3).
 
         ``wanted`` and ``free`` are ascending distinct slots, and the
         pattern goes out canonical — ``free`` only beside a lone lost
         column, the one erasure it prices — so the compiler's probe
         answers it with one lookup.
         """
-        loss = self._loss(stripe)
         erasure = loss.slots
         if not loss.lost.issuperset(wanted):  # a cell a read cannot fetch is lost to it
             erasure = tuple(sorted({*erasure, *wanted}))
@@ -730,7 +729,8 @@ class FileStore:
         A read writes no stripe (bar the flush a cached stripe needs
         before parity can recover one of its cells), so readers may
         share a store: lost elements are computed into scratch by their
-        stripe's read plan (:meth:`_read_stripe`).
+        stripe's read plan (:meth:`_read_stripe`), and one ``bytes.join``
+        copies every byte once.
         """
         if type(offset) is not int or type(size) is not int:
             offset, size = _index(offset, "offset"), _index(size, "size")
@@ -749,78 +749,80 @@ class FileStore:
                 if not stripe.state[r, c]:
                     self.stats.record_read(c)
                     return stripe.data[r, c, within : within + size].tobytes()
-        if offset + size > self.capacity:
+        stripe_bytes = self._eps * self.element_size
+        if offset + size > len(self.stripes) * stripe_bytes:
             raise InvalidParameterError(
                 f"read [{offset}, {offset + size}) beyond capacity {self.capacity}"
             )
-        out = bytearray(size)
-        view = memoryview(out)
-        stripe_bytes = self._eps * self.element_size
-        at = 0
-        while at < size:
-            stripe_idx, start = divmod(offset + at, stripe_bytes)
-            chunk = min(size - at, stripe_bytes - start)
-            self._read_stripe(stripe_idx, start, view[at : at + chunk])
-            at += chunk
-        return bytes(out)
+        pieces: list = []
+        stripe_idx, start = divmod(offset, stripe_bytes)
+        while size > 0:
+            stop = min(start + size, stripe_bytes)
+            self._read_stripe(stripe_idx, start, stop, pieces)
+            size -= stop - start
+            stripe_idx, start = stripe_idx + 1, 0
+        return b"".join(pieces)
 
-    def _read_stripe(self, stripe_idx: int, start: int, out: memoryview) -> None:
-        """Fill ``out`` with bytes ``[start, start + len(out))`` of one
-        stripe's data cells.
-
-        Readable cells are copied as the read reaches them; the lost ones
-        are computed together afterwards by one read plan — Fig. 7's
-        minimal read set with one disk down (the readable cells this read
-        fetches anyway count as free), the decode schedule sliced to the
-        lost cells otherwise.  The ledger is charged what that fetches:
-        the requested readable cells plus the plan's extra reads, never
-        a lost cell — the same plans :meth:`RAID6Volume.degraded_read`
-        prices.
+    def _read_stripe(self, stripe_idx: int, start: int, end: int, pieces: list) -> None:
+        """Append bytes ``[start, end)`` of one stripe's data cells to
+        ``pieces``, one buffer per cell: readable cells sliced out of the
+        stripe's flat byte view, lost ones out of the rows one read plan
+        computes — Fig. 7's minimal read set with one disk down (the
+        readable cells read anyway count as free), the decode schedule
+        sliced to the lost cells otherwise.  The ledger is charged the
+        requested readable cells plus the plan's extra reads, never a lost
+        cell: the plans :meth:`RAID6Volume.degraded_read` prices.  An
+        injector's clock tick may flip, or zero with a disk crash, a cell
+        already taken, so with one attached each cell's state is read
+        after its tick and its bytes are copied out at once; otherwise the
+        pieces are views, which :meth:`read` copies.
         """
-        es, cols = self.element_size, self._cols
-        stripe = self.stripes[stripe_idx]
-        state, data = stripe.state, stripe.data
-        end = start + len(out)
-        first = start // es
-        cells = self._data_positions[first : (end - 1) // es + 1]
-        lost: list[tuple[int, int, int]] = []  # (offset in out, lo, hi)
+        es, stripe, injector = self.element_size, self.stripes[stripe_idx], self.injector
+        cells = memoryview(stripe.data).cast("B")
+        first, last = start // es, (end - 1) // es + 1
+        slots = self._data_slots[first:last]
+        loss, state = (self._loss(stripe) if injector is None else None), stripe.state.flat
+        lost: list[tuple[int, int, int]] = []  # (index in pieces, lo, hi)
         wanted: list[int] = []
-        free: list[int] = []  # ascending, as ``data_positions`` is
-        injector = self.injector
-        at = 0
-        for i, (r, c) in enumerate(cells, first):
-            lo, hi = max(start - i * es, 0), min(end - i * es, es)
-            # A cell whose transient window outlasted the retries is as
-            # lost to this read as an erased one: parity computes it.
-            served = injector is None or self._element_io(stripe_idx, (r, c), "read")
-            if state[r, c] or not served:
+        for k, slot in enumerate(slots, first):
+            lo = start - k * es if k == first else 0
+            hi = end - k * es if k == last - 1 else es
+            if injector is None:
+                unread = slot in loss.lost
+            else:  # a cell whose transient window outlasted the retries is lost to it
+                served = self._element_io(stripe_idx, divmod(slot, self._cols), "read")
+                unread = not served or state[slot]
+            if unread:
                 if self.cache is not None and stripe_idx in self.cache:
                     # Parity-based recovery needs the deferred deltas in.
                     self._flush_stripe(stripe_idx)
-                lost.append((at, lo, hi))
-                wanted.append(r * cols + c)
+                    loss = self._loss(stripe)  # their fold may heal a latent parity
+                lost.append((len(pieces), lo, hi))
+                wanted.append(slot)
+                pieces.append(b"")
             else:
-                free.append(r * cols + c)
-                out[at : at + hi - lo] = data[r, c, lo:hi]
-            at += hi - lo
+                piece = cells[slot * es + lo : slot * es + hi]
+                pieces.append(piece if injector is None else piece.tobytes())
         if not lost:
-            self.stats.record_reads([c for _, c in cells])
+            self.stats.record_reads(self._data_disks[first:last])
             return
-        plan = self._read_plan(stripe, tuple(wanted), tuple(free))
+        if injector is not None:
+            loss = self._loss(stripe)
+        free = tuple([s for s in slots if s not in wanted])  # read anyway, ascending
+        plan = self._read_plan(loss, tuple(wanted), free)
         if plan is None:
-            restored = decode_resilient(
-                self.code, stripe, self.healing, engine=self.engine
-            )
+            restored = decode_resilient(self.code, stripe, self.healing, engine=self.engine)
             values = restored.flat_view()[wanted]
-            self.stats.record_reads([c for _, c in cells])
+            self.stats.record_reads(self._data_disks[first:last])
         else:
             values = self._planned(stripe, plan, self.stats)
             if len(plan.pattern[2]) == len(free):  # the plan priced them all
                 self.stats.record_reads(plan.derived("fetched_disks", _fetched_disks))
             else:
-                self.stats.record_reads([s % cols for s in {*free, *plan.reads}])
-        for (at, lo, hi), value in zip(lost, values):
-            out[at : at + hi - lo] = value[lo:hi]
+                self.stats.record_reads([s % self._cols for s in {*free, *plan.reads}])
+        rows = memoryview(values).cast("B")  # the rows are this read's own
+        for i, (n, lo, hi) in enumerate(lost):
+            pieces[n] = rows[i * es + lo : i * es + hi]
 
     def write(self, offset: int, data) -> None:
         """Write ``data``, any bytes-like object, at ``offset``, growing
@@ -940,27 +942,27 @@ class FileStore:
         and this is the plain small write.  A lost written cell's CRC
         becomes its new content, which the parity now decodes to; every
         unwritten cell keeps its CRC, so a silent flip stays on record
-        for scrub and rebuild.
+        for scrub and rebuild.  Bytes move through the stripe's flat byte
+        view; an erased written cell's delta is the one numpy XOR.
         """
         stripe = self.stripes[stripe_idx]
-        flat, state = stripe.flat_view(), stripe.state.flat
         es, cols = self.element_size, self._cols
         end = start + view.nbytes
-        first = start // es
+        first, last = start // es, (end - 1) // es + 1
         # The written slots, ascending and distinct as ``data_positions``
         # lays them out: the canonical pattern, one probe.
-        slots = self._data_slots[first : (end - 1) // es + 1]
+        slots = self._data_slots[first:last]
         if self.journal is not None:
             # Recovery re-derives what parity the surviving chains allow.
             self._journal_intent(stripe_idx, slots)
         plan = self._compiler.compile_plan(self.code, "update", slots)
         loss = self._loss(stripe)
-        unreadable = [s for s in plan.pattern if s in loss.lost]
-        unreadable += [s for s in plan.outputs if s in loss.latent]
+        cells = memoryview(stripe.data).cast("B")
         olds: dict[int, np.ndarray] = {}
         extra: set[int] = set()
-        for slot in unreadable:
-            read = self._read_plan(stripe, (slot,))
+        latent_parities = loss.latent.intersection(plan.outputs)
+        for slot in loss.lost.intersection(slots).union(latent_parities):
+            read = self._read_plan(loss, (slot,))
             if read is None:
                 olds[slot] = recover_element(
                     self.code, stripe, divmod(slot, cols), self.healing, engine=self.engine
@@ -968,39 +970,40 @@ class FileStore:
             else:
                 olds[slot] = self._planned(stripe, read, self.stats)[0]
                 extra.update(read.reads)
+        for slot in latent_parities:  # healed by the fold's rewrite
+            cells[slot * es : (slot + 1) * es] = olds[slot]
         # What each written slot held, as the fold's delta build sees it
-        # (``live ⊕ pre``): a lost cell's slot stays zero, so its
+        # (``live ⊕ pre``): an erased cell's slot stays zero, so its
         # pre-image is the whole delta.
-        pre: dict[int, np.ndarray] = {}
-        lost_news: dict[int, np.ndarray] = {}
+        pre: dict[int, bytes | np.ndarray] = {}
+        erased_news: dict[int, bytearray] = {}
         landed: list[int] = []
-        at = start
         for k, slot in enumerate(slots, first):
-            stop = min((k + 1) * es, end)
-            before = olds[slot] if slot in olds else flat[slot].copy()
-            new = before.copy()
-            new[at - k * es : stop - k * es] = np.frombuffer(
-                view[at - start : stop - start], dtype=np.uint8
-            )
-            at = stop
-            if slot in loss.erased:
-                pre[slot] = before ^ new
-                lost_news[slot] = new
-            else:
-                pre[slot] = before
-                flat[slot] = new
-                state[slot] = HEALTHY
-                landed.append(slot % cols)
-        for slot in plan.outputs:
-            if slot in loss.latent:
-                flat[slot] = olds[slot]
+            lo = start - k * es if k == first else 0
+            hi = end - k * es if k == last - 1 else es
+            piece = view[k * es + lo - start : k * es + hi - start]
+            base = slot * es
+            if slot not in olds:
+                pre[slot] = cells[base : base + es].tobytes()
+            elif slot in loss.erased:
+                new = erased_news[slot] = bytearray(olds[slot])
+                new[lo:hi] = piece
+                pre[slot] = olds[slot] ^ np.frombuffer(new, dtype=np.uint8)
+                continue
+            else:  # latent: its recovered value lands under the payload
+                pre[slot] = olds[slot]
+                cells[base : base + es] = olds[slot]
+                stripe.state.flat[slot] = HEALTHY
+            cells[base + lo : base + hi] = piece
+            landed.append(slot % cols)
         self._crash_point("data-write")
-        self._fold(plan, (stripe_idx,), [pre], faulted=stripe.any_faults())
-        for slot, new in lost_news.items():
+        self._fold(plan, (stripe_idx,), (pre,), loss if loss.slots else None)
+        for slot, new in erased_news.items():
             self.sidecar.record(stripe_idx, divmod(slot, cols), new)
         self.stats.record_reads(landed)
         self.stats.record_writes(landed)
-        self.stats.record_reads(s % cols for s in extra.difference(plan.pattern))
+        if extra:
+            self.stats.record_reads([s % cols for s in extra.difference(slots)])
         self.data_writes += len(landed)
         self._journal_commit(stripe_idx)
         self._maybe_checkpoint()
@@ -1081,12 +1084,12 @@ class FileStore:
             if stripe.any_faults():
                 # A lost or latent cell cannot feed a re-encode.
                 plan = self._compiler.compile_plan(self.code, "update", pattern)
-                flat, state = stripe.flat_view(), stripe.state.flat
+                loss, flat = self._loss(stripe), stripe.flat_view()
                 pre = {
-                    slot: flat[slot] if state[slot] == ERASED else old
+                    slot: flat[slot] if slot in loss.erased else old
                     for slot, old in entry.old.items()
                 }
-                self._fold(plan, (idx,), (pre,), faulted=True)
+                self._fold(plan, (idx,), (pre,), loss)
                 self._journal_commit(idx)
                 self.stats.record_flush(len(pattern))
             else:
@@ -1097,7 +1100,7 @@ class FileStore:
                 self._flush_group_reencode(pattern, group)
                 continue
             indices = [idx for idx, _ in group]
-            self._fold(plan, indices, [entry.old for _, entry in group], faulted=False)
+            self._fold(plan, indices, [entry.old for _, entry in group])
             for idx in indices:
                 self._journal_commit(idx)
             self.stats.record_flush(len(group) * len(pattern))
@@ -1132,8 +1135,7 @@ class FileStore:
         plan: "XorPlan",
         indices: "Sequence[int]",
         pres: "Sequence[Mapping[int, bytes | np.ndarray]]",
-        *,
-        faulted: bool,
+        loss: Loss | None = None,
     ) -> None:
         """Fold an ``update`` plan's parity deltas into stripes ``indices``.
 
@@ -1146,40 +1148,37 @@ class FileStore:
         (:meth:`ArrayCode.apply_parity_deltas`) — and re-checksums the
         touched cells into the stripes' sidecar rows.
 
-        Every parity is read and rewritten — except, when the stripes
-        are ``faulted`` (may hold lost or latent cells; a flush group
-        never does), a parity on a failed disk.  Its slot is zero
-        (:meth:`Stripe.erase`), so it holds exactly its delta, which
-        nested chains saw; its disk is neither read nor written, its CRC
-        advances by that delta (CRC32 is affine over XOR) and the slot
-        is zeroed again.  A latent parity is healed by its rewrite.  A
-        lost pattern cell keeps its CRC; its new one, the data side of
-        the ledger and the journal commit are the caller's.
+        Every parity is read and rewritten — except, given the ``loss`` of
+        one stripe with lost or latent cells (a flush group has none), a
+        parity on a failed disk.  Its slot is zero (:meth:`Stripe.erase`),
+        so it holds exactly its delta, which nested chains saw; its disk
+        is neither read nor written, its CRC advances by that delta (CRC32
+        is affine over XOR) and the slot is zeroed again.  A latent parity
+        is healed by its rewrite.  An erased pattern cell keeps its CRC;
+        its new one, the data side of the ledger and the journal commit
+        are the caller's.
         """
         stripes = [self.stripes[idx] for idx in indices]
         sums = [self.sidecar.stripes[idx] for idx in indices]
-        # A lost slot's CRC from before the call: a lost pattern cell's
-        # goes back as it was, a lost parity's (its slot holds its delta)
+        # An erased slot's CRC from before the call: a pattern cell's
+        # goes back as it was, a parity's (its slot holds its delta)
         # advances by it, crc(x ⊕ δ) = crc(x) ⊕ crc(δ) ⊕ crc(0ⁿ).
-        before = [crcs.copy() for crcs in sums] if faulted else []
+        before = sums[0].copy().flat if loss is not None else None
         self._backend.update(self.code, plan, stripes, pres, stats=self.stats, sums=sums)
         if self._crash_hook is not None:
             self._crash_hook("parity-write")
         rewritten = plan.derived("parity_disks", _parity_disks)
-        cols = self._cols
-        for i, stripe in enumerate(stripes):
-            if faulted:
-                loss, crcs, old = self._loss(stripe), sums[i].flat, before[i].flat
-                for s in plan.outputs:
-                    if s in loss.latent:
-                        stripe.state.flat[s] = HEALTHY  # healed by its rewrite
-                    elif s in loss.erased:
-                        crcs[s] ^= old[s] ^ _zeros_crc(self.element_size)
-                        stripe.data[divmod(s, cols)] = 0
-                for s in plan.pattern:
-                    if s in loss.erased:
-                        crcs[s] = old[s]
-                rewritten = [s % cols for s in plan.outputs if s not in loss.erased]
+        if loss is not None:  # one stripe's, with lost or latent cells
+            (stripe,), crcs, es = stripes, sums[0].flat, self.element_size
+            for s in loss.erased.intersection(plan.pattern):
+                crcs[s] = before[s]
+            for s in loss.erased.intersection(plan.outputs):
+                crcs[s] ^= before[s] ^ _zeros_crc(es)
+                memoryview(stripe.data).cast("B")[s * es : (s + 1) * es] = bytes(es)
+            for s in loss.latent.intersection(plan.outputs):
+                stripe.state.flat[s] = HEALTHY  # healed by its rewrite
+            rewritten = [s % self._cols for s in plan.outputs if s not in loss.erased]
+        for _ in stripes:
             self.stats.record_reads(rewritten)
             self.stats.record_writes(rewritten)
             self.parity_writes += len(rewritten)

@@ -52,7 +52,6 @@ canonically is its own key: one probe, nothing normalised (see
 from __future__ import annotations
 
 import heapq
-import itertools
 import operator
 import threading
 from collections import Counter, OrderedDict
@@ -222,7 +221,7 @@ def compile_plan(
     :class:`~repro.exceptions.PlanError`.
 
     Canonical-key probe: a ``pattern`` already spelled as a canonical
-    one (a tuple of ints, or of tuples of ints) is first tried as its
+    one (a tuple of ints, or three tuples of ints) is first tried as its
     own cache key.  That is sound because every key the cache holds was
     built from :func:`_canonical_pattern`'s output and canonicalising is
     idempotent: a hit means ``pattern == _canonical_pattern(pattern)``,
@@ -346,7 +345,7 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
 
 def _spelled_canonically(pattern) -> bool:
     """Whether ``pattern`` has a canonical pattern's spelling: a tuple
-    of exact ints, or of tuples of exact ints.
+    of exact ints, or ``read``'s three tuples of exact ints.
 
     Only such a pattern is probed as its own key.  Python equality
     would otherwise let ``True``, ``1.0`` or a numpy integer hit the
@@ -355,13 +354,14 @@ def _spelled_canonically(pattern) -> bool:
     """
     if type(pattern) is not tuple:
         return False
-    types = set(map(type, pattern))
-    if types == _TUPLE:  # ``read``'s three parts
-        types = set(map(type, itertools.chain.from_iterable(pattern)))
-    return types <= _INT
+    if pattern and type(pattern[0]) is tuple:  # ``read``'s three parts
+        if len(pattern) != 3 or type(pattern[1]) is not tuple or type(pattern[2]) is not tuple:
+            return False
+        pattern = pattern[0] + pattern[1] + pattern[2]
+    return _INT.issuperset(map(type, pattern))
 
 
-_INT, _TUPLE = frozenset((int,)), frozenset((tuple,))
+_INT = frozenset((int,))
 
 
 def _sequence(items, what: str) -> tuple:

@@ -307,8 +307,9 @@ class TestCallBudget:
     sidecar on, cache of 8), as counted on Python 3.11.  They were
     18 / 39 / 161 at first and 8 / 25 / 102 (370 for a 30-element
     evicting write) before the write path split by stripe and landed
-    through one flat view; a later change may lower them, never raise
-    them."""
+    through one flat view; the general read and the degraded write were
+    17 / 26 / 55 / 152 (see their tests) before they moved their bytes
+    through it too.  A later change may lower them, never raise them."""
 
     @pytest.fixture()
     def store(self):
@@ -350,3 +351,31 @@ class TestCallBudget:
         calls = calls_made(lambda: store.write(25 * self.bps, run))
         assert store.cache.evictions == evictions + 1
         assert calls <= 125
+
+    def test_two_element_healthy_read(self, store):
+        # 200 bytes across an element boundary: the general loop
+        store.read(0, 2 * 4096)  # the healthy loss state, memoised
+        assert calls_made(lambda: store.read(3 * self.bps + 4096 - 100, 200)) <= 15
+
+    def test_five_element_healthy_read(self, store):
+        store.read(0, 2 * 4096)
+        assert calls_made(lambda: store.read(3 * self.bps, 5 * 4096)) <= 18
+
+    @pytest.fixture()
+    def degraded(self, store):
+        """The store with the disk of data element 1 down, the degraded
+        read and write plans below warm."""
+        store.fail_disk(store.code.data_positions[1][1])
+        self.run = bytes(range(256)) * 16 * 5
+        for s in (12, 13):
+            store.read(s * self.bps, 3 * 4096)
+            store.write(s * self.bps, self.run)
+        return store
+
+    def test_three_element_single_degraded_read(self, degraded):
+        # elements 0-2, element 1 lost: one read plan, one gather
+        assert calls_made(lambda: degraded.read(14 * self.bps, 3 * 4096)) <= 54
+
+    def test_five_element_degraded_write(self, degraded):
+        # elements 0-4, element 1 lost: its old value gathered, one fold
+        assert calls_made(lambda: degraded.write(15 * self.bps, self.run)) <= 128

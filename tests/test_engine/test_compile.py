@@ -1,5 +1,6 @@
 """The plan compiler: per-op lowering, CSE, and the LRU plan cache."""
 
+import numpy as np
 import pytest
 
 from repro.codes.registry import available_codes, get_code
@@ -12,7 +13,7 @@ from repro.engine import (
     compile_plan,
     eliminate_common_pairs,
 )
-from repro.engine.compile import _canonical_pattern, plan_key
+from repro.engine.compile import _canonical_pattern, _spelled_canonically, plan_key
 from repro.exceptions import InvalidParameterError, PlanError
 
 XOR_CODES = [n for n in available_codes() if n != "Cauchy-RS"]
@@ -361,6 +362,32 @@ class TestCanonicalProbe:
 
 
 class TestPatternValidation:
+    @pytest.mark.parametrize("bad", [True, 1.0, np.int64(1)], ids=repr)
+    def test_only_exact_ints_are_probed(self, bad, cache):
+        """Equal to ``1`` and hashing alike, ``bad`` would find the plan
+        of ``1`` under its key; spelled anywhere in a pattern, the probe
+        is never asked: ``True`` and ``1.0`` are refused, ``np.int64(1)``
+        is canonicalised first."""
+        code = get_code("RDP", 5)  # 4 x 6: slot 1 is data, disk 1 is slots 1, 7, 13, 19
+        column = (1, 7, 13, 19)
+        cases = [
+            ("update", (0, 1), (0, bad)),
+            ("update", (1, 2), (bad, 2)),
+            ("read", (column, (1,), (0,)), (column, (bad,), (0,))),
+            ("read", (column, (1,), (0,)), ((bad, *column[1:]), (1,), (0,))),
+        ]
+        for op, canonical, spelling in cases:
+            assert _spelled_canonically(canonical)
+            assert not _spelled_canonically(spelling)
+            plan = compile_plan(code, op, canonical, cache=cache)
+            if type(bad) is np.int64:
+                assert compile_plan(code, op, spelling, cache=cache) is plan
+            else:
+                with pytest.raises(PlanError):
+                    compile_plan(code, op, spelling, cache=cache)
+        for other in [((1,), (2,)), ((1,), 2, (3,)), [1, 3], (1, (3,))]:
+            assert not _spelled_canonically(other)
+
     def test_decode_patterns_are_sets(self, cache):
         code = get_code("HV", 5)
         single = compile_plan(code, "decode", (3,), cache=cache)
