@@ -38,13 +38,11 @@ def main() -> None:
           f"{'survived' if result.survived else 'LOST DATA'}")
     print(f"  scrub: {len(result.scrub['flips_detected'])} flip(s) and "
           f"{len(result.scrub['latent_detected'])} latent error(s) detected, "
-          f"{result.scrub['chain_repairs']} chain repair(s), "
-          f"{result.scrub['escalations']} escalation(s)")
+          f"{result.scrub['chain_repairs']} chain repair(s)")
     for rb in result.rebuilds:
         print(f"  rebuild of disk {rb['disk']}: "
               f"{rb['elements_repaired']} elements restored via "
-              f"{rb['chain_reads']} chain + {rb['escalation_reads']} "
-              f"escalation reads, completed={rb['completed']}")
+              f"{rb['chain_reads']} chain reads, completed={rb['completed']}")
     print(f"  degraded read ok: {result.degraded_read_ok}, "
           f"final read ok: {result.final_read_ok}, "
           f"parity clean: {result.parity_clean}")

@@ -65,8 +65,8 @@ streams through; with a write-back cache the injector's clock also
 advances once per dirty element at flush time, when the deferred
 parity actually lands.  Reads self-heal: an element hit by a latent
 sector error (URE) is transparently computed through the same read
-plans, escalating to the full decoder only for patterns the planner
-and peeling both reject (see :mod:`repro.faults.healing`).
+plans; a loss no plan can repair is beyond the code and raises
+:class:`~repro.exceptions.UnrecoverableFaultError`.
 
 Used by ``examples/file_storage_demo.py``, the fault-injection demo,
 the stack benchmark (``python3 -m bench``), and the end-to-end tests.
@@ -89,9 +89,13 @@ from ..exceptions import (
     PlanError,
     TransientIOError,
     UnrecoverableFailureError,
+    UnrecoverableFaultError,
 )
 from ..faults.checksum import CellSlots, ChecksumSidecar, _zeros_crc, crc_rows
-from ..faults.healing import HealingStats, decode_resilient, recover_element
+from ..faults.healing import HealingStats
+# Unused here, but kept importable from this module: the stack
+# benchmark's tracer (``bench/trace.py``) looks both up by name on it.
+from ..faults.healing import decode_resilient, recover_element  # noqa: F401
 from ..journal import (
     COMPACT_FACTOR,
     FLAG_BYTES,
@@ -148,7 +152,7 @@ class FileStore:
             raise InvalidParameterError("cache_stripes must be >= 0")
         self.code = code
         self.element_size = element_size
-        #: the requested name, for the stores and decodes it spawns
+        #: the requested name, for the encodes it runs and stores it spawns
         self.engine = engine
         #: what computes the bytes of every plan this store runs
         self._backend = engine_pkg.resolve_backend(engine)
@@ -564,10 +568,8 @@ class FileStore:
         ``read`` plan restores the column and heals the stripe's latent
         cells — Fig. 9's hybrid ``recover-single`` chains when ``disk``
         is the only loss, the decode sliced to the wanted cells
-        otherwise — and a pattern the planner and peeling both reject
-        decodes a copy (rung 3 of the ladder).  Another failed disk's
-        column stays erased and zeroed.  For a fault-aware, checkpointed
-        rebuild use
+        otherwise.  Another failed disk's column stays erased and
+        zeroed.  For a fault-aware, checkpointed rebuild use
         :class:`repro.faults.rebuild_orchestrator.RebuildOrchestrator`,
         which drives the same routine.
         """
@@ -580,21 +582,18 @@ class FileStore:
                 self._rebuild_stripe(idx, disk, plans)
             self.failed_disks.discard(disk)
 
-    def _rebuild_stripe(
-        self, idx: int, disk: int | None, plans: dict
-    ) -> tuple[int, bool]:
+    def _rebuild_stripe(self, idx: int, disk: int | None, plans: dict) -> int:
         """Restore stripe ``idx``'s cells on ``disk`` and heal its latent
         cells — only the latent cells when ``disk`` is None (the checksum
         scrub, which marks a flipped cell latent first): the one routine
         every rebuild and every scrub repair runs.  Returns the reads it
-        charged to :attr:`healing` and whether it climbed to rung 3.
+        charged to :attr:`healing`.
 
         The wanted cells' ``read`` plan (:meth:`_read_plan`) runs into
         scratch through :meth:`_planned`, its reads charged to
-        :attr:`healing`, not :attr:`stats`; a pattern it rejects decodes
-        a copy (rung 3).  ``plans`` memoises plan, wanted slots (as an
-        index array) and the CRC gate's rows per loss pattern over one
-        pass of one ``disk``.  Nothing lands until every wanted cell
+        :attr:`healing`, not :attr:`stats`.  ``plans`` memoises plan,
+        wanted slots (as an index array) and the CRC gate's rows per
+        loss pattern over one pass of one ``disk``.  Nothing lands until every wanted cell
         matched its CRC sidecar — one comparison of the whole column, the
         failing cell located only on a refusal — so a rebuild silently
         poisoned by an undetected flip fails loudly (scrub first), and a
@@ -613,15 +612,8 @@ class FileStore:
                 CellSlots(range(len(slots))),
             )
         plan, index, rows = memo
-        reads = self.healing.reads
-        if plan is None:
-            restored = decode_resilient(
-                self.code, stripe, self.healing, engine=self.engine
-            )
-            values = restored.flat_view()[index]
-        else:
-            self.healing.reads += len(plan.reads)
-            values = self._planned(stripe, plan)
+        self.healing.reads += len(plan.reads)
+        values = self._planned(stripe, plan)
         crcs = crc_rows(values, rows)
         expected = self.sidecar.stripes[idx].flat[index]
         if crcs.tobytes() != expected.tobytes():
@@ -637,7 +629,7 @@ class FileStore:
             )
         stripe.flat_view()[index] = values
         stripe.state.flat[index] = HEALTHY
-        return self.healing.reads - reads, plan is None
+        return len(plan.reads)
 
     def scrub(self) -> list[int]:
         """Verify parity of every healthy stripe; return bad indices."""
@@ -687,11 +679,12 @@ class FileStore:
 
     def _read_plan(
         self, loss: Loss, wanted: tuple[int, ...], free: tuple[int, ...] = ()
-    ) -> "XorPlan | None":
+    ) -> "XorPlan":
         """The compiled ``read`` plan of the lost slots ``wanted`` — its
         erasure pattern a stripe's erased and latent cells (its ``loss``)
-        and ``wanted``, the readable slots ``free`` fetched anyway — or
-        ``None`` when the planner and peeling both reject it (rung 3).
+        and ``wanted``, the readable slots ``free`` fetched anyway.  A
+        pattern the compiler rejects is beyond the code:
+        :class:`UnrecoverableFaultError`.
 
         ``wanted`` and ``free`` are ascending distinct slots, and the
         pattern goes out canonical — ``free`` only beside a lone lost
@@ -707,8 +700,8 @@ class FileStore:
             return self._compiler.compile_plan(
                 self.code, "read", (erasure, wanted, free)
             )
-        except PlanError:
-            return None
+        except PlanError as exc:
+            raise UnrecoverableFaultError(str(exc)) from exc
 
     def _planned(
         self, stripe: Stripe, plan: "XorPlan", stats: IOStats | None = None
@@ -806,20 +799,20 @@ class FileStore:
         if not lost:
             self.stats.record_reads(self._data_disks[first:last])
             return
-        if injector is not None:
-            loss = self._loss(stripe)
         free = tuple([s for s in slots if s not in wanted])  # read anyway, ascending
-        plan = self._read_plan(loss, tuple(wanted), free)
-        if plan is None:
-            restored = decode_resilient(self.code, stripe, self.healing, engine=self.engine)
-            values = restored.flat_view()[wanted]
-            self.stats.record_reads(self._data_disks[first:last])
+        if injector is None:
+            plan = self._read_plan(loss, tuple(wanted), free)
         else:
-            values = self._planned(stripe, plan, self.stats)
-            if len(plan.pattern[2]) == len(free):  # the plan priced them all
-                self.stats.record_reads(plan.derived("fetched_disks", _fetched_disks))
-            else:
-                self.stats.record_reads([s % self._cols for s in {*free, *plan.reads}])
+            # A crash after a cell was taken erases it: read, but no
+            # longer a free source for the plan.
+            loss = self._loss(stripe)
+            readable = tuple([s for s in free if s not in loss.lost])
+            plan = self._read_plan(loss, tuple(wanted), readable)
+        values = self._planned(stripe, plan, self.stats)
+        if len(plan.pattern[2]) == len(free):  # the plan priced them all
+            self.stats.record_reads(plan.derived("fetched_disks", _fetched_disks))
+        else:
+            self.stats.record_reads([s % self._cols for s in {*free, *plan.reads}])
         rows = memoryview(values).cast("B")  # the rows are this read's own
         for i, (n, lo, hi) in enumerate(lost):
             pieces[n] = rows[i * es + lo : i * es + hi]
@@ -963,13 +956,8 @@ class FileStore:
         latent_parities = loss.latent.intersection(plan.outputs)
         for slot in loss.lost.intersection(slots).union(latent_parities):
             read = self._read_plan(loss, (slot,))
-            if read is None:
-                olds[slot] = recover_element(
-                    self.code, stripe, divmod(slot, cols), self.healing, engine=self.engine
-                )
-            else:
-                olds[slot] = self._planned(stripe, read, self.stats)[0]
-                extra.update(read.reads)
+            olds[slot] = self._planned(stripe, read, self.stats)[0]
+            extra.update(read.reads)
         for slot in latent_parities:  # healed by the fold's rewrite
             cells[slot * es : (slot + 1) * es] = olds[slot]
         # What each written slot held, as the fold's delta build sees it

@@ -473,9 +473,7 @@ SIM_SMOKE = dict(
 def _run_sim(args: argparse.Namespace) -> int:
     """Fleet reliability simulation across the evaluated codes.
 
-    A code the simulator cannot price (an unknown name, or one whose
-    chains cannot peel every disk pair) is a usage error (see
-    :func:`main`).
+    An unknown code name is a usage error (see :func:`main`).
     """
     import json
 

@@ -117,9 +117,10 @@ class DecodeReport:
         Number of parallel peeling rounds used (the paper's longest
         recovery chain ``Lc`` for double-disk failures).
     gaussian:
-        Cells that required the Gaussian reference decoder (non-empty
-        only for codes whose chains alone cannot peel the pattern,
-        e.g. EVENODD).
+        Cells the ``python`` decoder solved by Gaussian elimination
+        (non-empty only for codes whose chains alone cannot peel the
+        pattern, e.g. EVENODD); a compiled plan reports every cell it
+        restores as peeled.
     """
 
     peeled: list[Position] = field(default_factory=list)
@@ -456,20 +457,17 @@ class ArrayCode(ABC):
         """Recover every erased cell of ``stripe`` in place.
 
         ``failed_disks`` may pre-erase whole columns for convenience.
-        Decoding first runs chain peeling (the fast structured path all
-        the paper's codes use), then falls back to Gaussian elimination
-        over the parity-check system for anything peeling cannot reach.
 
         ``resolve_backend(engine)`` does the work: the ``"python"``
-        oracle runs :meth:`_decode_python`; a kernel backend runs the
-        peel schedule compiled for this erasure pattern and hands the
-        patterns peeling alone cannot finish to :meth:`_decode_python`.
+        oracle runs :meth:`_decode_python` (chain peeling, then Gaussian
+        elimination over the parity-check system for anything peeling
+        cannot reach); a kernel backend runs the plan compiled for this
+        erasure pattern, which peels and solves one stuck cell by
+        elimination wherever peeling stalls.
 
         Raises :class:`UnrecoverableFailureError` when the pattern
-        exceeds the code's capability.  The GF(2) rank oracle deciding
-        that (:meth:`can_recover`) runs once, in front of the Python
-        decoder only: a plan exists exactly for the patterns peeling
-        recovers in full, so finding one is proof without elimination.
+        exceeds the code's capability: the Python decoder asks
+        :meth:`can_recover`, a kernel backend finds no plan.
         """
         self._check_stripe(stripe)
         if failed_disks is not None:

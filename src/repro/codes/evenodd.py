@@ -74,10 +74,7 @@ class EvenOddCode(ArrayCode):
         (zig-zag between the two lost data columns after recovering
         the adjuster ``S`` from the parity columns); any other erasure
         pattern falls back to the generic peeling + Gaussian decoder.
-
-        On a compiled engine :meth:`ArrayCode.decode` gets here only
-        for the patterns peeling cannot finish — the ones whose zig-zag
-        needs the adjuster have no flat XOR schedule.
+        The ``python`` engine runs it; compiled engines run the plan.
         """
         erased = set(stripe.erased_positions())
         columns = {c for _, c in erased}

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from ...array.stripe import ERASED, Stripe, StripeBatch
-from ...exceptions import InvalidParameterError, PlanError
+from ...exceptions import InvalidParameterError, PlanError, UnrecoverableFailureError
 from .. import compile as _compile
 from .. import executor as _executor
 from ..plan import XorStep
@@ -82,7 +82,7 @@ class KernelBackend:
     def decode(self, code: "ArrayCode", stripe: Stripe) -> "DecodeReport":
         """Recover every erased cell of ``stripe`` by its erasure
         pattern's plan (the mask's flat indices are the canonical
-        pattern); a pattern with none goes to the reference decoder."""
+        pattern); a pattern with none is beyond the code."""
         from ...codes.base import DecodeReport  # codes import this package
 
         pattern = tuple(np.flatnonzero(stripe.state == ERASED).tolist())
@@ -90,8 +90,8 @@ class KernelBackend:
             return DecodeReport()
         try:
             plan = _compile.compile_plan(code, "decode", pattern)
-        except PlanError:
-            return code._decode_python(stripe)
+        except PlanError as exc:
+            raise UnrecoverableFailureError(str(exc)) from exc
         self.execute(plan, stripe)
         return DecodeReport(peeled=list(plan.output_positions), rounds=plan.rounds)
 

@@ -12,7 +12,8 @@ One compiler per operation, all funneled through :func:`compile_plan`:
 - ``recover-double`` — two failed disks: HV uses Algorithm 1's four
   parallel chains (kept as executor ``groups``), every other code uses
   the generic peel schedule;
-- ``decode`` — an arbitrary erasure pattern via chain peeling.
+- ``decode`` — an arbitrary erasure pattern via chain peeling, with
+  elimination where peeling stalls (below).
 - ``update`` — a partial-stripe write: for a set of dirty data cells,
   one step per dirtied parity computing its *delta* (the XOR of the
   dirty members of its chain, nested parities included).  HV's row
@@ -27,9 +28,11 @@ One compiler per operation, all funneled through :func:`compile_plan`:
   ``decode`` schedule sliced backward from the wanted cells
   (:func:`slice_plan`).
 
-Plans that peeling cannot complete (patterns needing the Gaussian
-reference decoder) raise :class:`~repro.exceptions.PlanError`; callers
-fall back to the pure-Python oracle.
+Where peeling stalls (EVENODD's S coupling, Liberation and Cauchy-RS
+bit-matrix rows), one stuck cell is solved by GF(2) elimination and
+peeling resumes (:func:`_solve_one`), so a ``decode`` plan exists
+exactly when :meth:`ArrayCode.can_recover` holds: on a well-formed
+pattern :class:`~repro.exceptions.PlanError` means beyond the code.
 
 After lowering, :func:`eliminate_common_pairs` runs a greedy pairwise
 common-subexpression elimination: the unordered source pair shared by
@@ -66,8 +69,10 @@ if TYPE_CHECKING:  # imported lazily to avoid an engine<->codes cycle
     from ..codes.base import ArrayCode, ParityChain
     from ..recovery.single import SingleDiskRecoveryPlan
 
-#: Scratch-slot budget for common-subexpression elimination.
-MAX_CSE_TEMPS = 64
+#: Scratch-slot budget for common-subexpression elimination, above the
+#: most any plan hoists (65, EVENODD@11 disks 0 and 4): a pair left
+#: shared when it binds fails P002.
+MAX_CSE_TEMPS = 128
 
 #: Default :class:`PlanCache` capacity, sized from the update-pattern
 #: space rather than the recovery one (a code has only ``cols²`` disk
@@ -759,20 +764,27 @@ def _peel_to_plan(
     pattern: tuple,
     erased: list[Position],
 ) -> XorPlan:
-    schedule = peel_schedule(code.equations, erased)
-    if not schedule.complete:
-        raise PlanError(
-            f"{code.name}(p={code.p}): peeling leaves "
-            f"{sorted(schedule.stuck)} unreached — the pattern needs the "
-            "Gaussian reference decoder"
-        )
-    slot = lambda pos: pos[0] * code.cols + pos[1]  # noqa: E731
-    steps = []
-    for rnd in schedule.rounds:
-        for cell, eq_index in rnd:
-            eq = code.equations[eq_index]
-            srcs = tuple(sorted(slot(c) for c in eq if c != cell))
-            steps.append(XorStep(dst=slot(cell), srcs=srcs))
+    """Peel ``erased``, solving one stuck cell by elimination
+    (:func:`_solve_one`) wherever peeling stalls, until every cell is
+    reached; :class:`PlanError` exactly when ``can_recover`` fails."""
+    cols, equations = code.cols, code.equations
+    slot = lambda pos: pos[0] * cols + pos[1]  # noqa: E731
+    steps: list[XorStep] = []
+    remaining = erased
+    while True:
+        schedule = peel_schedule(equations, remaining)
+        for rnd in schedule.rounds:
+            for cell, eq_index in rnd:
+                srcs = tuple(sorted(slot(c) for c in equations[eq_index] if c != cell))
+                steps.append(XorStep(dst=slot(cell), srcs=srcs))
+        if schedule.complete:
+            break
+        step = _solve_one(code, schedule.stuck)
+        steps.append(step)
+        remaining = schedule.stuck - {divmod(step.dst, cols)}
+    depth: dict[int, int] = {}
+    for step in steps:
+        depth[step.dst] = 1 + max((depth.get(s, 0) for s in step.srcs), default=0)
     return XorPlan(
         code_name=code.name,
         p=code.p,
@@ -783,8 +795,47 @@ def _peel_to_plan(
         steps=tuple(steps),
         erased=tuple(sorted(slot(c) for c in erased)),
         outputs=tuple(step.dst for step in steps),
-        rounds=schedule.num_rounds,
+        rounds=max(depth.values(), default=0),
     )
+
+
+def _solve_one(code: "ArrayCode", stuck: set[Position]) -> XorStep:
+    """The step that solves the stuck cell the fewest sources determine.
+
+    GF(2) elimination over the parity-check rows that touch ``stuck``,
+    each row a bitmask over slots and each pivot the sparsest row on its
+    cell.  A reduced row with one stuck cell left determines that cell
+    from its other cells, all known.  Only that one step is emitted:
+    peeling usually finishes the rest more cheaply than the other
+    reduced rows would.
+    """
+    cols = code.cols
+    bits = [1 << (r * cols + c) for r, c in sorted(stuck)]
+    unknown = sum(bits)
+    rows = [sum(1 << (r * cols + c) for r, c in eq) for eq in code.equations]
+    rows = [row for row in rows if row & unknown]
+    pivots: list[int] = []
+    for bit in bits:
+        hits = [row for row in rows if row & bit]
+        if hits:
+            pivot = min(hits, key=lambda row: (row.bit_count(), row))
+            rows = [row ^ pivot if row & bit else row for row in rows if row != pivot]
+            pivots = [row ^ pivot if row & bit else row for row in pivots]
+            pivots.append(pivot)
+    solved = [
+        (row.bit_count(), row & unknown, row)
+        for row in pivots
+        if (row & unknown).bit_count() == 1
+    ]
+    if not solved:
+        raise PlanError(
+            f"{code.name}(p={code.p}): no parity-check row determines any of "
+            f"{sorted(stuck)} — the pattern is beyond the code"
+        )
+    _, cell, row = min(solved)
+    row ^= cell
+    srcs = tuple(s for s in range(row.bit_length()) if row >> s & 1)
+    return XorStep(dst=cell.bit_length() - 1, srcs=srcs)
 
 
 # -- common-subexpression elimination -----------------------------------------------

@@ -16,10 +16,10 @@ reliability simulator's Crashed/LatentError/Corrupted unit states).
   (``FileStore._element_io``) as element I/O streams by.
 - :mod:`repro.faults.checksum` — per-element CRC32 sidecars and the
   checksum scrub: detect silent flips and latent errors, repair each
-  bad element through a parity chain, escalating to the full decoder.
-- :mod:`repro.faults.healing` — the escalation ladder shared by every
-  recovery path: direct read → alternate parity chain → double-erasure
-  decode → :class:`~repro.exceptions.UnrecoverableFaultError`.
+  stripe's bad elements through its compiled ``read`` plan.
+- :mod:`repro.faults.healing` — the reference escalation ladder: direct
+  read → alternate parity chain → full decode →
+  :class:`~repro.exceptions.UnrecoverableFaultError`.
 - :mod:`repro.faults.rebuild_orchestrator` — stripe-by-stripe hot-spare
   rebuilds that survive faults injected mid-rebuild, checkpoint
   progress, and report a structured :class:`RebuildReport`.

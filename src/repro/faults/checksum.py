@@ -9,8 +9,7 @@ classifies every live element as clean / flipped / latent, and heals
 the bad ones through the routine every rebuild runs
 (:meth:`~repro.array.filestore.FileStore._rebuild_stripe`): a flipped
 cell is marked latent, and one CRC-gated ``read`` plan per stripe
-restores them all, the full decoder only for a pattern the compiler
-rejects.
+restores them all.
 
 The scrub counts its repair I/O (elements read and written) so the
 scenario runner can compare the scrubbing cost of different codes under
@@ -175,16 +174,14 @@ class ScrubReport:
     ``elements_checked`` counts readable cells whose CRC was compared
     (the detection reads); ``repair_reads``/``repair_writes`` is the
     extra I/O the repairs cost.  ``chain_repairs`` were restored by a
-    stripe's compiled ``read`` plan, ``escalations`` by a rung-3 full
-    decode (a pattern the compiler rejects), and ``unrepaired`` lists
-    positions left bad (only when ``repair=False`` or truly stuck).
+    stripe's compiled ``read`` plan, and ``unrepaired`` lists positions
+    left bad (only when ``repair=False`` or truly stuck).
     """
 
     elements_checked: int = 0
     flips_detected: list[tuple[int, Position]] = field(default_factory=list)
     latent_detected: list[tuple[int, Position]] = field(default_factory=list)
     chain_repairs: int = 0
-    escalations: int = 0
     repair_reads: int = 0
     repair_writes: int = 0
     unrepaired: list[tuple[int, Position]] = field(default_factory=list)
@@ -203,7 +200,6 @@ class ScrubReport:
             "flips_detected": [[i, list(p)] for i, p in self.flips_detected],
             "latent_detected": [[i, list(p)] for i, p in self.latent_detected],
             "chain_repairs": self.chain_repairs,
-            "escalations": self.escalations,
             "repair_reads": self.repair_reads,
             "repair_writes": self.repair_writes,
             "unrepaired": [[i, list(p)] for i, p in self.unrepaired],
@@ -220,11 +216,11 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
     ``repair=True`` each flipped cell is marked latent — as
     untrustworthy as a URE — and :meth:`FileStore._rebuild_stripe`
     restores the stripe's latent cells: one compiled ``read`` plan over
-    its whole loss pattern (rung 3 when the compiler rejects it), every
-    restored cell CRC-checked before any lands.  Raises
-    :class:`UnrecoverableFaultError`, naming the stripe, when the
-    pattern exceeds the code or its decode fails a checksum; the bad
-    cells are then left latent, erased cells only in failed columns.
+    its whole loss pattern, every restored cell CRC-checked before any
+    lands.  Raises :class:`UnrecoverableFaultError`, naming the
+    stripe, when the pattern exceeds the code or its decode fails a
+    checksum; the bad cells are then left latent, erased cells only in
+    failed columns.
     """
     report = ScrubReport()
     cols = store.code.cols
@@ -247,7 +243,7 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
                 continue
             stripe.state.flat[flipped] = LATENT
             try:
-                reads, escalated = store._rebuild_stripe(stripe_idx, None, plans)
+                reads = store._rebuild_stripe(stripe_idx, None, plans)
             except (UnrecoverableFaultError, ChecksumMismatchError) as exc:
                 report.unrepaired += bad
                 raise UnrecoverableFaultError(
@@ -255,8 +251,5 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
                 ) from exc
             report.repair_reads += reads
             report.repair_writes += len(bad)
-            if escalated:
-                report.escalations += len(bad)
-            else:
-                report.chain_repairs += len(bad)
+            report.chain_repairs += len(bad)
     return report

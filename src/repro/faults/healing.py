@@ -11,21 +11,20 @@ rebuild-window data loss.  This module implements the ladder:
    the element's *other* chain (every cell of every code here sits on
    at least one chain, data cells on two or more);
 3. **full decode** — treat every erased *and* latent cell as an
-   erasure and run the compiled decode plan for that pattern, its
-   existence being the recoverability proof; the GF(2) rank oracle and
-   the Gaussian decoder run only when peeling cannot finish;
+   erasure and decode a copy of the stripe with :meth:`ArrayCode.decode`;
 4. **give up** — raise :class:`UnrecoverableFaultError`; the pattern
    genuinely exceeds the code.
 
 Steps are cheap-first: a chain repair reads ``chain length - 1``
 elements, a full decode reads the whole surviving stripe.
 
-A :class:`~repro.array.filestore.FileStore` takes rungs 2 and 3
-together with one compiled plan per stripe loss pattern, and keeps
-:func:`decode_resilient` for the patterns the plan compiler rejects;
-its rebuilds and the checksum scrub (a flipped cell marked latent)
-restore cells through one routine,
-:meth:`~repro.array.filestore.FileStore._rebuild_stripe`.
+A :class:`~repro.array.filestore.FileStore` climbs no ladder: one
+compiled ``read`` plan per stripe loss pattern repairs what rungs 2
+and 3 would, the compiler solving by elimination where peeling stalls,
+and a pattern it rejects is rung 4.  Its rebuilds and the checksum
+scrub (a flipped cell marked latent) restore cells through one
+routine, :meth:`~repro.array.filestore.FileStore._rebuild_stripe`.
+This module's ladder is the reference those plans are tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ class HealingStats:
     - ``chain_repairs``: lost or latent elements recomputed through
       parity chains — by rung 2, and each cell a ``FileStore`` read,
       degraded write, rebuild or scrub computes with a compiled plan;
-    - ``escalations``: rung-3 full decodes;
+    - ``escalations``: rung-3 full decodes (a ``FileStore`` runs
+      none, so its count stays 0);
     - ``reads``: element reads charged here rather than to a store's
       :class:`~repro.array.iostats.IOStats` — rungs 1-3, and the
       cells a ``FileStore`` rebuild or scrub plan reads (degraded reads

@@ -4,9 +4,8 @@ A real array rebuilds onto a hot spare while the workload — and the
 fault process — keeps running.  The :class:`RebuildOrchestrator`
 models that around the store's own per-stripe repair
 (:meth:`FileStore._rebuild_stripe`, which :meth:`FileStore.rebuild`
-loops): the same compiled ``read`` plan, rung-3 fallback and CRC32
-gate restore each stripe whichever driver runs it.  The orchestrator
-adds only:
+loops): the same compiled ``read`` plan and CRC32 gate restore each
+stripe whichever driver runs it.  The orchestrator adds only:
 
 - the injector's clock, ticked once per column cell before each
   stripe, so scheduled faults — a second crash, a URE — land
@@ -38,9 +37,8 @@ class RebuildReport:
 
     ``elements_repaired`` counts cells written back: the column's rows
     plus the latent cells healed on the way (``latent_hits``);
-    ``chain_reads`` are the reads of stripes a compiled plan restored,
-    ``escalations`` and ``escalation_reads`` the stripes that needed a
-    full decode and theirs.
+    ``chain_reads`` are the reads of the compiled plans that restored
+    them.
     ``seconds`` prices reads across surviving disks in parallel, the
     spare's writes serially, plus any injector backoff.
     """
@@ -51,18 +49,12 @@ class RebuildReport:
     stripes_done: int = 0
     elements_repaired: int = 0
     chain_reads: int = 0
-    escalations: int = 0
-    escalation_reads: int = 0
     latent_hits: int = 0
     retries: int = 0
     backoff_seconds: float = 0.0
     seconds: float = 0.0
     checkpoints: list[int] = field(default_factory=list)
     completed: bool = False
-
-    @property
-    def total_reads(self) -> int:
-        return self.chain_reads + self.escalation_reads
 
     def to_dict(self) -> dict:
         return {
@@ -72,8 +64,6 @@ class RebuildReport:
             "stripes_done": self.stripes_done,
             "elements_repaired": self.elements_repaired,
             "chain_reads": self.chain_reads,
-            "escalations": self.escalations,
-            "escalation_reads": self.escalation_reads,
             "latent_hits": self.latent_hits,
             "retries": self.retries,
             "backoff_seconds": round(self.backoff_seconds, 6),
@@ -170,12 +160,7 @@ class RebuildOrchestrator:
             store._element_io(stripe_idx, (r, disk), "write")
         latent = len(store.stripes[stripe_idx].latent_positions())
         with store._exclusive("rebuild"):
-            reads, escalated = store._rebuild_stripe(stripe_idx, disk, plans)
-        if escalated:
-            report.escalations += 1
-            report.escalation_reads += reads
-        else:
-            report.chain_reads += reads
+            report.chain_reads += store._rebuild_stripe(stripe_idx, disk, plans)
         report.latent_hits += latent
         report.elements_repaired += rows + latent
 
@@ -186,7 +171,7 @@ class RebuildOrchestrator:
         # ``disk`` is still in ``failed_disks`` when a stripe raised.
         survivors = max(self.store.code.cols - len(self.store.failed_disks | {disk}), 1)
         read_seconds = self.latency.serve(
-            -(-report.total_reads // survivors)  # ceil-divide across disks
+            -(-report.chain_reads // survivors)  # ceil-divide across disks
         )
         write_seconds = self.latency.serve(report.elements_repaired)
         injector = self.store.injector

@@ -175,9 +175,7 @@ def compare_codes(
         ]
         repair_reads = [
             r.scrub.get("repair_reads", 0)
-            + sum(
-                rb["chain_reads"] + rb["escalation_reads"] for rb in r.rebuilds
-            )
+            + sum(rb["chain_reads"] for rb in r.rebuilds)
             for r in survivors
         ]
         table[name] = {

@@ -11,9 +11,9 @@ schedule:
 ``recover-double`` :class:`~repro.engine.plan.XorPlan` that
 :func:`~repro.engine.compile.compile_plan` returns — the plan the store
 runs, with its default cache and common-subexpression elimination — so
-the priced schedule is the served one.  Codes whose chains cannot peel
-a two-disk loss (EVENODD's S coupling) have no such plan; the compiler
-raises :class:`~repro.exceptions.PlanError` for them.
+the priced schedule is the served one.  Every registered code has one
+for every disk pair: where its chains cannot peel a two-disk loss
+(EVENODD's S coupling) the compiler solves by elimination.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The Gaussian reference decoder: the universal XOR decoder.
 
-:meth:`repro.codes.base.ArrayCode.decode` falls back to it for the
-cells chain peeling cannot reach; it works on a bare
+The ``python`` engine's :meth:`repro.codes.base.ArrayCode._decode_python`
+falls back to it for the cells chain peeling cannot reach (compiled
+engines run the plan compiler's elimination instead); it works on a bare
 :class:`~repro.xor.equations.ParityCheckSystem` plus a stripe, so the
 cross-decoder equivalence tests also call it directly to check that
 peeling, Algorithm 1, and Gaussian elimination restore identical bytes.

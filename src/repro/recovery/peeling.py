@@ -34,9 +34,9 @@ class PeelSchedule:
         ``rounds[k]`` lists the repairs of parallel round ``k`` as
         ``(cell, equation_index)`` pairs.
     stuck:
-        Cells peeling could not reach (needs the Gaussian fallback;
-        empty for all the paper's evaluated codes under any two-disk
-        failure except EVENODD's S coupling).
+        Cells peeling could not reach (the plan compiler solves one
+        by elimination and peels again; empty for all the paper's
+        evaluated codes under any two-disk failure).
     """
 
     rounds: list[list[tuple[Position, int]]]
@@ -74,14 +74,6 @@ def peel_schedule(
     """
     remaining = set(erased)
     rounds: list[list[tuple[Position, int]]] = []
-    # Index equations by the lost cells they touch so each round only
-    # re-examines equations whose state changed.
-    touching: dict[Position, list[int]] = {}
-    for idx, eq in enumerate(equations):
-        for cell in eq:
-            if cell in remaining:
-                touching.setdefault(cell, []).append(idx)
-
     while remaining:
         claimed: dict[Position, int] = {}
         for idx, eq in enumerate(equations):

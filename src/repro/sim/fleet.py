@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.reliability import rebuild_hours
-from ..exceptions import InvalidSimConfigError, PlanError, SimulationError
+from ..exceptions import SimulationError
 from ..recovery.cost import expected_double_rounds, expected_recovery_reads_per_element
 from ..utils import mean, resolve_rng
 from .config import SimConfig
@@ -81,20 +81,10 @@ class CodeRepairProfile:
 
     @classmethod
     def measure(cls, config: SimConfig) -> "CodeRepairProfile":
-        """Price the code's repairs once and freeze the derived durations.
-
-        A code whose chains cannot peel every two-disk loss (EVENODD's S
-        coupling) has no double repair plan to price: an invalid config.
-        """
+        """Price the code's repairs once and freeze the derived durations."""
         code = config.make_code()
-        try:
-            reads = expected_recovery_reads_per_element(code, config.planner)
-            rounds = expected_double_rounds(code)
-        except PlanError as exc:
-            raise InvalidSimConfigError(
-                f"{code.name} at p={config.p}: chain peeling cannot repair "
-                "every disk pair, so there is no repair plan to price"
-            ) from exc
+        reads = expected_recovery_reads_per_element(code, config.planner)
+        rounds = expected_double_rounds(code)
         single, double = rebuild_hours(
             code, config.reliability_parameters(), reads, rounds
         )

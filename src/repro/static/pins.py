@@ -104,28 +104,28 @@ PINNED_PLAN_REPORT_HASHES: dict[str, str] = {
     "HDP@5": "d23717809e248eaebf8dcf120ca702194b2011244251f30580a98ab7eb4f0d3d",
     "X-Code@5": "6de2b6aa1f0903af4c1d65009727791aca9b31ef53ab0570bd6e0e760ecb7612",
     "H-Code@5": "9e84f573d6bf408fb362547e59e3c5f0038cf6f012e0adff4056d6c6f422eadb",
-    "EVENODD@5": "a75fbd1d7648ab0c573345c47036cf76676f774a63a00319722b5e1a58681b2b",
+    "EVENODD@5": "1cf1cd010f5c2ff42aac54c58b6f14c8472f2b72feae8a22d96c3ba02adb7f99",
     "P-Code@5": "a33d6262e3107e6f20ac6d593460f9de5cbd8397486e76ba0277ef9162a847c9",
-    "Liberation@5": "4ae3f3af9f294d9bde1b5957498e207a3402bf6a3b68915e9ef10c5df81f30f9",
-    "Cauchy-RS@5": "2f79a0a0dcda004cf9385ac265e3f4d8868d06160049b6280646c0de708fbc86",
+    "Liberation@5": "dfc73cb86ea77965f8c1f7105b0f224ca589d2fd67e4d68f08c274676c3b3402",
+    "Cauchy-RS@5": "b39033c0641fff765c63f3a6cc7f910e5e9e99882caa28c6aa81f3fb2fe2d5fd",
     "HV@7": "99bbd539bd3913c91db1dc089777245d070c647d620c7600fbc460624fe0b215",
     "RDP@7": "dac75c1f52c873e1138f13646cffdfa603ec4c734831082b4280bdd4520afc50",
     "HDP@7": "170ded265f1b19fd1b5d0480ded7cecd99bc6ea6dff620af6ecf410d794bbd2f",
     "X-Code@7": "05c623a4326f347381133e1e178e2d59fc6c8204b280c60c748c36c34babb40c",
     "H-Code@7": "ae2470b3361a54a3e3f1040df6a97de2788527d95707ba3ee79f6acf7206f48b",
-    "EVENODD@7": "7efe954483a668b20e66cc09c601db9bac6bfe31b97fc3dc09cd9f5d159f18aa",
+    "EVENODD@7": "fe8c741fcf771b917b6b4f99e513d25d53347d0b9dab5cb5ca1d2bec511eb9de",
     "P-Code@7": "fb59c3e26d15b5df6e7aa84c03d49620f99e7a6f5964dbf494dab1dd171d25fc",
-    "Liberation@7": "7ae1a774f361fc67b79838e0d5bf1174d6b891d9a197d80cce526ba9ed4e52ca",
-    "Cauchy-RS@7": "6f9de1a9412582222b071c60f3ba09011216257fd90a61c6db2e45449461f835",
+    "Liberation@7": "4f29c14488192ee9421cbc0fa717a5f0f45d83f33b73f6491d8efed80c774b9f",
+    "Cauchy-RS@7": "5c1c97d3d927dcd7989df41a36e431736ef6fb0ac9227c4ef54d1bed00b75fdd",
     "HV@11": "d5a295d5b2ddf4fda76b31f28f2241ab30cc26b71411554e040ea3e4765d649c",
     "RDP@11": "02805d4b04ac741dbbc453f4f039361f7eca6bb09adc7fe4520d9a2c66d58fa4",
     "HDP@11": "9b598541a3e9a68a7514d2d5d28493ffcb059dcdd4dbbd52d14e36b8ae566002",
     "X-Code@11": "0322e79d843aa3e6175bf9bde7e30009cddb65eca985ee3c9ec4c18f7577fcd4",
     "H-Code@11": "a8c1ad571ffc458a2837484602405a3af7884bc5efc0d7b5668813daec091d7d",
-    "EVENODD@11": "965d99542c0d8d435f540d337b3f2eecb0fe9aff7bba55f707dbbfdfcee0bea4",
+    "EVENODD@11": "27e4cb6b677f98dfa16574d555aaddd1be9d0706f8798996f8b5f7dfd8694da2",
     "P-Code@11": "801be8c026cdeff1a630a14b7f1f602d40ef1a0dc7dddbecf99c86c51fe2411a",
-    "Liberation@11": "41841a80dd5411e01e312d27b5657dc2210f3a0666fd70db7e12bd95a90a2879",
-    "Cauchy-RS@11": "8a63e500493fabbfd5c4cadd90b6a26306f3c6ec2d3d926d4b6faaa1236a67a4",
+    "Liberation@11": "0433e20dcaa8db9a493147ab550de7d5192cd6868c7c82d37aa512834f1bf832",
+    "Cauchy-RS@11": "a7af6536b8a50da9de670392ec7c71ce299bbbccfa4ca9e659c3f30abf8c7be8",
 }
 
 

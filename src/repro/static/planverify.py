@@ -50,11 +50,12 @@ cells must finish at their valuation, the other erased cells may stay
 undefined.  :func:`verify_plan` proves one; it is not a certificate
 family (its patterns are the requests a store meets).
 
-Patterns the compiler rejects (:class:`~repro.exceptions.PlanError`,
-e.g. EVENODD double erasures that need the Gaussian reference decoder)
-are counted as ``patterns_rejected`` — they produce no plan, so there
-is nothing to prove; the MDS certificate already shows they are
-*recoverable* by the fallback path.
+Patterns the compiler rejects (:class:`~repro.exceptions.PlanError`)
+would be counted as ``patterns_rejected``: they produce no plan, so
+there is nothing to prove.  The compiler finishes every recoverable
+pattern by elimination where peeling stalls, and every enumerated
+pattern is recoverable, so the count is 0 for every registered code;
+the field stays so the report schema, and its pins, hold.
 """
 
 from __future__ import annotations

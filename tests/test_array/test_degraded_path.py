@@ -1,9 +1,9 @@
-"""The degraded path: plan first, rank oracle last.
+"""The degraded path: plan first, rank oracle only in the Python decoder.
 
 A degraded ``FileStore`` operation on a compiled engine costs one plan
 lookup and one kernel call per stripe — finding the plan *is* the
-recoverability proof — while the GF(2) rank oracle still guards the
-pure-Python decoder and every pattern peeling cannot finish.  These
+recoverability proof, for the patterns peeling cannot finish too —
+while the GF(2) rank oracle guards the pure-Python decoder.  These
 tests pin both halves, the engine differential of the whole
 fail → read → degraded write → fail → read → rebuild drive, and the
 two checksum promises of that path: a degraded write re-checksums only
@@ -14,22 +14,26 @@ any of it — refusing it exactly when the chains it chose read a flip.
 import numpy as np
 import pytest
 
+import repro.array.filestore as filestore_mod
 import repro.engine.compile as compile_mod
+import repro.faults.healing as healing_mod
 import repro.xor.bitmatrix as bitmatrix
 from repro import EvenOddCode, HVCode
 from repro.array.filestore import FileStore
 from repro.array.stripe import ERASED
 from repro.codes.base import ArrayCode
+from repro.codes.registry import get_code
 from repro.engine import PLAN_CACHE, compile_plan
 from repro.exceptions import (
     ChecksumMismatchError,
-    PlanError,
     UnrecoverableFailureError,
     UnrecoverableFaultError,
 )
+from repro.faults import RebuildOrchestrator
 from repro.faults.healing import HealingStats, decode_resilient
+from repro.recovery.peeling import peel_schedule
 
-from ..conftest import ALL_CODE_CLASSES
+from ..conftest import ALL_CODE_CLASSES, VECTOR
 from ..test_engine.test_backends import BACKENDS as COMPILED
 
 ELEMENT_SIZE = 64
@@ -147,6 +151,9 @@ class TestHotPathIsEliminationFree:
 
 
 class TestFallbackKeepsTheOracle:
+    """The patterns the Python decoder needs more than peeling for run
+    a compiled plan on every other engine, to the oracle's bytes."""
+
     #: two data columns need the adjuster (the classic column decoder);
     #: the scattered cells need the generic peel + Gaussian decoder
     EVENODD_PATTERNS = [
@@ -156,26 +163,28 @@ class TestFallbackKeepsTheOracle:
 
     @pytest.mark.parametrize("engine", COMPILED)
     @pytest.mark.parametrize("cells", EVENODD_PATTERNS)
-    def test_evenodd_gaussian_patterns_match_python(self, engine, cells, eliminations):
+    def test_evenodd_gaussian_patterns_match_python(
+        self, engine, cells, eliminations, monkeypatch
+    ):
         code = EvenOddCode(5)
-        with pytest.raises(PlanError):
-            compile_plan(code, "decode", tuple(cells), cache=None)
+        plan = compile_plan(code, "decode", tuple(cells))
         whole = code.random_stripe(element_size=24, seed=5)
         broken = whole.copy()
         for pos in cells:
             broken.erase(pos)
         reference = broken.copy()
-        expected = code.decode(reference)
+        code.decode(reference)
         del eliminations[:]
+        for cls in (ArrayCode, EvenOddCode):
+            monkeypatch.setattr(cls, "_decode_python", lambda *a: pytest.fail("python decoder"))
         report = code.decode(broken, engine=engine)
         assert broken == reference == whole
         assert (report.peeled, report.gaussian, report.rounds) == (
-            expected.peeled,
-            expected.gaussian,
-            expected.rounds,
+            list(plan.output_positions),
+            [],
+            plan.rounds,
         )
-        # the generic fallback asks the oracle first, then solves
-        assert len(eliminations) == (2 if expected.gaussian else 0)
+        assert eliminations == []  # the plan was found, never re-derived
 
     @pytest.mark.parametrize("engine", COMPILED)
     def test_evenodd_peelable_pattern_runs_the_plan(self, engine, monkeypatch):
@@ -333,3 +342,98 @@ class TestChecksumPromises:
         assert (poisoned.state[:, disk] == ERASED).all()
         assert not poisoned.data[:, disk].any()
         assert (store.stripes[2].state[:, disk] == ERASED).all()  # never reached
+
+
+
+#: the codes whose disk pair (0, 1) peeling alone cannot finish
+UNPEELABLE_CODES = ["EVENODD", "Liberation", "Cauchy-RS"]
+#: ``fused`` and ``native`` (skipped without a C compiler)
+STORE_ENGINES = [e for e in COMPILED if e not in (VECTOR, "auto")]
+
+
+class TestOneDecodePath:
+    """A store on a compiled engine restores every cell through a
+    compiled plan, the patterns peeling cannot finish included: the
+    ladder's full decode and the Python decoder are never reached."""
+
+    @pytest.fixture(autouse=True)
+    def no_python_decoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a store operation reached the Python decoder")
+
+        for module in (healing_mod, filestore_mod):
+            monkeypatch.setattr(module, "decode_resilient", refuse)
+            monkeypatch.setattr(module, "recover_element", refuse)
+        for cls in (ArrayCode, EvenOddCode):
+            monkeypatch.setattr(cls, "_decode_python", refuse)
+
+    @staticmethod
+    def store_and_model(name, engine, stripes=4):
+        store = FileStore(get_code(name, 5), element_size=ELEMENT_SIZE, engine=engine)
+        model = bytearray(np.random.default_rng(17).bytes(stripes * store.bytes_per_stripe))
+        store.write(0, model)
+        return store, model
+
+    @staticmethod
+    def across_boundaries(store, model, seed):
+        """A read and a write straddling each stripe boundary, checked
+        against the model."""
+        rng = np.random.default_rng(seed)
+        bps, size = store.bytes_per_stripe, 3 * ELEMENT_SIZE
+        for boundary in range(bps, len(model), bps):
+            offset = boundary - size // 2
+            assert store.read(offset, size) == bytes(model[offset : offset + size])
+            payload = rng.bytes(size)
+            store.write(offset + 7, payload)
+            model[offset + 7 : offset + 7 + size] = payload
+        assert store.read(0, len(model)) == bytes(model)
+
+    @staticmethod
+    def column_plan(code, lost_disks, disk):
+        lost = tuple(s for s in range(code.rows * code.cols) if s % code.cols in lost_disks)
+        column = tuple(s for s in lost if s % code.cols == disk)
+        return compile_plan(code, "read", (lost, column, ()))
+
+    @pytest.mark.parametrize("driver", ["store", "orchestrator"])
+    @pytest.mark.parametrize("engine", STORE_ENGINES)
+    @pytest.mark.parametrize("name", UNPEELABLE_CODES)
+    def test_unpeelable_pair_reads_writes_and_rebuilds_by_plan(self, name, engine, driver):
+        store, model = self.store_and_model(name, engine)
+        code = store.code
+        assert peel_schedule(code.equations, code.disk_cells(0) + code.disk_cells(1)).stuck
+        store.fail_disk(0)
+        store.stripes[1].mark_latent((code.rows - 1, 3))  # one disk plus one sector
+        self.across_boundaries(store, model, seed=1)
+        if store.stripes[1].latent_positions():  # a write may have healed it
+            assert store.scrub_checksums().chain_repairs == 1
+        store.fail_disk(1)
+        self.across_boundaries(store, model, seed=2)
+        for disk, lost in ((0, (0, 1)), (1, (1,))):
+            plan = self.column_plan(code, lost, disk)
+            reads = store.healing.reads
+            if driver == "store":
+                store.rebuild(disk)
+            else:
+                assert RebuildOrchestrator(store).rebuild(disk).completed
+            assert store.healing.reads - reads == len(store.stripes) * len(plan.reads)
+        assert store.failed_disks == set()
+        assert store.read(0, len(model)) == bytes(model)
+        assert store.scrub() == []
+        assert store.scrub_checksums(repair=False).clean
+        assert store.healing.escalations == 0
+
+    @pytest.mark.parametrize("engine", STORE_ENGINES)
+    @pytest.mark.parametrize("name", UNPEELABLE_CODES)
+    def test_scrub_of_a_flip_beside_two_latent_cells(self, name, engine):
+        store, model = self.store_and_model(name, engine)
+        stripe = store.stripes[1]
+        stripe.flip_bits((0, 0), 3)
+        stripe.mark_latent((0, 2))
+        stripe.mark_latent((0, 3))
+        lost = (0, 2, 3)
+        plan = compile_plan(store.code, "read", (lost, lost, ()))
+        report = store.scrub_checksums()
+        assert (report.chain_repairs, report.repair_reads) == (3, len(plan.reads))
+        assert store.read(0, len(model)) == bytes(model)
+        assert store.scrub_checksums(repair=False).clean
+        assert store.healing.escalations == 0

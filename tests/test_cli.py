@@ -151,18 +151,19 @@ class TestSimCommand:
         assert err.count("\n") == 1
         assert err.startswith("hvcode-repro sim: error: ")
 
-    @pytest.mark.parametrize(
-        "code, reason",
-        [
-            ("EVENODD", "chain peeling cannot repair every disk pair"),
-            ("Liberation", "chain peeling cannot repair every disk pair"),
-            ("Cauchy-RS", "chain peeling cannot repair every disk pair"),
-            ("NOPE", "unknown code 'NOPE'"),
-        ],
-    )
+    @pytest.mark.parametrize("code", ["EVENODD", "Liberation", "Cauchy-RS"])
+    def test_every_registered_code_is_priced(self, capsys, code):
+        # Peeling alone cannot repair some of these codes' disk pairs;
+        # the compiler solves them by elimination, so each has a price.
+        assert main(["sim", "--code", code, "--p", "5", "--fleet", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"report hash {code}: " in captured.out
+
+    @pytest.mark.parametrize("code, reason", [("NOPE", "unknown code 'NOPE'")])
     def test_unpriceable_code_is_a_usage_error(self, capsys, code, reason):
-        # A code without a double repair plan to price, or no code at
-        # all, is refused in one line with exit 2, as `faults` does.
+        # No code at all is refused in one line with exit 2, as
+        # `faults` does.
         assert main(["sim", "--code", code, "--p", "5", "--fleet", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -13,10 +13,12 @@ from repro.engine import (
     compile_plan,
     eliminate_common_pairs,
 )
+from repro.engine.backends import get_backend
 from repro.engine.compile import _canonical_pattern, _spelled_canonically, plan_key
-from repro.exceptions import InvalidParameterError, PlanError
+from repro.exceptions import InvalidParameterError, PlanError, UnrecoverableFailureError
 
 XOR_CODES = [n for n in available_codes() if n != "Cauchy-RS"]
+DECODE_ENGINES = ["python", "fused"] + (["native"] if get_backend("native").available() else [])
 
 
 @pytest.fixture()
@@ -88,21 +90,6 @@ class TestCompileRecovery:
         assert plan.outputs == (0,)
         assert len(plan.steps) == 1
 
-    def test_gaussian_only_patterns_raise_plan_error(self):
-        # EVENODD double failures that need the coupled S adjuster have
-        # no flat XOR schedule.
-        code = get_code("EVENODD", 5)
-        stuck = []
-        for f1 in range(code.cols):
-            for f2 in range(f1 + 1, code.cols):
-                try:
-                    compile_plan(code, "recover-double", (f1, f2), cache=None)
-                except PlanError:
-                    stuck.append((f1, f2))
-        assert stuck  # the adjuster patterns exist...
-        ok_pairs = code.cols * (code.cols - 1) // 2 - len(stuck)
-        assert ok_pairs > 0  # ...but plenty of pairs still compile
-
     def test_rejects_malformed_patterns(self):
         code = get_code("HV", 5)
         with pytest.raises(PlanError):
@@ -113,6 +100,50 @@ class TestCompileRecovery:
             compile_plan(code, "recover-single", (99,), cache=None)
         with pytest.raises(PlanError):
             compile_plan(code, "bogus-op", cache=None)
+
+
+class TestCapabilityOracle:
+    """Elimination finishes what peeling cannot, so a ``decode`` plan
+    exists exactly for the patterns the code can recover, and every
+    engine decodes them to the same bytes."""
+
+    PATTERNS = 200  # per code and prime
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("name", available_codes())
+    def test_plan_iff_recoverable(self, name, p):
+        code = get_code(name, p)
+        rng = np.random.default_rng(p * 1009 + available_codes().index(name))
+        cells = code.rows * code.cols
+        whole = code.random_stripe(element_size=16, seed=p)
+        recoverable = 0
+        for _ in range(self.PATTERNS):
+            size = int(rng.integers(1, 2 * code.rows + 3))
+            slots = tuple(sorted(rng.choice(cells, size, replace=False).tolist()))
+            erased = [divmod(s, code.cols) for s in slots]
+            try:
+                plan = compile_plan(code, "decode", slots, cache=None)
+            except PlanError:
+                plan = None
+            assert (plan is not None) == code.can_recover(erased), slots
+            recoverable += plan is not None
+            outcomes = []
+            for engine in DECODE_ENGINES:
+                stripe = whole.copy()
+                for pos in erased:
+                    stripe.erase(pos)
+                try:  # any other exception, PlanError included, fails here
+                    code.decode(stripe, engine=engine)
+                except UnrecoverableFailureError:
+                    outcomes.append("unrecoverable")
+                else:
+                    assert stripe == whole, (engine, slots)
+                    outcomes.append("decoded")
+            assert outcomes == ["decoded" if plan else "unrecoverable"] * len(
+                DECODE_ENGINES
+            ), slots
+        # the draw covers both sides of the capability line
+        assert 0 < recoverable < self.PATTERNS
 
 
 class TestCSE:

@@ -169,16 +169,20 @@ class TestRepairPathsDecodeOnTheStoresEngine:
         assert decode_engines == ["fused"]
 
     def test_scrub_escalation(self, decode_engines):
-        # A flip beside two latent cells of one Cauchy-RS row: the rank
-        # oracle accepts the pattern, the plan compiler rejects it.
+        # A flip beside two latent cells of one Cauchy-RS row: peeling
+        # stalls, the compiler solves by elimination, and the plan runs.
         store, payload = self.make_store("fused", get_code("Cauchy-RS", 5))
         stripe = store.stripes[1]
         stripe.flip_bits((0, 0), 3)
         stripe.mark_latent((0, 2))
         stripe.mark_latent((0, 3))
+        lost = (0, 2, 3)
+        plan = compile_plan(store.code, "read", (lost, lost, ()))
         report = store.scrub_checksums()
-        assert report.escalations == 3
-        assert decode_engines and set(decode_engines) == {"fused"}
+        assert report.chain_repairs == 3
+        assert report.repair_reads == len(plan.reads)
+        assert decode_engines == []
+        assert store.healing.escalations == 0
         assert store.read(0, len(payload)) == payload
         assert store.scrub_checksums(repair=False).clean
 
@@ -190,7 +194,7 @@ class TestRepairPathsDecodeOnTheStoresEngine:
         lost = (0, *np.flatnonzero(stripe.state).tolist())
         plan = compile_plan(store.code, "read", (lost, lost, ()))
         report = store.scrub_checksums()
-        assert (report.chain_repairs, report.escalations) == (len(lost), 0)
+        assert report.chain_repairs == len(lost)
         assert report.repair_reads == len(plan.reads)
         assert decode_engines == []
         assert store.read(0, len(payload)) == payload
@@ -198,12 +202,17 @@ class TestRepairPathsDecodeOnTheStoresEngine:
 
     def test_orchestrated_rebuild_escalation(self, decode_engines):
         # EVENODD with disks 0 and 1 down is a pattern peeling cannot
-        # finish, so every stripe climbs to rung 3.
+        # finish; every stripe runs the plan the compiler completes by
+        # elimination, and no stripe is decoded.
         store, payload = self.make_store("fused", EvenOddCode(5))
         store.fail_disk(0)
         store.fail_disk(1)
+        column = tuple(range(0, store.code.rows * store.code.cols, store.code.cols))
+        lost = tuple(sorted({*column, *(s + 1 for s in column)}))
+        plan = compile_plan(store.code, "read", (lost, column, ()))
         report = RebuildOrchestrator(store).rebuild(0)
-        assert report.escalations == len(store.stripes)
-        assert len(decode_engines) == len(store.stripes)
-        assert set(decode_engines) == {"fused"}
+        assert report.chain_reads == len(store.stripes) * len(plan.reads)
+        assert store.healing.reads == report.chain_reads
+        assert store.healing.escalations == 0
+        assert decode_engines == []
         assert store.read(0, len(payload)) == payload

@@ -45,9 +45,7 @@ class TestRebuild:
         assert report.elements_repaired == 4 * store.code.rows
         assert report.chain_reads > 0
         assert report.seconds > 0
-        assert report.total_reads == (
-            report.chain_reads + report.escalation_reads
-        )
+        assert report.chain_reads == store.healing.reads
 
     def test_checkpoints_recorded(self):
         store, _ = make_store(stripes=6)
@@ -75,8 +73,8 @@ class TestRebuild:
         report = RebuildOrchestrator(store).rebuild(0)
         assert report.completed
         # The decode sliced to the column is a compiled plan: no stripe
-        # needs rung 3.
-        assert report.escalations == 0
+        # is decoded whole.
+        assert store.healing.escalations == 0
         assert store.failed_disks == {2}
         assert store.read(0, len(payload)) == payload
 
@@ -130,7 +128,7 @@ class TestResume:
         with pytest.raises(UnrecoverableFaultError):
             orchestrator.rebuild(0)
         report = orchestrator._report
-        assert (report.total_reads, report.elements_repaired) == (24, 12)
+        assert (report.chain_reads, report.elements_repaired) == (24, 12)
         serve = orchestrator.latency.serve
         assert report.seconds == max(serve(24 // 2), serve(12))
         assert report.seconds < serve(24)
@@ -170,7 +168,8 @@ class TestChecksumGuard:
 
 
 #: (code, fault pattern) pairs: the three patterns on every evaluated
-#: code and EVENODD, plus EVENODD@5's (0, 1), which peeling rejects.
+#: code and EVENODD, plus EVENODD@5's (0, 1), which peeling alone cannot
+#: finish.
 TWIN_CASES = [
     (name, pattern)
     for name in EVALUATED_CODE_NAMES + ("EVENODD",)
@@ -209,8 +208,8 @@ def test_store_and_orchestrator_rebuild_alike(name, pattern, engine):
     plain.rebuild(disk)
     before = healing_counts(driven)[0]
     report = RebuildOrchestrator(driven).rebuild(disk)
-    assert report.total_reads == driven.healing.reads - before
-    assert report.escalations == (len(driven.stripes) if pattern == "rung-3" else 0)
+    assert report.chain_reads == driven.healing.reads - before
+    assert driven.healing.escalations == 0
     latent = int(pattern == "latent-survivor")
     assert report.latent_hits == latent
     assert report.elements_repaired == len(driven.stripes) * driven.code.rows + latent
@@ -232,5 +231,5 @@ def test_clean_rebuild_reads_what_the_repair_price_says(name):
     for disk in range(code.cols):
         store.fail_disk(disk)
         report = RebuildOrchestrator(store).rebuild(disk)
-        assert report.escalations == 0, disk
+        assert store.healing.escalations == 0, disk
         assert report.chain_reads == 4 * repair_cost(code, (disk,)).reads, disk

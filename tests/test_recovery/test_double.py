@@ -4,9 +4,11 @@ import pytest
 
 from repro import EvenOddCode, HCode, HDPCode, HVCode, RDPCode, XCode
 from repro.array.latency import LatencyModel
-from repro.exceptions import InvalidParameterError, PlanError
+from repro.engine import compile_plan
+from repro.exceptions import InvalidParameterError
 from repro.experiments.fig9_recovery import run_fig9b
 from repro.recovery.cost import expected_double_rounds, repair_cost
+from repro.recovery.peeling import peel_schedule
 from repro.utils import pairs
 
 
@@ -42,10 +44,16 @@ class TestAnalysis:
 
     def test_evenodd_reported_as_unpeelable(self):
         # EVENODD's S coupling defeats pure chain peeling for two data
-        # disks; the compiler must say so rather than fake a number.
+        # disks; the compiler finishes by elimination, and the price is
+        # that plan's.
         code = EvenOddCode(5)
-        with pytest.raises(PlanError):
-            repair_cost(code, (0, 1))
+        erased = code.disk_cells(0) + code.disk_cells(1)
+        assert peel_schedule(code.equations, erased).stuck
+        cost = repair_cost(code, (0, 1))
+        plan = compile_plan(code, "recover-double", (0, 1))
+        assert (cost.lost, cost.reads, cost.rounds) == (
+            2 * code.rows, len(plan.reads), plan.rounds
+        )
 
 
 class TestParallelism:
