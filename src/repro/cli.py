@@ -16,7 +16,11 @@ import sys
 import time
 
 from .codes.registry import available_codes, get_code
-from .exceptions import InvalidParameterError, InvalidSimConfigError
+from .exceptions import (
+    CertificationError,
+    InvalidParameterError,
+    InvalidSimConfigError,
+)
 from .experiments.runner import (
     EXPERIMENTS,
     render_results,
@@ -863,13 +867,15 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Invalid input it hands to the library (a
     non-prime ``--p``, an unknown ``--code``, a count out of range) is a
     usage error: one line on stderr and exit 2, as argparse reports one.
+    A pinned hash that drifted is a failed check, not a usage error: the
+    same one line, exit 1.
     """
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (InvalidParameterError, InvalidSimConfigError) as exc:
+    except (InvalidParameterError, InvalidSimConfigError, CertificationError) as exc:
         print(f"hvcode-repro {args.command}: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CertificationError) else 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:

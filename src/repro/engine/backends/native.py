@@ -1,4 +1,4 @@
-"""The native backend: a ctypes inner loop compiled on first use.
+"""The native backend: a ctypes inner loop built once per source.
 
 The numpy paths pay two costs the plan IR does not require: one kernel
 dispatch per XOR *source* (a step with k sources is k-1 binary
@@ -14,12 +14,22 @@ path at both L2-resident and DRAM-resident region sizes
 The backend is **optional by construction**: the C source below is
 compiled with whatever ``cc``/``gcc``/``clang`` the host has, at first
 use, in a temporary directory that is removed once the library is
-loaded.  No compiler, a failed compile, a library that will not load
-or lacks an entry point, or ``REPRO_DISABLE_NATIVE=1`` in the
-environment all make :meth:`NativeBackend.available` report False
-(:data:`UNAVAILABLE_REASON` says which) and the registry's ``auto``
-resolution falls back to the fused numpy backend — presence of the
-backend can never be a correctness or import-time concern.
+loaded.  A loaded build is then copied into the user's cache directory
+(``$XDG_CACHE_HOME/hvcode-repro``, else ``~/.cache/hvcode-repro``; only
+a directory this user owns that no one else can write) under a key, the
+SHA-256 of the source, the flags and the compiler's predefined macros —
+its version and every target feature ``-march=native`` turns on — so a
+later process on the same source, compiler and CPU loads it instead of
+compiling.  Each entry ends with ``sha256(key + library)``: a truncated
+entry or one published under another key is never mapped, but rebuilt
+and renamed over.  The cache is best-effort — a missing, unusable or
+full cache directory only means the build is not kept.  No compiler,
+a failed compile, a library that will not load or lacks an entry
+point, or ``REPRO_DISABLE_NATIVE=1`` in the environment all make
+:meth:`NativeBackend.available` report False (:data:`UNAVAILABLE_REASON`
+says which) and the registry's ``auto`` resolution falls back to the
+fused numpy backend — presence of the backend can never be a
+correctness or import-time concern.
 
 The XOR kernel is byte-oriented (sizes and strides in bytes), so the
 unaligned uint8-lane fallback needs no second entry point: gcc/clang
@@ -36,9 +46,12 @@ compile), slicing-by-8 tables otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 from typing import TYPE_CHECKING, Literal, NamedTuple
@@ -285,24 +298,146 @@ def _find_compiler() -> str | None:
     return None
 
 
+def _cache_dir() -> str | None:
+    """The build cache, ``$XDG_CACHE_HOME/hvcode-repro`` (else
+    ``$HOME/.cache/hvcode-repro``), created ``0o700``.  None — build in
+    a temporary directory — when neither variable holds an absolute
+    path, or the directory cannot be made, is not a directory, is not
+    this user's, is writable by group or others, or is not writable."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.environ.get("HOME", "")
+        if not os.path.isabs(home):
+            return None
+        base = os.path.join(home, ".cache")
+    path = os.path.join(base, "hvcode-repro")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.stat(path)
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.geteuid()
+        or info.st_mode & 0o022
+        or not os.access(path, os.W_OK | os.X_OK)
+    ):
+        return None
+    return path
+
+
+def _build_key(compiler: str, flags: "Sequence[str]") -> str:
+    """SHA-256 of the source, the flags and the compiler's predefined
+    macros under them (``__VERSION__`` and every target macro
+    ``-march=native`` resolves to), so a cached library is never one
+    built by another compiler or for another CPU; empty when the
+    compiler will not say."""
+    try:
+        probe = subprocess.run(
+            [compiler, "-O3", *flags, "-dM", "-E", "-x", "c", os.devnull],
+            capture_output=True,
+            timeout=120,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return ""
+    if probe.returncode != 0:
+        return ""
+    digest = hashlib.sha256()
+    for part in (_C_SOURCE.encode(), "\0".join(flags).encode(), probe.stdout):
+        digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()
+
+
+def _seal(key: str, body: bytes) -> bytes:
+    """The 32 bytes a cache entry ends with: ``sha256(key + body)``.
+    The loader maps segments, not the file's tail, so a sealed library
+    loads as before."""
+    return hashlib.sha256(key.encode() + body).digest()
+
+
+def _sealed(path: str, key: str) -> bool:
+    """Whether a cache entry is whole and was published under ``key``.
+    Checked before ``dlopen``, which dies of SIGBUS on a truncated or
+    zero-filled copy instead of failing."""
+    try:
+        with open(path, "rb") as fh:
+            body = fh.read()
+    except OSError:
+        return False
+    return len(body) > 32 and _seal(key, body[:-32]) == body[-32:]
+
+
+def _load(lib: str) -> "_Kernel | str":
+    """Load a built library and check its entry points; on any failure,
+    the reason instead."""
+    try:
+        dll = ctypes.CDLL(lib)
+    except OSError:
+        return "load failed"
+    ptr, size, i32 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int32
+    buf = ctypes.POINTER(ctypes.c_ubyte)
+    try:
+        xor = dll.xor_exec_plan
+        update = dll.xor_update_crc
+        crc = ctypes.PYFUNCTYPE(None, buf, size, ptr, size, buf)(("crc32_cells", dll))
+    except AttributeError:
+        return "missing symbol"
+    xor.argtypes = [ptr, ptr, size, size, size, ptr, i32, i32, size]
+    update.argtypes = [buf, buf, size, ptr, i32, i32, size, ptr, size, buf]
+    xor.restype = update.restype = None
+    return _Kernel(xor, crc, update)
+
+
+def _publish(lib: str, cached: str, key: str) -> None:
+    """Copy a loaded library, sealed, into the build cache, on a
+    best-effort basis: the copy is written to a private temporary file
+    beside the entry and renamed over it, so a reader never sees a
+    partial file, and a full disk or an unwritable cache leaves the
+    cache as it was."""
+    tmp = None
+    try:
+        with open(lib, "rb") as fh:
+            body = fh.read()
+        fd, tmp = tempfile.mkstemp(
+            prefix=".xor_kernel-", suffix=".tmp", dir=os.path.dirname(cached)
+        )
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(body + _seal(key, body))
+        os.replace(tmp, cached)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def _compile_kernel(
     flag_sets: "Sequence[Sequence[str]]" = (("-march=native",), ()),
 ) -> "_Kernel | str":
-    """Compile and load the C kernel with the first of ``flag_sets``
-    that builds; on any failure, the reason instead."""
+    """Load the C kernel built with the first of ``flag_sets`` that
+    builds — from the build cache when it holds a sound copy, else
+    built now — and on any failure, the reason instead."""
     if os.environ.get("REPRO_DISABLE_NATIVE"):
         return "disabled by REPRO_DISABLE_NATIVE"
     compiler = _find_compiler()
     if compiler is None:
         return "no compiler"
-    # The build directory goes as soon as the library is mapped (the
-    # mapping outlives the file), and on every failure path.
-    with tempfile.TemporaryDirectory(prefix="repro-native-") as workdir:
-        src = os.path.join(workdir, "xor_kernel.c")
-        lib = os.path.join(workdir, "xor_kernel.so")
-        with open(src, "w") as fh:
-            fh.write(_C_SOURCE)
-        for flags in flag_sets:
+    cache = _cache_dir()
+    for flags in flag_sets:
+        key = _build_key(compiler, flags) if cache else ""
+        cached = os.path.join(cache, f"xor_kernel-{key}.so") if key else None
+        if cached and _sealed(cached, key):
+            kernel = _load(cached)
+            if isinstance(kernel, _Kernel):
+                return kernel
+        # A miss, or a cached file that will not load or is not this
+        # build's: build anew.  The build directory goes as soon as the
+        # library is mapped (the mapping outlives the file), and on
+        # every failure path.
+        with tempfile.TemporaryDirectory(prefix="repro-native-") as workdir:
+            src = os.path.join(workdir, "xor_kernel.c")
+            lib = os.path.join(workdir, "xor_kernel.so")
+            with open(src, "w") as fh:
+                fh.write(_C_SOURCE)
             try:
                 result = subprocess.run(
                     [compiler, "-O3", *flags, "-shared", "-fPIC", src, "-o", lib],
@@ -311,27 +446,14 @@ def _compile_kernel(
                 )
             except (OSError, subprocess.SubprocessError) as exc:
                 return f"compile failed: {exc}"
-            if result.returncode == 0:
-                break
-        else:
-            stderr = result.stderr.decode(errors="replace").splitlines()
-            return f"compile failed: {stderr[0] if stderr else ''}".rstrip()
-        try:
-            dll = ctypes.CDLL(lib)
-        except OSError:
-            return "load failed"
-        ptr, size, i32 = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_int32
-        buf = ctypes.POINTER(ctypes.c_ubyte)
-        try:
-            xor = dll.xor_exec_plan
-            update = dll.xor_update_crc
-            crc = ctypes.PYFUNCTYPE(None, buf, size, ptr, size, buf)(("crc32_cells", dll))
-        except AttributeError:
-            return "missing symbol"
-    xor.argtypes = [ptr, ptr, size, size, size, ptr, i32, i32, size]
-    update.argtypes = [buf, buf, size, ptr, i32, i32, size, ptr, size, buf]
-    xor.restype = update.restype = None
-    return _Kernel(xor, crc, update)
+            if result.returncode != 0:
+                continue
+            kernel = _load(lib)
+            if cached and isinstance(kernel, _Kernel):
+                _publish(lib, cached, key)
+            return kernel
+    stderr = result.stderr.decode(errors="replace").splitlines()
+    return f"compile failed: {stderr[0] if stderr else ''}".rstrip()
 
 
 def _address(buf: np.ndarray) -> int:

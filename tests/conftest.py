@@ -8,6 +8,10 @@ parametrized so every test automatically covers every code.
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import pytest
 
 import repro.engine.backends.fused as fused
@@ -51,10 +55,24 @@ SMALL_PRIMES = (5, 7, 11)
 VECTOR = pytest.param("fused", id="vector", marks=pytest.mark.narrow_tiles)
 
 
+#: Points ``XDG_CACHE_HOME`` at a directory of the run's own for the
+#: whole session, so the native kernel's build cache never lands in the
+#: user's home and each session builds the kernel once.
+_SESSION_ENV = pytest.MonkeyPatch()
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "narrow_tiles: run the fused backend with one-word tiles"
     )
+    # A hook, not a fixture: test modules resolve backends at import,
+    # during collection, before any fixture runs.
+    _SESSION_ENV.setenv("XDG_CACHE_HOME", tempfile.mkdtemp(prefix="repro-test-cache-"))
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(os.environ["XDG_CACHE_HOME"], ignore_errors=True)
+    _SESSION_ENV.undo()
 
 
 @pytest.fixture(autouse=True)

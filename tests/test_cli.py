@@ -197,6 +197,21 @@ def test_usage_error_is_one_line_and_exit_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_drifted_pin_is_one_line_and_exit_1(capsys, monkeypatch):
+    # A failed check is not a usage error: exit 1, but the same one
+    # line.  The sweep runs at p = 5 alone, against a pin made wrong.
+    import repro.static
+    from repro.static import pins
+
+    monkeypatch.setattr(repro.static, "PLAN_VERIFY_PRIMES", (5,))
+    monkeypatch.setitem(pins.PINNED_PLAN_REPORT_HASHES, "HV@5", "0" * 64)
+    assert main(["certify", "--plans"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("hvcode-repro certify: error: HV@5: plan report hash ")
+    assert "Traceback" not in err
+
+
 class TestFaultsCommand:
     def test_parser_registered(self):
         args = build_parser().parse_args(["faults", "--seed", "9"])

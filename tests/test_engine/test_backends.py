@@ -9,14 +9,16 @@ the pure-Python decoder are the ground truth.
 
 Alongside the differential sweep this file pins the backend contract:
 registry resolution rules, the fused kernel-call accounting drop, the
-``update`` contract (one inherited default, one native override), and
-graceful handling of unavailable backends.
+``update`` contract (one inherited default, one native override),
+graceful handling of unavailable backends, and the native kernel's
+on-disk build cache against a hostile or damaged cache directory.
 """
 
 import gc
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -73,6 +75,60 @@ CODE_CLASSES = [
 ]
 
 NATIVE_AVAILABLE = get_backend("native").available()
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: What every process run against a build cache must end with: the
+#: kernel loaded, an HV encode that verifies, and zlib's CRCs.
+CACHE_PROBE = """\
+import zlib
+from repro.codes.registry import get_code
+from repro.engine import compile_plan, get_backend
+from repro.engine.backends import native as native_mod
+from repro.faults.checksum import CellSlots, crc_rows
+native = get_backend('native')
+assert native.available(), native_mod.UNAVAILABLE_REASON
+code = get_code('HV', 5)
+stripe = code.random_stripe(element_size=4096, seed=0)
+native.execute(compile_plan(code, 'encode'), stripe)
+assert code.verify(stripe)
+cells = stripe.data.reshape(-1, 4096)
+sums = crc_rows(stripe.data, CellSlots(range(len(cells))))
+assert sums.reshape(-1).tolist() == [zlib.crc32(cell) for cell in cells]
+"""
+
+
+def _probe_process(env: dict, script: str = CACHE_PROBE, **popen) -> subprocess.Popen:
+    """A fresh interpreter running ``script`` with only ``env`` (and
+    ``PYTHONPATH``/``PATH``) in its environment."""
+    env = {"PYTHONPATH": SRC, "PATH": os.environ.get("PATH", ""), **env}
+    return subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        **popen,
+    )
+
+
+def _run_probe(env: dict, script: str = CACHE_PROBE, **popen) -> str:
+    """Run :func:`_probe_process` to completion; its stdout."""
+    proc = _probe_process(env, script, **popen)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    return out
+
+
+def _cache_entries(cache_home: Path) -> list[str]:
+    """The build cache's entries under ``cache_home``, each checked to
+    be a finished library: no build directory or partial file left."""
+    cache = cache_home / "hvcode-repro"
+    names = sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+    for name in names:
+        assert re.fullmatch(r"xor_kernel-[0-9a-f]{64}\.so", name), name
+    return names
+
 
 BACKENDS = [
     VECTOR,
@@ -401,23 +457,12 @@ class TestRegistry:
             "shutdown_backends()\n"
             "assert 'multiprocessing' not in sys.modules\n"
         )
-        env = {
-            "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
-            "PATH": os.environ.get("PATH", ""),
-        }
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
+        _run_probe({}, probe)
 
     @pytest.mark.parametrize("broken_compiler", [False, True])
     def test_native_build_directory_is_removed(self, tmp_path, broken_compiler):
         """A fresh process compiles (or fails to) and leaves nothing in
-        the temp dir; the library stays usable after its file is gone."""
+        the temp dir, and nothing but the library in its cache."""
         probe = (
             "from repro.codes.registry import get_code\n"
             "from repro.engine import compile_plan, get_backend\n"
@@ -431,33 +476,140 @@ class TestRegistry:
             "from repro.engine.backends.native import UNAVAILABLE_REASON\n"
             "print(UNAVAILABLE_REASON)\n"
         )
-        env = {
-            "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
-            "TMPDIR": str(tmp_path),
-            "PATH": os.environ.get("PATH", ""),
-        }
+        (tmp_path / "tmp").mkdir()
+        env = {"TMPDIR": str(tmp_path / "tmp"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
         if broken_compiler:
             fake = tmp_path / "bin"
             fake.mkdir()
             (fake / "cc").write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
             (fake / "cc").chmod(0o755)
             env["PATH"] = str(fake)
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
+        out = _run_probe(env, probe)
         if broken_compiler:
-            assert result.stdout.split("\n")[:2] == [
+            assert out.split("\n")[:2] == [
                 "unavailable",
                 "compile failed: cc: broken",
             ]
+            assert _cache_entries(tmp_path / "cache") == []
         elif NATIVE_AVAILABLE:
-            assert result.stdout.split("\n")[:2] == ["available", "None"]
-        assert not list(tmp_path.glob("repro-native-*"))
+            assert out.split("\n")[:2] == ["available", "None"]
+            assert len(_cache_entries(tmp_path / "cache")) == 1
+        assert not list((tmp_path / "tmp").iterdir())
+
+
+@pytest.mark.skipif(not NATIVE_AVAILABLE, reason="needs a C compiler")
+class TestBuildCache:
+    """The on-disk build cache: one build per source, compiler, flags
+    and CPU; a hostile or damaged cache costs a rebuild, never a wrong
+    kernel.  Every case runs in fresh processes against its own
+    ``XDG_CACHE_HOME`` and ends in :data:`CACHE_PROBE`."""
+
+    def test_warm_process_only_probes(self, tmp_path):
+        real = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+        log = tmp_path / "cc.log"
+        fake = tmp_path / "bin"
+        fake.mkdir()
+        (fake / "cc").write_text(f'#!/bin/sh\necho "$*" >> {log}\nexec {real} "$@"\n')
+        (fake / "cc").chmod(0o755)
+        path = f"{fake}{os.pathsep}{os.environ.get('PATH', '')}"
+        env = {"PATH": path, "XDG_CACHE_HOME": str(tmp_path)}
+
+        def calls() -> list[str]:
+            lines = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return ["probe" if "-dM -E" in line else "build" if "-shared" in line
+                    else line for line in lines]
+
+        _run_probe(env)
+        assert calls() == ["probe", "build"]
+        assert len(_cache_entries(tmp_path)) == 1
+        _run_probe(env)
+        assert calls() == ["probe"]
+        # Disabled, the backend never probes, builds or makes the cache.
+        disabled = tmp_path / "disabled"
+        out = _run_probe(
+            {**env, "XDG_CACHE_HOME": str(disabled), "REPRO_DISABLE_NATIVE": "1"},
+            "from repro.engine import get_backend\n"
+            "print(get_backend('native').available())\n",
+        )
+        assert out == "False\n" and calls() == []
+        assert not disabled.exists()
+
+    def test_racing_processes_on_an_empty_cache(self, tmp_path):
+        env = {"XDG_CACHE_HOME": str(tmp_path)}
+        procs = [_probe_process(env) for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+        assert len(_cache_entries(tmp_path)) == 1
+
+    def test_truncated_library_is_rebuilt(self, tmp_path):
+        env = {"XDG_CACHE_HOME": str(tmp_path)}
+        _run_probe(env)
+        [name] = _cache_entries(tmp_path)
+        lib = tmp_path / "hvcode-repro" / name
+        whole = lib.read_bytes()
+        lib.write_bytes(whole[:4096])
+        _run_probe(env)
+        assert _cache_entries(tmp_path) == [name]
+        assert lib.read_bytes() == whole
+
+    def test_library_with_another_key_is_replaced(self, tmp_path):
+        """The portable build under the native build's name loads and
+        has every entry point; its key alone gives it away."""
+        env = {"XDG_CACHE_HOME": str(tmp_path)}
+        _run_probe(env)
+        [native_name] = _cache_entries(tmp_path)
+        _run_probe(
+            env,
+            "from repro.engine.backends import native\n"
+            "assert not isinstance(native._compile_kernel(((),)), str)\n",
+        )
+        [portable_name] = set(_cache_entries(tmp_path)) - {native_name}
+        cache = tmp_path / "hvcode-repro"
+        native_bytes = (cache / native_name).read_bytes()
+        shutil.copyfile(cache / portable_name, cache / native_name)
+        _run_probe(env)
+        assert (cache / native_name).read_bytes() == native_bytes
+        assert _cache_entries(tmp_path) == sorted([native_name, portable_name])
+
+    def test_full_cache_disk_leaves_the_kernel_and_the_cache_alone(self, tmp_path):
+        """A full disk or quota under the cache fails the publish, not
+        the backend: the build loads from its temporary directory and
+        the cache keeps no partial file."""
+        _run_probe(
+            {"XDG_CACHE_HOME": str(tmp_path)},
+            "import errno, os\n"
+            "def full(*args, **kwargs):\n"
+            "    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))\n"
+            "os.replace = full\n" + CACHE_PROBE,
+        )
+        assert _cache_entries(tmp_path) == []
+
+    def test_cache_path_that_is_a_file(self, tmp_path):
+        squatter = tmp_path / "hvcode-repro"
+        squatter.write_bytes(b"not a directory")
+        _run_probe({"XDG_CACHE_HOME": str(tmp_path)})
+        assert squatter.read_bytes() == b"not a directory"
+
+    def test_group_writable_directory_is_not_used(self, tmp_path):
+        cache = tmp_path / "hvcode-repro"
+        cache.mkdir()
+        cache.chmod(0o770)
+        (tmp_path / "tmp").mkdir()
+        _run_probe({"XDG_CACHE_HOME": str(tmp_path), "TMPDIR": str(tmp_path / "tmp")})
+        assert not list(cache.iterdir())
+        assert cache.stat().st_mode & 0o777 == 0o770
+        assert not list((tmp_path / "tmp").iterdir())
+
+    @pytest.mark.parametrize(
+        "env", [{}, {"HOME": "~"}, {"XDG_CACHE_HOME": "cache"}], ids=["unset", "tilde", "relative"]
+    )
+    def test_unresolvable_home_writes_nothing_in_the_cwd(self, tmp_path, env):
+        """No absolute ``XDG_CACHE_HOME`` or ``HOME``: no cache, and
+        never a relative directory under the working directory."""
+        _run_probe(env, cwd=tmp_path)
+        assert not list(tmp_path.iterdir())
 
 
 class TestUpdateContract:
