@@ -22,7 +22,8 @@ an engine name (``python``, ``fused``, ``native``, ``auto``) as
 :class:`VolumePool`, and :func:`resolve_backend` turns it into the
 object that computes the bytes: a kernel backend, or the ``python``
 chain-walking oracle.  Algorithm 1's independent recovery chains are plan structure
-(:attr:`XorPlan.groups`, :attr:`XorPlan.rounds`) that
+derived from the peeled steps (:attr:`XorPlan.groups`, the steps'
+dependency components, and :attr:`XorPlan.rounds`, their depth) that
 :mod:`repro.static.planverify` proves independent (rule P003); no
 executor runs them on threads.
 """

@@ -25,7 +25,8 @@ entry or one published under another key is never mapped, but rebuilt
 and renamed over.  The cache is best-effort — a missing, unusable or
 full cache directory only means the build is not kept.  No compiler,
 a failed compile, a library that will not load or lacks an entry
-point, or ``REPRO_DISABLE_NATIVE=1`` in the environment all make
+point, or ``REPRO_DISABLE_NATIVE`` set to ``1`` (or to anything but
+``0`` or empty, a reason that names the value) all make
 :meth:`NativeBackend.available` report False (:data:`UNAVAILABLE_REASON`
 says which) and the registry's ``auto`` resolution falls back to the
 fused numpy backend — presence of the backend can never be a
@@ -416,8 +417,11 @@ def _compile_kernel(
     """Load the C kernel built with the first of ``flag_sets`` that
     builds — from the build cache when it holds a sound copy, else
     built now — and on any failure, the reason instead."""
-    if os.environ.get("REPRO_DISABLE_NATIVE"):
+    disable = os.environ.get("REPRO_DISABLE_NATIVE", "")
+    if disable == "1":
         return "disabled by REPRO_DISABLE_NATIVE"
+    if disable not in ("", "0"):
+        return f"REPRO_DISABLE_NATIVE={disable!r}: expected 0 or 1"
     compiler = _find_compiler()
     if compiler is None:
         return "no compiler"

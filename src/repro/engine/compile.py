@@ -3,15 +3,15 @@
 One compiler per operation, all funneled through :func:`compile_plan`:
 
 - ``encode`` — the chains in :attr:`ArrayCode.encode_order`, one step
-  per parity cell, ``rounds`` = dependency depth;
+  per parity cell;
 - ``reconstruct`` — a single erased element repaired through the first
   usable chain (the healing layer's hot path);
 - ``recover-single`` — one whole failed disk via the Fig. 9 minimal-read
   planner (:func:`repro.recovery.single.plan_single_disk_recovery`),
   one independent step per lost element;
-- ``recover-double`` — two failed disks: HV uses Algorithm 1's four
-  parallel chains (kept as executor ``groups``), every other code uses
-  the generic peel schedule;
+- ``recover-double`` — two failed disks peeled like a ``decode``, laid
+  out one dependency component after another (for HV, Algorithm 1's
+  four parallel chains, in its order);
 - ``decode`` — an arbitrary erasure pattern via chain peeling, with
   elimination where peeling stalls (below).
 - ``update`` — a partial-stripe write: for a set of dirty data cells,
@@ -27,6 +27,11 @@ One compiler per operation, all funneled through :func:`compile_plan`:
   request fetches anyway as already read; any other pattern runs the
   ``decode`` schedule sliced backward from the wanted cells
   (:func:`slice_plan`).
+
+A plan's shape is a function of its steps: :attr:`XorPlan.rounds` is
+their dependency depth, and the ``groups`` of ``recover-single``,
+``recover-double`` and ``update`` are their weakly connected dependency
+components (:func:`_components`).
 
 Where peeling stalls (EVENODD's S coupling, Liberation and Cauchy-RS
 bit-matrix rows), one stuck cell is solved by GF(2) elimination and
@@ -58,7 +63,7 @@ import heapq
 import operator
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from ..exceptions import DecodeError, InvalidParameterError, PlanError
@@ -422,13 +427,10 @@ def _index(value, what: str) -> int:
 
 def _compile_encode(code: "ArrayCode") -> XorPlan:
     slot = lambda pos: pos[0] * code.cols + pos[1]  # noqa: E731
-    steps = []
-    depth: dict[int, int] = {}
-    for chain in code.encode_order:
-        srcs = tuple(slot(m) for m in chain.members)
-        dst = slot(chain.parity)
-        steps.append(XorStep(dst=dst, srcs=srcs))
-        depth[dst] = 1 + max((depth.get(s, 0) for s in srcs), default=0)
+    steps = [
+        XorStep(dst=slot(chain.parity), srcs=tuple(slot(m) for m in chain.members))
+        for chain in code.encode_order
+    ]
     return XorPlan(
         code_name=code.name,
         p=code.p,
@@ -438,7 +440,6 @@ def _compile_encode(code: "ArrayCode") -> XorPlan:
         cols=code.cols,
         steps=tuple(steps),
         outputs=tuple(step.dst for step in steps),
-        rounds=max(depth.values(), default=0),
     )
 
 
@@ -462,7 +463,6 @@ def _compile_reconstruct(code: "ArrayCode", pattern: tuple[int]) -> XorPlan:
         steps=(XorStep(dst=slot, srcs=srcs),),
         erased=(slot,),
         outputs=(slot,),
-        rounds=1,
     )
 
 
@@ -493,8 +493,7 @@ def lower_single_recovery(
         steps=steps,
         erased=tuple(step.dst for step in steps),
         outputs=tuple(step.dst for step in steps),
-        rounds=1,
-        groups=tuple((i,) for i in range(len(steps))),
+        groups=_components(steps),
     )
 
 
@@ -514,45 +513,25 @@ def _chain_steps(code: "ArrayCode", choices: dict) -> tuple[XorStep, ...]:
 
 
 def _compile_double(code: "ArrayCode", f1: int, f2: int) -> XorPlan:
-    if code.name == "HV":
-        return _compile_double_hv(code, f1, f2)
+    """Peel both columns and lay the steps out one dependency component
+    after another, in Algorithm 1's order: first by the parity flavour
+    (in ``code.chains`` order) of a component's first step, an
+    eliminated one last, then by its column, highest first."""
+    cols = code.cols
     erased = [(r, d) for d in (f1, f2) for r in range(code.rows)]
-    return _peel_to_plan(code, "recover-double", (f1, f2), erased)
+    plan = _peel_to_plan(code, "recover-double", (f1, f2), erased)
+    flavours = list(dict.fromkeys(chain.kind for chain in code.chains))
+    rank = {eq: flavours.index(ch.kind) for eq, ch in zip(code.equations, code.chains)}
 
+    def start(group: tuple[int, ...]) -> tuple[int, int]:
+        step = plan.steps[group[0]]
+        cells = frozenset(divmod(s, cols) for s in (step.dst, *step.srcs))
+        return rank.get(cells, len(flavours)), -(step.dst % cols)
 
-def _compile_double_hv(code: "ArrayCode", f1: int, f2: int) -> XorPlan:
-    """Algorithm 1: four independent chains, preserved as plan groups."""
-    from ..core.recovery import plan_double_failure_recovery
-
-    algo = plan_double_failure_recovery(code, f1, f2)  # type: ignore[arg-type]
-    slot = lambda pos: pos[0] * code.cols + pos[1]  # noqa: E731
-    steps: list[XorStep] = []
-    groups: list[tuple[int, ...]] = []
-    for chain_steps in algo.chains:
-        indices = []
-        for pos, parity_chain in chain_steps:
-            srcs = tuple(
-                sorted(slot(c) for c in parity_chain.equation_cells if c != pos)
-            )
-            indices.append(len(steps))
-            steps.append(XorStep(dst=slot(pos), srcs=srcs))
-        groups.append(tuple(indices))
-    lost = tuple(
-        sorted(slot((r, d)) for d in (f1, f2) for r in range(code.rows))
-    )
-    return XorPlan(
-        code_name=code.name,
-        p=code.p,
-        op="recover-double",
-        pattern=(f1, f2),
-        rows=code.rows,
-        cols=code.cols,
-        steps=tuple(steps),
-        erased=lost,
-        outputs=tuple(step.dst for step in steps),
-        rounds=algo.longest_chain,
-        groups=tuple(groups),
-    )
+    order = sorted(_components(plan.steps), key=start)
+    steps = tuple(plan.steps[i] for group in order for i in group)
+    outputs = tuple(step.dst for step in steps)
+    return replace(plan, steps=steps, outputs=outputs, groups=_components(steps))
 
 
 def _compile_update(code: "ArrayCode", pattern: tuple[int, ...]) -> XorPlan:
@@ -587,18 +566,13 @@ def _compile_update(code: "ArrayCode", pattern: tuple[int, ...]) -> XorPlan:
     for slot in pattern:
         feed(slot)
     steps: list[XorStep] = []
-    depth: dict[int, int] = {}
-    outputs: list[int] = []
     while heap:
         index = heapq.heappop(heap)
-        srcs = tuple(sorted(fed[index]))
         r, c = order[index].parity
         dst = r * cols + c
-        steps.append(XorStep(dst=dst, srcs=srcs))
-        depth[dst] = 1 + max(depth.get(s, 0) for s in srcs)
-        outputs.append(dst)
+        steps.append(XorStep(dst=dst, srcs=tuple(sorted(fed[index]))))
         feed(dst)
-    rounds = max(depth.values(), default=0)
+    outputs = tuple(step.dst for step in steps)
     return XorPlan(
         code_name=code.name,
         p=code.p,
@@ -607,14 +581,9 @@ def _compile_update(code: "ArrayCode", pattern: tuple[int, ...]) -> XorPlan:
         rows=code.rows,
         cols=code.cols,
         steps=tuple(steps),
-        erased=tuple(outputs),
-        outputs=tuple(outputs),
-        rounds=rounds,
-        # Depth-one schedules (no nested parity) are embarrassingly
-        # parallel: every parity delta is an independent group.
-        groups=(
-            tuple((i,) for i in range(len(steps))) if rounds <= 1 else ()
-        ),
+        erased=outputs,
+        outputs=outputs,
+        groups=_components(steps),
     )
 
 
@@ -711,7 +680,6 @@ def _compile_read(
                 steps=_chain_steps(code, choices),
                 erased=erased,
                 outputs=wanted,
-                rounds=1,
             )
     decode = compile_plan(code, "decode", erased, cse=False, cache=cache)
     return slice_plan(decode, pattern)
@@ -735,9 +703,6 @@ def slice_plan(plan: XorPlan, pattern: tuple) -> XorPlan:
             needed.update(step.srcs)
             kept.append(step)
     kept.reverse()
-    depth: dict[int, int] = {}
-    for step in kept:
-        depth[step.dst] = 1 + max(depth.get(s, 0) for s in step.srcs)
     return XorPlan(
         code_name=plan.code_name,
         p=plan.p,
@@ -749,7 +714,6 @@ def slice_plan(plan: XorPlan, pattern: tuple) -> XorPlan:
         num_temps=plan.num_temps,
         erased=plan.erased,
         outputs=wanted,
-        rounds=max(depth.values(), default=0),
     )
 
 
@@ -782,9 +746,6 @@ def _peel_to_plan(
         step = _solve_one(code, schedule.stuck)
         steps.append(step)
         remaining = schedule.stuck - {divmod(step.dst, cols)}
-    depth: dict[int, int] = {}
-    for step in steps:
-        depth[step.dst] = 1 + max((depth.get(s, 0) for s in step.srcs), default=0)
     return XorPlan(
         code_name=code.name,
         p=code.p,
@@ -795,8 +756,30 @@ def _peel_to_plan(
         steps=tuple(steps),
         erased=tuple(sorted(slot(c) for c in erased)),
         outputs=tuple(step.dst for step in steps),
-        rounds=max(depth.values(), default=0),
     )
+
+
+def _components(steps: tuple[XorStep, ...]) -> tuple[tuple[int, ...], ...]:
+    """The steps' weakly connected dependency components, each in
+    schedule order, ordered by their first step: a step joins the
+    component of every step that wrote a slot it reads."""
+    parent = list(range(len(steps)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    writer: dict[int, int] = {}
+    for i, step in enumerate(steps):
+        for src in step.srcs:
+            if src in writer:
+                parent[root(i)] = root(writer[src])
+        writer[step.dst] = i
+    components: dict[int, list[int]] = {}
+    for i in range(len(steps)):
+        components.setdefault(root(i), []).append(i)
+    return tuple(tuple(group) for group in components.values())
 
 
 def _solve_one(code: "ArrayCode", stuck: set[Position]) -> XorStep:
@@ -904,7 +887,6 @@ def eliminate_common_pairs(plan: XorPlan, max_temps: int = MAX_CSE_TEMPS) -> Xor
         num_temps=plan.num_temps + len(temp_steps),
         erased=plan.erased,
         outputs=plan.outputs,
-        rounds=plan.rounds,
         # Hoisted temporaries run serially before the concurrent groups.
         groups=groups,
         preamble=plan.preamble + shift if groups else 0,

@@ -109,13 +109,12 @@ class XorPlan:
         Cell slots the plan writes, in repair/encode order — the
         engine clears their erasure flags after execution, and decode
         reporting maps them back to positions.
-    rounds:
-        Parallel-round count of the schedule (the paper's recovery
-        ``Lc``; dependency depth for encode).
     groups:
         Optional partition of step indices into mutually independent
-        sequential groups (e.g. Algorithm 1's four recovery chains),
-        which :mod:`repro.static.planverify` proves race-free; the
+        sequential groups: the compiler's are the steps' dependency
+        components, each in schedule order (for HV ``recover-double``,
+        Algorithm 1's four recovery chains).
+        :mod:`repro.static.planverify` proves them race-free; the
         schedule's parallelism, reported and certified, not threads.
     preamble:
         When ``groups`` is set, the first ``preamble`` steps (hoisted
@@ -133,7 +132,6 @@ class XorPlan:
     num_temps: int = 0
     erased: tuple[int, ...] = ()
     outputs: tuple[int, ...] = ()
-    rounds: int = 1
     groups: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
     preamble: int = field(default=0, compare=False)
 
@@ -221,6 +219,23 @@ class XorPlan:
         unaffected.
         """
         return len(self.steps)
+
+    @cached_property
+    def depths(self) -> dict[int, int]:
+        """Each written slot's level: one above the deepest slot its
+        step reads (an input is level 0); a hoisted CSE temporary adds
+        no level."""
+        depth: dict[int, int] = {}
+        for step in self.steps:
+            below = max(depth.get(src, 0) for src in step.srcs)
+            depth[step.dst] = below + (step.dst < self.num_cells)
+        return depth
+
+    @cached_property
+    def rounds(self) -> int:
+        """Parallel-round count: the deepest written level (the paper's
+        recovery ``Lc``; dependency depth for encode)."""
+        return max(self.depths.values(), default=0)
 
     @cached_property
     def reads(self) -> tuple[int, ...]:

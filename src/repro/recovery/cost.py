@@ -84,17 +84,11 @@ def repair_cost(
     reads = [0] * code.cols
     for slot in plan.reads:
         reads[slot % code.cols] += 1
-    # A repaired cell sits one level above the deepest cell it reads; a
-    # hoisted CSE temporary (slot past the cells) adds no level.
-    depth: dict[int, int] = {}
-    for step in plan.steps:
-        below = max((depth.get(src, 0) for src in step.srcs), default=0)
-        depth[step.dst] = below + (step.dst < plan.num_cells)
     return RepairCost(
         reads_per_disk=tuple(reads),
         lost=len(plan.outputs),
         rounds=plan.rounds,
-        parallelism=sum(1 for slot in plan.outputs if depth[slot] == 1),
+        parallelism=sum(1 for slot in plan.outputs if plan.depths[slot] == 1),
     )
 
 

@@ -288,8 +288,9 @@ def certify_code(code: ArrayCode) -> CodeCertificate:
     profile = _double_failure_profile(code)
     if profile.fully_peelable:
         # Independent derivation of the same figures from the compiled
-        # recovery plans the store runs (HV's is Algorithm 1, not a
-        # peel); disagreement means the certifier or the compiler broke.
+        # recovery plans the store runs (a peel for every code; the
+        # oracle test holds HV's to Algorithm 1); disagreement means
+        # the certifier or the compiler broke.
         costs = [repair_cost(code, pair) for pair in pairs(code.cols)]
         rounds = [cost.rounds for cost in costs]
         planned = (

@@ -100,32 +100,32 @@ PINNED_PLAN_HASHES: dict[str, str] = {
 #: ``python -m repro.cli certify --plans`` after a deliberate change.
 PINNED_PLAN_REPORT_HASHES: dict[str, str] = {
     "HV@5": "2ccc513cd539b5c74093cce43e69541630b533029511a94a9711b6e7cba11a28",
-    "RDP@5": "44a10be8d6efd0e441b6ee0c7d92b56de14e5c8854cce2d285d7cf7a70025063",
-    "HDP@5": "d23717809e248eaebf8dcf120ca702194b2011244251f30580a98ab7eb4f0d3d",
-    "X-Code@5": "6de2b6aa1f0903af4c1d65009727791aca9b31ef53ab0570bd6e0e760ecb7612",
-    "H-Code@5": "9e84f573d6bf408fb362547e59e3c5f0038cf6f012e0adff4056d6c6f422eadb",
-    "EVENODD@5": "1cf1cd010f5c2ff42aac54c58b6f14c8472f2b72feae8a22d96c3ba02adb7f99",
-    "P-Code@5": "a33d6262e3107e6f20ac6d593460f9de5cbd8397486e76ba0277ef9162a847c9",
-    "Liberation@5": "dfc73cb86ea77965f8c1f7105b0f224ca589d2fd67e4d68f08c274676c3b3402",
-    "Cauchy-RS@5": "b39033c0641fff765c63f3a6cc7f910e5e9e99882caa28c6aa81f3fb2fe2d5fd",
+    "RDP@5": "9f82484e78bc3407d9cd758cf3bd11f21d15ee97f0bf87ec1f0e8848cec24c37",
+    "HDP@5": "cad7d8a070b700ebe1ac8e115d78e7cb5fad5a719b54c7db4d630a67927edb73",
+    "X-Code@5": "d543cd5e221bb328d47465c4456b18dfbee066b48831e6b171f4378ac4e1f4fe",
+    "H-Code@5": "09eef46f2907452be965556ba8c6023f54033fe21fee4204157bc0bffb2e01ca",
+    "EVENODD@5": "24faadf9b45dd1c6cb2559c1edf16599c5cb3b97e53c6215b3e43caabfad468e",
+    "P-Code@5": "bf171035e900420f345a76ee47d8e73ae4afaede47346123c9f670a8a35388bf",
+    "Liberation@5": "7a5748444b5a440092acf0e5bf72e2c25904a4c2bcb01c602cb6924d8f0e3fb9",
+    "Cauchy-RS@5": "b86b08eb7a9dc01380da03913aa566f9258b0a84fd93b2edf68d9517e7d484d0",
     "HV@7": "99bbd539bd3913c91db1dc089777245d070c647d620c7600fbc460624fe0b215",
-    "RDP@7": "dac75c1f52c873e1138f13646cffdfa603ec4c734831082b4280bdd4520afc50",
-    "HDP@7": "170ded265f1b19fd1b5d0480ded7cecd99bc6ea6dff620af6ecf410d794bbd2f",
-    "X-Code@7": "05c623a4326f347381133e1e178e2d59fc6c8204b280c60c748c36c34babb40c",
-    "H-Code@7": "ae2470b3361a54a3e3f1040df6a97de2788527d95707ba3ee79f6acf7206f48b",
-    "EVENODD@7": "fe8c741fcf771b917b6b4f99e513d25d53347d0b9dab5cb5ca1d2bec511eb9de",
-    "P-Code@7": "fb59c3e26d15b5df6e7aa84c03d49620f99e7a6f5964dbf494dab1dd171d25fc",
-    "Liberation@7": "4f29c14488192ee9421cbc0fa717a5f0f45d83f33b73f6491d8efed80c774b9f",
-    "Cauchy-RS@7": "5c1c97d3d927dcd7989df41a36e431736ef6fb0ac9227c4ef54d1bed00b75fdd",
+    "RDP@7": "f774d4fc1d84bf9b78e6a84243b5a5154ab30ad18da04b0e9cf0c477507518a7",
+    "HDP@7": "3d56230d70444f66cba223eb07861f4b0b6ea4097ddb3f06ca401334a9919eef",
+    "X-Code@7": "d4a3121e04a865f5985545cf61ee1546dd8730de73e59a9522bca4d8015cf3a7",
+    "H-Code@7": "68fb402be30a17cd3628f0649617d7ef9c31f2a1811cc1de386f22f983432e74",
+    "EVENODD@7": "39357ebb0a3d7d71c4cfc299f5b06f007196b2ace4369c07f1e8287883fb3767",
+    "P-Code@7": "afb767394849bc5a53f3b4856c50420c6cf34537f4f4597e7d9859f7723d685e",
+    "Liberation@7": "1733a1054fdad2e3bf4af668a618c8f6057c2f43ad2d8370eca29cdf520a16a5",
+    "Cauchy-RS@7": "808119740beec6660a41f286e7c238fb680152be0e1408b30c1772e59df62483",
     "HV@11": "d5a295d5b2ddf4fda76b31f28f2241ab30cc26b71411554e040ea3e4765d649c",
-    "RDP@11": "02805d4b04ac741dbbc453f4f039361f7eca6bb09adc7fe4520d9a2c66d58fa4",
-    "HDP@11": "9b598541a3e9a68a7514d2d5d28493ffcb059dcdd4dbbd52d14e36b8ae566002",
-    "X-Code@11": "0322e79d843aa3e6175bf9bde7e30009cddb65eca985ee3c9ec4c18f7577fcd4",
-    "H-Code@11": "a8c1ad571ffc458a2837484602405a3af7884bc5efc0d7b5668813daec091d7d",
-    "EVENODD@11": "27e4cb6b677f98dfa16574d555aaddd1be9d0706f8798996f8b5f7dfd8694da2",
-    "P-Code@11": "801be8c026cdeff1a630a14b7f1f602d40ef1a0dc7dddbecf99c86c51fe2411a",
-    "Liberation@11": "0433e20dcaa8db9a493147ab550de7d5192cd6868c7c82d37aa512834f1bf832",
-    "Cauchy-RS@11": "a7af6536b8a50da9de670392ec7c71ce299bbbccfa4ca9e659c3f30abf8c7be8",
+    "RDP@11": "31bab9842ae5243d94ec99929cff77d8ea7fb8c3e1989acf44497c9b7f9273bb",
+    "HDP@11": "21ef3bf43ec6451f99fc1deca61e22741678cdede47479aa7235ac9bbc132700",
+    "X-Code@11": "5f82d0ab1c136922a456d1076d2d24c38f62241441d406175956b78d71494305",
+    "H-Code@11": "b36adfbae7c3ab3f63acc9e6e359cfe3430de4cedab48d784d0eeb4624b3a84e",
+    "EVENODD@11": "3e3f52ed8a381bf8b71f5f7c116e1f4e052f57a23022d97d2a7ad3fd3d1c3a70",
+    "P-Code@11": "092f22b9e2908500fef94f1a72f76e1fac1ede9c0fbd8cbbdfeb551d0186fb01",
+    "Liberation@11": "09b17dd4c9024fdb7ac5649b8d6c4332df2dd18592b1bde7786e02cd1a115f79",
+    "Cauchy-RS@11": "2786bb311a5241cdac62dd94f91405ac0a04af04419c6f5fb19b4d090c8dbcda",
 }
 
 

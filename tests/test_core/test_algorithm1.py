@@ -100,12 +100,11 @@ def peel(code, f1, f2):
 class TestAgainstPeeling:
     def test_longest_chain_matches_peeling_rounds(self, hv):
         # The scheduler's round count and Algorithm 1's longest chain
-        # are the same quantity (Lc); they may differ by at most the
-        # degenerate-overlap slack, and never in HV's favor.
+        # are the same quantity (Lc), on every disk pair.
         for f1, f2 in pairs(hv.cols):
             plan = plan_double_failure_recovery(hv, f1, f2)
             schedule = peel(hv, f1, f2)
-            assert plan.longest_chain >= schedule.num_rounds
+            assert plan.longest_chain == schedule.num_rounds
 
     def test_start_parallelism_at_least_four(self, hv):
         for f1, f2 in pairs(hv.cols):

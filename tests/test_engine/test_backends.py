@@ -496,6 +496,34 @@ class TestRegistry:
             assert len(_cache_entries(tmp_path / "cache")) == 1
         assert not list((tmp_path / "tmp").iterdir())
 
+    @pytest.mark.parametrize("value", ["", "0", "1", "yes"])
+    def test_disable_native_reads_zero_as_enabled(self, tmp_path, value):
+        """``REPRO_DISABLE_NATIVE`` unset, empty or ``0`` leaves native
+        on, ``1`` turns it off, and any other value makes it
+        unavailable with a reason that names the value: an explicit
+        ``native`` raises, ``auto`` falls back."""
+        probe = (
+            "from repro.engine import get_backend, resolve_backend\n"
+            "from repro.engine.backends import native\n"
+            "from repro.exceptions import ReproError\n"
+            "print(get_backend('native').available())\n"
+            "print(native.UNAVAILABLE_REASON)\n"
+            "try:\n"
+            "    print(resolve_backend('native').name)\n"
+            "except ReproError:\n"
+            "    print('refused')\n"
+            "print(resolve_backend('auto').name)\n"
+        )
+        env = {"XDG_CACHE_HOME": str(tmp_path), "REPRO_DISABLE_NATIVE": value}
+        lines = _run_probe(env, probe).splitlines()
+        if value == "1":
+            assert lines == ["False", "disabled by REPRO_DISABLE_NATIVE", "refused", "fused"]
+        elif value == "yes":
+            assert lines[0] == "False" and "'yes'" in lines[1]
+            assert lines[2:] == ["refused", "fused"]
+        elif NATIVE_AVAILABLE:
+            assert lines == ["True", "None", "native", "native"]
+
 
 @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="needs a C compiler")
 class TestBuildCache:

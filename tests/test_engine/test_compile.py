@@ -16,6 +16,7 @@ from repro.engine import (
 from repro.engine.backends import get_backend
 from repro.engine.compile import _canonical_pattern, _spelled_canonically, plan_key
 from repro.exceptions import InvalidParameterError, PlanError, UnrecoverableFailureError
+from repro.static.planverify import plan_patterns
 
 XOR_CODES = [n for n in available_codes() if n != "Cauchy-RS"]
 DECODE_ENGINES = ["python", "fused"] + (["native"] if get_backend("native").available() else [])
@@ -77,6 +78,29 @@ class TestCompileRecovery:
         plan = compile_plan(code, "recover-double", (0, 1), cache=None, cse=False)
         assert len(plan.groups) == 4
         assert plan.rounds == max(len(g) for g in plan.groups)
+
+    @pytest.mark.parametrize("name", available_codes())
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_groups_are_dependency_components(self, name, p):
+        # Every recover-double and update plan's groups partition the
+        # steps after the preamble, and each group is weakly connected
+        # through the slots its steps write and read.
+        code = get_code(name, p)
+        for op in ("recover-double", "update"):
+            for pattern in plan_patterns(code, op):
+                plan = compile_plan(code, op, pattern, cache=None)
+                flat = sorted(i for group in plan.groups for i in group)
+                assert flat == list(range(plan.preamble, len(plan.steps)))
+                for group in plan.groups:
+                    reached, frontier = {group[0]}, [group[0]]
+                    while frontier:
+                        a = plan.steps[frontier.pop()]
+                        for i in set(group) - reached:
+                            b = plan.steps[i]
+                            if a.dst in b.srcs or b.dst in a.srcs:
+                                reached.add(i)
+                                frontier.append(i)
+                    assert reached == set(group), (op, pattern, group)
 
     def test_double_recovery_pattern_is_order_insensitive(self, cache):
         code = get_code("HV", 5)

@@ -34,6 +34,7 @@ from repro.engine import (
 )
 from repro.exceptions import PlanError
 from repro.recovery.single import plan_single_disk_recovery
+from repro.utils import pairs
 
 CODE_CLASSES = [
     HVCode,
@@ -162,18 +163,35 @@ class TestRecoveryPlanWiring:
         assert py == stripe
 
     def test_hv_double_failure_plan_vector_with_four_chain_groups(self):
-        """Algorithm 1's four chains stay plan structure: the compiled
-        plan carries them as four groups, and runs them correctly."""
-        code = get_code("HV", 11)
-        for f1, f2 in [(0, 1), (2, 7), (0, 9)]:
-            plan = plan_double_failure_recovery(code, f1, f2)
-            compiled = compile_plan(code, "recover-double", (f1, f2))
-            assert len(compiled.groups) == len(plan.chains) == 4
-            stripe = code.random_stripe(element_size=16, seed=f1 * 13 + f2)
-            broken = stripe.copy()
-            broken.erase_disks([f1, f2])
-            execute_plan(compiled, broken)
-            assert broken == stripe
+        """Algorithm 1 is the oracle of the generic peel: on every disk
+        pair, the compiled plan's groups are its four chains, in its
+        order, step for step, its depth is their longest chain, and the
+        CSE'd plan runs correctly."""
+        for p in (5, 7, 11, 13):
+            code = get_code("HV", p)
+            slot = lambda pos: pos[0] * code.cols + pos[1]  # noqa: E731
+            for f1, f2 in pairs(code.cols):
+                algo = plan_double_failure_recovery(code, f1, f2)
+                plan = compile_plan(code, "recover-double", (f1, f2), cse=False, cache=None)
+                chains = [
+                    [
+                        (slot(pos), sorted(slot(c) for c in chain.equation_cells if c != pos))
+                        for pos, chain in steps
+                    ]
+                    for steps in algo.chains
+                ]
+                groups = [
+                    [(plan.steps[i].dst, list(plan.steps[i].srcs)) for i in group]
+                    for group in plan.groups
+                ]
+                assert groups == chains, (p, f1, f2)
+                assert plan.rounds == algo.longest_chain
+                compiled = compile_plan(code, "recover-double", (f1, f2))
+                stripe = code.random_stripe(element_size=16, seed=f1 * 13 + f2)
+                broken = stripe.copy()
+                broken.erase_disks([f1, f2])
+                execute_plan(compiled, broken)
+                assert broken == stripe
 
 
 class TestArrayWiring:

@@ -177,7 +177,7 @@ class TestHashing:
 
     def test_dataclass_replace_changes_hash(self):
         plan = plan_of([XorStep(2, (0, 1))])
-        other = dataclasses.replace(plan, rounds=7)
+        other = dataclasses.replace(plan, num_temps=7)
         assert other.plan_hash != plan.plan_hash
 
     def test_plan_ops_catalogue(self):

@@ -91,7 +91,7 @@ class TestPlanPins:
             check_plan_pins([ghost])
 
     def test_check_plan_pins_rejects_drift(self, plans):
-        drifted = dataclasses.replace(plans[0], rounds=plans[0].rounds + 1)
+        drifted = dataclasses.replace(plans[0], num_temps=plans[0].num_temps + 1)
         with pytest.raises(CertificationError, match="drifted"):
             check_plan_pins([drifted])
 

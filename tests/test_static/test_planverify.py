@@ -203,7 +203,6 @@ class TestPlanLint:
             ),
             erased=(8, 9),
             outputs=(8, 9),
-            rounds=1,
         )
         violations = lint_plan(plan)
         assert [v.rule for v in violations] == ["P002"]
@@ -223,7 +222,6 @@ class TestPlanLint:
             ),
             erased=(8,),
             outputs=(8,),
-            rounds=1,
             groups=((0,), (1,)),
         )
         rules = [v.rule for v in lint_plan(plan)]
@@ -243,7 +241,6 @@ class TestPlanLint:
             ),
             erased=(8, 9),
             outputs=(8, 9),
-            rounds=2,
             groups=((0,), (1,)),
         )
         rules = [v.rule for v in lint_plan(plan)]
@@ -263,7 +260,6 @@ class TestPlanLint:
             ),
             erased=(8, 9),
             outputs=(8, 9),
-            rounds=1,
             groups=((1, 0),),
         )
         rules = [v.rule for v in lint_plan(plan)]
@@ -285,7 +281,6 @@ class TestPlanLint:
             ),
             erased=(8, 9),
             outputs=(8, 9),
-            rounds=2,
             groups=((1, 0),),
         )
         violations = lint_plan(plan)
