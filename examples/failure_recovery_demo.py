@@ -11,17 +11,19 @@ Run:  python examples/failure_recovery_demo.py
 from repro import HVCode
 from repro.core.recovery import plan_double_failure_recovery
 from repro.recovery.cost import repair_cost
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.single import degraded_read_choices
 
 
 def single_disk(code: HVCode, disk: int) -> None:
     print(f"--- single failure of disk {disk} in {code.name}(p={code.p}) ---")
-    plan = plan_single_disk_recovery(code, disk, method="milp")
-    for cell in sorted(plan.choices):
-        chain = plan.choices[cell]
+    column = [(r, disk) for r in range(code.rows)]
+    choices = degraded_read_choices(code, column, (), method="milp")
+    for cell in sorted(choices):
+        chain = choices[cell]
         print(f"  rebuild {cell} via {chain.kind.value} chain at {chain.parity}")
-    print(f"  total elements read: {plan.total_reads} "
-          f"({plan.reads_per_lost_element:.2f} per lost element; "
+    cost = repair_cost(code, (disk,), "milp")
+    print(f"  total elements read: {cost.reads} "
+          f"({cost.reads_per_lost_element:.2f} per lost element; "
           f"the paper's Fig. 8 reports 18 / 3.0 at p=7)")
     print()
 

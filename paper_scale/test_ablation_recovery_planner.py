@@ -14,7 +14,7 @@ Xiang et al.'s hybrid technique (and the paper's Fig. 9(a)) relies on.
 import pytest
 
 from repro.codes.registry import evaluated_codes
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.cost import repair_cost
 from repro.utils import mean
 
 P = 11
@@ -48,14 +48,8 @@ def run_comparison() -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     for code in evaluated_codes(P):
         naive = mean(single_flavor_reads(code, d) for d in range(code.cols))
-        greedy = mean(
-            plan_single_disk_recovery(code, d, method="greedy").total_reads
-            for d in range(code.cols)
-        )
-        exact = mean(
-            plan_single_disk_recovery(code, d, method="milp").total_reads
-            for d in range(code.cols)
-        )
+        greedy = mean(repair_cost(code, (d,), "greedy").reads for d in range(code.cols))
+        exact = mean(repair_cost(code, (d,), "milp").reads for d in range(code.cols))
         out[code.name] = {"naive": naive, "greedy": greedy, "milp": exact}
     return out
 

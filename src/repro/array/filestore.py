@@ -22,7 +22,8 @@ and honours disk failures the way an array does:
   CRC advanced;
 - **rebuild** brings a replaced disk back stripe by stripe, healing
   latent cells on the way, through one ``read`` plan per stripe: Fig.
-  9's hybrid ``recover-single`` chains when the disk is the only loss.
+  9's hybrid chains when the disk is the only loss — the plan
+  :func:`~repro.recovery.cost.repair_cost` prices.
 
 With ``cache_stripes > 0`` the store runs **write-back**: data bytes
 land in the stripe immediately (reads stay coherent) but the parity
@@ -566,10 +567,10 @@ class FileStore:
 
         Every stripe goes through :meth:`_rebuild_stripe`: one compiled
         ``read`` plan restores the column and heals the stripe's latent
-        cells — Fig. 9's hybrid ``recover-single`` chains when ``disk``
-        is the only loss, the decode sliced to the wanted cells
-        otherwise.  Another failed disk's column stays erased and
-        zeroed.  For a fault-aware, checkpointed rebuild use
+        cells — Fig. 9's hybrid chains when ``disk`` is the only loss
+        (the plan :func:`~repro.recovery.cost.repair_cost` prices), the
+        decode sliced to the wanted cells otherwise.  Another failed
+        disk's column stays erased and zeroed.  For a fault-aware, checkpointed rebuild use
         :class:`repro.faults.rebuild_orchestrator.RebuildOrchestrator`,
         which drives the same routine.
         """

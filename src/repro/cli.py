@@ -600,15 +600,13 @@ def _run_plan_verify(args: argparse.Namespace) -> int:
         )
     else:
         lines = [
-            f"{'code':<12} {'p':>3} {'grid':>7} {'verified':>9} "
-            f"{'rejected':>9} {'claims':>7}",
+            f"{'code':<12} {'p':>3} {'grid':>7} {'verified':>9} {'claims':>7}",
         ]
         for r in reports:
             claims = "FAILED" if r.failed_claims() else f"{len(r.claims)} ok"
             lines.append(
                 f"{r.code:<12} {r.param:>3} {r.rows:>3}x{r.cols:<3} "
-                f"{r.patterns_verified:>9} {r.patterns_rejected:>9} "
-                f"{claims:>7}"
+                f"{r.patterns_verified:>9} {claims:>7}"
             )
         if failed:
             lines.append("")

@@ -45,7 +45,6 @@ from .compile import (
     choose_update_strategy,
     compile_plan,
     eliminate_common_pairs,
-    lower_single_recovery,
 )
 from .executor import apply_update, execute_plan, execute_plan_scalar
 from .plan import PLAN_OPS, XorPlan, XorStep
@@ -68,7 +67,6 @@ __all__ = [
     "execute_plan",
     "execute_plan_scalar",
     "get_backend",
-    "lower_single_recovery",
     "register_backend",
     "resolve_backend",
     "shutdown_backends",

@@ -106,7 +106,8 @@ def resolve_backend(engine: str) -> KernelBackend:
     backend = get_backend(engine)
     if not backend.available():
         raise InvalidParameterError(
-            f"backend {engine!r} is unavailable on this host; "
+            f"backend {engine!r} is unavailable on this host "
+            f"({backend.unavailable_reason()}); "
             "use engine='auto' for graceful fallback"
         )
     return backend

@@ -65,6 +65,11 @@ class KernelBackend:
         """True when this backend can run on the current host."""
         return True
 
+    def unavailable_reason(self) -> str | None:
+        """Why this backend cannot run on the current host (None when
+        :meth:`available`)."""
+        return None
+
     def execute(
         self,
         plan: "XorPlan",

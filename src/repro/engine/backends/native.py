@@ -581,6 +581,14 @@ def _update_schedule(plan: "XorPlan") -> _Schedule:
     return _Schedule(program(), rows, ncells, plan.pattern + plan.outputs)
 
 
+def _unavailable() -> InvalidParameterError:
+    """The error a call on a kernel that did not load raises, naming why."""
+    return InvalidParameterError(
+        f"native backend unavailable: {UNAVAILABLE_REASON}; "
+        "use engine='auto' for graceful fallback"
+    )
+
+
 class NativeBackend(KernelBackend):
     """Compiled C inner loop behind ``ctypes``, one call per region."""
 
@@ -588,6 +596,9 @@ class NativeBackend(KernelBackend):
 
     def available(self) -> bool:
         return _kernel() is not None
+
+    def unavailable_reason(self) -> str | None:
+        return None if self.available() else UNAVAILABLE_REASON
 
     def execute(
         self,
@@ -599,10 +610,7 @@ class NativeBackend(KernelBackend):
         """Run the whole schedule in one C call per contiguous region."""
         kernel = _kernel()
         if kernel is None:
-            raise InvalidParameterError(
-                "native backend unavailable on this host (no C compiler); "
-                "use engine='auto' for graceful fallback"
-            )
+            raise _unavailable()
         schedule = plan.derived("native_schedule", _plain_schedule)
         for piece in split_targets(target):
             _check_geometry(plan, piece)
@@ -641,10 +649,7 @@ class NativeBackend(KernelBackend):
         scratch rows are the kernel's temporaries."""
         kernel = _kernel()
         if kernel is None:
-            raise InvalidParameterError(
-                "native backend unavailable on this host (no C compiler); "
-                "use engine='auto' for graceful fallback"
-            )
+            raise _unavailable()
         schedule = plan.derived("native_gather_schedule", _gather_schedule)
         _check_geometry(plan, stripe)
         cell_bytes = stripe.element_size
@@ -704,10 +709,7 @@ class NativeBackend(KernelBackend):
         """
         kernel = _KERNEL or _kernel()
         if kernel is None:
-            raise InvalidParameterError(
-                "native backend unavailable on this host (no C compiler); "
-                "use engine='auto' for graceful fallback"
-            )
+            raise _unavailable()
         schedule = plan.derived("native_update_schedule", _update_schedule)
         _check_geometry(plan, stripe)
         crcs, n_crc = None, 0  # no sums: the kernel checksums no cell

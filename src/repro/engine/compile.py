@@ -4,11 +4,6 @@ One compiler per operation, all funneled through :func:`compile_plan`:
 
 - ``encode`` — the chains in :attr:`ArrayCode.encode_order`, one step
   per parity cell;
-- ``reconstruct`` — a single erased element repaired through the first
-  usable chain (the healing layer's hot path);
-- ``recover-single`` — one whole failed disk via the Fig. 9 minimal-read
-  planner (:func:`repro.recovery.single.plan_single_disk_recovery`),
-  one independent step per lost element;
 - ``recover-double`` — two failed disks peeled like a ``decode``, laid
   out one dependency component after another (for HV, Algorithm 1's
   four parallel chains, in its order);
@@ -26,12 +21,15 @@ One compiler per operation, all funneled through :func:`compile_plan`:
   chooses one chain per wanted cell, counting the ``free`` cells the
   request fetches anyway as already read; any other pattern runs the
   ``decode`` schedule sliced backward from the wanted cells
-  (:func:`slice_plan`).
+  (:func:`slice_plan`).  Every single-failure repair is a ``read``: a
+  rebuild of disk ``d`` is ``(column, column, ())`` — Fig. 9's hybrid
+  chains, one independent step per lost element — and a latent cell's
+  repair is ``((cell,), (cell,), ())``.
 
 A plan's shape is a function of its steps: :attr:`XorPlan.rounds` is
-their dependency depth, and the ``groups`` of ``recover-single``,
-``recover-double`` and ``update`` are their weakly connected dependency
-components (:func:`_components`).
+their dependency depth, and the ``groups`` of ``recover-double`` and
+``update`` are their weakly connected dependency components
+(:func:`_components`).
 
 Where peeling stalls (EVENODD's S coupling, Liberation and Cauchy-RS
 bit-matrix rows), one stuck cell is solved by GF(2) elimination and
@@ -72,7 +70,6 @@ from .plan import PLAN_OPS, Position, XorPlan, XorStep
 
 if TYPE_CHECKING:  # imported lazily to avoid an engine<->codes cycle
     from ..codes.base import ArrayCode, ParityChain
-    from ..recovery.single import SingleDiskRecoveryPlan
 
 #: Scratch-slot budget for common-subexpression elimination, above the
 #: most any plan hoists (65, EVENODD@11 disks 0 and 4): a pair left
@@ -218,17 +215,16 @@ def compile_plan(
 ) -> XorPlan:
     """Compile (or fetch from cache) the plan for ``op`` on ``code``.
 
-    ``pattern`` is op-specific: ``()`` for encode, ``(cell,)`` for a
-    single-element reconstruct (a ``(row, col)`` position), ``(disk,)``
-    / ``(f1, f2)`` for single/double disk recovery, and an iterable of
-    erased positions for a generic decode.  ``planner`` selects the
-    single-disk read minimizer (``greedy`` is deterministic and within
-    ~1% of the MILP; pass ``milp`` for the exact Fig. 9 optimum) for
-    ``recover-single`` and ``read``, whose pattern is ``(erased, wanted,
-    free)``: three iterables of cells.  A cell is a slot ``r * cols +
-    c`` or a ``(row, col)`` position, a disk an integer; anything else —
-    a float, a string, ``None``, a bool, the wrong arity — raises
-    :class:`~repro.exceptions.PlanError`.
+    ``pattern`` is op-specific: ``()`` for encode, ``(f1, f2)`` for
+    double disk recovery, an iterable of erased cells for a generic
+    decode or of dirty data cells for an update, and ``(erased, wanted,
+    free)`` — three iterables of cells — for a read.  ``planner``
+    selects the single-disk read minimizer of a ``read`` whose erasure
+    is one whole column (``greedy`` is deterministic and within ~1% of
+    the MILP; pass ``milp`` for the exact Fig. 9 optimum).  A cell is a
+    slot ``r * cols + c`` or a ``(row, col)`` position, a disk an
+    integer; anything else — a float, a string, ``None``, a bool, the
+    wrong arity — raises :class:`~repro.exceptions.PlanError`.
 
     Canonical-key probe: a ``pattern`` already spelled as a canonical
     one (a tuple of ints, or three tuples of ints) is first tried as its
@@ -256,10 +252,6 @@ def compile_plan(
             return cached
     if op == "encode":
         plan = _compile_encode(code)
-    elif op == "reconstruct":
-        plan = _compile_reconstruct(code, canonical)
-    elif op == "recover-single":
-        plan = _compile_single(code, canonical[0], planner)
     elif op == "recover-double":
         plan = _compile_double(code, canonical[0], canonical[1])
     elif op == "update":
@@ -313,16 +305,6 @@ def _canonical_pattern(code: "ArrayCode", op: str, pattern: tuple) -> tuple:
         if pattern:
             raise PlanError("encode takes no erasure pattern")
         return ()
-    if op == "reconstruct":
-        if len(pattern) == 2 and all(isinstance(x, int) for x in pattern):
-            pattern = (pattern,)  # a bare (row, col) position
-        if len(pattern) != 1:
-            raise PlanError("reconstruct repairs exactly one cell")
-        return (_slot(code, pattern[0]),)
-    if op == "recover-single":
-        if len(pattern) != 1:
-            raise PlanError("recover-single takes one failed disk")
-        return (_disk(code, pattern[0]),)
     if op == "recover-double":
         disks = tuple(sorted(_disk(code, d) for d in pattern))
         if len(disks) != 2 or disks[0] == disks[1]:
@@ -440,60 +422,6 @@ def _compile_encode(code: "ArrayCode") -> XorPlan:
         cols=code.cols,
         steps=tuple(steps),
         outputs=tuple(step.dst for step in steps),
-    )
-
-
-def _compile_reconstruct(code: "ArrayCode", pattern: tuple[int]) -> XorPlan:
-    slot = pattern[0]
-    pos = divmod(slot, code.cols)
-    chains = [ch for ch in code.chains if pos in ch.equation_cells]
-    if not chains:
-        raise PlanError(f"{code.name}: no parity chain covers {pos}")
-    chain = min(chains, key=lambda ch: (ch.length, ch.parity))
-    srcs = tuple(
-        sorted(c[0] * code.cols + c[1] for c in chain.equation_cells if c != pos)
-    )
-    return XorPlan(
-        code_name=code.name,
-        p=code.p,
-        op="reconstruct",
-        pattern=pattern,
-        rows=code.rows,
-        cols=code.cols,
-        steps=(XorStep(dst=slot, srcs=srcs),),
-        erased=(slot,),
-        outputs=(slot,),
-    )
-
-
-def _compile_single(code: "ArrayCode", disk: int, planner: str) -> XorPlan:
-    from ..recovery.single import plan_single_disk_recovery
-
-    recovery = plan_single_disk_recovery(code, disk, method=planner)
-    return lower_single_recovery(code, recovery)
-
-
-def lower_single_recovery(
-    code: "ArrayCode", recovery: "SingleDiskRecoveryPlan"
-) -> XorPlan:
-    """Lower a planned single-disk recovery into a one-round plan.
-
-    Exposed separately so :meth:`SingleDiskRecoveryPlan.execute` can
-    run exactly the chain choices its planner made (which may differ
-    from the cache's default planner).
-    """
-    steps = _chain_steps(code, recovery.choices)
-    return XorPlan(
-        code_name=code.name,
-        p=code.p,
-        op="recover-single",
-        pattern=(recovery.failed_disk,),
-        rows=code.rows,
-        cols=code.cols,
-        steps=steps,
-        erased=tuple(step.dst for step in steps),
-        outputs=tuple(step.dst for step in steps),
-        groups=_components(steps),
     )
 
 

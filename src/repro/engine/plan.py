@@ -27,7 +27,9 @@ into the live stripe's parity cells.
 
 A ``read`` plan is a decode with *partial outputs*: its ``outputs``
 are the lost cells a degraded read wants, and the other erased cells
-may stay undefined.  It is run into scratch
+may stay undefined.  It is also every single-failure repair: a
+rebuild of one disk wants the whole column, a latent cell's repair
+that one cell.  The store runs it into scratch
 (:meth:`~repro.engine.backends.KernelBackend.gather`), never in place:
 readers sharing a stripe must not see a half-computed cell.
 
@@ -56,8 +58,6 @@ Position = tuple[int, int]
 #: Operations a plan can encode (the ``op`` field).
 PLAN_OPS = (
     "encode",
-    "reconstruct",
-    "recover-single",
     "recover-double",
     "decode",
     "update",
@@ -95,8 +95,9 @@ class XorPlan:
     code_name, p, op, pattern:
         Provenance: which code/operation/erasure pattern the plan was
         compiled for.  ``pattern`` is the op-specific canonical tuple
-        (empty for encode, failed disks for recovery, sorted cell
-        slots for a generic decode).
+        (empty for encode, the failed disks for ``recover-double``,
+        sorted cell slots for a decode or an update, and three such
+        tuples ``(erased, wanted, free)`` for a read).
     rows, cols:
         Stripe geometry the slot numbering assumes.
     steps:
@@ -164,7 +165,7 @@ class XorPlan:
     @cached_property
     def pattern_positions(self) -> tuple[Position, ...]:
         """:attr:`pattern` as positions, for the ops whose pattern is
-        cell slots (``update``, ``decode``, ``reconstruct``)."""
+        cell slots (``update``, ``decode``)."""
         if self.op.startswith("recover"):
             raise PlanError(f"a {self.op} pattern names disks, not cells")
         return tuple(self.position_of(slot) for slot in self.pattern)
@@ -313,9 +314,17 @@ class XorPlan:
 
     @property
     def key(self) -> str:
-        """The pin-table key, e.g. ``"HV@5:recover-double:d0d2"``."""
-        suffix = "".join(f"d{x}" for x in self.pattern) if self.pattern else ""
-        return f"{self.code_name}@{self.p}:{self.op}" + (f":{suffix}" if suffix else "")
+        """The pin-table key, e.g. ``"HV@5:recover-double:d0d2"``; a
+        read spells its parts, ``"HV@5:read:e0e4e8e12:w0w4w8w12"``
+        (``:f…`` follows when it has free cells)."""
+        if self.op == "read":
+            parts = zip("ewf", self.pattern)
+        else:
+            parts = [("d", self.pattern)]
+        suffix = "".join(
+            ":" + "".join(f"{tag}{x}" for x in cells) for tag, cells in parts if cells
+        )
+        return f"{self.code_name}@{self.p}:{self.op}{suffix}"
 
     def __repr__(self) -> str:
         return (

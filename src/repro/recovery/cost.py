@@ -7,13 +7,17 @@ schedule:
 - Fig. 9(b) — ``Lc x Re``, ``Lc`` being the longest recovery chain;
 - Table III — how many recovery chains start in parallel.
 
-:func:`repair_cost` reads all of them off the ``recover-single`` /
-``recover-double`` :class:`~repro.engine.plan.XorPlan` that
-:func:`~repro.engine.compile.compile_plan` returns — the plan the store
-runs, with its default cache and common-subexpression elimination — so
-the priced schedule is the served one.  Every registered code has one
-for every disk pair: where its chains cannot peel a two-disk loss
-(EVENODD's S coupling) the compiler solves by elimination.
+:func:`repair_cost` reads all of them off the compiled
+:class:`~repro.engine.plan.XorPlan` that
+:func:`~repro.engine.compile.compile_plan` returns, with its default
+cache and common-subexpression elimination.  One lost disk ``d`` is
+priced by the ``read`` plan ``(column, column, ())`` — the very cache
+entry :meth:`FileStore.rebuild(d) <repro.array.filestore.FileStore.rebuild>`
+runs — so the priced schedule is the served one; two lost disks by
+their ``recover-double`` plan, Algorithm 1's layout.  Every registered
+code has one for every disk pair: where its chains cannot peel a
+two-disk loss (EVENODD's S coupling) the compiler solves by
+elimination.
 """
 
 from __future__ import annotations
@@ -79,8 +83,11 @@ def repair_cost(
     for disk in failed:
         if not 0 <= disk < code.cols:
             raise InvalidParameterError(f"disk {disk} outside 0..{code.cols - 1}")
-    op = "recover-single" if len(failed) == 1 else "recover-double"
-    plan = compile_plan(code, op, tuple(failed), planner=planner)
+    if len(failed) == 1:
+        column = tuple(range(failed[0], code.rows * code.cols, code.cols))
+        plan = compile_plan(code, "read", (column, column, ()), planner=planner)
+    else:
+        plan = compile_plan(code, "recover-double", tuple(failed))
     reads = [0] * code.cols
     for slot in plan.reads:
         reads[slot % code.cols] += 1

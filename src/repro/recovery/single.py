@@ -1,10 +1,15 @@
-"""Minimal-I/O single-disk recovery and degraded reads.
+"""The one chain chooser: minimal-I/O degraded reads and single-disk recovery.
 
-For a single failed disk, each lost element can be repaired through any
-of its parity chains whose other cells survive; picking *which* chain
-per element so that the retrieved cells overlap as much as possible is
-the hybrid-recovery optimization of Xiang et al. (SIGMETRICS'10) that
-the paper's Fig. 9(a) applies to every code.
+With one disk down, each lost element can be repaired through any of
+its parity chains whose other cells survive; picking *which* chain per
+element so that the retrieved cells overlap as much as possible is the
+hybrid-recovery optimization of Xiang et al. (SIGMETRICS'10) that the
+paper's Fig. 9(a) applies to every code.  A degraded read (Fig. 7)
+wants some of the column's cells, and the cells the request fetches
+anyway are free, so the objective only counts *extra* cells; a
+single-disk recovery is the read that wants the whole column with
+nothing free.  :func:`degraded_read_choices` answers both, and the
+compiler lowers its choice into the ``read`` plan the store runs.
 
 The selection problem — minimize the union of read cells subject to
 one chain choice per lost element — is a tiny set-union integer
@@ -12,17 +17,12 @@ program.  We solve it *exactly* with ``scipy.optimize.milp`` (the
 default), with a greedy + local-search fallback and an exhaustive
 checker used by the tests; ``paper_scale/test_ablation_recovery_planner.py``
 compares the planners.
-
-Degraded reads (Fig. 7) reuse the same optimizer with one twist: cells
-the read pattern already fetches are free, so the objective only
-counts *extra* cells.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -41,78 +41,6 @@ Position = tuple[int, int]
 EXHAUSTIVE_LIMIT = 1 << 14
 
 
-@dataclass
-class SingleDiskRecoveryPlan:
-    """A concrete repair plan for one failed disk.
-
-    Attributes
-    ----------
-    choices:
-        For every lost cell, the parity chain used to repair it.
-    reads:
-        The distinct surviving cells retrieved (union over choices).
-    method:
-        Planner that produced it (``milp``, ``greedy``, ``exhaustive``).
-    """
-
-    code_name: str
-    failed_disk: int
-    choices: dict[Position, ParityChain]
-    reads: frozenset[Position]
-    method: str
-
-    @property
-    def total_reads(self) -> int:
-        return len(self.reads)
-
-    @property
-    def reads_per_lost_element(self) -> float:
-        return len(self.reads) / len(self.choices)
-
-    def execute(self, code: "ArrayCode", stripe) -> None:
-        """Repair the failed disk of ``stripe`` in place.
-
-        Applies exactly the chain choices this planner made (which may
-        differ from the plan cache's default planner), one chain at a
-        time through :meth:`Stripe.xor_of`.  Their compiled form is
-        :func:`~repro.engine.lower_single_recovery`.
-        """
-        if code.name != self.code_name:
-            raise InvalidParameterError(
-                f"plan for {self.code_name} cannot run on {code.name}"
-            )
-        for cell in sorted(self.choices):
-            chain = self.choices[cell]
-            others = [c for c in chain.equation_cells if c != cell]
-            stripe.set(cell, stripe.xor_of(others))
-
-
-def plan_single_disk_recovery(
-    code: ArrayCode,
-    failed_disk: int,
-    method: str = "milp",
-) -> SingleDiskRecoveryPlan:
-    """Minimal-read repair plan for the loss of ``failed_disk``.
-
-    Raises :class:`DecodeError` when some lost cell has no parity chain
-    that avoids the disk.
-    """
-    if not 0 <= failed_disk < code.cols:
-        raise InvalidParameterError(
-            f"disk {failed_disk} outside 0..{code.cols - 1}"
-        )
-    lost = [(r, failed_disk) for r in range(code.rows)]
-    candidates = _candidates(code, lost)
-    choices, reads = _minimize_reads(candidates, free=frozenset(), method=method)
-    return SingleDiskRecoveryPlan(
-        code_name=code.name,
-        failed_disk=failed_disk,
-        choices=choices,
-        reads=reads,
-        method=method,
-    )
-
-
 def degraded_read_choices(
     code: ArrayCode,
     lost: Iterable[Position],
@@ -124,10 +52,12 @@ def degraded_read_choices(
     Every chosen chain avoids the lost cells' columns, and the cells in
     ``free`` (the alive cells the read fetches anyway) cost nothing, so
     the choice minimises the extra cells fetched: ``free`` plus each
-    chain's other cells is the paper's ``L'``.  Raises
-    :class:`DecodeError` when some lost cell has no such chain.
+    chain's other cells is the paper's ``L'``.  With ``lost`` a whole
+    column and nothing free it is Fig. 9(a)'s hybrid single-disk
+    recovery.  Raises :class:`DecodeError` when some lost cell has no
+    such chain.
     """
-    return _minimize_reads(_candidates(code, lost), frozenset(free), method)[0]
+    return _minimize_reads(_candidates(code, lost), frozenset(free), method)
 
 
 # -- planner internals ------------------------------------------------------------
@@ -158,7 +88,7 @@ def _minimize_reads(
     candidates: dict[Position, list[ParityChain]],
     free: frozenset[Position],
     method: str,
-) -> tuple[dict[Position, ParityChain], frozenset[Position]]:
+) -> dict[Position, ParityChain]:
     """Choose one equation per lost cell minimizing chargeable reads."""
     if method == "auto":
         # With a single lost cell the greedy pick (cheapest chain given
@@ -166,23 +96,12 @@ def _minimize_reads(
         # earns its overhead when choices interact through overlap.
         method = "greedy" if len(candidates) == 1 else "milp"
     if method == "milp":
-        result = _solve_milp(candidates, free)
-    elif method == "greedy":
-        result = _solve_greedy(candidates, free)
-    elif method == "exhaustive":
-        result = _solve_exhaustive(candidates, free)
-    else:
-        raise InvalidParameterError(f"unknown planner method {method!r}")
-    choices = result
-    reads: set[Position] = set()
-    lost_set = set(candidates)
-    for cell, chain in choices.items():
-        reads |= {c for c in chain.equation_cells if c != cell}
-    # Reads never include lost cells (candidates guarantee it), but a
-    # chain may read a cell another choice repairs? No: every other
-    # member is alive by construction.
-    assert not (reads & lost_set)
-    return choices, frozenset(reads)
+        return _solve_milp(candidates, free)
+    if method == "greedy":
+        return _solve_greedy(candidates, free)
+    if method == "exhaustive":
+        return _solve_exhaustive(candidates, free)
+    raise InvalidParameterError(f"unknown planner method {method!r}")
 
 
 def _reads_of(cell: Position, chain: ParityChain) -> frozenset[Position]:

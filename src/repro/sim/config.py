@@ -64,9 +64,6 @@ class SimConfig:
         at full speed concurrently.  With more active rebuilds than
         streams, every in-flight rebuild slows proportionally
         (processor sharing); ``None`` removes the constraint.
-    planner:
-        Recovery planner used to *measure* per-element rebuild reads
-        (``greedy`` keeps config construction scipy-free).
     """
 
     code_name: str = "HV"
@@ -82,7 +79,6 @@ class SimConfig:
     spares: int | None = None
     spare_replenish_hours: float = 24.0
     repair_streams: int | None = None
-    planner: str = "greedy"
 
     def __post_init__(self) -> None:
         try:
@@ -121,8 +117,6 @@ class SimConfig:
             raise InvalidSimConfigError(
                 "repair_streams must be positive (or None for unlimited)"
             )
-        if self.planner not in ("milp", "greedy", "exhaustive", "auto"):
-            raise InvalidSimConfigError(f"unknown planner {self.planner!r}")
 
     def make_code(self):
         """The :class:`~repro.codes.base.ArrayCode` under test."""
@@ -161,5 +155,4 @@ class SimConfig:
             "spares": self.spares,
             "spare_replenish_hours": self.spare_replenish_hours,
             "repair_streams": self.repair_streams,
-            "planner": self.planner,
         }

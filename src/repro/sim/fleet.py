@@ -83,7 +83,7 @@ class CodeRepairProfile:
     def measure(cls, config: SimConfig) -> "CodeRepairProfile":
         """Price the code's repairs once and freeze the derived durations."""
         code = config.make_code()
-        reads = expected_recovery_reads_per_element(code, config.planner)
+        reads = expected_recovery_reads_per_element(code)
         rounds = expected_double_rounds(code)
         single, double = rebuild_hours(
             code, config.reliability_parameters(), reads, rounds

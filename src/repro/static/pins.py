@@ -68,7 +68,8 @@ PINNED_CERTIFICATE_HASHES: dict[str, str] = {
 
 #: ``plan.key -> sha256`` for the engine's compiled-plan smoke set: the
 #: HV schedules the paper's algorithms pin down (encode, Fig. 9
-#: single-disk recovery of disk 0, Algorithm 1 double recovery of
+#: single-disk recovery of disk 0 — the ``read`` of its whole column
+#: that ``FileStore.rebuild(0)`` runs — Algorithm 1 double recovery of
 #: disks 0+1, and the Section IV.5 partial-stripe-write ``update``
 #: schedule for the first ``p - 1`` logical data elements — one full
 #: row plus its cross-row neighbour, the pattern whose shared vertical
@@ -79,15 +80,17 @@ PINNED_CERTIFICATE_HASHES: dict[str, str] = {
 #: correct.
 PINNED_PLAN_HASHES: dict[str, str] = {
     "HV@5:encode": "491fa0ef79c56b32cecb2c2312acb91b2d691c887470525ff29b8130e3324db9",
-    "HV@5:recover-single:d0": "4cb0cb01e60697e04a59de9476c105960222f8014d734f5abf875fe8838a90e2",
+    "HV@5:read:e0e4e8e12:w0w4w8w12": "119962b61b675741770731f42051edbbb0693b729e679214a8a1d41fd08ccbba",
     "HV@5:recover-double:d0d1": "85e74921406967f824fd7fcae87825282b0a58bd4f6b02ff7c996236275e8879",
     "HV@5:update:d0d2d4d5": "04c9948e71eaf10bb76c9f782d3d02a4edbc477a1e99e95ab9521007b920c753",
     "HV@7:encode": "3f983722179df1264843a33f24487f9a7693d39f2189cfce15b8ac847f4a0ab3",
-    "HV@7:recover-single:d0": "1132e936a082839fc4a96320d9b59cf76bf74021861c2bcb0fe3d9172e2a363d",
+    "HV@7:read:e0e6e12e18e24e30:w0w6w12w18w24w30": "1e274f940fcbd2a8ef4ef240d7d75d8200793e6f665a9aae0838fdd2aec93326",
     "HV@7:recover-double:d0d1": "73dcd0e529d42a6ee1540f8fe2076eefb23e318a55f051d36368c91453beab1f",
     "HV@7:update:d0d2d4d5d7d8": "a1cbb0ee15b4c08cf2de509a8cec26924004a276032333a00a5d9b7730b46f46",
     "HV@11:encode": "24c95f05097cb69e485040860a39dc03f4daff3935ce5b6ab83e3ff332a79510",
-    "HV@11:recover-single:d0": "852d03fa4445ea6a72698be284314de048e862d0b4ee785e0ee7ae461b2b097e",
+    "HV@11:read:e0e10e20e30e40e50e60e70e80e90:w0w10w20w30w40w50w60w70w80w90": (
+        "32cbc43f606d9d7548319df5d7bd9ea1f461a41b08fe0cd1207de06f994f4c10"
+    ),
     "HV@11:recover-double:d0d1": "122494fc2afad8e2f885eddcf7e0d17fdbc801a44683f235e0d935a86fe3d543",
     "HV@11:update:d0d2d4d5d6d7d8d9d10d11": "6bd181ededbca05c3c10ab51f80d90714eb8a96ca23bfc0080c7b6eae5e97b37",
 }
@@ -99,33 +102,33 @@ PINNED_PLAN_HASHES: dict[str, str] = {
 #: collides across parameters).  Regenerate with
 #: ``python -m repro.cli certify --plans`` after a deliberate change.
 PINNED_PLAN_REPORT_HASHES: dict[str, str] = {
-    "HV@5": "2ccc513cd539b5c74093cce43e69541630b533029511a94a9711b6e7cba11a28",
-    "RDP@5": "9f82484e78bc3407d9cd758cf3bd11f21d15ee97f0bf87ec1f0e8848cec24c37",
-    "HDP@5": "cad7d8a070b700ebe1ac8e115d78e7cb5fad5a719b54c7db4d630a67927edb73",
-    "X-Code@5": "d543cd5e221bb328d47465c4456b18dfbee066b48831e6b171f4378ac4e1f4fe",
-    "H-Code@5": "09eef46f2907452be965556ba8c6023f54033fe21fee4204157bc0bffb2e01ca",
-    "EVENODD@5": "24faadf9b45dd1c6cb2559c1edf16599c5cb3b97e53c6215b3e43caabfad468e",
-    "P-Code@5": "bf171035e900420f345a76ee47d8e73ae4afaede47346123c9f670a8a35388bf",
-    "Liberation@5": "7a5748444b5a440092acf0e5bf72e2c25904a4c2bcb01c602cb6924d8f0e3fb9",
-    "Cauchy-RS@5": "b86b08eb7a9dc01380da03913aa566f9258b0a84fd93b2edf68d9517e7d484d0",
-    "HV@7": "99bbd539bd3913c91db1dc089777245d070c647d620c7600fbc460624fe0b215",
-    "RDP@7": "f774d4fc1d84bf9b78e6a84243b5a5154ab30ad18da04b0e9cf0c477507518a7",
-    "HDP@7": "3d56230d70444f66cba223eb07861f4b0b6ea4097ddb3f06ca401334a9919eef",
-    "X-Code@7": "d4a3121e04a865f5985545cf61ee1546dd8730de73e59a9522bca4d8015cf3a7",
-    "H-Code@7": "68fb402be30a17cd3628f0649617d7ef9c31f2a1811cc1de386f22f983432e74",
-    "EVENODD@7": "39357ebb0a3d7d71c4cfc299f5b06f007196b2ace4369c07f1e8287883fb3767",
-    "P-Code@7": "afb767394849bc5a53f3b4856c50420c6cf34537f4f4597e7d9859f7723d685e",
-    "Liberation@7": "1733a1054fdad2e3bf4af668a618c8f6057c2f43ad2d8370eca29cdf520a16a5",
-    "Cauchy-RS@7": "808119740beec6660a41f286e7c238fb680152be0e1408b30c1772e59df62483",
-    "HV@11": "d5a295d5b2ddf4fda76b31f28f2241ab30cc26b71411554e040ea3e4765d649c",
-    "RDP@11": "31bab9842ae5243d94ec99929cff77d8ea7fb8c3e1989acf44497c9b7f9273bb",
-    "HDP@11": "21ef3bf43ec6451f99fc1deca61e22741678cdede47479aa7235ac9bbc132700",
-    "X-Code@11": "5f82d0ab1c136922a456d1076d2d24c38f62241441d406175956b78d71494305",
-    "H-Code@11": "b36adfbae7c3ab3f63acc9e6e359cfe3430de4cedab48d784d0eeb4624b3a84e",
-    "EVENODD@11": "3e3f52ed8a381bf8b71f5f7c116e1f4e052f57a23022d97d2a7ad3fd3d1c3a70",
-    "P-Code@11": "092f22b9e2908500fef94f1a72f76e1fac1ede9c0fbd8cbbdfeb551d0186fb01",
-    "Liberation@11": "09b17dd4c9024fdb7ac5649b8d6c4332df2dd18592b1bde7786e02cd1a115f79",
-    "Cauchy-RS@11": "2786bb311a5241cdac62dd94f91405ac0a04af04419c6f5fb19b4d090c8dbcda",
+    "HV@5": "ad9985af360160b95704c3448a2cf94db911ad4a6308e35a13d6262f6b781859",
+    "RDP@5": "a5b1bbc68cfdf86dabc5dd3ac9a0b40907a8f3c488a4227271c72ce7b7ea9f6b",
+    "HDP@5": "5a2a0b7432c3a787b57f4541861203341c68d14379a3debf0c393c2757ecd718",
+    "X-Code@5": "44c6522279f7e9f7336608c53b93b800231a399c0adf5f2bc21b5412555b5662",
+    "H-Code@5": "68c58e38da32bc6b2f36c90ba04eb527a1edaca88981fc99b3946e4c57f72801",
+    "EVENODD@5": "941d8b16a01fe8fb3e7db4b64cfdc4444ad98c2d6a89c4417c5229995272842f",
+    "P-Code@5": "cb9e85b0ad52bf73c39ccd4be7a0fd623edb1509affdcb0eab0bbfe13478fa5b",
+    "Liberation@5": "b5e6c4627728a408e00900b9623e793bd458057e2d2260add99c2e22a0c6b4d7",
+    "Cauchy-RS@5": "ab01e278471c10368fd219b91ec65224d930970bb9a183dac41766ccd4e72c46",
+    "HV@7": "47bf1094048abd840841e9e8a7de93d755b6d7833db17ddf8391b8a638f8daf1",
+    "RDP@7": "00efe4cccad1eab4a7d719087ff32baa3536a69bc1035fdfd56843bb3f30880e",
+    "HDP@7": "72083b05666578b521c3bc38e50fcf801462e273ab30f8b79f2f3749be80fa0a",
+    "X-Code@7": "57d349304a17c33482487e1c8861897d6c38b44bd45d32e559b1d0e7e45a6bc6",
+    "H-Code@7": "53513fdaef4f896fed3685015eae81537da780c6f4f1e162760ab5ccd0cb2942",
+    "EVENODD@7": "2661d1211ee737bf689ec4ee14d26283174a45691a4e75346c97e0053f7b5644",
+    "P-Code@7": "ee55ae1676d7fac7ff105c74b066d9448c4712d8cfc0583167a0e6e0da145951",
+    "Liberation@7": "dfe0c0fcbe40f3053e91520f417f6c88a512c97c01c4d345712deef151ce4cc0",
+    "Cauchy-RS@7": "3d6704910636ce482786c108e8490c1fae586e7331129573d012dfdd17fa6557",
+    "HV@11": "256268e7342fbded5fc0b9786735a4132d71a6aebd9bc7f3bf4fc800c72b1ca5",
+    "RDP@11": "701e3eefa7ed6aff98d2e5d076f9d6f3f73b3ec008fe84f09d1565551fe58bdd",
+    "HDP@11": "9ab1b6891bcb2262ac2ee4d1e2a58350ddff984e2a3395f3cb1d7724830ea944",
+    "X-Code@11": "6bee33e15420a4de190bd3a54e7b7b3cac80bd0e1b7aeb866fb3eb8e94a3da3f",
+    "H-Code@11": "3bfe109ac8cc15244b6b8708329dad5bab4fe1dab585044487e9220ba998b2ec",
+    "EVENODD@11": "aa86e04abcaacd6b29c8efca44ec3acbaca666d8f4790bb834deb4277b884ddc",
+    "P-Code@11": "9cbbc0ef255221612de906e5580e8d03f7310402ad7d92686f01fab500f28d56",
+    "Liberation@11": "1ed1ccb703cfc00a0a6b56a0c1adf99c151fcde3ea748800e7c3839f6539398a",
+    "Cauchy-RS@11": "313d0edb5f6451307dac64c900ce0cb1e65cb8e9952a21b39a05005ad4663d94",
 }
 
 
@@ -139,15 +142,12 @@ def pinned_plans():
     from ..engine.compile import PlanCache, compile_plan
 
     cache = PlanCache()
-    ops = {
-        "encode": (),
-        "recover-single": (0,),
-        "recover-double": (0, 1),
-    }
     for p in (5, 7, 11):
         code = get_code("HV", p)
-        for op, pattern in ops.items():
-            yield compile_plan(code, op, pattern, cache=cache)
+        column = tuple(range(0, code.rows * code.cols, code.cols))
+        yield compile_plan(code, "encode", cache=cache)
+        yield compile_plan(code, "read", (column, column, ()), cache=cache)
+        yield compile_plan(code, "recover-double", (0, 1), cache=cache)
         # The partial-stripe-write schedule: the first p - 1 logical
         # data elements dirty (a full row plus the cross-row
         # neighbour that shares its vertical parity).

@@ -35,27 +35,28 @@ Three layers build on the same symbolic pass:
 Pattern families (closed and enumerated, per op):
 
 - ``encode`` — the single full-stripe schedule;
-- ``reconstruct`` — every cell of the grid;
-- ``recover-single`` — every disk;
 - ``recover-double`` — every disk pair (the RAID-6 tolerance);
 - ``decode`` — every erasure of one or two cells (whole-disk pairs
   are covered by ``recover-double``);
 - ``update`` — every single dirty data cell plus every contiguous
   logical run of up to ``cols + 1`` elements (one full row plus its
   cross-row neighbour — the shapes HV's sharing claims rest on) and
-  the full-stripe write.
+  the full-stripe write;
+- ``read`` — every whole column and every single cell, each wanted
+  whole with nothing free: exactly the plans a one-disk rebuild and a
+  one-latent-cell repair compile, so the certificate proves the op the
+  store serves.
 
 A ``read`` plan is a decode with *partial outputs*: only its wanted
 cells must finish at their valuation, the other erased cells may stay
-undefined.  :func:`verify_plan` proves one; it is not a certificate
-family (its patterns are the requests a store meets).
+undefined (a degraded read of part of a column proves the same way).
 
-Patterns the compiler rejects (:class:`~repro.exceptions.PlanError`)
-would be counted as ``patterns_rejected``: they produce no plan, so
-there is nothing to prove.  The compiler finishes every recoverable
-pattern by elimination where peeling stalls, and every enumerated
-pattern is recoverable, so the count is 0 for every registered code;
-the field stays so the report schema, and its pins, hold.
+Every enumerated pattern is recoverable, and the compiler finishes
+every recoverable pattern by elimination where peeling stalls, so an
+enumerated pattern it rejects (:class:`~repro.exceptions.PlanError`)
+is a compiler fault: :func:`verify_code_plans` raises
+:class:`~repro.exceptions.CertificationError` naming the op and the
+pattern.
 """
 
 from __future__ import annotations
@@ -85,11 +86,10 @@ PLAN_VERIFY_PRIMES = (5, 7, 11)
 #: Ops in certificate order.
 VERIFIED_OPS = (
     "encode",
-    "reconstruct",
-    "recover-single",
     "recover-double",
     "decode",
     "update",
+    "read",
 )
 
 #: The P-rule catalogue: IR-level invariants of a healthy plan.
@@ -231,10 +231,8 @@ def _verify_encode(symbols: CodeSymbols, plan: XorPlan) -> None:
 def _expected_erased(symbols: CodeSymbols, plan: XorPlan) -> set[int]:
     """The slots the op/pattern semantics say the plan must repair."""
     cols = symbols.code.cols
-    if plan.op in ("reconstruct", "decode"):
+    if plan.op == "decode":
         return set(plan.pattern)
-    if plan.op == "recover-single":
-        return {r * cols + plan.pattern[0] for r in range(symbols.code.rows)}
     if plan.op == "recover-double":
         return {
             r * cols + d for d in plan.pattern for r in range(symbols.code.rows)
@@ -243,7 +241,7 @@ def _expected_erased(symbols: CodeSymbols, plan: XorPlan) -> set[int]:
 
 
 def _verify_repair(symbols: CodeSymbols, plan: XorPlan) -> None:
-    """reconstruct / recover-single / recover-double / decode."""
+    """recover-double / decode."""
     what = _describe(plan)
     erased = set(plan.erased)
     required = _expected_erased(symbols, plan)
@@ -562,10 +560,6 @@ def plan_patterns(code: ArrayCode, op: str) -> list[tuple]:
     num_cells = code.rows * code.cols
     if op == "encode":
         return [()]
-    if op == "reconstruct":
-        return [(slot,) for slot in range(num_cells)]
-    if op == "recover-single":
-        return [(d,) for d in range(code.cols)]
     if op == "recover-double":
         return list(pairs(code.cols))
     if op == "decode":
@@ -590,6 +584,10 @@ def plan_patterns(code: ArrayCode, op: str) -> list[tuple]:
         if full not in seen:
             patterns.append(full)
         return patterns
+    if op == "read":
+        columns = [tuple(range(d, num_cells, code.cols)) for d in range(code.cols)]
+        cells = [(slot,) for slot in range(num_cells)]
+        return [(lost, lost, ()) for lost in columns + cells]
     raise CertificationError(f"no pattern family for op {op!r}")
 
 
@@ -610,7 +608,6 @@ class PlanOpCertificate:
     param: int
     op: str
     patterns_verified: int
-    patterns_rejected: int
     steps_total: int
     xors_total: int
     xors_min: int
@@ -631,7 +628,6 @@ class PlanOpCertificate:
             "param": self.param,
             "op": self.op,
             "patterns_verified": self.patterns_verified,
-            "patterns_rejected": self.patterns_rejected,
             "steps_total": self.steps_total,
             "xors_total": self.xors_total,
             "xors_min": self.xors_min,
@@ -668,10 +664,6 @@ class PlanVerificationReport:
     @property
     def patterns_verified(self) -> int:
         return sum(op.patterns_verified for op in self.ops)
-
-    @property
-    def patterns_rejected(self) -> int:
-        return sum(op.patterns_rejected for op in self.ops)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -746,13 +738,15 @@ def _audit_claims(
         claims["plan_update_two_parity_writes"] = bool(singles) and all(
             len(plan.outputs) == 2 for plan in singles
         )
-        reconstructs = plans_by_op.get("reconstruct", [])
-        claims["plan_reconstruct_chain_length_p_minus_2"] = bool(
-            reconstructs
+        one_cell = [
+            plan for plan in plans_by_op.get("read", []) if len(plan.outputs) == 1
+        ]
+        claims["plan_read_one_cell_chain_length_p_minus_2"] = bool(
+            one_cell
         ) and all(
             len(plan.steps) == 1
             and len(plan.steps[0].srcs) == (code.p - 2) - 1
-            for plan in reconstructs
+            for plan in one_cell
         )
     return claims
 
@@ -779,14 +773,15 @@ def verify_code_plans(
     plans_by_op: dict[str, list[XorPlan]] = {}
     for op in VERIFIED_OPS:
         verified: list[XorPlan] = []
-        rejected = 0
         digest_lines: list[str] = []
         for pattern in plan_patterns(code, op):
             try:
                 plan = compile_plan(code, op, pattern, cache=None)
-            except PlanError:
-                rejected += 1
-                continue
+            except PlanError as exc:
+                raise CertificationError(
+                    f"{code.name}@{param} {op} pattern {pattern}: the compiler "
+                    f"rejects a recoverable pattern: {exc}"
+                ) from exc
             verify_plan(code, plan, symbols=symbols)
             verified.append(plan)
             digest_lines.append(
@@ -800,7 +795,6 @@ def verify_code_plans(
                 param=param,
                 op=op,
                 patterns_verified=len(verified),
-                patterns_rejected=rejected,
                 steps_total=sum(len(plan.steps) for plan in verified),
                 xors_total=sum(xors),
                 xors_min=min(xors, default=0),

@@ -291,8 +291,9 @@ def written(code):
 
 
 def rebuild_reads(code, disk):
-    """The other data cells the ``recover-single`` plan does / does not read."""
-    reads = {divmod(s, code.cols) for s in compile_plan(code, "recover-single", (disk,)).reads}
+    """The other data cells the rebuild's ``read`` plan does / does not read."""
+    column = tuple(range(disk, code.rows * code.cols, code.cols))
+    reads = {divmod(s, code.cols) for s in compile_plan(code, "read", (column, column, ())).reads}
     cells = [
         pos
         for i, pos in enumerate(code.data_positions)

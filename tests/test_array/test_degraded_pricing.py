@@ -2,7 +2,8 @@
 
 ``RAID6Volume`` prices a write by its compiled ``update`` plan and a
 lost cell by its compiled ``read`` plan (Fig. 7's read set), the plans
-a ``FileStore`` runs; a rebuild runs Fig. 9's ``recover-single`` plan.
+a ``FileStore`` runs; a rebuild runs the ``read`` of the whole column,
+Fig. 9's hybrid chains, at the price ``repair_cost`` quotes.
 The differential drives the store and the volume with the same element
 runs, over every implemented code, and asks for the same ledger — the
 store runs the plans, the volume only counts them, so a divergence is
@@ -21,8 +22,9 @@ from repro.array.filestore import FileStore
 from repro.array.raid import RAID6Volume
 from repro.array.stripe import ERASED
 from repro.codes.registry import available_codes, get_code
-from repro.engine import compile_plan
+from repro.engine import PlanCache, compile_plan
 from repro.exceptions import PlanError
+from repro.recovery.cost import repair_cost
 from repro.service import VolumePool
 from repro.static.planverify import verify_plan
 from repro.utils import pairs
@@ -89,11 +91,34 @@ def test_filestore_charges_what_the_volume_prices(name, engine):
     assert store.stats.reads[disk] == store.stats.writes[disk] == 0
     healed = store.healing.reads
     store.rebuild(disk)
-    plan = compile_plan(code, "recover-single", (disk,))
-    assert store.healing.reads - healed == STRIPES * len(plan.reads)
+    assert store.healing.reads - healed == STRIPES * repair_cost(code, (disk,)).reads
     assert store.read(0, len(model)) == model
     assert store.scrub() == []
     assert store.scrub_checksums(repair=False).clean
+
+
+@pytest.mark.parametrize("name", available_codes())
+def test_the_priced_repair_is_the_served_repair(name, monkeypatch):
+    """With disk ``d`` its only loss, a store's ``rebuild(d)`` charges
+    per stripe exactly the reads ``repair_cost(code, (d,))`` quotes, and
+    the quote is the rebuild's own plan-cache entry: pricing it after
+    the rebuild is one hit and no miss."""
+    code = get_code(name, 5)
+    data = np.random.default_rng(5).bytes(STRIPES * FileStore(code, ELEMENT).bytes_per_stripe)
+    for disk in range(code.cols):
+        cache = PlanCache()  # fresh, so the rebuild compiles the plan itself
+        monkeypatch.setitem(compile_plan.__kwdefaults__, "cache", cache)
+        store = FileStore(code, element_size=ELEMENT, engine="fused")
+        store.write(0, data)
+        store.fail_disk(disk)
+        healed = store.healing.reads
+        store.rebuild(disk)
+        before = cache.stats()
+        cost = repair_cost(code, (disk,))
+        after = cache.stats()
+        assert store.healing.reads - healed == len(store.stripes) * cost.reads, disk
+        assert len(store.stripes) == STRIPES
+        assert (after["hits"] - before["hits"], after["misses"]) == (1, before["misses"])
 
 
 @pytest.mark.parametrize("engine", ["fused", "auto"])

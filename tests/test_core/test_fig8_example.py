@@ -9,8 +9,8 @@ repair each lost element on the failed disk."
 import pytest
 
 from repro import HVCode
-from repro.recovery.cost import expected_recovery_reads_per_element
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.cost import expected_recovery_reads_per_element, repair_cost
+from repro.recovery.single import degraded_read_choices
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +20,15 @@ def hv():
 
 class TestFig8:
     def test_disk0_needs_18_elements(self, hv):
-        plan = plan_single_disk_recovery(hv, 0, method="milp")
-        assert plan.total_reads == 18
-        assert plan.reads_per_lost_element == pytest.approx(3.0)
+        cost = repair_cost(hv, (0,), "milp")
+        assert cost.reads == 18
+        assert cost.reads_per_lost_element == pytest.approx(3.0)
 
     def test_every_disk_needs_18_elements(self, hv):
         # HV's layout is column-symmetric; the paper's average of 3
         # reads per lost element holds for any failed disk at p=7.
         for disk in range(hv.cols):
-            plan = plan_single_disk_recovery(hv, disk, method="milp")
-            assert plan.total_reads == 18, disk
+            assert repair_cost(hv, (disk,), "milp").reads == 18, disk
 
     def test_expectation_is_three(self, hv):
         assert expected_recovery_reads_per_element(hv, "milp") == pytest.approx(3.0)
@@ -37,14 +36,15 @@ class TestFig8:
     def test_plan_mixes_both_chain_flavors(self, hv):
         # The minimum is achieved by hybrid recovery: some elements
         # repaired horizontally, some vertically (Fig. 8's shading).
-        plan = plan_single_disk_recovery(hv, 0, method="milp")
-        kinds = {chain.kind for chain in plan.choices.values()}
+        column = [(r, 0) for r in range(hv.rows)]
+        choices = degraded_read_choices(hv, column, (), method="milp")
+        kinds = {chain.kind for chain in choices.values()}
         assert len(kinds) == 2
 
     def test_plan_reads_only_surviving_cells(self, hv):
-        plan = plan_single_disk_recovery(hv, 0)
-        assert all(pos[1] != 0 for pos in plan.reads)
+        cost = repair_cost(hv, (0,), "milp")
+        assert cost.reads_per_disk[0] == 0
+        assert cost.reads == 18
 
     def test_greedy_matches_optimum_here(self, hv):
-        greedy = plan_single_disk_recovery(hv, 0, method="greedy")
-        assert greedy.total_reads == 18
+        assert repair_cost(hv, (0,), "greedy").reads == 18

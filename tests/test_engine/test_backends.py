@@ -524,6 +524,31 @@ class TestRegistry:
         elif NATIVE_AVAILABLE:
             assert lines == ["True", "None", "native", "native"]
 
+    def test_unavailable_native_names_its_reason(self, tmp_path):
+        """Asking for ``native`` by name, and running a plan on it, both
+        say why it did not load — here the switch, not a compiler."""
+        probe = (
+            "from repro.codes.registry import get_code\n"
+            "from repro.engine import compile_plan, get_backend, resolve_backend\n"
+            "from repro.exceptions import InvalidParameterError\n"
+            "code = get_code('HV', 5)\n"
+            "stripe = code.random_stripe(element_size=8, seed=0)\n"
+            "for call in (\n"
+            "    lambda: resolve_backend('native'),\n"
+            "    lambda: get_backend('native').execute(compile_plan(code, 'encode'), stripe),\n"
+            "):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except InvalidParameterError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {"XDG_CACHE_HOME": str(tmp_path), "REPRO_DISABLE_NATIVE": "1"}
+        lines = _run_probe(env, probe).splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert "disabled by REPRO_DISABLE_NATIVE" in line
+            assert "compiler" not in line
+
 
 @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="needs a C compiler")
 class TestBuildCache:

@@ -16,6 +16,7 @@ from repro.engine import (
 from repro.engine.backends import get_backend
 from repro.engine.compile import _canonical_pattern, _spelled_canonically, plan_key
 from repro.exceptions import InvalidParameterError, PlanError, UnrecoverableFailureError
+from repro.recovery.single import degraded_read_choices
 from repro.static.planverify import plan_patterns
 
 XOR_CODES = [n for n in available_codes() if n != "Cauchy-RS"]
@@ -48,30 +49,43 @@ class TestCompileEncode:
         assert compile_plan(get_code("HV", 7), "encode", cache=None).rounds == 1
 
 
+def column_of(code, disk):
+    return tuple(r * code.cols + disk for r in range(code.rows))
+
+
 class TestCompileRecovery:
     @pytest.mark.parametrize("name", XOR_CODES)
     def test_single_disk_plans_are_one_round(self, name, cache):
         code = get_code(name, 7)
         for disk in range(code.cols):
-            plan = compile_plan(code, "recover-single", (disk,), cache=cache)
+            column = column_of(code, disk)
+            plan = compile_plan(code, "read", (column, column, ()), cache=cache)
             assert plan.rounds == 1
-            assert len(plan.outputs) == code.rows
-            # every lost element is an independent group
-            assert len(plan.groups) == len(plan.steps) - plan.preamble
+            assert plan.outputs == column
+            # every lost element is repaired independently, at depth one
+            assert all(plan.depths[slot] == 1 for slot in plan.outputs)
 
     @pytest.mark.parametrize("name", available_codes())
     @pytest.mark.parametrize("p", [5, 7])
     def test_whole_column_read_is_recover_single(self, name, p):
-        # FileStore rebuilds a lone lost column through its ``read``
-        # plan, so that plan must be Fig. 9's ``recover-single``, step
-        # for step and read for read.
+        # A single-disk recovery is the ``read`` of the whole column:
+        # one step per lost cell XORing the rest of the chain Fig. 9's
+        # planner chose for it, so the plan reads exactly those chains.
         code = get_code(name, p)
         for disk in range(code.cols):
-            column = tuple(r * code.cols + disk for r in range(code.rows))
-            read = compile_plan(code, "read", (column, column, ()), cache=None)
-            single = compile_plan(code, "recover-single", (disk,), cache=None)
-            assert read.steps == single.steps
-            assert read.reads == single.reads
+            column = column_of(code, disk)
+            read = compile_plan(code, "read", (column, column, ()), cse=False, cache=None)
+            choices = degraded_read_choices(
+                code, [divmod(s, code.cols) for s in column], (), method="greedy"
+            )
+            assert [divmod(step.dst, code.cols) for step in read.steps] == sorted(choices)
+            chained = set()
+            for step in read.steps:
+                cell = divmod(step.dst, code.cols)
+                others = choices[cell].equation_cells - {cell}
+                assert {divmod(s, code.cols) for s in step.srcs} == others
+                chained |= others
+            assert {divmod(s, code.cols) for s in read.reads} == chained
 
     def test_hv_double_recovery_keeps_four_chains(self):
         code = get_code("HV", 7)
@@ -108,9 +122,10 @@ class TestCompileRecovery:
         b = compile_plan(code, "recover-double", (1, 3), cache=cache)
         assert a is b  # canonicalized to the same cache entry
 
-    def test_reconstruct_accepts_bare_position(self, cache):
+    def test_one_cell_read_accepts_positions(self, cache):
         code = get_code("RDP", 5)
-        plan = compile_plan(code, "reconstruct", (0, 0), cache=cache)
+        plan = compile_plan(code, "read", (((0, 0),), ((0, 0),), ()), cache=cache)
+        assert plan.pattern == ((0,), (0,), ())
         assert plan.outputs == (0,)
         assert len(plan.steps) == 1
 
@@ -121,9 +136,10 @@ class TestCompileRecovery:
         with pytest.raises(PlanError):
             compile_plan(code, "recover-double", (2, 2), cache=None)
         with pytest.raises(PlanError):
-            compile_plan(code, "recover-single", (99,), cache=None)
-        with pytest.raises(PlanError):
-            compile_plan(code, "bogus-op", cache=None)
+            compile_plan(code, "recover-double", (0, 99), cache=None)
+        for removed in ("bogus-op", "recover-single", "reconstruct"):
+            with pytest.raises(PlanError):
+                compile_plan(code, removed, (0,), cache=None)
 
 
 class TestCapabilityOracle:
@@ -265,13 +281,13 @@ class TestPlanCache:
     def test_lru_eviction(self):
         cache = PlanCache(maxsize=2)
         code = get_code("HV", 5)
-        compile_plan(code, "recover-single", (0,), cache=cache)
-        compile_plan(code, "recover-single", (1,), cache=cache)
-        compile_plan(code, "recover-single", (0,), cache=cache)  # refresh 0
-        compile_plan(code, "recover-single", (2,), cache=cache)  # evicts 1
+        compile_plan(code, "recover-double", (0, 1), cache=cache)
+        compile_plan(code, "recover-double", (0, 2), cache=cache)
+        compile_plan(code, "recover-double", (0, 1), cache=cache)  # refresh (0, 1)
+        compile_plan(code, "recover-double", (0, 3), cache=cache)  # evicts (0, 2)
         assert cache.stats()["evictions"] == 1
-        assert plan_key(code, "recover-single", (0,)) in cache
-        assert plan_key(code, "recover-single", (1,)) not in cache
+        assert plan_key(code, "recover-double", (0, 1)) in cache
+        assert plan_key(code, "recover-double", (0, 2)) not in cache
 
     def test_same_name_and_p_different_geometry_do_not_collide(self, cache):
         # Cauchy-RS reports its auto-chosen word size as p: 4 for both.
@@ -319,8 +335,6 @@ def spellings(code):
     free = tuple(r * cols + c for r, c in code.data_positions[:3] if c != 1)
     return [
         ("encode", (), [[]]),
-        ("reconstruct", (sa,), [[sa], a, (a,), [list(a)]]),
-        ("recover-single", (1,), [[1]]),
         ("recover-double", (0, cols - 1), [(cols - 1, 0), [cols - 1, 0]]),
         ("decode", (sa, sb), [(sb, sa), [sb, sa, sb], (b, a), [list(a), sb]]),
         ("update", (sa, sb), [(sb, sa), [sa, sb], (a, b), [b, sa, a]]),
@@ -384,7 +398,8 @@ class TestCanonicalProbe:
 
     def test_a_cold_probe_counts_one_miss(self, cache):
         code = get_code("HV", 5)
-        compile_plan(code, "recover-single", (2,), cache=cache)
+        column = column_of(code, 2)
+        compile_plan(code, "read", (column, column, ()), cache=cache)
         assert cache.stats()["hits"] + cache.stats()["misses"] == 1
         compile_plan(code, "recover-double", (3, 1), cache=cache)  # not canonical
         assert cache.stats() == {"size": 2, "hits": 0, "misses": 2, "evictions": 0}
@@ -457,18 +472,6 @@ class TestPatternValidation:
     MALFORMED = [
         ("encode", (0,), None),
         ("encode", (None,), None),
-        ("reconstruct", (3.0,), (3,)),
-        ("reconstruct", (True,), (1,)),
-        ("reconstruct", ("a",), None),
-        ("reconstruct", (None,), None),
-        ("reconstruct", ((0, 1, 2),), None),
-        ("reconstruct", (True, 0), None),
-        ("recover-single", (1.0,), (1,)),
-        ("recover-single", (True,), (1,)),
-        ("recover-single", ("1",), None),
-        ("recover-single", (None,), None),
-        ("recover-single", (0, 1), None),
-        ("recover-single", 1, None),
         ("recover-double", (0, 1.0), (0, 1)),
         ("recover-double", (False, 1), (0, 1)),
         ("recover-double", (0, None), None),

@@ -26,14 +26,9 @@ from repro import (
 from repro.array.filestore import FileStore
 from repro.codes.registry import get_code
 from repro.core.recovery import plan_double_failure_recovery
-from repro.engine import (
-    compile_plan,
-    execute_plan,
-    execute_plan_scalar,
-    lower_single_recovery,
-)
+from repro.engine import compile_plan, execute_plan, execute_plan_scalar
 from repro.exceptions import PlanError
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.single import degraded_read_choices
 from repro.utils import pairs
 
 CODE_CLASSES = [
@@ -152,13 +147,16 @@ class TestRecoveryPlanWiring:
     )
     def test_single_disk_plan_engines_agree(self, code, seed, data):
         disk = data.draw(st.integers(0, code.cols - 1))
-        plan = plan_single_disk_recovery(code, disk, method="greedy")
+        column = [(r, disk) for r in range(code.rows)]
+        plan = compile_plan(code, "read", (column, column, ()), cache=None)
         stripe = code.random_stripe(element_size=8, seed=seed)
         vec, py = stripe.copy(), stripe.copy()
         vec.erase_disks([disk])
         py.erase_disks([disk])
-        execute_plan(lower_single_recovery(code, plan), vec)
-        plan.execute(code, py)
+        execute_plan(plan, vec)
+        # the planner's chains, walked one at a time
+        for cell, chain in sorted(degraded_read_choices(code, column, (), "greedy").items()):
+            py.set(cell, py.xor_of([c for c in chain.equation_cells if c != cell]))
         assert vec == stripe
         assert py == stripe
 

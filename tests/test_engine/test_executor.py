@@ -38,7 +38,8 @@ class TestVectorIdentity:
             ref = code.random_stripe(element_size=16, seed=disk)
             work = ref.copy()
             work.erase_disks([disk])
-            execute_plan(compile_plan(code, "recover-single", (disk,)), work)
+            column = tuple(r * code.cols + disk for r in range(code.rows))
+            execute_plan(compile_plan(code, "read", (column, column, ())), work)
             assert work == ref
             assert not work.state.any()
 

@@ -116,7 +116,7 @@ class TestGeometry:
         )
         assert plan.pattern_positions == ((0, 0), (1, 1))
         assert plan.output_positions == ((0, 3),)
-        disks = plan_of([XorStep(1, (0, 2))], op="recover-single", pattern=(1,))
+        disks = plan_of([XorStep(1, (0, 2))], op="recover-double", pattern=(0, 1))
         with pytest.raises(PlanError, match="disks"):
             disks.pattern_positions
 
@@ -174,6 +174,22 @@ class TestHashing:
         plan = plan_of([XorStep(2, (0, 1))], op="recover-double", pattern=(0, 2))
         assert plan.key == "T@5:recover-double:d0d2"
         assert plan_of([XorStep(2, (0, 1))]).key == "T@5:encode"
+        read = plan_of(
+            [XorStep(2, (0, 1)), XorStep(5, (3, 4))],
+            op="read",
+            pattern=((2, 5), (2, 5), ()),
+            erased=(2, 5),
+            outputs=(2, 5),
+        )
+        assert read.key == "T@5:read:e2e5:w2w5"
+        partial = plan_of(
+            [XorStep(2, (0, 1))],
+            op="read",
+            pattern=((2, 5), (2,), (0, 1)),
+            erased=(2, 5),
+            outputs=(2,),
+        )
+        assert partial.key == "T@5:read:e2e5:w2:f0f1"
 
     def test_dataclass_replace_changes_hash(self):
         plan = plan_of([XorStep(2, (0, 1))])
@@ -182,3 +198,5 @@ class TestHashing:
 
     def test_plan_ops_catalogue(self):
         assert "encode" in PLAN_OPS and "recover-double" in PLAN_OPS
+        # a single-failure repair is a ``read``: no op of its own
+        assert "recover-single" not in PLAN_OPS and "reconstruct" not in PLAN_OPS

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro import HVCode, XCode, RDPCode
 from repro.core.partial_write import analyze_partial_write
 from repro.engine import compile_plan
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.single import degraded_read_choices
 
 code_strategy = st.builds(
     lambda cls, p: cls(p),
@@ -19,12 +19,13 @@ code_strategy = st.builds(
 def test_single_disk_plan_is_executable(code, data):
     """The planned reads always suffice to rebuild the whole disk."""
     disk = data.draw(st.integers(0, code.cols - 1))
-    plan = plan_single_disk_recovery(code, disk, method="greedy")
+    column = [(r, disk) for r in range(code.rows)]
+    choices = degraded_read_choices(code, column, (), method="greedy")
     stripe = code.random_stripe(element_size=2, seed=7)
     broken = stripe.copy()
     broken.erase_disks([disk])
     # Execute each choice directly: XOR the chain's other cells.
-    for cell, chain in sorted(plan.choices.items()):
+    for cell, chain in sorted(choices.items()):
         others = [c for c in chain.equation_cells if c != cell]
         assert all(broken.alive(c) for c in others)
         broken.set(cell, broken.xor_of(others))

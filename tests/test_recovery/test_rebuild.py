@@ -7,16 +7,18 @@ from repro.array.latency import LatencyModel
 from repro.exceptions import InvalidParameterError
 from repro.experiments.rebuild_time import expected_rebuild_seconds
 from repro.recovery.cost import repair_cost
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.single import degraded_read_choices
 from repro.utils import mean
 
 
 class TestSimulation:
     def test_reads_match_plan(self):
         code = HVCode(7)
-        plan = plan_single_disk_recovery(code, 0, method="greedy")
+        column = [(r, 0) for r in range(code.rows)]
+        choices = degraded_read_choices(code, column, (), method="greedy")
+        reads = set().union(*(ch.equation_cells - {cell} for cell, ch in choices.items()))
         cost = repair_cost(code, (0,))
-        assert cost.reads == plan.total_reads
+        assert cost.reads == len(reads)
         assert cost.reads_per_disk[0] == 0  # failed disk reads nothing
 
     def test_spare_writes_cover_capacity(self):

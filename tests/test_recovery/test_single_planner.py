@@ -6,7 +6,12 @@ from repro import HVCode, RDPCode, XCode
 from repro.array.raid import RAID6Volume
 from repro.engine import compile_plan
 from repro.exceptions import InvalidParameterError, PlanError
-from repro.recovery.single import plan_single_disk_recovery
+from repro.recovery.cost import repair_cost
+from repro.recovery.single import degraded_read_choices
+
+
+def _column(code, disk):
+    return [(r, disk) for r in range(code.rows)]
 
 
 class TestPlannerEquivalence:
@@ -14,44 +19,45 @@ class TestPlannerEquivalence:
     def test_milp_matches_exhaustive(self, cls):
         code = cls(5)
         for disk in range(code.cols):
-            exact = plan_single_disk_recovery(code, disk, method="exhaustive")
-            milp = plan_single_disk_recovery(code, disk, method="milp")
-            assert milp.total_reads == exact.total_reads, (cls.name, disk)
+            exact = repair_cost(code, (disk,), "exhaustive")
+            milp = repair_cost(code, (disk,), "milp")
+            assert milp.reads == exact.reads, (cls.name, disk)
 
     @pytest.mark.parametrize("cls", [HVCode, XCode], ids=lambda c: c.name)
     def test_greedy_close_to_optimal(self, cls):
         code = cls(7)
         for disk in range(code.cols):
-            greedy = plan_single_disk_recovery(code, disk, method="greedy")
-            milp = plan_single_disk_recovery(code, disk, method="milp")
-            assert greedy.total_reads <= milp.total_reads * 1.15
+            greedy = repair_cost(code, (disk,), "greedy")
+            milp = repair_cost(code, (disk,), "milp")
+            assert greedy.reads <= milp.reads * 1.15
 
 
 class TestPlanValidity:
     def test_choices_cover_every_lost_cell(self):
         code = HVCode(7)
-        plan = plan_single_disk_recovery(code, 2)
-        assert set(plan.choices) == {(r, 2) for r in range(code.rows)}
+        choices = degraded_read_choices(code, _column(code, 2), ())
+        assert set(choices) == {(r, 2) for r in range(code.rows)}
 
     def test_chosen_chain_contains_its_cell(self):
         code = XCode(7)
-        plan = plan_single_disk_recovery(code, 3)
-        for cell, chain in plan.choices.items():
+        choices = degraded_read_choices(code, _column(code, 3), ())
+        for cell, chain in choices.items():
             assert cell in chain.equation_cells
 
     def test_reads_sufficient_for_each_choice(self):
         code = HVCode(7)
-        plan = plan_single_disk_recovery(code, 1)
-        for cell, chain in plan.choices.items():
+        column = _column(code, 1)
+        choices = degraded_read_choices(code, column, (), method="greedy")
+        plan = compile_plan(code, "read", (column, column, ()), cache=None)
+        reads = set(map(plan.position_of, plan.reads))
+        for cell, chain in choices.items():
             needed = set(chain.equation_cells) - {cell}
-            assert needed <= set(plan.reads)
+            assert needed <= reads
 
     def test_hybrid_beats_single_flavor(self):
         # The optimization must beat "horizontal chains only", which
         # costs rows x (chain length - 1) distinct reads minus overlap.
         code = HVCode(13)
-        plan = plan_single_disk_recovery(code, 0)
-        horizontal_only = 0
         fetched = set()
         for r in range(code.rows):
             cell = (r, 0)
@@ -60,16 +66,17 @@ class TestPlanValidity:
             ]
             chain = chains[0]
             fetched |= set(chain.equation_cells) - {cell}
-        horizontal_only = len(fetched)
-        assert plan.total_reads < horizontal_only
+        assert repair_cost(code, (0,), "milp").reads < len(fetched)
 
     def test_invalid_disk_rejected(self):
         with pytest.raises(InvalidParameterError):
-            plan_single_disk_recovery(HVCode(7), 6)
+            repair_cost(HVCode(7), (6,))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
-            plan_single_disk_recovery(HVCode(7), 0, method="quantum")
+            repair_cost(HVCode(7), (0,), "quantum")
+        with pytest.raises(InvalidParameterError):
+            degraded_read_choices(HVCode(7), [(0, 0)], (), method="quantum")
 
 
 class TestDegradedRead:

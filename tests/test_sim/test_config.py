@@ -17,7 +17,6 @@ class TestValidation:
         {"spares": -1},
         {"spare_replenish_hours": 0.0},
         {"repair_streams": 0},
-        {"planner": "quantum"},
         {"code_name": "NoSuchCode"},
         {"p": 4},
         {"lifetime": "exponential"},

@@ -7,7 +7,7 @@ import pytest
 from repro.codes.registry import available_codes, get_code
 from repro.engine.compile import PlanCache, compile_plan
 from repro.engine.plan import XorPlan, XorStep
-from repro.exceptions import CertificationError
+from repro.exceptions import CertificationError, PlanError
 from repro.static import (
     PLAN_RULES,
     PLAN_VERIFY_PRIMES,
@@ -27,6 +27,16 @@ def hv5():
 @pytest.fixture(scope="module")
 def hv5_symbols(hv5):
     return CodeSymbols(hv5)
+
+
+def _column_read(code, disk):
+    """The ``read`` pattern of one whole lost column: a disk's rebuild."""
+    column = tuple(range(disk, code.rows * code.cols, code.cols))
+    return (column, column, ())
+
+
+#: The ``read`` pattern of one lost cell: a latent cell's repair.
+ONE_CELL_READ = ((0,), (0,), ())
 
 
 def _mutate(plan, **changes):
@@ -65,8 +75,8 @@ class TestSymbolicDomain:
 class TestVerifyPlan:
     @pytest.mark.parametrize("op,pattern", [
         ("encode", ()),
-        ("reconstruct", (0,)),
-        ("recover-single", (0,)),
+        ("read", ((0, 4, 8, 12), (0, 4, 8, 12), ())),  # HV@5's disk 0
+        ("read", ONE_CELL_READ),
         ("recover-double", (0, 1)),
         ("decode", (0, 5)),
     ])
@@ -86,15 +96,9 @@ class TestVerifyPlan:
 
     def test_mutation_dropped_step(self, hv5):
         """Dropping a step (and its output) must be caught."""
-        plan = compile_plan(hv5, "recover-single", (0,), cache=None)
-        corrupt = _mutate(
-            plan,
-            steps=plan.steps[:-1],
-            erased=plan.erased[:-1],
-            outputs=plan.outputs[:-1],
-            groups=plan.groups[:-1],
-        )
-        with pytest.raises(CertificationError, match="pattern requires"):
+        plan = compile_plan(hv5, "read", _column_read(hv5, 0), cache=None)
+        corrupt = _mutate(plan, steps=plan.steps[:-1], outputs=plan.outputs[:-1])
+        with pytest.raises(CertificationError, match="wanted cells of its pattern"):
             verify_plan(hv5, corrupt)
 
     def test_mutation_swapped_source_slot(self, hv5):
@@ -112,7 +116,7 @@ class TestVerifyPlan:
 
     def test_mutation_swapped_destination(self, hv5):
         """Two outputs written to each other's slots both come out wrong."""
-        plan = compile_plan(hv5, "recover-single", (0,), cache=None)
+        plan = compile_plan(hv5, "read", _column_read(hv5, 0), cache=None)
         s0, s1 = plan.steps[0], plan.steps[1]
         corrupt = _mutate(
             plan,
@@ -126,12 +130,16 @@ class TestVerifyPlan:
 
     def test_rejects_clobbered_live_cell(self, hv5):
         """A step writing a non-output cell slot destroys live data."""
-        plan = compile_plan(hv5, "reconstruct", (0,), cache=None)
-        victim = plan.steps[0].srcs[0]
-        extra = XorStep(dst=victim, srcs=(plan.steps[0].srcs[1],))
-        corrupt = _mutate(plan, steps=plan.steps + (extra,))
-        with pytest.raises(CertificationError, match="clobber"):
-            verify_plan(hv5, corrupt, lint=False)
+        for op, pattern, match in [
+            ("decode", (0,), "clobber"),
+            ("read", ONE_CELL_READ, "writes live cell"),
+        ]:
+            plan = compile_plan(hv5, op, pattern, cache=None)
+            victim = plan.steps[0].srcs[0]
+            extra = XorStep(dst=victim, srcs=(plan.steps[0].srcs[1],))
+            corrupt = _mutate(plan, steps=plan.steps + (extra,))
+            with pytest.raises(CertificationError, match=match):
+                verify_plan(hv5, corrupt, lint=False)
 
     def test_update_reading_clean_cell_rejected(self, hv5):
         """Update plans run on delta buffers: clean cells are undefined."""
@@ -176,7 +184,7 @@ class TestPlanLint:
 
     def test_p001_dead_step(self, hv5):
         """A step computing into a never-read temp is dead."""
-        plan = compile_plan(hv5, "reconstruct", (0,), cache=None)
+        plan = compile_plan(hv5, "read", ONE_CELL_READ, cache=None)
         dead = XorStep(
             dst=plan.num_cells + plan.num_temps, srcs=plan.steps[0].srcs[:2]
         )
@@ -293,10 +301,10 @@ class TestVerifyCodePlans:
     def test_full_hv_report_at_p5(self):
         report = verify_code_plans("HV", 5)
         assert report.key == "HV@5"
-        assert report.patterns_rejected == 0
         assert report.failed_claims() == []
         by_op = {c.op: c for c in report.ops}
         assert by_op["encode"].patterns_verified == 1
+        assert by_op["read"].patterns_verified == 4 + 16  # columns + cells
         assert by_op["recover-double"].patterns_verified == 6
         assert by_op["recover-double"].groups_min == 4
         assert by_op["recover-double"].groups_max == 4
@@ -313,11 +321,29 @@ class TestVerifyCodePlans:
         assert report.claims["plan_update_complexity_matches_chain_model"]
         assert report.claims["plan_recover_double_four_chains"]
         assert report.claims["plan_update_two_parity_writes"]
-        assert report.claims["plan_reconstruct_chain_length_p_minus_2"]
+        assert report.claims["plan_read_one_cell_chain_length_p_minus_2"]
+
+    def test_a_rejected_pattern_is_a_certification_error(self, monkeypatch):
+        """Every enumerated pattern is recoverable: one the compiler
+        rejects fails the certificate, naming its op and pattern."""
+        import repro.static.planverify as planverify
+
+        compile_plan = planverify.compile_plan
+
+        def rejecting(code, op, pattern=(), **kwargs):
+            if op == "recover-double" and pattern == (0, 1):
+                raise PlanError("injected")
+            return compile_plan(code, op, pattern, **kwargs)
+
+        monkeypatch.setattr(planverify, "compile_plan", rejecting)
+        with pytest.raises(CertificationError, match=r"recover-double pattern \(0, 1\)"):
+            verify_code_plans("HV", 5)
 
     def test_pattern_families_are_closed_and_deterministic(self, hv5):
         assert plan_patterns(hv5, "encode") == [()]
-        assert len(plan_patterns(hv5, "recover-single")) == hv5.cols
+        reads = plan_patterns(hv5, "read")
+        assert len(reads) == hv5.cols + hv5.rows * hv5.cols
+        assert _column_read(hv5, 0) in reads and ONE_CELL_READ in reads
         assert len(plan_patterns(hv5, "recover-double")) == 6
         assert plan_patterns(hv5, "update") == plan_patterns(hv5, "update")
         with pytest.raises(CertificationError, match="pattern family"):
