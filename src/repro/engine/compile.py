@@ -221,7 +221,10 @@ def compile_plan(
     free)`` — three iterables of cells — for a read.  ``planner``
     selects the single-disk read minimizer of a ``read`` whose erasure
     is one whole column (``greedy`` is deterministic and within ~1% of
-    the MILP; pass ``milp`` for the exact Fig. 9 optimum).  A cell is a
+    the MILP; pass ``milp`` for the exact Fig. 9 optimum); every other
+    plan is keyed under ``greedy`` whatever is passed, since the
+    planner cannot shape it, so asking under two planners compiles
+    and caches it once.  A cell is a
     slot ``r * cols + c`` or a ``(row, col)`` position, a disk an
     integer; anything else — a float, a string, ``None``, a bool, the
     wrong arity — raises :class:`~repro.exceptions.PlanError`.
@@ -245,6 +248,10 @@ def compile_plan(
         if plan is not None:
             return plan
     canonical = _canonical_pattern(code, op, pattern)
+    if planner != "greedy" and (
+        op != "read" or _failed_disk(code, canonical[0]) is None
+    ):
+        planner = "greedy"  # it shapes only a read of one whole column
     key = plan_key(code, op, canonical, planner, cse)
     if cache is not None:
         cached = cache.lookup(key)

@@ -165,9 +165,12 @@ class XorPlan:
     @cached_property
     def pattern_positions(self) -> tuple[Position, ...]:
         """:attr:`pattern` as positions, for the ops whose pattern is
-        cell slots (``update``, ``decode``)."""
-        if self.op.startswith("recover"):
-            raise PlanError(f"a {self.op} pattern names disks, not cells")
+        a tuple of cell slots (``update``, ``decode``)."""
+        if self.op not in ("update", "decode"):
+            raise PlanError(
+                f"{self.op} pattern {self.pattern!r}: only an update or "
+                "decode pattern is a tuple of cells"
+            )
         return tuple(self.position_of(slot) for slot in self.pattern)
 
     @cached_property

@@ -12,9 +12,17 @@ admission queue; a pool of worker threads executes them against the
   stream — byte-identical to a single-threaded replay — no matter how
   many workers run or how the OS schedules them.
 - **Backpressure.**  ``queue_depth`` bounds queued ops.  A blocking
-  submit waits (counted in ``backpressure_waits``); a non-blocking one
-  raises :class:`~repro.exceptions.BackpressureError` so callers can
-  shed load.
+  submit waits while the queue is full (counted in
+  ``backpressure_waits``); a non-blocking one raises
+  :class:`~repro.exceptions.BackpressureError` so callers can shed
+  load.  A waiter is woken at a low-water mark, not on every pop: only
+  a pop that leaves ``queued <= queue_depth // 2`` notifies, so a
+  client blocked on a full queue wakes once per half-queue of pops and
+  refills it in one burst (``queue_depth=1`` wakes on every pop, as
+  the mark is 0).  A submitter waits only on a full queue, so pops
+  follow until one reaches the mark, and each pop at or below it wakes
+  one more waiter: several blocked submitters are all admitted, one
+  per such pop.
 - **Deadlines.**  An op may carry a relative deadline; a worker that
   reaches it past that instant completes it as ``expired`` without
   touching the store.  Expiry depends on real time, so it is reported
@@ -27,7 +35,8 @@ and serves, in order, the ops that were queued on the shard when it
 won — later arrivals wait for the shard's next round-robin turn.
 Each op is still popped under the scheduler's mutex as it starts, so
 ``queued <= queue_depth`` and ``inflight <= workers`` hold exactly,
-and a blocked submitter is released by the first pop.
+and a blocked submitter is released by the pop that reaches the
+low-water mark, wherever in a drain it falls.
 Holding the shard lock is also what lets a rebuild op monopolize one
 shard while every other shard keeps serving — the scheduler records
 how many ops completed elsewhere during each rebuild as direct
@@ -112,8 +121,10 @@ class RequestScheduler:
         self._lock = threading.RLock()
         #: idle workers; notified when a shard becomes serveable
         self._work_cv = threading.Condition(self._lock)
-        #: submitters blocked on a full queue; notified by every pop
+        #: submitters blocked on a full queue; notified by each pop
+        #: that leaves ``queued`` at or below the low-water mark
         self._room_cv = threading.Condition(self._lock)
+        self._low_water = queue_depth // 2
         #: ``drain()`` callers; notified when nothing is queued or in flight
         self._idle_cv = threading.Condition(self._lock)
         #: per shard: ``(op, local offset, submitted at, deadline at)``
@@ -279,7 +290,10 @@ class RequestScheduler:
         entry = self._queues[shard].popleft()
         self._queued -= 1
         self._inflight += 1
-        self._room_cv.notify()
+        if self._queued <= self._low_water:
+            # Not on every pop: a submitter woken only once half the
+            # queue has drained refills half of it per wake-up.
+            self._room_cv.notify()
         return entry, time.perf_counter(), self._completed
 
     def _worker(self, wid: int) -> None:

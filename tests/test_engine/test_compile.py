@@ -289,6 +289,38 @@ class TestPlanCache:
         assert plan_key(code, "recover-double", (0, 1)) in cache
         assert plan_key(code, "recover-double", (0, 2)) not in cache
 
+    @pytest.mark.parametrize(
+        "op", ["encode", "decode", "update", "recover-double", "sliced-read", "column-read"]
+    )
+    def test_planner_keys_only_a_lone_column_read(self, op):
+        code = get_code("HV", 5)
+        cols = code.cols
+        a, b = code.data_positions[0], code.data_positions[-1]
+        sa, sb = a[0] * cols + a[1], b[0] * cols + b[1]
+        column = column_of(code, 1)
+        pattern = {
+            "encode": (),
+            "decode": (sa, sb),
+            "update": (sa, sb),
+            "recover-double": (0, 1),
+            "sliced-read": ((sa, sb), (sa,), ()),
+            "column-read": (column, column, ()),
+        }[op]
+        kind = op.split("-")[-1] if op.endswith("read") else op
+        cache = PlanCache(maxsize=64)
+        greedy = compile_plan(code, kind, pattern, cache=cache)
+        before = cache.stats()
+        milp = compile_plan(code, kind, pattern, planner="milp", cache=cache)
+        entries = sum(1 for key in cache._plans if key[2] == kind)
+        if op == "column-read":
+            assert entries == 2  # the planner chose its chains
+            assert milp is not greedy
+        else:
+            assert entries == 1
+            assert milp is greedy
+            after = cache.stats()
+            assert (after["hits"] - before["hits"], after["misses"]) == (1, before["misses"])
+
     def test_same_name_and_p_different_geometry_do_not_collide(self, cache):
         # Cauchy-RS reports its auto-chosen word size as p: 4 for both.
         a, b = get_code("Cauchy-RS", 7), get_code("Cauchy-RS", 11)

@@ -116,9 +116,15 @@ class TestGeometry:
         )
         assert plan.pattern_positions == ((0, 0), (1, 1))
         assert plan.output_positions == ((0, 3),)
-        disks = plan_of([XorStep(1, (0, 2))], op="recover-double", pattern=(0, 1))
-        with pytest.raises(PlanError, match="disks"):
-            disks.pattern_positions
+
+    @pytest.mark.parametrize(
+        "op, pattern",
+        [("recover-double", (0, 1)), ("read", ((1, 4), (1, 4), ())), ("encode", ())],
+    )
+    def test_pattern_positions_refuses_a_pattern_not_of_cells(self, op, pattern):
+        plan = plan_of([XorStep(1, (0, 2))], op=op, pattern=pattern)
+        with pytest.raises(PlanError, match="only an update or decode pattern"):
+            plan.pattern_positions
 
 
 class TestDerived:

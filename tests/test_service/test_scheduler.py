@@ -452,8 +452,8 @@ class TestDrain:
             sched.stats.deterministic_dict() == replay.stats.deterministic_dict()
         )
 
-    def test_first_pop_releases_a_blocked_submitter(self):
-        depth = 3
+    def test_low_water_releases_a_blocked_submitter(self):
+        depth = 3  # low-water mark 1
         pool = make_pool()
         gate = Gate(pool)
         stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
@@ -466,14 +466,18 @@ class TestDrain:
             sched.submit(Op("read", offset=stripe0, size=1), block=False)
 
         seen = []
+
+        def look():
+            with sched._lock:
+                seen.append(
+                    (sched._queued, sched._inflight, sched._backpressure_waits)
+                )
+
         admitted = threading.Event()
         write = pool.shards[0].write
 
         def observing_write(offset, data):
-            # runs inside the next drain, whose budget is ``depth`` reads
-            # and which has popped them all by the time a write is served
-            with sched._lock:
-                seen.append((sched._queued, sched._inflight))
+            look()  # inside the last drain
             write(offset, data)
 
         pool.shards[0].write = observing_write
@@ -484,22 +488,108 @@ class TestDrain:
 
         submitter = threading.Thread(target=blocked, daemon=True)
         submitter.start()
-        assert not admitted.wait(0.1)  # the queue really is full
-        # Let exactly one read through: the gated one ends its drain of
-        # one, the next drain starts by popping its first op — and that
-        # pop, not the end of the drain, must admit the submitter.
+        deadline = time.monotonic() + JOIN
+        while time.monotonic() < deadline:
+            with sched._lock:
+                if sched._backpressure_waits:
+                    break
+            time.sleep(0.001)
+        look()
+        assert seen[-1] == (depth, 1, 1)  # the submitter waits at a full queue
+        # End the drain of one: the next drain pops its first read and
+        # leaves 2 queued, above the mark, so the submitter sleeps on.
         gate.let_one_through()
-        gate.wait_arrival()  # the first read of the second drain
-        assert admitted.wait(JOIN), "first pop did not release the submitter"
-        with sched._lock:
-            assert sched._queued <= depth
-            assert sched._inflight == 1
+        gate.wait_arrival()
+        assert not admitted.wait(0.1), "a pop above the mark released it"
+        look()
+        assert seen[-1] == (depth - 1, 1, 1)
+        # The next pop leaves 1 queued, at the mark: that one admits it.
+        gate.let_one_through()
+        gate.wait_arrival()
+        assert admitted.wait(JOIN), "the low-water pop did not release it"
+        look()
         gate.open()
         submitter.join(JOIN)
         stats = close_within(sched)
         assert stats.statuses["ok"] == depth + 2
         assert stats.backpressure_waits == 1
-        assert all(q <= depth and i <= 1 for q, i in seen)
+        assert all(q <= depth and i <= 1 and w == 1 for q, i, w in seen)
+        assert seen[-1] == (0, 1, 1)  # the write, last of the third drain
+
+    @pytest.mark.parametrize("depth", [3, 8])
+    def test_blocked_submits_refill_half_the_queue(self, depth):
+        """Each wait starts at a full queue and ends at or below the
+        mark, so a lone client admits ``depth - depth // 2`` ops per
+        wait, however the threads are scheduled."""
+        ops = 120
+        pool = make_pool()
+        read = pool.shards[0].read
+
+        def slow_read(offset, size):
+            time.sleep(0.0002)  # a worker slower than its client
+            return read(offset, size)
+
+        pool.shards[0].read = slow_read
+        stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
+        sched = RequestScheduler(pool, workers=1, queue_depth=depth).start()
+        for _ in range(ops):
+            sched.submit(Op("read", offset=stripe0, size=1))
+        stats = close_within(sched)
+        assert stats.statuses["ok"] == ops
+        assert 1 <= stats.backpressure_waits <= 1 + max(0, ops - depth) // (
+            depth - depth // 2
+        )
+
+    def test_every_blocked_submitter_is_admitted(self):
+        clients, per_client, depth = 4, 40, 4
+        pool = make_pool()
+        bps = pool.bytes_per_stripe
+        served = []
+        write = {s: pool.shards[s].write for s in range(pool.num_shards)}
+
+        def recording(shard):
+            def slow_write(offset, data):
+                time.sleep(0.0001)  # keep the queue full
+                served.append((shard, data))
+                write[shard](offset, data)
+
+            return slow_write
+
+        for s in range(pool.num_shards):
+            pool.shards[s].write = recording(s)
+        sched = RequestScheduler(pool, workers=1, queue_depth=depth).start()
+
+        def client(c):
+            for i in range(per_client):
+                sched.submit(
+                    Op("write", offset=((c + i) % pool.num_stripes) * bps + c,
+                       payload=b"%d:%03d" % (c, i), client=c)
+                )
+
+        threads = [
+            threading.Thread(target=client, args=(c,), daemon=True)
+            for c in range(clients)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(JOIN)
+        assert not any(t.is_alive() for t in threads), "a submitter stayed blocked"
+        stats = close_within(sched)
+        stats.check_consistency()
+        assert stats.statuses["ok"] == clients * per_client
+        assert stats.backpressure_waits >= 1
+        tags = [data for _, data in served]
+        assert sorted(tags) == sorted(
+            b"%d:%03d" % (c, i) for c in range(clients) for i in range(per_client)
+        )  # every op served exactly once
+        for shard in range(pool.num_shards):
+            for c in range(clients):
+                mine = [
+                    data for s, data in served
+                    if s == shard and data.startswith(b"%d:" % c)
+                ]
+                assert mine == sorted(mine)  # each client's order, per shard
 
     def test_late_arrival_waits_for_the_other_shards(self):
         pool = make_pool(num_stripes=9, num_shards=3)
