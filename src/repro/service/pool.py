@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
-from ..array.filestore import FileStore
+from ..array.filestore import FileStore, _index
 from ..array.iostats import IOStats
 from ..array.stripe import ERASED
 from ..exceptions import InvalidParameterError, ServiceError
@@ -113,8 +113,12 @@ class VolumePool:
         """Route a global byte range to ``(shard, local offset)``.
 
         The range must fall inside one stripe — the addressing contract
-        that makes every op single-shard (and single-lock).
+        that makes every op single-shard (and single-lock).  ``offset``
+        and ``size`` are integers (``operator.index``; a numpy integer
+        is one, a float or a string is not).
         """
+        if type(offset) is not int or type(size) is not int:
+            offset, size = _index(offset, "offset"), _index(size, "size")
         if offset < 0 or size < 1:
             raise InvalidParameterError("offset must be >= 0 and size >= 1")
         if offset + size > self.capacity:

@@ -33,10 +33,15 @@ A worker that wins a shard **drains** it: it takes the shard's lock
 once (FileStore is a single-writer object; see ``docs/SERVICE.md``)
 and serves, in order, the ops that were queued on the shard when it
 won — later arrivals wait for the shard's next round-robin turn.
-Each op is still popped under the scheduler's mutex as it starts, so
-``queued <= queue_depth`` and ``inflight <= workers`` hold exactly,
-and a blocked submitter is released by the pop that reaches the
-low-water mark, wherever in a drain it falls.
+A :meth:`~RequestScheduler.drain` caller does the same in a free
+worker's place instead of sleeping, so a lone synchronous op (submit,
+then ``drain()``) runs on the caller's thread with no hand-off to a
+worker and back.  Workers and callers together drain at most
+``workers`` shards at once.  Each op is still popped under the
+scheduler's mutex as it starts, so ``queued <= queue_depth`` and
+``inflight <= workers`` hold exactly, and a blocked submitter is
+released by the pop that reaches the low-water mark, wherever in a
+drain it falls.
 Holding the shard lock is also what lets a rebuild op monopolize one
 shard while every other shard keeps serving — the scheduler records
 how many ops completed elsewhere during each rebuild as direct
@@ -125,7 +130,8 @@ class RequestScheduler:
         #: that leaves ``queued`` at or below the low-water mark
         self._room_cv = threading.Condition(self._lock)
         self._low_water = queue_depth // 2
-        #: ``drain()`` callers; notified when nothing is queued or in flight
+        #: ``drain()`` callers with no free worker's place to serve in;
+        #: notified when nothing is queued or in flight
         self._idle_cv = threading.Condition(self._lock)
         #: per shard: ``(op, local offset, submitted at, deadline at)``
         self._queues: list[deque] = [deque() for _ in range(pool.num_shards)]
@@ -140,7 +146,10 @@ class RequestScheduler:
         self._closed = False
         self._started = False
         self._threads: list[threading.Thread] = []
+        #: one per worker, then one per client thread that serves in
+        #: ``drain()``, appended (under the mutex) on its first op
         self._recorders = [WorkerRecorder() for _ in range(workers)]
+        self._caller = threading.local()
         self._results: list[OpResult] = []
         self._started_at = 0.0
         self.stats: ServiceStats | None = None
@@ -218,10 +227,27 @@ class RequestScheduler:
     # -- completion --------------------------------------------------------------
 
     def drain(self) -> None:
-        """Block until every submitted op has completed."""
-        with self._lock:
-            while self._queued or self._inflight:
-                self._idle_cv.wait()
+        """Block until every submitted op has completed.
+
+        The caller does not sleep while it may work: whenever a
+        worker's place is free and a shard is serveable, it wins that
+        shard and drains it on this thread, exactly as a worker would.
+        """
+        while True:
+            with self._lock:
+                shard = self._win_shard_locked()
+                while shard is None:
+                    if not (self._queued or self._inflight):
+                        return
+                    self._idle_cv.wait()
+                    shard = self._win_shard_locked()
+                rec = getattr(self._caller, "recorder", None)
+                if rec is None:  # this thread's first served op
+                    rec = self._caller.recorder = WorkerRecorder()
+                    self._recorders.append(rec)
+                budget = len(self._queues[shard])
+                started = self._pop_locked(shard)
+            self._drain(rec, shard, budget, started)
 
     def close(self) -> ServiceStats:
         """Drain, stop the workers, and build the final roll-up."""
@@ -234,11 +260,15 @@ class RequestScheduler:
         for thread in self._threads:
             thread.join()
         if self.stats is None:
+            # A submit that raced the first drain may still be in flight
+            # on its client's thread: fold only once inflight reaches 0.
+            self.drain()
             wall = (
                 time.perf_counter() - self._started_at if self._started else 0.0
             )
-            # noqa-rationale: every worker has joined; close() is a
-            # single-threaded epilogue.
+            # noqa-rationale: every worker has joined and nothing is in
+            # flight or can be submitted; close() is a single-threaded
+            # epilogue.
             self.stats = ServiceStats.from_recorders(  # noqa: R008 - workers joined
                 self._recorders,
                 io=self.pool.merged_stats(),
@@ -265,18 +295,23 @@ class RequestScheduler:
     # -- the worker loop: win a shard, drain what it holds ------------------------
 
     def _win_shard_locked(self) -> int | None:
-        """Claim the next serveable shard, round-robin (mutex held).
+        """Claim the next serveable shard, round-robin (mutex held), if
+        a worker's place is free: workers and ``drain()`` callers
+        together serve at most ``workers`` shards.
 
         A second serveable shard left behind is work for one more
-        worker, so the wake-up is passed on.
+        worker, so the wake-up is passed on while a place is left.
         """
+        if self._inflight >= self.workers:
+            return None
         shards = len(self._queues)
         won = None
         for step in range(shards):
             shard = (self._next_scan + step) % shards
             if self._queues[shard] and not self._busy[shard]:
                 if won is not None:
-                    self._work_cv.notify()
+                    if self._inflight + 1 < self.workers:
+                        self._work_cv.notify()
                     break
                 won = shard
         if won is not None:
@@ -333,10 +368,13 @@ class RequestScheduler:
                 started = self._retire(rec, shard, started, outcome, more=True)
                 outcome = _ABORTED
         finally:
-            # Whatever unwinds a worker, the lock, the op in flight and
-            # the shard are released.
+            # Whatever unwinds a worker or a drain() caller, the lock,
+            # the op in flight and the shard are released; budget is
+            # left only when it was unwound.
             shard_lock.release_write()
-            self._retire(rec, shard, started, outcome, more=False)
+            self._retire(
+                rec, shard, started, outcome, more=False, unwound=budget > 0
+            )
 
     def _execute(
         self, op: Op, shard: int, local: int, deadline_at: float | None
@@ -369,7 +407,7 @@ class RequestScheduler:
 
     def _retire(
         self, rec: WorkerRecorder, shard: int, started: tuple, outcome: tuple,
-        *, more: bool,
+        *, more: bool, unwound: bool = False,
     ) -> tuple | None:
         """Record a finished op and, in one mutex hold, retire it and
         either start the shard's next op (``more``) or release the
@@ -401,6 +439,10 @@ class RequestScheduler:
             if more:
                 return self._pop_locked(shard)
             self._busy[shard] = False
+            if unwound and self._queued:
+                # A drainer that returns rescans for work itself; one
+                # being unwound does not, so its place goes to a worker.
+                self._work_cv.notify()
             if not (self._queued or self._inflight):
                 self._idle_cv.notify_all()
             return None

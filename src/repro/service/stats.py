@@ -1,6 +1,7 @@
 """Service-level accounting: per-worker recorders and the roll-up.
 
-Latency and throughput are measured per *worker* — each worker thread
+Latency and throughput are measured per *serving thread* — each worker
+thread, and each client thread that serves ops inside ``drain()``,
 owns a private :class:`WorkerRecorder` it mutates without any lock —
 and folded into one :class:`ServiceStats` when the scheduler closes.
 The fold is a commutative, lossless sum (the same contract as
@@ -37,12 +38,13 @@ OP_STATUSES = ("ok", "expired", "error")
 
 
 class WorkerRecorder:
-    """One worker thread's private ledger (thread-local by ownership).
+    """One serving thread's private ledger (thread-local by ownership).
 
-    Only the owning worker ever touches an instance, so recording is
-    lock-free; the scheduler merges recorders after every worker has
-    joined.  The R008 waivers below mark exactly that single-owner
-    contract.
+    Only the owning thread — a worker, or a client serving in
+    ``drain()`` — ever touches an instance, so recording is lock-free;
+    the scheduler merges recorders once every worker has joined and
+    nothing is in flight.  The R008 waivers below mark exactly that
+    single-owner contract.
     """
 
     def __init__(self) -> None:

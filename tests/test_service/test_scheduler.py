@@ -7,7 +7,9 @@ single-threaded replay of the same trace, for any worker count.
 
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -28,16 +30,17 @@ def make_pool(**kw):
     return VolumePool("HV", 5, **kw)
 
 
+def request(block, i, op):
+    """Trace op ``i`` as the scheduler's ``Op``."""
+    if op.kind == "write":
+        return Op("write", offset=op.offset, payload=_payload(block, i, op.size))
+    return Op("read", offset=op.offset, size=op.size)
+
+
 def serve(pool, trace, block, workers, **sched_kw):
     with RequestScheduler(pool, workers=workers, **sched_kw) as sched:
         for i, op in enumerate(trace):
-            if op.kind == "write":
-                sched.submit(
-                    Op("write", offset=op.offset,
-                       payload=_payload(block, i, op.size))
-                )
-            else:
-                sched.submit(Op("read", offset=op.offset, size=op.size))
+            sched.submit(request(block, i, op))
     return sched.stats
 
 
@@ -115,20 +118,35 @@ class TestLifecycleAndRouting:
                 sched.submit(Op("flush"))
 
     @pytest.mark.parametrize(
-        "op",
+        "op, error",
         [
-            Op("write", offset=0),
-            Op("fail", shard=0),
-            Op("rebuild", shard=0),
+            (Op("write", offset=0), ServiceError),
+            (Op("fail", shard=0), ServiceError),
+            (Op("rebuild", shard=0), ServiceError),
+            (Op("read", offset=1.5, size=1), InvalidParameterError),
+            (Op("read", offset="0", size=1), InvalidParameterError),
+            (Op("read", offset=0, size=1.0), InvalidParameterError),
+            (Op("write", offset=None, payload=b"x"), InvalidParameterError),
         ],
-        ids=["write-without-payload", "fail-without-disk", "rebuild-without-disk"],
+        ids=[
+            "write-without-payload", "fail-without-disk", "rebuild-without-disk",
+            "float-offset", "str-offset", "float-size", "no-offset",
+        ],
     )
-    def test_malformed_op_rejected_at_submit(self, op):
+    def test_malformed_op_rejected_at_submit(self, op, error):
         pool = make_pool()
         with RequestScheduler(pool) as sched:
-            with pytest.raises(ServiceError):
+            with pytest.raises(error):
                 sched.submit(op)
         assert sched.stats.total_ops == 0  # nothing was queued
+
+    def test_numpy_integer_address_accepted(self):
+        pool = make_pool()
+        with RequestScheduler(pool, keep_results=True) as sched:
+            sched.submit(Op("write", offset=np.int64(3), payload=b"np"))
+            sched.submit(Op("read", offset=np.int64(3), size=np.int64(2)))
+        assert [r.status for r in sched.results] == ["ok", "ok"]
+        assert sched.results[-1].data == b"np"
 
     def test_results_guarded_by_keep_results(self):
         pool = make_pool()
@@ -368,6 +386,46 @@ class TestWorkerSurvivesAnyException:
         assert stats.errors == ["KeyError: 'not a ReproError'"]
         assert pool.lock(0).acquire_write() is None  # not left held
         pool.lock(0).release_write()
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_unwound_drain_offers_its_shard_again(self):
+        """A worker unwound mid-drain releases its shard with ops still
+        queued there; no submit will announce them, so the release
+        must: the other worker serves them with nobody calling
+        ``drain()``."""
+
+        class Unwind(BaseException):
+            pass
+
+        pool = make_pool()
+        stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
+        read = pool.shards[0].read
+        reached, queued = threading.Event(), threading.Event()
+
+        def first_read_unwinds(offset, size):
+            if not reached.is_set():
+                reached.set()
+                assert queued.wait(JOIN)
+                raise Unwind()
+            return read(offset, size)
+
+        pool.shards[0].read = first_read_unwinds
+        sched = RequestScheduler(pool, workers=2, keep_results=True).start()
+        sched.submit(Op("read", offset=stripe0, size=1))
+        assert reached.wait(JOIN)
+        sched.submit(Op("read", offset=stripe0, size=1))
+        sched.submit(Op("read", offset=stripe0, size=1))
+        queued.set()
+        deadline = time.monotonic() + JOIN
+        while sched.completed < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert sched.completed == 3, "the released shard was never offered"
+        assert [r.status for r in sched.results] == ["error", "ok", "ok"]
+        assert sched.results[0].error == "worker stopped mid-op"
+        stats = close_within(sched)
+        assert stats.errors == ["worker stopped mid-op"]
 
 
 class TestCloseBeforeStart:
@@ -669,8 +727,20 @@ class TestDrain:
         import sys
 
         depth, workers = 8, 6
-        pool = make_pool(num_stripes=12, num_shards=4)
-        trace = service_trace(12, pool.bytes_per_stripe, 1500, seed=3)
+        # The windowed trace covers the first four shards (stripes 0-11);
+        # shards 4 and 5 each get a client of their own that drains
+        # after every op, so each shard's order is still one stream's.
+        pool = make_pool(num_stripes=18, num_shards=6)
+        bps = pool.bytes_per_stripe
+        trace = service_trace(12, bps, 1500, seed=3)
+        mine = {
+            s: [
+                replace(op, offset=op.offset + first_stripe_on(pool, s) * bps)
+                for op in service_trace(3, bps, 150, seed=s)
+            ]
+            for s in (4, 5)
+        }
+        assert {pool.locate(op.offset, op.size)[0] for op in trace} == {0, 1, 2, 3}
         block = _payload_block(3)
         breaches = []
         stop = threading.Event()
@@ -689,25 +759,182 @@ class TestDrain:
                     if not (0 <= q <= depth and 0 <= i <= workers and i <= busy):
                         breaches.append((q, i, busy))
 
+            def sync_client(shard):
+                # One op at a time, served in a free worker's place.
+                for i, op in enumerate(mine[shard]):
+                    sched.submit(request(block, i, op))
+                    sched.drain()
+
             watcher = threading.Thread(target=watch, daemon=True)
             watcher.start()
+            clients = [
+                threading.Thread(target=sync_client, args=(s,), daemon=True)
+                for s in mine
+            ]
+            for client in clients:
+                client.start()
             for i, op in enumerate(trace):
-                if op.kind == "write":
-                    sched.submit(
-                        Op("write", offset=op.offset,
-                           payload=_payload(block, i, op.size))
-                    )
-                else:
-                    sched.submit(Op("read", offset=op.offset, size=op.size))
+                sched.submit(request(block, i, op))
+            for client in clients:
+                client.join(60.0)
+            assert not any(c.is_alive() for c in clients), "drain() hung"
             stats = close_within(sched, 60.0)
             stop.set()
             watcher.join(JOIN)
         finally:
             sys.setswitchinterval(interval)
         assert breaches == []
-        assert stats.statuses["ok"] == len(trace)
+        synced = sum(len(ops) for ops in mine.values())
+        assert stats.statuses["ok"] == len(trace) + synced
         pool.flush_all()
-        oracle = make_pool(num_stripes=12, num_shards=4)
+        oracle = make_pool(num_stripes=18, num_shards=6)
+        _replay_single(oracle, trace, block)
+        for ops in mine.values():
+            _replay_single(oracle, ops, block)
+        oracle.flush_all()
+        assert pool.content_digest() == oracle.content_digest()
+
+
+def silence_workers(sched):
+    """Start ``sched`` with every worker asleep and deaf to submits:
+    only ``drain()`` callers can serve.  ``del sched._work_cv.notify``
+    before closing (``notify_all`` goes through ``notify``)."""
+    parked = threading.Semaphore(0)
+    wait = sched._work_cv.wait
+
+    def parking(timeout=None):
+        parked.release()  # under the mutex, which wait() then drops
+        return wait(timeout)
+
+    sched._work_cv.wait = parking
+    sched._work_cv.notify = lambda n=1: None
+    sched.start()
+    for _ in range(sched.workers):
+        assert parked.acquire(timeout=JOIN)
+
+
+class TestCallerDrains:
+    """``drain()`` serves queued shards in a free worker's place, so a
+    lone synchronous op runs on the caller's thread."""
+
+    def test_a_lone_op_runs_on_the_draining_thread(self):
+        pool = make_pool()
+        stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
+        served_on = []
+        read = pool.shards[0].read
+
+        def recording(offset, size):
+            served_on.append(threading.get_ident())
+            return read(offset, size)
+
+        pool.shards[0].read = recording
+        sched = RequestScheduler(pool, workers=2)
+        silence_workers(sched)
+        caller = []
+
+        def sync_op():
+            caller.append(threading.get_ident())
+            sched.submit(Op("read", offset=stripe0, size=1))
+            sched.drain()
+
+        watchdog = threading.Thread(target=sync_op, daemon=True)
+        watchdog.start()
+        watchdog.join(JOIN)
+        assert not watchdog.is_alive(), "drain() slept, waiting for a worker"
+        assert served_on == caller
+        del sched._work_cv.notify
+        stats = close_within(sched)
+        assert stats.statuses["ok"] == 1
+
+    def test_a_caller_serves_only_in_a_free_workers_place(self):
+        pool = make_pool()
+        bps = pool.bytes_per_stripe
+        at = [first_stripe_on(pool, s) * bps for s in range(2)]
+        gate = Gate(pool)
+        served_on = []
+        write = pool.shards[1].write
+
+        def recording(offset, data):
+            served_on.append(threading.get_ident())
+            write(offset, data)
+
+        pool.shards[1].write = recording
+        sched = RequestScheduler(pool, workers=1).start()
+        samples, stop = [], threading.Event()
+
+        def watch():
+            while not stop.is_set():
+                with sched._lock:
+                    samples.append(sched._inflight)
+                time.sleep(0.0002)
+
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        sched.submit(Op("read", offset=at[0], size=1))
+        gate.wait_arrival()  # the one worker holds shard 0
+        sched.submit(Op("write", offset=at[1], payload=b"1"))
+        drainer = threading.Thread(target=sched.drain, daemon=True)
+        drainer.start()
+        time.sleep(0.1)
+        assert drainer.is_alive() and served_on == [], "drain() took a busy place"
+        gate.open()
+        drainer.join(JOIN)
+        assert not drainer.is_alive()
+        assert served_on == [sched._threads[0].ident]
+        stats = close_within(sched)
+        stop.set()
+        watcher.join(JOIN)
+        assert stats.statuses["ok"] == 2
+        assert samples and max(samples) <= 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_op_per_drain_matches_single_threaded_replay(self, workers):
+        pool = make_pool()
+        trace = service_trace(8, pool.bytes_per_stripe, 300, seed=13)
+        block = _payload_block(13)
+        with RequestScheduler(pool, workers=workers) as sched:
+            for i, op in enumerate(trace):
+                sched.submit(request(block, i, op))
+                sched.drain()
+        assert sched.stats.statuses["ok"] == len(trace)
+        pool.flush_all()
+        oracle = make_pool()
         _replay_single(oracle, trace, block)
         oracle.flush_all()
         assert pool.content_digest() == oracle.content_digest()
+
+    def test_stats_fold_one_recorder_per_serving_client(self):
+        clients, per_client, workers = 3, 40, 2
+        pool = make_pool()
+        bps = pool.bytes_per_stripe
+        at = [first_stripe_on(pool, s) * bps for s in range(2)]
+        sched = RequestScheduler(pool, workers=workers)
+        silence_workers(sched)
+
+        def client(c):
+            for i in range(per_client):
+                sched.submit(
+                    Op("write", offset=at[(c + i) % 2] + c, payload=b"%d" % c)
+                )
+                sched.drain()
+
+        threads = [
+            threading.Thread(target=client, args=(c,), daemon=True)
+            for c in range(clients)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(JOIN)
+        assert not any(t.is_alive() for t in threads), "drain() hung"
+        del sched._work_cv.notify
+        stats = close_within(sched)
+        total = clients * per_client
+        assert stats.total_ops == stats.counts["write"] == total
+        assert len(stats.queue_waits) == total
+        stats.check_consistency()
+        served = [sum(r.counts.values()) for r in sched._recorders]
+        assert served[:workers] == [0] * workers  # the workers slept
+        # one recorder per client thread that served, not one per drain
+        assert 1 <= len(served) - workers <= clients
+        assert sum(served) == total
