@@ -77,9 +77,9 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -117,10 +117,19 @@ if TYPE_CHECKING:  # imported lazily to avoid a codes<->array cycle
     from ..faults.injector import FaultInjector
 
 Position = tuple[int, int]
+T = TypeVar("T")
 
 #: Most loss states a store remembers (see :meth:`FileStore._loss`);
 #: one failed disk, two, and a few latent cells on top stay far below.
 LOSS_MEMO_SIZE = 256
+
+#: Most entries :meth:`FileStore._memo` keeps: read windows, rebuild
+#: and degraded-write plans, keyed by loss state.  A ``store-degraded``
+#: block of the stack benchmark reads at most 1 200 windows (600 reads
+#: of ≤ 10 elements, each over at most two stripes) and holds 598–610
+#: entries in all at seeds 0–3 (564–569 windows), a third of the bound,
+#: so a warm run never starts over mid-block.
+DEGRADED_MEMO_SIZE = 2048
 
 
 class Loss(NamedTuple):
@@ -131,6 +140,21 @@ class Loss(NamedTuple):
     lost: frozenset[int]
     erased: frozenset[int]
     latent: frozenset[int]
+    #: the state itself, ``stripe.state.tobytes()``: the memos' key
+    state: bytes
+
+
+class Window(NamedTuple):
+    """What reading one stripe's data cells ``first..last - 1`` takes
+    (see :meth:`FileStore._window`)."""
+
+    #: the compiled ``read`` plan of the lost cells; None when none is
+    plan: XorPlan | None
+    #: the lost cells' positions in the window (``k - first``), in the
+    #: order of the plan's outputs
+    lost: tuple[int, ...]
+    #: the disk of every element the ledger is charged
+    disks: tuple[int, ...]
 
 
 class FileStore:
@@ -176,6 +200,11 @@ class FileStore:
         #: ``stripe.state.tobytes()`` → its :class:`Loss`, by value (a
         #: memo of a pure function, never stale; see :meth:`_loss`)
         self._losses: dict[bytes, Loss] = {}
+        #: what degraded ops on one loss state need, keyed by that state
+        #: (see :meth:`_memo`)
+        self._degraded: dict[tuple, Any] = {}
+        #: the state of a stripe that has lost nothing
+        self._intact = bytes(code.rows * code.cols)
         self.stripes: list[Stripe] = []
         self.failed_disks: set[int] = set()
         self.sidecar = ChecksumSidecar(code.rows, code.cols)
@@ -569,8 +598,11 @@ class FileStore:
         ``read`` plan restores the column and heals the stripe's latent
         cells — Fig. 9's hybrid chains when ``disk`` is the only loss
         (the plan :func:`~repro.recovery.cost.repair_cost` prices), the
-        decode sliced to the wanted cells otherwise.  Another failed
-        disk's column stays erased and zeroed.  For a fault-aware, checkpointed rebuild use
+        decode sliced to the wanted cells otherwise — found in the
+        store's state-keyed memo (:meth:`_memo`), so stripes that lost
+        the same cells share one entry.  Another failed disk's column
+        stays erased and zeroed.  For a fault-aware, checkpointed
+        rebuild use
         :class:`repro.faults.rebuild_orchestrator.RebuildOrchestrator`,
         which drives the same routine.
         """
@@ -578,41 +610,30 @@ class FileStore:
             raise InvalidParameterError(f"disk {disk} is not failed")
         with self._exclusive("rebuild"):
             self.flush()
-            plans: dict = {}
             for idx in range(len(self.stripes)):
-                self._rebuild_stripe(idx, disk, plans)
+                self._rebuild_stripe(idx, disk)
             self.failed_disks.discard(disk)
 
-    def _rebuild_stripe(self, idx: int, disk: int | None, plans: dict) -> int:
+    def _rebuild_stripe(self, idx: int, disk: int | None) -> int:
         """Restore stripe ``idx``'s cells on ``disk`` and heal its latent
         cells — only the latent cells when ``disk`` is None (the checksum
         scrub, which marks a flipped cell latent first): the one routine
         every rebuild and every scrub repair runs.  Returns the reads it
         charged to :attr:`healing`.
 
-        The wanted cells' ``read`` plan (:meth:`_read_plan`) runs into
-        scratch through :meth:`_planned`, its reads charged to
-        :attr:`healing`, not :attr:`stats`.  ``plans`` memoises plan,
-        wanted slots (as an index array) and the CRC gate's rows per
-        loss pattern over one pass of one ``disk``.  Nothing lands until every wanted cell
-        matched its CRC sidecar — one comparison of the whole column, the
-        failing cell located only on a refusal — so a rebuild silently
-        poisoned by an undetected flip fails loudly (scrub first), and a
-        refused stripe keeps its state.
+        The wanted cells' ``read`` plan runs into scratch through
+        :meth:`_planned`, its reads charged to :attr:`healing`, not
+        :attr:`stats`.  Plan, wanted slots (as an index array) and the
+        CRC gate's rows (:meth:`_repair`) come from the memo, keyed by
+        the stripe's loss state and ``disk`` (:meth:`_memo`).  Nothing
+        lands until every wanted cell matched its CRC sidecar — one
+        comparison of the whole column, the failing cell located only on
+        a refusal — so a rebuild silently poisoned by an undetected flip
+        fails loudly (scrub first), and a refused stripe keeps its state.
         """
         stripe = self.stripes[idx]
-        key = stripe.state.tobytes()
-        memo = plans.get(key)
-        if memo is None:
-            column = self._columns[disk] if disk is not None else ()
-            loss = self._loss(stripe)
-            slots = tuple(sorted({*column, *loss.latent}))
-            memo = plans[key] = (
-                self._read_plan(loss, slots),
-                np.array(slots, dtype=np.intp),
-                CellSlots(range(len(slots))),
-            )
-        plan, index, rows = memo
+        loss = self._loss(stripe)
+        plan, index, rows = self._memo((loss.state, "rebuild", disk), self._repair, loss, disk)
         self.healing.reads += len(plan.reads)
         values = self._planned(stripe, plan)
         crcs = crc_rows(values, rows)
@@ -657,6 +678,46 @@ class FileStore:
 
     # -- degraded plans: what a lost cell costs -------------------------------------
 
+    def _memo(self, key: tuple, build: Callable[..., T], *args: Any) -> T:
+        """``build(*args)``, kept under ``key``: what degraded ops on one
+        loss state need, keyed by the value of that state
+        (``Loss.state``) and of what is asked of it — ``(state, first,
+        last)`` for a read window (:meth:`_window`), ``(state, "write",
+        slot)`` for the plan of a lost slot a write recovers, ``(state,
+        "rebuild", disk)`` for a rebuild or scrub repair
+        (:meth:`_repair`).  Like :meth:`_loss`, the key is the whole
+        input, so no entry goes stale.  At most
+        :data:`DEGRADED_MEMO_SIZE` entries are kept; a full memo starts
+        over.  An entry keeps its plan alive after the plan cache drops
+        it, so a full memo may hold that many plans: on HV@11 a read
+        window's entry, plan and native schedule included, averaged
+        1.5 KiB over every one-disk window of up to ten cells and was at
+        most 9.8 KiB (ten cells, two disks lost; ``tracemalloc``), so a
+        full memo holds at most ≈ 20 MiB and typically ≈ 3 MiB.
+        """
+        entry = self._degraded.get(key)
+        if entry is None:
+            entry = build(*args)
+            if len(self._degraded) >= DEGRADED_MEMO_SIZE:
+                self._degraded.clear()
+            self._degraded[key] = entry
+        return entry
+
+    def _repair(
+        self, loss: Loss, disk: int | None
+    ) -> tuple[XorPlan, np.ndarray, CellSlots]:
+        """What :meth:`_rebuild_stripe` needs for a stripe in ``loss``:
+        the ``read`` plan of ``disk``'s column (none when ``disk`` is
+        None) and of the latent cells, those slots as an index array,
+        and the CRC rows of the plan's outputs."""
+        column = self._columns[disk] if disk is not None else ()
+        slots = tuple(sorted({*column, *loss.latent}))
+        return (
+            self._read_plan(loss, slots),
+            np.array(slots, dtype=np.intp),
+            CellSlots(range(len(slots))),
+        )
+
     def _loss(self, stripe: Stripe) -> Loss:
         """``stripe``'s lost, erased and latent slots.
 
@@ -672,7 +733,7 @@ class FileStore:
             slots = tuple(np.flatnonzero(state).tolist())
             latent = frozenset(np.flatnonzero(state == LATENT).tolist())
             lost = frozenset(slots)
-            loss = Loss(slots, lost, lost - latent, latent)
+            loss = Loss(slots, lost, lost - latent, latent, key)
             if len(self._losses) >= LOSS_MEMO_SIZE:
                 self._losses.clear()
             self._losses[key] = loss
@@ -690,7 +751,10 @@ class FileStore:
         ``wanted`` and ``free`` are ascending distinct slots, and the
         pattern goes out canonical — ``free`` only beside a lone lost
         column, the one erasure it prices — so the compiler's probe
-        answers it with one lookup.
+        answers it with one lookup.  Every degraded path asks for its
+        plan through the state-keyed memo (:meth:`_memo`): a read window
+        (:meth:`_window`), a lost slot a write recovers, a rebuild or a
+        scrub repair (:meth:`_repair`), so a warm one pays no lookup.
         """
         erasure = loss.slots
         if not loss.lost.issuperset(wanted):  # a cell a read cannot fetch is lost to it
@@ -764,59 +828,100 @@ class FileStore:
         computes — Fig. 7's minimal read set with one disk down (the
         readable cells read anyway count as free), the decode schedule
         sliced to the lost cells otherwise.  The ledger is charged the
-        requested readable cells plus the plan's extra reads, never a lost
-        cell: the plans :meth:`RAID6Volume.degraded_read` prices.  An
-        injector's clock tick may flip, or zero with a disk crash, a cell
-        already taken, so with one attached each cell's state is read
-        after its tick and its bytes are copied out at once; otherwise the
-        pieces are views, which :meth:`read` copies.
+        requested readable cells plus the plan's extra reads, never a
+        lost cell: the plans :meth:`RAID6Volume.degraded_read` prices.
+
+        With no injector, what the window needs — plan, lost positions,
+        disks charged (:meth:`_window`) — is memoised by the stripe's
+        state and the window (:meth:`_memo`), so a warm degraded read
+        makes one ``gather`` call and one ledger call; a stripe that has
+        lost nothing asks for no entry.  A cached stripe with a lost
+        cell in the window is flushed first and its state read again,
+        since the fold may heal a latent parity.  An injector's clock
+        tick may flip, or zero with a disk crash, a cell already taken,
+        so with one attached each cell's state is read after its tick,
+        its bytes are copied out at once and the window is built from
+        those states, uncached; otherwise the pieces are views, which
+        :meth:`read` copies.
         """
         es, stripe, injector = self.element_size, self.stripes[stripe_idx], self.injector
         cells = memoryview(stripe.data).cast("B")
         first, last = start // es, (end - 1) // es + 1
         slots = self._data_slots[first:last]
-        loss, state = (self._loss(stripe) if injector is None else None), stripe.state.flat
-        lost: list[tuple[int, int, int]] = []  # (index in pieces, lo, hi)
-        wanted: list[int] = []
+        at = len(pieces) - first  # where data cell ``k``'s piece goes, plus ``k``
+        unread: list[int] = []
         for k, slot in enumerate(slots, first):
             lo = start - k * es if k == first else 0
             hi = end - k * es if k == last - 1 else es
-            if injector is None:
-                unread = slot in loss.lost
-            else:  # a cell whose transient window outlasted the retries is lost to it
+            piece = cells[slot * es + lo : slot * es + hi]
+            if injector is not None:
+                # a cell whose transient window outlasted the retries is lost to it
                 served = self._element_io(stripe_idx, divmod(slot, self._cols), "read")
-                unread = not served or state[slot]
-            if unread:
-                if self.cache is not None and stripe_idx in self.cache:
-                    # Parity-based recovery needs the deferred deltas in.
-                    self._flush_stripe(stripe_idx)
-                    loss = self._loss(stripe)  # their fold may heal a latent parity
-                lost.append((len(pieces), lo, hi))
-                wanted.append(slot)
-                pieces.append(b"")
-            else:
-                piece = cells[slot * es + lo : slot * es + hi]
-                pieces.append(piece if injector is None else piece.tobytes())
-        if not lost:
-            self.stats.record_reads(self._data_disks[first:last])
-            return
-        free = tuple([s for s in slots if s not in wanted])  # read anyway, ascending
+                if not served or stripe.state.flat[slot]:
+                    unread.append(slot)
+                    if self.cache is not None and stripe_idx in self.cache:
+                        # Parity-based recovery needs the deferred deltas in.
+                        self._flush_stripe(stripe_idx)
+                    piece = b""  # its row of the plan lands here
+                else:
+                    piece = piece.tobytes()
+            pieces.append(piece)
         if injector is None:
-            plan = self._read_plan(loss, tuple(wanted), free)
+            state = stripe.state.tobytes()
+            if state == self._intact:
+                self.stats.record_reads(self._data_disks[first:last])
+                return
+            if (
+                self.cache is not None
+                and stripe_idx in self.cache
+                and not self._loss(stripe).lost.isdisjoint(slots)
+            ):
+                # Parity-based recovery needs the deferred deltas in, and
+                # their fold may heal a latent parity: the key is the
+                # state after it.
+                self._flush_stripe(stripe_idx)
+                state = stripe.state.tobytes()
+            key = (state, first, last)
+            window = self._degraded.get(key) or self._memo(
+                key, self._window, self._loss(stripe), slots
+            )
         else:
-            # A crash after a cell was taken erases it: read, but no
-            # longer a free source for the plan.
-            loss = self._loss(stripe)
-            readable = tuple([s for s in free if s not in loss.lost])
-            plan = self._read_plan(loss, tuple(wanted), readable)
-        values = self._planned(stripe, plan, self.stats)
+            window = self._window(self._loss(stripe), slots, unread)
+        plan, lost, disks = window
+        if plan is not None:
+            rows = memoryview(self._planned(stripe, plan, self.stats)).cast("B")
+            for i, k in enumerate(lost):
+                k += first
+                lo = start - k * es if k == first else 0
+                hi = end - k * es if k == last - 1 else es
+                pieces[at + k] = rows[i * es + lo : i * es + hi]
+        self.stats.record_reads(disks)
+
+    def _window(
+        self, loss: Loss, slots: tuple[int, ...], unread: Collection[int] | None = None
+    ) -> Window:
+        """What reading the data cells ``slots`` (one stripe's, ascending)
+        of a stripe in ``loss`` takes when the cells ``unread`` — by
+        default the lost ones — cannot be read: the ``read`` plan that
+        computes them with the others free, their positions, and the
+        disks the ledger is charged (the readable cells and the plan's
+        reads).  A cell an injector's crash erased after it was read
+        was read, but is no longer a free source for the plan.
+        """
+        if unread is None:
+            unread = loss.lost
+        cols = self._cols
+        lost = tuple([k for k, slot in enumerate(slots) if slot in unread])
+        if not lost:
+            return Window(None, (), tuple([slot % cols for slot in slots]))
+        free = tuple([slot for slot in slots if slot not in unread])  # read anyway
+        readable = tuple([slot for slot in free if slot not in loss.lost])
+        plan = self._read_plan(loss, tuple([slots[k] for k in lost]), readable)
         if len(plan.pattern[2]) == len(free):  # the plan priced them all
-            self.stats.record_reads(plan.derived("fetched_disks", _fetched_disks))
+            disks = plan.derived("fetched_disks", _fetched_disks)
         else:
-            self.stats.record_reads([s % self._cols for s in {*free, *plan.reads}])
-        rows = memoryview(values).cast("B")  # the rows are this read's own
-        for i, (n, lo, hi) in enumerate(lost):
-            pieces[n] = rows[i * es + lo : i * es + hi]
+            disks = [slot % cols for slot in {*free, *plan.reads}]
+        return Window(plan, lost, tuple(disks))
 
     def write(self, offset: int, data) -> None:
         """Write ``data``, any bytes-like object, at ``offset``, growing
@@ -956,7 +1061,7 @@ class FileStore:
         extra: set[int] = set()
         latent_parities = loss.latent.intersection(plan.outputs)
         for slot in loss.lost.intersection(slots).union(latent_parities):
-            read = self._read_plan(loss, (slot,))
+            read = self._memo((loss.state, "write", slot), self._read_plan, loss, (slot,))
             olds[slot] = self._planned(stripe, read, self.stats)[0]
             extra.update(read.reads)
         for slot in latent_parities:  # healed by the fold's rewrite

@@ -486,7 +486,10 @@ class _Schedule:
     (:meth:`XorPlan.derived`), so a schedule is freed with its plan.
     """
 
-    __slots__ = ("enc", "addr", "n_steps", "scratch_rows", "xors", "cells", "crc_slots", "n_crc")
+    __slots__ = (
+        "enc", "addr", "n_steps", "scratch_rows", "xors", "cells", "crc_slots", "n_crc",
+        "outputs",
+    )
 
     def __init__(
         self,
@@ -494,6 +497,7 @@ class _Schedule:
         scratch_rows: int = 0,
         cells: int = 0,
         crc_slots: "Sequence[int]" = (),
+        outputs: int = 0,
     ) -> None:
         enc: list[int] = []
         self.n_steps = self.xors = 0
@@ -505,10 +509,13 @@ class _Schedule:
         #: while this array lives
         self.enc = np.asarray([*enc, *crc_slots], dtype=np.int32)
         self.addr = self.enc.ctypes.data
-        #: update schedules: scratch rows to allocate per call, the
-        #: stripe's cells, and the slots whose CRCs a call refreshes
+        #: update and gather schedules: scratch rows to allocate per
+        #: call and the stripe's cells; update schedules: the slots
+        #: whose CRCs a call refreshes; gather schedules: the rows that
+        #: hold the plan's outputs
         self.scratch_rows, self.cells = scratch_rows, cells
         self.crc_slots, self.n_crc = self.addr + 4 * len(enc), len(crc_slots)
+        self.outputs = outputs
 
 
 def _plain_schedule(plan: "XorPlan") -> _Schedule:
@@ -517,7 +524,12 @@ def _plain_schedule(plan: "XorPlan") -> _Schedule:
 
 def _gather_schedule(plan: "XorPlan") -> _Schedule:
     steps, rows = plan.derived("scratch_steps", scratch_steps)
-    return _Schedule(((step.dst, step.srcs) for step in steps), scratch_rows=rows)
+    return _Schedule(
+        ((step.dst, step.srcs) for step in steps),
+        scratch_rows=rows,
+        cells=plan.num_cells,
+        outputs=len(plan.outputs),
+    )
 
 
 def _update_schedule(plan: "XorPlan") -> _Schedule:
@@ -646,12 +658,17 @@ class NativeBackend(KernelBackend):
         stats: "IOStats | None" = None,
     ) -> np.ndarray:
         """:meth:`KernelBackend.gather` in one C call: the plan's
-        scratch rows are the kernel's temporaries."""
-        kernel = _kernel()
+        scratch rows are the kernel's temporaries.  A degraded read pays
+        this per stripe, so the call carries no more Python than it
+        must: the geometry is checked inline (the error raised on a
+        mismatch), and the rows come back without a slice when the
+        outputs are all of them."""
+        kernel = _KERNEL or _kernel()
         if kernel is None:
             raise _unavailable()
         schedule = plan.derived("native_gather_schedule", _gather_schedule)
-        _check_geometry(plan, stripe)
+        if stripe.rows != plan.rows or stripe.cols != plan.cols:
+            _check_geometry(plan, stripe)
         cell_bytes = stripe.element_size
         scratch = np.empty((schedule.scratch_rows, cell_bytes), dtype=np.uint8)
         kernel.xor(
@@ -662,12 +679,13 @@ class NativeBackend(KernelBackend):
             cell_bytes,
             schedule.addr,
             schedule.n_steps,
-            plan.num_cells,
-            min(cell_bytes, NATIVE_TILE_BYTES),
+            schedule.cells,
+            cell_bytes if cell_bytes < NATIVE_TILE_BYTES else NATIVE_TILE_BYTES,
         )
         if stats is not None:
-            stats.record_xor(schedule.xors * max(cell_bytes // 8, 1), 1)
-        return scratch[: len(plan.outputs)]
+            stats.record_xor(schedule.xors * (cell_bytes // 8 or 1), 1)
+        outputs = schedule.outputs
+        return scratch if outputs == schedule.scratch_rows else scratch[:outputs]
 
     # -- the end-to-end update path -------------------------------------------
 

@@ -224,7 +224,6 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
     """
     report = ScrubReport()
     cols = store.code.cols
-    plans: dict = {}
     with store._exclusive("scrub"):
         for stripe_idx, stripe in enumerate(store.stripes):
             latent = np.flatnonzero(stripe.state == LATENT).tolist()
@@ -243,7 +242,7 @@ def scrub_store(store: "FileStore", repair: bool = True) -> ScrubReport:
                 continue
             stripe.state.flat[flipped] = LATENT
             try:
-                reads = store._rebuild_stripe(stripe_idx, None, plans)
+                reads = store._rebuild_stripe(stripe_idx, None)
             except (UnrecoverableFaultError, ChecksumMismatchError) as exc:
                 report.unrepaired += bad
                 raise UnrecoverableFaultError(

@@ -120,10 +120,9 @@ class RebuildOrchestrator:
         report = self._report
         assert report is not None and self.checkpoint is not None
         start = self.checkpoint
-        plans: dict = {}
         for stripe_idx in range(start, len(self.store.stripes)):
             try:
-                self._rebuild_stripe(stripe_idx, disk, report, plans)
+                self._rebuild_stripe(stripe_idx, disk, report)
             except UnrecoverableFaultError:
                 # Leave the checkpoint at the first unfinished stripe so
                 # resume() retries it (e.g. after an operator scrub).
@@ -142,13 +141,7 @@ class RebuildOrchestrator:
         self._finalize_time(report, disk)
         return report
 
-    def _rebuild_stripe(
-        self,
-        stripe_idx: int,
-        disk: int,
-        report: RebuildReport,
-        plans: dict,
-    ) -> None:
+    def _rebuild_stripe(self, stripe_idx: int, disk: int, report: RebuildReport) -> None:
         """One stripe through :meth:`FileStore._rebuild_stripe`, with
         the injector's clock ticked first and the report charged the
         reads the routine returns."""
@@ -160,7 +153,7 @@ class RebuildOrchestrator:
             store._element_io(stripe_idx, (r, disk), "write")
         latent = len(store.stripes[stripe_idx].latent_positions())
         with store._exclusive("rebuild"):
-            report.chain_reads += store._rebuild_stripe(stripe_idx, disk, plans)
+            report.chain_reads += store._rebuild_stripe(stripe_idx, disk)
         report.latent_hits += latent
         report.elements_repaired += rows + latent
 
