@@ -125,10 +125,11 @@ LOSS_MEMO_SIZE = 256
 
 #: Most entries :meth:`FileStore._memo` keeps: read windows, rebuild
 #: and degraded-write plans, keyed by loss state.  A ``store-degraded``
-#: block of the stack benchmark reads at most 1 200 windows (600 reads
-#: of ≤ 10 elements, each over at most two stripes) and holds 598–610
-#: entries in all at seeds 0–3 (564–569 windows), a third of the bound,
-#: so a warm run never starts over mid-block.
+#: block of the stack benchmark needs at most 1 260: 1 200 windows (600
+#: reads of ≤ 10 elements, each over at most two stripes), 50 lost
+#: slots its writes recover (a column of ten cells in each of five
+#: rounds) and 10 rebuilds.  It held 598–619 at seeds 0–7 (557–575
+#: windows), so a warm run never starts over mid-block.
 DEGRADED_MEMO_SIZE = 2048
 
 
@@ -694,6 +695,8 @@ class FileStore:
         1.5 KiB over every one-disk window of up to ten cells and was at
         most 9.8 KiB (ten cells, two disks lost; ``tracemalloc``), so a
         full memo holds at most ≈ 20 MiB and typically ≈ 3 MiB.
+        Readers sharing a store may race to build one entry; they build
+        equal values, so whichever lands is right.
         """
         entry = self._degraded.get(key)
         if entry is None:
@@ -848,7 +851,7 @@ class FileStore:
         cells = memoryview(stripe.data).cast("B")
         first, last = start // es, (end - 1) // es + 1
         slots = self._data_slots[first:last]
-        at = len(pieces) - first  # where data cell ``k``'s piece goes, plus ``k``
+        at = len(pieces)  # where the window's first piece goes
         unread: list[int] = []
         for k, slot in enumerate(slots, first):
             lo = start - k * es if k == first else 0
@@ -890,11 +893,11 @@ class FileStore:
         plan, lost, disks = window
         if plan is not None:
             rows = memoryview(self._planned(stripe, plan, self.stats)).cast("B")
-            for i, k in enumerate(lost):
-                k += first
-                lo = start - k * es if k == first else 0
+            for i, j in enumerate(lost):
+                k = first + j
+                lo = start - k * es if j == 0 else 0
                 hi = end - k * es if k == last - 1 else es
-                pieces[at + k] = rows[i * es + lo : i * es + hi]
+                pieces[at + j] = rows[i * es + lo : i * es + hi]
         self.stats.record_reads(disks)
 
     def _window(
