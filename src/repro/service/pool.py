@@ -73,9 +73,10 @@ class VolumePool:
         self.policy = make_policy(policy, num_shards)
         self.num_stripes = num_stripes
         self.element_size = element_size
-        self._shard_of, self._local_of, counts = build_shard_map(
-            self.policy, num_stripes
-        )
+        shard_of, local_of, counts = build_shard_map(self.policy, num_stripes)
+        #: the stripe map as Python ints, which ``locate`` indexes per op
+        self._shard_of: list[int] = shard_of.tolist()
+        self._local_of: list[int] = local_of.tolist()
         #: each shard gets its *own* code instance: ArrayCode caches
         #: layout tables lazily, and per-shard instances keep that
         #: warm-up inside the shard's lock instead of racing across it.
@@ -121,24 +122,26 @@ class VolumePool:
             offset, size = _index(offset, "offset"), _index(size, "size")
         if offset < 0 or size < 1:
             raise InvalidParameterError("offset must be >= 0 and size >= 1")
-        if offset + size > self.capacity:
+        bps = self.bytes_per_stripe
+        if offset + size > self.num_stripes * bps:
             raise InvalidParameterError(
                 f"range [{offset}, {offset + size}) beyond "
                 f"capacity {self.capacity}"
             )
-        stripe_idx, within = divmod(offset, self.bytes_per_stripe)
-        if within + size > self.bytes_per_stripe:
+        stripe_idx, within = divmod(offset, bps)
+        if within + size > bps:
             raise ServiceError(
                 f"op [{offset}, {offset + size}) spans stripes "
                 f"{stripe_idx} and {stripe_idx + 1}; service ops must "
                 "stay inside one stripe"
             )
-        shard = int(self._shard_of[stripe_idx])
-        local = int(self._local_of[stripe_idx])
-        return shard, local * self.bytes_per_stripe + within
+        return (
+            self._shard_of[stripe_idx],
+            self._local_of[stripe_idx] * bps + within,
+        )
 
     def _check_shard(self, shard: int) -> int:
-        if not 0 <= shard < self.num_shards:
+        if not 0 <= shard < len(self.shards):
             raise InvalidParameterError(
                 f"shard {shard} outside 0..{self.num_shards - 1}"
             )
@@ -194,9 +197,8 @@ class VolumePool:
         """
         h = hashlib.sha256()
         for idx in range(self.num_stripes):
-            shard = int(self._shard_of[idx])
-            local = int(self._local_of[idx])
-            store = self.shards[shard]
+            store = self.shards[self._shard_of[idx]]
+            local = self._local_of[idx]
             with store.lock:
                 stripe = store.stripes[local]
                 h.update(stripe.data.tobytes())

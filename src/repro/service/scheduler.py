@@ -41,7 +41,9 @@ worker and back.  Workers and callers together drain at most
 scheduler's mutex as it starts, so ``queued <= queue_depth`` and
 ``inflight <= workers`` hold exactly, and a blocked submitter is
 released by the pop that reaches the low-water mark, wherever in a
-drain it falls.
+drain it falls.  A notify is made only where a thread waits: each
+condition counts its sleepers, so a synchronous op wakes no blocked
+submitter and no ``drain()`` caller that is not there.
 Holding the shard lock is also what lets a rebuild op monopolize one
 shard while every other shard keeps serving — the scheduler records
 how many ops completed elsewhere during each rebuild as direct
@@ -54,6 +56,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..exceptions import (
     BackpressureError,
@@ -85,9 +88,12 @@ class Op:
     client: int = 0
 
 
-@dataclass(frozen=True)
-class OpResult:
-    """Terminal record of one op (kept only when ``keep_results``)."""
+class OpResult(NamedTuple):
+    """Terminal record of one op (kept only when ``keep_results``).
+
+    A named tuple: immutable, read by field name or position, and equal
+    to the plain tuple ``(kind, status, shard, seconds, data, error)``.
+    """
 
     kind: str
     status: str
@@ -122,20 +128,27 @@ class RequestScheduler:
         self.queue_depth = queue_depth
         self.keep_results = keep_results
         # One mutex, three wait sets, so that a wake-up goes only to a
-        # thread that can use it.
+        # thread that can use it.  Each set counts its sleepers (under
+        # the mutex, around every wait()), and a notify is made only
+        # when that count is not 0.
         self._lock = threading.RLock()
         #: idle workers; notified when a shard becomes serveable
         self._work_cv = threading.Condition(self._lock)
+        self._work_waiters = 0
         #: submitters blocked on a full queue; notified by each pop
         #: that leaves ``queued`` at or below the low-water mark
         self._room_cv = threading.Condition(self._lock)
+        self._room_waiters = 0
         self._low_water = queue_depth // 2
         #: ``drain()`` callers with no free worker's place to serve in;
         #: notified when nothing is queued or in flight
         self._idle_cv = threading.Condition(self._lock)
+        self._idle_waiters = 0
         #: per shard: ``(op, local offset, submitted at, deadline at)``
         self._queues: list[deque] = [deque() for _ in range(pool.num_shards)]
         self._busy = [False] * pool.num_shards
+        #: per shard: ops completed when its op in flight was popped
+        self._completed_at_pop = [0] * pool.num_shards
         self._queued = 0
         self._inflight = 0
         self._completed = 0
@@ -146,10 +159,9 @@ class RequestScheduler:
         self._closed = False
         self._started = False
         self._threads: list[threading.Thread] = []
-        #: one per worker, then one per client thread that serves in
-        #: ``drain()``, appended (under the mutex) on its first op
-        self._recorders = [WorkerRecorder() for _ in range(workers)]
-        self._caller = threading.local()
+        #: one per worker, then the one every ``drain()`` caller serves
+        #: into; each is written only under the mutex
+        self._recorders = [WorkerRecorder() for _ in range(workers + 1)]
         self._results: list[OpResult] = []
         self._started_at = 0.0
         self.stats: ServiceStats | None = None
@@ -198,31 +210,35 @@ class RequestScheduler:
                         f"admission queue at depth {self.queue_depth}"
                     )
                 self._backpressure_waits += 1
+                self._room_waiters += 1
                 while self._queued >= self.queue_depth and not self._closed:
                     self._room_cv.wait()
+                self._room_waiters -= 1
                 if self._closed:
                     raise ServiceError("scheduler closed while waiting")
             queue = self._queues[shard]
             queue.append((op, local, submitted_at, deadline_at))
             self._queued += 1
-            if len(queue) == 1 and not self._busy[shard]:
+            if self._work_waiters and len(queue) == 1 and not self._busy[shard]:
                 self._work_cv.notify()  # the shard just became serveable
 
     def _route(self, op: Op) -> tuple[int, int]:
         """``(shard, local offset)`` of an op: located once, here."""
-        if op.kind == "write" and op.payload is None:
-            raise ServiceError("write op needs a payload")
-        if op.kind in ("fail", "rebuild") and op.disk is None:
-            raise ServiceError(f"{op.kind} op needs an explicit disk")
-        if op.kind in ("read", "write"):
-            size = len(op.payload) if op.kind == "write" else op.size
-            return self.pool.locate(op.offset, size)
-        if op.kind in ("fail", "rebuild", "flush"):
+        kind = op.kind
+        if kind == "read":
+            return self.pool.locate(op.offset, op.size)
+        if kind == "write":
+            if op.payload is None:
+                raise ServiceError("write op needs a payload")
+            return self.pool.locate(op.offset, len(op.payload))
+        if kind in ("fail", "rebuild") and op.disk is None:
+            raise ServiceError(f"{kind} op needs an explicit disk")
+        if kind in ("fail", "rebuild", "flush"):
             if op.shard is None:
-                raise ServiceError(f"{op.kind} op needs an explicit shard")
+                raise ServiceError(f"{kind} op needs an explicit shard")
             self.pool.lock(op.shard)  # validates the index
             return op.shard, 0
-        raise ServiceError(f"unknown op kind {op.kind!r}")
+        raise ServiceError(f"unknown op kind {kind!r}")
 
     # -- completion --------------------------------------------------------------
 
@@ -232,22 +248,24 @@ class RequestScheduler:
         The caller does not sleep while it may work: whenever a
         worker's place is free and a shard is serveable, it wins that
         shard and drains it on this thread, exactly as a worker would.
+        It returns as soon as its own drain leaves nothing queued or in
+        flight.
         """
+        rec = self._recorders[-1]
         while True:
             with self._lock:
                 shard = self._win_shard_locked()
                 while shard is None:
                     if not (self._queued or self._inflight):
                         return
+                    self._idle_waiters += 1
                     self._idle_cv.wait()
+                    self._idle_waiters -= 1
                     shard = self._win_shard_locked()
-                rec = getattr(self._caller, "recorder", None)
-                if rec is None:  # this thread's first served op
-                    rec = self._caller.recorder = WorkerRecorder()
-                    self._recorders.append(rec)
                 budget = len(self._queues[shard])
-                started = self._pop_locked(shard)
-            self._drain(rec, shard, budget, started)
+                entry = self._pop_locked(shard)
+            if self._drain(rec, shard, budget, entry):
+                return
 
     def close(self) -> ServiceStats:
         """Drain, stop the workers, and build the final roll-up."""
@@ -302,7 +320,7 @@ class RequestScheduler:
         A second serveable shard left behind is work for one more
         worker, so the wake-up is passed on while a place is left.
         """
-        if self._inflight >= self.workers:
+        if not self._queued or self._inflight >= self.workers:
             return None
         shards = len(self._queues)
         won = None
@@ -310,7 +328,7 @@ class RequestScheduler:
             shard = (self._next_scan + step) % shards
             if self._queues[shard] and not self._busy[shard]:
                 if won is not None:
-                    if self._inflight + 1 < self.workers:
+                    if self._work_waiters and self._inflight + 1 < self.workers:
                         self._work_cv.notify()
                     break
                 won = shard
@@ -320,16 +338,16 @@ class RequestScheduler:
         return won
 
     def _pop_locked(self, shard: int) -> tuple:
-        """Start the shard's next op (mutex held): ``(queue entry,
-        dequeued at, ops completed so far)``."""
+        """Start the shard's next op (mutex held): its queue entry."""
         entry = self._queues[shard].popleft()
         self._queued -= 1
         self._inflight += 1
-        if self._queued <= self._low_water:
+        self._completed_at_pop[shard] = self._completed
+        if self._room_waiters and self._queued <= self._low_water:
             # Not on every pop: a submitter woken only once half the
             # queue has drained refills half of it per wake-up.
             self._room_cv.notify()
-        return entry, time.perf_counter(), self._completed
+        return entry
 
     def _worker(self, wid: int) -> None:
         rec = self._recorders[wid]
@@ -339,42 +357,66 @@ class RequestScheduler:
                 while shard is None:
                     if self._closed and not self._queued:
                         return
+                    self._work_waiters += 1
                     self._work_cv.wait()
+                    self._work_waiters -= 1
                     shard = self._win_shard_locked()
                 # The budget is what is queued *now*: later arrivals wait
                 # for the shard's next round-robin turn, so more shards
                 # than workers cannot starve behind a busy one.
                 budget = len(self._queues[shard])
-                started = self._pop_locked(shard)
-            self._drain(rec, shard, budget, started)
+                entry = self._pop_locked(shard)
+            self._drain(rec, shard, budget, entry)
 
     def _drain(
-        self, rec: WorkerRecorder, shard: int, budget: int, started: tuple
-    ) -> None:
+        self, rec: WorkerRecorder, shard: int, budget: int, entry: tuple
+    ) -> bool:
         """Serve ``budget`` ops of a won shard, in order, under one
         hold of its lock; each op is popped under the mutex as it
         starts, so ``queued`` and ``inflight`` stay exact throughout.
+        One clock read ends an op and starts the next.  Returns whether
+        the drain left nothing queued or in flight.
         """
+        dequeued_at = time.perf_counter()
         shard_lock = self.pool.lock(shard)
         shard_lock.acquire_write()
         outcome = _ABORTED
         try:
             while True:
-                op, local, _, deadline_at = started[0]
+                op, local, _, deadline_at = entry
                 outcome = self._execute(op, shard, local, deadline_at)
                 budget -= 1
                 if not budget:
                     break
-                started = self._retire(rec, shard, started, outcome, more=True)
+                now = time.perf_counter()
+                with self._lock:
+                    self._retire_locked(rec, shard, entry, outcome, dequeued_at, now)
+                    entry = self._pop_locked(shard)
+                dequeued_at = now
                 outcome = _ABORTED
         finally:
             # Whatever unwinds a worker or a drain() caller, the lock,
             # the op in flight and the shard are released; budget is
             # left only when it was unwound.
             shard_lock.release_write()
-            self._retire(
-                rec, shard, started, outcome, more=False, unwound=budget > 0
-            )
+            now = time.perf_counter()
+            with self._lock:
+                self._retire_locked(rec, shard, entry, outcome, dequeued_at, now)
+                self._busy[shard] = False
+                if self._work_waiters:
+                    if budget and self._queued:
+                        # A drainer that returns rescans for work itself;
+                        # one being unwound does not, so its place goes
+                        # to a worker.
+                        self._work_cv.notify()
+                    elif self._closed and not self._queued:
+                        # A worker that close() woke while ops were queued
+                        # on a held shard slept again: nothing is left.
+                        self._work_cv.notify_all()
+                idle = not (self._queued or self._inflight)
+                if idle and self._idle_waiters:
+                    self._idle_cv.notify_all()
+        return idle
 
     def _execute(
         self, op: Op, shard: int, local: int, deadline_at: float | None
@@ -405,44 +447,32 @@ class RequestScheduler:
             return "error", None, f"{type(exc).__name__}: {exc}"
         return "ok", data, None
 
-    def _retire(
-        self, rec: WorkerRecorder, shard: int, started: tuple, outcome: tuple,
-        *, more: bool, unwound: bool = False,
-    ) -> tuple | None:
-        """Record a finished op and, in one mutex hold, retire it and
-        either start the shard's next op (``more``) or release the
-        shard."""
-        (op, _, submitted_at, _), dequeued_at, completed_before = started
+    def _retire_locked(
+        self, rec: WorkerRecorder, shard: int, entry: tuple, outcome: tuple,
+        dequeued_at: float, now: float,
+    ) -> None:
+        """Record a finished op and retire it (mutex held)."""
+        op, _, submitted_at, _ = entry
+        kind = op.kind
         status, data, error = outcome
-        seconds = time.perf_counter() - dequeued_at
-        nbytes = len(op.payload) if op.kind == "write" else op.size
-        rec.record(op.kind, status, seconds, nbytes, dequeued_at - submitted_at)
+        seconds = now - dequeued_at
+        nbytes = len(op.payload) if kind == "write" else op.size
+        rec.record(kind, status, seconds, nbytes, dequeued_at - submitted_at)
         if error is not None:
             rec.record_error(error)
-        with self._lock:
-            self._inflight -= 1
-            self._completed += 1
-            if op.kind == "rebuild":
-                self._rebuild_windows.append(
-                    {
-                        "shard": shard,
-                        "status": status,
-                        "ops_completed_elsewhere": self._completed
-                        - 1
-                        - completed_before,
-                    }
-                )
-            if self.keep_results:
-                self._results.append(
-                    OpResult(op.kind, status, shard, seconds, data, error)
-                )
-            if more:
-                return self._pop_locked(shard)
-            self._busy[shard] = False
-            if unwound and self._queued:
-                # A drainer that returns rescans for work itself; one
-                # being unwound does not, so its place goes to a worker.
-                self._work_cv.notify()
-            if not (self._queued or self._inflight):
-                self._idle_cv.notify_all()
-            return None
+        self._inflight -= 1
+        self._completed += 1
+        if kind == "rebuild":
+            self._rebuild_windows.append(
+                {
+                    "shard": shard,
+                    "status": status,
+                    "ops_completed_elsewhere": self._completed
+                    - 1
+                    - self._completed_at_pop[shard],
+                }
+            )
+        if self.keep_results:
+            self._results.append(
+                OpResult(kind, status, shard, seconds, data, error)
+            )

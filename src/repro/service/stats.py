@@ -1,9 +1,10 @@
 """Service-level accounting: per-worker recorders and the roll-up.
 
-Latency and throughput are measured per *serving thread* — each worker
-thread, and each client thread that serves ops inside ``drain()``,
-owns a private :class:`WorkerRecorder` it mutates without any lock —
-and folded into one :class:`ServiceStats` when the scheduler closes.
+Latency and throughput are recorded per serving role — each worker
+thread owns a :class:`WorkerRecorder`, and the client threads that
+serve ops inside ``drain()`` share one, each written under the
+scheduler's mutex as it retires an op — and folded into one
+:class:`ServiceStats` when the scheduler closes.
 The fold is a commutative, lossless sum (the same contract as
 :meth:`repro.array.iostats.IOStats.merge`, property-tested alongside
 it), so the roll-up is independent of which worker served which op.
@@ -38,13 +39,12 @@ OP_STATUSES = ("ok", "expired", "error")
 
 
 class WorkerRecorder:
-    """One serving thread's private ledger (thread-local by ownership).
+    """One serving role's ledger: a worker's, or the ``drain()`` callers'.
 
-    Only the owning thread — a worker, or a client serving in
-    ``drain()`` — ever touches an instance, so recording is lock-free;
-    the scheduler merges recorders once every worker has joined and
-    nothing is in flight.  The R008 waivers below mark exactly that
-    single-owner contract.
+    The scheduler writes an instance only under its mutex, in the hold
+    that retires an op, and merges the recorders once every worker has
+    joined and nothing is in flight.  The R008 waivers below mark that
+    contract: the mutex is held by the caller, not taken here.
     """
 
     def __init__(self) -> None:
@@ -71,18 +71,18 @@ class WorkerRecorder:
         for the shard's lock included); ``queue_wait`` is what the op
         spent queued before that.
         """
-        self.counts[kind] += 1  # noqa: R008 - single-owner worker ledger
-        self.statuses[status] += 1  # noqa: R008 - single-owner worker ledger
+        self.counts[kind] += 1  # noqa: R008 - caller holds the mutex
+        self.statuses[status] += 1  # noqa: R008 - caller holds the mutex
         if status == "ok":
             if kind == "read":
-                self.bytes_read += nbytes  # noqa: R008 - single-owner ledger
+                self.bytes_read += nbytes  # noqa: R008 - caller holds the mutex
             elif kind == "write":
-                self.bytes_written += nbytes  # noqa: R008 - single-owner ledger
-        self.latencies[kind].append(seconds)  # noqa: R008 - single-owner ledger
-        self.queue_waits.append(queue_wait)  # noqa: R008 - single-owner ledger
+                self.bytes_written += nbytes  # noqa: R008 - caller holds the mutex
+        self.latencies[kind].append(seconds)  # noqa: R008 - caller holds the mutex
+        self.queue_waits.append(queue_wait)  # noqa: R008 - caller holds the mutex
 
     def record_error(self, message: str) -> None:
-        self.errors.append(message)  # noqa: R008 - single-owner worker ledger
+        self.errors.append(message)  # noqa: R008 - caller holds the mutex
 
 
 def latency_summary(seconds: list[float]) -> dict:

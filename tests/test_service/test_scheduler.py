@@ -17,7 +17,7 @@ from repro.exceptions import (
     InvalidParameterError,
     ServiceError,
 )
-from repro.service import Op, RequestScheduler, VolumePool
+from repro.service import Op, OpResult, RequestScheduler, VolumePool
 from repro.service.bench import _payload, _payload_block, _replay_single
 from repro.workloads import service_trace
 
@@ -938,3 +938,112 @@ class TestCallerDrains:
         # one recorder per client thread that served, not one per drain
         assert 1 <= len(served) - workers <= clients
         assert sum(served) == total
+
+
+class TestCloseWakesEveryWorker:
+    def test_a_worker_that_slept_through_close_joins(self):
+        """``close()`` wakes every worker once.  One that finds ops
+        queued on a shard another drainer holds sleeps again, so the
+        drainer that leaves nothing queued must wake it, or ``join()``
+        never returns."""
+        pool = make_pool()
+        stripe0 = first_stripe_on(pool, 0) * pool.bytes_per_stripe
+        gate = Gate(pool)
+        sched = RequestScheduler(pool, workers=2)
+        parked = threading.Semaphore(0)
+        wait = sched._work_cv.wait
+
+        def parking(timeout=None):
+            parked.release()  # under the mutex, which wait() then drops
+            return wait(timeout)
+
+        sched._work_cv.wait = parking
+        sched.start()
+        for _ in range(sched.workers):
+            assert parked.acquire(timeout=JOIN)
+        sched.submit(Op("read", offset=stripe0, size=1))
+        gate.wait_arrival()  # one worker holds shard 0
+        for _ in range(3):
+            sched.submit(Op("read", offset=stripe0, size=1))
+        with sched._lock:  # close()'s wake, while shard 0 is held
+            sched._closed = True
+            sched._work_cv.notify_all()
+        assert parked.acquire(timeout=JOIN)  # the other worker slept again
+        gate.open()
+        for thread in sched._threads:
+            thread.join(JOIN)
+        assert not any(t.is_alive() for t in sched._threads), "a worker never woke"
+        stats = close_within(sched)
+        assert stats.statuses["ok"] == 4
+
+
+class TestNotifyOnlyWhereSomeoneWaits:
+    def test_an_uncontended_sync_run_makes_no_notify_calls(self):
+        """With no blocked submitter and no ``drain()`` caller asleep,
+        a submit + ``drain()`` loop wakes nobody on ``_room_cv`` or
+        ``_idle_cv``: a notify is made only where a thread waits."""
+        pool = make_pool()
+        sched = RequestScheduler(pool, workers=2)
+        silence_workers(sched)  # the caller serves every op itself
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        sched._room_cv.notify = counted("room", sched._room_cv.notify)
+        sched._idle_cv.notify_all = counted("idle", sched._idle_cv.notify_all)
+        trace = service_trace(8, pool.bytes_per_stripe, 200, seed=5)
+        block = _payload_block(5)
+        for i, op in enumerate(trace):
+            sched.submit(request(block, i, op))
+            sched.drain()
+        assert calls == []
+        del sched._work_cv.notify
+        stats = close_within(sched)
+        assert stats.statuses["ok"] == len(trace)
+
+
+class TestOpResult:
+    FIELDS = ("kind", "status", "shard", "seconds", "data", "error")
+
+    def test_fields_access_and_immutability(self):
+        result = OpResult("read", "ok", 1, 2.5e-6, b"xy")
+        assert OpResult._fields == self.FIELDS
+        assert [getattr(result, name) for name in self.FIELDS] == [
+            "read", "ok", 1, 2.5e-6, b"xy", None,
+        ]
+        # a tuple: equal to the plain tuple of its fields, and hashable
+        assert result == ("read", "ok", 1, 2.5e-6, b"xy", None)
+        assert hash(result) == hash(tuple(result))
+        with pytest.raises(AttributeError):
+            result.status = "error"
+        assert result._replace(status="error").status == "error"
+        assert result.status == "ok"
+
+    def test_results_carry_what_their_consumers_read(self):
+        """What a ``results`` reader uses — ``kind``, ``status``,
+        ``shard``, ``data``, ``error``, ``seconds`` — for each outcome."""
+        pool = make_pool()
+        stripe1 = first_stripe_on(pool, 1) * pool.bytes_per_stripe
+        with RequestScheduler(pool, keep_results=True) as sched:
+            sched.submit(Op("write", offset=stripe1, payload=b"ab"))
+            sched.submit(Op("read", offset=stripe1, size=2))
+            sched.drain()
+            sched.submit(Op("fail", shard=1, disk=pool.shards[1].code.cols))
+            sched.drain()
+            sched.submit(Op("flush", shard=0))
+        results = sched.results
+        assert all(type(r) is OpResult for r in results)
+        assert [(r.kind, r.status, r.shard) for r in results] == [
+            ("write", "ok", 1), ("read", "ok", 1), ("fail", "error", 1),
+            ("flush", "ok", 0),
+        ]
+        assert [r.data for r in results] == [None, b"ab", None, None]
+        assert results[2].error.startswith("InvalidParameterError")
+        assert all(r.error is None for i, r in enumerate(results) if i != 2)
+        assert all(r.seconds >= 0.0 for r in results)
+        assert results is not sched.results  # a copy per read
